@@ -66,6 +66,7 @@ from .resonances import (
     Truncation,
     candidate_params,
     classify_pole,
+    count_resonances,
     enumerate_resonances,
     hypergeom_params,
     s_param,
@@ -104,7 +105,7 @@ __all__ = [
     "SpectrumSpec", "Truncation", "TruncationInsufficient",
     "UndecidableMembership", "ValidationError", "apply_resolvent",
     "candidate_params", "circle_spectrum", "classify_pole",
-    "enumerate_resonances", "format_results", "gamma", "gauss_series",
+    "count_resonances", "enumerate_resonances", "format_results", "gamma", "gauss_series",
     "green_pairing", "hyp2f1", "hyp2f1_regularized", "hypergeom_params",
     "indicial_roots", "integrate", "is_generic", "ln_gamma",
     "load_spectrum", "measure_density", "pochhammer", "r_of_sigma",

@@ -48,9 +48,9 @@ from .errors import (
 )
 from .resonances import (
     classify_pole,
+    count_resonances,
     enumerate_resonances,
     hypergeom_params,
-    weyl_count,
     weyl_leading_term,
 )
 from .verify import SUITE_NAMES, format_results, run_all, run_suite
@@ -366,15 +366,14 @@ def _cmd_weyl(args) -> int:
             "all modes are non-generic: the resonance set is empty and the "
             "Weyl comparison is undefined")
     k_max = _auto_kmax(args, lam_max)
-    rset = enumerate_resonances(spec, k_max, lam_max)
     rows = []
     for lam in grid:
-        count = weyl_count(rset, lam)
+        count = count_resonances(spec, k_max, lam)
         leading = weyl_leading_term(spec.dimension_n, spec.volume, lam)
         rows.append({"count": count, "lambda": lam, "leading_term": leading,
                      "ratio": count / leading})
-    trunc = {"j_max": rset.truncation.j_max, "k_max": rset.truncation.k_max,
-             "lambda_max": rset.truncation.lambda_max}
+    trunc = {"j_max": spec.modes[-1].label, "k_max": k_max,
+             "lambda_max": lam_max}
     if args.format == "json":
         _emit(_json_text({"rows": rows, "truncation": trunc}))
         return EXIT_OK

@@ -254,14 +254,13 @@ class Resonance:
     def t_le(self, bound: float) -> bool:
         # exact comparison whenever an exact form is carried
         if self.im_part_exact is not None:
-            return self.im_part_exact <= Fraction(bound)
-        if self.surd_key is not None:
+            sv, k = SValue(self.t - 0.5, self.im_part_exact - Fraction(1, 2)), 0
+        elif self.surd_key is not None:
             s_sq, k = self.surd_key
-            rhs = Fraction(bound) - Fraction(1, 2) - k
-            if rhs < 0:
-                return False
-            return s_sq <= rhs * rhs
-        return self.t <= bound
+            sv = SValue(self.t - 0.5 - k, None, s_sq)
+        else:
+            sv, k = SValue(self.t - 0.5), 0
+        return _count_le(sv, k, bound) > k
 
 
 @dataclass
@@ -273,28 +272,76 @@ class ResonanceSet:
 
     def complete_up_to(self, bound: float) -> bool:
         """True when the truncation provably captures every resonance with
-        |lambda| <= bound: the last listed mode's 1/2 + s exceeds the bound
-        (so do all unlisted modes) and so does 1/2 + k_max + s_first."""
-        modes = self.spectrum.modes
-        if not modes:
-            return True
-        n = self.spectrum.dimension_n
-        s_last = s_param(n, modes[-1])
-        s_first = s_param(n, modes[0])
-        return (_s_exceeds(s_last, Fraction(0), bound)
-                and _s_exceeds(s_first, Fraction(self.truncation.k_max), bound))
+        |lambda| <= bound: the bound is within the lambda_max the set was
+        enumerated to, the last listed mode's 1/2 + s exceeds the bound (so
+        do all unlisted modes), and so does 1/2 + k_max + s_first."""
+        return (bound <= self.truncation.lambda_max
+                and _truncation_covers(self.spectrum, self.truncation.k_max,
+                                       bound))
 
 
-def _s_exceeds(sv: SValue, offset: Fraction, bound: float) -> bool:
-    # decides 1/2 + offset + s > bound, exactly when possible
-    if sv.exact is not None:
-        return Fraction(1, 2) + offset + sv.exact > Fraction(bound)
-    if sv.sq_exact is not None:
-        rhs = Fraction(bound) - Fraction(1, 2) - offset
-        if rhs < 0:
-            return True
-        return sv.sq_exact > rhs * rhs
-    return 0.5 + float(offset) + sv.value > bound
+def _count_le(sv: SValue, k_max: int, bound: float) -> int:
+    """Number of k in 0..k_max with 1/2 + k + s <= bound.
+
+    The one place the position test is made.  Rational s takes one exact
+    floor.  Otherwise a float guess of the last k is corrected one step at
+    a time: exactly through s^2 <= (bound - 1/2 - k)^2 for a surd, and by
+    the double expression 0.5 + k + s <= bound for float-only s, which is
+    monotone in k.
+    """
+    if sv.exact is None and sv.sq_exact is None:
+        def le(k: int) -> bool:
+            return 0.5 + k + sv.value <= bound
+    else:
+        # bound - 1/2 = p / q exactly
+        bn, bd = Fraction(bound).as_integer_ratio()
+        p, q = 2 * bn - bd, 2 * bd
+        if sv.exact is not None:
+            sn, sd = sv.exact.as_integer_ratio()
+            k = (p * sd - q * sn) // (q * sd)
+            return max(0, min(k, k_max) + 1)
+        an, ad = sv.sq_exact.as_integer_ratio()
+
+        def le(k: int) -> bool:
+            r = p - k * q
+            return r >= 0 and an * q * q <= ad * r * r
+    k = max(-1, min(k_max, math.floor(bound - 0.5 - sv.value)))
+    while k < k_max and le(k + 1):
+        k += 1
+    while k >= 0 and not le(k):
+        k -= 1
+    return k + 1
+
+
+def _truncation_covers(spec: SpectrumSpec, k_max: int, bound: float) -> bool:
+    # modes past the last listed one and orders past k_max all lie above bound
+    modes = spec.modes
+    if not modes:
+        return True
+    n = spec.dimension_n
+    return (_count_le(s_param(n, modes[-1]), 0, bound) == 0
+            and _count_le(s_param(n, modes[0]), k_max, bound) <= k_max)
+
+
+def _validate_limits(k_max: int, bound: float) -> None:
+    if not isinstance(k_max, int) or k_max < 0:
+        raise ValidationError(f"k_max must be an integer >= 0, got {k_max!r}")
+    if not (isinstance(bound, (int, float)) and bound >= 0):
+        raise ValidationError(f"lambda bound must be >= 0, got {bound!r}")
+
+
+def _generic_modes(spec: SpectrumSpec) -> list[tuple[Mode, SValue]]:
+    n = spec.dimension_n
+    generic: list[tuple[Mode, SValue]] = []
+    for mode in spec.modes:
+        verdict = is_generic(mode, n)
+        if verdict is GenericityVerdict.UNKNOWN_FLOAT:
+            raise UndecidableMembership(
+                f"mode j = {mode.label} (mu_sq = {mode.mu_sq}) sits within "
+                f"1e-9 of the half-odd-integer lattice without an exact form")
+        if verdict is GenericityVerdict.GENERIC:
+            generic.append((mode, s_param(n, mode)))
+    return generic
 
 
 def enumerate_resonances(spec: SpectrumSpec, k_max: int,
@@ -308,42 +355,25 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
     Otherwise positions are clustered with a 1e-9 tolerance on -Im lambda.
     Raises UndecidableMembership if any mode's genericity is unknown_float.
     """
-    if not isinstance(k_max, int) or k_max < 0:
-        raise ValidationError(f"k_max must be an integer >= 0, got {k_max!r}")
-    if not (isinstance(lambda_max, (int, float)) and lambda_max >= 0):
-        raise ValidationError(f"lambda_max must be >= 0, got {lambda_max!r}")
-    n = spec.dimension_n
-    generic: list[tuple[Mode, SValue]] = []
-    for mode in spec.modes:
-        verdict = is_generic(mode, n)
-        if verdict is GenericityVerdict.UNKNOWN_FLOAT:
-            raise UndecidableMembership(
-                f"mode j = {mode.label} (mu_sq = {mode.mu_sq}) sits within "
-                f"1e-9 of the half-odd-integer lattice without an exact form")
-        if verdict is GenericityVerdict.NON_GENERIC:
-            continue
-        generic.append((mode, s_param(n, mode)))
+    _validate_limits(k_max, lambda_max)
+    generic = _generic_modes(spec)
     all_exact = all(sv.exact is not None or sv.sq_exact is not None
                     for _, sv in generic)
     entries = []
     for mode, sv in generic:
-        for k in range(k_max + 1):
-            t = 0.5 + k + sv.value
+        if sv.exact is not None:
+            base = Fraction(1, 2) + sv.exact
+        for k in range(_count_le(sv, k_max, lambda_max)):
             if sv.exact is not None:
-                t_exact = Fraction(1, 2) + k + sv.exact
-                if t_exact > Fraction(lambda_max):
-                    break
+                t_exact = base + k
                 key = ("rat", t_exact)
                 entries.append((float(t_exact), key, t_exact, None, mode, k))
             elif sv.sq_exact is not None:
-                if not (_le_surd(sv.sq_exact, k, lambda_max)):
-                    break
                 key = ("surd", sv.sq_exact, k)
-                entries.append((t, key, None, (sv.sq_exact, k), mode, k))
+                entries.append((0.5 + k + sv.value, key, None,
+                                (sv.sq_exact, k), mode, k))
             else:
-                if t > lambda_max:
-                    break
-                entries.append((t, None, None, None, mode, k))
+                entries.append((0.5 + k + sv.value, None, None, None, mode, k))
     groups: list[list] = []
     if all_exact:
         by_key: dict = {}
@@ -374,25 +404,40 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
     return ResonanceSet(resonances, trunc, spec, all_exact)
 
 
-def _le_surd(s_sq: Fraction, k: int, bound: float) -> bool:
-    # 1/2 + k + sqrt(s_sq) <= bound, exact
-    rhs = Fraction(bound) - Fraction(1, 2) - k
-    if rhs < 0:
-        return False
-    return s_sq <= rhs * rhs
+def count_resonances(spec: SpectrumSpec, k_max: int, bound: float) -> int:
+    """Number of resonances (with multiplicity) of modulus <= bound from the
+    truncated spectrum, k = 0..k_max, without listing them.
+
+    Each generic mode adds m_j * #{k : 1/2 + k + s_j <= bound}, so every
+    (j, k) pair is decided on its own, as exactly as its s allows.  Raises
+    UndecidableMembership if any mode's genericity is unknown_float, and
+    TruncationInsufficient when the last listed mode or k_max cannot certify
+    completeness up to the bound (the rule of ResonanceSet.complete_up_to).
+    """
+    _validate_limits(k_max, bound)
+    generic = _generic_modes(spec)
+    if not _truncation_covers(spec, k_max, bound):
+        raise TruncationInsufficient(
+            f"truncation (j_max = {spec.modes[-1].label}, k_max = {k_max}) "
+            f"is not provably complete up to lambda = {bound}")
+    return sum(mode.multiplicity * _count_le(sv, k_max, bound)
+               for mode, sv in generic)
 
 
 def weyl_count(rset: ResonanceSet, lambda_bound: float) -> int:
     """Number of resonances (with multiplicity) of modulus <= lambda_bound.
 
-    Refuses to count when the set's truncation cannot certify completeness
-    up to the bound."""
-    if not rset.complete_up_to(lambda_bound):
+    Refuses to count (TruncationInsufficient) when the set cannot certify
+    completeness up to the bound: the bound must not exceed the lambda_max
+    the set was enumerated to, and the j_max/k_max conditions of
+    complete_up_to must hold.  The count itself is count_resonances on the
+    set's spectrum and k_max."""
+    if lambda_bound > rset.truncation.lambda_max:
         raise TruncationInsufficient(
-            f"enumeration (j_max = {rset.truncation.j_max}, k_max = "
-            f"{rset.truncation.k_max}) is not provably complete up to "
-            f"lambda = {lambda_bound}")
-    return sum(r.multiplicity for r in rset.resonances if r.t_le(lambda_bound))
+            f"the set was enumerated up to lambda = "
+            f"{rset.truncation.lambda_max}, below the bound {lambda_bound}")
+    return count_resonances(rset.spectrum, rset.truncation.k_max,
+                            lambda_bound)
 
 
 def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:

@@ -116,6 +116,36 @@ def brute_force_sphere(n: int, j_max: int, k_max: int,
     return {t: (m, sorted(c)) for t, (m, c) in out.items()}
 
 
+def brute_force_count(n: int, modes, k_max: int, bound: float) -> int:
+    """Resonances (with multiplicity) at or below bound, one (j, k) pair at a
+    time in 60-digit arithmetic.
+
+    modes are (mu_sq_exact or None, mu_sq, multiplicity) triples.  An exact
+    mode is excluded when 2s is within 1e-40 of an odd integer, and a
+    position within 1e-40 of the bound counts as on it: at the sizes the
+    tests use neither happens except exactly.  Float-only modes are decided
+    by the double expression 0.5 + k + s <= bound that defines their count.
+    """
+    total = 0
+    tiny = mp.mpf(10) ** -40
+    with mp.workdps(60):
+        for exact, mu_sq, mult in modes:
+            if exact is None:
+                s = math.sqrt(((n - 1) / 2.0) ** 2 + mu_sq)
+                total += mult * sum(1 for k in range(k_max + 1)
+                                    if 0.5 + k + s <= bound)
+                continue
+            s = mp.sqrt(mp.mpf(n - 1) ** 2 / 4
+                        + mp.mpf(exact.numerator) / exact.denominator)
+            nearest = mp.nint(2 * s)
+            if abs(2 * s - nearest) < tiny and int(nearest) % 2 == 1:
+                continue
+            for k in range(k_max + 1):
+                if mp.mpf(bound) - (mp.mpf(1) / 2 + k + s) > -tiny:
+                    total += mult
+    return total
+
+
 def oracle_wronskian(n: int, mu_sq, lam, sigma, dps: int = 40) -> complex:
     """W(u1, u2)(sigma) from mp.hyp2f1 with the analytic derivative
     dF/dz = (a b / c) F(a+1, b+1; c+1; z): no finite differences and no

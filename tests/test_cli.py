@@ -246,13 +246,35 @@ class TestClassify:
 
 
 class TestWeyl:
-    def test_unit_circle_ratios(self):
-        rc, out, err = run("weyl", "--circle", "1", "--lambda-grid", "50,100")
+    def test_unit_circle_ratios(self, monkeypatch):
+        # weyl counts per mode and never lists the lattice
+        def refuse(*args, **kwargs):
+            raise AssertionError("weyl enumerated the resonance lattice")
+        monkeypatch.setattr("hypercone.cli.enumerate_resonances", refuse)
+        rc, out, err = run("weyl", "--circle", "1", "--lambda-grid",
+                           "10,100,1000")
         assert (rc, err) == (0, "")
         data = json.loads(out)
-        assert [r["count"] for r in data["rows"]] == [2500, 10000]
+        assert [r["count"] for r in data["rows"]] == [100, 10000, 1000000]
         for row in data["rows"]:
             assert abs(row["ratio"] - 1.0) <= 1e-12
+
+    def test_float_cluster_count_independent_of_grid(self, tmp_path):
+        # positions 1.8 and 1.8 + 5e-10 sit within the 1e-9 clustering
+        # tolerance; a bound between them counts only the first, whatever
+        # else the grid asks for
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 1, "volume": 6.0, "modes": [
+            {"mu_sq": 1.3 ** 2, "m": 1},
+            {"mu_sq": (1.3 + 5e-10) ** 2, "m": 2},
+            {"mu_sq": 16.0, "m": 2}]}), encoding="utf-8")
+        counts = []
+        for grid in ("1.8000000002500001", "1.8000000002500001,3"):
+            rc, out, err = run("weyl", "--file", str(path), "--lambda-grid",
+                               grid)
+            assert (rc, err) == (0, "")
+            counts.append(json.loads(out)["rows"][0]["count"])
+        assert counts == [1, 1]
 
     def test_below_first_resonance(self):
         rc, out, _ = run("weyl", "--circle", "1", "--lambda-grid", "0.4")

@@ -4,10 +4,14 @@ Enumeration results are checked against the brute-force double loops in
 tests/oracles.py, which use independent genericity and multiplicity formulas.
 """
 
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypercone import (
     CaseId,
@@ -23,16 +27,18 @@ from hypercone import (
     candidate_params,
     circle_spectrum,
     classify_pole,
+    count_resonances,
     enumerate_resonances,
     hypergeom_params,
     is_generic,
+    load_spectrum,
     s_param,
     sphere_spectrum,
     weyl_count,
     weyl_leading_term,
 )
 
-from oracles import brute_force_circle, brute_force_sphere
+from oracles import brute_force_circle, brute_force_count, brute_force_sphere
 
 
 class TestSParam:
@@ -265,6 +271,14 @@ class TestEnumerate:
         assert r.t_le(2.31) and not r.t_le(2.30)
         assert not r.t_le(0.4)
 
+    def test_rational_and_float_bound_comparisons(self):
+        r = enumerate_resonances(circle_spectrum(1, 3), 3, 3.0).resonances[-1]
+        assert r.im_part_exact == Fraction(5, 2)
+        assert r.t_le(2.5) and not r.t_le(math.nextafter(2.5, 0.0))
+        spec = SpectrumSpec(1, [Mode(1.69, 1, None, 0)], None, "file")
+        r = enumerate_resonances(spec, 0, 3.0).resonances[0]
+        assert r.t_le(r.t) and not r.t_le(math.nextafter(r.t, 0.0))
+
     def test_undecidable_float_mode(self):
         spec = SpectrumSpec(1, [Mode(2.25 + 1e-12, 1)], None, "file")
         with pytest.raises(UndecidableMembership, match="j = 0"):
@@ -310,6 +324,15 @@ class TestCompleteness:
         assert rset.complete_up_to(2.9)
         assert not rset.complete_up_to(3.0)
         assert weyl_count(rset, 2.9) == 0
+
+    def test_bound_beyond_enumeration_refuses(self):
+        # j_max and k_max reach past 5, but the set was only listed to 3
+        spec = circle_spectrum(1, 10)
+        rset = enumerate_resonances(spec, 10, 3.0)
+        assert not rset.complete_up_to(5.0)
+        with pytest.raises(TruncationInsufficient):
+            weyl_count(rset, 5.0)
+        assert count_resonances(spec, 10, 5.0) == 25
 
 
 class TestWeylCount:
@@ -359,3 +382,127 @@ class TestWeylCount:
         ratio = weyl_count(rset, lam) / weyl_leading_term(
             3, 2 * math.pi ** 2, lam)
         assert abs(ratio - 1.0) <= 5e-2
+
+
+# radii whose positions 1/2 + k + j/rho are all floats, so a bound can sit
+# exactly on one
+DYADIC_RADII = [Fraction(1), Fraction(2), Fraction(4), Fraction(1, 3),
+                Fraction(4, 3), Fraction(2, 5)]
+PLACES = ["on", "below", "between"]
+
+
+def _bound_at(position: float, place: str) -> float:
+    if place == "on":
+        return position
+    if place == "below":
+        return math.nextafter(position, 0.0)
+    return position + 0.125  # positions of the dyadic lattices are 1/4 apart
+
+
+def _file_spectrum(n, modes):
+    entries = []
+    for exact, mu_sq, mult in modes:
+        entry = {"mu_sq": mu_sq, "m": mult}
+        if exact is not None:
+            entry["mu_sq_exact"] = f"{exact.numerator}/{exact.denominator}"
+        entries.append(entry)
+    return load_spectrum(io.StringIO(json.dumps({"n": n, "modes": entries})))
+
+
+def _surd_modes(j_max):
+    # n = 2, mu^2 = j(j+1) + 1/3: s = sqrt((j + 1/2)^2 + 1/3) is irrational
+    return [(Fraction(j * (j + 1)) + Fraction(1, 3),
+             float(Fraction(j * (j + 1)) + Fraction(1, 3)), 2 * j + 1)
+            for j in range(j_max + 1)]
+
+
+def _float_modes(j_max):
+    # circle of radius 1.37 written without exact forms (2s stays > 1e-3
+    # from every odd integer for j <= 40)
+    return [(None, (j / 1.37) ** 2, 1 if j == 0 else 2)
+            for j in range(j_max + 1)]
+
+
+def _mixed_modes(j_max):
+    # exact rational s = j, exact s = sqrt(j^2 + 5/4) (a surd except the
+    # excluded s = 3/2 at j = 1), float-only s = sqrt(j^2 + 0.37), in one file
+    modes = []
+    for j in range(j_max + 1):
+        modes.append((Fraction(j * j), float(j * j), 2))
+        modes.append((Fraction(4 * j * j + 5, 4), j * j + 1.25, 1))
+        modes.append((None, j * j + 0.37, 3))
+    return modes
+
+
+def _position(n, mode, k) -> float:
+    exact, mu_sq, _ = mode
+    if exact is None:
+        return 0.5 + k + math.sqrt(((n - 1) / 2.0) ** 2 + mu_sq)
+    return 0.5 + k + math.sqrt(float(Fraction(n - 1, 2) ** 2 + exact))
+
+
+class TestCountResonances:
+    """count_resonances against the brute-force oracles and against the
+    total multiplicity enumerate_resonances lists up to the same bound."""
+
+    @staticmethod
+    def _agree(spec, k_max, bound, want):
+        assert count_resonances(spec, k_max, bound) == want
+        listed = enumerate_resonances(spec, k_max, bound).resonances
+        assert sum(r.multiplicity for r in listed) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(rho=st.sampled_from(DYADIC_RADII), j=st.integers(0, 12),
+           k=st.integers(0, 12), place=st.sampled_from(PLACES))
+    def test_circle(self, rho, j, k, place):
+        bound = _bound_at(float(Fraction(1, 2) + k + j / rho), place)
+        j_max = math.ceil(rho * Fraction(bound)) + 1
+        k_max = math.ceil(bound) + 1
+        want = sum(m for m, _ in brute_force_circle(
+            rho, j_max, k_max, Fraction(bound)).values())
+        self._agree(circle_spectrum(rho, j_max), k_max, bound, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4, 5, 7]), j=st.integers(0, 8),
+           k=st.integers(0, 8), place=st.sampled_from(PLACES))
+    def test_sphere(self, n, j, k, place):
+        bound = _bound_at(0.5 + k + j + (n - 1) / 2, place)
+        j_max = k_max = math.ceil(bound) + 1
+        want = sum(m for m, _ in brute_force_sphere(
+            n, j_max, k_max, Fraction(bound)).values())
+        self._agree(sphere_spectrum(n, j_max), k_max, bound, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["surd", "float", "mixed"]),
+           j=st.integers(0, 8), k=st.integers(0, 8),
+           which=st.integers(0, 2), place=st.sampled_from(PLACES))
+    # the float guess of the last k falls one short here and must be raised
+    @example(kind="float", j=3, k=2, which=2, place="on")
+    def test_file_spectra(self, kind, j, k, which, place):
+        n, build = {"surd": (2, _surd_modes), "float": (1, _float_modes),
+                    "mixed": (1, _mixed_modes)}[kind]
+        near = build(j)[-3:]
+        probe = near[which % len(near)]
+        bound = _bound_at(_position(n, probe, k), place)
+        k_max = math.ceil(bound) + 1
+        modes = build(2 * math.ceil(bound) + 2)
+        want = brute_force_count(n, modes, k_max, bound)
+        self._agree(_file_spectrum(n, modes), k_max, bound, want)
+
+    def test_exact_position_is_inclusive(self):
+        spec = circle_spectrum(1, 12)
+        assert count_resonances(spec, 12, 10.5) == 121
+        assert count_resonances(spec, 12, math.nextafter(10.5, 0.0)) == 100
+
+    def test_refusals(self):
+        with pytest.raises(UndecidableMembership, match="j = 0"):
+            count_resonances(SpectrumSpec(1, [Mode(2.25 + 1e-12, 1)], None,
+                                          "file"), 2, 5.0)
+        with pytest.raises(TruncationInsufficient):
+            count_resonances(circle_spectrum(1, 3), 3, 4.0)
+        with pytest.raises(TruncationInsufficient):
+            count_resonances(circle_spectrum(1, 10), 3, 4.0)
+        with pytest.raises(ValidationError):
+            count_resonances(circle_spectrum(1, 3), -1, 2.0)
+        with pytest.raises(ValidationError):
+            count_resonances(circle_spectrum(1, 3), 3, -1.0)
