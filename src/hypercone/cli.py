@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -55,7 +54,7 @@ from .resonances import (
 )
 from .verify import SUITE_NAMES, format_results, run_all, run_suite
 
-__all__ = ["main", "thread_cap"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -67,27 +66,6 @@ EXIT_NON_GENERIC = 5
 
 class _NonGenericSpectrum(HyperconeError):
     pass
-
-
-def thread_cap() -> int:
-    """Validated HYPERCONE_THREADS value (default 1).
-
-    The cap is an upper bound on internal parallelism; evaluation is
-    sequential with a fixed reduction order, which honors any cap >= 1
-    and keeps output independent of the setting.
-    """
-    raw = os.environ.get("HYPERCONE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"HYPERCONE_THREADS must be an integer >= 1, got {raw!r}") from None
-    if cap < 1:
-        raise ValidationError(
-            f"HYPERCONE_THREADS must be an integer >= 1, got {raw!r}")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +468,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_merge_negative_values(list(argv)))
-        thread_cap()
         return args.handler(args)
     except TruncationInsufficient as e:
         return _fail(EXIT_TRUNCATION, "truncation", e)

@@ -21,9 +21,10 @@ Evaluation routes: Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) is computed as one
 fused series whose terms stay finite through the Gamma poles and zeros
 (removable parameter points get their exact limit, taken along the
 lambda-direction where (a, b, c) move at rates (1, 1, 2)); u2 is switched
-to the Euler transform sigma^(c'-a-b) F(c'-a, c'-b; c'; 1-sigma) whenever
-Re(1+s-a-b) = -2 Im(lambda) is small, which removes the catastrophic
-cancellation of the direct series in the upper half plane.
+to the Euler transform sigma^(c'-a-b) F(c'-a, c'-b; c'; 1-sigma), c' = 1+s,
+for every Im(lambda) < 0, where Re(c'-a-b) = -2 Im(lambda) is positive; that
+removes the catastrophic cancellation of the direct series in the lower half
+plane.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .resonances import (
 )
 from .specfun import (
     SeriesControl,
+    _sum_series,
     gamma,
     gauss_series,
     is_nonpositive_integer,
@@ -300,23 +302,8 @@ class _KernelData:
         return self._g1_exact(z)
 
     def _g1_recurrence(self, z: float) -> complex:
-        a, b, c = self.p.a, self.p.b, self.p.c
-        term = self.t0
-        total = term
-        small = 0
-        if z == 0.0:
-            return total
-        for k in range(_SERIES.max_terms):
-            term *= (a + k) * (b + k) * z / ((c + k) * (k + 1))
-            total += term
-            if abs(term) <= _SERIES.rel_tol * max(abs(total), 1e-300):
-                small += 1
-                if small >= 3 and k >= self.kmin:
-                    return total
-            else:
-                small = 0
-        raise NoConvergence(
-            f"fused kernel series failed to converge at z = {z}")
+        p = self.p
+        return _sum_series(self.t0, p.a, p.b, p.c, z, _SERIES, kmin=self.kmin)
 
     def _g1_exact(self, z: float) -> complex:
         # per-term log-space evaluation; a lattice hit at index X turns
@@ -369,9 +356,6 @@ class _KernelData:
         raise NoConvergence(
             f"fused kernel series failed to converge at z = {z}")
 
-    def u2(self, sigma: float) -> complex:
-        return u2(self.p, sigma)
-
     def rho_weight(self, rho: float) -> complex:
         return cmath.exp(self.e1 * math.log(rho)) * (1.0 - rho) ** self.e2
 
@@ -399,88 +383,66 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
                     lam_im_exact=None) -> complex:
     """(R(lambda) f)(sigma) for a single evaluation point.
 
-    Raises PoleEvaluation at exactly classified genuine poles; removable
-    and regular parameter points evaluate through the fused limits.
+    The one-point case of the grid path: one adaptive integral of f g1 w
+    from lo up to sigma and one of f u2 w from sigma up to hi, either
+    skipped when sigma lies outside the support on its side.  Raises
+    PoleEvaluation at exactly classified genuine poles; removable and
+    regular parameter points evaluate through the fused limits.
     """
     if not (0.0 < sigma < 1.0):
         raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
-    qc = control or _DEFAULT_QC
     p = _guarded_params(n, mode, lam, lam_im_exact)
-    kd = _KernelData(n, p, qc)
-    lo, hi = f.support
-    upper = 0.0 + 0.0j
-    if sigma < hi:
-        upper = integrate(
-            lambda r: f(r) * kd.u2(r) * kd.rho_weight(r),
-            max(sigma, lo), hi, abs_tol=qc.abs_tol, rel_tol=qc.rel_tol,
-            max_subdivisions=qc.max_subdivisions)
-    lower = 0.0 + 0.0j
-    if sigma > lo:
-        lower = integrate(
-            lambda r: f(r) * kd.g1(r) * kd.rho_weight(r),
-            lo, min(sigma, hi), abs_tol=qc.abs_tol, rel_tol=qc.rel_tol,
-            max_subdivisions=qc.max_subdivisions)
-    total = 0.0 + 0.0j
-    if upper != 0.0:
-        total += kd.g1(sigma) * upper
-    if lower != 0.0:
-        total += kd.u2(sigma) * lower
-    return total * kd.sigma_prefactor(sigma) * kd.inv_g1s
+    kd = _KernelData(n, p, control or _DEFAULT_QC)
+    return _resolvent_on_grid(kd, f, [sigma])[sigma]
 
 
 def _resolvent_on_grid(kd: _KernelData, f: RadialProfile,
                        sigmas: Sequence[float]) -> dict[float, complex]:
-    """(R f) at many sigma sharing one cumulative partition of the support.
+    """(R f) at many sigma from two cumulative integrals over the support.
 
-    All evaluation points see the same panel integrals, so differences of
-    nearby values carry only the panels between them; finite-difference
-    stencils on the output lose none of the panel accuracy to cancellation.
+    The grid points inside the support [lo, hi] cut it into segments, each
+    integrated once adaptively.  The integral of f g1 w accumulates upward
+    from lo, through hi only when some point lies at or beyond hi; the
+    integral of f u2 w accumulates downward from hi to the first point.
+    Differences of nearby values therefore carry only the segments between
+    them, and finite-difference stencils on the output lose none of the
+    panel accuracy to cancellation.  This is the only place the kernel
+    P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed.
     """
     lo, hi = f.support
     qc = kd.qc
     pts = sorted(set(sigmas))
     if not pts or not (0.0 < pts[0] and pts[-1] < 1.0):
         raise DomainError("grid points must lie in (0, 1)")
-    cuts = sorted({lo, hi, *[x for x in pts if lo < x < hi]})
-    cum_g1 = {cuts[0]: 0.0 + 0.0j}
-    cum_u2 = {cuts[0]: 0.0 + 0.0j}
-    acc_g1 = acc_u2 = 0.0 + 0.0j
-    for left, right in zip(cuts, cuts[1:]):
-        acc_g1 += integrate(
-            lambda r: f(r) * kd.g1(r) * kd.rho_weight(r), left, right,
-            abs_tol=qc.abs_tol, rel_tol=qc.rel_tol,
-            max_subdivisions=qc.max_subdivisions)
-        acc_u2 += integrate(
-            lambda r: f(r) * kd.u2(r) * kd.rho_weight(r), left, right,
-            abs_tol=qc.abs_tol, rel_tol=qc.rel_tol,
-            max_subdivisions=qc.max_subdivisions)
-        cum_g1[right] = acc_g1
-        cum_u2[right] = acc_u2
-    tot_u2 = acc_u2
+    inside = [x for x in pts if lo < x < hi]
+    up_cuts = [lo, *inside, hi] if pts[-1] >= hi else [lo, *inside]
+    down_cuts = [lo, *inside, hi] if pts[0] <= lo else [*inside, hi]
 
-    def lower_g1(x: float) -> complex:
-        if x <= lo:
-            return 0.0 + 0.0j
-        if x >= hi:
-            return cum_g1[hi]
-        return cum_g1[x]
+    def running(integrand, segments) -> list[complex]:
+        acc = 0.0 + 0.0j
+        sums = []
+        for left, right in segments:
+            acc += integrate(integrand, left, right, abs_tol=qc.abs_tol,
+                             rel_tol=qc.rel_tol,
+                             max_subdivisions=qc.max_subdivisions)
+            sums.append(acc)
+        return sums
 
-    def upper_u2(x: float) -> complex:
-        if x >= hi:
-            return 0.0 + 0.0j
-        if x <= lo:
-            return tot_u2
-        return tot_u2 - cum_u2[x]
-
+    lower = dict(zip(up_cuts[1:], running(
+        lambda r: f(r) * kd.g1(r) * kd.rho_weight(r),
+        zip(up_cuts, up_cuts[1:]))))
+    upper = dict(zip(down_cuts[-2::-1], running(
+        lambda r: f(r) * u2(kd.p, r) * kd.rho_weight(r),
+        reversed(list(zip(down_cuts, down_cuts[1:]))))))
     out = {}
     for x in pts:
-        up = upper_u2(x)
-        low = lower_g1(x)
+        up = upper[max(x, lo)] if x < hi else 0.0
+        low = lower[min(x, hi)] if x > lo else 0.0
         val = 0.0 + 0.0j
         if up != 0.0:
             val += kd.g1(x) * up
         if low != 0.0:
-            val += kd.u2(x) * low
+            val += u2(kd.p, x) * low
         out[x] = val * kd.sigma_prefactor(x) * kd.inv_g1s
     return out
 
@@ -537,39 +499,34 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
     if coordinate == "sigma":
         if not (pts[0] - 2 * h > 0.0 and pts[-1] + 2 * h < 1.0):
             raise ValidationError("grid (with stencils) must stay in (0, 1)")
-        if any(y - x < 10 * h for x, y in zip(pts, pts[1:])):
-            raise ValidationError("grid spacing must be at least 10 h")
-        nodes = [x + j * h for x in pts for j in (-2, -1, 0, 1, 2)]
-        uval = _resolvent_on_grid(kd, f, nodes)
-        residuals = []
-        fmax = max(abs(f(x)) for x in pts)
-        norm = 1.0 + fmax
-        for x in pts:
-            st = [uval[x + j * h] for j in (-2, -1, 0, 1, 2)]
-            d2 = sum(c * v for c, v in zip(_D2, st)) / (12.0 * h * h)
-            d1 = sum(c * v for c, v in zip(_D1, st)) / (12.0 * h)
-            lu = (-x * x * (1.0 - x) * d2
-                  + x * ((n - 1) + (3 - n) * x / 2.0) * d1
-                  + (mu_sq * x * x / (4.0 * (1.0 - x)) - shift) * st[2])
-            residuals.append(abs(lu - f(x)) / norm)
+        xs, to_sigma, where = pts, (lambda x: x), ""
+
+        def radial(x, d2, d1, u):
+            return (-x * x * (1.0 - x) * d2
+                    + x * ((n - 1) + (3 - n) * x / 2.0) * d1
+                    + (mu_sq * x * x / (4.0 * (1.0 - x)) - shift) * u)
     else:
-        rs = [r_of_sigma(x) for x in reversed(pts)]
-        if any(y - x < 10 * h for x, y in zip(rs, rs[1:])):
-            raise ValidationError("grid spacing in r must be at least 10 h")
-        nodes = [sigma_of_r(r + j * h) for r in rs for j in (-2, -1, 0, 1, 2)]
-        uval = _resolvent_on_grid(kd, f, nodes)
-        residuals_r = []
-        fmax = max(abs(f(sigma_of_r(r))) for r in rs)
-        norm = 1.0 + fmax
-        for r in rs:
-            st = [uval[sigma_of_r(r + j * h)] for j in (-2, -1, 0, 1, 2)]
-            d2 = sum(c * v for c, v in zip(_D2, st)) / (12.0 * h * h)
-            d1 = sum(c * v for c, v in zip(_D1, st)) / (12.0 * h)
+        xs = [r_of_sigma(x) for x in reversed(pts)]
+        to_sigma, where = sigma_of_r, " in r"
+
+        def radial(r, d2, d1, u):
             sh = math.sinh(r)
-            lu = (-d2 - n * math.cosh(r) / sh * d1
-                  + (mu_sq / (sh * sh) - shift) * st[2])
-            residuals_r.append(abs(lu - f(sigma_of_r(r))) / norm)
-        residuals = list(reversed(residuals_r))
+            return (-d2 - n * math.cosh(r) / sh * d1
+                    + (mu_sq / (sh * sh) - shift) * u)
+    if any(y - x < 10 * h for x, y in zip(xs, xs[1:])):
+        raise ValidationError(f"grid spacing{where} must be at least 10 h")
+    offsets = (-2, -1, 0, 1, 2)
+    uval = _resolvent_on_grid(
+        kd, f, [to_sigma(x + j * h) for x in xs for j in offsets])
+    norm = 1.0 + max(abs(f(to_sigma(x))) for x in xs)
+    residuals = []
+    for x in xs:
+        st = [uval[to_sigma(x + j * h)] for j in offsets]
+        d2 = sum(c * v for c, v in zip(_D2, st)) / (12.0 * h * h)
+        d1 = sum(c * v for c, v in zip(_D1, st)) / (12.0 * h)
+        residuals.append(abs(radial(x, d2, d1, st[2]) - f(to_sigma(x))) / norm)
+    if coordinate == "r":
+        residuals.reverse()
     return ResidualReport(coordinate, h, tuple(pts), tuple(residuals),
                           max(residuals), norm)
 

@@ -161,18 +161,22 @@ def gauss_series(a: complex, b: complex, c: complex, z: float,
     kernel needs (integer c-a-b).
     """
     ctl = ctl or _DEFAULT_CTL
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
+    return _sum_series(1.0 + 0.0j, complex(a), complex(b), complex(c), z, ctl)
+
+
+def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
+                ctl: SeriesControl, k0: int = 0, kmin: int = 0) -> complex:
+    # the one 2F1 term loop: term is the k0-th term, each step multiplies
+    # by (a+k)(b+k) z / ((c+k)(k+1)); SeriesControl's rule, applied once
+    # k >= kmin, ends the sum
+    total = term
     small = 0
-    for k in range(ctl.max_terms):
+    for k in range(k0, k0 + ctl.max_terms):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
         if abs(term) <= ctl.rel_tol * abs(total):
             small += 1
-            if small == 3:
+            if small >= 3 and k >= kmin:
                 return total
         else:
             small = 0
@@ -272,17 +276,5 @@ def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float,
         k0 = 0
     term = (pochhammer(a, k0) * pochhammer(b, k0) * recip_gamma(c + k0)
             * (z ** k0) / math.factorial(k0))
-    total = term
-    small = 0
-    for k in range(k0, k0 + ctl.max_terms):
-        # c + k stays off the poles for k > k0 by construction
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-        if abs(term) <= ctl.rel_tol * max(abs(total), 1e-300):
-            small += 1
-            if small == 3:
-                return total
-        else:
-            small = 0
-    raise NoConvergence(
-        f"regularized 2F1 series did not settle within {ctl.max_terms} terms")
+    # c + k stays off the poles for k > k0 by construction
+    return _sum_series(term, a, b, c, z, ctl, k0)

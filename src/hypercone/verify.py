@@ -20,6 +20,7 @@ from .errors import ProbeInconclusive
 from .resonances import PoleVerdict, candidate_params, classify_pole, hypergeom_params
 from .resolvent import (
     RadialProfile,
+    apply_resolvent,
     green_pairing,
     residual_check,
     residue_probe,
@@ -238,7 +239,6 @@ def residual_suite(seed: int = 0) -> list[CheckResult]:
     alpha = 0.37 + 0.21j
     combo = RadialProfile(lambda s: f(s) + alpha * g(s), (0.3, 0.7))
     worst = 0.0
-    from .resolvent import apply_resolvent
     for s in (0.25, 0.45, 0.65):
         direct = apply_resolvent(2, mode, 1 - 0.7j, combo, s)
         split = (apply_resolvent(2, mode, 1 - 0.7j, f, s)

@@ -39,6 +39,8 @@ from hypercone import (
     wronskian_closed_form,
 )
 
+from hypercone import resolvent
+from hypercone.resolvent import _KernelData, _resolvent_on_grid
 from oracles import oracle_u2_series
 
 # oracle_u2_series(1, 1.0, 1.0, 0.3, dps=30)
@@ -353,6 +355,38 @@ class TestApplyResolvent:
         f = RadialProfile.bump()
         with pytest.raises(DomainError):
             apply_resolvent(1, Mode(1.0, 1), 2j, f, 1.0)
+
+
+class TestGridPath:
+    """apply_resolvent is the one-point case of _resolvent_on_grid."""
+
+    def test_integral_count(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "integrate", counting)
+        f = RadialProfile.bump(0.3, 0.6)
+        for sigma, want in ((0.2, [(0.3, 0.6)]),
+                            (0.45, [(0.3, 0.45), (0.45, 0.6)]),
+                            (0.7, [(0.3, 0.6)])):
+            calls.clear()
+            apply_resolvent(2, Mode(2.0, 1), 1 + 0.5j, f, sigma)
+            assert sorted(calls) == want
+
+    @pytest.mark.parametrize("lam", [1 + 0.5j, 1 - 0.7j])
+    def test_grid_matches_single_points(self, lam):
+        # points below lo, at lo, inside, at hi and above hi
+        n, mode = 2, Mode(2.0, 1)
+        f = RadialProfile.bump(0.3, 0.6)
+        grid = [0.2, 0.3, 0.38, 0.45, 0.52, 0.6, 0.75]
+        kd = _KernelData(n, hypergeom_params(n, mode, lam), _TIGHT)
+        vals = _resolvent_on_grid(kd, f, grid)
+        for x in grid:
+            want = apply_resolvent(n, mode, lam, f, x, control=_TIGHT)
+            assert abs(vals[x] - want) <= 1e-10 * abs(want)
 
 
 class TestResidualCheck:

@@ -125,6 +125,9 @@ class TestHyp2f1Values:
     def test_no_convergence_budget(self):
         with pytest.raises(NoConvergence):
             gauss_series(0.5, 0.7, 1.1, 0.999, SeriesControl(max_terms=20))
+        with pytest.raises(NoConvergence):
+            hyp2f1_regularized(0.5, 0.7, -1.0, 0.45,
+                               SeriesControl(max_terms=20))
 
 
 class TestRegularized:
