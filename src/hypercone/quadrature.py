@@ -1,17 +1,27 @@
-"""Adaptive Gauss-Kronrod quadrature for complex-valued integrands.
+"""Quadrature for complex-valued integrands on a real interval.
 
-G7/K15 pairs with greedy bisection of the worst panel.  The panel error
-gauge |K15 - G7| overestimates the true K15 error for smooth integrands,
-which is the safe direction for the tolerance contract.  Final summation is
-in left-to-right panel order so results are bit-deterministic regardless of
-the refinement history.
+integrate: adaptive G7/K15 pairs with greedy bisection of the worst panel.
+The panel error gauge |K15 - G7| overestimates the true K15 error for smooth
+integrands, which is the safe direction for the tolerance contract.  Final
+summation is in left-to-right panel order so results are bit-deterministic
+regardless of the refinement history.
+
+cumulative_integral: a piecewise Chebyshev interpolant of the integrand and
+its running integral from one end of the interval, so the integral up to any
+number of points costs one Clenshaw sum each (the Clenshaw-Curtis / chebfun
+cumsum construction; Trefethen, Approximation Theory and Approximation
+Practice, ch. 19).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_right
+from functools import cache
+from operator import mul
 
-from .errors import QuadratureFailure
+from .errors import DomainError, QuadratureFailure
 
 # QUADPACK dqk15 constants: Kronrod nodes/weights, embedded Gauss-7 weights.
 _XGK = (
@@ -85,3 +95,155 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
     for _, _, _, v in panels:
         acc += v
     return acc
+
+
+# -- piecewise Chebyshev running integrals -------------------------------------
+
+_DEGREES = (16, 32, 64)   # nested Clenshaw-Curtis levels tried per panel
+_TAIL = 4                 # trailing coefficients that must have decayed
+
+
+@cache
+def _table(n: int) -> tuple[list[float], list[list[float]]]:
+    # Chebyshev points cos(pi j/n), j = 0..n, and the DCT-I rows mapping
+    # values there to the coefficients of the interpolating series
+    # sum_k c_k T_k.  cos(pi (n-j) k/n) = (-1)^k cos(pi j k/n), so row k
+    # acts on the folded values f_j + f_(n-j) (k even) or f_j - f_(n-j)
+    # (k odd), j = 0..n/2; built on first use
+    nodes = [math.cos(math.pi * j / n) for j in range(n + 1)]
+    rows = []
+    for k in range(n + 1):
+        scale = (1.0 if 0 < k < n else 0.5) * 2.0 / n
+        rows.append([scale * (0.5 if j == 0 else 1.0)
+                     * math.cos(math.pi * (j * k % (2 * n)) / n)
+                     for j in range(n // 2 + 1)])
+    return nodes, rows
+
+
+def _fit(f, lo: float, hi: float, abs_tol: float,
+         rel_tol: float) -> list[complex] | None:
+    # Chebyshev coefficients of f on [lo, hi] at the first degree whose last
+    # _TAIL coefficients fall below max(rel_tol * largest, abs_tol / width);
+    # None when even the highest degree does not resolve f there
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    floor = abs_tol / (hi - lo)
+    vals: list = []
+    for n in _DEGREES:
+        nodes, rows = _table(n)
+        if not vals:
+            vals = [f(hi)] + [f(mid + half * t) for t in nodes[1:-1]] + [f(lo)]
+        else:  # the previous level's samples are the even-indexed nodes
+            merged = [0j] * (n + 1)
+            merged[0::2] = vals
+            merged[1::2] = [f(mid + half * t) for t in nodes[1::2]]
+            vals = merged
+        m = n // 2
+        even = [u + v for u, v in zip(vals[:m], vals[:m:-1])] + [vals[m]]
+        odd = [u - v for u, v in zip(vals[:m], vals[:m:-1])] + [0j]
+        coefs = [sum(map(mul, row, odd if k % 2 else even))
+                 for k, row in enumerate(rows)]
+        tail = max(map(abs, coefs[-_TAIL:]))
+        if tail <= max(rel_tol * max(map(abs, coefs)), floor):
+            return coefs
+    return None
+
+
+class RunningIntegral:
+    """x -> integral of f from the anchor end of [a, b] to x.
+
+    The anchor is a (upward) or b (downward, giving the integral from x to
+    b).  Each panel holds the Chebyshev series of its own running integral;
+    whole panels are summed outward from the anchor, never obtained as a
+    total minus a prefix, so a value near the anchor is not the difference
+    of two larger sums.
+    """
+
+    __slots__ = ("a", "b", "downward", "total", "_cuts", "_panels")
+
+    def __init__(self, a: float, b: float, downward: bool,
+                 fitted: list[tuple[float, float, list[complex]]]) -> None:
+        # fitted: (lo, hi, coefficients) panels in order from the anchor
+        self.a, self.b, self.downward = a, b, downward
+        sign = -1.0 if downward else 1.0
+        acc = 0.0 + 0.0j
+        panels = []
+        for lo, hi, coefs in fitted:
+            half = 0.5 * (hi - lo)
+            n = len(coefs) - 1
+            c = coefs + [0j, 0j]
+            ints = [0j, sign * half * (c[0] - 0.5 * c[2])]
+            ints += [sign * half * (c[k - 1] - c[k + 1]) / (2 * k)
+                     for k in range(2, n + 2)]
+            # zero at the anchor end t = -sign; the total sits at t = sign
+            ints[0] = -sum(v * (-sign) ** k for k, v in enumerate(ints))
+            panels.append((0.5 * (lo + hi), half, ints[::-1], acc))
+            acc += sum(v * sign ** k for k, v in enumerate(ints))
+        self.total = acc
+        if downward:
+            fitted = fitted[::-1]
+            panels.reverse()
+        self._cuts = [hi for _, hi, _ in fitted[:-1]]
+        self._panels = panels
+
+    def __call__(self, x: float) -> complex:
+        if not (self.a <= x <= self.b):
+            raise DomainError(
+                f"{x!r} lies outside the integration span "
+                f"[{self.a!r}, {self.b!r}]")
+        if x == (self.a if self.downward else self.b):
+            return self.total
+        if x == (self.b if self.downward else self.a):
+            return 0.0 + 0.0j
+        mid, half, rev, offset = self._panels[bisect_right(self._cuts, x)]
+        t = min(1.0, max(-1.0, (x - mid) / half))
+        t2 = 2.0 * t
+        b1 = b2 = 0j
+        for coef in rev[:-1]:  # Clenshaw, from the highest degree down
+            b1, b2 = coef + t2 * b1 - b2, b1
+        return offset + (rev[-1] + t * b1 - b2)
+
+
+def cumulative_integral(f, a: float, b: float, *, downward: bool = False,
+                        abs_tol: float = 1e-10, rel_tol: float = 1e-10,
+                        max_subdivisions: int = 200) -> RunningIntegral:
+    """Running integral of complex-valued f on [a, b], from a (or from b
+    when downward).
+
+    Each panel samples f at nested Clenshaw-Curtis points of degree 16, 32
+    and 64 and is accepted once its last Chebyshev coefficients fall below
+    max(rel_tol * largest coefficient, abs_tol / panel width), which bounds
+    the panel's integral error by about abs_tol or rel_tol relative to the
+    panel's scale.  A panel that fails at degree 64 is bisected; after
+    max_subdivisions bisections, or when a panel reaches machine width,
+    QuadratureFailure is raised instead of returning an unresolved value.
+    f must be smooth on each accepted panel, so a kink or jump costs
+    bisections down to it.
+    """
+    if not (a < b):
+        raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
+    pending = [(a, b)]
+    fitted = []
+    splits = 0
+    while pending:
+        lo, hi = pending.pop()
+        coefs = _fit(f, lo, hi, abs_tol, rel_tol)
+        if coefs is not None:
+            fitted.append((lo, hi, coefs))
+            continue
+        if splits >= max_subdivisions:
+            raise QuadratureFailure(
+                f"Chebyshev panels unresolved after {max_subdivisions} "
+                f"subdivisions (at [{lo!r}, {hi!r}])")
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            raise QuadratureFailure(
+                "panel narrowed to machine width before meeting tolerance")
+        splits += 1
+        # the half nearer the anchor is popped first, so panels are fitted
+        # in order outward from it
+        if downward:
+            pending += [(lo, mid), (mid, hi)]
+        else:
+            pending += [(mid, hi), (lo, mid)]
+    return RunningIntegral(a, b, downward, fitted)

@@ -13,9 +13,13 @@ profile f is
 P = Gamma(a)Gamma(b) / (Gamma(c)Gamma(1+s)), and the weight factorizes as
 w(sigma, rho) = sigma^alpha (1-sigma)^beta rho^e1 (1-rho)^e2 with
 alpha = n/2 - i*lambda, beta = -(n-1)/4 + s/2, e1 = -1 - n/2 - i*lambda,
-e2 = s/2 + (n-1)/4.  The sigma factors leave the integrals, so many
-evaluation points can share cumulative integrals over one partition; that
-sharing is what keeps finite-difference residual checks clean.
+e2 = s/2 + (n-1)/4.  The sigma factors leave the integrals, so every
+evaluation point reads the same two running integrals: f g1 w accumulated
+upward from the bottom of the support and f u2 w downward from its top.
+Each is one piecewise Chebyshev interpolant with its indefinite integral
+(quadrature.cumulative_integral), so a grid point costs one Clenshaw sum per
+integral, and nearby points differ only by the smooth interpolant between
+them; that is what keeps finite-difference residual checks clean.
 
 Evaluation routes: Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) is computed as one
 fused series whose terms stay finite through the Gamma poles and zeros
@@ -24,7 +28,8 @@ lambda-direction where (a, b, c) move at rates (1, 1, 2)); u2 is switched
 to the Euler transform sigma^(c'-a-b) F(c'-a, c'-b; c'; 1-sigma), c' = 1+s,
 for every Im(lambda) < 0, where Re(c'-a-b) = -2 Im(lambda) is positive; that
 removes the catastrophic cancellation of the direct series in the lower half
-plane.
+plane.  A kernel keeps the step ratios of both of its series (g1's and
+u2's), so the many evaluations along sigma pay for each ratio once.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .errors import (
     UndecidableMembership,
     ValidationError,
 )
-from .quadrature import integrate
+from .quadrature import cumulative_integral
 from .resonances import (
     HypergeomParams,
     PoleVerdict,
@@ -54,6 +59,7 @@ from .resonances import (
 )
 from .specfun import (
     SeriesControl,
+    _StepRatios,
     _sum_series,
     gamma,
     gauss_series,
@@ -65,13 +71,23 @@ from .crosssec import Mode
 
 @dataclass(frozen=True)
 class QuadratureControl:
+    """Tolerances of the resolvent's running integrals.
+
+    Each Chebyshev panel of a running integral is accepted once its last
+    coefficients fall below max(rel_tol * its largest coefficient,
+    abs_tol / its width), so a panel's integral error is at most about
+    abs_tol or rel_tol relative to the integrand's scale there.
+    max_subdivisions is the number of panel bisections one running integral
+    may spend before QuadratureFailure is raised.
+    """
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 200
 
 
 _DEFAULT_QC = QuadratureControl()
-# cumulative-partition integrals feed finite differences, so they run tight
+# running integrals feed finite differences, so they run tight
 _GRID_QC = QuadratureControl(abs_tol=1e-15, rel_tol=5e-14, max_subdivisions=60)
 # kernel series run to the roundoff floor: their values enter finite
 # differences and Wronskian cancellations that amplify any truncation tail
@@ -145,9 +161,11 @@ def indicial_roots(n: int, mode: Mode, lam: complex) -> IndicialData:
 class RadialProfile:
     """A radial source f(sigma) supported in a compact subinterval of (0, 1).
 
-    func is only consulted inside the open support; outside, the profile is
-    exactly zero.  Compact support away from both endpoints keeps the kernel
-    integrals convergent for every lambda.
+    Calling the profile gives func inside the open support and exactly zero
+    elsewhere.  The resolvent's integrals read func itself on the closed
+    support, so a profile that is nonzero at lo or hi is integrated as the
+    smooth function it is there.  Compact support away from both endpoints
+    keeps the kernel integrals convergent for every lambda.
     """
 
     func: Callable[[float], complex]
@@ -206,16 +224,27 @@ def u2(p: HypergeomParams, sigma: float) -> complex:
     accumulate without cancellation.  The two branches agree where both
     converge.
     """
+    return _u2_sum(p, _u2_ratios(p), sigma)
+
+
+def _u2_ratios(p: HypergeomParams) -> _StepRatios:
+    # the series u2 sums: F(a, b; 1+s; .), or its Euler transform's
+    c2 = complex(1.0 + p.s)
+    if p.lam.imag < 0.0:
+        return _StepRatios(c2 - p.a, c2 - p.b, c2)
+    return _StepRatios(complex(p.a), complex(p.b), c2)
+
+
+def _u2_sum(p: HypergeomParams, ratios: _StepRatios, sigma: float) -> complex:
+    # u2 at sigma from the step ratios of _u2_ratios(p)
     if not (0.0 < sigma <= 1.0):
         raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
-    c2 = 1.0 + p.s
-    w = 1.0 - sigma
+    val = _sum_series(1.0 + 0.0j, ratios, complex(1.0 - sigma), _SERIES)
     if p.lam.imag < 0.0:
-        d = c2 - p.a - p.b
+        d = 1.0 + p.s - p.a - p.b
         pref = cmath.exp(d * math.log(sigma)) if sigma != 1.0 else 1.0
-        return pref * gauss_series(c2 - p.a, c2 - p.b, complex(c2),
-                                   complex(w), _SERIES)
-    return gauss_series(p.a, p.b, complex(c2), complex(w), _SERIES)
+        return pref * val
+    return val
 
 
 def _exact_index(sym) -> int | None:
@@ -288,8 +317,10 @@ class _KernelData:
                         f"{name} = {v} lands exactly on a Gamma pole/zero "
                         f"but carries no exact form to resolve the limit")
             self.t0 = cmath.exp(ln_gamma(p.a) + ln_gamma(p.b) - ln_gamma(p.c))
+            self.g1_ratios = _StepRatios(p.a, p.b, p.c)
         else:
             self.t0 = None
+        self.u2_ratios = _u2_ratios(p)
         res = [-v.real for v in (p.a, p.b, p.c)]
         self.kmin = max(0, math.ceil(max(res)))
 
@@ -302,8 +333,11 @@ class _KernelData:
         return self._g1_exact(z)
 
     def _g1_recurrence(self, z: float) -> complex:
-        p = self.p
-        return _sum_series(self.t0, p.a, p.b, p.c, z, _SERIES, kmin=self.kmin)
+        return _sum_series(self.t0, self.g1_ratios, z, _SERIES,
+                           kmin=self.kmin)
+
+    def u2(self, sigma: float) -> complex:
+        return _u2_sum(self.p, self.u2_ratios, sigma)
 
     def _g1_exact(self, z: float) -> complex:
         # per-term log-space evaluation; a lattice hit at index X turns
@@ -383,11 +417,14 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
                     lam_im_exact=None) -> complex:
     """(R(lambda) f)(sigma) for a single evaluation point.
 
-    The one-point case of the grid path: one adaptive integral of f g1 w
-    from lo up to sigma and one of f u2 w from sigma up to hi, either
-    skipped when sigma lies outside the support on its side.  Raises
-    PoleEvaluation at exactly classified genuine poles; removable and
-    regular parameter points evaluate through the fused limits.
+    The one-point case of the grid path: the running integral of f g1 w
+    over [lo, sigma] and that of f u2 w over [sigma, hi], either skipped
+    when sigma lies outside the support on its side (the other then spans
+    the whole support).  control sets their tolerances and bisection
+    budget; an integrand they cannot resolve, such as a source with a jump,
+    raises QuadratureFailure rather than returning a low-accuracy value.
+    Raises PoleEvaluation at exactly classified genuine poles; removable
+    and regular parameter points evaluate through the fused limits.
     """
     if not (0.0 < sigma < 1.0):
         raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
@@ -398,51 +435,43 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
 
 def _resolvent_on_grid(kd: _KernelData, f: RadialProfile,
                        sigmas: Sequence[float]) -> dict[float, complex]:
-    """(R f) at many sigma from two cumulative integrals over the support.
+    """(R f) at many sigma from two running integrals over the support.
 
-    The grid points inside the support [lo, hi] cut it into segments, each
-    integrated once adaptively.  The integral of f g1 w accumulates upward
-    from lo, through hi only when some point lies at or beyond hi; the
-    integral of f u2 w accumulates downward from hi to the first point.
-    Differences of nearby values therefore carry only the segments between
-    them, and finite-difference stencils on the output lose none of the
-    panel accuracy to cancellation.  This is the only place the kernel
-    P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed.
+    f g1 w is integrated upward from lo, as far as min(highest point, hi),
+    when some point lies above lo; f u2 w downward from hi, as far as
+    max(lowest point, lo), when some point lies below hi.  Each is one
+    quadrature.cumulative_integral, whose panels depend only on its span,
+    so a grid point costs one Clenshaw sum per integral and any grid
+    straddling the support costs the same integrand evaluations.  The
+    integrands read f.func on the closed support, so a profile that is
+    nonzero at lo or hi is still smooth there.  This is the only place the
+    kernel P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed.
     """
     lo, hi = f.support
     qc = kd.qc
     pts = sorted(set(sigmas))
     if not pts or not (0.0 < pts[0] and pts[-1] < 1.0):
         raise DomainError("grid points must lie in (0, 1)")
-    inside = [x for x in pts if lo < x < hi]
-    up_cuts = [lo, *inside, hi] if pts[-1] >= hi else [lo, *inside]
-    down_cuts = [lo, *inside, hi] if pts[0] <= lo else [*inside, hi]
-
-    def running(integrand, segments) -> list[complex]:
-        acc = 0.0 + 0.0j
-        sums = []
-        for left, right in segments:
-            acc += integrate(integrand, left, right, abs_tol=qc.abs_tol,
-                             rel_tol=qc.rel_tol,
-                             max_subdivisions=qc.max_subdivisions)
-            sums.append(acc)
-        return sums
-
-    lower = dict(zip(up_cuts[1:], running(
-        lambda r: f(r) * kd.g1(r) * kd.rho_weight(r),
-        zip(up_cuts, up_cuts[1:]))))
-    upper = dict(zip(down_cuts[-2::-1], running(
-        lambda r: f(r) * u2(kd.p, r) * kd.rho_weight(r),
-        reversed(list(zip(down_cuts, down_cuts[1:]))))))
+    func = f.func
+    tols = dict(abs_tol=qc.abs_tol, rel_tol=qc.rel_tol,
+                max_subdivisions=qc.max_subdivisions)
+    if pts[-1] > lo:
+        lower = cumulative_integral(
+            lambda r: func(r) * kd.g1(r) * kd.rho_weight(r),
+            lo, min(pts[-1], hi), **tols)
+    if pts[0] < hi:
+        upper = cumulative_integral(
+            lambda r: func(r) * kd.u2(r) * kd.rho_weight(r),
+            max(pts[0], lo), hi, downward=True, **tols)
     out = {}
     for x in pts:
-        up = upper[max(x, lo)] if x < hi else 0.0
-        low = lower[min(x, hi)] if x > lo else 0.0
+        up = upper(max(x, lo)) if x < hi else 0.0
+        low = lower(min(x, hi)) if x > lo else 0.0
         val = 0.0 + 0.0j
         if up != 0.0:
             val += kd.g1(x) * up
         if low != 0.0:
-            val += u2(kd.p, x) * low
+            val += kd.u2(x) * low
         out[x] = val * kd.sigma_prefactor(x) * kd.inv_g1s
     return out
 
@@ -541,8 +570,8 @@ def green_pairing(n: int, mode: Mode, lam: complex, f: RadialProfile,
     The kernel satisfies G(sigma, rho) mu_n(sigma) = G(rho, sigma) mu_n(rho),
     so swapping f and g must reproduce the same value; comparing the two
     orientations is an end-to-end check of the kernel's branch structure.
-    (R f) is evaluated on a shared-partition grid over the support of g and
-    the outer integral is a composite Simpson rule.
+    (R f) is evaluated by the grid path at the Simpson nodes over the
+    support of g, and the outer integral is a composite Simpson rule.
     """
     if points < 5 or points % 2 == 0:
         raise ValidationError(f"points must be odd and >= 5, got {points!r}")
@@ -553,8 +582,7 @@ def green_pairing(n: int, mode: Mode, lam: complex, f: RadialProfile,
     step = (hi - lo) / (points - 1)
     xs = [lo + i * step for i in range(points)]
     xs[-1] = hi
-    inner = [x for x in xs if 0.0 < x < 1.0]
-    uval = _resolvent_on_grid(kd, f, inner)
+    uval = _resolvent_on_grid(kd, f, xs)
     ys = []
     for x in xs:
         gx = g(x)

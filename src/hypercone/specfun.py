@@ -156,27 +156,53 @@ def gauss_series(a: complex, b: complex, c: complex, z: float,
 
     Converges for |z| < 1; the caller guarantees c is not a non-positive
     integer.  This is the raw engine: hyp2f1 adds the domain split, and the
-    resolvent kernel calls it directly for all arguments in (0,1) because the
-    connection formula degenerates exactly on the parameter families the
-    kernel needs (integer c-a-b).
+    resolvent kernel sums the defining series (through the same term loop)
+    for all arguments in (0,1) because the connection formula degenerates
+    exactly on the parameter families the kernel needs (integer c-a-b).
     """
     ctl = ctl or _DEFAULT_CTL
-    return _sum_series(1.0 + 0.0j, complex(a), complex(b), complex(c), z, ctl)
+    return _sum_series(1.0 + 0.0j,
+                       _StepRatios(complex(a), complex(b), complex(c)), z, ctl)
 
 
-def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
-                ctl: SeriesControl, k0: int = 0, kmin: int = 0) -> complex:
-    # the one 2F1 term loop: term is the k0-th term, each step multiplies
-    # by (a+k)(b+k) z / ((c+k)(k+1)); SeriesControl's rule, applied once
-    # k >= kmin, ends the sum
+class _StepRatios:
+    """Step ratios (a+k)(b+k)/((c+k)(k+1)), k = k0, k0+1, ..., of one 2F1
+    series, computed the first time _sum_series reaches them.
+
+    A caller that sums the same series at many z keeps one instance and
+    pays for each ratio once; a one-shot sum passes a fresh one.
+    """
+
+    __slots__ = ("a", "b", "c", "k0", "steps")
+
+    def __init__(self, a, b, c, k0: int = 0) -> None:
+        self.a, self.b, self.c, self.k0 = a, b, c, k0
+        self.steps: list[complex] = []
+
+
+def _sum_series(term: complex, ratios: _StepRatios, z: float,
+                ctl: SeriesControl, kmin: int = 0) -> complex:
+    # the one 2F1 term loop: term is the k0-th term, step k multiplies it
+    # by ratio_k * z; SeriesControl's rule, applied once k >= kmin, ends
+    # the sum
+    a, b, c, k0 = ratios.a, ratios.b, ratios.c, ratios.k0
+    steps = ratios.steps
+    cached = len(steps)
+    tol = ctl.rel_tol
     total = term
     small = 0
-    for k in range(k0, k0 + ctl.max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+    for i in range(ctl.max_terms):
+        if i < cached:
+            r = steps[i]
+        else:
+            k = k0 + i
+            r = (a + k) * (b + k) / ((c + k) * (k + 1))
+            steps.append(r)
+        term *= r * z
         total += term
-        if abs(term) <= ctl.rel_tol * abs(total):
+        if abs(term) <= tol * abs(total):
             small += 1
-            if small >= 3 and k >= kmin:
+            if small >= 3 and k0 + i >= kmin:
                 return total
         else:
             small = 0
@@ -277,4 +303,4 @@ def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float,
     term = (pochhammer(a, k0) * pochhammer(b, k0) * recip_gamma(c + k0)
             * (z ** k0) / math.factorial(k0))
     # c + k stays off the poles for k > k0 by construction
-    return _sum_series(term, a, b, c, z, ctl, k0)
+    return _sum_series(term, _StepRatios(a, b, c, k0), z, ctl)

@@ -202,3 +202,47 @@ def oracle_measure_integral(n: int, lo: float, hi: float,
         val = mp.quad(lambda r: bump_sigma(sigma_from_r(r)) * mp.sinh(r) ** n,
                       [r_lo, r_hi])
         return float(val)
+
+
+def oracle_apply_resolvent(n: int, mu_sq, lam, func, lo, hi, sigma,
+                           dps: int = 30) -> complex:
+    """(R(lambda) f)(sigma) straight from the kernel formula
+
+        P sigma^alpha (1-sigma)^beta [u1(sigma) int_sigma^hi f u2 w
+                                      + u2(sigma) int_lo^sigma f u1 w],
+
+    u1 = F(a, b; 2a; rho), u2 = F(a, b; 1+s; 1-rho),
+    P = Gamma(a)Gamma(b) / (Gamma(2a)Gamma(1+s)),
+    w = rho^(-1-n/2-i lambda) (1-rho)^(s/2+(n-1)/4),
+    alpha = n/2 - i lambda, beta = -(n-1)/4 + s/2, a = 1/2 - i lambda,
+    b = a + s, with mp.hyp2f1 and mp.quad at dps digits; each integral
+    runs over its part of the support [lo, hi] and is skipped when that
+    part is empty.  func takes and returns mp numbers.
+    """
+    with mp.workdps(dps):
+        s = mp.sqrt(mp.mpf(n - 1) ** 2 / 4 + mp.mpf(mu_sq))
+        lam = mp.mpc(lam)
+        a = mp.mpf(1) / 2 - 1j * lam
+        b = a + s
+        e1 = -1 - mp.mpf(n) / 2 - 1j * lam
+        e2 = s / 2 + mp.mpf(n - 1) / 4
+
+        def u1(x):
+            return mp.hyp2f1(a, b, 2 * a, x)
+
+        def u2(x):
+            return mp.hyp2f1(a, b, 1 + s, 1 - x)
+
+        def w(r):
+            return r ** e1 * (1 - r) ** e2
+
+        x, lo, hi = mp.mpf(sigma), mp.mpf(lo), mp.mpf(hi)
+        upper = lower = mp.mpc(0)
+        if x < hi:
+            upper = mp.quad(lambda r: func(r) * u2(r) * w(r), [max(x, lo), hi])
+        if x > lo:
+            lower = mp.quad(lambda r: func(r) * u1(r) * w(r), [lo, min(x, hi)])
+        pref = (mp.gamma(a) * mp.gamma(b) / (mp.gamma(2 * a) * mp.gamma(1 + s))
+                * x ** (mp.mpf(n) / 2 - 1j * lam)
+                * (1 - x) ** (s / 2 - mp.mpf(n - 1) / 4))
+        return complex(pref * (u1(x) * upper + u2(x) * lower))

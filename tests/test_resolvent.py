@@ -39,9 +39,10 @@ from hypercone import (
     wronskian_closed_form,
 )
 
-from hypercone import resolvent
-from hypercone.resolvent import _KernelData, _resolvent_on_grid
-from oracles import oracle_u2_series
+from hypercone import quadrature, resolvent
+from hypercone.quadrature import cumulative_integral
+from hypercone.resolvent import _SERIES, _KernelData, _resolvent_on_grid
+from oracles import oracle_apply_resolvent, oracle_u2_series
 
 # oracle_u2_series(1, 1.0, 1.0, 0.3, dps=30)
 U2_POINT = complex(0.21904546690772356, -0.5701142135439057)
@@ -78,6 +79,49 @@ class TestQuadrature:
         with pytest.raises(QuadratureFailure):
             integrate(lambda x: abs(x - 1 / math.pi) ** -0.5, 0.0, 1.0,
                       abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=2)
+
+    def test_cumulative_polynomial_exact(self):
+        run = cumulative_integral(lambda x: 3 * x ** 5 - x ** 2 + 2, -1.0, 2.0)
+        for x in (-1.0, -0.3, 0.5, 1.7, 2.0):
+            want = (x ** 6 - 1) / 2 - (x ** 3 + 1) / 3 + 2 * (x + 1)
+            assert abs(run(x) - want) <= 1e-14 * (1 + abs(want))
+
+    def test_cumulative_running_exp(self):
+        run = cumulative_integral(lambda x: cmath.exp(1j * x), 0.0, 3.0,
+                                  abs_tol=1e-14, rel_tol=1e-14)
+        for i in range(50):
+            x = 3.0 * i / 49
+            assert abs(run(x) - (cmath.exp(1j * x) - 1) / 1j) <= 1e-13
+
+    def test_cumulative_downward(self):
+        # downward accumulation from b gives int_x^b directly
+        run = cumulative_integral(lambda x: cmath.exp(1j * x), 0.0, 3.0,
+                                  downward=True, abs_tol=1e-14, rel_tol=1e-14)
+        for i in range(50):
+            x = 3.0 * i / 49
+            want = (cmath.exp(3j) - cmath.exp(1j * x)) / 1j
+            assert abs(run(x) - want) <= 1e-13
+        assert run(3.0) == 0.0
+
+    def test_cumulative_kink_splits(self):
+        calls = []
+
+        def kink(x):
+            calls.append(x)
+            return abs(x - 1 / math.pi)
+
+        run = cumulative_integral(kink, 0.0, 1.0)
+        c = 1 / math.pi
+        for x in (0.1, c, 0.5, 1.0):
+            want = (c * c - (c - x) * abs(c - x)) / 2
+            assert abs(run(x) - want) <= 1e-9
+        assert len(calls) > 65  # one panel of degree 64 is not enough
+
+    def test_cumulative_budget_failure(self):
+        with pytest.raises(QuadratureFailure):
+            cumulative_integral(lambda x: abs(x - 1 / math.pi) ** -0.5,
+                                0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13,
+                                max_subdivisions=2)
 
 
 class TestCoordinateMap:
@@ -360,21 +404,56 @@ class TestApplyResolvent:
 class TestGridPath:
     """apply_resolvent is the one-point case of _resolvent_on_grid."""
 
-    def test_integral_count(self, monkeypatch):
-        calls = []
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Record each running integral the resolvent builds, as
+        (a, b, downward), and count its integrand evaluations."""
+        spans, evals = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return integrate(*args, **kwargs)
+        def counting(f, a, b, **kw):
+            spans.append((a, b, kw.get("downward", False)))
 
-        monkeypatch.setattr(resolvent, "integrate", counting)
+            def g(x):
+                evals.append(x)
+                return f(x)
+            return quadrature.cumulative_integral(g, a, b, **kw)
+
+        monkeypatch.setattr(resolvent, "cumulative_integral", counting)
+        return spans, evals
+
+    def test_running_integral_spans(self, counted):
+        # f g1 w runs upward from lo, f u2 w downward from hi, each only as
+        # far as the evaluation point needs
+        spans, _ = counted
         f = RadialProfile.bump(0.3, 0.6)
-        for sigma, want in ((0.2, [(0.3, 0.6)]),
-                            (0.45, [(0.3, 0.45), (0.45, 0.6)]),
-                            (0.7, [(0.3, 0.6)])):
-            calls.clear()
+        for sigma, want in ((0.2, [(0.3, 0.6, True)]),
+                            (0.45, [(0.3, 0.45, False), (0.45, 0.6, True)]),
+                            (0.7, [(0.3, 0.6, False)])):
+            spans.clear()
             apply_resolvent(2, Mode(2.0, 1), 1 + 0.5j, f, sigma)
-            assert sorted(calls) == want
+            assert sorted(spans) == want
+
+    def test_grid_size_does_not_change_evaluations(self, counted):
+        spans, evals = counted
+        n, mode, lam = 2, Mode(2.0, 1), 1 - 0.7j
+        f = RadialProfile.bump(0.3, 0.6)
+        kd = _KernelData(n, hypergeom_params(n, mode, lam), _TIGHT)
+        counts = []
+        for grid in ([0.2, 0.45, 0.7], [0.1 + 0.8 * i / 254 for i in range(255)]):
+            spans.clear()
+            evals.clear()
+            _resolvent_on_grid(kd, f, grid)
+            assert sorted(spans) == [(0.3, 0.6, False), (0.3, 0.6, True)]
+            counts.append(len(evals))
+        assert counts[0] == counts[1]
+
+    def test_residual_check_evaluation_budget(self, counted):
+        # two running integrals of degree 32 (66 evaluations) on this case;
+        # the per-segment adaptive Gauss-Kronrod path it replaced made
+        # about 7,600
+        _, evals = counted
+        residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
+        assert 0 < len(evals) <= 100
 
     @pytest.mark.parametrize("lam", [1 + 0.5j, 1 - 0.7j])
     def test_grid_matches_single_points(self, lam):
@@ -387,6 +466,107 @@ class TestGridPath:
         for x in grid:
             want = apply_resolvent(n, mode, lam, f, x, control=_TIGHT)
             assert abs(vals[x] - want) <= 1e-10 * abs(want)
+
+
+def _mp_bump(lo, hi):
+    # the RadialProfile.bump polynomial, in mp arithmetic for the oracle
+    def f(r):
+        return ((r - lo) * (hi - r)) ** 3 / ((hi - lo) / 2) ** 6
+    return f
+
+
+class TestResolventOracle:
+    """apply_resolvent against the 30-digit kernel-formula oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam", [0.7 + 0.9j, -0.6 - 0.5j])
+    def test_bump_below_inside_above(self, n, lam):
+        f = RadialProfile.bump(0.3, 0.6)
+        for sigma in (0.2, 0.45, 0.75):
+            want = oracle_apply_resolvent(n, 2.0, lam, _mp_bump(0.3, 0.6),
+                                          0.3, 0.6, sigma)
+            got = apply_resolvent(n, Mode(2.0, 1), lam, f, sigma)
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("lam", [1 + 0.5j, 1 - 0.7j])
+    def test_source_nonzero_at_its_ends(self, lam):
+        # the integrands read func on the closed support, so a constant
+        # source is smooth up to lo and hi
+        f = RadialProfile(lambda s: 1.0, (0.3, 0.6))
+        for sigma in (0.2, 0.45, 0.75):
+            want = oracle_apply_resolvent(2, 2.0, lam, lambda r: 1, 0.3, 0.6,
+                                          sigma)
+            got = apply_resolvent(2, Mode(2.0, 1), lam, f, sigma)
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("control", [None, _TIGHT,
+                                         QuadratureControl(max_subdivisions=5)])
+    def test_source_with_a_jump(self, control):
+        # a jump inside the support is either resolved by bisection down to
+        # it, agreeing with the constant source it truncates, or refused
+        step = RadialProfile(lambda s: 1.0 if s < 0.45 else 0.0, (0.3, 0.6))
+        const = RadialProfile(lambda s: 1.0, (0.3, 0.45))
+        refused = 0
+        for n, lam in ((1, 0.7 + 0.9j), (2, 1 - 0.7j), (3, 3j)):
+            for sigma in (0.2, 0.4, 0.45, 0.5, 0.75):
+                want = apply_resolvent(n, Mode(2.0, 1), lam, const, sigma,
+                                       control=control)
+                try:
+                    got = apply_resolvent(n, Mode(2.0, 1), lam, step, sigma,
+                                          control=control)
+                except QuadratureFailure:
+                    refused += 1
+                    continue
+                assert abs(got - want) <= 5e-9 * abs(want)
+        if control is not None and control.max_subdivisions == 5:
+            assert refused > 0
+
+
+def _inline_ratio_series(term, a, b, c, z, kmin=0):
+    # the 2F1 term loop as it was before step ratios were cached: each step
+    # recomputes (a+k)(b+k)/((c+k)(k+1)); the reference for bit-identity
+    total = term
+    small = 0
+    for k in range(_SERIES.max_terms):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+        if abs(term) <= _SERIES.rel_tol * abs(total):
+            small += 1
+            if small >= 3 and k >= kmin:
+                return total
+        else:
+            small = 0
+    raise AssertionError("reference series did not settle")
+
+
+class TestStepRatioCache:
+    """Cached step ratios leave every kernel value bit-identical."""
+
+    KERNELS = [(1, Mode(1.0, 1), 1 + 0.5j), (2, Mode(2.0, 1), 1 - 0.7j),
+               (3, Mode(8.0, 1), -0.3 - 1.1j), (4, Mode(0.5, 1), 3j)]
+    # out of order, so later calls read ratios cached by earlier ones and
+    # sometimes need more of them
+    POINTS = [0.45, 0.05, 0.62, 0.3, 0.9, 0.2, 0.6]
+
+    @pytest.mark.parametrize("n,mode,lam", KERNELS)
+    def test_g1_and_u2_match_inline_ratios(self, n, mode, lam):
+        p = hypergeom_params(n, mode, lam)
+        kd = _KernelData(n, p, _TIGHT)
+        c2 = 1.0 + p.s
+        for x in self.POINTS:
+            assert kd.g1(x) == _inline_ratio_series(kd.t0, p.a, p.b, p.c, x,
+                                                    kmin=kd.kmin)
+            w = complex(1.0 - x)
+            if lam.imag < 0.0:
+                d = c2 - p.a - p.b
+                want = cmath.exp(d * math.log(x)) * _inline_ratio_series(
+                    1.0 + 0.0j, complex(c2 - p.a), complex(c2 - p.b),
+                    complex(c2), w)
+            else:
+                want = _inline_ratio_series(1.0 + 0.0j, complex(p.a),
+                                            complex(p.b), complex(c2), w)
+            assert kd.u2(x) == want
+            assert u2(p, x) == want
 
 
 class TestResidualCheck:
