@@ -21,15 +21,22 @@ Each is one piecewise Chebyshev interpolant with its indefinite integral
 integral, and nearby points differ only by the smooth interpolant between
 them; that is what keeps finite-difference residual checks clean.
 
-Evaluation routes: Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) is computed as one
-fused series whose terms stay finite through the Gamma poles and zeros
-(removable parameter points get their exact limit, taken along the
-lambda-direction where (a, b, c) move at rates (1, 1, 2)); u2 is switched
-to the Euler transform sigma^(c'-a-b) F(c'-a, c'-b; c'; 1-sigma), c' = 1+s,
-for every Im(lambda) < 0, where Re(c'-a-b) = -2 Im(lambda) is positive; that
-removes the catastrophic cancellation of the direct series in the lower half
-plane.  A kernel keeps the step ratios of both of its series (g1's and
-u2's), so the many evaluations along sigma pay for each ratio once.
+Evaluation routes: g1 = Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) and u2, whose
+series runs in w = 1 - sigma, both solve the hypergeometric ODE (DLMF
+15.10.1).  A kernel therefore reads each from Taylor expansions of that ODE
+about fixed anchors (_KernelData): an expansion is seeded once at its
+anchor by the defining series and its contiguous derivative series, and a
+point then costs one Horner sum.  g1's series carries the fused constant
+Gamma(a)Gamma(b)/Gamma(c); at exact lattice parameters, where that constant
+meets a Gamma pole or zero, g1 stays a per-point fused series whose terms
+stay finite through the poles (removable parameter points get their exact
+limit, taken along the lambda-direction where (a, b, c) move at rates
+(1, 1, 2)).  u2 is switched to the Euler transform
+sigma^(c'-a-b) F(c'-a, c'-b; c'; 1-sigma), c' = 1+s, for every
+Im(lambda) < 0, where Re(c'-a-b) = -2 Im(lambda) is positive; that removes
+the catastrophic cancellation of the direct series in the lower half plane.
+Its expansion is of the transformed series in w, multiplied by
+sigma^(c'-a-b) afterwards.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from .resonances import (
 from .specfun import (
     SeriesControl,
     _StepRatios,
+    _ode_taylor,
     _sum_series,
     gamma,
     gauss_series,
@@ -224,22 +232,22 @@ def u2(p: HypergeomParams, sigma: float) -> complex:
     accumulate without cancellation.  The two branches agree where both
     converge.
     """
-    return _u2_sum(p, _u2_ratios(p), sigma)
-
-
-def _u2_ratios(p: HypergeomParams) -> _StepRatios:
-    # the series u2 sums: F(a, b; 1+s; .), or its Euler transform's
-    c2 = complex(1.0 + p.s)
-    if p.lam.imag < 0.0:
-        return _StepRatios(c2 - p.a, c2 - p.b, c2)
-    return _StepRatios(complex(p.a), complex(p.b), c2)
-
-
-def _u2_sum(p: HypergeomParams, ratios: _StepRatios, sigma: float) -> complex:
-    # u2 at sigma from the step ratios of _u2_ratios(p)
     if not (0.0 < sigma <= 1.0):
         raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
-    val = _sum_series(1.0 + 0.0j, ratios, complex(1.0 - sigma), _SERIES)
+    return _u2_from(p, _u2_solution(p).series(complex(1.0 - sigma)), sigma)
+
+
+def _u2_solution(p: HypergeomParams) -> _Anchored:
+    # the series u2 sums in w = 1 - sigma: F(a, b; 1+s; w), or its Euler
+    # transform's F(1+s-a, 1+s-b; 1+s; w)
+    c2 = complex(1.0 + p.s)
+    if p.lam.imag < 0.0:
+        return _Anchored(1.0 + 0.0j, _StepRatios(c2 - p.a, c2 - p.b, c2))
+    return _Anchored(1.0 + 0.0j, _StepRatios(complex(p.a), complex(p.b), c2))
+
+
+def _u2_from(p: HypergeomParams, val: complex, sigma: float) -> complex:
+    # u2 at sigma from the value val of _u2_solution(p) at w = 1 - sigma
     if p.lam.imag < 0.0:
         d = 1.0 + p.s - p.a - p.b
         pref = cmath.exp(d * math.log(sigma)) if sigma != 1.0 else 1.0
@@ -293,10 +301,88 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
     return -g1s * quot * pw
 
 
-# -- the fused kernel series --------------------------------------------------
+# -- the kernel functions ------------------------------------------------------
+
+# Anchor ladder of the kernel expansions: anchors sit at distance
+# d_i = (1 - _RHO)^i / 2 from the nearer end of (0, 1), and the anchor at
+# d_i serves the points whose distance to that end lies in
+# ((1 - _RHO) d_i, d_i], all within _RHO * d_i of it.
+_RHO = 0.25
+_LOG_Q = math.log(1.0 - _RHO)
+
+
+class _Anchored:
+    """term * F(a, b; c; x) on [0, 1), read from Taylor expansions of the
+    2F1 ODE about the anchor ladder, each built on first use and kept.
+
+    series(x) is the defining series at x, the seed of every expansion;
+    _KernelData describes the anchors, radius, seeds and stopping rule.
+    """
+
+    __slots__ = ("term", "ratios", "kmin", "dterm", "dratios", "expansions")
+
+    def __init__(self, term: complex, ratios: _StepRatios, kmin: int = 0):
+        a, b, c = ratios.a, ratios.b, ratios.c
+        self.term, self.ratios, self.kmin = term, ratios, kmin
+        self.dterm = term * a * b / c
+        self.dratios = _StepRatios(a + 1.0, b + 1.0, c + 1.0)
+        self.expansions: dict[int, tuple[float, float, list[complex]]] = {}
+
+    def series(self, x: float) -> complex:
+        """term * F(a, b; c; x) by the defining series at x."""
+        return _sum_series(self.term, self.ratios, x, _SERIES,
+                           kmin=self.kmin)
+
+    def __call__(self, x: float) -> complex:
+        if x == 0.0:
+            return self.term
+        d = x if x <= 0.5 else 1.0 - x
+        i = math.floor(math.log(2.0 * d) / _LOG_Q)
+        di = 0.5 * (1.0 - _RHO) ** i
+        if di < d:  # log rounding at a ladder point
+            i -= 1
+            di = 0.5 * (1.0 - _RHO) ** i
+        key = i if x <= 0.5 else -i
+        found = self.expansions.get(key)
+        if found is None:
+            found = self.expansions[key] = self._expand(
+                di if x <= 0.5 else 1.0 - di, _RHO * di)
+        m, r, coeffs = found
+        tau = (x - m) / r
+        acc = 0.0 + 0.0j
+        for cj in coeffs:
+            acc = acc * tau + cj
+        return acc
+
+    def _expand(self, m: float, r: float):
+        # (anchor, radius, coefficients highest first for Horner)
+        ratios = self.ratios
+        dy = _sum_series(self.dterm, self.dratios, m, _SERIES,
+                         kmin=max(0, self.kmin - 1))
+        coeffs = _ode_taylor(ratios.a, ratios.b, ratios.c, m, self.series(m),
+                             dy, r, _SERIES)
+        return m, r, coeffs[::-1]
+
 
 class _KernelData:
-    """Per-(n, mode, lambda) evaluation state for the resolvent kernel."""
+    """Per-(n, mode, lambda) evaluation state for the resolvent kernel.
+
+    g1 reads f1 = Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z) and u2 reads
+    f2, the series of u2 in w = 1 - sigma; each is an _Anchored solution of
+    the 2F1 ODE, so a value is one Horner sum on a Taylor expansion cached
+    here.  Anchors: m = (3/4)^i / 2 and 1 - m, i = 0, 1, ...; the anchor
+    at distance d from its end serves the points between 3d/4 and d from
+    that end, so none is closer to an end than the points it serves.
+    Radius: every served point lies within d/4 of its anchor, a quarter
+    of the expansion's radius of convergence.  Seeds: y(m) by the series
+    itself and y'(m) by the contiguous series (ab/c) F(a+1, b+1; c+1; m),
+    each one _sum_series call with cached step ratios.
+    Stopping: Taylor coefficients end at three consecutive
+    |y_j| r^j <= _SERIES.rel_tol * max_j |y_j| r^j (r = d/4).  A value
+    depends only on the kernel and the point.  Kernels on the exact
+    parameter lattice (t0 is None) keep the per-point fused series
+    _g1_exact for g1.
+    """
 
     def __init__(self, n: int, p: HypergeomParams,
                  qc: QuadratureControl) -> None:
@@ -310,6 +396,8 @@ class _KernelData:
         self.lat = (_exact_index(p.a_sym), _exact_index(p.b_sym),
                     _exact_index(p.c_sym))
         self.inv_g1s = 1.0 / gamma(complex(1.0 + p.s))
+        res = [-v.real for v in (p.a, p.b, p.c)]
+        self.kmin = max(0, math.ceil(max(res)))
         if self.lat == (None, None, None):
             for v, name in ((p.a, "a"), (p.b, "b"), (p.c, "c")):
                 if is_nonpositive_integer(v):
@@ -317,27 +405,24 @@ class _KernelData:
                         f"{name} = {v} lands exactly on a Gamma pole/zero "
                         f"but carries no exact form to resolve the limit")
             self.t0 = cmath.exp(ln_gamma(p.a) + ln_gamma(p.b) - ln_gamma(p.c))
-            self.g1_ratios = _StepRatios(p.a, p.b, p.c)
+            self.f1 = _Anchored(self.t0, _StepRatios(p.a, p.b, p.c),
+                                self.kmin)
         else:
             self.t0 = None
-        self.u2_ratios = _u2_ratios(p)
-        res = [-v.real for v in (p.a, p.b, p.c)]
-        self.kmin = max(0, math.ceil(max(res)))
+        self.f2 = _u2_solution(p)
 
     # G1(z) = Gamma(a)Gamma(b)/Gamma(c) * F(a,b;c;z), poles fused into terms
     def g1(self, z: float) -> complex:
         if not (0.0 <= z < 1.0):
             raise DomainError(f"kernel argument must be in [0, 1), got {z!r}")
         if self.t0 is not None:
-            return self._g1_recurrence(z)
+            return self.f1(z)
         return self._g1_exact(z)
 
-    def _g1_recurrence(self, z: float) -> complex:
-        return _sum_series(self.t0, self.g1_ratios, z, _SERIES,
-                           kmin=self.kmin)
-
     def u2(self, sigma: float) -> complex:
-        return _u2_sum(self.p, self.u2_ratios, sigma)
+        if not (0.0 < sigma <= 1.0):
+            raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
+        return _u2_from(self.p, self.f2(1.0 - sigma), sigma)
 
     def _g1_exact(self, z: float) -> complex:
         # per-term log-space evaluation; a lattice hit at index X turns
@@ -510,6 +595,10 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
         -u'' - n coth(r) u' + (mu^2/sinh^2(r) - lambda^2 - n^2/4) u = f,
     with the grid still given in sigma.  Residuals are normalized by
     1 + max |f| over the grid.  Grid spacing must be at least 10 h.
+    The stencils divide the kernel values' roundoff by h^2 (about 5e6 at
+    the default h = 1e-3), so a residual below ~1e-8 carries that roundoff
+    in its 3rd-4th significant digit: any change in how kernel values are
+    computed moves those digits.
     """
     if coordinate not in ("sigma", "r"):
         raise ValidationError(f"coordinate must be 'sigma' or 'r', "

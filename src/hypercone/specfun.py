@@ -156,9 +156,10 @@ def gauss_series(a: complex, b: complex, c: complex, z: float,
 
     Converges for |z| < 1; the caller guarantees c is not a non-positive
     integer.  This is the raw engine: hyp2f1 adds the domain split, and the
-    resolvent kernel sums the defining series (through the same term loop)
-    for all arguments in (0,1) because the connection formula degenerates
-    exactly on the parameter families the kernel needs (integer c-a-b).
+    resolvent kernel seeds its Taylor expansions with the defining series
+    (through the same term loop) at anchors across (0,1) because the
+    connection formula degenerates exactly on the parameter families the
+    kernel needs (integer c-a-b).
     """
     ctl = ctl or _DEFAULT_CTL
     return _sum_series(1.0 + 0.0j,
@@ -208,6 +209,50 @@ def _sum_series(term: complex, ratios: _StepRatios, z: float,
             small = 0
     raise NoConvergence(
         f"2F1 series did not settle within {ctl.max_terms} terms at z = {z}")
+
+
+def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
+                dy0: complex, r: float, ctl: SeriesControl) -> list[complex]:
+    """Scaled Taylor coefficients y_j r^j, j = 0, 1, ..., about z = m of the
+    solution of z(1-z)y'' + [c - (a+b+1)z]y' - ab y = 0 (DLMF 15.10.1) with
+    y(m) = y0 and y'(m) = dy0, so y(m + r tau) = sum_j coeffs[j] tau^j.
+
+    With z = m + t the ODE gives the three-term recurrence
+
+        y_{j+2} = [(j+a)(j+b) y_j - (j+1)((1-2m)j + c - (a+b+1)m) y_{j+1}]
+                  / (m(1-m)(j+1)(j+2)),
+
+    which converges for |t| < min(m, 1-m).  The coefficients stop by
+    SeriesControl's rule, with the largest |y_j| r^j so far as the scale:
+    three consecutive |y_j| r^j <= rel_tol * scale end the list and are
+    left out of it, and max_terms steps without that raise NoConvergence.
+    Scaling by r keeps the coefficients finite for anchors m near 0 or 1.
+    """
+    lin = c - (a + b + 1.0) * m
+    slope = 1.0 - 2.0 * m
+    q0 = r * r / (m * (1.0 - m))
+    q1 = r / (m * (1.0 - m))
+    coeffs = [y0, dy0 * r]
+    scale = max(abs(y0), abs(coeffs[1]))
+    tol = ctl.rel_tol
+    small = 0
+    for j in range(ctl.max_terms):
+        nxt = (((j + a) * (j + b) * q0 * coeffs[j]
+                - (j + 1) * (slope * j + lin) * q1 * coeffs[j + 1])
+               / ((j + 1) * (j + 2)))
+        coeffs.append(nxt)
+        size = abs(nxt)
+        if size > scale:
+            scale = size
+        if size <= tol * scale:
+            small += 1
+            if small >= 3:
+                return coeffs[:-3]
+        else:
+            small = 0
+    raise NoConvergence(
+        f"2F1 Taylor expansion about z = {m} did not settle within "
+        f"{ctl.max_terms} terms")
 
 
 def _gamma_quotient(numers, denoms) -> complex:

@@ -16,6 +16,7 @@ from hypercone import (
     DomainError,
     LowerParameterPole,
     Mode,
+    NoConvergence,
     ParameterPole,
     PoleEvaluation,
     ProbeInconclusive,
@@ -42,7 +43,7 @@ from hypercone import (
 from hypercone import quadrature, resolvent
 from hypercone.quadrature import cumulative_integral
 from hypercone.resolvent import _SERIES, _KernelData, _resolvent_on_grid
-from oracles import oracle_apply_resolvent, oracle_u2_series
+from oracles import oracle_apply_resolvent, oracle_hyp2f1, oracle_u2_series
 
 # oracle_u2_series(1, 1.0, 1.0, 0.3, dps=30)
 U2_POINT = complex(0.21904546690772356, -0.5701142135439057)
@@ -540,7 +541,7 @@ def _inline_ratio_series(term, a, b, c, z, kmin=0):
 
 
 class TestStepRatioCache:
-    """Cached step ratios leave every kernel value bit-identical."""
+    """Cached step ratios leave every series seed bit-identical."""
 
     KERNELS = [(1, Mode(1.0, 1), 1 + 0.5j), (2, Mode(2.0, 1), 1 - 0.7j),
                (3, Mode(8.0, 1), -0.3 - 1.1j), (4, Mode(0.5, 1), 3j)]
@@ -550,23 +551,149 @@ class TestStepRatioCache:
 
     @pytest.mark.parametrize("n,mode,lam", KERNELS)
     def test_g1_and_u2_match_inline_ratios(self, n, mode, lam):
+        # the series the kernel expansions are seeded from, and public u2
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p, _TIGHT)
         c2 = 1.0 + p.s
         for x in self.POINTS:
-            assert kd.g1(x) == _inline_ratio_series(kd.t0, p.a, p.b, p.c, x,
-                                                    kmin=kd.kmin)
+            assert kd.f1.series(x) == _inline_ratio_series(
+                kd.t0, p.a, p.b, p.c, x, kmin=kd.kmin)
             w = complex(1.0 - x)
             if lam.imag < 0.0:
                 d = c2 - p.a - p.b
-                want = cmath.exp(d * math.log(x)) * _inline_ratio_series(
+                series = _inline_ratio_series(
                     1.0 + 0.0j, complex(c2 - p.a), complex(c2 - p.b),
                     complex(c2), w)
+                want = cmath.exp(d * math.log(x)) * series
             else:
-                want = _inline_ratio_series(1.0 + 0.0j, complex(p.a),
-                                            complex(p.b), complex(c2), w)
-            assert kd.u2(x) == want
+                series = want = _inline_ratio_series(
+                    1.0 + 0.0j, complex(p.a), complex(p.b), complex(c2), w)
+            assert kd.f2.series(w) == series
             assert u2(p, x) == want
+
+
+def _ladder_points():
+    # the anchor boundaries in [0.004, 0.996] (distances (1 - rho)^i / 2
+    # from either end) and their float neighbours on both sides
+    out = []
+    d = 0.5
+    while d >= 0.004:
+        for x in (d, 1.0 - d):
+            out += [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+        d *= 1.0 - resolvent._RHO
+    return sorted(set(out))
+
+
+class TestKernelExpansions:
+    """g1 and u2 read from anchored Taylor expansions of the 2F1 ODE."""
+
+    KERNELS = [(n, Mode(2.0, 1), lam) for n in (1, 2, 3, 4)
+               for lam in (1 + 0.5j, 0.8 - 0.6j, 3j)]
+    GRID = sorted(set([0.004 + 0.008 * k for k in range(125)]
+                      + _ladder_points()))
+
+    @pytest.mark.parametrize("n,mode,lam", KERNELS)
+    def test_match_series_and_oracle(self, n, mode, lam):
+        p = hypergeom_params(n, mode, lam)
+        kd = _KernelData(n, p, _TIGHT)
+        for i, x in enumerate(self.GRID):
+            for got, series, oracle in (
+                    (kd.g1, kd.f1.series,
+                     lambda x: kd.t0 * oracle_hyp2f1(p.a, p.b, p.c, x)),
+                    (kd.u2, lambda x: u2(p, x),
+                     lambda x: oracle_hyp2f1(p.a, p.b, 1 + p.s, 1 - x))):
+                try:
+                    want = series(x)
+                except NoConvergence:
+                    want = None
+                try:
+                    val = got(x)
+                except NoConvergence:
+                    # refused only where the per-point series is refused
+                    assert want is None
+                    continue
+                if want is not None:
+                    assert abs(val - want) <= 1e-12 * abs(want)
+                if want is None or i % 3 == 0:
+                    ref = oracle(x)
+                    assert abs(val - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("n,mode,lam", KERNELS[::4])
+    def test_values_do_not_depend_on_earlier_points(self, n, mode, lam):
+        p = hypergeom_params(n, mode, lam)
+        warm = _KernelData(n, p, _TIGHT)
+        for x in reversed(self.GRID[::7]):
+            warm.g1(x)
+            warm.u2(x)
+        for x in self.GRID[::11]:
+            fresh = _KernelData(n, p, _TIGHT)
+            assert fresh.g1(x) == warm.g1(x)
+            assert fresh.u2(x) == warm.u2(x)
+
+
+class TestSeriesWorkCounts:
+    """Series sums per call, counted at the resolvent's term loop.  The
+    per-point series made 416, 409 and 576; anchored expansions make 26, 6
+    and 96."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        count = [0]
+        inner = resolvent._sum_series
+
+        def counting(*args, **kw):
+            count[0] += 1
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(resolvent, "_sum_series", counting)
+        return count
+
+    def test_residual_check(self, sums):
+        residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
+        assert 0 < sums[0] <= 40
+
+    def test_green_pairing(self, sums):
+        green_pairing(2, Mode(2.0, 1), 2j, RadialProfile.bump(0.3, 0.45),
+                      RadialProfile.bump(0.4, 0.55))
+        assert 0 < sums[0] <= 12
+
+    def test_residue_probe(self, sums):
+        residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
+        assert 0 < sums[0] <= 150
+
+
+class TestNearEndDomain:
+    """Narrow sources near sigma = 0 and 1: whatever evaluated with the
+    per-point series still evaluates, and what it refused is refused with a
+    typed error or answered to oracle accuracy."""
+
+    CENTRES = ([k / 1000 for k in range(2, 11)]
+               + [k / 1000 for k in range(990, 999)])
+    LAMS = [1 - 0.7j, 0.7 + 0.9j, -2.5 - 1.1j, 3j]
+
+    @staticmethod
+    def refused_by_series(n, lam, centre):
+        return (centre in (0.002, 0.003, 0.998)
+                or (n == 3 and centre == 0.997)
+                or (lam == 3j and centre == 0.004))
+
+    @pytest.mark.parametrize("n,mu_sq", [(1, 0.0), (3, 8.0)])
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_scan(self, n, mu_sq, lam):
+        for centre in self.CENTRES:
+            lo, hi = centre - 1e-3, centre + 1e-3
+            refused = self.refused_by_series(n, lam, centre)
+            try:
+                got = apply_resolvent(n, Mode(mu_sq, 1), lam,
+                                      RadialProfile.bump(lo, hi), centre)
+            except NoConvergence:
+                assert refused
+                continue
+            assert cmath.isfinite(got)
+            if refused:
+                want = oracle_apply_resolvent(
+                    n, mu_sq, lam, _mp_bump(lo, hi), lo, hi, centre)
+                assert abs(got - want) <= 1e-8 * abs(want)
 
 
 class TestResidualCheck:
