@@ -6,6 +6,7 @@ library examples elsewhere in the suite; they pin byte stability.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -70,6 +71,106 @@ RESONANCES_THIRD_CIRCLE_CSV = (
     '-2.5,1,"(0,2)",true\r\n'
     '-3.5,3,"(0,3);(1,0)",true\r\n'
 )
+
+
+def _exact(num, den, m):
+    return {"mu_sq": num / den, "mu_sq_exact": f"{num}/{den}", "m": m}
+
+
+# Listings that exercise the lattice merge.  "denoms" has rational s = mu of
+# several denominators (0, 1/3, 4/3, 1/6, 7/6, 1/4, 9/4, 5/12, 2, 7/3) and
+# the excluded s = 1/2, 3/2, so positions coincide across modes; "surd" mixes
+# irrational and rational s; "float" has positions within the 1e-9
+# clustering tolerance of each other; "mixed" (n = 3) lets float positions
+# fall on exact ones.  The last mode of each lies past every bound asked.
+GOLDEN_SPECTRA = {
+    "denoms": {"n": 1, "volume": 6.0, "modes": [
+        _exact(a * a, b * b, m) for a, b, m in [
+            (0, 1, 1), (1, 3, 2), (4, 3, 1), (1, 6, 2), (7, 6, 3), (1, 4, 1),
+            (9, 4, 2), (5, 12, 1), (2, 1, 2), (1, 2, 4), (3, 2, 1), (7, 3, 1),
+            (20, 1, 1)]]},
+    "surd": {"n": 1, "volume": 5.0, "modes": [
+        _exact(2, 1, 2), _exact(3, 1, 1), _exact(13, 4, 2), _exact(5, 1, 1),
+        _exact(1, 9, 1), _exact(8, 1, 3), _exact(1, 4, 1), _exact(0, 1, 1),
+        _exact(401, 1, 1)]},
+    "float": {"n": 1, "volume": 6.0, "modes": [
+        {"mu_sq": mu * mu, "m": m} for mu, m in [
+            (1.3, 1), (1.3 + 5e-10, 2), (0.7, 1), (2.0 ** 0.5, 2), (2.0, 1),
+            (4.0, 2), (2.3, 1), (20.0, 1)]]},
+    "mixed": {"n": 3, "volume": 10.0, "modes": [
+        _exact(0, 1, 1), _exact(3, 1, 2), _exact(1, 1, 1),
+        {"mu_sq": 1.0000000000000002, "m": 1}, {"mu_sq": 2.5, "m": 2},
+        {"mu_sq": 8.0, "m": 1}, _exact(5, 4, 1), _exact(399, 1, 1)]},
+}
+
+# sha256 of stdout, pinned before positions were keyed by integers
+GOLDEN_DIGESTS = [
+    (("resonances", "--circle", "2/3", "--lambda-max", "35"),
+     "895689de57ed9da1231e290f93171be2fc808ecf33041d19d446e00542b00486"),
+    (("resonances", "--circle", "2/3", "--lambda-max", "35",
+      "--format", "csv"),
+     "16122cc5d680d59b893268a9089a123d1515bf578adb74adbe83ae3602eb6023"),
+    (("resonances", "--sphere", "3", "--lambda-max", "30"),
+     "91c98a76bf4600c432dba90b6d4ab1d78c0a20436a7b649bdc9ed08e59cf38b4"),
+    (("resonances", "--sphere", "3", "--lambda-max", "30",
+      "--format", "csv"),
+     "2766825657bfa39a1649c1ff1d698ee8f354173fcdf7f14f25f1a68af9224292"),
+    (("resonances", "--file", "denoms", "--lambda-max", "12"),
+     "529062dc2e3348f6f97474d1ae5c5866379c8fd6a406e7fd5c8b3f4eed45a878"),
+    (("resonances", "--file", "denoms", "--lambda-max", "12",
+      "--format", "csv"),
+     "84f41655b28513cc86812b32cb58139af7b921bd2fd4dc62ea84c3d4de3b3486"),
+    (("resonances", "--file", "surd", "--lambda-max", "12"),
+     "224b086c052d75fc7aff609e3666eed44e218da9d428a0267f4795bca354c4a9"),
+    (("resonances", "--file", "surd", "--lambda-max", "12",
+      "--format", "csv"),
+     "e9c9f66629c52c4d222c3dd884abdca48fd13ff6872d3b726e20343b22fc6728"),
+    (("resonances", "--file", "float", "--lambda-max", "12"),
+     "a5353fc6a5411eef89cbd51075744c17c224ea1f955516040e929c389ef5c8f3"),
+    (("resonances", "--file", "float", "--lambda-max", "12",
+      "--format", "csv"),
+     "fa31aadfb02fcf134ccdfff956f9eb0aa4973bab790228ea0a853233d41a9b64"),
+    (("resonances", "--file", "mixed", "--lambda-max", "12"),
+     "e4de61719b0736fd4348922b483094cb1c04fcb940233328ce2dd170d8664668"),
+    (("resonances", "--file", "mixed", "--lambda-max", "12",
+      "--format", "csv"),
+     "59d5fd92493fb2d473f25baf5b28ca373d96c2d02f393d7dbad22eb0a8b97e85"),
+    (("weyl", "--circle", "2/3", "--lambda-grid", "5,20,40"),
+     "23f448eec17506400a2b045a49da47067bac376e3bb99f4ac32a77abdb9c4cf3"),
+    (("weyl", "--sphere", "3", "--lambda-grid", "3,10,30",
+      "--format", "csv"),
+     "cb1b3ab96433abc72ca679cbad03e51862829b36cd808acbf54b1529ee40865f"),
+    (("weyl", "--file", "denoms", "--lambda-grid", "0.9,4.5,11"),
+     "9b6dcfa80f52550a65bb19b1dd2d2b61e5d6c0b1d8384a060b0ca23295e0ecc6"),
+    (("weyl", "--file", "surd", "--lambda-grid", "1.5,4,11",
+      "--format", "csv"),
+     "2291821a7df86ae2cd0381171a292cfcb299028ab95cf471ac82bba74206074f"),
+    (("weyl", "--file", "float", "--lambda-grid", "1.8000000002500001,3,11"),
+     "1e575b148e5ed3b35ff8543742a7a190b9958703eb5fcff55d638e713fccc2b0"),
+    (("weyl", "--file", "mixed", "--lambda-grid", "2,5,11"),
+     "ec0cf55ef2690e7847127f06cc9771802f595cd6252178f459f42cd9406d2959"),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, data in GOLDEN_SPECTRA.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(data), encoding="utf-8")
+    return paths
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS,
+                             ids=[" ".join(argv) for argv, _ in GOLDEN_DIGESTS])
+    def test_stdout_digest(self, golden_files, argv, digest):
+        argv = [str(golden_files.get(a, a)) if i and argv[i - 1] == "--file"
+                else a for i, a in enumerate(argv)]
+        rc, out, err = run(*argv)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSpectrum:
