@@ -36,7 +36,6 @@ from .errors import (
     UndecidableMembership,
     ValidationError,
 )
-from .quadrature import integrate
 from .resolvent import (
     IndicialData,
     ProbeResult,
@@ -107,7 +106,7 @@ __all__ = [
     "candidate_params", "circle_spectrum", "classify_pole",
     "count_resonances", "enumerate_resonances", "format_results", "gamma", "gauss_series",
     "green_pairing", "hyp2f1", "hyp2f1_regularized", "hypergeom_params",
-    "indicial_roots", "integrate", "is_generic", "ln_gamma",
+    "indicial_roots", "is_generic", "ln_gamma",
     "load_spectrum", "measure_density", "pochhammer", "r_of_sigma",
     "recip_gamma", "residual_check", "residue_probe", "run_all",
     "run_suite", "s_param", "save_spectrum", "sigma_of_r",

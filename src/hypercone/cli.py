@@ -26,11 +26,9 @@ import sys
 from fractions import Fraction
 
 from .crosssec import (
-    GenericityVerdict,
     Mode,
     SpectrumSpec,
     circle_spectrum,
-    is_generic,
     load_spectrum,
     spectrum_to_dict,
     sphere_spectrum,
@@ -46,8 +44,10 @@ from .errors import (
     ValidationError,
 )
 from .resonances import (
+    _count_generic,
+    _generic_modes,
+    _validate_limits,
     classify_pole,
-    count_resonances,
     enumerate_resonances,
     hypergeom_params,
     weyl_leading_term,
@@ -228,8 +228,8 @@ def _cmd_resonances(args) -> int:
             f"spectrum truncation (j_max = {rset.truncation.j_max}, k_max = "
             f"{k_max}) cannot certify completeness up to "
             f"lambda = {args.lambda_max}; raise --jmax/--kmax")
-    none_generic = not any(is_generic(m, spec.dimension_n)
-                           is GenericityVerdict.GENERIC for m in spec.modes)
+    # a listed row needs a generic mode; only an empty listing asks the scan
+    none_generic = not rset.resonances and not _generic_modes(spec)
     trunc = {"j_max": rset.truncation.j_max, "k_max": rset.truncation.k_max,
              "lambda_max": rset.truncation.lambda_max}
     rows = [{"im_lambda": r.lam.imag, "multiplicity": r.multiplicity,
@@ -338,15 +338,18 @@ def _cmd_weyl(args) -> int:
     if spec.volume is None:
         raise ValidationError(
             "spectrum carries no volume; the Weyl leading term is undefined")
-    if not any(is_generic(m, spec.dimension_n) is GenericityVerdict.GENERIC
-               for m in spec.modes):
+    k_max = _auto_kmax(args, lam_max)
+    _validate_limits(k_max, lam_max)
+    # one scan for the whole grid; an undecidable mode refuses before the
+    # non-generic check, as it does for resonances
+    generic = _generic_modes(spec)
+    if not generic:
         raise _NonGenericSpectrum(
             "all modes are non-generic: the resonance set is empty and the "
             "Weyl comparison is undefined")
-    k_max = _auto_kmax(args, lam_max)
     rows = []
     for lam in grid:
-        count = count_resonances(spec, k_max, lam)
+        count = _count_generic(spec, generic, k_max, lam)
         leading = weyl_leading_term(spec.dimension_n, spec.volume, lam)
         rows.append({"count": count, "lambda": lam, "leading_term": leading,
                      "ratio": count / leading})

@@ -133,8 +133,13 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
         raise ValidationError(f"j_max must be an integer >= 0, got {j_max!r}")
     modes = []
     for j in range(j_max + 1):
-        exact = Fraction(j * j) / (exact_rho * exact_rho) if exact_rho is not None else None
-        mu = float(exact) if exact is not None else (j / rho_f) ** 2
+        if exact_rho is not None:
+            # mu_j^2 = (j * den / num)^2 for rho = num/den: one Fraction
+            exact = Fraction((j * exact_rho.denominator) ** 2,
+                             exact_rho.numerator ** 2)
+            mu = float(exact)
+        else:
+            exact, mu = None, (j / rho_f) ** 2
         modes.append(Mode(mu, 1 if j == 0 else 2, exact, j))
     return SpectrumSpec(1, modes, 2.0 * math.pi * rho_f, "circle")
 
@@ -262,33 +267,47 @@ def save_spectrum(spec: SpectrumSpec, target) -> None:
         target.write(text + "\n")
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    # sqrt(q) as a Fraction when q is a perfect rational square, else None
-    if q < 0:
-        return None
-    pn = math.isqrt(q.numerator)
-    pd = math.isqrt(q.denominator)
-    if pn * pn == q.numerator and pd * pd == q.denominator:
-        return Fraction(pn, pd)
-    return None
+def _exact_s(n: int, mu_sq: Fraction) -> tuple[tuple[int, int],
+                                               tuple[int, int] | None]:
+    """s^2 = ((n-1)/2)^2 + mu_sq, and s itself when it is rational.
+
+    With mu_sq = p/q, s^2 = ((n-1)^2 q + 4p) / (4q), reduced once by the
+    gcd.  A reduced fraction is a rational square iff its numerator and
+    denominator both are, so math.isqrt on each settles it.  Returns
+    (num, den) of s^2 in lowest terms and (num, den) of s in lowest terms,
+    or None when s is irrational (or s^2 < 0, which no valid mode gives).
+    """
+    p, q = mu_sq.numerator, mu_sq.denominator
+    num = (n - 1) ** 2 * q + 4 * p
+    den = 4 * q
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if num >= 0:
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        if rn * rn == num and rd * rd == den:
+            return (num, den), (rn, rd)
+    return (num, den), None
+
+
+def _half_odd(root: tuple[int, int] | None) -> bool:
+    # a rational s in lowest terms lies in 1/2 + Z iff its denominator is 2
+    return root is not None and root[1] == 2
 
 
 def is_generic(mode: Mode, n: int) -> GenericityVerdict:
     """Decide whether s = sqrt(((n-1)/2)^2 + mu^2) avoids 1/2 + Z.
 
     Modes with s in 1/2 + Z contribute no resonances.  With an exact mu_sq
-    the test is exact: s in 1/2 + Z iff 4*(((n-1)/2)^2 + mu^2) is the square
-    of an odd integer.  On floats the verdict is generic when s is farther
-    than 1e-9 from the half-odd lattice and unknown_float when within it.
+    the test is exact: _exact_s finds s when it is rational, and s is in
+    1/2 + Z iff its reduced denominator is 2.  On floats the verdict is
+    generic when s is farther than 1e-9 from the half-odd lattice and
+    unknown_float when within it.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
     if mode.mu_sq_exact is not None:
-        q4 = 4 * (Fraction(n - 1, 2) ** 2 + mode.mu_sq_exact)
-        if q4.denominator == 1:
-            root = math.isqrt(q4.numerator)
-            if root * root == q4.numerator and root % 2 == 1:
-                return GenericityVerdict.NON_GENERIC
+        if _half_odd(_exact_s(n, mode.mu_sq_exact)[1]):
+            return GenericityVerdict.NON_GENERIC
         return GenericityVerdict.GENERIC
     s = math.sqrt(((n - 1) / 2.0) ** 2 + mode.mu_sq)
     if abs(s - (math.floor(s) + 0.5)) <= 1e-9 or abs(s - (math.floor(s) - 0.5)) <= 1e-9:

@@ -1,11 +1,5 @@
 """Quadrature for complex-valued integrands on a real interval.
 
-integrate: adaptive G7/K15 pairs with greedy bisection of the worst panel.
-The panel error gauge |K15 - G7| overestimates the true K15 error for smooth
-integrands, which is the safe direction for the tolerance contract.  Final
-summation is in left-to-right panel order so results are bit-deterministic
-regardless of the refinement history.
-
 cumulative_integral: a piecewise Chebyshev interpolant of the integrand and
 its running integral from one end of the interval, so the integral up to any
 number of points costs one Clenshaw sum each (the Clenshaw-Curtis / chebfun
@@ -15,87 +9,12 @@ Practice, ch. 19).
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 from functools import cache
 from operator import mul
 
 from .errors import DomainError, QuadratureFailure
-
-# QUADPACK dqk15 constants: Kronrod nodes/weights, embedded Gauss-7 weights.
-_XGK = (
-    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-    0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
-    0.2077849550078985, 0.0,
-)
-_WGK = (
-    0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278,
-)
-_WG = (
-    0.1294849661688697, 0.2797053914892767,
-    0.3818300505051189, 0.4179591836734694,
-)
-
-
-def _panel(f, a: float, b: float):
-    # returns (kronrod, error_estimate) on [a, b]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for j in range(7):
-        dx = half * _XGK[j]
-        fl = f(mid - dx)
-        fr = f(mid + dx)
-        kron += _WGK[j] * (fl + fr)
-        if j % 2 == 1:  # odd Kronrod indices are the Gauss-7 nodes
-            gauss += _WG[j // 2] * (fl + fr)
-    kron *= half
-    gauss *= half
-    return kron, abs(kron - gauss)
-
-
-def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
-              rel_tol: float = 1e-10, max_subdivisions: int = 200) -> complex:
-    """Integral of complex-valued f over the real interval [a, b]."""
-    if a == b:
-        return 0.0 + 0.0j
-    if b < a:
-        return -integrate(f, b, a, abs_tol, rel_tol, max_subdivisions)
-    val, err = _panel(f, a, b)
-    # heap entries carry the left endpoint as a deterministic tie-break
-    heap = [(-err, a, b, val)]
-    total_err = err
-    total_val = val
-    splits = 0
-    while total_err > max(abs_tol, rel_tol * abs(total_val)):
-        if splits >= max_subdivisions:
-            raise QuadratureFailure(
-                f"tolerance not met after {max_subdivisions} subdivisions "
-                f"(remaining error estimate {total_err:.3e})")
-        neg_err, lo, hi, old_val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise QuadratureFailure(
-                "panel narrowed to machine width before meeting tolerance")
-        lval, lerr = _panel(f, lo, mid)
-        rval, rerr = _panel(f, mid, hi)
-        total_err += lerr + rerr - (-neg_err)
-        total_val += lval + rval - old_val
-        heapq.heappush(heap, (-lerr, lo, mid, lval))
-        heapq.heappush(heap, (-rerr, mid, hi, rval))
-        splits += 1
-    # fixed summation order: left to right
-    panels = sorted(heap, key=lambda p: p[1])
-    acc = 0.0 + 0.0j
-    for _, _, _, v in panels:
-        acc += v
-    return acc
-
 
 # -- piecewise Chebyshev running integrals -------------------------------------
 

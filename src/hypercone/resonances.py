@@ -23,7 +23,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .crosssec import GenericityVerdict, Mode, SpectrumSpec, _rational_sqrt, is_generic
+from .crosssec import (
+    GenericityVerdict,
+    Mode,
+    SpectrumSpec,
+    _exact_s,
+    _half_odd,
+    is_generic,
+)
 from .errors import (
     InconsistentParams,
     InvalidDimension,
@@ -36,6 +43,10 @@ _LATTICE_TOL = 1e-9
 
 # (rational part, coefficient of s); exact value is rat + coef * s
 _Sym = tuple[Fraction, Fraction]
+# a mode's s as the lattice code reads it: the float value, s = num/den when
+# rational, and s^2 = num/den when mu^2 is exact (both in lowest terms)
+_Ratio = tuple[int, int]
+_SData = tuple[float, _Ratio | None, _Ratio | None]
 
 
 @dataclass(frozen=True)
@@ -52,15 +63,27 @@ class SValue:
     sq_exact: Fraction | None = None
 
 
+def _s_data(n: int, mode: Mode) -> _SData:
+    # int / int is correctly rounded, so these are the doubles float() and
+    # math.sqrt() give for the same Fractions
+    if mode.mu_sq_exact is None:
+        return math.sqrt(((n - 1) / 2.0) ** 2 + mode.mu_sq), None, None
+    sq, root = _exact_s(n, mode.mu_sq_exact)
+    if root is not None:
+        return root[0] / root[1], root, sq
+    return math.sqrt(sq[0] / sq[1]), None, sq
+
+
 def s_param(n: int, mode: Mode) -> SValue:
+    """s = sqrt(((n-1)/2)^2 + mu^2) for one mode, exact where mu^2 is.
+
+    The exact forms come from crosssec._exact_s, the one place s is formed
+    from an exact mu^2."""
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
-    if mode.mu_sq_exact is not None:
-        sq = Fraction(n - 1, 2) ** 2 + mode.mu_sq_exact
-        root = _rational_sqrt(sq)
-        value = float(root) if root is not None else math.sqrt(sq)
-        return SValue(value, root, sq)
-    return SValue(math.sqrt(((n - 1) / 2.0) ** 2 + mode.mu_sq), None, None)
+    value, root, sq = _s_data(n, mode)
+    return SValue(value, None if root is None else Fraction(*root),
+                  None if sq is None else Fraction(*sq))
 
 
 @dataclass(frozen=True)
@@ -254,13 +277,14 @@ class Resonance:
     def t_le(self, bound: float) -> bool:
         # exact comparison whenever an exact form is carried
         if self.im_part_exact is not None:
-            sv, k = SValue(self.t - 0.5, self.im_part_exact - Fraction(1, 2)), 0
-        elif self.surd_key is not None:
+            tn, td = self.im_part_exact.as_integer_ratio()
+            return _count_le(self.t - 0.5, (2 * tn - td, 2 * td), None, 0,
+                             bound) > 0
+        if self.surd_key is not None:
             s_sq, k = self.surd_key
-            sv = SValue(self.t - 0.5 - k, None, s_sq)
-        else:
-            sv, k = SValue(self.t - 0.5), 0
-        return _count_le(sv, k, bound) > k
+            return _count_le(self.t - 0.5 - k, None, s_sq.as_integer_ratio(),
+                             k, bound) > k
+        return _count_le(self.t - 0.5, None, None, 0, bound) > 0
 
 
 @dataclass
@@ -280,32 +304,34 @@ class ResonanceSet:
                                        bound))
 
 
-def _count_le(sv: SValue, k_max: int, bound: float) -> int:
-    """Number of k in 0..k_max with 1/2 + k + s <= bound.
+def _count_le(value: float, root: _Ratio | None, sq: _Ratio | None,
+              k_max: int, bound: float) -> int:
+    """Number of k in 0..k_max with 1/2 + k + s <= bound, for s given as
+    (value, root, sq) the way _s_data gives it.
 
-    The one place the position test is made.  Rational s takes one exact
-    floor.  Otherwise a float guess of the last k is corrected one step at
-    a time: exactly through s^2 <= (bound - 1/2 - k)^2 for a surd, and by
-    the double expression 0.5 + k + s <= bound for float-only s, which is
-    monotone in k.
+    The one place the position test is made, in integers only: bound is a
+    double, so bound - 1/2 = p/q exactly with (p, q) read off
+    bound.as_integer_ratio().  Rational s = root takes one exact floor.
+    Otherwise a float guess of the last k is corrected one step at a time:
+    exactly through s^2 <= (bound - 1/2 - k)^2 for a surd, and by the double
+    expression 0.5 + k + s <= bound for float-only s, which is monotone in k.
     """
-    if sv.exact is None and sv.sq_exact is None:
+    if root is None and sq is None:
         def le(k: int) -> bool:
-            return 0.5 + k + sv.value <= bound
+            return 0.5 + k + value <= bound
     else:
-        # bound - 1/2 = p / q exactly
-        bn, bd = Fraction(bound).as_integer_ratio()
+        bn, bd = bound.as_integer_ratio()
         p, q = 2 * bn - bd, 2 * bd
-        if sv.exact is not None:
-            sn, sd = sv.exact.as_integer_ratio()
+        if root is not None:
+            sn, sd = root
             k = (p * sd - q * sn) // (q * sd)
             return max(0, min(k, k_max) + 1)
-        an, ad = sv.sq_exact.as_integer_ratio()
+        an, ad = sq
 
         def le(k: int) -> bool:
             r = p - k * q
             return r >= 0 and an * q * q <= ad * r * r
-    k = max(-1, min(k_max, math.floor(bound - 0.5 - sv.value)))
+    k = max(-1, min(k_max, math.floor(bound - 0.5 - value)))
     while k < k_max and le(k + 1):
         k += 1
     while k >= 0 and not le(k):
@@ -319,8 +345,8 @@ def _truncation_covers(spec: SpectrumSpec, k_max: int, bound: float) -> bool:
     if not modes:
         return True
     n = spec.dimension_n
-    return (_count_le(s_param(n, modes[-1]), 0, bound) == 0
-            and _count_le(s_param(n, modes[0]), k_max, bound) <= k_max)
+    return (_count_le(*_s_data(n, modes[-1]), 0, bound) == 0
+            and _count_le(*_s_data(n, modes[0]), k_max, bound) <= k_max)
 
 
 def _validate_limits(k_max: int, bound: float) -> None:
@@ -330,17 +356,27 @@ def _validate_limits(k_max: int, bound: float) -> None:
         raise ValidationError(f"lambda bound must be >= 0, got {bound!r}")
 
 
-def _generic_modes(spec: SpectrumSpec) -> list[tuple[Mode, SValue]]:
+def _generic_modes(spec: SpectrumSpec) -> list[tuple[Mode, float,
+                                                     _Ratio | None,
+                                                     _Ratio | None]]:
+    """The genericity scan: every generic mode with its s as _s_data gives
+    it, in spectrum order.
+
+    Genericity and s come from one exact s per mode; only float-only modes
+    run the float test of is_generic.  Raises UndecidableMembership at the
+    first float-only mode within 1e-9 of the half-odd-integer lattice.
+    """
     n = spec.dimension_n
-    generic: list[tuple[Mode, SValue]] = []
+    generic = []
     for mode in spec.modes:
-        verdict = is_generic(mode, n)
-        if verdict is GenericityVerdict.UNKNOWN_FLOAT:
+        if (mode.mu_sq_exact is None and is_generic(mode, n)
+                is GenericityVerdict.UNKNOWN_FLOAT):
             raise UndecidableMembership(
                 f"mode j = {mode.label} (mu_sq = {mode.mu_sq}) sits within "
                 f"1e-9 of the half-odd-integer lattice without an exact form")
-        if verdict is GenericityVerdict.GENERIC:
-            generic.append((mode, s_param(n, mode)))
+        value, root, sq = _s_data(n, mode)
+        if not _half_odd(root):
+            generic.append((mode, value, root, sq))
     return generic
 
 
@@ -350,30 +386,34 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
     spectrum, k = 0..k_max, merged across coinciding positions.
 
     Merging is exact whenever every generic mode carries exact s data: two
-    positions 1/2 + k + s coincide only if both s are rational (compare the
-    rationals) or the modes share the same irrational s (compare (s^2, k)).
+    positions 1/2 + k + s coincide only if both s are rational or the modes
+    share the same irrational s.  Rational positions are keyed by integer
+    numerators over one common denominator D, the lcm over rational modes
+    of 2 * den(s_j), so equal positions have equal keys; a surd position is
+    keyed by (num(s^2), den(s^2), k).  The float t of a rational position
+    is numerator / D, correctly rounded, and each listed row gets its one
+    Fraction (im_part_exact or the s^2 of surd_key) only when it is built.
     Otherwise positions are clustered with a 1e-9 tolerance on -Im lambda.
     Raises UndecidableMembership if any mode's genericity is unknown_float.
     """
     _validate_limits(k_max, lambda_max)
     generic = _generic_modes(spec)
-    all_exact = all(sv.exact is not None or sv.sq_exact is not None
-                    for _, sv in generic)
-    entries = []
-    for mode, sv in generic:
-        if sv.exact is not None:
-            base = Fraction(1, 2) + sv.exact
-        for k in range(_count_le(sv, k_max, lambda_max)):
-            if sv.exact is not None:
-                t_exact = base + k
-                key = ("rat", t_exact)
-                entries.append((float(t_exact), key, t_exact, None, mode, k))
-            elif sv.sq_exact is not None:
-                key = ("surd", sv.sq_exact, k)
-                entries.append((0.5 + k + sv.value, key, None,
-                                (sv.sq_exact, k), mode, k))
-            else:
-                entries.append((0.5 + k + sv.value, None, None, None, mode, k))
+    all_exact = all(root is not None or sq is not None
+                    for _, _, root, sq in generic)
+    den = math.lcm(*(2 * root[1] for _, _, root, _ in generic
+                     if root is not None))
+    entries = []  # (t, key, mode, k); key is None for float-only s
+    for mode, value, root, sq in generic:
+        count = _count_le(value, root, sq, k_max, lambda_max)
+        if root is not None:
+            first = den // 2 + root[0] * (den // root[1])
+            for k in range(count):
+                num = first + k * den
+                entries.append((num / den, num, mode, k))
+        else:
+            for k in range(count):
+                key = None if sq is None else (sq[0], sq[1], k)
+                entries.append((0.5 + k + value, key, mode, k))
     groups: list[list] = []
     if all_exact:
         by_key: dict = {}
@@ -388,20 +428,34 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
                 groups.append([e])
     resonances = []
     for grp in groups:
-        t = grp[0][0]
-        exact_t = grp[0][2]
-        surd = grp[0][3]
-        if not all_exact and any(e[1] is None or e[1] != grp[0][1]
-                                 for e in grp):
-            exact_t = surd = None
-        contributors = tuple(sorted((e[4].label, e[5]) for e in grp))
-        mult = sum(e[4].multiplicity for e in grp)
+        t, key = grp[0][0], grp[0][1]
+        if not all_exact and any(e[1] is None or e[1] != key for e in grp):
+            key = None
+        exact_t = surd = None
+        if isinstance(key, int):
+            exact_t = Fraction(key, den)
+        elif key is not None:
+            surd = (Fraction(key[0], key[1]), key[2])
+        contributors = tuple(sorted((e[2].label, e[3]) for e in grp))
+        mult = sum(e[2].multiplicity for e in grp)
         resonances.append(Resonance(complex(0.0, -t), mult, contributors,
                                     exact_t, surd))
     resonances.sort(key=lambda r: r.t)
     trunc = Truncation(spec.modes[-1].label if spec.modes else -1,
                        k_max, float(lambda_max))
     return ResonanceSet(resonances, trunc, spec, all_exact)
+
+
+def _count_generic(spec: SpectrumSpec, generic: list, k_max: int,
+                   bound: float) -> int:
+    # count_resonances after its checks of the limits and its scan, so a
+    # caller with many bounds scans the spectrum once
+    if not _truncation_covers(spec, k_max, bound):
+        raise TruncationInsufficient(
+            f"truncation (j_max = {spec.modes[-1].label}, k_max = {k_max}) "
+            f"is not provably complete up to lambda = {bound}")
+    return sum(mode.multiplicity * _count_le(value, root, sq, k_max, bound)
+               for mode, value, root, sq in generic)
 
 
 def count_resonances(spec: SpectrumSpec, k_max: int, bound: float) -> int:
@@ -415,13 +469,7 @@ def count_resonances(spec: SpectrumSpec, k_max: int, bound: float) -> int:
     completeness up to the bound (the rule of ResonanceSet.complete_up_to).
     """
     _validate_limits(k_max, bound)
-    generic = _generic_modes(spec)
-    if not _truncation_covers(spec, k_max, bound):
-        raise TruncationInsufficient(
-            f"truncation (j_max = {spec.modes[-1].label}, k_max = {k_max}) "
-            f"is not provably complete up to lambda = {bound}")
-    return sum(mode.multiplicity * _count_le(sv, k_max, bound)
-               for mode, sv in generic)
+    return _count_generic(spec, _generic_modes(spec), k_max, bound)
 
 
 def weyl_count(rset: ResonanceSet, lambda_bound: float) -> int:

@@ -390,6 +390,52 @@ class TestWeyl:
         assert out == ""
         assert_error(rc, err, 5, "non-generic")
 
+    def test_undecidable_before_non_generic(self, tmp_path):
+        # s = 1/2 exactly is excluded; the float-only mode sits within 1e-9
+        # of s = 3/2, so whether any mode is generic cannot be decided and
+        # both commands refuse with exit 4 rather than weyl claiming that
+        # no mode is generic
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 1, "volume": 6.0, "modes": [
+            {"mu_sq": 0.25, "mu_sq_exact": "1/4", "m": 1},
+            {"mu_sq": (1.5 + 1e-12) ** 2, "m": 1}]}), encoding="utf-8")
+        for argv in (("weyl", "--lambda-grid", "3"),
+                     ("resonances", "--lambda-max", "3")):
+            rc, out, err = run(*argv, "--file", str(path))
+            assert out == ""
+            assert_error(rc, err, 4, "undecidable")
+            assert "mode j = 1" in err
+
+    def test_kmax_checked_before_the_spectrum(self):
+        # as for resonances, a bad --kmax is a validation error whatever
+        # the spectrum holds
+        for cmd, bound in (("weyl", "--lambda-grid"),
+                           ("resonances", "--lambda-max")):
+            rc, out, err = run(cmd, "--sphere", "2", "--kmax", "-1",
+                               bound, "3")
+            assert out == ""
+            assert_error(rc, err, 2, "validation")
+
+    def test_one_exact_s_per_mode(self, monkeypatch):
+        # weyl scans the spectrum once: one exact s per mode, plus the
+        # first and last mode's s for the truncation check at each bound
+        from hypercone import crosssec, resonances
+        calls = []
+        helper = crosssec._exact_s
+
+        def counted(*args):
+            calls.append(args)
+            return helper(*args)
+        monkeypatch.setattr(crosssec, "_exact_s", counted)
+        monkeypatch.setattr(resonances, "_exact_s", counted)
+        grid = (3, 10, 20, 30, 40)
+        rc, out, err = run("weyl", "--circle", "1", "--lambda-grid",
+                           ",".join(map(str, grid)))
+        assert (rc, err) == (0, "")
+        modes = json.loads(out)["truncation"]["j_max"] + 1
+        assert modes == 42
+        assert len(calls) <= modes + 2 * len(grid)
+
     def test_file_without_volume(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"n": 1, "modes": [{"mu_sq": 1.0, "m": 2}]}',

@@ -236,3 +236,31 @@ class TestGenericity:
     def test_dimension_validation(self):
         with pytest.raises(InvalidDimension):
             is_generic(Mode(1.0, 1), 0)
+
+    def test_integer_s_matches_fraction_reference(self):
+        # the integer s of is_generic and s_param against s^2 formed in
+        # Fraction arithmetic, over mu^2 = p/q whose s^2 is and is not a
+        # rational square, across parities of n
+        for n in range(1, 6):
+            for q in (1, 2, 3, 4, 9, 16, 36):
+                for p in range(0, 61):
+                    mu = Fraction(p, q)
+                    mode = Mode(float(mu), 1, mu)
+                    sq = Fraction(n - 1, 2) ** 2 + mu
+                    rn, rd = (math.isqrt(sq.numerator),
+                              math.isqrt(sq.denominator))
+                    square = (rn * rn == sq.numerator
+                              and rd * rd == sq.denominator)
+                    sv = s_param(n, mode)
+                    assert sv.sq_exact == sq
+                    assert sv.exact == (Fraction(rn, rd) if square else None)
+                    assert sv.value == (rn / rd if square
+                                        else math.sqrt(sq))
+                    q4 = 4 * sq
+                    half_odd = (q4.denominator == 1
+                                and math.isqrt(q4.numerator) ** 2
+                                == q4.numerator
+                                and math.isqrt(q4.numerator) % 2 == 1)
+                    assert (is_generic(mode, n)
+                            is (GenericityVerdict.NON_GENERIC if half_odd
+                                else GenericityVerdict.GENERIC))

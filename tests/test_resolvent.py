@@ -29,7 +29,6 @@ from hypercone import (
     green_pairing,
     hypergeom_params,
     indicial_roots,
-    integrate,
     measure_density,
     r_of_sigma,
     residual_check,
@@ -63,24 +62,6 @@ MEASURE_INTEGRALS = [(1, 0.3, 0.6, 1.4073600674266193),
 
 
 class TestQuadrature:
-    def test_polynomial_exact(self):
-        assert integrate(lambda x: x ** 3, 0.0, 1.0) == pytest.approx(
-            0.25, abs=1e-14)
-
-    def test_oscillatory(self):
-        got = integrate(math.sin, 0.0, math.pi)
-        assert abs(got - 2.0) <= 1e-12
-
-    def test_complex_values(self):
-        got = integrate(lambda x: cmath.exp(1j * x), 0.0, 1.0)
-        want = (cmath.exp(1j) - 1.0) / 1j
-        assert abs(got - want) <= 1e-12
-
-    def test_budget_failure(self):
-        with pytest.raises(QuadratureFailure):
-            integrate(lambda x: abs(x - 1 / math.pi) ** -0.5, 0.0, 1.0,
-                      abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=2)
-
     def test_cumulative_polynomial_exact(self):
         run = cumulative_integral(lambda x: 3 * x ** 5 - x ** 2 + 2, -1.0, 2.0)
         for x in (-1.0, -0.3, 0.5, 1.7, 2.0):
@@ -170,7 +151,8 @@ class TestMeasureDensity:
         # integrating a bump against the density in sigma reproduces the
         # frozen r-coordinate integral of the same bump against sinh^n r dr
         bump = RadialProfile.bump(lo, hi)
-        got = integrate(lambda x: bump(x) * measure_density(n, x), lo, hi)
+        got = cumulative_integral(lambda x: bump(x) * measure_density(n, x),
+                                  lo, hi).total
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_domains(self):
