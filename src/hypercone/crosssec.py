@@ -52,6 +52,9 @@ class Mode:
             raise ValidationError(
                 f"multiplicity must be an integer >= 1, got {self.multiplicity!r}")
         if self.mu_sq_exact is not None:
+            if self.mu_sq_exact.numerator < 0:
+                raise ValidationError(
+                    f"mu_sq_exact must be >= 0, got {self.mu_sq_exact}")
             err = abs(self.mu_sq - float(self.mu_sq_exact))
             if err > _EXACT_MATCH_TOL * (1.0 + abs(self.mu_sq)):
                 raise ValidationError(

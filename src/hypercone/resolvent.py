@@ -21,22 +21,15 @@ Each is one piecewise Chebyshev interpolant with its indefinite integral
 integral, and nearby points differ only by the smooth interpolant between
 them; that is what keeps finite-difference residual checks clean.
 
-Evaluation routes: g1 = Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) and u2, whose
-series runs in w = 1 - sigma, both solve the hypergeometric ODE (DLMF
-15.10.1).  A kernel therefore reads each from Taylor expansions of that ODE
-about fixed anchors (_KernelData): an expansion is seeded once at its
-anchor by the defining series and its contiguous derivative series, and a
-point then costs one Horner sum.  g1's series carries the fused constant
-Gamma(a)Gamma(b)/Gamma(c); at exact lattice parameters, where that constant
-meets a Gamma pole or zero, g1 stays a per-point fused series whose terms
+Evaluation: g1 = Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) and u2 = F(a,b;1+s;w)
+at w = 1 - sigma both solve the hypergeometric ODE (DLMF 15.10.1), in
+either half plane, and a kernel reads each from specfun's ODE continuation
+(_Ladder): one Horner sum per point.  g1's series seed carries the fused
+constant Gamma(a)Gamma(b)/Gamma(c); at exact lattice parameters, where that
+constant meets a Gamma pole or zero, the seed is a fused series whose terms
 stay finite through the poles (removable parameter points get their exact
 limit, taken along the lambda-direction where (a, b, c) move at rates
-(1, 1, 2)).  u2 is switched to the Euler transform
-sigma^(c'-a-b) F(c'-a, c'-b; c'; 1-sigma), c' = 1+s, for every
-Im(lambda) < 0, where Re(c'-a-b) = -2 Im(lambda) is positive; that removes
-the catastrophic cancellation of the direct series in the lower half plane.
-Its expansion is of the transformed series in w, multiplied by
-sigma^(c'-a-b) afterwards.
+(1, 1, 2)).
 """
 
 from __future__ import annotations
@@ -66,11 +59,11 @@ from .resonances import (
 )
 from .specfun import (
     SeriesControl,
-    _StepRatios,
-    _ode_taylor,
-    _sum_series,
+    _Ladder,
+    _hyp2f1,
+    _series_seed,
     gamma,
-    gauss_series,
+    hyp2f1,
     is_nonpositive_integer,
     ln_gamma,
 )
@@ -208,7 +201,7 @@ class RadialProfile:
 # -- kernel basis functions ---------------------------------------------------
 
 def u1(p: HypergeomParams, sigma: float) -> complex:
-    """F(a, b; c; sigma): the solution selected at sigma = 0.
+    """F(a, b; c; sigma): the solution selected at sigma = 0, by hyp2f1.
 
     Undefined when c is a non-positive integer (use the fused resolvent
     routines there); diverges like (1-sigma)^(-s) as sigma -> 1.
@@ -218,41 +211,19 @@ def u1(p: HypergeomParams, sigma: float) -> complex:
     if is_nonpositive_integer(p.c) or _exact_index(p.c_sym) is not None:
         raise LowerParameterPole(
             f"c = {p.c} is a non-positive integer; F(a,b;c;z) is undefined")
-    return gauss_series(p.a, p.b, p.c, complex(sigma), _SERIES)
+    return hyp2f1(p.a, p.b, p.c, sigma, _SERIES)
 
 
 def u2(p: HypergeomParams, sigma: float) -> complex:
     """F(a, b; 1+s; 1-sigma): the solution selected at sigma = 1.
 
-    For Im(lambda) < 0 the series parameters (a, b) have negative real
-    parts and the direct sum cancels badly, so the Euler transform
-    sigma^(1+s-a-b) F(1+s-a, 1+s-b; 1+s; 1-sigma) is used instead: its
-    parameters 1+s-a and 1-a have real parts 1/2+s-Im(lambda) and
-    1/2-Im(lambda), positive exactly on that half plane, and its terms
-    accumulate without cancellation.  The two branches agree where both
-    converge.
+    Evaluated as hyp2f1 at w = 1 - sigma, in either half plane, with sigma
+    kept as the exact distance of w from 1.
     """
     if not (0.0 < sigma <= 1.0):
         raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
-    return _u2_from(p, _u2_solution(p).series(complex(1.0 - sigma)), sigma)
-
-
-def _u2_solution(p: HypergeomParams) -> _Anchored:
-    # the series u2 sums in w = 1 - sigma: F(a, b; 1+s; w), or its Euler
-    # transform's F(1+s-a, 1+s-b; 1+s; w)
-    c2 = complex(1.0 + p.s)
-    if p.lam.imag < 0.0:
-        return _Anchored(1.0 + 0.0j, _StepRatios(c2 - p.a, c2 - p.b, c2))
-    return _Anchored(1.0 + 0.0j, _StepRatios(complex(p.a), complex(p.b), c2))
-
-
-def _u2_from(p: HypergeomParams, val: complex, sigma: float) -> complex:
-    # u2 at sigma from the value val of _u2_solution(p) at w = 1 - sigma
-    if p.lam.imag < 0.0:
-        d = 1.0 + p.s - p.a - p.b
-        pref = cmath.exp(d * math.log(sigma)) if sigma != 1.0 else 1.0
-        return pref * val
-    return val
+    return _hyp2f1(complex(p.a), complex(p.b), complex(1.0 + p.s),
+                   1.0 - sigma, sigma, _SERIES)
 
 
 def _exact_index(sym) -> int | None:
@@ -303,85 +274,14 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
 
 # -- the kernel functions ------------------------------------------------------
 
-# Anchor ladder of the kernel expansions: anchors sit at distance
-# d_i = (1 - _RHO)^i / 2 from the nearer end of (0, 1), and the anchor at
-# d_i serves the points whose distance to that end lies in
-# ((1 - _RHO) d_i, d_i], all within _RHO * d_i of it.
-_RHO = 0.25
-_LOG_Q = math.log(1.0 - _RHO)
-
-
-class _Anchored:
-    """term * F(a, b; c; x) on [0, 1), read from Taylor expansions of the
-    2F1 ODE about the anchor ladder, each built on first use and kept.
-
-    series(x) is the defining series at x, the seed of every expansion;
-    _KernelData describes the anchors, radius, seeds and stopping rule.
-    """
-
-    __slots__ = ("term", "ratios", "kmin", "dterm", "dratios", "expansions")
-
-    def __init__(self, term: complex, ratios: _StepRatios, kmin: int = 0):
-        a, b, c = ratios.a, ratios.b, ratios.c
-        self.term, self.ratios, self.kmin = term, ratios, kmin
-        self.dterm = term * a * b / c
-        self.dratios = _StepRatios(a + 1.0, b + 1.0, c + 1.0)
-        self.expansions: dict[int, tuple[float, float, list[complex]]] = {}
-
-    def series(self, x: float) -> complex:
-        """term * F(a, b; c; x) by the defining series at x."""
-        return _sum_series(self.term, self.ratios, x, _SERIES,
-                           kmin=self.kmin)
-
-    def __call__(self, x: float) -> complex:
-        if x == 0.0:
-            return self.term
-        d = x if x <= 0.5 else 1.0 - x
-        i = math.floor(math.log(2.0 * d) / _LOG_Q)
-        di = 0.5 * (1.0 - _RHO) ** i
-        if di < d:  # log rounding at a ladder point
-            i -= 1
-            di = 0.5 * (1.0 - _RHO) ** i
-        key = i if x <= 0.5 else -i
-        found = self.expansions.get(key)
-        if found is None:
-            found = self.expansions[key] = self._expand(
-                di if x <= 0.5 else 1.0 - di, _RHO * di)
-        m, r, coeffs = found
-        tau = (x - m) / r
-        acc = 0.0 + 0.0j
-        for cj in coeffs:
-            acc = acc * tau + cj
-        return acc
-
-    def _expand(self, m: float, r: float):
-        # (anchor, radius, coefficients highest first for Horner)
-        ratios = self.ratios
-        dy = _sum_series(self.dterm, self.dratios, m, _SERIES,
-                         kmin=max(0, self.kmin - 1))
-        coeffs = _ode_taylor(ratios.a, ratios.b, ratios.c, m, self.series(m),
-                             dy, r, _SERIES)
-        return m, r, coeffs[::-1]
-
-
 class _KernelData:
     """Per-(n, mode, lambda) evaluation state for the resolvent kernel.
 
-    g1 reads f1 = Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z) and u2 reads
-    f2, the series of u2 in w = 1 - sigma; each is an _Anchored solution of
-    the 2F1 ODE, so a value is one Horner sum on a Taylor expansion cached
-    here.  Anchors: m = (3/4)^i / 2 and 1 - m, i = 0, 1, ...; the anchor
-    at distance d from its end serves the points between 3d/4 and d from
-    that end, so none is closer to an end than the points it serves.
-    Radius: every served point lies within d/4 of its anchor, a quarter
-    of the expansion's radius of convergence.  Seeds: y(m) by the series
-    itself and y'(m) by the contiguous series (ab/c) F(a+1, b+1; c+1; m),
-    each one _sum_series call with cached step ratios.
-    Stopping: Taylor coefficients end at three consecutive
-    |y_j| r^j <= _SERIES.rel_tol * max_j |y_j| r^j (r = d/4).  A value
-    depends only on the kernel and the point.  Kernels on the exact
-    parameter lattice (t0 is None) keep the per-point fused series
-    _g1_exact for g1.
+    g1 reads f1 = Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z), u2 reads
+    f2 = F(a, b; 1+s; w) at w = 1 - sigma: each a specfun._Ladder, whose
+    values depend only on the kernel and the point.  f1's seed is the series
+    with that fused constant or, on the exact parameter lattice where the
+    constant meets a Gamma pole or zero, _g1_exact.
     """
 
     def __init__(self, n: int, p: HypergeomParams,
@@ -396,42 +296,42 @@ class _KernelData:
         self.lat = (_exact_index(p.a_sym), _exact_index(p.b_sym),
                     _exact_index(p.c_sym))
         self.inv_g1s = 1.0 / gamma(complex(1.0 + p.s))
-        res = [-v.real for v in (p.a, p.b, p.c)]
-        self.kmin = max(0, math.ceil(max(res)))
+        self.kmin = max(0, math.ceil(max(-v.real for v in (p.a, p.b, p.c))))
+        a, b, c = complex(p.a), complex(p.b), complex(p.c)
         if self.lat == (None, None, None):
-            for v, name in ((p.a, "a"), (p.b, "b"), (p.c, "c")):
+            for v, name in ((a, "a"), (b, "b"), (c, "c")):
                 if is_nonpositive_integer(v):
                     raise PoleEvaluation(
                         f"{name} = {v} lands exactly on a Gamma pole/zero "
                         f"but carries no exact form to resolve the limit")
-            self.t0 = cmath.exp(ln_gamma(p.a) + ln_gamma(p.b) - ln_gamma(p.c))
-            self.f1 = _Anchored(self.t0, _StepRatios(p.a, p.b, p.c),
-                                self.kmin)
+            t0 = cmath.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(c))
+            seed = _series_seed(t0, a, b, c, _SERIES, self.kmin)
         else:
-            self.t0 = None
-        self.f2 = _u2_solution(p)
+            seed = self._g1_exact
+        self.f1 = _Ladder(a, b, c, seed)
+        c2 = complex(1.0 + p.s)
+        self.f2 = _Ladder(a, b, c2, _series_seed(1.0 + 0.0j, a, b, c2, _SERIES))
 
     # G1(z) = Gamma(a)Gamma(b)/Gamma(c) * F(a,b;c;z), poles fused into terms
     def g1(self, z: float) -> complex:
         if not (0.0 <= z < 1.0):
             raise DomainError(f"kernel argument must be in [0, 1), got {z!r}")
-        if self.t0 is not None:
-            return self.f1(z)
-        return self._g1_exact(z)
+        return self.f1(z)
 
     def u2(self, sigma: float) -> complex:
         if not (0.0 < sigma <= 1.0):
             raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
-        return _u2_from(self.p, self.f2(1.0 - sigma), sigma)
+        return self.f2(1.0 - sigma, sigma)
 
-    def _g1_exact(self, z: float) -> complex:
-        # per-term log-space evaluation; a lattice hit at index X turns
-        # Gamma(x+k) into the pole coefficient (-1)^(X-k)/((X-k)! * rate)
-        # with rate = d(x)/d(delta) along lambda: 1 for a and b, 2 for c
+    def _g1_exact(self, z: float) -> tuple[complex, complex]:
+        # (G1(z), G1'(z)) on the exact lattice: sum_k term_k and
+        # sum_k k term_k / z in log space; a lattice hit at index X turns
+        # Gamma(x+k) into the pole coefficient (-1)^(X-k)/((X-k)! * rate),
+        # rate = d(x)/d(delta) along lambda: 1 for a and b, 2 for c
         A, B, C = self.lat
         p = self.p
-        lz = math.log(z) if z > 0.0 else None
-        total = 0.0 + 0.0j
+        lz = math.log(z) if z > 0.0 else -math.inf
+        total = slope = 0.0 + 0.0j
         small = 0
         for k in range(_SERIES.max_terms):
             l_sum = complex(-math.lgamma(k + 1), 0.0)
@@ -460,18 +360,17 @@ class _KernelData:
                 # nothing about tail decay, so skip the convergence count
                 small = 0
                 continue
-            if k > 0 and lz is None:
-                break
             term = cmath.exp(l_sum + (k * lz if k else 0.0))
+            dterm = k * cmath.exp(l_sum + ((k - 1) * lz if k > 1 else 0.0))
             total += term
-            if abs(term) <= _SERIES.rel_tol * max(abs(total), 1e-300):
+            slope += dterm
+            if (abs(term) <= _SERIES.rel_tol * max(abs(total), 1e-300)
+                    and abs(dterm) <= _SERIES.rel_tol * max(abs(slope), 1e-300)):
                 small += 1
                 if small >= 3 and k >= self.kmin:
-                    return total
+                    return total, slope
             else:
                 small = 0
-        if lz is None:
-            return total
         raise NoConvergence(
             f"fused kernel series failed to converge at z = {z}")
 

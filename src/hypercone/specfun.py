@@ -9,11 +9,11 @@ reflection, which keeps the principal branch on the cut plane C \\ (-inf, 0]
 without any winding bookkeeping: log Gamma(z) = log Gamma(z+m) - sum log(z+j)
 holds branch-for-branch there.
 
-2F1 follows the defining series up to z = 1/2 and the standard two-term 1-z
-connection formula above, with an epsilon-shift fallback when c - a - b is
-within 1e-8 of an integer (the connection coefficients degenerate).  The
-regularized function F/Gamma(c) is entire in c and is summed term by term
-with reciprocal-Gamma factors, so non-positive integer c is an ordinary
+2F1 sums the defining series up to a seed bound where it is benign, and
+beyond it continues the series' value and derivative along the 2F1 ODE by
+Taylor expansions (_Ladder), so integer c - a - b needs no special case.
+The regularized function F/Gamma(c) is entire in c and is summed term by
+term with reciprocal-Gamma factors, so non-positive integer c is an ordinary
 input, not an error.
 
 Poles and non-convergence surface as typed exceptions, never as inf/nan.
@@ -155,11 +155,8 @@ def gauss_series(a: complex, b: complex, c: complex, z: float,
     """Defining 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) z^k.
 
     Converges for |z| < 1; the caller guarantees c is not a non-positive
-    integer.  This is the raw engine: hyp2f1 adds the domain split, and the
-    resolvent kernel seeds its Taylor expansions with the defining series
-    (through the same term loop) at anchors across (0,1) because the
-    connection formula degenerates exactly on the parameter families the
-    kernel needs (integer c-a-b).
+    integer.  This is the raw sum: hyp2f1 uses it up to its seed bound and
+    continues the ODE beyond.
     """
     ctl = ctl or _DEFAULT_CTL
     return _sum_series(1.0 + 0.0j,
@@ -255,71 +252,159 @@ def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
         f"{ctl.max_terms} terms")
 
 
-def _gamma_quotient(numers, denoms) -> complex:
-    # product Gamma(numers) / product Gamma(denoms); a pole in a denominator
-    # kills the quotient (returns 0), evaluated in log space otherwise.
-    for d in denoms:
-        if is_nonpositive_integer(d):
-            return 0.0 + 0.0j
-    for n in numers:
-        if is_nonpositive_integer(n):
-            raise PoleAtNonPositiveInteger(
-                f"gamma quotient has a numerator pole at {n}")
-    acc = 0.0 + 0.0j
-    for n in numers:
-        acc += ln_gamma(n)
-    for d in denoms:
-        acc -= ln_gamma(d)
-    return cmath.exp(acc)
+# The ladder's Taylor expansions stop at roundoff for values at points.  One
+# whose edge starts its successor runs on past it, as the derivative read
+# there weights coefficient j by j; its points sum the _POINT_CTL prefix.
+_POINT_CTL = SeriesControl(rel_tol=3e-16, max_terms=10000)
+_EDGE_CTL = SeriesControl(rel_tol=1e-19, max_terms=10000)
 
 
-def _connection_1mz(a: complex, b: complex, c: complex, z: float,
-                    ctl: SeriesControl) -> complex:
-    # two-term connection formula in powers of w = 1 - z, for z > 1/2
-    w = 1.0 - z
-    m = c - a - b
-    # all m-dependent parameters must come from the same rounded m, or the
-    # near-degenerate cancellation amplifies the rounding mismatch by 1/m
-    t1 = _gamma_quotient((c, m), (c - a, c - b))
-    if t1 != 0.0:
-        t1 *= gauss_series(a, b, 1.0 - m, w, ctl)
-    t2 = _gamma_quotient((c, -m), (a, b))
-    if t2 != 0.0:
-        t2 *= cmath.exp(m * math.log(w)) * gauss_series(c - a, c - b, m + 1.0, w, ctl)
-    return t1 + t2
+def _seed_bound(a: complex, b: complex, c: complex) -> float:
+    # x0 = min(3/4, 2/g), g = |ab| / max(|c|, 1): up to x0 the step ratios
+    # start at about |ab z / c| <= 2 and fall, and ~130 terms reach
+    # roundoff.  A lower x0 lengthens the climb against a growing second
+    # solution (Im lambda < 0): u1 and g1 lost up to a digit at 1/g or 1/2
+    g = abs(a * b) / max(abs(c), 1.0)
+    if g == math.inf:  # no anchor would be close enough to 0 to seed
+        raise DomainError(f"2F1 parameters too large: |ab| overflows at "
+                          f"a = {a}, b = {b}")
+    return min(0.75, 2.0 / g) if g else 0.75
+
+
+def _series_seed(term: complex, a: complex, b: complex, c: complex,
+                 ctl: SeriesControl, kmin: int = 0):
+    """m -> (term F(a, b; c; m), term F'(a, b; c; m)) by the series and its
+    contiguous derivative (ab/c) F(a+1, b+1; c+1; m), ratios kept."""
+    ratios = _StepRatios(a, b, c)
+    dratios = _StepRatios(a + 1.0, b + 1.0, c + 1.0)
+    dterm = term * a * b / c
+    dkmin = max(0, kmin - 1)
+
+    def seed(m: float) -> tuple[complex, complex]:
+        return (_sum_series(term, ratios, m, ctl, kmin),
+                _sum_series(dterm, dratios, m, ctl, dkmin))
+    return seed
+
+
+class _Ladder:
+    """A solution y of z(1-z)y'' + [c - (a+b+1)z]y' - ab y = 0 on [0, 1),
+    read from Taylor expansions (_ode_taylor) about a ladder of anchors,
+    each built on first use and kept.
+
+    Anchors sit at distance D(i) = q^i / 2 from the nearer end: z = D(i) is
+    key i >= 0, z = 1 - D(i) key -i.  q = 1 - min(1/4, 2/S), S the largest
+    exponent difference |1-c|, |c-a-b|, |a-b| or 1, keeps a step within the
+    local oscillation scale.  The anchor at D(i) serves the points at
+    distance (q D(i), D(i)], so none is closer to a singular point than the
+    points it serves.  seed(m) = (y(m), y'(m)) starts the anchors at
+    z <= x0 (_seed_bound), where the series is benign; key k beyond starts
+    from the value and derivative of expansion k + 1 at its edge
+    (F. Johansson, arXiv:1606.06977, sec. 4).  Each expansion is scaled by
+    the step to its successor: that edge is tau = +-1, and its points lie
+    at |tau| <= 1, a third of its radius of convergence or less.  Right of
+    1/2 the expansions run in t = 1 - z (the same ODE with c replaced by
+    a + b + 1 - c), so positions near z = 1 are exact distances.
+    """
+
+    def __init__(self, a: complex, b: complex, c: complex, seed) -> None:
+        self.a, self.b, self.c = a, b, c
+        self.c_right = a + b + 1.0 - c
+        self.seed = seed
+        self.x0 = _seed_bound(a, b, c)
+        spread = max(abs(1.0 - c), abs(c - a - b), abs(a - b), 1.0)
+        self.q = 1.0 - min(0.25, 2.0 / spread)
+        self.log_q = math.log(self.q)
+        self.expansions: dict = {}
+
+    def __call__(self, x: float, d: float | None = None) -> complex:
+        """y(x); d = 1 - x exactly, for points near 1 where x itself rounds
+        (computed from x when not given, which is exact for x >= 1/2)."""
+        if x == 0.0:
+            return self.seed(0.0)[0]
+        right = x > 0.5
+        dist = (1.0 - x if d is None else d) if right else x
+        i = math.floor(math.log(2.0 * dist) / self.log_q)
+        if 0.5 * self.q ** i < dist:  # log rounding at a ladder point
+            i -= 1
+        key = -i if right else i
+        m, r, coeffs, _ = self._expansion(key)
+        tau = ((dist if key < 0 else x) - m) / r
+        acc = 0.0 + 0.0j
+        for cj in coeffs:
+            acc = acc * tau + cj
+        return acc
+
+    def _expansion(self, key: int):
+        if key not in self.expansions:
+            chain = [key]
+            while (not self._seeded(chain[-1])
+                   and chain[-1] + 1 not in self.expansions):
+                chain.append(chain[-1] + 1)
+            for k in reversed(chain):
+                self.expansions[k] = self._build(k)
+        return self.expansions[key]
+
+    def _seeded(self, key: int) -> bool:
+        m = 0.5 * self.q ** abs(key)
+        return (m if key >= 0 else 1.0 - m) <= self.x0
+
+    def _build(self, key: int):
+        # (anchor, step, point coefficients highest first for Horner, and
+        # (value, derivative) at a continued successor's anchor)
+        i = abs(key)
+        m = 0.5 * self.q ** i
+        if self._seeded(key):
+            y, dy = self.seed(m if key >= 0 else 1.0 - m)
+            if key < 0:  # right of 1/2 the expansions run in t = 1 - z
+                dy = -dy
+        else:
+            y, dy = self.expansions[key + 1][3]
+        r = abs(0.5 * self.q ** (i - 1 if key > 0 else i + 1) - m)
+        c = self.c if key >= 0 else self.c_right
+        if self._seeded(key - 1):
+            coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _POINT_CTL)
+            return m, r, coeffs[::-1], None
+        coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _EDGE_CTL)
+        edge = -1.0 if key < 0 else 1.0
+        val = slope = 0.0 + 0.0j
+        for cj in reversed(coeffs):
+            slope = slope * edge + val
+            val = val * edge + cj
+        if key == 0:  # the successor of 1/2 runs in t = 1 - z
+            slope = -slope
+        floor = _POINT_CTL.rel_tol * max(map(abs, coeffs))
+        keep = len(coeffs)
+        while keep > 1 and abs(coeffs[keep - 1]) <= floor:
+            keep -= 1
+        return m, r, coeffs[keep - 1::-1], (val, slope / r)
 
 
 def hyp2f1(a: complex, b: complex, c: complex, z: float,
            ctl: SeriesControl | None = None) -> complex:
     """Gauss hypergeometric F(a, b; c; z) for real z in [0, 1).
 
-    Defining series for z <= 1/2; two-term 1-z connection formula above,
-    with an epsilon-shift in c (Richardson average of +/- 1e-6*(1+i)) when
-    c - a - b sits within 1e-8 of an integer and the connection coefficients
-    degenerate.  Raises LowerParameterPole for c in {0, -1, -2, ...}.
+    The defining series up to the seed bound x0 = min(3/4, 2 max(|c|, 1)/|ab|)
+    and for terminating (polynomial) cases; above x0 the ODE continuation of
+    _Ladder, seeded by the series (ctl sets the seeds' stopping rule).
+    Raises LowerParameterPole for c in {0, -1, -2, ...}.
     """
-    ctl = ctl or _DEFAULT_CTL
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
     if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
         raise DomainError(f"hyp2f1 argument must be a real in [0, 1), got {z!r}")
     z = float(z)
+    return _hyp2f1(complex(a), complex(b), complex(c), z, 1.0 - z,
+                   ctl or _DEFAULT_CTL)
+
+
+def _hyp2f1(a: complex, b: complex, c: complex, z: float, d: float,
+            ctl: SeriesControl) -> complex:
+    # hyp2f1 at z given with its exact distance d = 1 - z
     if is_nonpositive_integer(c):
         raise LowerParameterPole(f"hyp2f1 lower parameter c = {c}")
-    if is_nonpositive_integer(a) or is_nonpositive_integer(b):
-        # polynomial case: the series terminates exactly, any z
+    if (z <= _seed_bound(a, b, c) or is_nonpositive_integer(a)
+            or is_nonpositive_integer(b)):
+        # a polynomial case terminates exactly, at any z
         return gauss_series(a, b, c, z, ctl)
-    if z <= 0.5:
-        return gauss_series(a, b, c, z, ctl)
-    gap = c - a - b
-    dist = math.hypot(gap.real - round(gap.real), gap.imag)
-    if dist < 1e-8:
-        shift = 1e-6 * (1.0 + 1.0j)
-        plus = _connection_1mz(a, b, c + shift, z, ctl)
-        minus = _connection_1mz(a, b, c - shift, z, ctl)
-        return 0.5 * (plus + minus)
-    return _connection_1mz(a, b, c, z, ctl)
+    return _Ladder(a, b, c, _series_seed(1.0 + 0.0j, a, b, c, ctl))(z, d)
 
 
 def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float,

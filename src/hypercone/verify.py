@@ -45,7 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named check: the measured error and the tolerance it met (or not)."""
+    """One named check: the measured error and the tolerance it met (or not).
+    A measured value below floor is roundoff; the report shows "<floor"."""
 
     name: str
     passed: bool
@@ -53,12 +54,22 @@ class CheckResult:
     tolerance: float
     elapsed: float
     detail: str = ""
+    floor: float = 0.0
+
+
+# residue ratios of regular and removable points are roundoff (1e-17 to
+# 1e-19); genuine ones sit near the probe radius 1e-2
+_NULL_FLOOR, _SEPARATION_FLOOR = 1e-15, 1e-13
+
+
+def _shown(value: float, floor: float, eq: str = "") -> str:
+    return f"<{floor:.1e}" if value < floor else f"{eq}{value:.3e}"
 
 
 def _bounded(name: str, measured: float, tol: float, t0: float,
-             detail: str = "") -> CheckResult:
+             detail: str = "", floor: float = 0.0) -> CheckResult:
     return CheckResult(name, measured <= tol, measured, tol,
-                       time.monotonic() - t0, detail)
+                       time.monotonic() - t0, detail, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +318,8 @@ def residue_suite(seed: int = 0) -> list[CheckResult]:
                     f"residue {label} j={mode.label} k={k}", agree, ratio,
                     float("nan"), time.monotonic() - t0,
                     detail=f"classifier={verdict.value} probe={probe_word} "
-                           f"lambda={p.lam.imag:g}i"))
+                           f"lambda={p.lam.imag:g}i",
+                    floor=0.0 if expect_pole else _NULL_FLOOR))
 
     # ten non-candidate lambdas: off the imaginary axis, so never a pole
     spectra = _battery_spectra()
@@ -331,15 +343,16 @@ def residue_suite(seed: int = 0) -> list[CheckResult]:
             f"residue non-candidate {i} ({label})", agree, ratio,
             float("nan"), time.monotonic() - t0,
             detail=f"lambda={lam.real:.3f}{lam.imag:+.3f}i "
-                   f"classifier={verdict.value}"))
+                   f"classifier={verdict.value}", floor=_NULL_FLOOR))
 
     t0 = time.monotonic()
     if genuine_ratios and null_ratios:
         sep = max(null_ratios) / min(genuine_ratios)
         results.append(_bounded(
             "residue separation null/genuine", sep, 1e-4, t0,
-            detail=f"max null ratio {max(null_ratios):.3e}, "
-                   f"min genuine ratio {min(genuine_ratios):.3e}"))
+            detail=f"max null ratio {_shown(max(null_ratios), _NULL_FLOOR)}, "
+                   f"min genuine ratio {min(genuine_ratios):.3e}",
+            floor=_SEPARATION_FLOOR))
     else:
         results.append(CheckResult(
             "residue separation null/genuine", False, float("nan"), 1e-4,
@@ -381,7 +394,7 @@ def format_results(results: list[CheckResult]) -> list[str]:
         detail = f"  [{r.detail}]" if r.detail else ""
         lines.append(
             f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
-            f"measured={r.measured:.3e}{tol}{detail}")
+            f"measured{_shown(r.measured, r.floor, '=')}{tol}{detail}")
     passed = sum(r.passed for r in results)
     lines.append(f"{passed}/{len(results)} checks passed")
     return lines

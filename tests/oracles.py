@@ -164,6 +164,22 @@ def oracle_wronskian(n: int, mu_sq, lam, sigma, dps: int = 40) -> complex:
         return complex(u1 * du2 - du1 * u2)
 
 
+def oracle_kernel_functions(n: int, mu_sq, lam, sigma,
+                            dps: int = 30) -> tuple[complex, complex, complex]:
+    """(u1, u2, g1) at sigma from mp.hyp2f1 and mp.gamma:
+    u1 = F(a, b; 2a; sigma), u2 = F(a, b; 1+s; 1-sigma) and
+    g1 = Gamma(a)Gamma(b)/Gamma(2a) u1, with a = 1/2 - i lambda, b = a + s."""
+    with mp.workdps(dps):
+        s = mp.sqrt(mp.mpf(n - 1) ** 2 / 4 + mp.mpf(mu_sq))
+        a = mp.mpf(1) / 2 - 1j * mp.mpc(lam)
+        b = a + s
+        x = mp.mpf(sigma)
+        u1 = mp.hyp2f1(a, b, 2 * a, x)
+        u2 = mp.hyp2f1(a, b, 1 + s, 1 - x)
+        g1 = mp.gamma(a) * mp.gamma(b) / mp.gamma(2 * a) * u1
+        return complex(u1), complex(u2), complex(g1)
+
+
 def oracle_u2_series(n: int, mu_sq, lam, sigma, dps: int = 30) -> complex:
     """u2 = F(a, b; 1+s; 1-sigma) by the plain term-by-term sum."""
     with mp.workdps(dps):

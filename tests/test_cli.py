@@ -242,6 +242,21 @@ class TestFileInput:
         rc, _, err = run("spectrum", "--file", str(path))
         assert_error(rc, err, 2, "validation")
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",), ("resonances", "--lambda-max", "4"),
+        ("weyl", "--lambda-grid", "2,4")])
+    def test_negative_exact_mu_sq(self, tmp_path, argv):
+        # the float rounds to 0 but the exact value is negative
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"n": 1, "volume": 1.0, "modes": [{"mu_sq": 0.0, '
+            '"mu_sq_exact": "-1/100000000000000000000", "m": 1}]}',
+            encoding="utf-8")
+        rc, out, err = run(argv[0], "--file", str(path), *argv[1:])
+        assert_error(rc, err, 2, "validation")
+        assert "modes[0]: mu_sq_exact must be >= 0" in err
+        assert out == ""
+
 
 class TestResonances:
     def test_unit_circle(self):

@@ -1,0 +1,93 @@
+"""The one 2F1 evaluator beyond its seed bound (specfun._Ladder: series
+seeds where the series is benign, ODE Taylor continuation from there)
+against 30-digit mpmath, over the wide domain n in 1..4, mu^2 in [0, 9],
+|Re lambda| <= 40, -3 <= Im lambda <= 3, sigma in [1e-4, 1 - 1e-4], and
+public hyp2f1 on z in [0.5, 0.999].  Draws are seeded, so a failure
+names a reproducible case.
+"""
+
+import cmath
+import random
+
+import pytest
+
+from hypercone import Mode, QuadratureControl, hyp2f1, hypergeom_params, u1, u2
+from hypercone.resolvent import _KernelData
+from oracles import oracle_hyp2f1, oracle_kernel_functions
+
+RE_MAX = 40.0
+
+
+def _draw(rng: random.Random, im_lo: float, im_hi: float):
+    n = rng.randint(1, 4)
+    mu_sq = rng.uniform(0.0, 9.0)
+    lam = complex(rng.uniform(-RE_MAX, RE_MAX), rng.uniform(im_lo, im_hi))
+    # uniform on the interval, or log-uniform toward either end
+    sigma = rng.choice((rng.uniform(1e-4, 1 - 1e-4),
+                        10 ** rng.uniform(-4, -1),
+                        1 - 10 ** rng.uniform(-4, -1)))
+    return n, mu_sq, lam, sigma
+
+
+def _values(n, mu_sq, lam, sigma):
+    # (name, value, 30-digit reference) for the public and kernel functions
+    p = hypergeom_params(n, Mode(mu_sq, 1), lam)
+    kd = _KernelData(n, p, QuadratureControl())
+    want_u1, want_u2, want_g1 = oracle_kernel_functions(n, mu_sq, lam, sigma)
+    return [("u1", u1(p, sigma), want_u1), ("u2", u2(p, sigma), want_u2),
+            ("g1", kd.g1(sigma), want_g1), ("kernel u2", kd.u2(sigma), want_u2)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_functions(seed):
+    rng = random.Random(700 + seed)
+    for _ in range(50):
+        draw = _draw(rng, -2.0, 3.0)
+        for name, got, want in _values(*draw):
+            err = abs(got - want) / abs(want)
+            assert err <= 1e-10, (name, draw, err)
+
+
+def test_kernel_functions_deep_lower_half_plane():
+    # for Im lambda < -2 and large |Re lambda| g1 can be nearly recessive
+    # toward sigma = 1, so continuation toward 1 loses digits there; values
+    # stay finite and within 1e-5
+    rng = random.Random(800)
+    for _ in range(60):
+        draw = _draw(rng, -3.0, -2.0)
+        for name, got, want in _values(*draw):
+            assert cmath.isfinite(got), (name, draw)
+            err = abs(got - want) / abs(want)
+            assert err <= 1e-5, (name, draw, err)
+
+
+def _parameters(rng: random.Random, family: str):
+    if family == "large":
+        # kernel-shaped: a = 1/2 - i lambda, b = a or a + s, c = 2a or a
+        # large |Im c| of its own
+        a = complex(rng.uniform(0.2, 2.0), rng.uniform(-12.0, 12.0))
+        b = a + rng.choice((0.0, rng.uniform(0.5, 3.0)))
+        c = rng.choice((2 * a, complex(rng.uniform(0.5, 3.0),
+                                       rng.uniform(-25.0, 25.0))))
+        return a, b, c
+    if family == "generic":
+        a = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        b = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        return a, b, complex(rng.uniform(0.3, 4), rng.uniform(-2, 2))
+    # c - a - b within 1e-8 of an integer, where connection formulae
+    # degenerate (the parameters of test_hyp2f1_integer_gap_battery)
+    a = complex(rng.uniform(0.2, 2.0), rng.uniform(-1, 1))
+    b = complex(rng.uniform(0.2, 2.0), rng.uniform(-1, 1))
+    off = complex(rng.uniform(-1e-8, 1e-8), rng.uniform(-1e-8, 1e-8))
+    return a, b, a + b + rng.randint(-1, 2) + off
+
+
+@pytest.mark.parametrize("family", ["generic", "near_integer_gap", "large"])
+def test_hyp2f1_above_half(family):
+    rng = random.Random(900 + len(family))
+    for _ in range(40):
+        a, b, c = _parameters(rng, family)
+        z = rng.uniform(0.5, 0.999)
+        want = oracle_hyp2f1(a, b, c, z)
+        err = abs(hyp2f1(a, b, c, z) - want) / abs(want)
+        assert err <= 1e-12, (a, b, c, z, err)

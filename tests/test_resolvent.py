@@ -26,6 +26,7 @@ from hypercone import (
     ValidationError,
     apply_resolvent,
     candidate_params,
+    gauss_series,
     green_pairing,
     hypergeom_params,
     indicial_roots,
@@ -39,7 +40,7 @@ from hypercone import (
     wronskian_closed_form,
 )
 
-from hypercone import quadrature, resolvent
+from hypercone import quadrature, resolvent, specfun
 from hypercone.quadrature import cumulative_integral
 from hypercone.resolvent import _SERIES, _KernelData, _resolvent_on_grid
 from oracles import oracle_apply_resolvent, oracle_hyp2f1, oracle_u2_series
@@ -221,9 +222,10 @@ class TestBasisSolutions:
         assert u1(p, 0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
 
     def test_u1_continuous_across_branch_switch(self):
-        # second difference across the series/connection split at 0.5
+        # second difference across the series/continuation split, at the
+        # seed bound 3/4 for these parameters
         p = hypergeom_params(2, Mode(2.0, 1), 0.3 + 0.2j)
-        vals = [u1(p, 0.5 + t) for t in (-2e-6, -1e-6, 1e-6, 2e-6)]
+        vals = [u1(p, 0.75 + t) for t in (-2e-6, -1e-6, 1e-6, 2e-6)]
         jump = (vals[3] - vals[2]) - (vals[1] - vals[0])
         assert abs(jump) <= 1e-9
 
@@ -241,7 +243,7 @@ class TestBasisSolutions:
             u1(p, 1.0)
 
     def test_u2_at_tip(self):
-        for lam in (2j, -0.7 - 0.4j):  # one draw per branch
+        for lam in (2j, -0.7 - 0.4j):  # one draw per half plane
             p = hypergeom_params(1, Mode(1.0, 1), lam)
             assert u2(p, 1.0) == pytest.approx(1.0, rel=1e-14)
 
@@ -254,7 +256,7 @@ class TestBasisSolutions:
         for _ in range(6):
             n = rng.choice([1, 2, 3])
             mu2 = rng.uniform(0.0, 6.0)
-            # lower half plane exercises the transformed branch
+            # the lower half plane, where the direct series once cancelled
             lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, -0.2))
             p = hypergeom_params(n, mode := Mode(mu2, 1), lam)
             for sig in (0.35, 0.7):
@@ -471,6 +473,16 @@ class TestResolventOracle:
             got = apply_resolvent(n, Mode(2.0, 1), lam, f, sigma)
             assert abs(got - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize("lam", [20 + 0.1j, 30 + 1j, 40 + 0.5j])
+    def test_large_real_lambda(self, lam):
+        # where the defining series of u2 at w = 1 - sigma cancels badly
+        f = RadialProfile.bump(0.3, 0.6)
+        for sigma in (0.2, 0.45):
+            want = oracle_apply_resolvent(2, 2.0, lam, _mp_bump(0.3, 0.6),
+                                          0.3, 0.6, sigma)
+            got = apply_resolvent(2, Mode(2.0, 1), lam, f, sigma)
+            assert abs(got - want) <= 1e-10 * abs(want)
+
     @pytest.mark.parametrize("lam", [1 + 0.5j, 1 - 0.7j])
     def test_source_nonzero_at_its_ends(self, lam):
         # the integrands read func on the closed support, so a constant
@@ -533,67 +545,66 @@ class TestStepRatioCache:
 
     @pytest.mark.parametrize("n,mode,lam", KERNELS)
     def test_g1_and_u2_match_inline_ratios(self, n, mode, lam):
-        # the series the kernel expansions are seeded from, and public u2
+        # the value and derivative seeds of the kernel expansions, and
+        # public u2 where it sums the series itself
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p, _TIGHT)
-        c2 = 1.0 + p.s
+        a, b, c, c2 = (complex(v) for v in (p.a, p.b, p.c, 1.0 + p.s))
+        t0 = kd.f1.seed(0.0)[0]
         for x in self.POINTS:
-            assert kd.f1.series(x) == _inline_ratio_series(
-                kd.t0, p.a, p.b, p.c, x, kmin=kd.kmin)
-            w = complex(1.0 - x)
-            if lam.imag < 0.0:
-                d = c2 - p.a - p.b
-                series = _inline_ratio_series(
-                    1.0 + 0.0j, complex(c2 - p.a), complex(c2 - p.b),
-                    complex(c2), w)
-                want = cmath.exp(d * math.log(x)) * series
-            else:
-                series = want = _inline_ratio_series(
-                    1.0 + 0.0j, complex(p.a), complex(p.b), complex(c2), w)
-            assert kd.f2.series(w) == series
-            assert u2(p, x) == want
+            assert kd.f1.seed(x) == (
+                _inline_ratio_series(t0, a, b, c, x, kmin=kd.kmin),
+                _inline_ratio_series(t0 * a * b / c, a + 1, b + 1, c + 1, x,
+                                     kmin=max(0, kd.kmin - 1)))
+            w = 1.0 - x
+            series = _inline_ratio_series(1.0 + 0.0j, a, b, c2, w)
+            assert kd.f2.seed(w) == (series, _inline_ratio_series(
+                a * b / c2, a + 1, b + 1, c2 + 1, w))
+            if w <= kd.f2.x0:
+                assert u2(p, x) == series
 
 
-def _ladder_points():
-    # the anchor boundaries in [0.004, 0.996] (distances (1 - rho)^i / 2
-    # from either end) and their float neighbours on both sides
+def _ladder_points(q):
+    # the anchor boundaries in [0.004, 0.996] (distances q^i / 2 from
+    # either end) and their float neighbours on both sides
     out = []
     d = 0.5
     while d >= 0.004:
         for x in (d, 1.0 - d):
             out += [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
-        d *= 1.0 - resolvent._RHO
+        d *= q
     return sorted(set(out))
 
 
 class TestKernelExpansions:
-    """g1 and u2 read from anchored Taylor expansions of the 2F1 ODE."""
+    """g1 and u2 read from continued Taylor expansions of the 2F1 ODE."""
 
     KERNELS = [(n, Mode(2.0, 1), lam) for n in (1, 2, 3, 4)
                for lam in (1 + 0.5j, 0.8 - 0.6j, 3j)]
+    # every ladder of these kernels has ratio q = 3/4
     GRID = sorted(set([0.004 + 0.008 * k for k in range(125)]
-                      + _ladder_points()))
+                      + _ladder_points(0.75)))
 
     @pytest.mark.parametrize("n,mode,lam", KERNELS)
     def test_match_series_and_oracle(self, n, mode, lam):
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p, _TIGHT)
+        assert kd.f1.q == kd.f2.q == 0.75
+        t0 = kd.f1.seed(0.0)[0]
+        c2 = 1 + p.s
         for i, x in enumerate(self.GRID):
             for got, series, oracle in (
-                    (kd.g1, kd.f1.series,
-                     lambda x: kd.t0 * oracle_hyp2f1(p.a, p.b, p.c, x)),
-                    (kd.u2, lambda x: u2(p, x),
-                     lambda x: oracle_hyp2f1(p.a, p.b, 1 + p.s, 1 - x))):
+                    (kd.g1,
+                     lambda x: t0 * gauss_series(p.a, p.b, p.c, x, _SERIES),
+                     lambda x: t0 * oracle_hyp2f1(p.a, p.b, p.c, x)),
+                    (kd.u2,
+                     lambda x: gauss_series(p.a, p.b, c2, 1 - x, _SERIES),
+                     lambda x: oracle_hyp2f1(p.a, p.b, c2, 1 - x))):
+                val = got(x)  # every point evaluates
                 try:
                     want = series(x)
                 except NoConvergence:
                     want = None
-                try:
-                    val = got(x)
-                except NoConvergence:
-                    # refused only where the per-point series is refused
-                    assert want is None
-                    continue
                 if want is not None:
                     assert abs(val - want) <= 1e-12 * abs(want)
                 if want is None or i % 3 == 0:
@@ -614,20 +625,20 @@ class TestKernelExpansions:
 
 
 class TestSeriesWorkCounts:
-    """Series sums per call, counted at the resolvent's term loop.  The
-    per-point series made 416, 409 and 576; anchored expansions make 26, 6
-    and 96."""
+    """Series sums per call, counted at specfun's one term loop.  Series
+    seeds at every anchor made 26, 6 and 96; continuation makes 24, 6 and
+    96, and 4 at lambda = 20+0.1i."""
 
     @pytest.fixture
     def sums(self, monkeypatch):
         count = [0]
-        inner = resolvent._sum_series
+        inner = specfun._sum_series
 
         def counting(*args, **kw):
             count[0] += 1
             return inner(*args, **kw)
 
-        monkeypatch.setattr(resolvent, "_sum_series", counting)
+        monkeypatch.setattr(specfun, "_sum_series", counting)
         return count
 
     def test_residual_check(self, sums):
@@ -643,18 +654,25 @@ class TestSeriesWorkCounts:
         residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
         assert 0 < sums[0] <= 150
 
+    def test_continuation_does_not_reseed(self, sums):
+        # each kernel function is seeded once (value and derivative); the
+        # anchors past the seed bounds, about 0.1 for g1 and 0.006 for u2,
+        # are continued from it: 112 Taylor expansions here
+        apply_resolvent(2, Mode(2.0, 1), 20 + 0.1j,
+                        RadialProfile.bump(0.3, 0.6), 0.2)
+        assert 0 < sums[0] <= 8
+
 
 class TestNearEndDomain:
-    """Narrow sources near sigma = 0 and 1: whatever evaluated with the
-    per-point series still evaluates, and what it refused is refused with a
-    typed error or answered to oracle accuracy."""
+    """Narrow sources near sigma = 0 and 1: every centre evaluates, and the
+    centres the per-anchor series seeds once refused match the oracle."""
 
     CENTRES = ([k / 1000 for k in range(2, 11)]
                + [k / 1000 for k in range(990, 999)])
     LAMS = [1 - 0.7j, 0.7 + 0.9j, -2.5 - 1.1j, 3j]
 
     @staticmethod
-    def refused_by_series(n, lam, centre):
+    def formerly_refused(n, lam, centre):
         return (centre in (0.002, 0.003, 0.998)
                 or (n == 3 and centre == 0.997)
                 or (lam == 3j and centre == 0.004))
@@ -664,15 +682,10 @@ class TestNearEndDomain:
     def test_scan(self, n, mu_sq, lam):
         for centre in self.CENTRES:
             lo, hi = centre - 1e-3, centre + 1e-3
-            refused = self.refused_by_series(n, lam, centre)
-            try:
-                got = apply_resolvent(n, Mode(mu_sq, 1), lam,
-                                      RadialProfile.bump(lo, hi), centre)
-            except NoConvergence:
-                assert refused
-                continue
+            got = apply_resolvent(n, Mode(mu_sq, 1), lam,
+                                  RadialProfile.bump(lo, hi), centre)
             assert cmath.isfinite(got)
-            if refused:
+            if self.formerly_refused(n, lam, centre):
                 want = oracle_apply_resolvent(
                     n, mu_sq, lam, _mp_bump(lo, hi), lo, hi, centre)
                 assert abs(got - want) <= 1e-8 * abs(want)

@@ -115,6 +115,8 @@ class TestHyp2f1Values:
         for z in (-0.1, 1.0, 1.5):
             with pytest.raises(DomainError):
                 hyp2f1(0.5, 0.5, 1.5, z)
+        with pytest.raises(DomainError):  # |ab| overflows
+            hyp2f1(1e200, 1e200, 1.0, 0.9)
 
     def test_lower_parameter_pole(self):
         with pytest.raises(LowerParameterPole):
@@ -184,16 +186,14 @@ class TestAgainstMpmath:
             a = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
             b = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
             c = complex(rng.uniform(0.3, 4), rng.uniform(-2, 2))
-            gap = c - a - b
-            if abs(gap.imag) < 0.1 and abs(gap.real - round(gap.real)) < 0.1:
-                continue  # the degenerate family gets its own epsilon path
             z = rng.uniform(0.0, 0.95)
             want = oracle_hyp2f1(a, b, c, z)
             got = hyp2f1(a, b, c, z)
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
     def test_hyp2f1_integer_gap_battery(self):
-        # c - a - b exactly integer: the epsilon-shifted connection path
+        # c - a - b exactly integer, where the 1-z connection formula
+        # degenerates; ODE continuation does not see it
         rng = random.Random(5)
         for gap in (-1, 0, 1, 2):
             for _ in range(8):
@@ -203,7 +203,7 @@ class TestAgainstMpmath:
                 z = rng.uniform(0.55, 0.9)
                 want = oracle_hyp2f1(a, b, c, z)
                 got = hyp2f1(a, b, c, z)
-                assert abs(got - want) <= 2e-6 * (1.0 + abs(want))
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
     def test_regularized_battery(self):
         rng = random.Random(31)
