@@ -58,7 +58,7 @@ from .resonances import (
     s_param,
 )
 from .specfun import (
-    SeriesControl,
+    _ROUNDOFF as _SERIES,
     _Ladder,
     _hyp2f1,
     _series_seed,
@@ -90,9 +90,6 @@ class QuadratureControl:
 _DEFAULT_QC = QuadratureControl()
 # running integrals feed finite differences, so they run tight
 _GRID_QC = QuadratureControl(abs_tol=1e-15, rel_tol=5e-14, max_subdivisions=60)
-# kernel series run to the roundoff floor: their values enter finite
-# differences and Wronskian cancellations that amplify any truncation tail
-_SERIES = SeriesControl(rel_tol=3e-16, max_terms=10000)
 
 
 # -- coordinates and measure --------------------------------------------------
@@ -277,11 +274,10 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
 class _KernelData:
     """Per-(n, mode, lambda) evaluation state for the resolvent kernel.
 
-    g1 reads f1 = Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z), u2 reads
-    f2 = F(a, b; 1+s; w) at w = 1 - sigma: each a specfun._Ladder, whose
-    values depend only on the kernel and the point.  f1's seed is the series
-    with that fused constant or, on the exact parameter lattice where the
-    constant meets a Gamma pole or zero, _g1_exact.
+    g1 reads f1 = Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z) and u2 reads
+    f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values depend
+    only on the kernel and the point.  f1 is seeded by the series times that
+    constant or, on the exact lattice where it meets a Gamma pole, _g1_exact.
     """
 
     def __init__(self, n: int, p: HypergeomParams,

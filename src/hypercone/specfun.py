@@ -252,11 +252,12 @@ def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
         f"{ctl.max_terms} terms")
 
 
-# The ladder's Taylor expansions stop at roundoff for values at points.  One
-# whose edge starts its successor runs on past it, as the derivative read
-# there weights coefficient j by j; its points sum the _POINT_CTL prefix.
-_POINT_CTL = SeriesControl(rel_tol=3e-16, max_terms=10000)
+# _ROUNDOFF sums to roundoff (ladder points, hyp2f1 above 1/2, the kernels);
+# an expansion whose edge starts its successor runs on to _EDGE_CTL, as the
+# derivative read there weights coefficient j by j.
+_ROUNDOFF = SeriesControl(rel_tol=3e-16, max_terms=10000)
 _EDGE_CTL = SeriesControl(rel_tol=1e-19, max_terms=10000)
+_MAX_RUNGS = 10000  # expansions per ladder; the count grows like S ln(1/dist)
 
 
 def _seed_bound(a: complex, b: complex, c: complex) -> float:
@@ -265,9 +266,6 @@ def _seed_bound(a: complex, b: complex, c: complex) -> float:
     # roundoff.  A lower x0 lengthens the climb against a growing second
     # solution (Im lambda < 0): u1 and g1 lost up to a digit at 1/g or 1/2
     g = abs(a * b) / max(abs(c), 1.0)
-    if g == math.inf:  # no anchor would be close enough to 0 to seed
-        raise DomainError(f"2F1 parameters too large: |ab| overflows at "
-                          f"a = {a}, b = {b}")
     return min(0.75, 2.0 / g) if g else 0.75
 
 
@@ -278,11 +276,10 @@ def _series_seed(term: complex, a: complex, b: complex, c: complex,
     ratios = _StepRatios(a, b, c)
     dratios = _StepRatios(a + 1.0, b + 1.0, c + 1.0)
     dterm = term * a * b / c
-    dkmin = max(0, kmin - 1)
 
     def seed(m: float) -> tuple[complex, complex]:
         return (_sum_series(term, ratios, m, ctl, kmin),
-                _sum_series(dterm, dratios, m, ctl, dkmin))
+                _sum_series(dterm, dratios, m, ctl, kmin - 1))
     return seed
 
 
@@ -313,6 +310,8 @@ class _Ladder:
         self.x0 = _seed_bound(a, b, c)
         spread = max(abs(1.0 - c), abs(c - a - b), abs(a - b), 1.0)
         self.q = 1.0 - min(0.25, 2.0 / spread)
+        if self.q == 1.0:  # the step 2/S rounds away, as when |ab| overflows
+            raise NoConvergence(f"2F1 parameter spread {spread:.3g} too large")
         self.log_q = math.log(self.q)
         self.expansions: dict = {}
 
@@ -336,11 +335,13 @@ class _Ladder:
 
     def _expansion(self, key: int):
         if key not in self.expansions:
-            chain = [key]
-            while (not self._seeded(chain[-1])
-                   and chain[-1] + 1 not in self.expansions):
-                chain.append(chain[-1] + 1)
-            for k in reversed(chain):
+            top = key  # build from top down: top is seeded, or top+1 built
+            while not self._seeded(top) and top + 1 not in self.expansions:
+                top += 1
+                if top - key + 1 + len(self.expansions) > _MAX_RUNGS:
+                    raise NoConvergence(
+                        f"2F1 continuation needs over {_MAX_RUNGS} expansions")
+            for k in range(top, key - 1, -1):
                 self.expansions[k] = self._build(k)
         return self.expansions[key]
 
@@ -362,7 +363,7 @@ class _Ladder:
         r = abs(0.5 * self.q ** (i - 1 if key > 0 else i + 1) - m)
         c = self.c if key >= 0 else self.c_right
         if self._seeded(key - 1):
-            coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _POINT_CTL)
+            coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _ROUNDOFF)
             return m, r, coeffs[::-1], None
         coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _EDGE_CTL)
         edge = -1.0 if key < 0 else 1.0
@@ -372,7 +373,7 @@ class _Ladder:
             val = val * edge + cj
         if key == 0:  # the successor of 1/2 runs in t = 1 - z
             slope = -slope
-        floor = _POINT_CTL.rel_tol * max(map(abs, coeffs))
+        floor = _ROUNDOFF.rel_tol * max(map(abs, coeffs))
         keep = len(coeffs)
         while keep > 1 and abs(coeffs[keep - 1]) <= floor:
             keep -= 1
@@ -385,8 +386,9 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float,
 
     The defining series up to the seed bound x0 = min(3/4, 2 max(|c|, 1)/|ab|)
     and for terminating (polynomial) cases; above x0 the ODE continuation of
-    _Ladder, seeded by the series (ctl sets the seeds' stopping rule).
-    Raises LowerParameterPole for c in {0, -1, -2, ...}.
+    _Ladder, seeded by the series; ctl sets its stopping rule, at roundoff or
+    tighter above z = 1/2.  Raises LowerParameterPole for c in {0, -1, ...}
+    and NoConvergence where the ladder needs over _MAX_RUNGS expansions.
     """
     if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
         raise DomainError(f"hyp2f1 argument must be a real in [0, 1), got {z!r}")
@@ -400,6 +402,8 @@ def _hyp2f1(a: complex, b: complex, c: complex, z: float, d: float,
     # hyp2f1 at z given with its exact distance d = 1 - z
     if is_nonpositive_integer(c):
         raise LowerParameterPole(f"hyp2f1 lower parameter c = {c}")
+    if z > 0.5 and ctl.rel_tol > _ROUNDOFF.rel_tol:
+        ctl = SeriesControl(_ROUNDOFF.rel_tol, ctl.max_terms)
     if (z <= _seed_bound(a, b, c) or is_nonpositive_integer(a)
             or is_nonpositive_integer(b)):
         # a polynomial case terminates exactly, at any z

@@ -115,8 +115,6 @@ class TestHyp2f1Values:
         for z in (-0.1, 1.0, 1.5):
             with pytest.raises(DomainError):
                 hyp2f1(0.5, 0.5, 1.5, z)
-        with pytest.raises(DomainError):  # |ab| overflows
-            hyp2f1(1e200, 1e200, 1.0, 0.9)
 
     def test_lower_parameter_pole(self):
         with pytest.raises(LowerParameterPole):
@@ -130,6 +128,20 @@ class TestHyp2f1Values:
         with pytest.raises(NoConvergence):
             hyp2f1_regularized(0.5, 0.7, -1.0, 0.45,
                                SeriesControl(max_terms=20))
+
+    def test_ladder_refuses_long_climbs(self):
+        # the rung count grows like S ln(1/dist): spread S = 1e6 needs
+        # millions of expansions, and at S = 1e17 the step 2/S rounds away,
+        # as it does wherever |ab| overflows
+        for a, b in ((0.5, 0.5 + 1e6j), (1e17, 1e-17), (1e200, 1e200)):
+            with pytest.raises(NoConvergence):
+                hyp2f1(a, b, 1.0, 0.9)
+
+    def test_default_control_sums_to_roundoff_above_half(self):
+        # rel_tol 1e-14 there would leave a tail of 1e-14 z/(1-z)
+        for z in (0.6, 0.7, 0.74, 0.8, 0.95):
+            want = oracle_hyp2f1(0.5, 1.5, 2.0, z)
+            assert abs(hyp2f1(0.5, 1.5, 2.0, z) - want) <= 3e-15 * abs(want)
 
 
 class TestRegularized:
