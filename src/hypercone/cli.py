@@ -12,12 +12,16 @@ on stderr; the exit codes are
     3  truncation cannot certify completeness up to the requested bound
     4  an exactness decision was requested of float-only data
     5  Weyl comparison on a spectrum with no generic modes
+
+main(argv) can be called again and again in one process; the argument
+parser is built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -73,8 +77,7 @@ class _NonGenericSpectrum(HyperconeError):
 
 
 def _float_text(x: float) -> str:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValidationError("non-finite number reached the output layer")
     return format(x, ".17g")
 
@@ -83,43 +86,62 @@ def _frac_text(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _json_text(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad}  {json.dumps(str(k))}: {_json_text(obj[k], indent + 2)}'
-                 for k in sorted(obj)]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_json_text(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(_frac_text(obj))
-    if isinstance(obj, complex):
-        return _json_text({"im": obj.imag, "re": obj.real}, indent)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_write(obj, pad: str, out: list, rows: bool) -> None:
+    # appends obj's fragments to out; with rows set, each element of a list
+    # is joined into one string as soon as it is written, so a long listing
+    # holds one string per row rather than every fragment until the end
+    t = type(obj)
+    if t is float:
+        out.append(_float_text(obj))
+    elif t is int:
+        out.append(str(obj))
+    elif t is str:
+        out.append(_quote(obj))
+    elif t is dict:
+        inner = pad + "  "
+        head = "{\n" + inner
+        for k in sorted(obj):
+            out.append(head + _quote(k) + ": ")
+            head = ",\n" + inner
+            _json_write(obj[k], inner, out, rows)
+        out.append("\n" + pad + "}" if obj else "{}")
+    elif t is list:
+        inner = pad + "  "
+        head = "[\n" + inner
+        for v in obj:
+            out.append(head)
+            head = ",\n" + inner
+            if rows:
+                row: list = []
+                _json_write(v, inner, row, False)
+                out.append("".join(row))
+            else:
+                _json_write(v, inner, out, False)
+        out.append("\n" + pad + "]" if obj else "[]")
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise ValidationError(f"cannot serialize {t.__name__} to JSON")
+
+
+def _json_text(obj) -> str:
+    """Sorted keys, 2-space indent, 17-significant-digit floats."""
+    out: list = []
+    _json_write(obj, "", out, True)
+    return "".join(out)
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
+    t = type(v)
+    if t is float:
         return _float_text(v)
-    if isinstance(v, Fraction):
-        return _frac_text(v)
+    if t is bool:
+        return "true" if v else "false"
     return str(v)
 
 
@@ -232,11 +254,12 @@ def _cmd_resonances(args) -> int:
     none_generic = not rset.resonances and not _generic_modes(spec)
     trunc = {"j_max": rset.truncation.j_max, "k_max": rset.truncation.k_max,
              "lambda_max": rset.truncation.lambda_max}
-    rows = [{"im_lambda": r.lam.imag, "multiplicity": r.multiplicity,
-             "contributors": [list(c) for c in r.contributors],
-             "exact": r.im_part_exact is not None or r.surd_key is not None}
-            for r in rset.resonances]
     if args.format == "json":
+        rows = [{"im_lambda": r.lam.imag, "multiplicity": r.multiplicity,
+                 "contributors": [list(c) for c in r.contributors],
+                 "exact": (r.im_part_exact is not None
+                           or r.surd_key is not None)}
+                for r in rset.resonances]
         out = {"rows": rows, "truncation": trunc}
         if none_generic:
             out["note"] = "non-generic: all modes excluded"
@@ -392,7 +415,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and never changed after: parse_args
+    # keeps its state in a fresh namespace per call
     parser = _Parser(prog="hypercone",
                      description="Resonances of hyperbolic cones over a "
                                  "compact cross-section.")
@@ -466,11 +492,10 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_negative_values(list(argv)))
+        args = _build_parser().parse_args(_merge_negative_values(list(argv)))
         return args.handler(args)
     except TruncationInsufficient as e:
         return _fail(EXIT_TRUNCATION, "truncation", e)

@@ -29,6 +29,25 @@ class GenericityVerdict(enum.Enum):
     UNKNOWN_FLOAT = "unknown_float"
 
 
+def _check_mode(mu_sq, multiplicity, mu_sq_exact) -> None:
+    if not (isinstance(mu_sq, (int, float)) and math.isfinite(mu_sq)):
+        raise ValidationError(f"mu_sq must be a finite number, got {mu_sq!r}")
+    if mu_sq < 0:
+        raise ValidationError(f"mu_sq must be >= 0, got {mu_sq}")
+    if not isinstance(multiplicity, int) or multiplicity < 1:
+        raise ValidationError(
+            f"multiplicity must be an integer >= 1, got {multiplicity!r}")
+    if mu_sq_exact is not None:
+        if mu_sq_exact.numerator < 0:
+            raise ValidationError(
+                f"mu_sq_exact must be >= 0, got {mu_sq_exact}")
+        err = abs(mu_sq - float(mu_sq_exact))
+        if err > _EXACT_MATCH_TOL * (1.0 + abs(mu_sq)):
+            raise ValidationError(
+                f"mu_sq_exact = {mu_sq_exact} disagrees with "
+                f"mu_sq = {mu_sq}")
+
+
 @dataclass(frozen=True)
 class Mode:
     """One eigenvalue mu_sq of the cross-section Laplacian.
@@ -44,22 +63,7 @@ class Mode:
     label: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.mu_sq, (int, float)) and math.isfinite(self.mu_sq)):
-            raise ValidationError(f"mu_sq must be a finite number, got {self.mu_sq!r}")
-        if self.mu_sq < 0:
-            raise ValidationError(f"mu_sq must be >= 0, got {self.mu_sq}")
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
-            raise ValidationError(
-                f"multiplicity must be an integer >= 1, got {self.multiplicity!r}")
-        if self.mu_sq_exact is not None:
-            if self.mu_sq_exact.numerator < 0:
-                raise ValidationError(
-                    f"mu_sq_exact must be >= 0, got {self.mu_sq_exact}")
-            err = abs(self.mu_sq - float(self.mu_sq_exact))
-            if err > _EXACT_MATCH_TOL * (1.0 + abs(self.mu_sq)):
-                raise ValidationError(
-                    f"mu_sq_exact = {self.mu_sq_exact} disagrees with "
-                    f"mu_sq = {self.mu_sq}")
+        _check_mode(self.mu_sq, self.multiplicity, self.mu_sq_exact)
 
 
 @dataclass
@@ -82,11 +86,6 @@ class SpectrumSpec:
         for i in range(len(self.modes) - 1):
             if self.modes[i].mu_sq > self.modes[i + 1].mu_sq:
                 raise ValidationError("modes must be sorted by mu_sq ascending")
-
-
-def _relabel(modes: list[Mode]) -> list[Mode]:
-    return [Mode(m.mu_sq, m.multiplicity, m.mu_sq_exact, j)
-            for j, m in enumerate(modes)]
 
 
 def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
@@ -151,7 +150,8 @@ _TOP_KEYS = {"n", "volume", "modes"}
 _MODE_KEYS = {"mu_sq", "mu_sq_exact", "m"}
 
 
-def _parse_mode_entry(entry, idx: int) -> Mode:
+def _parse_mode_entry(entry, idx: int) -> list:
+    # [mu_sq, m, mu_sq_exact], checked as Mode() would check them
     if not isinstance(entry, dict):
         raise ValidationError(f"modes[{idx}] must be an object")
     unknown = set(entry) - _MODE_KEYS
@@ -178,27 +178,25 @@ def _parse_mode_entry(entry, idx: int) -> Mode:
         except (ValueError, ZeroDivisionError) as e:
             raise ValidationError(
                 f"modes[{idx}].mu_sq_exact = {raw!r} is not a valid rational: {e}")
+    mu_sq = float(mu_sq)
     try:
-        return Mode(float(mu_sq), m, exact)
+        _check_mode(mu_sq, m, exact)
     except ValidationError as e:
         raise ValidationError(f"modes[{idx}]: {e}") from e
+    return [mu_sq, m, exact]
 
 
-def _merge_duplicates(modes: list[Mode]) -> list[Mode]:
-    merged: list[Mode] = []
-    for mode in sorted(modes, key=lambda m: m.mu_sq):
-        if merged and merged[-1].mu_sq == mode.mu_sq:
-            prev = merged[-1]
-            if (prev.mu_sq_exact is None) != (mode.mu_sq_exact is None) or (
-                    prev.mu_sq_exact is not None
-                    and prev.mu_sq_exact != mode.mu_sq_exact):
+def _merge_duplicates(entries: list[list]) -> list[list]:
+    merged: list[list] = []
+    for entry in sorted(entries, key=lambda e: e[0]):
+        if merged and merged[-1][0] == entry[0]:
+            if merged[-1][2] != entry[2]:
                 raise ValidationError(
-                    f"duplicate mu_sq = {mode.mu_sq} entries carry inconsistent "
+                    f"duplicate mu_sq = {entry[0]} entries carry inconsistent "
                     f"exact forms")
-            merged[-1] = Mode(prev.mu_sq, prev.multiplicity + mode.multiplicity,
-                              prev.mu_sq_exact)
+            merged[-1][1] += entry[1]
         else:
-            merged.append(mode)
+            merged.append(entry)
     return merged
 
 
@@ -243,8 +241,9 @@ def load_spectrum(source) -> SpectrumSpec:
         raise ValidationError("missing required field 'modes'")
     if not isinstance(data["modes"], list) or not data["modes"]:
         raise ValidationError("'modes' must be a non-empty array")
-    modes = [_parse_mode_entry(e, i) for i, e in enumerate(data["modes"])]
-    modes = _relabel(_merge_duplicates(modes))
+    entries = [_parse_mode_entry(e, i) for i, e in enumerate(data["modes"])]
+    modes = [Mode(mu_sq, m, exact, j)
+             for j, (mu_sq, m, exact) in enumerate(_merge_duplicates(entries))]
     return SpectrumSpec(n, modes, volume, "file")
 
 

@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -25,6 +26,17 @@ def run(*argv):
         except SystemExit as exc:  # argparse paths
             rc = exc.code
     return rc, out.getvalue(), err.getvalue()
+
+
+def run_fresh(*argv):
+    # the same command in a new interpreter, for comparison with run()
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from hypercone.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
 
 
 def assert_error(rc, err, code, reason):
@@ -101,6 +113,11 @@ GOLDEN_SPECTRA = {
         _exact(0, 1, 1), _exact(3, 1, 2), _exact(1, 1, 1),
         {"mu_sq": 1.0000000000000002, "m": 1}, {"mu_sq": 2.5, "m": 2},
         {"mu_sq": 8.0, "m": 1}, _exact(5, 4, 1), _exact(399, 1, 1)]},
+    # unsorted, with duplicate mu_sq entries that load_spectrum merges
+    "dups": {"n": 2, "volume": 3.0, "modes": [
+        {"mu_sq": 6.0, "mu_sq_exact": "6", "m": 2}, {"mu_sq": 0.5, "m": 1},
+        {"mu_sq": 6.0, "mu_sq_exact": "6/1", "m": 3}, {"mu_sq": 0.5, "m": 2},
+        {"mu_sq": 0, "mu_sq_exact": "0", "m": 1}]},
 }
 
 # sha256 of stdout, pinned before positions were keyed by integers
@@ -149,6 +166,22 @@ GOLDEN_DIGESTS = [
      "1e575b148e5ed3b35ff8543742a7a190b9958703eb5fcff55d638e713fccc2b0"),
     (("weyl", "--file", "mixed", "--lambda-grid", "2,5,11"),
      "ec0cf55ef2690e7847127f06cc9771802f595cd6252178f459f42cd9406d2959"),
+    # pinned before the one-pass JSON writer: null, plain strings and
+    # nested objects, and spectra read back from files
+    (("classify", "--n", "1", "--mu-sq-exact", "1", "--lambda-im", "-3/2"),
+     "7ba05a5bdf92a59da6ab443e05f8b5bb6219c6d2309c5d3fb58a896ddd99d2ae"),
+    (("classify", "--n", "1", "--mu-sq", "1", "--lambda-im", "-0.25"),
+     "277032dea5f3f5cb4d459866f9984e48b9ff0a904b35750ab7d2a0cab25f4e00"),
+    (("classify", "--n", "1", "--mu-sq-exact", "13/4", "--lambda-im", "-1/2"),
+     "b6d9d419802999fe64109729f9808cd28f53c2b13ff23aef6a4f4a334a936a8a"),
+    (("spectrum", "--sphere", "3", "--jmax", "4"),
+     "6afc0f0c9ac833073757e21e9a9bf5e1d1640d771000d82946a253b7bb316177"),
+    (("spectrum", "--file", "mixed"),
+     "64b1fa35e439471c20c5bd98b4ee05408ae58373d8d1fed9d2723b457ed25613"),
+    (("spectrum", "--file", "dups"),
+     "204d3917bbc37df148820a7ee33d1922f49336d1846d031298f98f925d6caf94"),
+    (("spectrum", "--file", "dups", "--format", "csv"),
+     "684857df098a92003a1cbff4db4ddb602c3526dbbd4b1f004c59848e9911c280"),
 ]
 
 
@@ -224,6 +257,15 @@ class TestFileInput:
         rc3, out3, _ = run("resonances", "--circle", "1/3", "--jmax", "2",
                            "--lambda-max", "4", "--format", "csv")
         assert out2.splitlines()[1:] == out3.splitlines()[1:]
+
+    def test_spectrum_round_trip_bytes(self, tmp_path):
+        rc, out, err = run("spectrum", "--circle", "1/3", "--jmax", "2")
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "317ec5be9c90e161d98d650cc5151692394476e5b3a67cd6fdfdd5d0d95c882a")
+        path = tmp_path / "spec.json"
+        path.write_text(out, encoding="utf-8")
+        assert run("spectrum", "--file", str(path)) == (0, out, "")
 
     def test_file_rejects_jmax(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -484,6 +526,45 @@ class TestVerify:
     def test_unknown_suite(self):
         rc, _, err = run("verify", "--suite", "bogus")
         assert rc == 2 and err.startswith("error:")
+
+
+class TestParserReuse:
+    def test_calls_share_one_parser_and_no_state(self, monkeypatch):
+        from hypercone import cli
+        # help text wraps at the terminal width: make it the same in both
+        monkeypatch.setenv("COLUMNS", "80")
+        jmax_seen = []
+        build_spectrum = cli._build_spectrum
+
+        def spy(args, *rest):
+            jmax_seen.append(args.jmax)
+            return build_spectrum(args, *rest)
+        monkeypatch.setattr(cli, "_build_spectrum", spy)
+        cli._build_parser.cache_clear()
+        calls = [
+            ("weyl", "--circle", "1", "--jmax", "3", "--lambda-grid", "2"),
+            ("weyl", "--circle", "1", "--lambda-grid", "2"),
+            ("weyl", "--circle", "1", "--lambda-grid", "2", "--bogus"),
+            ("resonances", "--circle", "1", "--lambda-max", "2"),
+            ("--help",),
+            ("weyl", "--help"),
+        ]
+        results = [run(*argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        for argv, result in zip(calls, results):
+            assert result == run_fresh(*argv)
+        # the flag set on the first call is unset again on the next ones
+        assert jmax_seen == [3, None, None]
+        rc, out, err = results[2]
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert results[3][0] == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert out.getvalue().startswith("usage: hypercone")
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestEnvironment:
