@@ -234,8 +234,9 @@ def load_spectrum(source) -> SpectrumSpec:
     volume = None
     if "volume" in data:
         volume = data["volume"]
-        if isinstance(volume, bool) or not isinstance(volume, (int, float)) or volume <= 0:
-            raise ValidationError(f"'volume' must be a positive number, got {volume!r}")
+        if (isinstance(volume, bool) or not isinstance(volume, (int, float))
+                or volume <= 0 or not math.isfinite(volume)):
+            raise ValidationError(f"'volume' must be a finite positive number, got {volume!r}")
         volume = float(volume)
     if "modes" not in data:
         raise ValidationError("missing required field 'modes'")

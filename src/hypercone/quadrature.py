@@ -75,10 +75,10 @@ class RunningIntegral:
     b).  Each panel holds the Chebyshev series of its own running integral;
     whole panels are summed outward from the anchor, never obtained as a
     total minus a prefix, so a value near the anchor is not the difference
-    of two larger sums.
+    of two larger sums.  cuts holds the interior panel boundaries, in order.
     """
 
-    __slots__ = ("a", "b", "downward", "total", "_cuts", "_panels")
+    __slots__ = ("a", "b", "downward", "total", "cuts", "_panels")
 
     def __init__(self, a: float, b: float, downward: bool,
                  fitted: list[tuple[float, float, list[complex]]]) -> None:
@@ -102,7 +102,7 @@ class RunningIntegral:
         if downward:
             fitted = fitted[::-1]
             panels.reverse()
-        self._cuts = [hi for _, hi, _ in fitted[:-1]]
+        self.cuts = [hi for _, hi, _ in fitted[:-1]]
         self._panels = panels
 
     def __call__(self, x: float) -> complex:
@@ -114,7 +114,7 @@ class RunningIntegral:
             return self.total
         if x == (self.b if self.downward else self.a):
             return 0.0 + 0.0j
-        mid, half, rev, offset = self._panels[bisect_right(self._cuts, x)]
+        mid, half, rev, offset = self._panels[bisect_right(self.cuts, x)]
         t = min(1.0, max(-1.0, (x - mid) / half))
         t2 = 2.0 * t
         b1 = b2 = 0j
@@ -124,6 +124,7 @@ class RunningIntegral:
 
 
 def cumulative_integral(f, a: float, b: float, *, downward: bool = False,
+                        breaks=(),
                         abs_tol: float = 1e-10, rel_tol: float = 1e-10,
                         max_subdivisions: int = 200) -> RunningIntegral:
     """Running integral of complex-valued f on [a, b], from a (or from b
@@ -137,11 +138,13 @@ def cumulative_integral(f, a: float, b: float, *, downward: bool = False,
     max_subdivisions bisections, or when a panel reaches machine width,
     QuadratureFailure is raised instead of returning an unresolved value.
     f must be smooth on each accepted panel, so a kink or jump costs
-    bisections down to it.
+    bisections down to it unless it is one of the breaks, where the first
+    panels are cut.
     """
     if not (a < b):
         raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
-    pending = [(a, b)]
+    edges = [a, *sorted({x for x in breaks if a < x < b}), b]
+    pending = list(zip(edges, edges[1:]))[::1 if downward else -1]
     fitted = []
     splits = 0
     while pending:

@@ -79,7 +79,8 @@ class QuadratureControl:
     abs_tol / its width), so a panel's integral error is at most about
     abs_tol or rel_tol relative to the integrand's scale there.
     max_subdivisions is the number of panel bisections one running integral
-    may spend before QuadratureFailure is raised.
+    may spend before QuadratureFailure is raised.  The fields are passed to
+    quadrature.cumulative_integral as its keyword arguments of those names.
     """
 
     abs_tol: float = 1e-10
@@ -397,7 +398,7 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
                     lam_im_exact=None) -> complex:
     """(R(lambda) f)(sigma) for a single evaluation point.
 
-    The one-point case of the grid path: the running integral of f g1 w
+    The one-point span of _resolvent: the running integral of f g1 w
     over [lo, sigma] and that of f u2 w over [sigma, hi], either skipped
     when sigma lies outside the support on its side (the other then spans
     the whole support).  control sets their tolerances and bisection
@@ -410,50 +411,47 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
         raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
     p = _guarded_params(n, mode, lam, lam_im_exact)
     kd = _KernelData(n, p, control or _DEFAULT_QC)
-    return _resolvent_on_grid(kd, f, [sigma])[sigma]
+    return _resolvent(kd, f, sigma, sigma)[0](sigma)
 
 
-def _resolvent_on_grid(kd: _KernelData, f: RadialProfile,
-                       sigmas: Sequence[float]) -> dict[float, complex]:
-    """(R f) at many sigma from two running integrals over the support.
+def _resolvent(kd: _KernelData, f: RadialProfile, a: float,
+               b: float) -> tuple[Callable[[float], complex], list[float]]:
+    """x -> (R f)(x) on [a, b], and the panel cuts it reads across.
 
-    f g1 w is integrated upward from lo, as far as min(highest point, hi),
-    when some point lies above lo; f u2 w downward from hi, as far as
-    max(lowest point, lo), when some point lies below hi.  Each is one
-    quadrature.cumulative_integral, whose panels depend only on its span,
-    so a grid point costs one Clenshaw sum per integral and any grid
+    f g1 w is integrated upward from lo as far as min(b, hi) when b > lo,
+    and f u2 w downward from hi as far as max(a, lo) when a < hi.  Each is
+    one quadrature.cumulative_integral, whose panels depend only on its
+    span, so a point costs one Clenshaw sum per integral and any span
     straddling the support costs the same integrand evaluations.  The
     integrands read f.func on the closed support, so a profile that is
-    nonzero at lo or hi is still smooth there.  This is the only place the
-    kernel P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed.
+    nonzero at lo or hi is still smooth there.  The cuts are the interior
+    panel boundaries of both integrals, where (R f) is smooth only to the
+    integrals' tolerance.  This is the only place the kernel
+    P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed.
     """
     lo, hi = f.support
-    qc = kd.qc
-    pts = sorted(set(sigmas))
-    if not pts or not (0.0 < pts[0] and pts[-1] < 1.0):
-        raise DomainError("grid points must lie in (0, 1)")
     func = f.func
-    tols = dict(abs_tol=qc.abs_tol, rel_tol=qc.rel_tol,
-                max_subdivisions=qc.max_subdivisions)
-    if pts[-1] > lo:
+    cuts = []
+    if b > lo:
         lower = cumulative_integral(
             lambda r: func(r) * kd.g1(r) * kd.rho_weight(r),
-            lo, min(pts[-1], hi), **tols)
-    if pts[0] < hi:
+            lo, min(b, hi), **vars(kd.qc))
+        cuts += lower.cuts
+    if a < hi:
         upper = cumulative_integral(
             lambda r: func(r) * kd.u2(r) * kd.rho_weight(r),
-            max(pts[0], lo), hi, downward=True, **tols)
-    out = {}
-    for x in pts:
-        up = upper(max(x, lo)) if x < hi else 0.0
-        low = lower(min(x, hi)) if x > lo else 0.0
+            max(a, lo), hi, downward=True, **vars(kd.qc))
+        cuts += upper.cuts
+
+    def rf(x: float) -> complex:
         val = 0.0 + 0.0j
-        if up != 0.0:
-            val += kd.g1(x) * up
-        if low != 0.0:
-            val += kd.u2(x) * low
-        out[x] = val * kd.sigma_prefactor(x) * kd.inv_g1s
-    return out
+        if x < hi:
+            val += kd.g1(x) * upper(max(x, lo))
+        if x > lo:
+            val += kd.u2(x) * lower(min(x, hi))
+        return val * kd.sigma_prefactor(x) * kd.inv_g1s
+
+    return rf, cuts
 
 
 # -- finite-difference residual of the radial equation ------------------------
@@ -529,12 +527,12 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
     if any(y - x < 10 * h for x, y in zip(xs, xs[1:])):
         raise ValidationError(f"grid spacing{where} must be at least 10 h")
     offsets = (-2, -1, 0, 1, 2)
-    uval = _resolvent_on_grid(
-        kd, f, [to_sigma(x + j * h) for x in xs for j in offsets])
+    ends = [to_sigma(xs[0] - 2 * h), to_sigma(xs[-1] + 2 * h)]
+    rf, _ = _resolvent(kd, f, min(ends), max(ends))
     norm = 1.0 + max(abs(f(to_sigma(x))) for x in xs)
     residuals = []
     for x in xs:
-        st = [uval[to_sigma(x + j * h)] for j in offsets]
+        st = [rf(to_sigma(x + j * h)) for j in offsets]
         d2 = sum(c * v for c, v in zip(_D2, st)) / (12.0 * h * h)
         d1 = sum(c * v for c, v in zip(_D1, st)) / (12.0 * h)
         residuals.append(abs(radial(x, d2, d1, st[2]) - f(to_sigma(x))) / norm)
@@ -547,32 +545,26 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
 # -- symmetry of the Green pairing --------------------------------------------
 
 def green_pairing(n: int, mode: Mode, lam: complex, f: RadialProfile,
-                  g: RadialProfile, *, points: int = 257,
+                  g: RadialProfile, *,
                   control: QuadratureControl | None = None) -> complex:
     """<R f, g> = int (R f)(sigma) g(sigma) mu_n(sigma) dsigma.
 
     The kernel satisfies G(sigma, rho) mu_n(sigma) = G(rho, sigma) mu_n(rho),
     so swapping f and g must reproduce the same value; comparing the two
     orientations is an end-to-end check of the kernel's branch structure.
-    (R f) is evaluated by the grid path at the Simpson nodes over the
-    support of g, and the outer integral is a composite Simpson rule.
+    The outer integral over the support of g is a cumulative_integral of
+    (R f) g mu_n under the same control as (R f), its first panels cut where
+    (R f) is not smooth: at the ends of f's support (a jump in a high
+    derivative) and at the running integrals' panel cuts.  An integrand it
+    cannot resolve raises QuadratureFailure, not a low-accuracy value.
     """
-    if points < 5 or points % 2 == 0:
-        raise ValidationError(f"points must be odd and >= 5, got {points!r}")
-    lam = complex(lam)
     p = _guarded_params(n, mode, lam, None)
     kd = _KernelData(n, p, control or _GRID_QC)
     lo, hi = g.support
-    step = (hi - lo) / (points - 1)
-    xs = [lo + i * step for i in range(points)]
-    xs[-1] = hi
-    uval = _resolvent_on_grid(kd, f, xs)
-    ys = []
-    for x in xs:
-        gx = g(x)
-        ys.append(uval[x] * gx * measure_density(n, x) if gx != 0.0 else 0.0)
-    total = ys[0] + ys[-1] + 4.0 * sum(ys[1:-1:2]) + 2.0 * sum(ys[2:-2:2])
-    return total * step / 3.0
+    rf, cuts = _resolvent(kd, f, lo, hi)
+    return cumulative_integral(
+        lambda x: rf(x) * g.func(x) * measure_density(n, x), lo, hi,
+        breaks=[*f.support, *cuts], **vars(kd.qc)).total
 
 
 # -- contour probe for genuine poles -------------------------------------------

@@ -57,9 +57,9 @@ class CheckResult:
     floor: float = 0.0
 
 
-# residue ratios of regular and removable points are roundoff (1e-17 to
-# 1e-19); genuine ones sit near the probe radius 1e-2
-_NULL_FLOOR, _SEPARATION_FLOOR = 1e-15, 1e-13
+# roundoff floors: residue ratios of regular and removable points (1e-17 to
+# 1e-19) below 1e-15; the residue separation and Green symmetry below 1e-13
+_NULL_FLOOR, _ROUNDOFF_FLOOR = 1e-15, 1e-13
 
 
 def _shown(value: float, floor: float, eq: str = "") -> str:
@@ -276,7 +276,7 @@ def residual_suite(seed: int = 0) -> list[CheckResult]:
             rel = abs(ab - ba) / max(abs(ab), abs(ba))
             results.append(_bounded(
                 f"green symmetry pair {i} n={n} mu_sq={mu2:g} "
-                f"lambda={lam.imag:g}i", rel, 1e-7, t0))
+                f"lambda={lam.imag:g}i", rel, 1e-7, t0, floor=_ROUNDOFF_FLOOR))
     return results
 
 
@@ -352,7 +352,7 @@ def residue_suite(seed: int = 0) -> list[CheckResult]:
             "residue separation null/genuine", sep, 1e-4, t0,
             detail=f"max null ratio {_shown(max(null_ratios), _NULL_FLOOR)}, "
                    f"min genuine ratio {min(genuine_ratios):.3e}",
-            floor=_SEPARATION_FLOOR))
+            floor=_ROUNDOFF_FLOOR))
     else:
         results.append(CheckResult(
             "residue separation null/genuine", False, float("nan"), 1e-4,

@@ -300,6 +300,19 @@ class TestFileInput:
         assert out == ""
 
 
+    @pytest.mark.parametrize("volume", ["NaN", "Infinity"])
+    def test_non_finite_volume(self, tmp_path, volume):
+        # json.loads reads both; neither is caught by the sign test alone
+        path = tmp_path / "spec.json"
+        path.write_text(
+            f'{{"n": 1, "volume": {volume}, "modes": [{{"mu_sq": 1.0, "m": 2}}]}}',
+            encoding="utf-8")
+        rc, out, err = run("spectrum", "--file", str(path))
+        assert_error(rc, err, 2, "validation")
+        assert "'volume'" in err
+        assert out == ""
+
+
 class TestResonances:
     def test_unit_circle(self):
         rc, out, err = run("resonances", "--circle", "1", "--lambda-max", "3")

@@ -42,7 +42,7 @@ from hypercone import (
 
 from hypercone import quadrature, resolvent, specfun
 from hypercone.quadrature import cumulative_integral
-from hypercone.resolvent import _SERIES, _KernelData, _resolvent_on_grid
+from hypercone.resolvent import _GRID_QC, _SERIES, _KernelData, _resolvent
 from oracles import oracle_apply_resolvent, oracle_hyp2f1, oracle_u2_series
 
 # oracle_u2_series(1, 1.0, 1.0, 0.3, dps=30)
@@ -99,6 +99,27 @@ class TestQuadrature:
             want = (c * c - (c - x) * abs(c - x)) / 2
             assert abs(run(x) - want) <= 1e-9
         assert len(calls) > 65  # one panel of degree 64 is not enough
+
+    @pytest.mark.parametrize("downward", [False, True])
+    def test_cumulative_kink_at_break(self, downward):
+        # a break at the kink leaves two smooth panels, fitted at degree 16
+        # (17 evaluations each), and anything outside (a, b) is ignored
+        calls = []
+        c = 1 / math.pi
+
+        def kink(x):
+            calls.append(x)
+            return abs(x - c)
+
+        run = cumulative_integral(kink, 0.0, 1.0, downward=downward,
+                                  breaks=[c, c, -1.0, 1.0])
+        assert run.cuts == [c]
+        assert len(calls) == 34
+        whole = (c * c + (1 - c) ** 2) / 2
+        for x in (0.1, c, 0.5, 0.9):
+            upto = (c * c - (c - x) * abs(c - x)) / 2
+            want = whole - upto if downward else upto
+            assert abs(run(x) - want) <= 1e-15
 
     def test_cumulative_budget_failure(self):
         with pytest.raises(QuadratureFailure):
@@ -387,7 +408,7 @@ class TestApplyResolvent:
 
 
 class TestGridPath:
-    """apply_resolvent is the one-point case of _resolvent_on_grid."""
+    """apply_resolvent is the one-point span of _resolvent."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -427,7 +448,9 @@ class TestGridPath:
         for grid in ([0.2, 0.45, 0.7], [0.1 + 0.8 * i / 254 for i in range(255)]):
             spans.clear()
             evals.clear()
-            _resolvent_on_grid(kd, f, grid)
+            rf, _ = _resolvent(kd, f, grid[0], grid[-1])
+            for x in grid:
+                rf(x)
             assert sorted(spans) == [(0.3, 0.6, False), (0.3, 0.6, True)]
             counts.append(len(evals))
         assert counts[0] == counts[1]
@@ -447,10 +470,10 @@ class TestGridPath:
         f = RadialProfile.bump(0.3, 0.6)
         grid = [0.2, 0.3, 0.38, 0.45, 0.52, 0.6, 0.75]
         kd = _KernelData(n, hypergeom_params(n, mode, lam), _TIGHT)
-        vals = _resolvent_on_grid(kd, f, grid)
+        rf, _ = _resolvent(kd, f, grid[0], grid[-1])
         for x in grid:
             want = apply_resolvent(n, mode, lam, f, x, control=_TIGHT)
-            assert abs(vals[x] - want) <= 1e-10 * abs(want)
+            assert abs(rf(x) - want) <= 1e-10 * abs(want)
 
 
 def _mp_bump(lo, hi):
@@ -764,6 +787,21 @@ class TestResidualCheck:
         assert abs(operator(pert) - f(x)) > 1e-4
 
 
+def _simpson_pairing(n, mode, lam, f, g):
+    # composite Simpson rule on 4097 nodes for <R f, g> on the support of g,
+    # reading R f from one _resolvent span under green_pairing's default
+    # control; its own error is about 4e-14 relative on the cases below
+    kd = _KernelData(n, hypergeom_params(n, mode, lam), _GRID_QC)
+    lo, hi = g.support
+    rf, _ = _resolvent(kd, f, lo, hi)
+    step = (hi - lo) / 4096
+    xs = [lo + i * step for i in range(4097)]
+    xs[-1] = hi
+    ys = [rf(x) * g(x) * measure_density(n, x) for x in xs]
+    total = ys[0] + ys[-1] + 4.0 * sum(ys[1:-1:2]) + 2.0 * sum(ys[2:-2:2])
+    return total * step / 3.0
+
+
 class TestGreenPairing:
     def test_symmetry(self):
         f = RadialProfile.bump(0.25, 0.5)
@@ -773,12 +811,56 @@ class TestGreenPairing:
         scale = max(abs(ab), abs(ba), 1e-30)
         assert abs(ab - ba) / scale <= 1e-7
 
-    def test_validation(self):
-        f = RadialProfile.bump()
-        with pytest.raises(ValidationError):
-            green_pairing(1, Mode(1.0, 1), 2j, f, f, points=64)
-        with pytest.raises(ValidationError):
-            green_pairing(1, Mode(1.0, 1), 2j, f, f, points=3)
+    @pytest.mark.parametrize("n,mu_sq,lam,f_sup,g_sup", [
+        (2, 2.0, 1 - 1.1j, (0.3, 0.45), (0.41, 0.56)),    # f's hi inside g
+        (1, 1.0, 3j, (0.45, 0.6), (0.34, 0.49)),          # f's lo inside g
+        (3, 8.0, -0.8 - 1.1j, (0.2, 0.35), (0.5, 0.7)),   # disjoint
+        (2, 6.0, 3j, (0.6, 0.75), (0.25, 0.4)),           # disjoint, f above
+        (4, 3.0, 0.5 + 2j, (0.2, 0.7), (0.35, 0.5)),      # f contains g
+    ])
+    def test_matches_fine_simpson_rule(self, n, mu_sq, lam, f_sup, g_sup):
+        mode = Mode(mu_sq, 1)
+        f, g = RadialProfile.bump(*f_sup), RadialProfile.bump(*g_sup)
+        got = green_pairing(n, mode, lam, f, g)
+        want = _simpson_pairing(n, mode, lam, f, g)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("lam", [1 - 1.1j, 3j, -2.5 + 0.5j])
+    def test_symmetry_to_roundoff(self, lam):
+        mode = Mode(2.0, 1)
+        f, g = RadialProfile.bump(0.3, 0.45), RadialProfile.bump(0.41, 0.56)
+        ab = green_pairing(2, mode, lam, f, g)
+        ba = green_pairing(2, mode, lam, g, f)
+        assert abs(ab - ba) <= 1e-12 * max(abs(ab), abs(ba))
+
+    def test_outer_evaluation_budget(self, monkeypatch):
+        # the outer integral is the cumulative_integral given breaks: two
+        # degree-32 panels (66 evaluations) on this overlap, against the
+        # 257 fixed Simpson nodes it replaced
+        outer = []
+
+        def counting(func, a, b, **kw):
+            if "breaks" not in kw:
+                return quadrature.cumulative_integral(func, a, b, **kw)
+
+            def counted(x):
+                outer.append(x)
+                return func(x)
+            return quadrature.cumulative_integral(counted, a, b, **kw)
+
+        monkeypatch.setattr(resolvent, "cumulative_integral", counting)
+        green_pairing(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.45),
+                      RadialProfile.bump(0.41, 0.56))
+        assert 0 < len(outer) <= 130
+
+    def test_unresolved_outer_integrand_raises(self):
+        # a pairing profile with an inverse square root singularity inside
+        # its support defeats every panel; the outer rule refuses instead
+        # of returning what the fixed Simpson nodes happened to sample
+        f = RadialProfile.bump(0.3, 0.45)
+        g = RadialProfile(lambda x: abs(x - 1 / math.e) ** -0.5, (0.3, 0.45))
+        with pytest.raises(QuadratureFailure):
+            green_pairing(2, Mode(2.0, 1), 2j, f, g)
 
 
 class TestResidueProbe:
