@@ -25,11 +25,12 @@ Evaluation: g1 = Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) and u2 = F(a,b;1+s;w)
 at w = 1 - sigma both solve the hypergeometric ODE (DLMF 15.10.1), in
 either half plane, and a kernel reads each from specfun's ODE continuation
 (_Ladder): one Horner sum per point.  g1's series seed carries the fused
-constant Gamma(a)Gamma(b)/Gamma(c); at exact lattice parameters, where that
-constant meets a Gamma pole or zero, the seed is a fused series whose terms
-stay finite through the poles (removable parameter points get their exact
-limit, taken along the lambda-direction where (a, b, c) move at rates
-(1, 1, 2)).
+constant Gamma(a)Gamma(b)/Gamma(c).  At exact lattice parameters, where that
+constant meets a Gamma pole or zero, it is the limit taken along the
+lambda-direction, where (a, b, c) move at rates (1, 1, 2) (_lattice_limit),
+and the seed at c = -C is that limit's polynomial head of degree at most C
+plus the tail z^(C+1) F(a+C+1, b+C+1; C+2; z) times its limit coefficient
+(DLMF 15.2.3).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from typing import Callable, Sequence
 from .errors import (
     DomainError,
     LowerParameterPole,
-    NoConvergence,
     ParameterPole,
     PoleEvaluation,
     ProbeInconclusive,
@@ -234,40 +234,52 @@ def _exact_index(sym) -> int | None:
     return None
 
 
+def _lattice_limit(p: HypergeomParams, pole: type[Exception]
+                   ) -> tuple[complex, int]:
+    """(coef, order) with Gamma(a)Gamma(b)/Gamma(c) ~ coef delta^-order as
+    lambda moves along its line through p, so that (a, b, c) move by
+    (delta, delta, 2 delta).
+
+    Each exact index x (a parameter symbolically -x) contributes the pole
+    coefficient (-1)^x/(x! rate) of Gamma(-x + rate delta) and one order;
+    off the lattice order = 0 and coef is the quotient itself.  A float
+    parameter on a Gamma pole without exact data raises pole.
+    """
+    def log_gamma(val, sym, rate: float) -> tuple[complex, int]:
+        x = _exact_index(sym)
+        if x is not None:
+            return complex(-math.lgamma(x + 1) - math.log(rate), math.pi * x), 1
+        if is_nonpositive_integer(val):
+            raise pole(f"{val} lands exactly on a Gamma pole but carries no "
+                       f"exact form to resolve the limit")
+        return ln_gamma(val), 0
+
+    (la, oa), (lb, ob), (lc, oc) = (log_gamma(p.a, p.a_sym, 1.0),
+                                    log_gamma(p.b, p.b_sym, 1.0),
+                                    log_gamma(p.c, p.c_sym, 2.0))
+    return cmath.exp(la + lb - lc), oa + ob - oc
+
+
 def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
     """W(u1, u2) = -Gamma(1+s)Gamma(c)/(Gamma(a)Gamma(b)) sigma^-c (1-sigma)^(-1-s).
 
-    At exact parameter points where Gamma(c) is singular the limit is taken
-    along lambda: a in -N gives Gamma(2a)/Gamma(a) -> (-1)^p p!/(2 (2p)!)
-    at a = -p, and b in -N with c = -m gives Gamma(c)/Gamma(b) ->
-    (-1)^(m+q) q!/(2 m!) at b = -q.  When c is a non-positive integer and
-    neither limit applies, the basis itself degenerates and ParameterPole
-    is raised.
+    At exact parameter points where a Gamma factor is singular the limit is
+    taken along lambda (_lattice_limit): W = 0 where Gamma(a)Gamma(b)/Gamma(c)
+    diverges (a genuine pole, u1 and u2 proportional), and ParameterPole is
+    raised where it vanishes, as the (u1, u2) basis then degenerates, or
+    where a float parameter sits on a Gamma pole without exact data.
     """
     if not (0.0 < sigma < 1.0):
         raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
-    pw = cmath.exp(-p.c * math.log(sigma)) * (1.0 - sigma) ** (-1.0 - p.s)
-    g1s = gamma(complex(1.0 + p.s))
-    ia = _exact_index(p.a_sym)
-    ib = _exact_index(p.b_sym)
-    ic = _exact_index(p.c_sym)
-    if ic is None and is_nonpositive_integer(p.c):
-        raise ParameterPole(
-            f"c = {p.c} sits on a Gamma pole without exact parameter data")
-    if ia is not None:
-        lim = (-1.0) ** ia * math.factorial(ia) / (2.0 * math.factorial(2 * ia))
-        rb = 0.0 if ib is not None else 1.0 / gamma(p.b)
-        return -g1s * lim * rb * pw
-    if ic is not None and ib is not None:
-        lim = ((-1.0) ** (ic + ib) * math.factorial(ib)
-               / (2.0 * math.factorial(ic)))
-        return -g1s * lim / gamma(p.a) * pw
-    if ic is not None:
+    coef, order = _lattice_limit(p, ParameterPole)
+    if order > 0:
+        return 0.0 + 0.0j
+    if order < 0:
         raise ParameterPole(
             f"Gamma(c) is singular at c = {p.c} and neither a nor b rescues "
             f"the limit; the (u1, u2) basis degenerates here")
-    quot = cmath.exp(ln_gamma(p.c) - ln_gamma(p.a) - ln_gamma(p.b))
-    return -g1s * quot * pw
+    pw = cmath.exp(-p.c * math.log(sigma)) * (1.0 - sigma) ** (-1.0 - p.s)
+    return -gamma(complex(1.0 + p.s)) * pw / coef
 
 
 # -- the kernel functions ------------------------------------------------------
@@ -277,8 +289,9 @@ class _KernelData:
 
     g1 reads f1 = Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z) and u2 reads
     f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values depend
-    only on the kernel and the point.  f1 is seeded by the series times that
-    constant or, on the exact lattice where it meets a Gamma pole, _g1_exact.
+    only on the kernel and the point.  f1 is seeded by the series times
+    coef, the constant's limit from _lattice_limit, or on the exact lattice
+    at c = -C by _lattice_seed.  A genuine pole raises PoleEvaluation.
     """
 
     def __init__(self, n: int, p: HypergeomParams,
@@ -290,21 +303,19 @@ class _KernelData:
         self.beta = -(n - 1) / 4.0 + 0.5 * p.s
         self.e1 = -1.0 - 0.5 * n - 1j * p.lam
         self.e2 = 0.5 * p.s + (n - 1) / 4.0
-        self.lat = (_exact_index(p.a_sym), _exact_index(p.b_sym),
-                    _exact_index(p.c_sym))
         self.inv_g1s = 1.0 / gamma(complex(1.0 + p.s))
         self.kmin = max(0, math.ceil(max(-v.real for v in (p.a, p.b, p.c))))
         a, b, c = complex(p.a), complex(p.b), complex(p.c)
-        if self.lat == (None, None, None):
-            for v, name in ((a, "a"), (b, "b"), (c, "c")):
-                if is_nonpositive_integer(v):
-                    raise PoleEvaluation(
-                        f"{name} = {v} lands exactly on a Gamma pole/zero "
-                        f"but carries no exact form to resolve the limit")
-            t0 = cmath.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(c))
-            seed = _series_seed(t0, a, b, c, _SERIES, self.kmin)
+        coef, order = _lattice_limit(p, PoleEvaluation)
+        if order > 0:
+            raise PoleEvaluation(
+                f"the kernel is genuinely singular at these parameters "
+                f"(a = {p.a}, b = {p.b}, c = {p.c})")
+        c_index = _exact_index(p.c_sym)
+        if c_index is None:
+            seed = _series_seed(coef, a, b, c, _SERIES, self.kmin)
         else:
-            seed = self._g1_exact
+            seed = self._lattice_seed(coef if order == 0 else 0.0, c_index)
         self.f1 = _Ladder(a, b, c, seed)
         c2 = complex(1.0 + p.s)
         self.f2 = _Ladder(a, b, c2, _series_seed(1.0 + 0.0j, a, b, c2, _SERIES))
@@ -320,56 +331,37 @@ class _KernelData:
             raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
         return self.f2(1.0 - sigma, sigma)
 
-    def _g1_exact(self, z: float) -> tuple[complex, complex]:
-        # (G1(z), G1'(z)) on the exact lattice: sum_k term_k and
-        # sum_k k term_k / z in log space; a lattice hit at index X turns
-        # Gamma(x+k) into the pole coefficient (-1)^(X-k)/((X-k)! * rate),
-        # rate = d(x)/d(delta) along lambda: 1 for a and b, 2 for c
-        A, B, C = self.lat
+    def _lattice_seed(self, t0: complex, c_index: int):
+        """z -> (G1(z), G1'(z)) at c = -C on the exact lattice.
+
+        The terms t_k of G1 = sum_k t_k z^k are limits along lambda.  The
+        head t_0 .. t_K runs from t0 by the step ratios up to the a or b
+        index K <= C; past it the terms vanish up to k = C.  With neither
+        index, t0 = 0 and so is the head.  The tail is
+        t_{C+1} z^{C+1} F(a+C+1, b+C+1; C+2; z) with
+        t_{C+1} = Gamma(a+C+1)Gamma(b+C+1)/(C+1)!, summed by _series_seed.
+        """
         p = self.p
-        lz = math.log(z) if z > 0.0 else -math.inf
-        total = slope = 0.0 + 0.0j
-        small = 0
-        for k in range(_SERIES.max_terms):
-            l_sum = complex(-math.lgamma(k + 1), 0.0)
-            order = 0
-            for sign, val, idx, rate in ((1, p.a, A, 1.0), (1, p.b, B, 1.0),
-                                         (-1, p.c, C, 2.0)):
-                if idx is not None and k <= idx:
-                    nu = idx - k
-                    lg = complex(-math.lgamma(nu + 1) - math.log(rate),
-                                 math.pi * nu)
-                    pole = 1
-                elif idx is not None:
-                    lg = complex(math.lgamma(k - idx), 0.0)
-                    pole = 0
-                else:
-                    lg = ln_gamma(val + k)
-                    pole = 0
-                l_sum += sign * lg
-                order += sign * pole
-            if order > 0:
-                raise PoleEvaluation(
-                    f"kernel term k = {k} is genuinely singular at these "
-                    f"parameters (a = {p.a}, b = {p.b}, c = {p.c})")
-            if order < 0:
-                # structurally zero (unmatched denominator pole): says
-                # nothing about tail decay, so skip the convergence count
-                small = 0
-                continue
-            term = cmath.exp(l_sum + (k * lz if k else 0.0))
-            dterm = k * cmath.exp(l_sum + ((k - 1) * lz if k > 1 else 0.0))
-            total += term
-            slope += dterm
-            if (abs(term) <= _SERIES.rel_tol * max(abs(total), 1e-300)
-                    and abs(dterm) <= _SERIES.rel_tol * max(abs(slope), 1e-300)):
-                small += 1
-                if small >= 3 and k >= self.kmin:
-                    return total, slope
-            else:
-                small = 0
-        raise NoConvergence(
-            f"fused kernel series failed to converge at z = {z}")
+        a, b, c = complex(p.a), complex(p.b), complex(p.c)
+        head = [t0]
+        stop = min((x for x in (_exact_index(p.a_sym), _exact_index(p.b_sym))
+                    if x is not None), default=0)
+        for k in range(stop):
+            head.append(head[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
+        k = c_index + 1
+        t_k = cmath.exp(ln_gamma(a + k) + ln_gamma(b + k) - math.lgamma(k + 1))
+        tail = _series_seed(t_k, a + k, b + k, complex(k + 1), _SERIES)
+
+        def seed(z: float) -> tuple[complex, complex]:
+            val, slope = tail(z)
+            zc = z ** c_index
+            val, slope = z * zc * val, zc * (k * val + z * slope)
+            h = dh = 0.0 + 0.0j
+            for t in reversed(head):
+                dh = dh * z + h
+                h = h * z + t
+            return h + val, dh + slope
+        return seed
 
     def rho_weight(self, rho: float) -> complex:
         return cmath.exp(self.e1 * math.log(rho)) * (1.0 - rho) ** self.e2

@@ -12,9 +12,9 @@ holds branch-for-branch there.
 2F1 sums the defining series up to a seed bound where it is benign, and
 beyond it continues the series' value and derivative along the 2F1 ODE by
 Taylor expansions (_Ladder), so integer c - a - b needs no special case.
-The regularized function F/Gamma(c) is entire in c and is summed term by
-term with reciprocal-Gamma factors, so non-positive integer c is an ordinary
-input, not an error.
+The regularized function F/Gamma(c) is entire in c and reads hyp2f1 too:
+at non-positive integer c its limit is a shifted 2F1 (DLMF 15.2.3), so such
+c is an ordinary input, not an error.
 
 Poles and non-convergence surface as typed exceptions, never as inf/nan.
 """
@@ -154,53 +154,31 @@ def gauss_series(a: complex, b: complex, c: complex, z: float,
                  ctl: SeriesControl | None = None) -> complex:
     """Defining 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) z^k.
 
-    Converges for |z| < 1; the caller guarantees c is not a non-positive
-    integer.  This is the raw sum: hyp2f1 uses it up to its seed bound and
-    continues the ODE beyond.
+    Converges for |z| < 1.  Raises LowerParameterPole for c in {0, -1, ...}.
+    This is the raw sum: hyp2f1 uses it up to its seed bound and continues
+    the ODE beyond.
     """
-    ctl = ctl or _DEFAULT_CTL
-    return _sum_series(1.0 + 0.0j,
-                       _StepRatios(complex(a), complex(b), complex(c)), z, ctl)
+    c = complex(c)
+    if is_nonpositive_integer(c):
+        raise LowerParameterPole(f"gauss_series lower parameter c = {c}")
+    return _sum_series(1.0 + 0.0j, complex(a), complex(b), c, z,
+                       ctl or _DEFAULT_CTL)
 
 
-class _StepRatios:
-    """Step ratios (a+k)(b+k)/((c+k)(k+1)), k = k0, k0+1, ..., of one 2F1
-    series, computed the first time _sum_series reaches them.
-
-    A caller that sums the same series at many z keeps one instance and
-    pays for each ratio once; a one-shot sum passes a fresh one.
-    """
-
-    __slots__ = ("a", "b", "c", "k0", "steps")
-
-    def __init__(self, a, b, c, k0: int = 0) -> None:
-        self.a, self.b, self.c, self.k0 = a, b, c, k0
-        self.steps: list[complex] = []
-
-
-def _sum_series(term: complex, ratios: _StepRatios, z: float,
+def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
                 ctl: SeriesControl, kmin: int = 0) -> complex:
-    # the one 2F1 term loop: term is the k0-th term, step k multiplies it
-    # by ratio_k * z; SeriesControl's rule, applied once k >= kmin, ends
-    # the sum
-    a, b, c, k0 = ratios.a, ratios.b, ratios.c, ratios.k0
-    steps = ratios.steps
-    cached = len(steps)
+    # the one 2F1 term loop: term is the 0th term, step k multiplies it by
+    # (a+k)(b+k)/((c+k)(k+1)) z; SeriesControl's rule, applied once
+    # k >= kmin, ends the sum
     tol = ctl.rel_tol
     total = term
     small = 0
-    for i in range(ctl.max_terms):
-        if i < cached:
-            r = steps[i]
-        else:
-            k = k0 + i
-            r = (a + k) * (b + k) / ((c + k) * (k + 1))
-            steps.append(r)
-        term *= r * z
+    for k in range(ctl.max_terms):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
         if abs(term) <= tol * abs(total):
             small += 1
-            if small >= 3 and k0 + i >= kmin:
+            if small >= 3 and k >= kmin:
                 return total
         else:
             small = 0
@@ -272,14 +250,13 @@ def _seed_bound(a: complex, b: complex, c: complex) -> float:
 def _series_seed(term: complex, a: complex, b: complex, c: complex,
                  ctl: SeriesControl, kmin: int = 0):
     """m -> (term F(a, b; c; m), term F'(a, b; c; m)) by the series and its
-    contiguous derivative (ab/c) F(a+1, b+1; c+1; m), ratios kept."""
-    ratios = _StepRatios(a, b, c)
-    dratios = _StepRatios(a + 1.0, b + 1.0, c + 1.0)
+    contiguous derivative (ab/c) F(a+1, b+1; c+1; m)."""
     dterm = term * a * b / c
 
     def seed(m: float) -> tuple[complex, complex]:
-        return (_sum_series(term, ratios, m, ctl, kmin),
-                _sum_series(dterm, dratios, m, ctl, kmin - 1))
+        return (_sum_series(term, a, b, c, m, ctl, kmin),
+                _sum_series(dterm, a + 1.0, b + 1.0, c + 1.0, m, ctl,
+                            kmin - 1))
     return seed
 
 
@@ -415,26 +392,16 @@ def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float,
                        ctl: SeriesControl | None = None) -> complex:
     """Regularized hypergeometric F(a, b; c; z) / Gamma(c), entire in c.
 
-    At c = -m in {0, -1, -2, ...} the value is the limit: the series starts
-    at k = m + 1.  Summed with reciprocal-Gamma term weights near (and at)
-    those c; routed through hyp2f1/Gamma(c) for z > 1/2 at safely generic c.
+    hyp2f1 times 1/Gamma(c) off the lattice; at c = -m in {0, -1, -2, ...}
+    the limit (a)_{m+1} (b)_{m+1} z^{m+1} / (m+1)! F(a+m+1, b+m+1; m+2; z)
+    (DLMF 15.2.3), again by hyp2f1.
     """
-    ctl = ctl or _DEFAULT_CTL
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
     if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
         raise DomainError(
             f"hyp2f1_regularized argument must be a real in [0, 1), got {z!r}")
-    z = float(z)
-    c_dist = math.hypot(c.real - min(round(c.real), 0), c.imag)
-    if z > 0.5 and c_dist > 0.1:
-        return hyp2f1(a, b, c, z, ctl) * recip_gamma(c)
-    if is_nonpositive_integer(c):
-        k0 = int(-c.real) + 1
-    else:
-        k0 = 0
-    term = (pochhammer(a, k0) * pochhammer(b, k0) * recip_gamma(c + k0)
-            * (z ** k0) / math.factorial(k0))
-    # c + k stays off the poles for k > k0 by construction
-    return _sum_series(term, _StepRatios(a, b, c, k0), z, ctl)
+    a, b, c, z = complex(a), complex(b), complex(c), float(z)
+    if not is_nonpositive_integer(c):
+        return recip_gamma(c) * hyp2f1(a, b, c, z, ctl)
+    k = int(-c.real) + 1
+    return (pochhammer(a, k) * pochhammer(b, k) * z ** k / math.factorial(k)
+            * hyp2f1(a + k, b + k, k + 1, z, ctl))

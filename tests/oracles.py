@@ -65,6 +65,19 @@ def oracle_reg_2f1(a, b, c, z, dps: int = 30, max_terms: int = 2000) -> complex:
         raise RuntimeError("oracle series did not converge")
 
 
+def oracle_reg_hyp2f1(a, b, c, z, dps: int = 30) -> complex:
+    """F(a, b; c; z) / Gamma(c) from mp.hyp2f1 and mp.rgamma, for z up to
+    1 where the term sum of oracle_reg_2f1 is slow.  At c in {0, -1, ...}
+    the limit is read at c + 10^-(dps+5) in doubled precision."""
+    with mp.workdps(dps):
+        c = mp.mpc(c)
+        if c.imag == 0 and c.real <= 0 and c.real == int(c.real):
+            with mp.workdps(2 * dps):
+                c += mp.mpf(10) ** (-dps - 5)
+                return complex(mp.hyp2f1(a, b, c, z) * mp.rgamma(c))
+        return complex(mp.hyp2f1(a, b, c, z) * mp.rgamma(c))
+
+
 def sphere_multiplicity(n: int, j: int) -> int:
     """dim of degree-j spherical harmonics via (2j+n-1)(j+n-2)!/(j!(n-1)!),
     a different formula from the binomial difference used by the library."""

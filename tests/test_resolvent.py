@@ -8,8 +8,10 @@ a comment next to each one).
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from hypercone import (
@@ -43,7 +45,12 @@ from hypercone import (
 from hypercone import quadrature, resolvent, specfun
 from hypercone.quadrature import cumulative_integral
 from hypercone.resolvent import _GRID_QC, _SERIES, _KernelData, _resolvent
-from oracles import oracle_apply_resolvent, oracle_hyp2f1, oracle_u2_series
+from oracles import (
+    oracle_apply_resolvent,
+    oracle_hyp2f1,
+    oracle_kernel_functions,
+    oracle_u2_series,
+)
 
 # oracle_u2_series(1, 1.0, 1.0, 0.3, dps=30)
 U2_POINT = complex(0.21904546690772356, -0.5701142135439057)
@@ -320,6 +327,15 @@ class TestWronskian:
         p = hypergeom_params(1, Mode(1.0, 1, Fraction(1)), -1.5j)
         assert wronskian_closed_form(p, 0.4) == 0.0
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("n,q", [(1, Fraction(13, 4)), (2, Fraction(1, 3)),
+                                     (3, Fraction(2, 5)), (1, Fraction(5, 7))])
+    def test_vanishes_at_classified_b_poles(self, n, q, k):
+        # case cN_bY: b = -k exactly while the float b rounds to either side
+        # of it, or onto it
+        p = candidate_params(n, Mode(float(q), 1, q), k)
+        assert wronskian_closed_form(p, 0.4) == 0.0
+
     def test_limit_matches_nearby_floats(self):
         # removable point (a = -3/2, b = 0, c = -3): exact limit versus the
         # generic formula slightly off the point
@@ -541,8 +557,8 @@ class TestResolventOracle:
 
 
 def _inline_ratio_series(term, a, b, c, z, kmin=0):
-    # the 2F1 term loop as it was before step ratios were cached: each step
-    # recomputes (a+k)(b+k)/((c+k)(k+1)); the reference for bit-identity
+    # the 2F1 term loop written out here, each step multiplying by
+    # (a+k)(b+k)/((c+k)(k+1)) z: the reference for bit-identity
     total = term
     small = 0
     for k in range(_SERIES.max_terms):
@@ -558,12 +574,13 @@ def _inline_ratio_series(term, a, b, c, z, kmin=0):
 
 
 class TestStepRatioCache:
-    """Cached step ratios leave every series seed bit-identical."""
+    """Every series seed is bit-identical to the term loop written out
+    here, whatever order its points are asked in."""
 
     KERNELS = [(1, Mode(1.0, 1), 1 + 0.5j), (2, Mode(2.0, 1), 1 - 0.7j),
                (3, Mode(8.0, 1), -0.3 - 1.1j), (4, Mode(0.5, 1), 3j)]
-    # out of order, so later calls read ratios cached by earlier ones and
-    # sometimes need more of them
+    # out of order, so a seed that kept state from earlier points, with
+    # later points needing more terms, would show it
     POINTS = [0.45, 0.05, 0.62, 0.3, 0.9, 0.2, 0.6]
 
     @pytest.mark.parametrize("n,mode,lam", KERNELS)
@@ -597,6 +614,46 @@ def _ladder_points(q):
             out += [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
         d *= q
     return sorted(set(out))
+
+
+class TestExactLatticeKernels:
+    """g1 at exact lattice parameters, the limit along lambda: the regular
+    case c = -3, a- and b-removable points and a surd s."""
+
+    CASES = [(1, Fraction(1, 9), -2j), (1, Fraction(1, 9), -1.5j),
+             (1, Fraction(1, 9), -3.5j), (3, Fraction(1, 4), -2.5j),
+             (2, Fraction(2), -2j), (2, Fraction(2), -3j)]
+
+    @pytest.mark.parametrize("n,q,lam", CASES)
+    def test_g1_matches_shifted_oracle(self, n, q, lam):
+        # lambda + 1e-25 i moves (a, b, c) by (delta, delta, 2 delta),
+        # delta = 1e-25, the direction the kernel's limits take
+        p = hypergeom_params(n, Mode(float(q), 1, q), lam)
+        kd = _KernelData(n, p, _GRID_QC)
+        with mp.workdps(40):
+            mu_sq = mp.mpf(q.numerator) / q.denominator
+            lam_mp = mp.mpc(0, lam.imag) + mp.mpc(0, "1e-25")
+        for i in range(24):
+            z = 0.01 + 0.94 * i / 23
+            want = oracle_kernel_functions(n, mu_sq, lam_mp, z, dps=40)[2]
+            assert abs(kd.g1(z) - want) <= 1e-12 * abs(want), z
+
+    def test_residual_check_ln_gamma_calls(self, monkeypatch):
+        # the lattice limit takes one call, the tail coefficient two
+        count = [0]
+        inner = specfun.ln_gamma
+
+        def counting(z):
+            count[0] += 1
+            return inner(z)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("hypercone")
+                    and getattr(mod, "ln_gamma", None) is inner):
+                monkeypatch.setattr(mod, "ln_gamma", counting)
+        residual_check(2, Mode(2.0, 1, Fraction(2)), -2j,
+                       RadialProfile.bump(0.3, 0.6))
+        assert 0 < count[0] <= 8
 
 
 class TestKernelExpansions:
@@ -733,8 +790,8 @@ class TestResidualCheck:
         assert rep.normalization == pytest.approx(1.0 + f(0.5), rel=1e-12)
 
     def test_residual_at_exact_removable_point(self):
-        # the fused-limit series must keep summing past its structurally
-        # zero terms (here k = 1..3, between the b and c lattice indices)
+        # the lattice seed's terms vanish between the b and c indices
+        # (k = 1..3 here), and the tail from k = 4 carries the rest
         f = RadialProfile.bump(0.3, 0.6)
         rep = residual_check(2, Mode(2.0, 1, Fraction(2)), -2j, f,
                              grid=[0.2, 0.35, 0.5, 0.65, 0.8])

@@ -32,6 +32,7 @@ from oracles import (
     oracle_hyp2f1,
     oracle_ln_gamma,
     oracle_reg_2f1,
+    oracle_reg_hyp2f1,
 )
 
 # oracle_ln_gamma(0.5 + 1.0j, dps=40)
@@ -122,6 +123,14 @@ class TestHyp2f1Values:
         with pytest.raises(LowerParameterPole):
             hyp2f1(0.5, 0.7, -2.0, 0.25)
 
+    @pytest.mark.parametrize("a,b,c,z", [(1, 1, -2, 0.3),
+                                         (0.5 + 1j, 2, 0, 0.1),
+                                         (-1, 2, -2, 0.3)])
+    def test_gauss_series_lower_parameter_pole(self, a, b, c, z):
+        # typed, also where a terminates the sum before the zero of (c)_k
+        with pytest.raises(LowerParameterPole):
+            gauss_series(a, b, c, z)
+
     def test_no_convergence_budget(self):
         with pytest.raises(NoConvergence):
             gauss_series(0.5, 0.7, 1.1, 0.999, SeriesControl(max_terms=20))
@@ -178,6 +187,36 @@ class TestRegularized:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             hyp2f1_regularized(1, 1, 2, 1.0)
+
+    @pytest.mark.parametrize("a,b,c,z", [
+        (0.5 - 20j, 1.7 - 20j, -0.9999, 0.9),  # near the lattice, z > 1/2
+        (0.5 - 20j, 1.7 - 20j, 2.0, 0.3),      # generic c, z < 1/2
+    ])
+    def test_large_imaginary_parameters(self, a, b, c, z):
+        # a term-by-term sum cancels here, to errors of 1.1e3 and 2.5e-7
+        want = oracle_reg_hyp2f1(a, b, c, z)
+        got = hyp2f1_regularized(a, b, c, z)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_kernel_parameter_battery(self):
+        # the kernel's a = 1/2 - i lambda, b = a + s with c on, near or off
+        # the lattice, and z up to 0.99
+        rng = random.Random(41)
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            s = math.sqrt(rng.uniform(0.0, 9.0) + (n - 1) ** 2 / 4.0)
+            lam = complex(rng.uniform(-20, 20), rng.uniform(-2, 3))
+            a = 0.5 - 1j * lam
+            b = a + s
+            m = rng.randint(0, 3)
+            c = rng.choice([
+                complex(-m),
+                complex(-m + rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3)),
+                complex(rng.uniform(-4, 4), rng.uniform(-3, 3))])
+            z = rng.uniform(0.05, 0.99)
+            want = oracle_reg_hyp2f1(a, b, c, z)
+            got = hyp2f1_regularized(a, b, c, z)
+            assert abs(got - want) <= 1e-10 * abs(want), (a, b, c, z)
 
 
 class TestAgainstMpmath:
