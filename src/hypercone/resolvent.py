@@ -27,10 +27,10 @@ either half plane, and a kernel reads each from specfun's ODE continuation
 (_Ladder): one Horner sum per point.  g1's series seed carries the fused
 constant Gamma(a)Gamma(b)/Gamma(c).  At exact lattice parameters, where that
 constant meets a Gamma pole or zero, it is the limit taken along the
-lambda-direction, where (a, b, c) move at rates (1, 1, 2) (_lattice_limit),
-and the seed at c = -C is that limit's polynomial head of degree at most C
-plus the tail z^(C+1) F(a+C+1, b+C+1; C+2; z) times its limit coefficient
-(DLMF 15.2.3).
+lambda-direction, where (a, b, c) move at rates (1, 1, 2) (_lattice_limit,
+on the lattice indices classify_pole reads), and the seed at c = -C is that
+limit's polynomial head of degree at most C plus the tail
+z^(C+1) F(a+C+1, b+C+1; C+2; z) times its limit coefficient (DLMF 15.2.3).
 """
 
 from __future__ import annotations
@@ -46,14 +46,12 @@ from .errors import (
     ParameterPole,
     PoleEvaluation,
     ProbeInconclusive,
-    UndecidableMembership,
     ValidationError,
 )
 from .quadrature import cumulative_integral
 from .resonances import (
     HypergeomParams,
-    PoleVerdict,
-    classify_pole,
+    _lattice_indices,
     hypergeom_params,
     s_param,
 )
@@ -206,7 +204,7 @@ def u1(p: HypergeomParams, sigma: float) -> complex:
     """
     if not (0.0 <= sigma < 1.0):
         raise DomainError(f"sigma must be in [0, 1), got {sigma!r}")
-    if is_nonpositive_integer(p.c) or _exact_index(p.c_sym) is not None:
+    if is_nonpositive_integer(p.c) or _lattice_indices(p)[2] is not None:
         raise LowerParameterPole(
             f"c = {p.c} is a non-positive integer; F(a,b;c;z) is undefined")
     return hyp2f1(p.a, p.b, p.c, sigma, _SERIES)
@@ -224,29 +222,19 @@ def u2(p: HypergeomParams, sigma: float) -> complex:
                    1.0 - sigma, sigma, _SERIES)
 
 
-def _exact_index(sym) -> int | None:
-    # index m >= 0 such that the symbolic value equals -m, else None
-    if sym is None:
-        return None
-    rat, coef = sym
-    if coef == 0 and rat.denominator == 1 and rat <= 0:
-        return int(-rat)
-    return None
-
-
-def _lattice_limit(p: HypergeomParams, pole: type[Exception]
-                   ) -> tuple[complex, int]:
-    """(coef, order) with Gamma(a)Gamma(b)/Gamma(c) ~ coef delta^-order as
-    lambda moves along its line through p, so that (a, b, c) move by
-    (delta, delta, 2 delta).
+def _lattice_limit(p: HypergeomParams, pole: type[Exception]):
+    """(coef, order, _lattice_indices(p)) with Gamma(a)Gamma(b)/Gamma(c) ~
+    coef delta^-order as lambda moves along its line through p, so that
+    (a, b, c) move by (delta, delta, 2 delta).
 
     Each exact index x (a parameter symbolically -x) contributes the pole
     coefficient (-1)^x/(x! rate) of Gamma(-x + rate delta) and one order;
     off the lattice order = 0 and coef is the quotient itself.  A float
     parameter on a Gamma pole without exact data raises pole.
     """
-    def log_gamma(val, sym, rate: float) -> tuple[complex, int]:
-        x = _exact_index(sym)
+    ia, ib, ic = _lattice_indices(p)
+
+    def log_gamma(val, x: int | None, rate: float) -> tuple[complex, int]:
         if x is not None:
             return complex(-math.lgamma(x + 1) - math.log(rate), math.pi * x), 1
         if is_nonpositive_integer(val):
@@ -254,10 +242,10 @@ def _lattice_limit(p: HypergeomParams, pole: type[Exception]
                        f"exact form to resolve the limit")
         return ln_gamma(val), 0
 
-    (la, oa), (lb, ob), (lc, oc) = (log_gamma(p.a, p.a_sym, 1.0),
-                                    log_gamma(p.b, p.b_sym, 1.0),
-                                    log_gamma(p.c, p.c_sym, 2.0))
-    return cmath.exp(la + lb - lc), oa + ob - oc
+    (la, oa), (lb, ob), (lc, oc) = (log_gamma(p.a, ia, 1.0),
+                                    log_gamma(p.b, ib, 1.0),
+                                    log_gamma(p.c, ic, 2.0))
+    return cmath.exp(la + lb - lc), oa + ob - oc, (ia, ib, ic)
 
 
 def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
@@ -271,7 +259,7 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
     """
     if not (0.0 < sigma < 1.0):
         raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
-    coef, order = _lattice_limit(p, ParameterPole)
+    coef, order, _ = _lattice_limit(p, ParameterPole)
     if order > 0:
         return 0.0 + 0.0j
     if order < 0:
@@ -303,19 +291,18 @@ class _KernelData:
         self.beta = -(n - 1) / 4.0 + 0.5 * p.s
         self.e1 = -1.0 - 0.5 * n - 1j * p.lam
         self.e2 = 0.5 * p.s + (n - 1) / 4.0
-        self.inv_g1s = 1.0 / gamma(complex(1.0 + p.s))
         self.kmin = max(0, math.ceil(max(-v.real for v in (p.a, p.b, p.c))))
         a, b, c = complex(p.a), complex(p.b), complex(p.c)
-        coef, order = _lattice_limit(p, PoleEvaluation)
+        coef, order, (ia, ib, ic) = _lattice_limit(p, PoleEvaluation)
         if order > 0:
             raise PoleEvaluation(
-                f"the kernel is genuinely singular at these parameters "
+                f"lambda = {p.lam} is a genuine pole of the mode resolvent "
                 f"(a = {p.a}, b = {p.b}, c = {p.c})")
-        c_index = _exact_index(p.c_sym)
-        if c_index is None:
+        self.inv_g1s = 1.0 / gamma(complex(1.0 + p.s))
+        if ic is None:
             seed = _series_seed(coef, a, b, c, _SERIES, self.kmin)
         else:
-            seed = self._lattice_seed(coef if order == 0 else 0.0, c_index)
+            seed = self._lattice_seed(coef if order == 0 else 0.0, ia, ib, ic)
         self.f1 = _Ladder(a, b, c, seed)
         c2 = complex(1.0 + p.s)
         self.f2 = _Ladder(a, b, c2, _series_seed(1.0 + 0.0j, a, b, c2, _SERIES))
@@ -331,7 +318,7 @@ class _KernelData:
             raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
         return self.f2(1.0 - sigma, sigma)
 
-    def _lattice_seed(self, t0: complex, c_index: int):
+    def _lattice_seed(self, t0: complex, ia, ib, c_index: int):
         """z -> (G1(z), G1'(z)) at c = -C on the exact lattice.
 
         The terms t_k of G1 = sum_k t_k z^k are limits along lambda.  The
@@ -344,8 +331,7 @@ class _KernelData:
         p = self.p
         a, b, c = complex(p.a), complex(p.b), complex(p.c)
         head = [t0]
-        stop = min((x for x in (_exact_index(p.a_sym), _exact_index(p.b_sym))
-                    if x is not None), default=0)
+        stop = min((x for x in (ia, ib) if x is not None), default=0)
         for k in range(stop):
             head.append(head[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
         k = c_index + 1
@@ -371,20 +357,6 @@ class _KernelData:
                 * (1.0 - sigma) ** self.beta)
 
 
-def _guarded_params(n: int, mode: Mode, lam: complex,
-                    lam_im_exact=None) -> HypergeomParams:
-    p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im_exact)
-    try:
-        pc = classify_pole(p)
-    except UndecidableMembership:
-        return p  # near-pole floats evaluate honestly (to large values)
-    if pc.verdict is PoleVerdict.GENUINE_POLE:
-        raise PoleEvaluation(
-            f"lambda = {lam} is a genuine pole of the mode resolvent "
-            f"(case {pc.case_id.value}); the kernel cannot be evaluated")
-    return p
-
-
 def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
                     sigma: float, *, control: QuadratureControl | None = None,
                     lam_im_exact=None) -> complex:
@@ -401,7 +373,7 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
     """
     if not (0.0 < sigma < 1.0):
         raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
-    p = _guarded_params(n, mode, lam, lam_im_exact)
+    p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im_exact)
     kd = _KernelData(n, p, control or _DEFAULT_QC)
     return _resolvent(kd, f, sigma, sigma)[0](sigma)
 
@@ -494,7 +466,7 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
     if len(pts) < 1 or any(y <= x for x, y in zip(pts, pts[1:])):
         raise ValidationError("grid must be strictly increasing")
     lam = complex(lam)
-    p = _guarded_params(n, mode, lam, None)
+    p = hypergeom_params(n, mode, lam)
     kd = _KernelData(n, p, control or _GRID_QC)
     mu_sq = mode.mu_sq
     shift = lam * lam + 0.25 * n * n
@@ -550,7 +522,7 @@ def green_pairing(n: int, mode: Mode, lam: complex, f: RadialProfile,
     derivative) and at the running integrals' panel cuts.  An integrand it
     cannot resolve raises QuadratureFailure, not a low-accuracy value.
     """
-    p = _guarded_params(n, mode, lam, None)
+    p = hypergeom_params(n, mode, lam)
     kd = _KernelData(n, p, control or _GRID_QC)
     lo, hi = g.support
     rf, cuts = _resolvent(kd, f, lo, hi)

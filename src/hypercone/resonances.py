@@ -5,15 +5,14 @@ mu^2).  Modes with s in 1/2 + Z contribute nothing; every other mode
 contributes resonances at lambda_{j,k} = -i(1/2 + k + s_j), k = 0, 1, 2, ...
 with the mode's multiplicity.  The mode resolvent's prefactor is
 Gamma(a)Gamma(b) / (Gamma(c)Gamma(1+s)) with a = 1/2 - i*lambda, b = a + s,
-c = 2a, and whether a prefactor pole survives in the full kernel is a
-six-way case split on which of a, b, c sit in {0, -1, -2, ...}.
+c = 2a, and whether a prefactor pole survives in the full kernel depends
+only on which of a, b, c sit in {0, -1, -2, ...}.
 
-Integer-lattice membership is decided exactly whenever the inputs allow it.
-A value here has the form r + w*s with rational r, w; if s is rational the
-value folds to a rational, and if s^2 is rational but s is not, any value
-with w != 0 is irrational and membership is settled.  Floats within 1e-9 of
-the lattice without an exact form raise UndecidableMembership rather than
-guessing.
+One function (_lattice_indices) decides that exactly, for the classifier
+and the kernels alike.  A value here has the form r + w*s with rational
+r, w; if s is rational the value folds to a rational, and if s^2 is
+rational but s is not, any value with w != 0 is irrational.  Floats within
+1e-9 of the lattice without an exact form are refused, not guessed.
 """
 
 from __future__ import annotations
@@ -92,8 +91,8 @@ class HypergeomParams:
 
     Invariants c = 2a and b = a + s hold by construction.  The *_sym fields
     carry exact (rational, coefficient-of-s) forms when lambda is purely
-    imaginary with known-exact imaginary part; they drive the pole
-    classifier's exact lattice decisions.
+    imaginary with known-exact imaginary part; _lattice_indices reads them,
+    and only them, for every exact lattice decision.
     """
 
     a: complex
@@ -194,58 +193,59 @@ class PoleClass:
     case_id: CaseId
 
 
-_GENUINE_CASES = {CaseId.cN_bY, CaseId.cY_bY_aY}
-
-
-def _in_lattice(value: complex, sym: _Sym | None, p: HypergeomParams,
-                what: str) -> bool:
-    # membership in {0, -1, -2, ...}
-    if sym is not None:
+def _lattice_indices(p: HypergeomParams
+                     ) -> tuple[int | None, int | None, int | None]:
+    """(ia, ib, ic): for each of a, b, c the m >= 0 with the parameter
+    exactly -m, read from its *_sym form alone, else None.  A form with
+    w != 0 is off the lattice when s is a surd and raises
+    InconsistentParams without that s data."""
+    def index(sym: _Sym | None, what: str) -> int | None:
+        if sym is None:
+            return None
         rat, coef = sym
         if coef == 0:
-            return rat.denominator == 1 and rat <= 0
-        if p.s_sq_exact is not None and p.s_exact is None:
-            return False  # rat + coef*s is irrational
-        raise InconsistentParams(f"symbolic form of {what} lost its s data")
-    nearest = min(round(value.real), 0)
-    dist = math.hypot(value.real - nearest, value.imag)
-    if dist <= _LATTICE_TOL:
-        raise UndecidableMembership(
-            f"{what} = {value} is within {_LATTICE_TOL} of the non-positive "
-            f"integers and no exact form is available")
-    return False
+            return -rat.numerator if rat.denominator == 1 and rat <= 0 else None
+        if p.s_sq_exact is None or p.s_exact is not None:
+            raise InconsistentParams(f"symbolic form of {what} lost its s data")
+        return None
+
+    ic, ib = index(p.c_sym, "c"), index(p.b_sym, "b")
+    return index(p.a_sym, "a"), ib, ic
 
 
 def classify_pole(p: HypergeomParams) -> PoleClass:
-    """Six-way case split on lattice membership of (c, b, a).
+    """Verdict and case id from the lattice indices of a, b and c.
 
-    c not in Z_-: regular unless b is (genuine pole).  c in Z_-: a pole of
-    Gamma(c) can cancel the prefactor poles, leaving these parameter points
-    regular (neither a nor b in the lattice), removable (exactly one), or a
-    genuine pole (both).  a in the lattice forces c = 2a in it too, so the
-    remaining combination cannot arise from consistent parameters.
+    The order a + b - c of the pole of Gamma(a)Gamma(b)/Gamma(c), each
+    parameter on the lattice counting once, decides: positive is a genuine
+    pole, zero with c on the lattice removable, anything else regular.  A
+    float without exact form within 1e-9 of the lattice (checked for c, b,
+    a in turn) raises UndecidableMembership; a without c = 2a, impossible
+    for consistent parameters, raises InconsistentParams.
     """
     if abs(p.c - 2.0 * p.a) > 1e-12 * (1.0 + abs(p.c)):
         raise InconsistentParams(f"c = {p.c} is not 2a = {2.0 * p.a}")
     if abs(p.b - (p.a + p.s)) > 1e-12 * (1.0 + abs(p.b)):
         raise InconsistentParams(f"b = {p.b} is not a + s = {p.a + p.s}")
-    c_in = _in_lattice(p.c, p.c_sym, p, "c")
-    b_in = _in_lattice(p.b, p.b_sym, p, "b")
-    a_in = _in_lattice(p.a, p.a_sym, p, "a")
+    ia, ib, ic = _lattice_indices(p)
+    for value, sym, what in ((p.c, p.c_sym, "c"), (p.b, p.b_sym, "b"),
+                             (p.a, p.a_sym, "a")):
+        dist = math.hypot(value.real - min(round(value.real), 0), value.imag)
+        if sym is None and dist <= _LATTICE_TOL:
+            raise UndecidableMembership(
+                f"{what} = {value} is within {_LATTICE_TOL} of the "
+                f"non-positive integers and no exact form is available")
+    a_in, b_in, c_in = ia is not None, ib is not None, ic is not None
     if a_in and not c_in:
         raise InconsistentParams(
             f"a = {p.a} in the lattice but c = 2a = {p.c} is not")
-    if not c_in:
-        if b_in:
-            return PoleClass(PoleVerdict.GENUINE_POLE, CaseId.cN_bY)
-        return PoleClass(PoleVerdict.REGULAR, CaseId.cN_bN_aN)
-    if a_in and b_in:
-        return PoleClass(PoleVerdict.GENUINE_POLE, CaseId.cY_bY_aY)
-    if a_in:
-        return PoleClass(PoleVerdict.REMOVABLE, CaseId.cY_bN_aY)
-    if b_in:
-        return PoleClass(PoleVerdict.REMOVABLE, CaseId.cY_bY_aN)
-    return PoleClass(PoleVerdict.REGULAR, CaseId.cY_bN_aN)
+    order = a_in + b_in - c_in
+    verdict = (PoleVerdict.GENUINE_POLE if order > 0
+               else PoleVerdict.REMOVABLE if order == 0 and c_in
+               else PoleVerdict.REGULAR)
+    case = (f"cY_b{'NY'[b_in]}_a{'NY'[a_in]}" if c_in
+            else "cN_bY" if b_in else "cN_bN_aN")
+    return PoleClass(verdict, CaseId(case))
 
 
 @dataclass(frozen=True)

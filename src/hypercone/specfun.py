@@ -117,26 +117,37 @@ def ln_gamma(z: complex) -> complex:
     return _lanczos_ln_gamma(z + m) - acc
 
 
+def _exp(w: complex, z: complex) -> complex:
+    # exp(w) for the log of a Gamma value at z; beyond double range raises
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        msg = f"the value at z = {z} exceeds the double range"
+        raise DomainError(msg) from None
+
+
 def gamma(z: complex) -> complex:
-    """Gamma function on the complex plane minus {0, -1, -2, ...}."""
+    """Gamma function on the complex plane minus {0, -1, -2, ...}; raises
+    DomainError where |Gamma(z)| > 1.8e308, the double range (z > 171.62)."""
     z = complex(z)
     if is_nonpositive_integer(z):
         raise PoleAtNonPositiveInteger(f"gamma pole at z = {z}")
     if z.real >= 0.5:
-        return cmath.exp(_lanczos_ln_gamma(z))
+        return _exp(_lanczos_ln_gamma(z), z)
     # Reflection evaluated in log space; exp() erases any 2*pi*i branch
     # mismatch between the log terms, and intermediates cannot overflow.
-    return cmath.exp(_LN_PI - cmath.log(_sinpi(z)) - _lanczos_ln_gamma(1.0 - z))
+    return _exp(_LN_PI - cmath.log(_sinpi(z)) - _lanczos_ln_gamma(1.0 - z), z)
 
 
 def recip_gamma(z: complex) -> complex:
-    """1/Gamma(z), entire: returns exactly 0 at z in {0, -1, -2, ...}."""
+    """1/Gamma(z), entire: returns exactly 0 at z in {0, -1, -2, ...}; raises
+    DomainError where |1/Gamma(z)| > 1.8e308 (e.g. z = -200.5, 100+1e5i)."""
     z = complex(z)
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     if z.real >= 0.5:
-        return cmath.exp(-_lanczos_ln_gamma(z))
-    return cmath.exp(cmath.log(_sinpi(z)) + _lanczos_ln_gamma(1.0 - z) - _LN_PI)
+        return _exp(-_lanczos_ln_gamma(z), z)
+    return _exp(cmath.log(_sinpi(z)) + _lanczos_ln_gamma(1.0 - z) - _LN_PI, z)
 
 
 def pochhammer(a: complex, k: int) -> complex:
@@ -394,7 +405,9 @@ def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float,
 
     hyp2f1 times 1/Gamma(c) off the lattice; at c = -m in {0, -1, -2, ...}
     the limit (a)_{m+1} (b)_{m+1} z^{m+1} / (m+1)! F(a+m+1, b+m+1; m+2; z)
-    (DLMF 15.2.3), again by hyp2f1.
+    (DLMF 15.2.3), again by hyp2f1, with the binary exponent carried apart
+    so that c <= -170 stays finite; exactly 0 where a or b is -j, j <= m.
+    A value beyond the double range raises DomainError.
     """
     if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
         raise DomainError(
@@ -403,5 +416,15 @@ def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float,
     if not is_nonpositive_integer(c):
         return recip_gamma(c) * hyp2f1(a, b, c, z, ctl)
     k = int(-c.real) + 1
-    return (pochhammer(a, k) * pochhammer(b, k) * z ** k / math.factorial(k)
-            * hyp2f1(a + k, b + k, k + 1, z, ctl))
+    if any(is_nonpositive_integer(x) and -x.real < k for x in (a, b)):
+        return 0.0 + 0.0j  # (a)_k or (b)_k vanishes
+    # the value is val * 2^exp2, val kept in [1/2, 1) after each factor
+    val, exp2 = hyp2f1(a + k, b + k, k + 1, z, ctl), 0
+    for j in range(k):
+        val *= (a + j) * (b + j) / (j + 1) * z
+        e = math.frexp(abs(val))[1]
+        val, exp2 = val * 2.0 ** -e, exp2 + e
+    if exp2 > 1024 or not cmath.isfinite(val):
+        raise DomainError(
+            f"hyp2f1_regularized at c = {c} exceeds the double range")
+    return complex(math.ldexp(val.real, exp2), math.ldexp(val.imag, exp2))

@@ -159,6 +159,62 @@ def brute_force_count(n: int, modes, k_max: int, bound: float) -> int:
     return total
 
 
+def reference_classify_pole(p) -> tuple[str, str]:
+    """(verdict, case id) of the resolvent prefactor's pole at parameters p,
+    by the six-way case split on the lattice membership of c, b and a.
+
+    Each parameter is tested on its own: its exact (rational, coefficient
+    of s) form when p carries one, where a nonzero coefficient of a surd s
+    is irrational and so off the lattice, and otherwise its float, which
+    must stay more than 1e-9 away from the lattice (ValueError if not).
+    """
+    def member(value, sym, what):
+        if sym is not None:
+            rat, coef = sym
+            if coef == 0:
+                return rat.denominator == 1 and rat <= 0
+            if p.s_sq_exact is not None and p.s_exact is None:
+                return False
+            raise ValueError(f"symbolic form of {what} lost its s data")
+        nearest = min(round(value.real), 0)
+        if math.hypot(value.real - nearest, value.imag) <= 1e-9:
+            raise ValueError(f"{what} = {value} is undecidable")
+        return False
+
+    c_in = member(p.c, p.c_sym, "c")
+    b_in = member(p.b, p.b_sym, "b")
+    a_in = member(p.a, p.a_sym, "a")
+    if a_in and not c_in:
+        raise ValueError("a in the lattice without c = 2a")
+    if not c_in:
+        if b_in:
+            return "genuine_pole", "cN_bY"
+        return "regular", "cN_bN_aN"
+    if a_in and b_in:
+        return "genuine_pole", "cY_bY_aY"
+    if a_in:
+        return "removable", "cY_bN_aY"
+    if b_in:
+        return "removable", "cY_bY_aN"
+    return "regular", "cY_bN_aN"
+
+
+def lattice_grid():
+    """The 26,880 exact (n, mu^2, lambda) cases of the lattice-decision
+    probe, as (n, mu_sq, k, lam_im): n in 1..6, mu^2 = p/d for p in 0..39
+    and d in {1, 2, 3, 4, 5, 7, 9} (surd and rational s), and lambda either
+    the candidate -i(1/2 + k + s) for k in 0..3 (lam_im None) or -i y/2 for
+    y in 0..11 (k None, lam_im = -y/2 exactly)."""
+    out = []
+    for n in range(1, 7):
+        for d in (1, 2, 3, 4, 5, 7, 9):
+            for num in range(40):
+                q = Fraction(num, d)
+                out += [(n, q, k, None) for k in range(4)]
+                out += [(n, q, None, Fraction(-y, 2)) for y in range(12)]
+    return out
+
+
 def oracle_wronskian(n: int, mu_sq, lam, sigma, dps: int = 40) -> complex:
     """W(u1, u2)(sigma) from mp.hyp2f1 with the analytic derivative
     dF/dz = (a b / c) F(a+1, b+1; c+1; z): no finite differences and no

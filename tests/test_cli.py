@@ -417,6 +417,70 @@ class TestClassify:
                          "--lambda-im", "-1")
         assert_error(rc, err, 2, "validation")
 
+    # the two case ids the examples above leave out, byte for byte
+    B_ONLY_GENUINE = """\
+{
+  "a": {
+    "exact": "-1/3",
+    "value": -0.33333333333333337
+  },
+  "b": {
+    "exact": "0/1",
+    "value": -5.5511151231257827e-17
+  },
+  "c": {
+    "exact": "-2/3",
+    "value": -0.66666666666666674
+  },
+  "case_id": "cN_bY",
+  "s": {
+    "exact": "1/3",
+    "value": 0.33333333333333331
+  },
+  "verdict": "genuine_pole"
+}
+"""
+    C_ONLY_REGULAR = """\
+{
+  "a": {
+    "exact": "-1/2",
+    "value": -0.5
+  },
+  "b": {
+    "exact": "1/2",
+    "value": 0.5
+  },
+  "c": {
+    "exact": "-1/1",
+    "value": -1
+  },
+  "case_id": "cY_bN_aN",
+  "s": {
+    "exact": "1/1",
+    "value": 1
+  },
+  "verdict": "regular"
+}
+"""
+
+    @pytest.mark.parametrize("mu_sq,lam_im,want", [
+        ("1/9", "-5/6", B_ONLY_GENUINE),  # s = 1/3: b = 0, c = -2/3
+        ("1", "-1", C_ONLY_REGULAR),      # s = 1: c = -1 alone
+    ])
+    def test_remaining_case_ids(self, mu_sq, lam_im, want):
+        rc, out, err = run("classify", "--n", "1", "--mu-sq-exact", mu_sq,
+                           "--lambda-im", lam_im)
+        assert (rc, out, err) == (0, want, "")
+
+    def test_undecidable_message(self):
+        # float s = 1 puts c = 2a on 0 to roundoff; c is judged first
+        rc, out, err = run("classify", "--n", "1", "--mu-sq", "1",
+                           "--lambda-im", "-1/2")
+        assert (rc, out) == (4, "")
+        assert err == ("error:undecidable: c = 0j is within 1e-09 of the "
+                       "non-positive integers and no exact form is "
+                       "available\n")
+
 
 class TestWeyl:
     def test_unit_circle_ratios(self, monkeypatch):

@@ -28,6 +28,7 @@ from hypercone import (
     ValidationError,
     apply_resolvent,
     candidate_params,
+    classify_pole,
     gauss_series,
     green_pairing,
     hypergeom_params,
@@ -36,20 +37,23 @@ from hypercone import (
     r_of_sigma,
     residual_check,
     residue_probe,
+    s_param,
     sigma_of_r,
     u1,
     u2,
     wronskian_closed_form,
 )
 
-from hypercone import quadrature, resolvent, specfun
+from hypercone import quadrature, resolvent, resonances, specfun
 from hypercone.quadrature import cumulative_integral
 from hypercone.resolvent import _GRID_QC, _SERIES, _KernelData, _resolvent
 from oracles import (
+    lattice_grid,
     oracle_apply_resolvent,
     oracle_hyp2f1,
     oracle_kernel_functions,
     oracle_u2_series,
+    reference_classify_pole,
 )
 
 # oracle_u2_series(1, 1.0, 1.0, 0.3, dps=30)
@@ -654,6 +658,97 @@ class TestExactLatticeKernels:
         residual_check(2, Mode(2.0, 1, Fraction(2)), -2j,
                        RadialProfile.bump(0.3, 0.6))
         assert 0 < count[0] <= 8
+
+
+class TestOneLatticeDecision:
+    """classify_pole and the kernel read one lattice decision: the verdict
+    and case id match the six-way reference split, and the kernel refuses
+    exactly the genuine poles, on a seeded slice of the 26,880-case grid."""
+
+    SLICE = random.Random(11).sample(lattice_grid(), 2400)
+
+    @staticmethod
+    def params(n, mode, k, lam_im):
+        if k is not None:
+            return candidate_params(n, mode, k)
+        return hypergeom_params(n, mode, complex(0.0, float(lam_im)),
+                                lam_im_exact=lam_im)
+
+    def test_verdicts_match_reference(self):
+        for n, q, k, lam_im in self.SLICE:
+            p = self.params(n, Mode(float(q), 1, q), k, lam_im)
+            pc = classify_pole(p)
+            assert (pc.verdict.value, pc.case_id.value) == \
+                reference_classify_pole(p), (n, q, k, lam_im)
+
+    def test_kernel_refuses_exactly_genuine_poles(self):
+        f = RadialProfile.bump()
+        for n, q, k, lam_im in self.SLICE[::4]:
+            mode = Mode(float(q), 1, q)
+            p = self.params(n, mode, k, lam_im)
+            s = s_param(n, mode).exact
+            if lam_im is None and s is not None:  # a rational candidate
+                lam_im = -(Fraction(1, 2) + k + s)
+            try:
+                if lam_im is None:  # a surd candidate is exact only in p
+                    _KernelData(n, p, _GRID_QC)
+                else:
+                    apply_resolvent(n, mode, complex(0.0, float(lam_im)), f,
+                                    0.45, lam_im_exact=lam_im)
+                refused = False
+            except PoleEvaluation:
+                refused = True
+            genuine = reference_classify_pole(p)[0] == "genuine_pole"
+            assert refused == genuine, (n, q, k, lam_im)
+
+
+class TestLatticeWorkCounts:
+    """One kernel build makes the lattice decision once and never runs the
+    classifier.  It calls ln_gamma once for each of a, b, c off the lattice
+    and twice more for the DLMF 15.2.3 tail coefficient when c is on it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = {"indices": 0, "classify": 0, "ln_gamma": 0}
+
+        def counted(key, inner):
+            def wrapper(*args, **kw):
+                count[key] += 1
+                return inner(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(resolvent, "_lattice_indices",
+                            counted("indices", resolvent._lattice_indices))
+        for key, name, inner in (
+                ("classify", "classify_pole", resonances.classify_pole),
+                ("ln_gamma", "ln_gamma", specfun.ln_gamma)):
+            for mod_name, mod in list(sys.modules.items()):
+                if (mod_name.startswith("hypercone")
+                        and getattr(mod, name, None) is inner):
+                    monkeypatch.setattr(mod, name, counted(key, inner))
+        return count
+
+    @pytest.mark.parametrize("n,q,lam,lam_im,ln_gammas", [
+        (2, None, 1 - 0.7j, None, 3),                 # off the lattice
+        (2, Fraction(2), -2j, None, 3),               # b-removable
+        (1, Fraction(4), -1j, None, 4),               # c alone
+        (1, Fraction(13, 4), -1.5j, Fraction(-3, 2), 3),  # a-removable, surd
+        (1, Fraction(1, 9), -3.5j, None, 3),
+        (3, Fraction(1, 4), -2.5j, None, 3),
+    ])
+    def test_kernel_build(self, calls, n, q, lam, lam_im, ln_gammas):
+        mode = Mode(2.0, 1) if q is None else Mode(float(q), 1, q)
+        p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im)
+        _KernelData(n, p, _GRID_QC)
+        assert calls == {"indices": 1, "classify": 0, "ln_gamma": ln_gammas}
+
+    def test_entry_points(self, calls):
+        mode = Mode(2.0, 1, Fraction(2))
+        f, g = RadialProfile.bump(0.3, 0.45), RadialProfile.bump(0.4, 0.55)
+        apply_resolvent(2, mode, -2j, f, 0.4)
+        residual_check(2, mode, -2j, f)
+        green_pairing(2, mode, -2j, f, g)
+        assert (calls["indices"], calls["classify"]) == (3, 0)
 
 
 class TestKernelExpansions:

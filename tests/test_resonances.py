@@ -4,6 +4,7 @@ Enumeration results are checked against the brute-force double loops in
 tests/oracles.py, which use independent genericity and multiplicity formulas.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -169,6 +170,13 @@ class TestClassifyCases:
         cls = classify_pole(p)
         assert cls.verdict is PoleVerdict.REGULAR
         assert cls.case_id is CaseId.cN_bN_aN
+
+    def test_symbolic_form_without_s_data(self):
+        # a surd candidate's forms carry s; stripped of s^2 they cannot be
+        # decided, and the classifier says so instead of guessing
+        p = candidate_params(1, Mode(3.25, 1, Fraction(13, 4)), 0)
+        with pytest.raises(InconsistentParams, match="symbolic form of c"):
+            classify_pole(dataclasses.replace(p, s_sq_exact=None))
 
     def test_exhaustive_candidates(self):
         """Candidate positions classify genuine exactly when the mode is

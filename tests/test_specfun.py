@@ -74,6 +74,19 @@ class TestGammaValues:
         assert abs(recip_gamma(4.0) - 1.0 / 6.0) <= 1e-14
         assert abs(recip_gamma(5.0) - 1.0 / 24.0) <= 1e-14
 
+    @pytest.mark.parametrize("func,z", [(gamma, 171.7), (recip_gamma, -200.5),
+                                        (recip_gamma, 100 + 1e5j)])
+    def test_out_of_double_range_is_typed(self, func, z):
+        # |Gamma(171.7)| = 2.65e308, |1/Gamma(-200.5)| = 3.56e375
+        with pytest.raises(DomainError):
+            func(z)
+
+    def test_largest_real_arguments_stay_finite(self):
+        with mp.workdps(30):
+            want = float(mp.gamma(mp.mpf("170.5")))  # 5.56e305
+        assert abs(gamma(170.5) - want) <= 1e-13 * want
+        assert abs(recip_gamma(170.5) - 1.0 / want) <= 1e-13 / want
+
 
 class TestPochhammer:
     def test_empty_product(self):
@@ -187,6 +200,29 @@ class TestRegularized:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             hyp2f1_regularized(1, 1, 2, 1.0)
+
+    @pytest.mark.parametrize("a,b,c,z", [
+        (0.5, 0.5, -170.0, 0.5),   # 2.31e306 while (m+1)! alone overflows
+        (0.5, 0.5, -250.0, 0.02),
+        (0.3 + 2j, -1.7, -2.0, 0.6),
+    ])
+    def test_deep_lattice_against_dlmf_15_2_3(self, a, b, c, z):
+        m = int(-c)
+        with mp.workdps(50):
+            want = complex(mp.rf(a, m + 1) * mp.rf(b, m + 1)
+                           * mp.mpf(z) ** (m + 1) / mp.factorial(m + 1)
+                           * mp.hyp2f1(a + m + 1, b + m + 1, m + 2, z))
+        got = hyp2f1_regularized(a, b, c, z)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_terminating_numerator_on_deep_lattice(self):
+        # (a)_{m+1} = 0 for a = -j, j <= m: the limit is exactly 0
+        assert hyp2f1_regularized(-3.0, 0.5, -5.0, 0.5) == 0.0
+        assert hyp2f1_regularized(0.5, -200.0, -300.0, 0.5) == 0.0
+
+    def test_beyond_double_range_is_typed(self):
+        with pytest.raises(DomainError):  # the value is 9.7e613
+            hyp2f1_regularized(0.5, 0.5, -300.0, 0.5)
 
     @pytest.mark.parametrize("a,b,c,z", [
         (0.5 - 20j, 1.7 - 20j, -0.9999, 0.9),  # near the lattice, z > 1/2
