@@ -148,8 +148,7 @@ def _csv_cell(v) -> str:
 def _csv_text(records: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    for rec in records:
-        writer.writerow([_csv_cell(v) for v in rec])
+    writer.writerows([_csv_cell(v) for v in rec] for rec in records)
     return buf.getvalue()
 
 

@@ -564,6 +564,17 @@ def residue_probe(n: int, mode: Mode, lam0: complex, *,
     geometrically in points for a meromorphic resolvent.  Verdict: pole if
     ratio >= 10*threshold, regular if ratio <= threshold/10; the band in
     between raises ProbeInconclusive.
+
+    The mode operator has real coefficients, so for real profile values
+    (R(-conj(lambda)) f)(sigma0) = conj((R(lambda) f)(sigma0)), bit for bit
+    in floating point.  On the imaginary axis (Re lambda0 = 0) with even
+    points, -conj(lambda_m) is lambda_(N/2-m), so that sample is the
+    conjugate of its already computed twin: points/2 + 1 samples (9 of 16)
+    are evaluated.  This holds while every value f.func has returned during
+    the probe is real (a float, or a complex with zero imaginary part);
+    after a non-real value the remaining samples are evaluated directly.
+    The result equals the full circle up to the placement of the mirrored
+    points, which lie within about 5e-18 of the nominal ones.
     """
     if not (radius > 0 and radius < 0.2):
         raise ValidationError(f"radius must be in (0, 0.2), got {radius!r}")
@@ -574,13 +585,30 @@ def residue_probe(n: int, mode: Mode, lam0: complex, *,
     f = profile if profile is not None else RadialProfile.bump()
     lam0 = complex(lam0)
     qc = control or _DEFAULT_QC
+    mirror = lam0.real == 0.0 and points % 2 == 0
+    real = True   # every value f.func has returned so far is real
+
+    def observed(x: float) -> complex:
+        nonlocal real
+        v = f.func(x)
+        real = real and (isinstance(v, (int, float)) or (
+            isinstance(v, complex) and v.imag == 0.0))
+        return v
+
+    src = RadialProfile(observed, f.support) if mirror else f
+    samples: list[complex] = []
     acc = 0.0 + 0.0j
     max_abs = 0.0
     for m in range(points):
         theta = 2.0 * math.pi * m / points
         phase = cmath.exp(1j * theta)
-        lam = lam0 + radius * phase
-        um = apply_resolvent(n, mode, lam, f, sigma0, control=qc)
+        twin = (points // 2 - m) % points
+        if mirror and twin < m and real:
+            um = samples[twin].conjugate()
+        else:
+            lam = lam0 + radius * phase
+            um = apply_resolvent(n, mode, lam, src, sigma0, control=qc)
+        samples.append(um)
         acc += um * phase
         max_abs = max(max_abs, abs(um))
     residue = acc * radius / points

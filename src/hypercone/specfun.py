@@ -414,16 +414,17 @@ def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float,
             f"hyp2f1_regularized argument must be a real in [0, 1), got {z!r}")
     a, b, c, z = complex(a), complex(b), complex(c), float(z)
     if not is_nonpositive_integer(c):
-        return recip_gamma(c) * hyp2f1(a, b, c, z, ctl)
-    k = int(-c.real) + 1
-    if any(is_nonpositive_integer(x) and -x.real < k for x in (a, b)):
-        return 0.0 + 0.0j  # (a)_k or (b)_k vanishes
-    # the value is val * 2^exp2, val kept in [1/2, 1) after each factor
-    val, exp2 = hyp2f1(a + k, b + k, k + 1, z, ctl), 0
-    for j in range(k):
-        val *= (a + j) * (b + j) / (j + 1) * z
-        e = math.frexp(abs(val))[1]
-        val, exp2 = val * 2.0 ** -e, exp2 + e
+        val, exp2 = recip_gamma(c) * hyp2f1(a, b, c, z, ctl), 0
+    else:
+        k = int(-c.real) + 1
+        if any(is_nonpositive_integer(x) and -x.real < k for x in (a, b)):
+            return 0.0 + 0.0j  # (a)_k or (b)_k vanishes
+        # the value is val * 2^exp2, val kept in [1/2, 1) after each factor
+        val, exp2 = hyp2f1(a + k, b + k, k + 1, z, ctl), 0
+        for j in range(k):
+            val *= (a + j) * (b + j) / (j + 1) * z
+            e = math.frexp(abs(val))[1]
+            val, exp2 = val * 2.0 ** -e, exp2 + e
     if exp2 > 1024 or not cmath.isfinite(val):
         raise DomainError(
             f"hyp2f1_regularized at c = {c} exceeds the double range")

@@ -829,6 +829,11 @@ class TestSeriesWorkCounts:
         residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
         assert 0 < sums[0] <= 150
 
+    def test_residue_probe_on_axis(self, sums):
+        # 9 of 16 samples evaluated: 54 sums where the full circle takes 96
+        residue_probe(2, Mode(2.0, 1), 0.9j)
+        assert 0 < sums[0] <= 84
+
     def test_continuation_does_not_reseed(self, sums):
         # each kernel function is seeded once (value and derivative); the
         # anchors past the seed bounds, about 0.1 for g1 and 0.006 for u2,
@@ -1036,6 +1041,63 @@ class TestResidueProbe:
         with pytest.raises(ProbeInconclusive):
             residue_probe(1, Mode(1.0, 1), -1.5j, profile=zero)
 
+    @pytest.mark.parametrize("n,mode,lam0", [
+        (1, Mode(0.0, 1, Fraction(0)), -0.5j),                 # genuine
+        (3, Mode(0.0, 1, Fraction(0)), -1.5j),                 # genuine
+        (3, Mode(1.0, 1), -(1.5 + math.sqrt(2)) * 1j),         # genuine, surd s
+        (1, Mode(2.0, 1), -(0.5 + math.sqrt(2)) * 1j),         # genuine, surd s
+        (2, Mode(2.0, 1, Fraction(2)), -2j),                   # removable
+        (1, Mode(0.0, 1, Fraction(0)), -1j),                   # regular
+        (1, Mode(2.0, 1), -1.2j),                              # regular, surd s
+    ])
+    def test_mirrored_probe_equals_full_circle(self, n, mode, lam0):
+        res = residue_probe(n, mode, lam0)
+        residue, max_abs, is_pole = _full_circle(n, mode, lam0)
+        assert abs(res.max_abs_sample - max_abs) <= 1e-14 * max_abs
+        assert res.is_pole == is_pole
+        if is_pole:
+            assert abs(res.residue - residue) <= 1e-13 * abs(residue)
+            # a real f gives a residue i * (real) on the imaginary axis
+            assert abs(res.residue.real) <= 1e-12 * abs(res.residue)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+
+        class Counted(_KernelData):
+            def __init__(self, *args):
+                count[0] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(resolvent, "_KernelData", Counted)
+        return count
+
+    def test_on_axis_builds_nine_kernels(self, builds):
+        residue_probe(1, Mode(0.0, 1, Fraction(0)), -0.5j)
+        assert builds[0] == 9
+
+    def test_off_axis_builds_every_kernel(self, builds):
+        residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
+        assert builds[0] == 16
+
+    def test_odd_points_build_every_kernel(self, builds):
+        residue_probe(1, Mode(0.0, 1, Fraction(0)), -0.5j, points=9)
+        assert builds[0] == 9
+        builds[0] = 0
+        residue_probe(1, Mode(0.0, 1, Fraction(0)), -0.5j, points=11)
+        assert builds[0] == 11
+
+    def test_complex_profile_builds_every_kernel(self, builds):
+        bump = RadialProfile.bump()
+        f = RadialProfile(lambda x: (1 + 1j) * bump(x), bump.support)
+        n, mode, lam0 = 1, Mode(0.0, 1, Fraction(0)), -0.5j
+        res = residue_probe(n, mode, lam0, profile=f)
+        assert builds[0] == 16
+        residue, max_abs, is_pole = _full_circle(n, mode, lam0, f)
+        assert res.is_pole and is_pole
+        assert abs(res.max_abs_sample - max_abs) <= 1e-14 * max_abs
+        assert abs(res.residue - residue) <= 1e-13 * abs(residue)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             residue_probe(1, Mode(1.0, 1), -1j, radius=0.5)
@@ -1043,3 +1105,18 @@ class TestResidueProbe:
             residue_probe(1, Mode(1.0, 1), -1j, points=4)
         with pytest.raises(ValidationError):
             residue_probe(1, Mode(1.0, 1), -1j, threshold=0.0)
+
+
+def _full_circle(n, mode, lam0, f=None, points=16, radius=1e-2,
+                 sigma0=0.45):
+    """(residue, max |sample|, is_pole) from all points resolvent calls at
+    the nominal circle points, with residue_probe's default verdict."""
+    f = f if f is not None else RadialProfile.bump()
+    phases = [cmath.exp(2j * math.pi * m / points) for m in range(points)]
+    us = [apply_resolvent(n, mode, lam0 + radius * ph, f, sigma0)
+          for ph in phases]
+    residue = sum(u * ph for u, ph in zip(us, phases)) * radius / points
+    max_abs = max(abs(u) for u in us)
+    ratio = abs(residue) / max_abs
+    assert ratio >= 1e-5 or ratio <= 1e-7
+    return residue, max_abs, ratio >= 1e-5

@@ -14,6 +14,7 @@ import pytest
 
 from hypercone import (
     DomainError,
+    HyperconeError,
     LowerParameterPole,
     NoConvergence,
     PoleAtNonPositiveInteger,
@@ -223,6 +224,29 @@ class TestRegularized:
     def test_beyond_double_range_is_typed(self):
         with pytest.raises(DomainError):  # the value is 9.7e613
             hyp2f1_regularized(0.5, 0.5, -300.0, 0.5)
+
+    def test_off_lattice_beyond_double_range_is_typed(self):
+        # 1/Gamma(-109.5) = 4.8e176 times F = -1.9e293 + 6.0e292i
+        with pytest.raises(DomainError):
+            hyp2f1_regularized(145.36 - 77.53j, -226.12 + 252.49j, -109.5,
+                               0.705)
+
+    def test_large_parameters_finite_or_typed(self):
+        # every value is finite or a HyperconeError, never inf or nan
+        rng = random.Random(12)
+        for _ in range(60):
+            a, b = (complex(rng.uniform(-300, 300), rng.uniform(-300, 300))
+                    for _ in range(2))
+            c = rng.choice([
+                complex(rng.randint(-200, 0)),
+                complex(rng.randint(-200, 200) + 0.5),
+                complex(rng.uniform(-200, 200), rng.uniform(-50, 50))])
+            z = rng.uniform(0.0, 0.99)
+            try:
+                got = hyp2f1_regularized(a, b, c, z)
+            except HyperconeError:
+                continue
+            assert cmath.isfinite(got), (a, b, c, z, got)
 
     @pytest.mark.parametrize("a,b,c,z", [
         (0.5 - 20j, 1.7 - 20j, -0.9999, 0.9),  # near the lattice, z > 1/2
