@@ -4,7 +4,10 @@ cumulative_integral: a piecewise Chebyshev interpolant of the integrand and
 its running integral from one end of the interval, so the integral up to any
 number of points costs one Clenshaw sum each (the Clenshaw-Curtis / chebfun
 cumsum construction; Trefethen, Approximation Theory and Approximation
-Practice, ch. 19).
+Practice, ch. 19).  Only the coefficients that are read are formed: the last
+few decide most levels of a panel, Clenshaw-Curtis weights give each
+panel's integral from its samples, and a panel's series is built only when
+a point inside the span is read from it.
 """
 
 from __future__ import annotations
@@ -20,15 +23,18 @@ from .errors import DomainError, QuadratureFailure
 
 _DEGREES = (16, 32, 64)   # nested Clenshaw-Curtis levels tried per panel
 _TAIL = 4                 # trailing coefficients that must have decayed
+_MARGIN = 1.0 + 1e-12     # keeps roundoff from flipping a shortcut decision
 
 
 @cache
-def _table(n: int) -> tuple[list[float], list[list[float]]]:
-    # Chebyshev points cos(pi j/n), j = 0..n, and the DCT-I rows mapping
-    # values there to the coefficients of the interpolating series
-    # sum_k c_k T_k.  cos(pi (n-j) k/n) = (-1)^k cos(pi j k/n), so row k
-    # acts on the folded values f_j + f_(n-j) (k even) or f_j - f_(n-j)
-    # (k odd), j = 0..n/2; built on first use
+def _table(n: int) -> tuple[list[float], list[list[float]], list[float]]:
+    # Chebyshev points cos(pi j/n), j = 0..n, the DCT-I rows mapping values
+    # there to the coefficients of the interpolating series sum_k c_k T_k,
+    # and the Clenshaw-Curtis weights.  cos(pi (n-j) k/n) = (-1)^k
+    # cos(pi j k/n), so row k acts on the folded values f_j + f_(n-j)
+    # (k even) or f_j - f_(n-j) (k odd), j = 0..n/2; T_k integrates to
+    # 2/(1-k^2) over [-1, 1] for even k and to 0 for odd k, so the weights
+    # act on the even folded values.  Built on first use
     nodes = [math.cos(math.pi * j / n) for j in range(n + 1)]
     rows = []
     for k in range(n + 1):
@@ -36,20 +42,27 @@ def _table(n: int) -> tuple[list[float], list[list[float]]]:
         rows.append([scale * (0.5 if j == 0 else 1.0)
                      * math.cos(math.pi * (j * k % (2 * n)) / n)
                      for j in range(n // 2 + 1)])
-    return nodes, rows
+    weights = [sum(rows[k][j] * 2.0 / (1 - k * k) for k in range(0, n + 1, 2))
+               for j in range(n // 2 + 1)]
+    return nodes, rows, weights
 
 
-def _fit(f, lo: float, hi: float, abs_tol: float,
-         rel_tol: float) -> list[complex] | None:
-    # Chebyshev coefficients of f on [lo, hi] at the first degree whose last
-    # _TAIL coefficients fall below max(rel_tol * largest, abs_tol / width);
-    # None when even the highest degree does not resolve f there
+def _fit(f, lo: float, hi: float, abs_tol: float, rel_tol: float
+         ) -> tuple[int, list[complex], list[complex]] | None:
+    # Folded samples (n, even, odd) of f on [lo, hi] at the first degree
+    # whose last _TAIL Chebyshev coefficients fall below max(rel_tol *
+    # largest, abs_tol / width); None when even the highest degree does not
+    # resolve f there.  The tail rows decide most levels alone: every |c_k|
+    # is at most U = (2/n)(|f_0|/2 + |f_1| + ... + |f_(n-1)| + |f_n|/2), so
+    # a tail above max(rel_tol U, floor) rejects, and one at most
+    # max(rel_tol |c_0|, floor) accepts; only between them are all rows
+    # formed for the full test
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     floor = abs_tol / (hi - lo)
     vals: list = []
     for n in _DEGREES:
-        nodes, rows = _table(n)
+        nodes, rows, _ = _table(n)
         if not vals:
             vals = [f(hi)] + [f(mid + half * t) for t in nodes[1:-1]] + [f(lo)]
         else:  # the previous level's samples are the even-indexed nodes
@@ -60,50 +73,71 @@ def _fit(f, lo: float, hi: float, abs_tol: float,
         m = n // 2
         even = [u + v for u, v in zip(vals[:m], vals[:m:-1])] + [vals[m]]
         odd = [u - v for u, v in zip(vals[:m], vals[:m:-1])] + [0j]
-        coefs = [sum(map(mul, row, odd if k % 2 else even))
-                 for k, row in enumerate(rows)]
-        tail = max(map(abs, coefs[-_TAIL:]))
+        last = [sum(map(mul, rows[k], odd if k % 2 else even))
+                for k in range(n + 1 - _TAIL, n + 1)]
+        tail = max(map(abs, last))
+        bound = (2.0 / n * _MARGIN
+                 * (0.5 * (abs(vals[0]) + abs(vals[-1]))
+                    + sum(map(abs, vals[1:-1]))))
+        if tail > max(rel_tol * bound, floor):
+            continue
+        c0 = sum(map(mul, rows[0], even))
+        if tail <= max(rel_tol * abs(c0), floor):
+            return n, even, odd
+        coefs = [c0] + [sum(map(mul, rows[k], odd if k % 2 else even))
+                        for k in range(1, n + 1 - _TAIL)] + last
         if tail <= max(rel_tol * max(map(abs, coefs)), floor):
-            return coefs
+            return n, even, odd
     return None
+
+
+def _integral_series(n: int, even: list[complex], odd: list[complex],
+                     half: float, sign: float) -> list[complex]:
+    # Chebyshev series, highest degree first, of a panel's running integral
+    # in t = (x - mid) / half, zero at the anchor end t = -sign
+    rows = _table(n)[1]
+    c = [sum(map(mul, row, odd if k % 2 else even))
+         for k, row in enumerate(rows)] + [0j, 0j]
+    ints = [0j, sign * half * (c[0] - 0.5 * c[2])]
+    ints += [sign * half * (c[k - 1] - c[k + 1]) / (2 * k)
+             for k in range(2, n + 2)]
+    ints[0] = -sum(v * (-sign) ** k for k, v in enumerate(ints))
+    return ints[::-1]
 
 
 class RunningIntegral:
     """x -> integral of f from the anchor end of [a, b] to x.
 
     The anchor is a (upward) or b (downward, giving the integral from x to
-    b).  Each panel holds the Chebyshev series of its own running integral;
-    whole panels are summed outward from the anchor, never obtained as a
-    total minus a prefix, so a value near the anchor is not the difference
-    of two larger sums.  cuts holds the interior panel boundaries, in order.
+    b).  Each panel's integral is its Clenshaw-Curtis sum, and whole panels
+    are summed outward from the anchor into offsets and total, never
+    obtained as a total minus a prefix, so a value near the anchor is not
+    the difference of two larger sums.  The Chebyshev series of a panel's
+    own running integral is built the first time a point strictly inside
+    (a, b) reads that panel; reads at the anchor end and the far end return
+    0 and total without one.  cuts holds the interior panel boundaries, in
+    order.
     """
 
-    __slots__ = ("a", "b", "downward", "total", "cuts", "_panels")
+    __slots__ = ("a", "b", "downward", "total", "cuts", "_panels", "_series")
 
     def __init__(self, a: float, b: float, downward: bool,
-                 fitted: list[tuple[float, float, list[complex]]]) -> None:
-        # fitted: (lo, hi, coefficients) panels in order from the anchor
+                 fitted: list[tuple[float, float, tuple]]) -> None:
+        # fitted: (lo, hi, (n, even, odd)) panels in order from the anchor
         self.a, self.b, self.downward = a, b, downward
-        sign = -1.0 if downward else 1.0
         acc = 0.0 + 0.0j
         panels = []
-        for lo, hi, coefs in fitted:
+        for lo, hi, fold in fitted:
             half = 0.5 * (hi - lo)
-            n = len(coefs) - 1
-            c = coefs + [0j, 0j]
-            ints = [0j, sign * half * (c[0] - 0.5 * c[2])]
-            ints += [sign * half * (c[k - 1] - c[k + 1]) / (2 * k)
-                     for k in range(2, n + 2)]
-            # zero at the anchor end t = -sign; the total sits at t = sign
-            ints[0] = -sum(v * (-sign) ** k for k, v in enumerate(ints))
-            panels.append((0.5 * (lo + hi), half, ints[::-1], acc))
-            acc += sum(v * sign ** k for k, v in enumerate(ints))
+            panels.append((0.5 * (lo + hi), half, fold, acc))
+            acc += half * sum(map(mul, _table(fold[0])[2], fold[1]))
         self.total = acc
         if downward:
             fitted = fitted[::-1]
             panels.reverse()
         self.cuts = [hi for _, hi, _ in fitted[:-1]]
         self._panels = panels
+        self._series: list[list[complex] | None] = [None] * len(panels)
 
     def __call__(self, x: float) -> complex:
         if not (self.a <= x <= self.b):
@@ -114,7 +148,12 @@ class RunningIntegral:
             return self.total
         if x == (self.b if self.downward else self.a):
             return 0.0 + 0.0j
-        mid, half, rev, offset = self._panels[bisect_right(self.cuts, x)]
+        i = bisect_right(self.cuts, x)
+        mid, half, fold, offset = self._panels[i]
+        rev = self._series[i]
+        if rev is None:
+            rev = self._series[i] = _integral_series(
+                *fold, half, -1.0 if self.downward else 1.0)
         t = min(1.0, max(-1.0, (x - mid) / half))
         t2 = 2.0 * t
         b1 = b2 = 0j
@@ -134,9 +173,15 @@ def cumulative_integral(f, a: float, b: float, *, downward: bool = False,
     and 64 and is accepted once its last Chebyshev coefficients fall below
     max(rel_tol * largest coefficient, abs_tol / panel width), which bounds
     the panel's integral error by about abs_tol or rel_tol relative to the
-    panel's scale.  A panel that fails at degree 64 is bisected; after
-    max_subdivisions bisections, or when a panel reaches machine width,
-    QuadratureFailure is raised instead of returning an unresolved value.
+    panel's scale.  Those last coefficients, against a bound on the largest
+    from the samples' magnitudes, decide most levels; the other rows are
+    formed only when they do not.  The panel's integral is the
+    Clenshaw-Curtis weighted sum of its samples, and its running-integral
+    series is built on the first read inside it, so reading only the ends
+    of [a, b] forms no series.  A panel that fails at degree 64 is
+    bisected; after max_subdivisions bisections, or when a panel reaches
+    machine width, QuadratureFailure is raised instead of returning an
+    unresolved value.
     f must be smooth on each accepted panel, so a kink or jump costs
     bisections down to it unless it is one of the breaks, where the first
     panels are cut.
@@ -149,9 +194,9 @@ def cumulative_integral(f, a: float, b: float, *, downward: bool = False,
     splits = 0
     while pending:
         lo, hi = pending.pop()
-        coefs = _fit(f, lo, hi, abs_tol, rel_tol)
-        if coefs is not None:
-            fitted.append((lo, hi, coefs))
+        fold = _fit(f, lo, hi, abs_tol, rel_tol)
+        if fold is not None:
+            fitted.append((lo, hi, fold))
             continue
         if splits >= max_subdivisions:
             raise QuadratureFailure(

@@ -10,7 +10,10 @@ produced them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
+from operator import mul
 
 import mpmath as mp
 
@@ -331,3 +334,120 @@ def oracle_apply_resolvent(n: int, mu_sq, lam, func, lo, hi, sigma,
                 * x ** (mp.mpf(n) / 2 - 1j * lam)
                 * (1 - x) ** (s / 2 - mp.mpf(n - 1) / 4))
         return complex(pref * (u1(x) * upper + u2(x) * lower))
+
+
+# -- reference Chebyshev panels -----------------------------------------------
+
+@cache
+def _reference_rows(n: int) -> tuple[list[float], list[list[float]]]:
+    # Chebyshev points cos(pi j/n) and the DCT-I rows acting on the folded
+    # values f_j + f_(n-j) (k even) or f_j - f_(n-j) (k odd), j = 0..n/2
+    nodes = [math.cos(math.pi * j / n) for j in range(n + 1)]
+    rows = []
+    for k in range(n + 1):
+        scale = (1.0 if 0 < k < n else 0.5) * 2.0 / n
+        rows.append([scale * (0.5 if j == 0 else 1.0)
+                     * math.cos(math.pi * (j * k % (2 * n)) / n)
+                     for j in range(n // 2 + 1)])
+    return nodes, rows
+
+
+def reference_fit(f, lo: float, hi: float, abs_tol: float,
+                  rel_tol: float) -> list[complex] | None:
+    """Chebyshev coefficients of f on [lo, hi] at the first of the nested
+    degrees 16, 32, 64 whose last 4 coefficients fall below max(rel_tol *
+    largest, abs_tol / width), or None; every coefficient of every level is
+    formed before the level is decided.  quadrature._fit must sample f at
+    the same points and take the same decisions."""
+    mid, half, floor = 0.5 * (lo + hi), 0.5 * (hi - lo), abs_tol / (hi - lo)
+    vals: list = []
+    for n in (16, 32, 64):
+        nodes, rows = _reference_rows(n)
+        if not vals:
+            vals = [f(hi)] + [f(mid + half * t) for t in nodes[1:-1]] + [f(lo)]
+        else:
+            merged = [0j] * (n + 1)
+            merged[0::2] = vals
+            merged[1::2] = [f(mid + half * t) for t in nodes[1::2]]
+            vals = merged
+        m = n // 2
+        even = [u + v for u, v in zip(vals[:m], vals[:m:-1])] + [vals[m]]
+        odd = [u - v for u, v in zip(vals[:m], vals[:m:-1])] + [0j]
+        coefs = [sum(map(mul, row, odd if k % 2 else even))
+                 for k, row in enumerate(rows)]
+        tail = max(map(abs, coefs[-4:]))
+        if tail <= max(rel_tol * max(map(abs, coefs)), floor):
+            return coefs
+    return None
+
+
+class ReferenceRunningIntegral:
+    """The running integral of reference_cumulative_integral: each panel's
+    total is its integral series evaluated at the far end, and every
+    series is built up front.  panels holds (lo, hi, degree) in order of
+    x and panel_totals the panels' integrals in the same order."""
+
+    def __init__(self, a, b, downward, fitted):
+        self.a, self.b, self.downward = a, b, downward
+        sign = -1.0 if downward else 1.0
+        acc = 0.0 + 0.0j
+        series, totals = [], []
+        for lo, hi, coefs in fitted:
+            half = 0.5 * (hi - lo)
+            n = len(coefs) - 1
+            c = coefs + [0j, 0j]
+            ints = [0j, sign * half * (c[0] - 0.5 * c[2])]
+            ints += [sign * half * (c[k - 1] - c[k + 1]) / (2 * k)
+                     for k in range(2, n + 2)]
+            ints[0] = -sum(v * (-sign) ** k for k, v in enumerate(ints))
+            series.append((0.5 * (lo + hi), half, ints[::-1], acc))
+            part = sum(v * sign ** k for k, v in enumerate(ints))
+            totals.append(part)
+            acc += part
+        self.total = acc
+        if downward:
+            fitted, series, totals = fitted[::-1], series[::-1], totals[::-1]
+        self.cuts = [hi for _, hi, _ in fitted[:-1]]
+        self.panels = [(lo, hi, len(coefs) - 1) for lo, hi, coefs in fitted]
+        self.panel_totals = totals
+        self._series = series
+
+    def __call__(self, x):
+        if x == (self.a if self.downward else self.b):
+            return self.total
+        if x == (self.b if self.downward else self.a):
+            return 0.0 + 0.0j
+        mid, half, rev, offset = self._series[bisect_right(self.cuts, x)]
+        t = min(1.0, max(-1.0, (x - mid) / half))
+        t2 = 2.0 * t
+        b1 = b2 = 0j
+        for coef in rev[:-1]:
+            b1, b2 = coef + t2 * b1 - b2, b1
+        return offset + (rev[-1] + t * b1 - b2)
+
+
+def reference_cumulative_integral(f, a, b, *, downward=False, breaks=(),
+                                  abs_tol=1e-10, rel_tol=1e-10,
+                                  max_subdivisions=200):
+    """quadrature.cumulative_integral with reference_fit panels and series
+    built from their full coefficient lists; None where it would raise
+    QuadratureFailure."""
+    edges = [a, *sorted({x for x in breaks if a < x < b}), b]
+    pending = list(zip(edges, edges[1:]))[::1 if downward else -1]
+    fitted = []
+    splits = 0
+    while pending:
+        lo, hi = pending.pop()
+        coefs = reference_fit(f, lo, hi, abs_tol, rel_tol)
+        if coefs is not None:
+            fitted.append((lo, hi, coefs))
+            continue
+        mid = 0.5 * (lo + hi)
+        if splits >= max_subdivisions or mid <= lo or mid >= hi:
+            return None
+        splits += 1
+        if downward:
+            pending += [(lo, mid), (mid, hi)]
+        else:
+            pending += [(mid, hi), (lo, mid)]
+    return ReferenceRunningIntegral(a, b, downward, fitted)

@@ -33,7 +33,7 @@ from hypercone.resolvent import (
     u2,
     wronskian_closed_form,
 )
-from hypercone.verify import specfun_suite
+from hypercone.verify import _NULL_FLOOR, specfun_suite
 
 from oracles import brute_force_circle
 
@@ -188,7 +188,9 @@ def test_criterion_5_probe_agrees_with_classification(capsys):
             assert not probe.is_pole
             zero_ratios.append(probe.ratio)
             checked += 1
-        separation = min(pole_ratios) / max(zero_ratios)
+        # null ratios are roundoff (1e-17 to 1e-19): measure the margin
+        # against the null floor verify reports, not against roundoff
+        separation = min(pole_ratios) / max(max(zero_ratios), _NULL_FLOOR)
         assert separation >= 1e4, f"separation {separation:.3e} < 1e4"
         return (f"{checked} probes agree with classification, "
                 f"magnitude separation {separation:.1e}")

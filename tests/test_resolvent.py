@@ -54,6 +54,8 @@ from oracles import (
     oracle_kernel_functions,
     oracle_u2_series,
     reference_classify_pole,
+    reference_cumulative_integral,
+    reference_fit,
 )
 
 # oracle_u2_series(1, 1.0, 1.0, 0.3, dps=30)
@@ -137,6 +139,158 @@ class TestQuadrature:
             cumulative_integral(lambda x: abs(x - 1 / math.pi) ** -0.5,
                                 0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13,
                                 max_subdivisions=2)
+
+    def test_interior_read_builds_only_its_panel(self):
+        # a panel's series is built on the first read strictly inside the
+        # span that lands in it; the ends read the offsets alone
+        c = 1 / math.pi
+        for downward in (False, True):
+            run = cumulative_integral(lambda x: abs(x - c), 0.0, 1.0,
+                                      downward=downward, breaks=[c, 0.6])
+            assert run.cuts == [c, 0.6]
+            run(0.0)
+            run(1.0)
+            assert run._series == [None, None, None]
+            run(0.5)
+            assert [s is not None for s in run._series] == [False, True, False]
+
+
+def _cheb_sum(coefs):
+    """t -> sum_k coefs[k] T_k(t) on [-1, 1]."""
+    def f(t):
+        th = math.acos(min(1.0, max(-1.0, t)))
+        return sum(c * math.cos(k * th) for k, c in enumerate(coefs))
+    return f
+
+
+def _panel_cases(kind):
+    """(f, a, b, keywords) integrands of one kind for the panel-decision
+    comparison, seeded."""
+    rng = random.Random(1313)
+    if kind == "smooth":
+        out = []
+        for _ in range(6):
+            a = rng.uniform(-2.0, 1.0)
+            b = a + rng.uniform(0.1, 3.0)
+            p, q = rng.uniform(0.5, 3.0), rng.uniform(-1.0, 1.0)
+            out += [(lambda x, p=p: math.exp(p * x), a, b, {}),
+                    (lambda x, p=p, q=q: 1 / (1 + 25 * p * (x - q) ** 2),
+                     a, b, {}),
+                    (lambda x, a=a, p=p: math.sqrt(x - a + 0.01 * p),
+                     a, b, {"rel_tol": 1e-12})]
+        return out
+    if kind == "oscillatory":
+        omegas = [0.5, 3.0, 10.0, 40.0, 100.0, 200.0]
+        omegas += [rng.uniform(1.0, 200.0) for _ in range(4)]
+        return [(lambda x, w=w: cmath.exp(1j * w * x), 0.0, 1.0, {})
+                for w in omegas]
+    if kind == "near_pole":
+        out = []
+        for _ in range(6):
+            x0, eps = rng.uniform(0.1, 0.9), 10 ** rng.uniform(-3.0, -1.0)
+            out.append((lambda x, x0=x0, eps=eps: 1 / (x - x0 - 1j * eps),
+                        0.0, 1.0, {}))
+        return out
+    if kind == "kink":
+        out = []
+        for _ in range(4):
+            c = rng.uniform(0.2, 0.8)
+            out += [(lambda x, c=c: abs(x - c) ** 1.5 + x, 0.0, 1.0,
+                     {"breaks": [c]}),
+                    (lambda x, c=c: abs(x - c), 0.0, 1.0, {})]
+        return out
+    # the levels the tail rows cannot decide alone: c_0 = 0 (odd about the
+    # panel midpoint), samples of T_k (at degree 2k, |c_k| equals the
+    # bound on every coefficient), tails within 1% of rel_tol * max |c_k|
+    # on either side, and zero
+    out = [(lambda x: math.sin(3.0 * (x - 0.5)), 0.0, 1.0, {}),
+           (lambda x: (x - 0.2) ** 3 - (x - 0.2), -0.8, 1.2, {})]
+    for k in (16, 32, 64):
+        t_k = _cheb_sum([0.0] * k + [1.0])
+        out += [(t_k, -1.0, 1.0, {"abs_tol": 0.0}),
+                (t_k, -1.0, 1.0, {"abs_tol": 0.0, "rel_tol": 0.5})]
+    for scale in (0.99, 1.01):
+        coefs = [1e-3, 1.0] + [0.5 ** k for k in range(2, 13)]
+        coefs += [0.0, 0.0, 0.0, scale * 1e-8]
+        out.append((_cheb_sum(coefs), -1.0, 1.0,
+                    {"abs_tol": 0.0, "rel_tol": 1e-8}))
+        # at degree 32, |c_16| = 1 is the bound itself
+        out.append((_cheb_sum([0.0] * 16 + [1.0] + [0.0] * 15 + [1e-8]),
+                    -1.0, 1.0, {"abs_tol": 0.0, "rel_tol": 1e-8 / scale}))
+    out += [(lambda x: 0.0, 0.0, 1.0, {}),
+            (lambda x: 0j, 0.0, 1.0, {"abs_tol": 0.0})]
+    return out
+
+
+class TestPanelDecisions:
+    """cumulative_integral forms only the Chebyshev rows it reads; it must
+    take the decisions of the full-coefficient reference."""
+
+    @pytest.mark.parametrize("kind", ["smooth", "oscillatory", "near_pole",
+                                      "kink", "undecidable"])
+    @pytest.mark.parametrize("downward", [False, True])
+    def test_same_panels_as_full_coefficients(self, kind, downward):
+        for f, a, b, kw in _panel_cases(kind):
+            seen, ref_seen = [], []
+
+            def g(x):
+                seen.append((x, f(x)))
+                return seen[-1][1]
+
+            def ref_g(x):
+                ref_seen.append((x, f(x)))
+                return ref_seen[-1][1]
+
+            run = cumulative_integral(g, a, b, downward=downward, **kw)
+            ref = reference_cumulative_integral(ref_g, a, b,
+                                                downward=downward, **kw)
+            assert seen == ref_seen
+            assert run.cuts == ref.cuts
+            edges = [a, *run.cuts, b]
+            panels = [(lo, hi, fold[0]) for (lo, hi), (_, _, fold, _)
+                      in zip(zip(edges, edges[1:]), run._panels)]
+            assert panels == ref.panels
+            # totals differ only by the roundoff of the sums: against
+            # width * max |f| per panel, since the panel integrals
+            # themselves cancel (oscillatory) or vanish (odd integrands)
+            scale = sum((hi - lo) * max(abs(v) for x, v in seen
+                                        if lo <= x <= hi)
+                        for lo, hi, _ in ref.panels)
+            assert abs(run.total - ref.total) <= 1e-15 * scale
+            first_lo, first_hi, _ = ref.panels[-1 if downward else 0]
+            for i in range(1, 40):
+                x = a + (b - a) * i / 40
+                if first_lo < x < first_hi:
+                    assert run(x) == ref(x)
+                else:
+                    assert abs(run(x) - ref(x)) <= 1e-15 * scale
+
+    def test_resolvent_fits_take_reference_decisions(self, monkeypatch):
+        # every fit of the resolvent's running integrals, of the Green
+        # pairing's outer integral and of the residual check samples the
+        # integrand where the reference does and accepts the same degree
+        degrees = []
+        inner = quadrature._fit
+
+        def checked(f, lo, hi, abs_tol, rel_tol):
+            seen, ref_seen = [], []
+            got = inner(lambda x: seen.append(x) or f(x), lo, hi,
+                        abs_tol, rel_tol)
+            want = reference_fit(lambda x: ref_seen.append(x) or f(x), lo,
+                                 hi, abs_tol, rel_tol)
+            assert seen == ref_seen
+            degree = None if got is None else got[0]
+            assert degree == (None if want is None else len(want) - 1)
+            degrees.append(degree)
+            return got
+
+        monkeypatch.setattr(quadrature, "_fit", checked)
+        residue_probe(1, Mode(0.0, 1, Fraction(0)), -0.5j)
+        residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
+        green_pairing(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.45),
+                      RadialProfile.bump(0.41, 0.56))
+        residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
+        assert {16, 32} <= set(degrees)
 
 
 class TestCoordinateMap:
@@ -433,8 +587,9 @@ class TestGridPath:
     @pytest.fixture
     def counted(self, monkeypatch):
         """Record each running integral the resolvent builds, as
-        (a, b, downward), and count its integrand evaluations."""
-        spans, evals = [], []
+        (a, b, downward), and count its integrand evaluations; the
+        integrals themselves are kept in counted.runs."""
+        spans, evals, runs = [], [], []
 
         def counting(f, a, b, **kw):
             spans.append((a, b, kw.get("downward", False)))
@@ -442,15 +597,16 @@ class TestGridPath:
             def g(x):
                 evals.append(x)
                 return f(x)
-            return quadrature.cumulative_integral(g, a, b, **kw)
+            runs.append(quadrature.cumulative_integral(g, a, b, **kw))
+            return runs[-1]
 
         monkeypatch.setattr(resolvent, "cumulative_integral", counting)
-        return spans, evals
+        return spans, evals, runs
 
     def test_running_integral_spans(self, counted):
         # f g1 w runs upward from lo, f u2 w downward from hi, each only as
         # far as the evaluation point needs
-        spans, _ = counted
+        spans, _, _ = counted
         f = RadialProfile.bump(0.3, 0.6)
         for sigma, want in ((0.2, [(0.3, 0.6, True)]),
                             (0.45, [(0.3, 0.45, False), (0.45, 0.6, True)]),
@@ -460,7 +616,7 @@ class TestGridPath:
             assert sorted(spans) == want
 
     def test_grid_size_does_not_change_evaluations(self, counted):
-        spans, evals = counted
+        spans, evals, _ = counted
         n, mode, lam = 2, Mode(2.0, 1), 1 - 0.7j
         f = RadialProfile.bump(0.3, 0.6)
         kd = _KernelData(n, hypergeom_params(n, mode, lam), _TIGHT)
@@ -479,9 +635,32 @@ class TestGridPath:
         # two running integrals of degree 32 (66 evaluations) on this case;
         # the per-segment adaptive Gauss-Kronrod path it replaced made
         # about 7,600
-        _, evals = counted
+        _, evals, _ = counted
         residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
-        assert 0 < len(evals) <= 100
+        assert len(evals) == 66
+
+    @pytest.mark.parametrize("sigma,count", [(0.2, 33), (0.45, 50),
+                                             (0.7, 33)])
+    def test_one_point_reads_totals_only(self, counted, sigma, count):
+        # below, inside and above the support: the evaluations the
+        # full-coefficient panels made, and a point at the ends of both
+        # integrals builds no panel series
+        _, evals, runs = counted
+        f = RadialProfile.bump(0.3, 0.6)
+        apply_resolvent(2, Mode(2.0, 1), 1 + 0.5j, f, sigma)
+        assert len(evals) == count
+        assert runs
+        assert all(s is None for run in runs for s in run._series)
+
+    @pytest.mark.parametrize("n,mode,lam0,count", [
+        (1, Mode(0.0, 1, Fraction(0)), -0.5j, 450),   # 9 resolvents, on axis
+        (2, Mode(2.0, 1), 0.7 + 0.9j, 544),           # 16, off the axis
+    ])
+    def test_residue_probe_evaluations(self, counted, n, mode, lam0, count):
+        _, evals, runs = counted
+        residue_probe(n, mode, lam0)
+        assert len(evals) == count
+        assert all(s is None for run in runs for s in run._series)
 
     @pytest.mark.parametrize("lam", [1 + 0.5j, 1 - 0.7j])
     def test_grid_matches_single_points(self, lam):
@@ -994,7 +1173,7 @@ class TestGreenPairing:
         # the outer integral is the cumulative_integral given breaks: two
         # degree-32 panels (66 evaluations) on this overlap, against the
         # 257 fixed Simpson nodes it replaced
-        outer = []
+        outer, runs = [], []
 
         def counting(func, a, b, **kw):
             if "breaks" not in kw:
@@ -1003,12 +1182,15 @@ class TestGreenPairing:
             def counted(x):
                 outer.append(x)
                 return func(x)
-            return quadrature.cumulative_integral(counted, a, b, **kw)
+            runs.append(quadrature.cumulative_integral(counted, a, b, **kw))
+            return runs[-1]
 
         monkeypatch.setattr(resolvent, "cumulative_integral", counting)
         green_pairing(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.45),
                       RadialProfile.bump(0.41, 0.56))
-        assert 0 < len(outer) <= 130
+        assert len(outer) == 66
+        # only the total of the outer integral is read
+        assert runs[-1]._series == [None, None]
 
     def test_unresolved_outer_integrand_raises(self):
         # a pairing profile with an inverse square root singularity inside
