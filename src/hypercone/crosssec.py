@@ -21,6 +21,9 @@ from pathlib import Path
 from .errors import InvalidDimension, InvalidRadius, ParseError, ValidationError
 
 _EXACT_MATCH_TOL = 1e-15
+# a float this near a lattice is undecidable: s to 1/2 + Z here, and in
+# resonances a, b, c to {0, -1, ...} and resonance positions to each other
+_LATTICE_TOL = 1e-9
 
 
 class GenericityVerdict(enum.Enum):
@@ -151,7 +154,8 @@ _MODE_KEYS = {"mu_sq", "mu_sq_exact", "m"}
 
 
 def _parse_mode_entry(entry, idx: int) -> list:
-    # [mu_sq, m, mu_sq_exact], checked as Mode() would check them
+    # [mu_sq, m, mu_sq_exact], checked as Mode() will check them again,
+    # but here in file order: NaN is refused before the merge sorts, by idx
     if not isinstance(entry, dict):
         raise ValidationError(f"modes[{idx}] must be an object")
     unknown = set(entry) - _MODE_KEYS
@@ -297,14 +301,20 @@ def _half_odd(root: tuple[int, int] | None) -> bool:
     return root is not None and root[1] == 2
 
 
+def _near_half_odd(s: float) -> bool:
+    # the float test: s within _LATTICE_TOL of 1/2 + Z
+    return (abs(s - (math.floor(s) + 0.5)) <= _LATTICE_TOL
+            or abs(s - (math.floor(s) - 0.5)) <= _LATTICE_TOL)
+
+
 def is_generic(mode: Mode, n: int) -> GenericityVerdict:
     """Decide whether s = sqrt(((n-1)/2)^2 + mu^2) avoids 1/2 + Z.
 
     Modes with s in 1/2 + Z contribute no resonances.  With an exact mu_sq
     the test is exact: _exact_s finds s when it is rational, and s is in
     1/2 + Z iff its reduced denominator is 2.  On floats the verdict is
-    generic when s is farther than 1e-9 from the half-odd lattice and
-    unknown_float when within it.
+    generic when s is farther than _LATTICE_TOL (1e-9) from the half-odd
+    lattice and unknown_float when within it (_near_half_odd).
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
@@ -312,7 +322,6 @@ def is_generic(mode: Mode, n: int) -> GenericityVerdict:
         if _half_odd(_exact_s(n, mode.mu_sq_exact)[1]):
             return GenericityVerdict.NON_GENERIC
         return GenericityVerdict.GENERIC
-    s = math.sqrt(((n - 1) / 2.0) ** 2 + mode.mu_sq)
-    if abs(s - (math.floor(s) + 0.5)) <= 1e-9 or abs(s - (math.floor(s) - 0.5)) <= 1e-9:
+    if _near_half_odd(math.sqrt(((n - 1) / 2.0) ** 2 + mode.mu_sq)):
         return GenericityVerdict.UNKNOWN_FLOAT
     return GenericityVerdict.GENERIC

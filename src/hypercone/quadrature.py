@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
@@ -24,6 +25,23 @@ from .errors import DomainError, QuadratureFailure
 _DEGREES = (16, 32, 64)   # nested Clenshaw-Curtis levels tried per panel
 _TAIL = 4                 # trailing coefficients that must have decayed
 _MARGIN = 1.0 + 1e-12     # keeps roundoff from flipping a shortcut decision
+
+
+@dataclass(frozen=True)
+class QuadratureControl:
+    """Tolerances of a running integral (cumulative_integral).
+
+    Each Chebyshev panel is accepted once its last coefficients fall below
+    max(rel_tol * its largest coefficient, abs_tol / its width), so a
+    panel's integral error is at most about abs_tol or rel_tol relative to
+    the integrand's scale there.  max_subdivisions is the number of panel
+    bisections one running integral may spend before QuadratureFailure is
+    raised.
+    """
+
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-10
+    max_subdivisions: int = 200
 
 
 @cache
@@ -162,26 +180,24 @@ class RunningIntegral:
         return offset + (rev[-1] + t * b1 - b2)
 
 
-def cumulative_integral(f, a: float, b: float, *, downward: bool = False,
-                        breaks=(),
-                        abs_tol: float = 1e-10, rel_tol: float = 1e-10,
-                        max_subdivisions: int = 200) -> RunningIntegral:
+def cumulative_integral(f, a: float, b: float, *,
+                        control: QuadratureControl = QuadratureControl(),
+                        downward: bool = False,
+                        breaks=()) -> RunningIntegral:
     """Running integral of complex-valued f on [a, b], from a (or from b
-    when downward).
+    when downward), to control's tolerances.
 
     Each panel samples f at nested Clenshaw-Curtis points of degree 16, 32
-    and 64 and is accepted once its last Chebyshev coefficients fall below
-    max(rel_tol * largest coefficient, abs_tol / panel width), which bounds
-    the panel's integral error by about abs_tol or rel_tol relative to the
-    panel's scale.  Those last coefficients, against a bound on the largest
-    from the samples' magnitudes, decide most levels; the other rows are
-    formed only when they do not.  The panel's integral is the
+    and 64 and is accepted by control's test on its last Chebyshev
+    coefficients (QuadratureControl).  Those coefficients, against a bound
+    on the largest from the samples' magnitudes, decide most levels; the
+    other rows are formed only when they do not.  The panel's integral is the
     Clenshaw-Curtis weighted sum of its samples, and its running-integral
     series is built on the first read inside it, so reading only the ends
     of [a, b] forms no series.  A panel that fails at degree 64 is
-    bisected; after max_subdivisions bisections, or when a panel reaches
-    machine width, QuadratureFailure is raised instead of returning an
-    unresolved value.
+    bisected; after control.max_subdivisions bisections, or when a panel
+    reaches machine width, QuadratureFailure is raised instead of returning
+    an unresolved value.
     f must be smooth on each accepted panel, so a kink or jump costs
     bisections down to it unless it is one of the breaks, where the first
     panels are cut.
@@ -194,14 +210,14 @@ def cumulative_integral(f, a: float, b: float, *, downward: bool = False,
     splits = 0
     while pending:
         lo, hi = pending.pop()
-        fold = _fit(f, lo, hi, abs_tol, rel_tol)
+        fold = _fit(f, lo, hi, control.abs_tol, control.rel_tol)
         if fold is not None:
             fitted.append((lo, hi, fold))
             continue
-        if splits >= max_subdivisions:
+        if splits >= control.max_subdivisions:
             raise QuadratureFailure(
-                f"Chebyshev panels unresolved after {max_subdivisions} "
-                f"subdivisions (at [{lo!r}, {hi!r}])")
+                f"Chebyshev panels unresolved after {control.max_subdivisions}"
+                f" subdivisions (at [{lo!r}, {hi!r}])")
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             raise QuadratureFailure(

@@ -48,7 +48,7 @@ from .errors import (
     ProbeInconclusive,
     ValidationError,
 )
-from .quadrature import cumulative_integral
+from .quadrature import QuadratureControl, cumulative_integral
 from .resonances import (
     HypergeomParams,
     _lattice_indices,
@@ -56,7 +56,6 @@ from .resonances import (
     s_param,
 )
 from .specfun import (
-    _ROUNDOFF as _SERIES,
     _Ladder,
     _hyp2f1,
     _series_seed,
@@ -68,25 +67,6 @@ from .specfun import (
 from .crosssec import Mode
 
 
-@dataclass(frozen=True)
-class QuadratureControl:
-    """Tolerances of the resolvent's running integrals.
-
-    Each Chebyshev panel of a running integral is accepted once its last
-    coefficients fall below max(rel_tol * its largest coefficient,
-    abs_tol / its width), so a panel's integral error is at most about
-    abs_tol or rel_tol relative to the integrand's scale there.
-    max_subdivisions is the number of panel bisections one running integral
-    may spend before QuadratureFailure is raised.  The fields are passed to
-    quadrature.cumulative_integral as its keyword arguments of those names.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-
-_DEFAULT_QC = QuadratureControl()
 # running integrals feed finite differences, so they run tight
 _GRID_QC = QuadratureControl(abs_tol=1e-15, rel_tol=5e-14, max_subdivisions=60)
 
@@ -183,9 +163,6 @@ class RadialProfile:
     @classmethod
     def bump(cls, lo: float = 0.3, hi: float = 0.6) -> "RadialProfile":
         """C^2 bump ((sigma-lo)(hi-sigma))^3, normalized to peak value 1."""
-        if not (0.0 < lo < hi < 1.0):
-            raise ValidationError(
-                f"support must satisfy 0 < lo < hi < 1, got {(lo, hi)!r}")
         scale = ((hi - lo) / 2.0) ** 6
 
         def f(x: float) -> float:
@@ -207,7 +184,7 @@ def u1(p: HypergeomParams, sigma: float) -> complex:
     if is_nonpositive_integer(p.c) or _lattice_indices(p)[2] is not None:
         raise LowerParameterPole(
             f"c = {p.c} is a non-positive integer; F(a,b;c;z) is undefined")
-    return hyp2f1(p.a, p.b, p.c, sigma, _SERIES)
+    return hyp2f1(p.a, p.b, p.c, sigma)
 
 
 def u2(p: HypergeomParams, sigma: float) -> complex:
@@ -219,7 +196,7 @@ def u2(p: HypergeomParams, sigma: float) -> complex:
     if not (0.0 < sigma <= 1.0):
         raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
     return _hyp2f1(complex(p.a), complex(p.b), complex(1.0 + p.s),
-                   1.0 - sigma, sigma, _SERIES)
+                   1.0 - sigma, sigma)
 
 
 def _lattice_limit(p: HypergeomParams, pole: type[Exception]):
@@ -282,11 +259,8 @@ class _KernelData:
     at c = -C by _lattice_seed.  A genuine pole raises PoleEvaluation.
     """
 
-    def __init__(self, n: int, p: HypergeomParams,
-                 qc: QuadratureControl) -> None:
-        self.n = n
+    def __init__(self, n: int, p: HypergeomParams) -> None:
         self.p = p
-        self.qc = qc
         self.alpha = 0.5 * n - 1j * p.lam
         self.beta = -(n - 1) / 4.0 + 0.5 * p.s
         self.e1 = -1.0 - 0.5 * n - 1j * p.lam
@@ -300,12 +274,12 @@ class _KernelData:
                 f"(a = {p.a}, b = {p.b}, c = {p.c})")
         self.inv_g1s = 1.0 / gamma(complex(1.0 + p.s))
         if ic is None:
-            seed = _series_seed(coef, a, b, c, _SERIES, self.kmin)
+            seed = _series_seed(coef, a, b, c, kmin=self.kmin)
         else:
             seed = self._lattice_seed(coef if order == 0 else 0.0, ia, ib, ic)
         self.f1 = _Ladder(a, b, c, seed)
         c2 = complex(1.0 + p.s)
-        self.f2 = _Ladder(a, b, c2, _series_seed(1.0 + 0.0j, a, b, c2, _SERIES))
+        self.f2 = _Ladder(a, b, c2, _series_seed(1.0 + 0.0j, a, b, c2))
 
     # G1(z) = Gamma(a)Gamma(b)/Gamma(c) * F(a,b;c;z), poles fused into terms
     def g1(self, z: float) -> complex:
@@ -336,7 +310,7 @@ class _KernelData:
             head.append(head[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
         k = c_index + 1
         t_k = cmath.exp(ln_gamma(a + k) + ln_gamma(b + k) - math.lgamma(k + 1))
-        tail = _series_seed(t_k, a + k, b + k, complex(k + 1), _SERIES)
+        tail = _series_seed(t_k, a + k, b + k, complex(k + 1))
 
         def seed(z: float) -> tuple[complex, complex]:
             val, slope = tail(z)
@@ -374,20 +348,22 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
     if not (0.0 < sigma < 1.0):
         raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
     p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im_exact)
-    kd = _KernelData(n, p, control or _DEFAULT_QC)
-    return _resolvent(kd, f, sigma, sigma)[0](sigma)
+    kd = _KernelData(n, p)
+    return _resolvent(kd, f, sigma, sigma,
+                      control or QuadratureControl())[0](sigma)
 
 
-def _resolvent(kd: _KernelData, f: RadialProfile, a: float,
-               b: float) -> tuple[Callable[[float], complex], list[float]]:
+def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
+               control: QuadratureControl
+               ) -> tuple[Callable[[float], complex], list[float]]:
     """x -> (R f)(x) on [a, b], and the panel cuts it reads across.
 
     f g1 w is integrated upward from lo as far as min(b, hi) when b > lo,
     and f u2 w downward from hi as far as max(a, lo) when a < hi.  Each is
-    one quadrature.cumulative_integral, whose panels depend only on its
-    span, so a point costs one Clenshaw sum per integral and any span
-    straddling the support costs the same integrand evaluations.  The
-    integrands read f.func on the closed support, so a profile that is
+    one quadrature.cumulative_integral under control, whose panels depend
+    only on its span, so a point costs one Clenshaw sum per integral and
+    any span straddling the support costs the same integrand evaluations.
+    The integrands read f.func on the closed support, so a profile that is
     nonzero at lo or hi is still smooth there.  The cuts are the interior
     panel boundaries of both integrals, where (R f) is smooth only to the
     integrals' tolerance.  This is the only place the kernel
@@ -399,12 +375,12 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float,
     if b > lo:
         lower = cumulative_integral(
             lambda r: func(r) * kd.g1(r) * kd.rho_weight(r),
-            lo, min(b, hi), **vars(kd.qc))
+            lo, min(b, hi), control=control)
         cuts += lower.cuts
     if a < hi:
         upper = cumulative_integral(
             lambda r: func(r) * kd.u2(r) * kd.rho_weight(r),
-            max(a, lo), hi, downward=True, **vars(kd.qc))
+            max(a, lo), hi, control=control, downward=True)
         cuts += upper.cuts
 
     def rf(x: float) -> complex:
@@ -467,7 +443,7 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
         raise ValidationError("grid must be strictly increasing")
     lam = complex(lam)
     p = hypergeom_params(n, mode, lam)
-    kd = _KernelData(n, p, control or _GRID_QC)
+    kd = _KernelData(n, p)
     mu_sq = mode.mu_sq
     shift = lam * lam + 0.25 * n * n
 
@@ -492,7 +468,7 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
         raise ValidationError(f"grid spacing{where} must be at least 10 h")
     offsets = (-2, -1, 0, 1, 2)
     ends = [to_sigma(xs[0] - 2 * h), to_sigma(xs[-1] + 2 * h)]
-    rf, _ = _resolvent(kd, f, min(ends), max(ends))
+    rf, _ = _resolvent(kd, f, min(ends), max(ends), control or _GRID_QC)
     norm = 1.0 + max(abs(f(to_sigma(x))) for x in xs)
     residuals = []
     for x in xs:
@@ -523,12 +499,12 @@ def green_pairing(n: int, mode: Mode, lam: complex, f: RadialProfile,
     cannot resolve raises QuadratureFailure, not a low-accuracy value.
     """
     p = hypergeom_params(n, mode, lam)
-    kd = _KernelData(n, p, control or _GRID_QC)
+    control = control or _GRID_QC
     lo, hi = g.support
-    rf, cuts = _resolvent(kd, f, lo, hi)
+    rf, cuts = _resolvent(_KernelData(n, p), f, lo, hi, control)
     return cumulative_integral(
         lambda x: rf(x) * g.func(x) * measure_density(n, x), lo, hi,
-        breaks=[*f.support, *cuts], **vars(kd.qc)).total
+        control=control, breaks=[*f.support, *cuts]).total
 
 
 # -- contour probe for genuine poles -------------------------------------------
@@ -584,7 +560,6 @@ def residue_probe(n: int, mode: Mode, lam0: complex, *,
         raise ValidationError(f"threshold must be > 0, got {threshold!r}")
     f = profile if profile is not None else RadialProfile.bump()
     lam0 = complex(lam0)
-    qc = control or _DEFAULT_QC
     mirror = lam0.real == 0.0 and points % 2 == 0
     real = True   # every value f.func has returned so far is real
 
@@ -607,7 +582,7 @@ def residue_probe(n: int, mode: Mode, lam0: complex, *,
             um = samples[twin].conjugate()
         else:
             lam = lam0 + radius * phase
-            um = apply_resolvent(n, mode, lam, src, sigma0, control=qc)
+            um = apply_resolvent(n, mode, lam, src, sigma0, control=control)
         samples.append(um)
         acc += um * phase
         max_abs = max(max_abs, abs(um))

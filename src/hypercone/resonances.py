@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .crosssec import (
-    GenericityVerdict,
+    _LATTICE_TOL,
     Mode,
     SpectrumSpec,
     _exact_s,
     _half_odd,
-    is_generic,
+    _near_half_odd,
 )
 from .errors import (
     InconsistentParams,
@@ -37,8 +37,6 @@ from .errors import (
     UndecidableMembership,
     ValidationError,
 )
-
-_LATTICE_TOL = 1e-9
 
 # (rational part, coefficient of s); exact value is rat + coef * s
 _Sym = tuple[Fraction, Fraction]
@@ -362,19 +360,20 @@ def _generic_modes(spec: SpectrumSpec) -> list[tuple[Mode, float,
     """The genericity scan: every generic mode with its s as _s_data gives
     it, in spectrum order.
 
-    Genericity and s come from one exact s per mode; only float-only modes
-    run the float test of is_generic.  Raises UndecidableMembership at the
-    first float-only mode within 1e-9 of the half-odd-integer lattice.
+    Genericity and s come from one s per mode: exact where mu^2 is, and
+    otherwise the float that is_generic tests too, read by the same
+    _near_half_odd.  Raises UndecidableMembership at the first float-only
+    mode within _LATTICE_TOL of the half-odd-integer lattice.
     """
     n = spec.dimension_n
     generic = []
     for mode in spec.modes:
-        if (mode.mu_sq_exact is None and is_generic(mode, n)
-                is GenericityVerdict.UNKNOWN_FLOAT):
+        value, root, sq = _s_data(n, mode)
+        if mode.mu_sq_exact is None and _near_half_odd(value):
             raise UndecidableMembership(
                 f"mode j = {mode.label} (mu_sq = {mode.mu_sq}) sits within "
-                f"1e-9 of the half-odd-integer lattice without an exact form")
-        value, root, sq = _s_data(n, mode)
+                f"{_LATTICE_TOL} of the half-odd-integer lattice without an "
+                f"exact form")
         if not _half_odd(root):
             generic.append((mode, value, root, sq))
     return generic

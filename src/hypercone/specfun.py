@@ -59,17 +59,21 @@ _LN_PI = 1.1447298858494001741
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Stopping rule for hypergeometric series.
+    """Term budget for hypergeometric series.
 
-    A series stops once |term| <= rel_tol * |partial sum| for three
-    consecutive terms; exceeding max_terms raises NoConvergence.
+    Every 2F1 sum stops at roundoff, once |term| <= _ROUNDOFF |partial sum|
+    for three consecutive terms; a sum that needs more than max_terms terms
+    raises NoConvergence instead.
     """
 
-    rel_tol: float = 1e-14
     max_terms: int = 10000
 
 
 _DEFAULT_CTL = SeriesControl()
+# sums stop at _ROUNDOFF; an expansion whose edge seeds its successor runs
+# on to _EDGE_TOL, as the derivative read there weights coefficient j by j
+_ROUNDOFF = 3e-16
+_EDGE_TOL = 1e-19
 
 
 def is_nonpositive_integer(z: complex) -> bool:
@@ -163,11 +167,13 @@ def pochhammer(a: complex, k: int) -> complex:
 
 def gauss_series(a: complex, b: complex, c: complex, z: float,
                  ctl: SeriesControl | None = None) -> complex:
-    """Defining 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) z^k.
+    """Defining 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) z^k, summed to
+    roundoff within ctl's term budget.
 
-    Converges for |z| < 1.  Raises LowerParameterPole for c in {0, -1, ...}.
-    This is the raw sum: hyp2f1 uses it up to its seed bound and continues
-    the ODE beyond.
+    Converges for |z| < 1; near z = 1 it takes about 36/(1 - z) terms, and
+    its roundoff grows in proportion.  Raises LowerParameterPole for c in
+    {0, -1, ...}.  This is the raw sum: hyp2f1 uses it up to its seed bound
+    and continues the ODE beyond.
     """
     c = complex(c)
     if is_nonpositive_integer(c):
@@ -179,15 +185,14 @@ def gauss_series(a: complex, b: complex, c: complex, z: float,
 def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
                 ctl: SeriesControl, kmin: int = 0) -> complex:
     # the one 2F1 term loop: term is the 0th term, step k multiplies it by
-    # (a+k)(b+k)/((c+k)(k+1)) z; SeriesControl's rule, applied once
-    # k >= kmin, ends the sum
-    tol = ctl.rel_tol
+    # (a+k)(b+k)/((c+k)(k+1)) z; three terms in a row at most _ROUNDOFF
+    # of the sum, once k >= kmin, end it
     total = term
     small = 0
     for k in range(ctl.max_terms):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= _ROUNDOFF * abs(total):
             small += 1
             if small >= 3 and k >= kmin:
                 return total
@@ -198,7 +203,7 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
 
 
 def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
-                dy0: complex, r: float, ctl: SeriesControl) -> list[complex]:
+                dy0: complex, r: float, tol: float) -> list[complex]:
     """Scaled Taylor coefficients y_j r^j, j = 0, 1, ..., about z = m of the
     solution of z(1-z)y'' + [c - (a+b+1)z]y' - ab y = 0 (DLMF 15.10.1) with
     y(m) = y0 and y'(m) = dy0, so y(m + r tau) = sum_j coeffs[j] tau^j.
@@ -208,10 +213,10 @@ def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
         y_{j+2} = [(j+a)(j+b) y_j - (j+1)((1-2m)j + c - (a+b+1)m) y_{j+1}]
                   / (m(1-m)(j+1)(j+2)),
 
-    which converges for |t| < min(m, 1-m).  The coefficients stop by
-    SeriesControl's rule, with the largest |y_j| r^j so far as the scale:
-    three consecutive |y_j| r^j <= rel_tol * scale end the list and are
-    left out of it, and max_terms steps without that raise NoConvergence.
+    which converges for |t| < min(m, 1-m).  The coefficients stop at tol
+    relative to the largest |y_j| r^j so far: three consecutive
+    |y_j| r^j <= tol * scale end the list and are left out of it, and the
+    default term budget of steps without that raises NoConvergence.
     Scaling by r keeps the coefficients finite for anchors m near 0 or 1.
     """
     lin = c - (a + b + 1.0) * m
@@ -220,9 +225,8 @@ def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
     q1 = r / (m * (1.0 - m))
     coeffs = [y0, dy0 * r]
     scale = max(abs(y0), abs(coeffs[1]))
-    tol = ctl.rel_tol
     small = 0
-    for j in range(ctl.max_terms):
+    for j in range(_DEFAULT_CTL.max_terms):
         nxt = (((j + a) * (j + b) * q0 * coeffs[j]
                 - (j + 1) * (slope * j + lin) * q1 * coeffs[j + 1])
                / ((j + 1) * (j + 2)))
@@ -238,14 +242,9 @@ def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
             small = 0
     raise NoConvergence(
         f"2F1 Taylor expansion about z = {m} did not settle within "
-        f"{ctl.max_terms} terms")
+        f"{_DEFAULT_CTL.max_terms} terms")
 
 
-# _ROUNDOFF sums to roundoff (ladder points, hyp2f1 above 1/2, the kernels);
-# an expansion whose edge starts its successor runs on to _EDGE_CTL, as the
-# derivative read there weights coefficient j by j.
-_ROUNDOFF = SeriesControl(rel_tol=3e-16, max_terms=10000)
-_EDGE_CTL = SeriesControl(rel_tol=1e-19, max_terms=10000)
 _MAX_RUNGS = 10000  # expansions per ladder; the count grows like S ln(1/dist)
 
 
@@ -259,7 +258,7 @@ def _seed_bound(a: complex, b: complex, c: complex) -> float:
 
 
 def _series_seed(term: complex, a: complex, b: complex, c: complex,
-                 ctl: SeriesControl, kmin: int = 0):
+                 ctl: SeriesControl = _DEFAULT_CTL, kmin: int = 0):
     """m -> (term F(a, b; c; m), term F'(a, b; c; m)) by the series and its
     contiguous derivative (ab/c) F(a+1, b+1; c+1; m)."""
     dterm = term * a * b / c
@@ -353,7 +352,7 @@ class _Ladder:
         if self._seeded(key - 1):
             coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _ROUNDOFF)
             return m, r, coeffs[::-1], None
-        coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _EDGE_CTL)
+        coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _EDGE_TOL)
         edge = -1.0 if key < 0 else 1.0
         val = slope = 0.0 + 0.0j
         for cj in reversed(coeffs):
@@ -361,7 +360,7 @@ class _Ladder:
             val = val * edge + cj
         if key == 0:  # the successor of 1/2 runs in t = 1 - z
             slope = -slope
-        floor = _ROUNDOFF.rel_tol * max(map(abs, coeffs))
+        floor = _ROUNDOFF * max(map(abs, coeffs))
         keep = len(coeffs)
         while keep > 1 and abs(coeffs[keep - 1]) <= floor:
             keep -= 1
@@ -374,9 +373,9 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float,
 
     The defining series up to the seed bound x0 = min(3/4, 2 max(|c|, 1)/|ab|)
     and for terminating (polynomial) cases; above x0 the ODE continuation of
-    _Ladder, seeded by the series; ctl sets its stopping rule, at roundoff or
-    tighter above z = 1/2.  Raises LowerParameterPole for c in {0, -1, ...}
-    and NoConvergence where the ladder needs over _MAX_RUNGS expansions.
+    _Ladder, seeded by the series.  Every sum stops at roundoff within ctl's
+    term budget.  Raises LowerParameterPole for c in {0, -1, ...} and
+    NoConvergence past that budget or _MAX_RUNGS expansions.
     """
     if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
         raise DomainError(f"hyp2f1 argument must be a real in [0, 1), got {z!r}")
@@ -386,12 +385,10 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float,
 
 
 def _hyp2f1(a: complex, b: complex, c: complex, z: float, d: float,
-            ctl: SeriesControl) -> complex:
+            ctl: SeriesControl = _DEFAULT_CTL) -> complex:
     # hyp2f1 at z given with its exact distance d = 1 - z
     if is_nonpositive_integer(c):
         raise LowerParameterPole(f"hyp2f1 lower parameter c = {c}")
-    if z > 0.5 and ctl.rel_tol > _ROUNDOFF.rel_tol:
-        ctl = SeriesControl(_ROUNDOFF.rel_tol, ctl.max_terms)
     if (z <= _seed_bound(a, b, c) or is_nonpositive_integer(a)
             or is_nonpositive_integer(b)):
         # a polynomial case terminates exactly, at any z
@@ -407,7 +404,7 @@ def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float,
     the limit (a)_{m+1} (b)_{m+1} z^{m+1} / (m+1)! F(a+m+1, b+m+1; m+2; z)
     (DLMF 15.2.3), again by hyp2f1, with the binary exponent carried apart
     so that c <= -170 stays finite; exactly 0 where a or b is -j, j <= m.
-    A value beyond the double range raises DomainError.
+    ctl is the term budget; a value past the double range raises DomainError.
     """
     if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
         raise DomainError(

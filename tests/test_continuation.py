@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from hypercone import Mode, QuadratureControl, hyp2f1, hypergeom_params, u1, u2
+from hypercone import Mode, hyp2f1, hypergeom_params, u1, u2
 from hypercone.resolvent import _KernelData
 from oracles import oracle_hyp2f1, oracle_kernel_functions
 
@@ -32,7 +32,7 @@ def _draw(rng: random.Random, im_lo: float, im_hi: float):
 def _values(n, mu_sq, lam, sigma):
     # (name, value, 30-digit reference) for the public and kernel functions
     p = hypergeom_params(n, Mode(mu_sq, 1), lam)
-    kd = _KernelData(n, p, QuadratureControl())
+    kd = _KernelData(n, p)
     want_u1, want_u2, want_g1 = oracle_kernel_functions(n, mu_sq, lam, sigma)
     return [("u1", u1(p, sigma), want_u1), ("u2", u2(p, sigma), want_u2),
             ("g1", kd.g1(sigma), want_g1), ("kernel u2", kd.u2(sigma), want_u2)]

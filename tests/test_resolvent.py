@@ -8,6 +8,7 @@ a comment next to each one).
 import cmath
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -46,7 +47,8 @@ from hypercone import (
 
 from hypercone import quadrature, resolvent, resonances, specfun
 from hypercone.quadrature import cumulative_integral
-from hypercone.resolvent import _GRID_QC, _SERIES, _KernelData, _resolvent
+from hypercone.resolvent import _GRID_QC, _KernelData, _resolvent
+from hypercone.specfun import _DEFAULT_CTL, _ROUNDOFF
 from oracles import (
     lattice_grid,
     oracle_apply_resolvent,
@@ -84,7 +86,7 @@ class TestQuadrature:
 
     def test_cumulative_running_exp(self):
         run = cumulative_integral(lambda x: cmath.exp(1j * x), 0.0, 3.0,
-                                  abs_tol=1e-14, rel_tol=1e-14)
+                                  control=QuadratureControl(1e-14, 1e-14))
         for i in range(50):
             x = 3.0 * i / 49
             assert abs(run(x) - (cmath.exp(1j * x) - 1) / 1j) <= 1e-13
@@ -92,7 +94,8 @@ class TestQuadrature:
     def test_cumulative_downward(self):
         # downward accumulation from b gives int_x^b directly
         run = cumulative_integral(lambda x: cmath.exp(1j * x), 0.0, 3.0,
-                                  downward=True, abs_tol=1e-14, rel_tol=1e-14)
+                                  control=QuadratureControl(1e-14, 1e-14),
+                                  downward=True)
         for i in range(50):
             x = 3.0 * i / 49
             want = (cmath.exp(3j) - cmath.exp(1j * x)) / 1j
@@ -137,8 +140,8 @@ class TestQuadrature:
     def test_cumulative_budget_failure(self):
         with pytest.raises(QuadratureFailure):
             cumulative_integral(lambda x: abs(x - 1 / math.pi) ** -0.5,
-                                0.0, 1.0, abs_tol=1e-13, rel_tol=1e-13,
-                                max_subdivisions=2)
+                                0.0, 1.0,
+                                control=QuadratureControl(1e-13, 1e-13, 2))
 
     def test_interior_read_builds_only_its_panel(self):
         # a panel's series is built on the first read strictly inside the
@@ -241,7 +244,11 @@ class TestPanelDecisions:
                 ref_seen.append((x, f(x)))
                 return ref_seen[-1][1]
 
-            run = cumulative_integral(g, a, b, downward=downward, **kw)
+            tol = {k: v for k, v in kw.items() if k != "breaks"}
+            run = cumulative_integral(g, a, b,
+                                      control=QuadratureControl(**tol),
+                                      downward=downward,
+                                      breaks=kw.get("breaks", ()))
             ref = reference_cumulative_integral(ref_g, a, b,
                                                 downward=downward, **kw)
             assert seen == ref_seen
@@ -384,6 +391,9 @@ class TestRadialProfile:
         for bad in ((0.0, 0.5), (0.3, 0.3), (0.5, 1.0), (0.6, 0.4)):
             with pytest.raises(ValidationError):
                 RadialProfile(lambda s: 1.0, bad)
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"support must satisfy 0 < lo < hi < 1, got {bad!r}")):
+                RadialProfile.bump(*bad)
 
     def test_zero_outside_support(self):
         b = RadialProfile.bump(0.3, 0.6)
@@ -619,12 +629,12 @@ class TestGridPath:
         spans, evals, _ = counted
         n, mode, lam = 2, Mode(2.0, 1), 1 - 0.7j
         f = RadialProfile.bump(0.3, 0.6)
-        kd = _KernelData(n, hypergeom_params(n, mode, lam), _TIGHT)
+        kd = _KernelData(n, hypergeom_params(n, mode, lam))
         counts = []
         for grid in ([0.2, 0.45, 0.7], [0.1 + 0.8 * i / 254 for i in range(255)]):
             spans.clear()
             evals.clear()
-            rf, _ = _resolvent(kd, f, grid[0], grid[-1])
+            rf, _ = _resolvent(kd, f, grid[0], grid[-1], _TIGHT)
             for x in grid:
                 rf(x)
             assert sorted(spans) == [(0.3, 0.6, False), (0.3, 0.6, True)]
@@ -668,8 +678,8 @@ class TestGridPath:
         n, mode = 2, Mode(2.0, 1)
         f = RadialProfile.bump(0.3, 0.6)
         grid = [0.2, 0.3, 0.38, 0.45, 0.52, 0.6, 0.75]
-        kd = _KernelData(n, hypergeom_params(n, mode, lam), _TIGHT)
-        rf, _ = _resolvent(kd, f, grid[0], grid[-1])
+        kd = _KernelData(n, hypergeom_params(n, mode, lam))
+        rf, _ = _resolvent(kd, f, grid[0], grid[-1], _TIGHT)
         for x in grid:
             want = apply_resolvent(n, mode, lam, f, x, control=_TIGHT)
             assert abs(rf(x) - want) <= 1e-10 * abs(want)
@@ -744,10 +754,10 @@ def _inline_ratio_series(term, a, b, c, z, kmin=0):
     # (a+k)(b+k)/((c+k)(k+1)) z: the reference for bit-identity
     total = term
     small = 0
-    for k in range(_SERIES.max_terms):
+    for k in range(_DEFAULT_CTL.max_terms):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
-        if abs(term) <= _SERIES.rel_tol * abs(total):
+        if abs(term) <= _ROUNDOFF * abs(total):
             small += 1
             if small >= 3 and k >= kmin:
                 return total
@@ -771,7 +781,7 @@ class TestStepRatioCache:
         # the value and derivative seeds of the kernel expansions, and
         # public u2 where it sums the series itself
         p = hypergeom_params(n, mode, lam)
-        kd = _KernelData(n, p, _TIGHT)
+        kd = _KernelData(n, p)
         a, b, c, c2 = (complex(v) for v in (p.a, p.b, p.c, 1.0 + p.s))
         t0 = kd.f1.seed(0.0)[0]
         for x in self.POINTS:
@@ -812,7 +822,7 @@ class TestExactLatticeKernels:
         # lambda + 1e-25 i moves (a, b, c) by (delta, delta, 2 delta),
         # delta = 1e-25, the direction the kernel's limits take
         p = hypergeom_params(n, Mode(float(q), 1, q), lam)
-        kd = _KernelData(n, p, _GRID_QC)
+        kd = _KernelData(n, p)
         with mp.workdps(40):
             mu_sq = mp.mpf(q.numerator) / q.denominator
             lam_mp = mp.mpc(0, lam.imag) + mp.mpc(0, "1e-25")
@@ -870,7 +880,7 @@ class TestOneLatticeDecision:
                 lam_im = -(Fraction(1, 2) + k + s)
             try:
                 if lam_im is None:  # a surd candidate is exact only in p
-                    _KernelData(n, p, _GRID_QC)
+                    _KernelData(n, p)
                 else:
                     apply_resolvent(n, mode, complex(0.0, float(lam_im)), f,
                                     0.45, lam_im_exact=lam_im)
@@ -918,7 +928,7 @@ class TestLatticeWorkCounts:
     def test_kernel_build(self, calls, n, q, lam, lam_im, ln_gammas):
         mode = Mode(2.0, 1) if q is None else Mode(float(q), 1, q)
         p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im)
-        _KernelData(n, p, _GRID_QC)
+        _KernelData(n, p)
         assert calls == {"indices": 1, "classify": 0, "ln_gamma": ln_gammas}
 
     def test_entry_points(self, calls):
@@ -942,17 +952,17 @@ class TestKernelExpansions:
     @pytest.mark.parametrize("n,mode,lam", KERNELS)
     def test_match_series_and_oracle(self, n, mode, lam):
         p = hypergeom_params(n, mode, lam)
-        kd = _KernelData(n, p, _TIGHT)
+        kd = _KernelData(n, p)
         assert kd.f1.q == kd.f2.q == 0.75
         t0 = kd.f1.seed(0.0)[0]
         c2 = 1 + p.s
         for i, x in enumerate(self.GRID):
             for got, series, oracle in (
                     (kd.g1,
-                     lambda x: t0 * gauss_series(p.a, p.b, p.c, x, _SERIES),
+                     lambda x: t0 * gauss_series(p.a, p.b, p.c, x),
                      lambda x: t0 * oracle_hyp2f1(p.a, p.b, p.c, x)),
                     (kd.u2,
-                     lambda x: gauss_series(p.a, p.b, c2, 1 - x, _SERIES),
+                     lambda x: gauss_series(p.a, p.b, c2, 1 - x),
                      lambda x: oracle_hyp2f1(p.a, p.b, c2, 1 - x))):
                 val = got(x)  # every point evaluates
                 try:
@@ -968,12 +978,12 @@ class TestKernelExpansions:
     @pytest.mark.parametrize("n,mode,lam", KERNELS[::4])
     def test_values_do_not_depend_on_earlier_points(self, n, mode, lam):
         p = hypergeom_params(n, mode, lam)
-        warm = _KernelData(n, p, _TIGHT)
+        warm = _KernelData(n, p)
         for x in reversed(self.GRID[::7]):
             warm.g1(x)
             warm.u2(x)
         for x in self.GRID[::11]:
-            fresh = _KernelData(n, p, _TIGHT)
+            fresh = _KernelData(n, p)
             assert fresh.g1(x) == warm.g1(x)
             assert fresh.u2(x) == warm.u2(x)
 
@@ -1127,9 +1137,9 @@ def _simpson_pairing(n, mode, lam, f, g):
     # composite Simpson rule on 4097 nodes for <R f, g> on the support of g,
     # reading R f from one _resolvent span under green_pairing's default
     # control; its own error is about 4e-14 relative on the cases below
-    kd = _KernelData(n, hypergeom_params(n, mode, lam), _GRID_QC)
+    kd = _KernelData(n, hypergeom_params(n, mode, lam))
     lo, hi = g.support
-    rf, _ = _resolvent(kd, f, lo, hi)
+    rf, _ = _resolvent(kd, f, lo, hi, _GRID_QC)
     step = (hi - lo) / 4096
     xs = [lo + i * step for i in range(4097)]
     xs[-1] = hi

@@ -160,11 +160,23 @@ class TestHyp2f1Values:
             with pytest.raises(NoConvergence):
                 hyp2f1(a, b, 1.0, 0.9)
 
-    def test_default_control_sums_to_roundoff_above_half(self):
-        # rel_tol 1e-14 there would leave a tail of 1e-14 z/(1-z)
+    def test_default_control_sums_to_roundoff(self):
+        # every sum stops at roundoff: a relative stop at 1e-14 would leave
+        # a tail of about 1e-14 z/(1-z), measured 1.6e-15 at z = 1/2 below
+        # and 3.2e-12 at z = 0.997, where summing on to roundoff leaves
+        # 3.5e-16 and 1.0e-13
+        for z in (0.3, 0.4, 0.5):
+            want = oracle_hyp2f1(0.5, 1.5, 2.0, z)
+            for f in (hyp2f1, gauss_series):
+                assert abs(f(0.5, 1.5, 2.0, z) - want) <= 1e-15 * abs(want)
         for z in (0.6, 0.7, 0.74, 0.8, 0.95):
             want = oracle_hyp2f1(0.5, 1.5, 2.0, z)
             assert abs(hyp2f1(0.5, 1.5, 2.0, z) - want) <= 3e-15 * abs(want)
+        for z in (0.99, 0.997):
+            # ~36/(1-z) terms, whose roundoff grows like 1/(1-z)
+            want = oracle_hyp2f1(0.5, 0.5, 1.0, z)
+            got = gauss_series(0.5, 0.5, 1.0, z)
+            assert abs(got - want) <= 1e-15 / (1 - z) * abs(want)
 
 
 class TestRegularized:
