@@ -61,8 +61,8 @@ _LN_PI = 1.1447298858494001741
 class SeriesControl:
     """Term budget for hypergeometric series.
 
-    Every 2F1 sum stops at roundoff, once |term| <= _ROUNDOFF |partial sum|
-    for three consecutive terms; a sum that needs more than max_terms terms
+    Every 2F1 sum stops at roundoff, once |term| <= 3e-16 |partial sum| for
+    three consecutive terms; a sum that needs more than max_terms terms
     raises NoConvergence instead.
     """
 
@@ -215,8 +215,8 @@ def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
 
     which converges for |t| < min(m, 1-m).  The coefficients stop at tol
     relative to the largest |y_j| r^j so far: three consecutive
-    |y_j| r^j <= tol * scale end the list and are left out of it, and the
-    default term budget of steps without that raises NoConvergence.
+    |y_j| r^j <= tol * scale end the list and are left out of it, and
+    _DEFAULT_CTL.max_terms steps without that raise NoConvergence.
     Scaling by r keeps the coefficients finite for anchors m near 0 or 1.
     """
     lin = c - (a + b + 1.0) * m
