@@ -152,6 +152,12 @@ GOLDEN_DIGESTS = [
     (("resonances", "--file", "mixed", "--lambda-max", "12",
       "--format", "csv"),
      "59d5fd92493fb2d473f25baf5b28ca373d96c2d02f393d7dbad22eb0a8b97e85"),
+    # pinned before listing rows were written from a row template: an
+    # empty listing with the non-generic note
+    (("resonances", "--sphere", "2", "--lambda-max", "3"),
+     "e40afef4d78a7ed87a772ea52d890ba965b09d205b250b5447e4a97296e1a8ef"),
+    (("resonances", "--sphere", "2", "--lambda-max", "3", "--format", "csv"),
+     "7ad5030413935176e1b8c81cc056997de9ef1ba9cac142a22646dc07b26045f0"),
     (("weyl", "--circle", "2/3", "--lambda-grid", "5,20,40"),
      "23f448eec17506400a2b045a49da47067bac376e3bb99f4ac32a77abdb9c4cf3"),
     (("weyl", "--sphere", "3", "--lambda-grid", "3,10,30",
