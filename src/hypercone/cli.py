@@ -50,9 +50,11 @@ from .errors import (
 from .resonances import (
     _count_generic,
     _generic_modes,
+    _listing,
+    _truncation,
+    _truncation_covers,
     _validate_limits,
     classify_pole,
-    enumerate_resonances,
     hypergeom_params,
     weyl_leading_term,
 )
@@ -89,10 +91,16 @@ def _frac_text(q: Fraction) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _Raw(str):
+    """A JSON fragment that _json_write appends verbatim.  It must already
+    be valid JSON, indented for the place in the document it is written."""
+
+
 def _json_write(obj, pad: str, out: list, rows: bool) -> None:
     # appends obj's fragments to out; with rows set, each element of a list
     # is joined into one string as soon as it is written, so a long listing
-    # holds one string per row rather than every fragment until the end
+    # holds one string per row rather than every fragment until the end.
+    # A _Raw fragment is appended as it is.
     t = type(obj)
     if t is float:
         out.append(_float_text(obj))
@@ -125,6 +133,8 @@ def _json_write(obj, pad: str, out: list, rows: bool) -> None:
         out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
+    elif t is _Raw:
+        out.append(obj)
     else:
         raise ValidationError(f"cannot serialize {t.__name__} to JSON")
 
@@ -145,11 +155,15 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _csv_text(records: list[list]) -> str:
+def _csv_records(records) -> str:
+    # records whose cells csv writes as they are: strings and ints
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerows([_csv_cell(v) for v in rec] for rec in records)
+    csv.writer(buf, lineterminator="\r\n").writerows(records)
     return buf.getvalue()
+
+
+def _csv_text(records: list[list]) -> str:
+    return _csv_records([_csv_cell(v) for v in rec] for rec in records)
 
 
 def _emit(text: str) -> None:
@@ -234,46 +248,64 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _contributors_text(contributors) -> str:
-    return ";".join(f"({j},{k})" for j, k in contributors)
+# One listing row and one (j, k) pair of its contributors, as _json_text
+# lays them out at the "rows" list of the listing document; the %.17g of
+# -t is _float_text's, and t is finite because the bound is
+_JSON_ROW = ('{\n      "contributors": [\n        %s\n      ],\n'
+             '      "exact": %s,\n      "im_lambda": %.17g,\n'
+             '      "multiplicity": %d\n    }')
+_JSON_PAIR = "[\n          %d,\n          %d\n        ]"
+
+
+def _json_rows(rows) -> _Raw:
+    # the rows of resonances._listing as the JSON list _json_text would
+    # write for their fields, one template per row and per pair
+    return _Raw("[\n    " + ",\n    ".join([
+        _JSON_ROW % (_JSON_PAIR % c[0] if len(c) == 1
+                     else ",\n        ".join([_JSON_PAIR % p for p in c]),
+                     "false" if key is None else "true", -t, mult)
+        for t, key, c, mult in rows]) + "\n  ]")
+
+
+def _csv_rows(rows):
+    # the rows of resonances._listing as CSV records of formatted cells
+    return (("%.17g" % -t, mult,
+             "(%d,%d)" % c[0] if len(c) == 1
+             else ";".join(["(%d,%d)" % p for p in c]),
+             "false" if key is None else "true")
+            for t, key, c, mult in rows)
 
 
 def _cmd_resonances(args) -> int:
-    if args.lambda_max < 0:
-        raise ValidationError(f"--lambda-max must be >= 0, got {args.lambda_max}")
-    spec = _build_spectrum(args, args.lambda_max)
-    k_max = _auto_kmax(args, args.lambda_max)
-    rset = enumerate_resonances(spec, k_max, args.lambda_max)
-    if not rset.complete_up_to(args.lambda_max):
+    lambda_max = args.lambda_max
+    if not (math.isfinite(lambda_max) and lambda_max >= 0):
+        raise ValidationError(
+            f"--lambda-max must be finite and >= 0, got {lambda_max}")
+    spec = _build_spectrum(args, lambda_max)
+    k_max = _auto_kmax(args, lambda_max)
+    rows, _, _ = _listing(spec, k_max, lambda_max)
+    trunc = _truncation(spec, k_max, lambda_max)
+    if not _truncation_covers(spec, k_max, lambda_max):
         raise TruncationInsufficient(
-            f"spectrum truncation (j_max = {rset.truncation.j_max}, k_max = "
+            f"spectrum truncation (j_max = {trunc.j_max}, k_max = "
             f"{k_max}) cannot certify completeness up to "
-            f"lambda = {args.lambda_max}; raise --jmax/--kmax")
+            f"lambda = {lambda_max}; raise --jmax/--kmax")
     # a listed row needs a generic mode; only an empty listing asks the scan
-    none_generic = not rset.resonances and not _generic_modes(spec)
-    trunc = {"j_max": rset.truncation.j_max, "k_max": rset.truncation.k_max,
-             "lambda_max": rset.truncation.lambda_max}
+    none_generic = not rows and not _generic_modes(spec)
     if args.format == "json":
-        rows = [{"im_lambda": r.lam.imag, "multiplicity": r.multiplicity,
-                 "contributors": [list(c) for c in r.contributors],
-                 "exact": (r.im_part_exact is not None
-                           or r.surd_key is not None)}
-                for r in rset.resonances]
-        out = {"rows": rows, "truncation": trunc}
+        out = {"rows": _json_rows(rows) if rows else [],
+               "truncation": {"j_max": trunc.j_max, "k_max": trunc.k_max,
+                              "lambda_max": trunc.lambda_max}}
         if none_generic:
             out["note"] = "non-generic: all modes excluded"
         _emit(_json_text(out))
         return EXIT_OK
-    records: list[list] = [["truncation", trunc["j_max"], trunc["k_max"],
-                            trunc["lambda_max"]]]
+    records: list[list] = [["truncation", trunc.j_max, trunc.k_max,
+                            trunc.lambda_max]]
     if none_generic:
         records.append(["note", "non-generic: all modes excluded"])
     records.append(["im_lambda", "multiplicity", "contributors", "exact"])
-    for r in rset.resonances:
-        records.append([r.lam.imag, r.multiplicity,
-                        _contributors_text(r.contributors),
-                        r.im_part_exact is not None or r.surd_key is not None])
-    _emit(_csv_text(records))
+    _emit(_csv_text(records) + _csv_records(_csv_rows(rows)))
     return EXIT_OK
 
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .crosssec import (
     _LATTICE_TOL,
@@ -44,6 +46,9 @@ _Sym = tuple[Fraction, Fraction]
 # rational, and s^2 = num/den when mu^2 is exact (both in lowest terms)
 _Ratio = tuple[int, int]
 _SData = tuple[float, _Ratio | None, _Ratio | None]
+# a listing row (t, key, contributors, multiplicity), as _listing gives it
+_Row = tuple[float, int | tuple[int, int, int] | None,
+             tuple[tuple[int, int], ...], int]
 
 
 @dataclass(frozen=True)
@@ -350,8 +355,11 @@ def _truncation_covers(spec: SpectrumSpec, k_max: int, bound: float) -> bool:
 def _validate_limits(k_max: int, bound: float) -> None:
     if not isinstance(k_max, int) or k_max < 0:
         raise ValidationError(f"k_max must be an integer >= 0, got {k_max!r}")
-    if not (isinstance(bound, (int, float)) and bound >= 0):
-        raise ValidationError(f"lambda bound must be >= 0, got {bound!r}")
+    # the position test reads the bound as a double's integer ratio
+    if not (isinstance(bound, (int, float))
+            and 0 <= bound <= sys.float_info.max):
+        raise ValidationError(
+            f"lambda bound must be finite and >= 0, got {bound!r}")
 
 
 def _generic_modes(spec: SpectrumSpec) -> list[tuple[Mode, float,
@@ -379,21 +387,34 @@ def _generic_modes(spec: SpectrumSpec) -> list[tuple[Mode, float,
     return generic
 
 
-def enumerate_resonances(spec: SpectrumSpec, k_max: int,
-                         lambda_max: float) -> ResonanceSet:
-    """All resonances with |lambda| <= lambda_max from the truncated
-    spectrum, k = 0..k_max, merged across coinciding positions.
+def _truncation(spec: SpectrumSpec, k_max: int,
+                lambda_max: float) -> Truncation:
+    return Truncation(spec.modes[-1].label if spec.modes else -1, k_max,
+                      float(lambda_max))
 
-    Merging is exact whenever every generic mode carries exact s data: two
-    positions 1/2 + k + s coincide only if both s are rational or the modes
-    share the same irrational s.  Rational positions are keyed by integer
-    numerators over one common denominator D, the lcm over rational modes
-    of 2 * den(s_j), so equal positions have equal keys; a surd position is
-    keyed by (num(s^2), den(s^2), k).  The float t of a rational position
-    is numerator / D, correctly rounded, and each listed row gets its one
-    Fraction (im_part_exact or the s^2 of surd_key) only when it is built.
-    Otherwise positions are clustered with a 1e-9 tolerance on -Im lambda.
-    Raises UndecidableMembership if any mode's genericity is unknown_float.
+
+def _listing(spec: SpectrumSpec, k_max: int, lambda_max: float
+             ) -> tuple[list[_Row], int, bool]:
+    """The one lattice walk behind every resonance listing: the positions
+    1/2 + k + s <= lambda_max of the truncated spectrum, k = 0..k_max,
+    merged across coinciding positions.
+
+    Returns (rows, den, all_exact).  Each row is (t, key, contributors,
+    multiplicity) with t = -Im(lambda), contributors the sorted (mode label
+    j, order k) pairs and multiplicity the sum of their modes'
+    multiplicities; rows come in order of t.  all_exact is set when
+    every generic mode carries exact s data.
+
+    Merging is then exact: two positions coincide only if both s are
+    rational or the modes share the same irrational s.  Rational positions
+    are keyed by integer numerators over one common denominator den, the
+    lcm over rational modes of 2 * den(s_j), so equal positions have equal
+    keys; a surd position is keyed by (num(s^2), den(s^2), k).  The float t
+    of a rational position is numerator / den, correctly rounded.
+    Otherwise positions are clustered with a 1e-9 tolerance on t, and a
+    cluster whose keys differ, or that holds float-only data, has key None.
+    Raises ValidationError for bad limits and UndecidableMembership if any
+    mode's genericity is unknown_float.
     """
     _validate_limits(k_max, lambda_max)
     generic = _generic_modes(spec)
@@ -401,48 +422,70 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
                     for _, _, root, sq in generic)
     den = math.lcm(*(2 * root[1] for _, _, root, _ in generic
                      if root is not None))
-    entries = []  # (t, key, mode, k); key is None for float-only s
+    entries = []  # (t, key, label, k, multiplicity)
     for mode, value, root, sq in generic:
         count = _count_le(value, root, sq, k_max, lambda_max)
+        j, m = mode.label, mode.multiplicity
         if root is not None:
             first = den // 2 + root[0] * (den // root[1])
             for k in range(count):
                 num = first + k * den
-                entries.append((num / den, num, mode, k))
+                entries.append((num / den, num, j, k, m))
         else:
             for k in range(count):
                 key = None if sq is None else (sq[0], sq[1], k)
-                entries.append((0.5 + k + value, key, mode, k))
-    groups: list[list] = []
+                entries.append((0.5 + k + value, key, j, k, m))
     if all_exact:
         by_key: dict = {}
         for e in entries:
             by_key.setdefault(e[1], []).append(e)
-        groups = list(by_key.values())
+        groups = by_key.values()
     else:
-        for e in sorted(entries, key=lambda e: e[0]):
+        groups = []
+        for e in sorted(entries, key=itemgetter(0)):
             if groups and e[0] - groups[-1][-1][0] <= _LATTICE_TOL:
                 groups[-1].append(e)
             else:
                 groups.append([e])
-    resonances = []
+    rows = []
     for grp in groups:
-        t, key = grp[0][0], grp[0][1]
+        t, key, j, k, m = grp[0]
+        if len(grp) == 1:
+            rows.append((t, key, ((j, k),), m))
+            continue
         if not all_exact and any(e[1] is None or e[1] != key for e in grp):
             key = None
+        rows.append((t, key, tuple(sorted((e[2], e[3]) for e in grp)),
+                     sum(e[4] for e in grp)))
+    rows.sort(key=itemgetter(0))
+    return rows, den, all_exact
+
+
+def enumerate_resonances(spec: SpectrumSpec, k_max: int,
+                         lambda_max: float) -> ResonanceSet:
+    """All resonances with |lambda| <= lambda_max from the truncated
+    spectrum, k = 0..k_max, merged across coinciding positions.
+
+    The public wrapper of _listing, whose docstring states the merge rule:
+    one Resonance per row, in order of t.  A rational position's
+    im_part_exact is its key over den and a surd position's surd_key is
+    (s^2, k), each made as the row's Resonance is built; a row without a
+    key carries neither.  The set is exact when every generic mode carries
+    exact s data.  Raises ValidationError for bad limits and
+    UndecidableMembership if any mode's genericity is unknown_float.
+    """
+    rows, den, exact = _listing(spec, k_max, lambda_max)
+    resonances = []
+    for t, key, contributors, mult in rows:
         exact_t = surd = None
         if isinstance(key, int):
             exact_t = Fraction(key, den)
         elif key is not None:
             surd = (Fraction(key[0], key[1]), key[2])
-        contributors = tuple(sorted((e[2].label, e[3]) for e in grp))
-        mult = sum(e[2].multiplicity for e in grp)
         resonances.append(Resonance(complex(0.0, -t), mult, contributors,
                                     exact_t, surd))
-    resonances.sort(key=lambda r: r.t)
-    trunc = Truncation(spec.modes[-1].label if spec.modes else -1,
-                       k_max, float(lambda_max))
-    return ResonanceSet(resonances, trunc, spec, all_exact)
+    return ResonanceSet(resonances, _truncation(spec, k_max, lambda_max),
+                        spec, exact)
 
 
 def _count_generic(spec: SpectrumSpec, generic: list, k_max: int,

@@ -16,6 +16,8 @@ import sys
 import pytest
 
 from hypercone.cli import main
+from hypercone.crosssec import circle_spectrum, load_spectrum, sphere_spectrum
+from hypercone.resonances import enumerate_resonances
 
 
 def run(*argv):
@@ -388,6 +390,66 @@ class TestResonances:
         assert out == ""
         assert_error(rc, err, 4, "undecidable")
 
+    @pytest.mark.parametrize("argv", [
+        ("--circle", "1", "--lambda-max", "inf"),
+        ("--sphere", "3", "--lambda-max", "inf"),
+        ("--circle", "1", "--jmax", "3", "--kmax", "3", "--lambda-max", "inf"),
+        ("--circle", "1", "--lambda-max", "nan"),
+        ("--sphere", "3", "--jmax", "3", "--kmax", "3", "--lambda-max", "nan"),
+    ])
+    def test_non_finite_bound(self, argv):
+        rc, out, err = run("resonances", *argv)
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert "--lambda-max must be finite and >= 0" in err
+
+    def test_listing_builds_no_resonance(self, monkeypatch):
+        # the command writes the lattice walk's rows itself: no Resonance,
+        # no Fraction in the lattice code, no call of the public wrapper
+        def refuse(*args, **kwargs):
+            raise AssertionError("the listing built per-row objects")
+        monkeypatch.setattr("hypercone.resonances.Resonance", refuse)
+        monkeypatch.setattr("hypercone.resonances.Fraction", refuse)
+        monkeypatch.setattr("hypercone.cli.enumerate_resonances", refuse,
+                            raising=False)
+        digests = dict(GOLDEN_DIGESTS)
+        for fmt in ("json", "csv"):
+            argv = ("resonances", "--circle", "2/3", "--lambda-max", "35")
+            if fmt == "csv":
+                argv += ("--format", "csv")
+            rc, out, err = run(*argv)
+            assert (rc, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[argv]
+
+    @pytest.mark.parametrize("source,bound", [
+        *((("--file", name), bound) for name in sorted(GOLDEN_SPECTRA)
+          for bound in ((0.9, 2.9) if name == "dups" else (2.9, 12.0, 19.5))),
+        *((source, bound) for source in (("--circle", "2/3"), ("--sphere", "3"))
+          for bound in (0.4, 3.0, 12.5, 35.0)),
+    ])
+    def test_rows_match_enumerate_resonances(self, golden_files, source,
+                                             bound):
+        # the CLI writes the rows of the lattice walk that
+        # enumerate_resonances turns into Resonance objects
+        kind, value = source
+        path = golden_files.get(value)
+        rc, out, err = run("resonances", kind, str(path or value),
+                           "--lambda-max", repr(bound))
+        assert (rc, err) == (0, "")
+        data = json.loads(out)
+        j_max, k_max = data["truncation"]["j_max"], data["truncation"]["k_max"]
+        spec = (load_spectrum(str(path)) if kind == "--file"
+                else circle_spectrum(value, j_max) if kind == "--circle"
+                else sphere_spectrum(int(value), j_max))
+        rset = enumerate_resonances(spec, k_max, bound)
+        assert len(data["rows"]) == len(rset.resonances)
+        for row, r in zip(data["rows"], rset.resonances):
+            assert float(row["im_lambda"]).hex() == r.lam.imag.hex()
+            assert row["multiplicity"] == r.multiplicity
+            assert row["contributors"] == [list(c) for c in r.contributors]
+            assert row["exact"] == (r.im_part_exact is not None
+                                    or r.surd_key is not None)
+
 
 class TestClassify:
     def test_genuine_example(self):
@@ -515,7 +577,8 @@ class TestWeyl:
         # weyl counts per mode and never lists the lattice
         def refuse(*args, **kwargs):
             raise AssertionError("weyl enumerated the resonance lattice")
-        monkeypatch.setattr("hypercone.cli.enumerate_resonances", refuse)
+        monkeypatch.setattr("hypercone.cli.enumerate_resonances", refuse,
+                            raising=False)
         rc, out, err = run("weyl", "--circle", "1", "--lambda-grid",
                            "10,100,1000")
         assert (rc, err) == (0, "")

@@ -318,6 +318,17 @@ class TestEnumerate:
         with pytest.raises(ValidationError):
             enumerate_resonances(spec, 2, -1.0)
 
+    @pytest.mark.parametrize("count", [False, True])
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan,
+                                       10 ** 400],
+                             ids=["inf", "-inf", "nan", "10**400"])
+    def test_non_finite_bound(self, count, bound):
+        # a bound the position test cannot read as a double is refused
+        # before the scan, by enumeration and counting alike
+        fn = count_resonances if count else enumerate_resonances
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            fn(circle_spectrum(1, 5), 3, bound)
+
 
 class TestCompleteness:
     def test_complete_up_to(self):
