@@ -155,15 +155,11 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _csv_records(records) -> str:
-    # records whose cells csv writes as they are: strings and ints
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerows(records)
-    return buf.getvalue()
-
-
 def _csv_text(records: list[list]) -> str:
-    return _csv_records([_csv_cell(v) for v in rec] for rec in records)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerows([_csv_cell(v) for v in rec] for rec in records)
+    return buf.getvalue()
 
 
 def _emit(text: str) -> None:
@@ -267,13 +263,19 @@ def _json_rows(rows) -> _Raw:
         for t, key, c, mult in rows]) + "\n  ]")
 
 
-def _csv_rows(rows):
-    # the rows of resonances._listing as CSV records of formatted cells
-    return (("%.17g" % -t, mult,
-             "(%d,%d)" % c[0] if len(c) == 1
-             else ";".join(["(%d,%d)" % p for p in c]),
-             "false" if key is None else "true")
-            for t, key, c, mult in rows)
+# One listing row as csv.writer writes it: the contributors cell always
+# holds a comma, so it is always quoted, and no other cell needs quoting
+_CSV_ROW = '%.17g,%d,"%s",%s\r\n'
+
+
+def _csv_rows(rows) -> str:
+    # the rows of resonances._listing as the CSV records _csv_text would
+    # write for their fields, one template per row
+    return "".join([
+        _CSV_ROW % (-t, mult, "(%d,%d)" % c[0] if len(c) == 1
+                    else ";".join(["(%d,%d)" % p for p in c]),
+                    "false" if key is None else "true")
+        for t, key, c, mult in rows])
 
 
 def _cmd_resonances(args) -> int:
@@ -305,7 +307,7 @@ def _cmd_resonances(args) -> int:
     if none_generic:
         records.append(["note", "non-generic: all modes excluded"])
     records.append(["im_lambda", "multiplicity", "contributors", "exact"])
-    _emit(_csv_text(records) + _csv_records(_csv_rows(rows)))
+    _emit(_csv_text(records) + _csv_rows(rows))
     return EXIT_OK
 
 

@@ -410,8 +410,6 @@ class TestResonances:
             raise AssertionError("the listing built per-row objects")
         monkeypatch.setattr("hypercone.resonances.Resonance", refuse)
         monkeypatch.setattr("hypercone.resonances.Fraction", refuse)
-        monkeypatch.setattr("hypercone.cli.enumerate_resonances", refuse,
-                            raising=False)
         digests = dict(GOLDEN_DIGESTS)
         for fmt in ("json", "csv"):
             argv = ("resonances", "--circle", "2/3", "--lambda-max", "35")
@@ -577,8 +575,8 @@ class TestWeyl:
         # weyl counts per mode and never lists the lattice
         def refuse(*args, **kwargs):
             raise AssertionError("weyl enumerated the resonance lattice")
-        monkeypatch.setattr("hypercone.cli.enumerate_resonances", refuse,
-                            raising=False)
+        monkeypatch.setattr("hypercone.cli._listing", refuse)
+        monkeypatch.setattr("hypercone.resonances._listing", refuse)
         rc, out, err = run("weyl", "--circle", "1", "--lambda-grid",
                            "10,100,1000")
         assert (rc, err) == (0, "")
