@@ -73,7 +73,6 @@ from .resonances import (
     weyl_leading_term,
 )
 from .specfun import (
-    SeriesControl,
     gamma,
     gauss_series,
     hyp2f1,
@@ -100,7 +99,7 @@ __all__ = [
     "ParseError", "PoleAtNonPositiveInteger", "PoleClass", "PoleEvaluation",
     "PoleVerdict", "ProbeInconclusive", "ProbeResult", "QuadratureControl",
     "QuadratureFailure", "RadialProfile", "Resonance", "ResonanceSet",
-    "ResidualReport", "SUITE_NAMES", "SValue", "SeriesControl",
+    "ResidualReport", "SUITE_NAMES", "SValue",
     "SpectrumSpec", "Truncation", "TruncationInsufficient",
     "UndecidableMembership", "ValidationError", "apply_resolvent",
     "candidate_params", "circle_spectrum", "classify_pole",

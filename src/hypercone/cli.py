@@ -96,11 +96,11 @@ class _Raw(str):
     be valid JSON, indented for the place in the document it is written."""
 
 
-def _json_write(obj, pad: str, out: list, rows: bool) -> None:
-    # appends obj's fragments to out; with rows set, each element of a list
-    # is joined into one string as soon as it is written, so a long listing
-    # holds one string per row rather than every fragment until the end.
-    # A _Raw fragment is appended as it is.
+def _json_write(obj, pad: str, out: list) -> None:
+    # appends obj's fragments to out; each element of a list is joined into
+    # one string as soon as it is written, so a long list holds one string
+    # per element rather than every fragment until the end.  A _Raw
+    # fragment is appended as it is.
     t = type(obj)
     if t is float:
         out.append(_float_text(obj))
@@ -114,20 +114,16 @@ def _json_write(obj, pad: str, out: list, rows: bool) -> None:
         for k in sorted(obj):
             out.append(head + _quote(k) + ": ")
             head = ",\n" + inner
-            _json_write(obj[k], inner, out, rows)
+            _json_write(obj[k], inner, out)
         out.append("\n" + pad + "}" if obj else "{}")
     elif t is list:
         inner = pad + "  "
         head = "[\n" + inner
         for v in obj:
-            out.append(head)
+            row = [head]
+            _json_write(v, inner, row)
+            out.append("".join(row))
             head = ",\n" + inner
-            if rows:
-                row: list = []
-                _json_write(v, inner, row, False)
-                out.append("".join(row))
-            else:
-                _json_write(v, inner, out, False)
         out.append("\n" + pad + "]" if obj else "[]")
     elif t is bool:
         out.append("true" if obj else "false")
@@ -142,7 +138,7 @@ def _json_write(obj, pad: str, out: list, rows: bool) -> None:
 def _json_text(obj) -> str:
     """Sorted keys, 2-space indent, 17-significant-digit floats."""
     out: list = []
-    _json_write(obj, "", out, True)
+    _json_write(obj, "", out)
     return "".join(out)
 
 

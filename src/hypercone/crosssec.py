@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import InvalidDimension, InvalidRadius, ParseError, ValidationError
+from .errors import (
+    DomainError,
+    InvalidDimension,
+    InvalidRadius,
+    ParseError,
+    ValidationError,
+)
 
 _EXACT_MATCH_TOL = 1e-15
 # a float this near a lattice is undecidable: s to 1/2 + Z here, and in
@@ -94,13 +100,19 @@ class SpectrumSpec:
 def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
     """Round unit n-sphere: mu_j^2 = j(j+n-1) with the standard spherical
     harmonic multiplicities, for j = 0..j_max.  n = 1 delegates to the
-    circle of radius 1."""
+    circle of radius 1.  From n = 343, where Gamma((n+1)/2) in the volume
+    overflows a double, raises DomainError."""
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"sphere dimension must be an integer >= 1, got {n!r}")
     if not isinstance(j_max, int) or j_max < 0:
         raise ValidationError(f"j_max must be an integer >= 0, got {j_max!r}")
     if n == 1:
         return circle_spectrum(1, j_max)
+    try:
+        vol = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    except OverflowError:
+        raise DomainError(f"sphere volume for n = {n}: Gamma((n+1)/2) or "
+                          "pi^((n+1)/2) overflows a double") from None
     modes = []
     for j in range(j_max + 1):
         mu = j * (j + n - 1)
@@ -109,7 +121,6 @@ def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
         else:
             m = math.comb(n + j, n) - math.comb(n + j - 2, n)
         modes.append(Mode(float(mu), m, Fraction(mu), j))
-    vol = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
     return SpectrumSpec(n, modes, vol, "sphere")
 
 

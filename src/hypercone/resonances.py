@@ -33,6 +33,7 @@ from .crosssec import (
     _near_half_odd,
 )
 from .errors import (
+    DomainError,
     InconsistentParams,
     InvalidDimension,
     TruncationInsufficient,
@@ -168,11 +169,7 @@ def candidate_params(n: int, mode: Mode, k: int) -> HypergeomParams:
         raise ValidationError(f"k must be an integer >= 0, got {k!r}")
     sv = s_param(n, mode)
     lam = complex(0.0, -(0.5 + k + sv.value))
-    u = Fraction(-1, 2) - k
-    v = Fraction(-1)
-    if mode.mu_sq_exact is None:
-        return _build_params(n, mode, lam, None)
-    return _build_params(n, mode, lam, (u, v))
+    return _build_params(n, mode, lam, (Fraction(-1, 2) - k, Fraction(-1)))
 
 
 class PoleVerdict(enum.Enum):
@@ -532,12 +529,22 @@ def weyl_count(rset: ResonanceSet, lambda_bound: float) -> int:
 
 def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:
     """Leading-order resonance count |B_n| Vol(Y) lambda^(n+1) /
-    ((2 pi)^n (n+1)), with |B_n| the Euclidean unit-ball volume."""
+    ((2 pi)^n (n+1)), with |B_n| the Euclidean unit-ball volume.  A factor
+    or product that overflows a double raises DomainError."""
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
     if not (vol_y > 0 and math.isfinite(vol_y)):
         raise ValidationError(f"volume must be positive, got {vol_y!r}")
+    if not math.isfinite(lam):
+        raise ValidationError(f"lambda must be finite, got {lam!r}")
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam!r}")
-    ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    return ball * vol_y * lam ** (n + 1) / ((2.0 * math.pi) ** n * (n + 1))
+    try:
+        ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+        term = ball * vol_y * lam ** (n + 1) / ((2.0 * math.pi) ** n * (n + 1))
+    except OverflowError:
+        term = math.inf
+    if not math.isfinite(term):
+        raise DomainError(f"Weyl leading term for n = {n} at lambda = {lam!r}: "
+                          "a factor or the product overflows a double")
+    return term

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DomainError,
@@ -57,23 +56,13 @@ _LN_SQRT_2PI = 0.91893853320467274178  # log(sqrt(2*pi))
 _LN_PI = 1.1447298858494001741
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Term budget for hypergeometric series.
-
-    Every 2F1 sum stops at roundoff, once |term| <= 3e-16 |partial sum| for
-    three consecutive terms; a sum that needs more than max_terms terms
-    raises NoConvergence instead.
-    """
-
-    max_terms: int = 10000
-
-
-_DEFAULT_CTL = SeriesControl()
 # sums stop at _ROUNDOFF; an expansion whose edge seeds its successor runs
-# on to _EDGE_TOL, as the derivative read there weights coefficient j by j
+# on to _EDGE_TOL, as the derivative read there weights coefficient j by j.
+# Every sum and expansion that has not settled after _MAX_TERMS terms raises
+# NoConvergence.
 _ROUNDOFF = 3e-16
 _EDGE_TOL = 1e-19
+_MAX_TERMS = 10000
 
 
 def is_nonpositive_integer(z: complex) -> bool:
@@ -165,10 +154,9 @@ def pochhammer(a: complex, k: int) -> complex:
     return acc
 
 
-def gauss_series(a: complex, b: complex, c: complex, z: float,
-                 ctl: SeriesControl | None = None) -> complex:
+def gauss_series(a: complex, b: complex, c: complex, z: float) -> complex:
     """Defining 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) z^k, summed to
-    roundoff within ctl's term budget.
+    roundoff within _MAX_TERMS terms.
 
     Converges for |z| < 1; near z = 1 it takes about 36/(1 - z) terms, and
     its roundoff grows in proportion.  Raises LowerParameterPole for c in
@@ -178,18 +166,17 @@ def gauss_series(a: complex, b: complex, c: complex, z: float,
     c = complex(c)
     if is_nonpositive_integer(c):
         raise LowerParameterPole(f"gauss_series lower parameter c = {c}")
-    return _sum_series(1.0 + 0.0j, complex(a), complex(b), c, z,
-                       ctl or _DEFAULT_CTL)
+    return _sum_series(1.0 + 0.0j, complex(a), complex(b), c, z)
 
 
 def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
-                ctl: SeriesControl, kmin: int = 0) -> complex:
+                kmin: int = 0) -> complex:
     # the one 2F1 term loop: term is the 0th term, step k multiplies it by
     # (a+k)(b+k)/((c+k)(k+1)) z; three terms in a row at most _ROUNDOFF
     # of the sum, once k >= kmin, end it
     total = term
     small = 0
-    for k in range(ctl.max_terms):
+    for k in range(_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
         if abs(term) <= _ROUNDOFF * abs(total):
@@ -199,7 +186,7 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
         else:
             small = 0
     raise NoConvergence(
-        f"2F1 series did not settle within {ctl.max_terms} terms at z = {z}")
+        f"2F1 series did not settle within {_MAX_TERMS} terms at z = {z}")
 
 
 def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
@@ -216,7 +203,7 @@ def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
     which converges for |t| < min(m, 1-m).  The coefficients stop at tol
     relative to the largest |y_j| r^j so far: three consecutive
     |y_j| r^j <= tol * scale end the list and are left out of it, and
-    _DEFAULT_CTL.max_terms steps without that raise NoConvergence.
+    _MAX_TERMS steps without that raise NoConvergence.
     Scaling by r keeps the coefficients finite for anchors m near 0 or 1.
     """
     lin = c - (a + b + 1.0) * m
@@ -226,7 +213,7 @@ def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
     coeffs = [y0, dy0 * r]
     scale = max(abs(y0), abs(coeffs[1]))
     small = 0
-    for j in range(_DEFAULT_CTL.max_terms):
+    for j in range(_MAX_TERMS):
         nxt = (((j + a) * (j + b) * q0 * coeffs[j]
                 - (j + 1) * (slope * j + lin) * q1 * coeffs[j + 1])
                / ((j + 1) * (j + 2)))
@@ -242,7 +229,7 @@ def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
             small = 0
     raise NoConvergence(
         f"2F1 Taylor expansion about z = {m} did not settle within "
-        f"{_DEFAULT_CTL.max_terms} terms")
+        f"{_MAX_TERMS} terms")
 
 
 _MAX_RUNGS = 10000  # expansions per ladder; the count grows like S ln(1/dist)
@@ -258,15 +245,14 @@ def _seed_bound(a: complex, b: complex, c: complex) -> float:
 
 
 def _series_seed(term: complex, a: complex, b: complex, c: complex,
-                 ctl: SeriesControl = _DEFAULT_CTL, kmin: int = 0):
+                 kmin: int = 0):
     """m -> (term F(a, b; c; m), term F'(a, b; c; m)) by the series and its
     contiguous derivative (ab/c) F(a+1, b+1; c+1; m)."""
     dterm = term * a * b / c
 
     def seed(m: float) -> tuple[complex, complex]:
-        return (_sum_series(term, a, b, c, m, ctl, kmin),
-                _sum_series(dterm, a + 1.0, b + 1.0, c + 1.0, m, ctl,
-                            kmin - 1))
+        return (_sum_series(term, a, b, c, m, kmin),
+                _sum_series(dterm, a + 1.0, b + 1.0, c + 1.0, m, kmin - 1))
     return seed
 
 
@@ -367,57 +353,53 @@ class _Ladder:
         return m, r, coeffs[keep - 1::-1], (val, slope / r)
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z: float,
-           ctl: SeriesControl | None = None) -> complex:
+def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
     """Gauss hypergeometric F(a, b; c; z) for real z in [0, 1).
 
     The defining series up to the seed bound x0 = min(3/4, 2 max(|c|, 1)/|ab|)
     and for terminating (polynomial) cases; above x0 the ODE continuation of
-    _Ladder, seeded by the series.  Every sum stops at roundoff within ctl's
-    term budget.  Raises LowerParameterPole for c in {0, -1, ...} and
-    NoConvergence past that budget or _MAX_RUNGS expansions.
+    _Ladder, seeded by the series.  Every sum and expansion stops at
+    roundoff.  Raises LowerParameterPole for c in {0, -1, ...} and
+    NoConvergence past _MAX_TERMS terms or _MAX_RUNGS expansions.
     """
     if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
         raise DomainError(f"hyp2f1 argument must be a real in [0, 1), got {z!r}")
     z = float(z)
-    return _hyp2f1(complex(a), complex(b), complex(c), z, 1.0 - z,
-                   ctl or _DEFAULT_CTL)
+    return _hyp2f1(complex(a), complex(b), complex(c), z, 1.0 - z)
 
 
-def _hyp2f1(a: complex, b: complex, c: complex, z: float, d: float,
-            ctl: SeriesControl = _DEFAULT_CTL) -> complex:
+def _hyp2f1(a: complex, b: complex, c: complex, z: float, d: float) -> complex:
     # hyp2f1 at z given with its exact distance d = 1 - z
     if is_nonpositive_integer(c):
         raise LowerParameterPole(f"hyp2f1 lower parameter c = {c}")
     if (z <= _seed_bound(a, b, c) or is_nonpositive_integer(a)
             or is_nonpositive_integer(b)):
         # a polynomial case terminates exactly, at any z
-        return gauss_series(a, b, c, z, ctl)
-    return _Ladder(a, b, c, _series_seed(1.0 + 0.0j, a, b, c, ctl))(z, d)
+        return gauss_series(a, b, c, z)
+    return _Ladder(a, b, c, _series_seed(1.0 + 0.0j, a, b, c))(z, d)
 
 
-def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float,
-                       ctl: SeriesControl | None = None) -> complex:
+def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float) -> complex:
     """Regularized hypergeometric F(a, b; c; z) / Gamma(c), entire in c.
 
     hyp2f1 times 1/Gamma(c) off the lattice; at c = -m in {0, -1, -2, ...}
     the limit (a)_{m+1} (b)_{m+1} z^{m+1} / (m+1)! F(a+m+1, b+m+1; m+2; z)
     (DLMF 15.2.3), again by hyp2f1, with the binary exponent carried apart
     so that c <= -170 stays finite; exactly 0 where a or b is -j, j <= m.
-    ctl is the term budget; a value past the double range raises DomainError.
+    A value past the double range raises DomainError.
     """
     if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
         raise DomainError(
             f"hyp2f1_regularized argument must be a real in [0, 1), got {z!r}")
     a, b, c, z = complex(a), complex(b), complex(c), float(z)
     if not is_nonpositive_integer(c):
-        val, exp2 = recip_gamma(c) * hyp2f1(a, b, c, z, ctl), 0
+        val, exp2 = recip_gamma(c) * hyp2f1(a, b, c, z), 0
     else:
         k = int(-c.real) + 1
         if any(is_nonpositive_integer(x) and -x.real < k for x in (a, b)):
             return 0.0 + 0.0j  # (a)_k or (b)_k vanishes
         # the value is val * 2^exp2, val kept in [1/2, 1) after each factor
-        val, exp2 = hyp2f1(a + k, b + k, k + 1, z, ctl), 0
+        val, exp2 = hyp2f1(a + k, b + k, k + 1, z), 0
         for j in range(k):
             val *= (a + j) * (b + j) / (j + 1) * z
             e = math.frexp(abs(val))[1]

@@ -268,6 +268,15 @@ class TestSpectrum:
         rc, _, err = run("frobnicate")
         assert rc == 2 and err.startswith("error:")
 
+    def test_sphere_volume_overflow(self):
+        # Gamma((n+1)/2) overflows from n = 343: a typed refusal naming n
+        for argv in (("spectrum", "--sphere", "400", "--jmax", "1"),
+                     ("weyl", "--sphere", "100000", "--lambda-grid", "1")):
+            rc, out, err = run(*argv)
+            assert out == ""
+            assert_error(rc, err, 2, "validation")
+            assert f"n = {argv[2]}:" in err
+
     def test_byte_stability(self):
         first = run("spectrum", "--sphere", "3", "--jmax", "4")
         second = run("spectrum", "--sphere", "3", "--jmax", "4")
@@ -669,6 +678,16 @@ class TestWeyl:
     def test_bad_grid(self):
         rc, _, err = run("weyl", "--circle", "1", "--lambda-grid", "-5")
         assert_error(rc, err, 2, "validation")
+
+    def test_leading_term_overflow(self, tmp_path):
+        # Gamma(n/2 + 1) overflows at n = 400 where the count does not
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 400, "volume": 1.0, "modes": [
+            {"mu_sq": 1.0, "m": 1}]}), encoding="utf-8")
+        rc, out, err = run("weyl", "--file", str(path), "--lambda-grid", "10")
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert "Weyl leading term" in err
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hypercone import (
+    DomainError,
     GenericityVerdict,
     InvalidDimension,
     InvalidRadius,
@@ -71,6 +72,15 @@ class TestSphereSpectrum:
         a = sphere_spectrum(1, 3)
         b = circle_spectrum(1, 3)
         assert a.modes == b.modes and a.volume == b.volume
+
+    def test_volume_overflow(self):
+        # Gamma((n+1)/2) overflows from n = 343, though the volume itself
+        # is tiny; below, it is the same formula, bit for bit
+        assert sphere_spectrum(342, 1).volume == (
+            2.0 * math.pi ** 171.5 / math.gamma(171.5))
+        for n in (343, 400, 100000):
+            with pytest.raises(DomainError, match=f"n = {n}:"):
+                sphere_spectrum(n, 2)
 
     def test_validation(self):
         with pytest.raises(InvalidDimension):

@@ -48,7 +48,7 @@ from hypercone import (
 from hypercone import quadrature, resolvent, resonances, specfun
 from hypercone.quadrature import cumulative_integral
 from hypercone.resolvent import _GRID_QC, _KernelData, _resolvent
-from hypercone.specfun import _DEFAULT_CTL, _ROUNDOFF
+from hypercone.specfun import _MAX_TERMS, _ROUNDOFF
 from oracles import (
     lattice_grid,
     oracle_apply_resolvent,
@@ -754,7 +754,7 @@ def _inline_ratio_series(term, a, b, c, z, kmin=0):
     # (a+k)(b+k)/((c+k)(k+1)) z: the reference for bit-identity
     total = term
     small = 0
-    for k in range(_DEFAULT_CTL.max_terms):
+    for k in range(_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
         if abs(term) <= _ROUNDOFF * abs(total):

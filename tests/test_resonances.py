@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hypercone import (
     CaseId,
+    DomainError,
     GenericityVerdict,
     InconsistentParams,
     InvalidDimension,
@@ -129,6 +130,18 @@ class TestCandidateParams:
     def test_k_validation(self):
         with pytest.raises(ValidationError):
             candidate_params(1, Mode(1.0, 1), -1)
+
+    def test_float_only_candidate(self):
+        # without an exact mu^2 the candidate has no symbolic forms; b = -k
+        # is then a float within 1e-9 of the lattice, and the classifier
+        # refuses rather than decide it
+        for n, mu_sq, k in ((1, 1.69, 0), (1, 2.0, 3), (3, 0.3, 1)):
+            p = candidate_params(n, Mode(mu_sq, 1), k)
+            assert (p.a_sym, p.b_sym, p.c_sym) == (None, None, None)
+            assert p.lam == complex(0.0, -(0.5 + k + p.s))
+            assert abs(p.b + k) <= 1e-9
+            with pytest.raises(UndecidableMembership, match="^b = "):
+                classify_pole(p)
 
 
 class TestClassifyCases:
@@ -388,6 +401,17 @@ class TestWeylCount:
             weyl_leading_term(1, -1.0, 1.0)
         with pytest.raises(ValidationError):
             weyl_leading_term(1, 1.0, -1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                weyl_leading_term(1, 1.0, lam)
+
+    def test_leading_term_overflow(self):
+        # lambda^(n+1), Gamma(n/2 + 1), or the product of finite factors
+        # overflows
+        for n, vol, lam in ((1, 1.0, 1e300), (400, 1.0, 10.0),
+                            (1, 1e300, 1e10)):
+            with pytest.raises(DomainError, match=f"n = {n} "):
+                weyl_leading_term(n, vol, lam)
 
     def test_asymptotic_ratio_circle(self):
         lam = 100.0

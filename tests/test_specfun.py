@@ -18,7 +18,6 @@ from hypercone import (
     LowerParameterPole,
     NoConvergence,
     PoleAtNonPositiveInteger,
-    SeriesControl,
     gamma,
     gauss_series,
     hyp2f1,
@@ -145,12 +144,20 @@ class TestHyp2f1Values:
         with pytest.raises(LowerParameterPole):
             gauss_series(a, b, c, z)
 
-    def test_no_convergence_budget(self):
+    def test_no_convergence_budget(self, monkeypatch):
+        monkeypatch.setattr("hypercone.specfun._MAX_TERMS", 20)
         with pytest.raises(NoConvergence):
-            gauss_series(0.5, 0.7, 1.1, 0.999, SeriesControl(max_terms=20))
+            gauss_series(0.5, 0.7, 1.1, 0.999)
         with pytest.raises(NoConvergence):
-            hyp2f1_regularized(0.5, 0.7, -1.0, 0.45,
-                               SeriesControl(max_terms=20))
+            hyp2f1_regularized(0.5, 0.7, -1.0, 0.45)
+
+    def test_budget_binds_taylor_expansions(self, monkeypatch):
+        # z = 0.9 is past the seed bound, so the value comes from the ODE
+        # ladder; its seed sums settle in 17 terms, so the expansions that
+        # climb from them are what exceed the budget
+        monkeypatch.setattr("hypercone.specfun._MAX_TERMS", 20)
+        with pytest.raises(NoConvergence, match="Taylor expansion"):
+            hyp2f1(10, 10, 1, 0.9)
 
     def test_ladder_refuses_long_climbs(self):
         # the rung count grows like S ln(1/dist): spread S = 1e6 needs
