@@ -182,6 +182,12 @@ GOLDEN_DIGESTS = [
      "277032dea5f3f5cb4d459866f9984e48b9ff0a904b35750ab7d2a0cab25f4e00"),
     (("classify", "--n", "1", "--mu-sq-exact", "13/4", "--lambda-im", "-1/2"),
      "b6d9d419802999fe64109729f9808cd28f53c2b13ff23aef6a4f4a334a936a8a"),
+    # a surd b written as "-1/1+s": a nonzero rational part joined to s
+    (("classify", "--n", "1", "--mu-sq-exact", "2", "--lambda-im", "-3/2"),
+     "8a0b9547eaa4ff0027194a47e275c4de52d68af4c9d38605eef40debb6f7ed22"),
+    (("classify", "--n", "1", "--mu-sq-exact", "2", "--lambda-im", "-3/2",
+      "--format", "csv"),
+     "bd256cd93579fb692e600477615ba7d018d4ef5846a51128cc8eeb6f535ee372"),
     (("spectrum", "--sphere", "3", "--jmax", "4"),
      "6afc0f0c9ac833073757e21e9a9bf5e1d1640d771000d82946a253b7bb316177"),
     (("spectrum", "--file", "mixed"),
