@@ -27,6 +27,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict, astuple
 from fractions import Fraction
 
 from .crosssec import (
@@ -48,12 +49,11 @@ from .errors import (
     ValidationError,
 )
 from .resonances import (
-    _count_generic,
-    _generic_modes,
+    _certify,
+    _count,
     _listing,
+    _scan,
     _truncation,
-    _truncation_covers,
-    _validate_limits,
     classify_pole,
     hypergeom_params,
     weyl_leading_term,
@@ -281,25 +281,19 @@ def _cmd_resonances(args) -> int:
             f"--lambda-max must be finite and >= 0, got {lambda_max}")
     spec = _build_spectrum(args, lambda_max)
     k_max = _auto_kmax(args, lambda_max)
-    rows, _, _ = _listing(spec, k_max, lambda_max)
+    generic = _scan(spec, k_max, lambda_max)
+    _certify(spec, k_max, lambda_max)
+    rows, _, _ = _listing(generic, k_max, lambda_max)
     trunc = _truncation(spec, k_max, lambda_max)
-    if not _truncation_covers(spec, k_max, lambda_max):
-        raise TruncationInsufficient(
-            f"spectrum truncation (j_max = {trunc.j_max}, k_max = "
-            f"{k_max}) cannot certify completeness up to "
-            f"lambda = {lambda_max}; raise --jmax/--kmax")
-    # a listed row needs a generic mode; only an empty listing asks the scan
-    none_generic = not rows and not _generic_modes(spec)
+    none_generic = not generic
     if args.format == "json":
         out = {"rows": _json_rows(rows) if rows else [],
-               "truncation": {"j_max": trunc.j_max, "k_max": trunc.k_max,
-                              "lambda_max": trunc.lambda_max}}
+               "truncation": asdict(trunc)}
         if none_generic:
             out["note"] = "non-generic: all modes excluded"
         _emit(_json_text(out))
         return EXIT_OK
-    records: list[list] = [["truncation", trunc.j_max, trunc.k_max,
-                            trunc.lambda_max]]
+    records: list[list] = [["truncation", *astuple(trunc)]]
     if none_generic:
         records.append(["note", "non-generic: all modes excluded"])
     records.append(["im_lambda", "multiplicity", "contributors", "exact"])
@@ -391,27 +385,24 @@ def _cmd_weyl(args) -> int:
         raise ValidationError(
             "spectrum carries no volume; the Weyl leading term is undefined")
     k_max = _auto_kmax(args, lam_max)
-    _validate_limits(k_max, lam_max)
     # one scan for the whole grid; an undecidable mode refuses before the
     # non-generic check, as it does for resonances
-    generic = _generic_modes(spec)
+    generic = _scan(spec, k_max, lam_max)
     if not generic:
         raise _NonGenericSpectrum(
             "all modes are non-generic: the resonance set is empty and the "
             "Weyl comparison is undefined")
     rows = []
     for lam in grid:
-        count = _count_generic(spec, generic, k_max, lam)
+        count = _count(spec, generic, k_max, lam)
         leading = weyl_leading_term(spec.dimension_n, spec.volume, lam)
         rows.append({"count": count, "lambda": lam, "leading_term": leading,
                      "ratio": count / leading})
-    trunc = {"j_max": spec.modes[-1].label, "k_max": k_max,
-             "lambda_max": lam_max}
+    trunc = _truncation(spec, k_max, lam_max)
     if args.format == "json":
-        _emit(_json_text({"rows": rows, "truncation": trunc}))
+        _emit(_json_text({"rows": rows, "truncation": asdict(trunc)}))
         return EXIT_OK
-    records: list[list] = [["truncation", trunc["j_max"], trunc["k_max"],
-                            trunc["lambda_max"]],
+    records: list[list] = [["truncation", *astuple(trunc)],
                            ["lambda", "count", "leading_term", "ratio"]]
     for row in rows:
         records.append([row["lambda"], row["count"], row["leading_term"],
@@ -495,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(code: int, reason: str, exc: Exception) -> int:
+def _fail(code: int, reason: str, exc: Exception | str) -> int:
     message = " ".join(str(exc).split())
     print(f"error:{reason}: {message}", file=sys.stderr)
     return code
@@ -527,7 +518,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(_merge_negative_values(list(argv)))
         return args.handler(args)
     except TruncationInsufficient as e:
-        return _fail(EXIT_TRUNCATION, "truncation", e)
+        return _fail(EXIT_TRUNCATION, "truncation",
+                     f"{e}; raise --jmax/--kmax")
     except UndecidableMembership as e:
         return _fail(EXIT_UNDECIDABLE, "undecidable", e)
     except _NonGenericSpectrum as e:

@@ -31,6 +31,10 @@ _EXACT_MATCH_TOL = 1e-15
 # resonances a, b, c to {0, -1, ...} and resonance positions to each other
 _LATTICE_TOL = 1e-9
 
+# a fraction num/den in lowest terms, and a mode's s as _s_data gives it
+_Ratio = tuple[int, int]
+_SData = tuple[float, _Ratio | None, _Ratio | None]
+
 
 class GenericityVerdict(enum.Enum):
     GENERIC = "generic"
@@ -285,8 +289,7 @@ def save_spectrum(spec: SpectrumSpec, target) -> None:
         target.write(text + "\n")
 
 
-def _exact_s(n: int, mu_sq: Fraction) -> tuple[tuple[int, int],
-                                               tuple[int, int] | None]:
+def _exact_s(n: int, mu_sq: Fraction) -> tuple[_Ratio, _Ratio | None]:
     """s^2 = ((n-1)/2)^2 + mu_sq, and s itself when it is rational.
 
     With mu_sq = p/q, s^2 = ((n-1)^2 q + 4p) / (4q), reduced once by the
@@ -307,7 +310,21 @@ def _exact_s(n: int, mu_sq: Fraction) -> tuple[tuple[int, int],
     return (num, den), None
 
 
-def _half_odd(root: tuple[int, int] | None) -> bool:
+def _s_data(n: int, mode: Mode) -> _SData:
+    """A mode's s as the lattice code reads it: the float value, s =
+    num/den when rational and s^2 = num/den when mu^2 is exact, both in
+    lowest terms (else None).  The one place s is formed."""
+    # int / int is correctly rounded, so these are the doubles float() and
+    # math.sqrt() give for the same Fractions
+    if mode.mu_sq_exact is None:
+        return math.sqrt(((n - 1) / 2.0) ** 2 + mode.mu_sq), None, None
+    sq, root = _exact_s(n, mode.mu_sq_exact)
+    if root is not None:
+        return root[0] / root[1], root, sq
+    return math.sqrt(sq[0] / sq[1]), None, sq
+
+
+def _half_odd(root: _Ratio | None) -> bool:
     # a rational s in lowest terms lies in 1/2 + Z iff its denominator is 2
     return root is not None and root[1] == 2
 
@@ -333,6 +350,6 @@ def is_generic(mode: Mode, n: int) -> GenericityVerdict:
         if _half_odd(_exact_s(n, mode.mu_sq_exact)[1]):
             return GenericityVerdict.NON_GENERIC
         return GenericityVerdict.GENERIC
-    if _near_half_odd(math.sqrt(((n - 1) / 2.0) ** 2 + mode.mu_sq)):
+    if _near_half_odd(_s_data(n, mode)[0]):
         return GenericityVerdict.UNKNOWN_FLOAT
     return GenericityVerdict.GENERIC

@@ -28,9 +28,10 @@ from .crosssec import (
     _LATTICE_TOL,
     Mode,
     SpectrumSpec,
-    _exact_s,
     _half_odd,
     _near_half_odd,
+    _Ratio,
+    _s_data,
 )
 from .errors import (
     DomainError,
@@ -43,10 +44,8 @@ from .errors import (
 
 # (rational part, coefficient of s); exact value is rat + coef * s
 _Sym = tuple[Fraction, Fraction]
-# a mode's s as the lattice code reads it: the float value, s = num/den when
-# rational, and s^2 = num/den when mu^2 is exact (both in lowest terms)
-_Ratio = tuple[int, int]
-_SData = tuple[float, _Ratio | None, _Ratio | None]
+# a generic mode with its s as crosssec._s_data gives it, as _scan gives it
+_Generic = tuple[Mode, float, _Ratio | None, _Ratio | None]
 # a listing row (t, key, contributors, multiplicity), as _listing gives it
 _Row = tuple[float, int | tuple[int, int, int] | None,
              tuple[tuple[int, int], ...], int]
@@ -66,22 +65,11 @@ class SValue:
     sq_exact: Fraction | None = None
 
 
-def _s_data(n: int, mode: Mode) -> _SData:
-    # int / int is correctly rounded, so these are the doubles float() and
-    # math.sqrt() give for the same Fractions
-    if mode.mu_sq_exact is None:
-        return math.sqrt(((n - 1) / 2.0) ** 2 + mode.mu_sq), None, None
-    sq, root = _exact_s(n, mode.mu_sq_exact)
-    if root is not None:
-        return root[0] / root[1], root, sq
-    return math.sqrt(sq[0] / sq[1]), None, sq
-
-
 def s_param(n: int, mode: Mode) -> SValue:
     """s = sqrt(((n-1)/2)^2 + mu^2) for one mode, exact where mu^2 is.
 
-    The exact forms come from crosssec._exact_s, the one place s is formed
-    from an exact mu^2."""
+    The value and exact forms come from crosssec._s_data, the one place s
+    is formed."""
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
     value, root, sq = _s_data(n, mode)
@@ -274,18 +262,6 @@ class Resonance:
     def t(self) -> float:
         return -self.lam.imag
 
-    def t_le(self, bound: float) -> bool:
-        # exact comparison whenever an exact form is carried
-        if self.im_part_exact is not None:
-            tn, td = self.im_part_exact.as_integer_ratio()
-            return _count_le(self.t - 0.5, (2 * tn - td, 2 * td), None, 0,
-                             bound) > 0
-        if self.surd_key is not None:
-            s_sq, k = self.surd_key
-            return _count_le(self.t - 0.5 - k, None, s_sq.as_integer_ratio(),
-                             k, bound) > k
-        return _count_le(self.t - 0.5, None, None, 0, bound) > 0
-
 
 @dataclass
 class ResonanceSet:
@@ -349,7 +325,24 @@ def _truncation_covers(spec: SpectrumSpec, k_max: int, bound: float) -> bool:
             and _count_le(*_s_data(n, modes[0]), k_max, bound) <= k_max)
 
 
-def _validate_limits(k_max: int, bound: float) -> None:
+def _certify(spec: SpectrumSpec, k_max: int, bound: float) -> None:
+    # the one refusal of a truncation that cannot certify completeness
+    if not _truncation_covers(spec, k_max, bound):
+        raise TruncationInsufficient(
+            f"truncation (j_max = {spec.modes[-1].label}, k_max = {k_max}) "
+            f"cannot certify completeness up to lambda = {bound}")
+
+
+def _scan(spec: SpectrumSpec, k_max: int, bound: float) -> list[_Generic]:
+    """The limits check, then the genericity scan: every generic mode with
+    its s as _s_data gives it, in spectrum order.
+
+    Raises ValidationError unless k_max is an integer >= 0 and the bound a
+    finite number >= 0.  Genericity and s come from one s per mode: exact
+    where mu^2 is, and otherwise the float that is_generic tests too, read
+    by the same _near_half_odd.  Raises UndecidableMembership at the first
+    float-only mode within _LATTICE_TOL of the half-odd-integer lattice.
+    """
     if not isinstance(k_max, int) or k_max < 0:
         raise ValidationError(f"k_max must be an integer >= 0, got {k_max!r}")
     # the position test reads the bound as a double's integer ratio
@@ -357,19 +350,6 @@ def _validate_limits(k_max: int, bound: float) -> None:
             and 0 <= bound <= sys.float_info.max):
         raise ValidationError(
             f"lambda bound must be finite and >= 0, got {bound!r}")
-
-
-def _generic_modes(spec: SpectrumSpec) -> list[tuple[Mode, float,
-                                                     _Ratio | None,
-                                                     _Ratio | None]]:
-    """The genericity scan: every generic mode with its s as _s_data gives
-    it, in spectrum order.
-
-    Genericity and s come from one s per mode: exact where mu^2 is, and
-    otherwise the float that is_generic tests too, read by the same
-    _near_half_odd.  Raises UndecidableMembership at the first float-only
-    mode within _LATTICE_TOL of the half-odd-integer lattice.
-    """
     n = spec.dimension_n
     generic = []
     for mode in spec.modes:
@@ -390,11 +370,11 @@ def _truncation(spec: SpectrumSpec, k_max: int,
                       float(lambda_max))
 
 
-def _listing(spec: SpectrumSpec, k_max: int, lambda_max: float
+def _listing(generic: list[_Generic], k_max: int, lambda_max: float
              ) -> tuple[list[_Row], int, bool]:
     """The one lattice walk behind every resonance listing: the positions
-    1/2 + k + s <= lambda_max of the truncated spectrum, k = 0..k_max,
-    merged across coinciding positions.
+    1/2 + k + s <= lambda_max of the generic modes that _scan gave for the
+    same limits, k = 0..k_max, merged across coinciding positions.
 
     Returns (rows, den, all_exact).  Each row is (t, key, contributors,
     multiplicity) with t = -Im(lambda), contributors the sorted (mode label
@@ -410,11 +390,7 @@ def _listing(spec: SpectrumSpec, k_max: int, lambda_max: float
     of a rational position is numerator / den, correctly rounded.
     Otherwise positions are clustered with a 1e-9 tolerance on t, and a
     cluster whose keys differ, or that holds float-only data, has key None.
-    Raises ValidationError for bad limits and UndecidableMembership if any
-    mode's genericity is unknown_float.
     """
-    _validate_limits(k_max, lambda_max)
-    generic = _generic_modes(spec)
     all_exact = all(root is not None or sq is not None
                     for _, _, root, sq in generic)
     den = math.lcm(*(2 * root[1] for _, _, root, _ in generic
@@ -471,7 +447,8 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
     exact s data.  Raises ValidationError for bad limits and
     UndecidableMembership if any mode's genericity is unknown_float.
     """
-    rows, den, exact = _listing(spec, k_max, lambda_max)
+    rows, den, exact = _listing(_scan(spec, k_max, lambda_max), k_max,
+                                lambda_max)
     resonances = []
     for t, key, contributors, mult in rows:
         exact_t = surd = None
@@ -485,14 +462,11 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
                         spec, exact)
 
 
-def _count_generic(spec: SpectrumSpec, generic: list, k_max: int,
-                   bound: float) -> int:
-    # count_resonances after its checks of the limits and its scan, so a
-    # caller with many bounds scans the spectrum once
-    if not _truncation_covers(spec, k_max, bound):
-        raise TruncationInsufficient(
-            f"truncation (j_max = {spec.modes[-1].label}, k_max = {k_max}) "
-            f"is not provably complete up to lambda = {bound}")
+def _count(spec: SpectrumSpec, generic: list[_Generic], k_max: int,
+           bound: float) -> int:
+    # count_resonances after its scan, so a caller with many bounds up to
+    # the scanned one scans the spectrum once
+    _certify(spec, k_max, bound)
     return sum(mode.multiplicity * _count_le(value, root, sq, k_max, bound)
                for mode, value, root, sq in generic)
 
@@ -507,8 +481,7 @@ def count_resonances(spec: SpectrumSpec, k_max: int, bound: float) -> int:
     TruncationInsufficient when the last listed mode or k_max cannot certify
     completeness up to the bound (the rule of ResonanceSet.complete_up_to).
     """
-    _validate_limits(k_max, bound)
-    return _count_generic(spec, _generic_modes(spec), k_max, bound)
+    return _count(spec, _scan(spec, k_max, bound), k_max, bound)
 
 
 def weyl_count(rset: ResonanceSet, lambda_bound: float) -> int:

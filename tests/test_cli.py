@@ -389,11 +389,16 @@ class TestResonances:
                                  "im_lambda": -1.5, "multiplicity": 1}]
 
     def test_insufficient_truncation(self):
-        rc, out, err = run("resonances", "--circle", "1", "--jmax", "1",
-                           "--kmax", "1", "--lambda-max", "3")
-        assert out == ""
-        assert_error(rc, err, 3, "truncation")
-        assert "raise --jmax/--kmax" in err
+        # both commands refuse the same truncation with one message and the
+        # same hint
+        for argv in (("resonances", "--lambda-max", "3"),
+                     ("weyl", "--lambda-grid", "3")):
+            rc, out, err = run(argv[0], "--circle", "1", "--jmax", "1",
+                               "--kmax", "1", *argv[1:])
+            assert (rc, out) == (3, "")
+            assert err == ("error:truncation: truncation (j_max = 1, "
+                           "k_max = 1) cannot certify completeness up to "
+                           "lambda = 3.0; raise --jmax/--kmax\n")
 
     def test_undecidable_membership(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -656,8 +661,9 @@ class TestWeyl:
 
     def test_one_exact_s_per_mode(self, monkeypatch):
         # weyl scans the spectrum once: one exact s per mode, plus the
-        # first and last mode's s for the truncation check at each bound
-        from hypercone import crosssec, resonances
+        # first and last mode's s for the truncation check at each bound;
+        # crosssec forms every s, so patching it there sees every call
+        from hypercone import crosssec
         calls = []
         helper = crosssec._exact_s
 
@@ -665,7 +671,6 @@ class TestWeyl:
             calls.append(args)
             return helper(*args)
         monkeypatch.setattr(crosssec, "_exact_s", counted)
-        monkeypatch.setattr(resonances, "_exact_s", counted)
         grid = (3, 10, 20, 30, 40)
         rc, out, err = run("weyl", "--circle", "1", "--lambda-grid",
                            ",".join(map(str, grid)))

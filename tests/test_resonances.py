@@ -284,22 +284,6 @@ class TestEnumerate:
         ts = [r.t for r in rset.resonances]
         assert ts == sorted(ts)
 
-    def test_surd_bound_comparisons(self):
-        spec = SpectrumSpec(1, [Mode(3.25, 1, Fraction(13, 4), 0)],
-                            None, "file")
-        r = enumerate_resonances(spec, 0, 3.0).resonances[0]
-        # t = 1/2 + sqrt(13)/2 = 2.302775...
-        assert r.t_le(2.31) and not r.t_le(2.30)
-        assert not r.t_le(0.4)
-
-    def test_rational_and_float_bound_comparisons(self):
-        r = enumerate_resonances(circle_spectrum(1, 3), 3, 3.0).resonances[-1]
-        assert r.im_part_exact == Fraction(5, 2)
-        assert r.t_le(2.5) and not r.t_le(math.nextafter(2.5, 0.0))
-        spec = SpectrumSpec(1, [Mode(1.69, 1, None, 0)], None, "file")
-        r = enumerate_resonances(spec, 0, 3.0).resonances[0]
-        assert r.t_le(r.t) and not r.t_le(math.nextafter(r.t, 0.0))
-
     def test_undecidable_float_mode(self):
         spec = SpectrumSpec(1, [Mode(2.25 + 1e-12, 1)], None, "file")
         with pytest.raises(UndecidableMembership, match="j = 0"):
@@ -521,6 +505,12 @@ class TestCountResonances:
            which=st.integers(0, 2), place=st.sampled_from(PLACES))
     # the float guess of the last k falls one short here and must be raised
     @example(kind="float", j=3, k=2, which=2, place="on")
+    # a surd position (s^2 = 7/12) and a rational one (s = 2) with the
+    # bound on it and one double below it
+    @example(kind="surd", j=1, k=0, which=0, place="on")
+    @example(kind="surd", j=1, k=0, which=0, place="below")
+    @example(kind="mixed", j=2, k=1, which=0, place="on")
+    @example(kind="mixed", j=2, k=1, which=0, place="below")
     def test_file_spectra(self, kind, j, k, which, place):
         n, build = {"surd": (2, _surd_modes), "float": (1, _float_modes),
                     "mixed": (1, _mixed_modes)}[kind]
