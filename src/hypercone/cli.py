@@ -27,7 +27,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, astuple
 from fractions import Fraction
 
 from .crosssec import (
@@ -285,16 +284,17 @@ def _cmd_resonances(args) -> int:
     _certify(spec, k_max, lambda_max)
     rows, _, _ = _listing(generic, k_max, lambda_max)
     trunc = _truncation(spec, k_max, lambda_max)
-    none_generic = not generic
     if args.format == "json":
         out = {"rows": _json_rows(rows) if rows else [],
-               "truncation": asdict(trunc)}
-        if none_generic:
+               "truncation": {"j_max": trunc.j_max, "k_max": trunc.k_max,
+                              "lambda_max": trunc.lambda_max}}
+        if not generic:
             out["note"] = "non-generic: all modes excluded"
         _emit(_json_text(out))
         return EXIT_OK
-    records: list[list] = [["truncation", *astuple(trunc)]]
-    if none_generic:
+    records: list[list] = [["truncation", trunc.j_max, trunc.k_max,
+                            trunc.lambda_max]]
+    if not generic:
         records.append(["note", "non-generic: all modes excluded"])
     records.append(["im_lambda", "multiplicity", "contributors", "exact"])
     _emit(_csv_text(records) + _csv_rows(rows))
@@ -302,20 +302,13 @@ def _cmd_resonances(args) -> int:
 
 
 def _sym_text(sym) -> str | None:
+    # hypergeom_params gives a and c an s-coefficient of 0 and b one of 1
     if sym is None:
         return None
     u, v = sym
     if v == 0:
         return _frac_text(u)
-    if abs(v) == 1:
-        s_part = "s" if v > 0 else "-s"
-    else:
-        s_part = f"{'+' if v > 0 else '-'}{_frac_text(abs(v))}*s"
-        s_part = s_part.lstrip("+")
-    if u == 0:
-        return s_part
-    joiner = "+" if (v > 0 and abs(v) == 1) else ""
-    return f"{_frac_text(u)}{joiner}{s_part}"
+    return "s" if u == 0 else f"{_frac_text(u)}+s"
 
 
 def _s_text(p) -> str | None:
@@ -400,9 +393,12 @@ def _cmd_weyl(args) -> int:
                      "ratio": count / leading})
     trunc = _truncation(spec, k_max, lam_max)
     if args.format == "json":
-        _emit(_json_text({"rows": rows, "truncation": asdict(trunc)}))
+        _emit(_json_text({"rows": rows, "truncation": {
+            "j_max": trunc.j_max, "k_max": trunc.k_max,
+            "lambda_max": trunc.lambda_max}}))
         return EXIT_OK
-    records: list[list] = [["truncation", *astuple(trunc)],
+    records: list[list] = [["truncation", trunc.j_max, trunc.k_max,
+                            trunc.lambda_max],
                            ["lambda", "count", "leading_term", "ratio"]]
     for row in rows:
         records.append([row["lambda"], row["count"], row["leading_term"],

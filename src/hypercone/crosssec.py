@@ -134,7 +134,8 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
 
     Exact rational tracking requires an exactly-known radius: pass an int,
     Fraction, or string ("1/3", "0.5").  A float radius is taken at face
-    value and produces a float-only spectrum.
+    value and produces a float-only spectrum.  A radius whose volume
+    overflows a double raises DomainError.
     """
     exact_rho = None
     if isinstance(rho, (int, Fraction, str)):
@@ -151,6 +152,10 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
         raise InvalidRadius(f"circle radius must be positive, got {rho!r}")
     if not isinstance(j_max, int) or j_max < 0:
         raise ValidationError(f"j_max must be an integer >= 0, got {j_max!r}")
+    vol = 2.0 * math.pi * rho_f
+    if vol == math.inf:
+        raise DomainError(f"circle volume for rho = {rho!r}: 2*pi*rho "
+                          "overflows a double")
     modes = []
     for j in range(j_max + 1):
         if exact_rho is not None:
@@ -161,7 +166,7 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
         else:
             exact, mu = None, (j / rho_f) ** 2
         modes.append(Mode(mu, 1 if j == 0 else 2, exact, j))
-    return SpectrumSpec(1, modes, 2.0 * math.pi * rho_f, "circle")
+    return SpectrumSpec(1, modes, vol, "circle")
 
 
 _TOP_KEYS = {"n", "volume", "modes"}
@@ -197,7 +202,11 @@ def _parse_mode_entry(entry, idx: int) -> list:
         except (ValueError, ZeroDivisionError) as e:
             raise ValidationError(
                 f"modes[{idx}].mu_sq_exact = {raw!r} is not a valid rational: {e}")
-    mu_sq = float(mu_sq)
+    try:
+        mu_sq = float(mu_sq)
+    except OverflowError:  # a JSON integer beyond the double range
+        raise ValidationError(
+            f"modes[{idx}].mu_sq lies beyond the double range") from None
     try:
         _check_mode(mu_sq, m, exact)
     except ValidationError as e:
@@ -252,11 +261,15 @@ def load_spectrum(source) -> SpectrumSpec:
         raise ValidationError(f"'n' must be an integer >= 1, got {n!r}")
     volume = None
     if "volume" in data:
-        volume = data["volume"]
-        if (isinstance(volume, bool) or not isinstance(volume, (int, float))
-                or volume <= 0 or not math.isfinite(volume)):
-            raise ValidationError(f"'volume' must be a finite positive number, got {volume!r}")
-        volume = float(volume)
+        raw = data["volume"]
+        try:
+            volume = float(raw) if type(raw) is int else raw
+        except OverflowError:  # a JSON integer beyond the double range
+            raise ValidationError(
+                "'volume' lies beyond the double range") from None
+        if (not isinstance(volume, float) or volume <= 0
+                or not math.isfinite(volume)):
+            raise ValidationError(f"'volume' must be a finite positive number, got {raw!r}")
     if "modes" not in data:
         raise ValidationError("missing required field 'modes'")
     if not isinstance(data["modes"], list) or not data["modes"]:

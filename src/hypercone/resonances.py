@@ -503,7 +503,8 @@ def weyl_count(rset: ResonanceSet, lambda_bound: float) -> int:
 def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:
     """Leading-order resonance count |B_n| Vol(Y) lambda^(n+1) /
     ((2 pi)^n (n+1)), with |B_n| the Euclidean unit-ball volume.  A factor
-    or product that overflows a double raises DomainError."""
+    or product that overflows a double raises DomainError, and so does a
+    term below the smallest normal double at lambda > 0."""
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
     if not (vol_y > 0 and math.isfinite(vol_y)):
@@ -520,4 +521,9 @@ def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:
     if not math.isfinite(term):
         raise DomainError(f"Weyl leading term for n = {n} at lambda = {lam!r}: "
                           "a factor or the product overflows a double")
+    # a count divides by the term, so a subnormal or zero one is refused
+    if lam > 0 and term < sys.float_info.min:
+        raise DomainError(
+            f"Weyl leading term for n = {n}, volume = {vol_y!r} at lambda = "
+            f"{lam!r} underflows below the smallest normal double")
     return term

@@ -283,6 +283,13 @@ class TestSpectrum:
             assert_error(rc, err, 2, "validation")
             assert f"n = {argv[2]}:" in err
 
+    def test_circle_volume_overflow(self):
+        # 2*pi*rho overflows: refused naming rho, not at the output layer
+        rc, out, err = run("spectrum", "--circle", "1e308", "--jmax", "2")
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert "rho = '1e308':" in err
+
     def test_byte_stability(self):
         first = run("spectrum", "--sphere", "3", "--jmax", "4")
         second = run("spectrum", "--sphere", "3", "--jmax", "4")
@@ -344,6 +351,19 @@ class TestFileInput:
         assert "modes[0]: mu_sq_exact must be >= 0" in err
         assert out == ""
 
+
+    @pytest.mark.parametrize("field,text", [
+        ("modes[0].mu_sq", '{"n": 1, "modes": [{"mu_sq": 1%s, "m": 1}]}'),
+        ("'volume'", '{"n": 1, "volume": 1%s, "modes": [{"mu_sq": 1, "m": 1}]}'),
+    ])
+    def test_integer_beyond_double_range(self, tmp_path, field, text):
+        # a 401-digit JSON integer: one validation line, not a traceback
+        path = tmp_path / "spec.json"
+        path.write_text(text % ("0" * 400), encoding="utf-8")
+        rc, out, err = run("spectrum", "--file", str(path))
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert f"{field} lies beyond the double range" in err
 
     @pytest.mark.parametrize("volume", ["NaN", "Infinity"])
     def test_non_finite_volume(self, tmp_path, volume):
@@ -689,6 +709,20 @@ class TestWeyl:
     def test_bad_grid(self):
         rc, _, err = run("weyl", "--circle", "1", "--lambda-grid", "-5")
         assert_error(rc, err, 2, "validation")
+
+    def test_leading_term_underflow(self, tmp_path):
+        # a volume of 5e-324 makes every leading term subnormal or 0: a
+        # typed refusal naming the volume and the first grid point, not a
+        # division by zero
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 1, "volume": 5e-324, "modes": [
+            {"mu_sq": j * j, "mu_sq_exact": str(j * j), "m": 1 if j else 2}
+            for j in range(4)]}), encoding="utf-8")
+        rc, out, err = run("weyl", "--file", str(path), "--lambda-grid",
+                           "0.4,3")
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert "volume = 5e-324 at lambda = 0.4 underflows" in err
 
     def test_leading_term_overflow(self, tmp_path):
         # Gamma(n/2 + 1) overflows at n = 400 where the count does not

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,15 @@ class TestCircleSpectrum:
             with pytest.raises(InvalidRadius):
                 circle_spectrum(bad, 2)
 
+    def test_volume_overflow(self):
+        # 2*pi*rho overflows a double for a finite rho: a typed refusal
+        # naming rho; just below, the volume is the same product
+        assert circle_spectrum(2.8e307, 1).volume == 2.0 * math.pi * 2.8e307
+        for rho in ("1e308", 1e308, 10 ** 308):
+            with pytest.raises(DomainError,
+                               match=f"rho = {re.escape(repr(rho))}:"):
+                circle_spectrum(rho, 2)
+
 
 class TestModeValidation:
     def test_negative_mu_sq(self):
@@ -211,6 +221,16 @@ class TestFileIO:
                 load_spectrum(io.StringIO(text))
         with pytest.raises(ParseError):
             load_spectrum("/nonexistent/path.json")
+
+    @pytest.mark.parametrize("field,text", [
+        ("modes[0].mu_sq", '{"n": 1, "modes": [{"mu_sq": 1%s, "m": 1}]}'),
+        ("'volume'", '{"n": 1, "volume": 1%s, "modes": [{"mu_sq": 1, "m": 1}]}'),
+    ])
+    def test_integer_beyond_double_range(self, field, text):
+        # json reads a 401-digit integer exactly; float() of it overflows
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(field)} lies beyond the double"):
+            load_spectrum(io.StringIO(text % ("0" * 400)))
 
     def test_to_dict_shape(self):
         d = spectrum_to_dict(circle_spectrum(2, 1))

@@ -397,6 +397,18 @@ class TestWeylCount:
             with pytest.raises(DomainError, match=f"n = {n} "):
                 weyl_leading_term(n, vol, lam)
 
+    def test_leading_term_underflow(self):
+        # a count divides by the term: at lambda > 0 a term below the
+        # smallest normal double is refused, naming n, the volume and lambda
+        for n, vol, lam in ((1, 5e-324, 0.4), (1, 5e-324, 3.0),
+                            (1, 1.0, 1e-160), (3, 1e-300, 1e-3)):
+            with pytest.raises(DomainError, match=(
+                    f"n = {n}, volume = {vol!r} at lambda = {lam!r} ")):
+                weyl_leading_term(n, vol, lam)
+        assert weyl_leading_term(1, 5e-324, 0.0) == 0.0
+        assert weyl_leading_term(1, 2 * math.pi, 1e-150) == pytest.approx(
+            1e-300, rel=1e-15)
+
     def test_asymptotic_ratio_circle(self):
         lam = 100.0
         rset = enumerate_resonances(circle_spectrum(1, 101), 100, lam)
