@@ -322,8 +322,12 @@ def _s_text(p) -> str | None:
 def _cmd_classify(args) -> int:
     if args.mu_sq_exact is not None:
         mu_exact = _parse_fraction(args.mu_sq_exact, "--mu-sq-exact")
-        mode = Mode(mu_sq=float(mu_exact), multiplicity=1,
-                    mu_sq_exact=mu_exact)
+        try:
+            mu_sq = float(mu_exact)
+        except OverflowError:
+            raise ValidationError(f"--mu-sq-exact {args.mu_sq_exact!r} lies "
+                                  "beyond the double range") from None
+        mode = Mode(mu_sq=mu_sq, multiplicity=1, mu_sq_exact=mu_exact)
     else:
         mode = Mode(mu_sq=args.mu_sq, multiplicity=1)
     y = _parse_fraction(args.lambda_im, "--lambda-im")

@@ -54,7 +54,11 @@ def _check_mode(mu_sq, multiplicity, mu_sq_exact) -> None:
         if mu_sq_exact.numerator < 0:
             raise ValidationError(
                 f"mu_sq_exact must be >= 0, got {mu_sq_exact}")
-        err = abs(mu_sq - float(mu_sq_exact))
+        try:
+            err = abs(mu_sq - float(mu_sq_exact))
+        except OverflowError:
+            raise ValidationError(
+                "mu_sq_exact lies beyond the double range") from None
         if err > _EXACT_MATCH_TOL * (1.0 + abs(mu_sq)):
             raise ValidationError(
                 f"mu_sq_exact = {mu_sq_exact} disagrees with "
@@ -134,7 +138,8 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
 
     Exact rational tracking requires an exactly-known radius: pass an int,
     Fraction, or string ("1/3", "0.5").  A float radius is taken at face
-    value and produces a float-only spectrum.  A radius whose volume
+    value and produces a float-only spectrum.  A radius beyond the double
+    range raises InvalidRadius; one whose volume, or a mode's mu_j^2,
     overflows a double raises DomainError.
     """
     exact_rho = None
@@ -143,7 +148,11 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
             exact_rho = Fraction(rho)
         except (ValueError, ZeroDivisionError) as e:
             raise InvalidRadius(f"cannot parse radius {rho!r}: {e}") from e
-        rho_f = float(exact_rho)
+        try:
+            rho_f = float(exact_rho)
+        except OverflowError:
+            raise InvalidRadius(f"circle radius rho = {rho!r}: beyond the "
+                                "double range") from None
     elif isinstance(rho, float):
         rho_f = rho
     else:
@@ -158,13 +167,18 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
                           "overflows a double")
     modes = []
     for j in range(j_max + 1):
-        if exact_rho is not None:
-            # mu_j^2 = (j * den / num)^2 for rho = num/den: one Fraction
-            exact = Fraction((j * exact_rho.denominator) ** 2,
-                             exact_rho.numerator ** 2)
-            mu = float(exact)
-        else:
-            exact, mu = None, (j / rho_f) ** 2
+        try:
+            if exact_rho is not None:
+                # mu_j^2 = (j * den / num)^2 for rho = num/den: one Fraction
+                exact = Fraction((j * exact_rho.denominator) ** 2,
+                                 exact_rho.numerator ** 2)
+                mu = float(exact)
+            else:
+                exact, mu = None, (j / rho_f) ** 2
+        except OverflowError:
+            raise DomainError(f"circle modes for rho = {rho!r}: mu_j^2 = "
+                              f"j^2/rho^2 overflows a double at j = {j}"
+                              ) from None
         modes.append(Mode(mu, 1 if j == 0 else 2, exact, j))
     return SpectrumSpec(1, modes, vol, "circle")
 

@@ -323,9 +323,6 @@ class _KernelData:
             return h + val, dh + slope
         return seed
 
-    def rho_weight(self, rho: float) -> complex:
-        return cmath.exp(self.e1 * math.log(rho)) * (1.0 - rho) ** self.e2
-
     def sigma_prefactor(self, sigma: float) -> complex:
         return (cmath.exp(self.alpha * math.log(sigma))
                 * (1.0 - sigma) ** self.beta)
@@ -366,20 +363,25 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
     The integrands read f.func on the closed support, so a profile that is
     nonzero at lo or hi is still smooth there.  The cuts are the interior
     panel boundaries of both integrals, where (R f) is smooth only to the
-    integrals' tolerance.  This is the only place the kernel
-    P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed.
+    integrals' tolerance.  Each running integral reads one closure over
+    f.func, its ladder (kd.f1, or kd.f2 at (1 - r, r)) and the weight
+    r^e1 (1-r)^e2, with no kernel method call per node.  This is the only
+    place the kernel P [g1 (upper u2 integral) + u2 (lower g1 integral)]
+    is formed.
     """
     lo, hi = f.support
-    func = f.func
+    func, f1, f2, e1, e2 = f.func, kd.f1, kd.f2, kd.e1, kd.e2
     cuts = []
     if b > lo:
         lower = cumulative_integral(
-            lambda r: func(r) * kd.g1(r) * kd.rho_weight(r),
+            lambda r: (func(r) * f1(r)
+                       * (cmath.exp(e1 * math.log(r)) * (1.0 - r) ** e2)),
             lo, min(b, hi), control=control)
         cuts += lower.cuts
     if a < hi:
         upper = cumulative_integral(
-            lambda r: func(r) * kd.u2(r) * kd.rho_weight(r),
+            lambda r: (func(r) * f2(1.0 - r, r)
+                       * (cmath.exp(e1 * math.log(r)) * (1.0 - r) ** e2)),
             max(a, lo), hi, control=control, downward=True)
         cuts += upper.cuts
 

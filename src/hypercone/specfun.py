@@ -159,30 +159,37 @@ def gauss_series(a: complex, b: complex, c: complex, z: float) -> complex:
     roundoff within _MAX_TERMS terms.
 
     Converges for |z| < 1; near z = 1 it takes about 36/(1 - z) terms, and
-    its roundoff grows in proportion.  Raises LowerParameterPole for c in
-    {0, -1, ...}.  This is the raw sum: hyp2f1 uses it up to its seed bound
-    and continues the ODE beyond.
+    its roundoff grows in proportion.  The loop sums the derivative beside
+    the value and stops once both have settled.  Raises LowerParameterPole
+    for c in {0, -1, ...}.  This is the raw sum: hyp2f1 uses it up to its
+    seed bound and continues the ODE beyond.
     """
     c = complex(c)
     if is_nonpositive_integer(c):
         raise LowerParameterPole(f"gauss_series lower parameter c = {c}")
-    return _sum_series(1.0 + 0.0j, complex(a), complex(b), c, z)
+    return _sum_series(1.0 + 0.0j, complex(a), complex(b), c, z)[0]
 
 
 def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
-                kmin: int = 0) -> complex:
-    # the one 2F1 term loop: term is the 0th term, step k multiplies it by
-    # (a+k)(b+k)/((c+k)(k+1)) z; three terms in a row at most _ROUNDOFF
-    # of the sum, once k >= kmin, end it
+                kmin: int = 0) -> tuple[complex, complex]:
+    # the one 2F1 term loop, returning (F, F') for the 0th term `term`:
+    # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), so t_{k+1} = u_k z
+    # and F' = sum_k (k+1) u_k, never dividing by z; three steps in a row
+    # that leave both sums within _ROUNDOFF, once k >= kmin, end it
     total = term
+    dtotal = 0.0 + 0.0j
     small = 0
     for k in range(_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1))
+        dterm = (k + 1) * term
+        dtotal += dterm
+        term *= z
         total += term
-        if abs(term) <= _ROUNDOFF * abs(total):
+        if (abs(term) <= _ROUNDOFF * abs(total)
+                and abs(dterm) <= _ROUNDOFF * abs(dtotal)):
             small += 1
             if small >= 3 and k >= kmin:
-                return total
+                return total, dtotal
         else:
             small = 0
     raise NoConvergence(
@@ -246,13 +253,11 @@ def _seed_bound(a: complex, b: complex, c: complex) -> float:
 
 def _series_seed(term: complex, a: complex, b: complex, c: complex,
                  kmin: int = 0):
-    """m -> (term F(a, b; c; m), term F'(a, b; c; m)) by the series and its
-    contiguous derivative (ab/c) F(a+1, b+1; c+1; m)."""
-    dterm = term * a * b / c
+    """m -> (term F(a, b; c; m), term F'(a, b; c; m)) from one pass of the
+    series, its derivative being the contiguous (ab/c) F(a+1, b+1; c+1; m)."""
 
     def seed(m: float) -> tuple[complex, complex]:
-        return (_sum_series(term, a, b, c, m, kmin),
-                _sum_series(dterm, a + 1.0, b + 1.0, c + 1.0, m, kmin - 1))
+        return _sum_series(term, a, b, c, m, kmin)
     return seed
 
 
@@ -266,7 +271,8 @@ class _Ladder:
     exponent difference |1-c|, |c-a-b|, |a-b| or 1, keeps a step within the
     local oscillation scale.  The anchor at D(i) serves the points at
     distance (q D(i), D(i)], so none is closer to a singular point than the
-    points it serves.  seed(m) = (y(m), y'(m)) starts the anchors at
+    points it serves.  seed(m) = (y(m), y'(m)), the series and its
+    derivative from one term loop (_series_seed), starts the anchors at
     z <= x0 (_seed_bound), where the series is benign; key k beyond starts
     from the value and derivative of expansion k + 1 at its edge
     (F. Johansson, arXiv:1606.06977, sec. 4).  Each expansion is scaled by
@@ -299,7 +305,7 @@ class _Ladder:
         if 0.5 * self.q ** i < dist:  # log rounding at a ladder point
             i -= 1
         key = -i if right else i
-        m, r, coeffs, _ = self._expansion(key)
+        m, r, coeffs, _ = self.expansions.get(key) or self._expansion(key)
         tau = ((dist if key < 0 else x) - m) / r
         acc = 0.0 + 0.0j
         for cj in coeffs:
@@ -307,15 +313,14 @@ class _Ladder:
         return acc
 
     def _expansion(self, key: int):
-        if key not in self.expansions:
-            top = key  # build from top down: top is seeded, or top+1 built
-            while not self._seeded(top) and top + 1 not in self.expansions:
-                top += 1
-                if top - key + 1 + len(self.expansions) > _MAX_RUNGS:
-                    raise NoConvergence(
-                        f"2F1 continuation needs over {_MAX_RUNGS} expansions")
-            for k in range(top, key - 1, -1):
-                self.expansions[k] = self._build(k)
+        top = key  # build from top down: top is seeded, or top+1 built
+        while not self._seeded(top) and top + 1 not in self.expansions:
+            top += 1
+            if top - key + 1 + len(self.expansions) > _MAX_RUNGS:
+                raise NoConvergence(
+                    f"2F1 continuation needs over {_MAX_RUNGS} expansions")
+        for k in range(top, key - 1, -1):
+            self.expansions[k] = self._build(k)
         return self.expansions[key]
 
     def _seeded(self, key: int) -> bool:

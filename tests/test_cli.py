@@ -205,11 +205,11 @@ GOLDEN_DIGESTS = [
 # is computed moves them and must update this pin deliberately.
 SUITE_DIGESTS = {
     "specfun":
-        "a59efbacc9b2d312c38f2b832226af694408ae156a0e274adbba3d02465e5327",
+        "809e82f86fd2b5a64569eeda51cb412cdef6af531751b9f0a252c014c58fceab",
     "wronskian":
-        "b7d655ce4edebeb6a69d76a59e9918e00c02eb2a36fd60206e09d6bca49edb53",
+        "8b26943eb8055ddb18f79e292893b2d67f891b8d998e5d5a51b7b9194fe07f6b",
     "residual":
-        "64701fbf50da59e0e39b368f32c07aaec56c077d3480fd4590af3da62cf91676",
+        "b41b9aef7b5e109cf8c0527b731b02baf026279cb73e6b9529f8f1768440be94",
     "residue":
         "f44d015583cb29918e2f6aaf3f93404f6dd08ad06a34161f2a9b22b1d54c5161",
 }
@@ -290,6 +290,24 @@ class TestSpectrum:
         assert_error(rc, err, 2, "validation")
         assert "rho = '1e308':" in err
 
+    @pytest.mark.parametrize("argv,named", [
+        (("spectrum", "--circle", "1e400", "--jmax", "2"),
+         "rho = '1e400': beyond the double range"),
+        (("resonances", "--circle", "1e400", "--lambda-max", "3"),
+         "rho = '1e400': beyond the double range"),
+        (("spectrum", "--circle", "1e-200", "--jmax", "2"),
+         "rho = '1e-200': mu_j^2 = j^2/rho^2 overflows a double at j = 1"),
+        (("classify", "--n", "1", "--mu-sq-exact", "1e400", "--lambda-im",
+          "-1"), "--mu-sq-exact '1e400' lies beyond the double range"),
+    ], ids=["spectrum-radius", "resonances-radius", "spectrum-mode",
+            "classify-mu-sq-exact"])
+    def test_exact_input_beyond_double_range(self, argv, named):
+        # each exited 1 with an OverflowError traceback before
+        rc, out, err = run(*argv)
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert named in err
+
     def test_byte_stability(self):
         first = run("spectrum", "--sphere", "3", "--jmax", "4")
         second = run("spectrum", "--sphere", "3", "--jmax", "4")
@@ -318,6 +336,15 @@ class TestFileInput:
         path = tmp_path / "spec.json"
         path.write_text(out, encoding="utf-8")
         assert run("spectrum", "--file", str(path)) == (0, out, "")
+
+    def test_exact_beyond_double_range(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"n": 1, "modes": [{"mu_sq": 1, "mu_sq_exact": '
+                        '"1e400", "m": 1}]}', encoding="utf-8")
+        rc, out, err = run("spectrum", "--file", str(path))
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert "modes[0]: mu_sq_exact lies beyond the double range" in err
 
     def test_file_rejects_jmax(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -137,6 +137,23 @@ class TestCircleSpectrum:
                                match=f"rho = {re.escape(repr(rho))}:"):
                 circle_spectrum(rho, 2)
 
+    def test_radius_beyond_double_range(self):
+        # an exact radius whose float overflows is refused naming rho,
+        # before any mode is built
+        for rho in ("1e400", 10 ** 400, Fraction(10 ** 400, 3)):
+            with pytest.raises(InvalidRadius,
+                               match=f"rho = {re.escape(repr(rho))}: beyond"):
+                circle_spectrum(rho, 2)
+
+    def test_mode_beyond_double_range(self):
+        # mu_j^2 = j^2/rho^2 overflows for a tiny radius, exact or float:
+        # refused naming rho and the first such j
+        for rho, j_max, j in (("1e-200", 2, 1), (1e-200, 2, 1),
+                              ("8e-154", 20, 11)):
+            with pytest.raises(DomainError, match=(
+                    f"rho = {re.escape(repr(rho))}: .* at j = {j}$")):
+                circle_spectrum(rho, j_max)
+
 
 class TestModeValidation:
     def test_negative_mu_sq(self):
@@ -154,6 +171,17 @@ class TestModeValidation:
     def test_exact_mismatch(self):
         with pytest.raises(ValidationError):
             Mode(mu_sq=1.0, multiplicity=1, mu_sq_exact=Fraction(3, 2))
+
+    def test_exact_beyond_double_range(self):
+        with pytest.raises(ValidationError,
+                           match="^mu_sq_exact lies beyond the double range"):
+            Mode(1.0, 1, Fraction(10 ** 400))
+
+    def test_file_exact_beyond_double_range(self):
+        text = '{"n": 1, "modes": [{"mu_sq": 1, "mu_sq_exact": "1e400", "m": 1}]}'
+        with pytest.raises(ValidationError,
+                           match=r"^modes\[0\]: mu_sq_exact lies beyond"):
+            load_spectrum(io.StringIO(text))
 
     def test_unsorted_modes_rejected(self):
         with pytest.raises(ValidationError):

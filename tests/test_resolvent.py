@@ -750,17 +750,23 @@ class TestResolventOracle:
 
 
 def _inline_ratio_series(term, a, b, c, z, kmin=0):
-    # the 2F1 term loop written out here, each step multiplying by
-    # (a+k)(b+k)/((c+k)(k+1)) z: the reference for bit-identity
-    total = term
+    # the 2F1 term loop written out here, the reference for bit-identity:
+    # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), adds (k+1) u_k to the
+    # derivative and t_{k+1} = u_k z to the value, and three steps in a row
+    # leaving both within roundoff, once k >= kmin, end it
+    value, slope = term, 0.0 + 0.0j
     small = 0
     for k in range(_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-        if abs(term) <= _ROUNDOFF * abs(total):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1))
+        dterm = (k + 1) * term
+        slope += dterm
+        term *= z
+        value += term
+        if (abs(term) <= _ROUNDOFF * abs(value)
+                and abs(dterm) <= _ROUNDOFF * abs(slope)):
             small += 1
             if small >= 3 and k >= kmin:
-                return total
+                return value, slope
         else:
             small = 0
     raise AssertionError("reference series did not settle")
@@ -785,16 +791,92 @@ class TestStepRatioCache:
         a, b, c, c2 = (complex(v) for v in (p.a, p.b, p.c, 1.0 + p.s))
         t0 = kd.f1.seed(0.0)[0]
         for x in self.POINTS:
-            assert kd.f1.seed(x) == (
-                _inline_ratio_series(t0, a, b, c, x, kmin=kd.kmin),
-                _inline_ratio_series(t0 * a * b / c, a + 1, b + 1, c + 1, x,
-                                     kmin=max(0, kd.kmin - 1)))
+            assert kd.f1.seed(x) == _inline_ratio_series(t0, a, b, c, x,
+                                                         kmin=kd.kmin)
             w = 1.0 - x
             series = _inline_ratio_series(1.0 + 0.0j, a, b, c2, w)
-            assert kd.f2.seed(w) == (series, _inline_ratio_series(
-                a * b / c2, a + 1, b + 1, c2 + 1, w))
+            assert kd.f2.seed(w) == series
             if w <= kd.f2.x0:
-                assert u2(p, x) == series
+                assert u2(p, x) == series[0]
+
+
+class TestSeedDerivative:
+    """Each series seed sums (F, F') in one pass, F' being the contiguous
+    (ab/c) F(a+1, b+1; c+1; m), to 1e-13 of mpmath from the anchor m = 0
+    through a subnormal-adjacent m to 3/4."""
+
+    POINTS = [0.0, 1e-300, 1e-8, 0.05, 0.375, 0.5, 0.75]
+
+    def check(self, seed, t0, a, b, c):
+        for m in self.POINTS:
+            val, slope = seed(m)
+            with mp.workdps(30):
+                t0, a, b, c = (mp.mpc(v) for v in (t0, a, b, c))
+                want = complex(t0 * mp.hyp2f1(a, b, c, m))
+                dwant = complex(t0 * a * b / c
+                                * mp.hyp2f1(a + 1, b + 1, c + 1, m))
+            assert abs(val - want) <= 1e-13 * abs(want), m
+            assert abs(slope - dwant) <= 1e-13 * abs(dwant), m
+
+    @pytest.mark.parametrize("n,mode,lam", TestStepRatioCache.KERNELS)
+    def test_kernel_seeds(self, n, mode, lam):
+        p = hypergeom_params(n, mode, lam)
+        kd = _KernelData(n, p)
+        a, b, c = complex(p.a), complex(p.b), complex(p.c)
+        self.check(kd.f1.seed, kd.f1.seed(0.0)[0], a, b, c)
+        self.check(kd.f2.seed, 1.0, a, b, complex(1.0 + p.s))
+
+    def test_exact_seed_past_kmin(self):
+        # exact s = 1/3 and lambda = -5i/4: a = -3/4, b = -5/12, c = -3/2,
+        # off every Gamma pole, and the series runs at least kmin = 2 steps
+        p = hypergeom_params(1, Mode(1 / 9, 1, Fraction(1, 9)), -1.25j,
+                             lam_im_exact=Fraction(-5, 4))
+        kd = _KernelData(1, p)
+        assert kd.kmin == 2 and resonances._lattice_indices(p) == (
+            None, None, None)
+        self.check(kd.f1.seed, kd.f1.seed(0.0)[0], complex(p.a),
+                   complex(p.b), complex(p.c))
+
+    def test_lattice_tail(self):
+        # c = -3 on the exact lattice: _lattice_seed's tail is the series
+        # seed of F(a+4, b+4; 5; z) with its own 0th term
+        p = hypergeom_params(1, Mode(1 / 9, 1, Fraction(1, 9)), -2j,
+                             lam_im_exact=Fraction(-2))
+        assert resonances._lattice_indices(p)[2] == 3
+        a, b = complex(p.a) + 4, complex(p.b) + 4
+        t0 = cmath.exp(specfun.ln_gamma(a) + specfun.ln_gamma(b)
+                       - math.lgamma(5))
+        self.check(specfun._series_seed(t0, a, b, 5.0 + 0.0j), t0, a, b,
+                   5.0 + 0.0j)
+
+
+class TestIntegrandClosures:
+    """Each running integral of _resolvent reads one closure, which is bit
+    for bit f g1 w or f u2 w, w = rho^e1 (1-rho)^e2, at every node."""
+
+    def test_closures_match_kernel_methods(self, monkeypatch):
+        seen = []
+        inner = resolvent.cumulative_integral
+
+        def recording(f, a, b, **kw):
+            nodes = []
+
+            def sampled(r):
+                nodes.append(r)
+                return f(r)
+            seen.append((f, nodes, kw.get("downward", False)))
+            return inner(sampled, a, b, **kw)
+
+        monkeypatch.setattr(resolvent, "cumulative_integral", recording)
+        n, lam, prof = 2, 1 - 0.7j, RadialProfile.bump(0.3, 0.6)
+        kd = _KernelData(n, hypergeom_params(n, Mode(2.0, 1), lam))
+        _resolvent(kd, prof, 0.2, 0.8, _GRID_QC)
+        assert [down for *_, down in seen] == [False, True]
+        for (f, nodes, _), kernel in zip(seen, (kd.g1, kd.u2)):
+            assert len(nodes) > 16
+            for r in nodes:
+                w = cmath.exp(kd.e1 * math.log(r)) * (1.0 - r) ** kd.e2
+                assert f(r) == prof.func(r) * kernel(r) * w
 
 
 def _ladder_points(q):
@@ -989,9 +1071,10 @@ class TestKernelExpansions:
 
 
 class TestSeriesWorkCounts:
-    """Series sums per call, counted at specfun's one term loop.
-    Continuation makes 26, 6 and 96, as series seeds at every anchor did,
-    and 4 at lambda = 20+0.1i."""
+    """Series sums per call, counted at specfun's one term loop, which
+    sums a seed's value and derivative in one pass.  Continuation makes
+    13, 3 and 48, as series seeds at every anchor did, and 2 at
+    lambda = 20+0.1i."""
 
     @pytest.fixture
     def sums(self, monkeypatch):
@@ -1007,29 +1090,29 @@ class TestSeriesWorkCounts:
 
     def test_residual_check(self, sums):
         residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
-        assert 0 < sums[0] <= 40
+        assert 0 < sums[0] <= 13
 
     def test_green_pairing(self, sums):
         green_pairing(2, Mode(2.0, 1), 2j, RadialProfile.bump(0.3, 0.45),
                       RadialProfile.bump(0.4, 0.55))
-        assert 0 < sums[0] <= 12
+        assert 0 < sums[0] <= 3
 
     def test_residue_probe(self, sums):
         residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
-        assert 0 < sums[0] <= 150
+        assert 0 < sums[0] <= 48
 
     def test_residue_probe_on_axis(self, sums):
-        # 9 of 16 samples evaluated: 54 sums where the full circle takes 96
+        # 9 of 16 samples evaluated: 27 sums where the full circle takes 48
         residue_probe(2, Mode(2.0, 1), 0.9j)
-        assert 0 < sums[0] <= 84
+        assert 0 < sums[0] <= 27
 
     def test_continuation_does_not_reseed(self, sums):
-        # each kernel function is seeded once (value and derivative); the
-        # anchors past the seed bounds, about 0.1 for g1 and 0.006 for u2,
-        # are continued from it: 85 Taylor expansions here
+        # each kernel function is seeded once, value and derivative in one
+        # sum; the anchors past the seed bounds, about 0.1 for g1 and 0.006
+        # for u2, are continued from it: 85 Taylor expansions here
         apply_resolvent(2, Mode(2.0, 1), 20 + 0.1j,
                         RadialProfile.bump(0.3, 0.6), 0.2)
-        assert 0 < sums[0] <= 8
+        assert 0 < sums[0] <= 2
 
 
 class TestNearEndDomain:
