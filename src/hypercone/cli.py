@@ -241,34 +241,41 @@ def _cmd_spectrum(args) -> int:
 
 # One listing row and one (j, k) pair of its contributors, as _json_text
 # lays them out at the "rows" list of the listing document; the %.17g of
-# -t is _float_text's, and t is finite because the bound is
+# -t is _float_text's, and t is finite because the bound is.  A row of one
+# contributor is written by _JSON_ROW1, the row with its pair in place.
 _JSON_ROW = ('{\n      "contributors": [\n        %s\n      ],\n'
              '      "exact": %s,\n      "im_lambda": %.17g,\n'
              '      "multiplicity": %d\n    }')
 _JSON_PAIR = "[\n          %d,\n          %d\n        ]"
+_JSON_ROW1 = _JSON_ROW.replace("%s", _JSON_PAIR, 1)
 
 
 def _json_rows(rows) -> _Raw:
     # the rows of resonances._listing as the JSON list _json_text would
     # write for their fields, one template per row and per pair
     return _Raw("[\n    " + ",\n    ".join([
-        _JSON_ROW % (_JSON_PAIR % c[0] if len(c) == 1
-                     else ",\n        ".join([_JSON_PAIR % p for p in c]),
+        _JSON_ROW1 % (*c[0], "false" if key is None else "true", -t, mult)
+        if len(c) == 1 else
+        _JSON_ROW % (",\n        ".join([_JSON_PAIR % p for p in c]),
                      "false" if key is None else "true", -t, mult)
         for t, key, c, mult in rows]) + "\n  ]")
 
 
 # One listing row as csv.writer writes it: the contributors cell always
-# holds a comma, so it is always quoted, and no other cell needs quoting
+# holds a comma, so it is always quoted, and no other cell needs quoting.
+# _CSV_ROW1 is a row of one contributor, the pair written in place.
 _CSV_ROW = '%.17g,%d,"%s",%s\r\n'
+_CSV_PAIR = "(%d,%d)"
+_CSV_ROW1 = _CSV_ROW.replace("%s", _CSV_PAIR, 1)
 
 
 def _csv_rows(rows) -> str:
     # the rows of resonances._listing as the CSV records _csv_text would
     # write for their fields, one template per row
     return "".join([
-        _CSV_ROW % (-t, mult, "(%d,%d)" % c[0] if len(c) == 1
-                    else ";".join(["(%d,%d)" % p for p in c]),
+        _CSV_ROW1 % (-t, mult, *c[0], "false" if key is None else "true")
+        if len(c) == 1 else
+        _CSV_ROW % (-t, mult, ";".join([_CSV_PAIR % p for p in c]),
                     "false" if key is None else "true")
         for t, key, c, mult in rows])
 

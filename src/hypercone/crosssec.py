@@ -138,9 +138,10 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
 
     Exact rational tracking requires an exactly-known radius: pass an int,
     Fraction, or string ("1/3", "0.5").  A float radius is taken at face
-    value and produces a float-only spectrum.  A radius beyond the double
-    range raises InvalidRadius; one whose volume, or a mode's mu_j^2,
-    overflows a double raises DomainError.
+    value and produces a float-only spectrum.  An exact radius beyond the
+    double range, or a positive one below it (its float is 0), raises
+    InvalidRadius; one whose volume, or a mode's mu_j^2, overflows a double
+    raises DomainError.
     """
     exact_rho = None
     if isinstance(rho, (int, Fraction, str)):
@@ -153,6 +154,10 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
         except OverflowError:
             raise InvalidRadius(f"circle radius rho = {rho!r}: beyond the "
                                 "double range") from None
+        # the sign is the Fraction's: a positive one may round to 0.0
+        if rho_f == 0.0 and exact_rho > 0:
+            raise InvalidRadius(f"circle radius rho = {rho!r}: below the "
+                                "double range")
     elif isinstance(rho, float):
         rho_f = rho
     else:

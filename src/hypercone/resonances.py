@@ -22,7 +22,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, sub
+from typing import NamedTuple
 
 from .crosssec import (
     _LATTICE_TOL,
@@ -370,6 +372,102 @@ def _truncation(spec: SpectrumSpec, k_max: int,
                       float(lambda_max))
 
 
+class _Walk(NamedTuple):
+    # one generic mode as _listing walks it; first is the key of its k = 0
+    # position when s is rational, and count its number of positions
+    label: int
+    multiplicity: int
+    value: float
+    first: int | None
+    sq: _Ratio | None
+    count: int
+
+
+def _mode_rows(j: int, m: int, value: float, first: int | None,
+               sq: _Ratio | None, count: int, den: int) -> list[_Row]:
+    # the positions of one mode (a _Walk), each a row of one contributor
+    if first is not None:
+        return [(num / den, num, ((j, k),), m) for k, num
+                in enumerate(range(first, first + count * den, den))]
+    if sq is not None:
+        a, b = sq
+        return [(0.5 + k + value, (a, b, k), ((j, k),), m)
+                for k in range(count)]
+    return [(0.5 + k + value, None, ((j, k),), m) for k in range(count)]
+
+
+def _merge_class(walk: list[_Walk], members: list[int], den: int,
+                 owned: list[list[_Row]]) -> None:
+    """The rows of one coincidence class of several modes, each appended to
+    owned[w] for the first mode w of the walk that reaches it.
+
+    Slot q of the class is its position with integer part q: the key
+    residue + q * den for rational s, 1/2 + q + s for a surd s.  The mode at
+    slot offset off fills slots off .. off + count - 1 with k = 0, 1, ...
+    Modes whose slot ranges overlap share one list indexed by slot, so no
+    list is longer than the pairs it holds."""
+    _, _, value, first, sq, _ = walk[members[0]]
+    residue = 0 if first is None else first % den
+    runs: list = []  # [start, stop, [(off, w), ...]] of overlapping ranges
+    for off, w in sorted((0 if first is None else walk[w].first // den, w)
+                         for w in members):
+        stop = off + walk[w].count
+        if runs and off < runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], stop)
+            runs[-1][2].append((off, w))
+        else:
+            runs.append([off, stop, [(off, w)]])
+    for start, stop, run in runs:
+        size = stop - start
+        slots: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        mults = [0] * (size + 1)
+        owner = [0] * size
+        # walk order backwards, so each slot is left with its first mode
+        for off, w in sorted(run, key=itemgetter(1), reverse=True):
+            m, count, i = walk[w].multiplicity, walk[w].count, off - start
+            owner[i:i + count] = [w] * count
+            mults[i] += m
+            mults[i + count] -= m
+        # label order, and k order within a label, so each slot is sorted
+        for off, w in sorted(run, key=lambda e: (walk[e[1]].label, -e[0])):
+            j, count, i = walk[w].label, walk[w].count, off - start
+            for pairs, k in zip(slots[i:i + count], range(count)):
+                pairs.append((j, k))
+        for q, pairs, w, mult in zip(range(start, stop), slots, owner,
+                                     accumulate(mults)):
+            if first is None:
+                row = (0.5 + q + value, (sq[0], sq[1], q), tuple(pairs), mult)
+            else:
+                num = residue + q * den
+                row = (num / den, num, tuple(pairs), mult)
+            owned[w].append(row)
+
+
+def _chain(rows: list[_Row]) -> list[_Row]:
+    # rows sorted by t; each run whose neighbours lie within _LATTICE_TOL
+    # of each other becomes one row at the run's first t, keyed only when
+    # every row of the run carries the same key
+    ts = [row[0] for row in rows]
+    if min(map(sub, ts[1:], ts), default=math.inf) > _LATTICE_TOL:
+        return rows
+    runs: list[list[_Row]] = []
+    for i, row in enumerate(rows):
+        if i and ts[i] - ts[i - 1] <= _LATTICE_TOL:
+            runs[-1].append(row)
+        else:
+            runs.append([row])
+    merged = []
+    for run in runs:
+        t, key, pairs, mult = run[0]
+        if len(run) > 1:
+            if any(row[1] is None or row[1] != key for row in run):
+                key = None
+            pairs = tuple(sorted(row[2][0] for row in run))
+            mult = sum(row[3] for row in run)
+        merged.append((t, key, pairs, mult))
+    return merged
+
+
 def _listing(generic: list[_Generic], k_max: int, lambda_max: float
              ) -> tuple[list[_Row], int, bool]:
     """The one lattice walk behind every resonance listing: the positions
@@ -379,59 +477,52 @@ def _listing(generic: list[_Generic], k_max: int, lambda_max: float
     Returns (rows, den, all_exact).  Each row is (t, key, contributors,
     multiplicity) with t = -Im(lambda), contributors the sorted (mode label
     j, order k) pairs and multiplicity the sum of their modes'
-    multiplicities; rows come in order of t.  all_exact is set when
-    every generic mode carries exact s data.
+    multiplicities.  Rows come in order of t; rows with equal t keep the
+    order in which the walk (modes in spectrum order, k ascending) first
+    reaches them.  all_exact is set when every generic mode carries exact
+    s data.
 
-    Merging is then exact: two positions coincide only if both s are
-    rational or the modes share the same irrational s.  Rational positions
-    are keyed by integer numerators over one common denominator den, the
-    lcm over rational modes of 2 * den(s_j), so equal positions have equal
-    keys; a surd position is keyed by (num(s^2), den(s^2), k).  The float t
-    of a rational position is numerator / den, correctly rounded.
-    Otherwise positions are clustered with a 1e-9 tolerance on t, and a
-    cluster whose keys differ, or that holds float-only data, has key None.
+    Rational positions are keyed by integer numerators over one common
+    denominator den, the lcm over rational modes of 2 * den(s_j), so equal
+    positions have equal keys, and their t is numerator / den, correctly
+    rounded; a surd position is keyed by (num(s^2), den(s^2), k).
+
+    When all_exact, merging is exact and goes one coincidence class at a
+    time: 1/2 + k + s and 1/2 + k' + s' coincide only if s - s' is an
+    integer, so rational s fall in classes by s mod 1 and surds by s^2.  A
+    class of one mode gives one row per position; the modes of a larger
+    class merge slot by slot (_merge_class).  Otherwise every position is a
+    row of its own, the rows are sorted by t, and each run whose neighbours
+    lie within 1e-9 of each other merges into one row at the run's first
+    t, with key None when its keys differ or it holds float-only data.
     """
     all_exact = all(root is not None or sq is not None
                     for _, _, root, sq in generic)
     den = math.lcm(*(2 * root[1] for _, _, root, _ in generic
                      if root is not None))
-    entries = []  # (t, key, label, k, multiplicity)
-    for mode, value, root, sq in generic:
-        count = _count_le(value, root, sq, k_max, lambda_max)
-        j, m = mode.label, mode.multiplicity
-        if root is not None:
-            first = den // 2 + root[0] * (den // root[1])
-            for k in range(count):
-                num = first + k * den
-                entries.append((num / den, num, j, k, m))
+    walk = [_Walk(mode.label, mode.multiplicity, value,
+                  None if root is None
+                  else den // 2 + root[0] * (den // root[1]),
+                  sq, _count_le(value, root, sq, k_max, lambda_max))
+            for mode, value, root, sq in generic]
+    if not all_exact:
+        rows = [row for mode in walk for row in _mode_rows(*mode, den)]
+        rows.sort(key=itemgetter(0))
+        return _chain(rows), den, False
+    classes: dict = {}
+    for w, mode in enumerate(walk):
+        if mode.count:
+            classes.setdefault(mode.sq if mode.first is None
+                               else mode.first % den, []).append(w)
+    owned: list[list[_Row]] = [[] for _ in walk]
+    for members in classes.values():
+        if len(members) == 1:
+            owned[members[0]] = _mode_rows(*walk[members[0]], den)
         else:
-            for k in range(count):
-                key = None if sq is None else (sq[0], sq[1], k)
-                entries.append((0.5 + k + value, key, j, k, m))
-    if all_exact:
-        by_key: dict = {}
-        for e in entries:
-            by_key.setdefault(e[1], []).append(e)
-        groups = by_key.values()
-    else:
-        groups = []
-        for e in sorted(entries, key=itemgetter(0)):
-            if groups and e[0] - groups[-1][-1][0] <= _LATTICE_TOL:
-                groups[-1].append(e)
-            else:
-                groups.append([e])
-    rows = []
-    for grp in groups:
-        t, key, j, k, m = grp[0]
-        if len(grp) == 1:
-            rows.append((t, key, ((j, k),), m))
-            continue
-        if not all_exact and any(e[1] is None or e[1] != key for e in grp):
-            key = None
-        rows.append((t, key, tuple(sorted((e[2], e[3]) for e in grp)),
-                     sum(e[4] for e in grp)))
+            _merge_class(walk, members, den, owned)
+    rows = [row for own in owned for row in own]
     rows.sort(key=itemgetter(0))
-    return rows, den, all_exact
+    return rows, den, True
 
 
 def enumerate_resonances(spec: SpectrumSpec, k_max: int,
@@ -502,9 +593,13 @@ def weyl_count(rset: ResonanceSet, lambda_bound: float) -> int:
 
 def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:
     """Leading-order resonance count |B_n| Vol(Y) lambda^(n+1) /
-    ((2 pi)^n (n+1)), with |B_n| the Euclidean unit-ball volume.  A factor
-    or product that overflows a double raises DomainError, and so does a
-    term below the smallest normal double at lambda > 0."""
+    ((2 pi)^n (n+1)), with |B_n| the Euclidean unit-ball volume.
+
+    The direct product is returned when it is a normal double.  When a
+    factor or the product leaves that range, the term is recomputed from
+    logarithms (math.lgamma for the ball), which the term itself may fit.
+    A term that overflows a double raises DomainError, and so does one
+    below the smallest normal double at lambda > 0."""
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
     if not (vol_y > 0 and math.isfinite(vol_y)):
@@ -513,16 +608,26 @@ def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:
         raise ValidationError(f"lambda must be finite, got {lam!r}")
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam!r}")
+    if lam == 0:
+        return 0.0
     try:
         ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
         term = ball * vol_y * lam ** (n + 1) / ((2.0 * math.pi) ** n * (n + 1))
     except OverflowError:
         term = math.inf
-    if not math.isfinite(term):
+    if not sys.float_info.min <= term < math.inf:
+        log_term = (n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0)
+                    + math.log(vol_y) + (n + 1) * math.log(lam)
+                    - n * math.log(2.0 * math.pi) - math.log(n + 1))
+        try:
+            term = math.exp(log_term)
+        except OverflowError:
+            term = math.inf
+    if term == math.inf:
         raise DomainError(f"Weyl leading term for n = {n} at lambda = {lam!r}: "
-                          "a factor or the product overflows a double")
+                          "the term overflows a double")
     # a count divides by the term, so a subnormal or zero one is refused
-    if lam > 0 and term < sys.float_info.min:
+    if term < sys.float_info.min:
         raise DomainError(
             f"Weyl leading term for n = {n}, volume = {vol_y!r} at lambda = "
             f"{lam!r} underflows below the smallest normal double")

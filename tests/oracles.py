@@ -13,9 +13,12 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from operator import mul
+from operator import itemgetter, mul
 
 import mpmath as mp
+
+from hypercone.crosssec import _LATTICE_TOL
+from hypercone.resonances import _count_le
 
 
 def oracle_ln_gamma(z, dps: int = 40):
@@ -160,6 +163,64 @@ def brute_force_count(n: int, modes, k_max: int, bound: float) -> int:
                 if mp.mpf(bound) - (mp.mpf(1) / 2 + k + s) > -tiny:
                     total += mult
     return total
+
+
+def oracle_weyl_leading_term(n: int, vol_y: float, lam: float,
+                             dps: int = 30) -> float:
+    """|B_n| Vol(Y) lambda^(n+1) / ((2 pi)^n (n+1)) in mpmath, whose
+    exponent range no double factor can leave."""
+    with mp.workdps(dps):
+        ball = mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
+        return float(ball * mp.mpf(vol_y) * mp.mpf(lam) ** (n + 1)
+                     / ((2 * mp.pi) ** n * (n + 1)))
+
+
+def reference_listing(generic, k_max: int, lambda_max: float):
+    """resonances._listing as one pass over every (j, k) pair: each position
+    is an entry, exact entries are grouped by key in order of first
+    appearance, float data is sorted by t and chained within 1e-9, and the
+    groups become rows sorted by t.  Same arguments and return value."""
+    all_exact = all(root is not None or sq is not None
+                    for _, _, root, sq in generic)
+    den = math.lcm(*(2 * root[1] for _, _, root, _ in generic
+                     if root is not None))
+    entries = []  # (t, key, label, k, multiplicity)
+    for mode, value, root, sq in generic:
+        count = _count_le(value, root, sq, k_max, lambda_max)
+        j, m = mode.label, mode.multiplicity
+        if root is not None:
+            first = den // 2 + root[0] * (den // root[1])
+            for k in range(count):
+                num = first + k * den
+                entries.append((num / den, num, j, k, m))
+        else:
+            for k in range(count):
+                key = None if sq is None else (sq[0], sq[1], k)
+                entries.append((0.5 + k + value, key, j, k, m))
+    if all_exact:
+        by_key: dict = {}
+        for e in entries:
+            by_key.setdefault(e[1], []).append(e)
+        groups = list(by_key.values())
+    else:
+        groups = []
+        for e in sorted(entries, key=itemgetter(0)):
+            if groups and e[0] - groups[-1][-1][0] <= _LATTICE_TOL:
+                groups[-1].append(e)
+            else:
+                groups.append([e])
+    rows = []
+    for grp in groups:
+        t, key, j, k, m = grp[0]
+        if len(grp) == 1:
+            rows.append((t, key, ((j, k),), m))
+            continue
+        if not all_exact and any(e[1] is None or e[1] != key for e in grp):
+            key = None
+        rows.append((t, key, tuple(sorted((e[2], e[3]) for e in grp)),
+                     sum(e[4] for e in grp)))
+    rows.sort(key=itemgetter(0))
+    return rows, den, all_exact
 
 
 def reference_classify_pole(p) -> tuple[str, str]:

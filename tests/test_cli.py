@@ -308,6 +308,18 @@ class TestSpectrum:
         assert_error(rc, err, 2, "validation")
         assert named in err
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--circle", "1e-400", "--jmax", "2"),
+        ("spectrum", "--circle", "1e-400", "--jmax", "0"),
+        ("resonances", "--circle", "1e-400", "--lambda-max", "3"),
+        ("weyl", "--circle", "1e-400", "--lambda-grid", "3")])
+    def test_exact_radius_below_double_range(self, argv):
+        # a positive radius whose float is 0 was refused as not positive
+        rc, out, err = run(*argv)
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert "rho = '1e-400': below the double range" in err
+
     def test_byte_stability(self):
         first = run("spectrum", "--sphere", "3", "--jmax", "4")
         second = run("spectrum", "--sphere", "3", "--jmax", "4")
@@ -752,14 +764,28 @@ class TestWeyl:
         assert "volume = 5e-324 at lambda = 0.4 underflows" in err
 
     def test_leading_term_overflow(self, tmp_path):
-        # Gamma(n/2 + 1) overflows at n = 400 where the count does not
+        # at n = 400 the term overflows from lambda = 190, where the count
+        # does not
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 400, "volume": 1.0, "modes": [
+            {"mu_sq": 1.0, "m": 1}]}), encoding="utf-8")
+        rc, out, err = run("weyl", "--file", str(path), "--lambda-grid",
+                           "190")
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert "Weyl leading term" in err
+
+    def test_leading_term_past_a_factor_overflow(self, tmp_path):
+        # Gamma(n/2 + 1) overflows at n = 400, but the term at lambda = 10
+        # is a normal double, about 4.5e-197: it is reported
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"n": 400, "volume": 1.0, "modes": [
             {"mu_sq": 1.0, "m": 1}]}), encoding="utf-8")
         rc, out, err = run("weyl", "--file", str(path), "--lambda-grid", "10")
-        assert out == ""
-        assert_error(rc, err, 2, "validation")
-        assert "Weyl leading term" in err
+        assert (rc, err) == (0, "")
+        row, = json.loads(out)["rows"]
+        assert row["count"] == 0 and row["ratio"] == 0
+        assert 4.5498e-197 < row["leading_term"] < 4.5499e-197
 
 
 class TestVerify:

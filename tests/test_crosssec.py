@@ -145,6 +145,18 @@ class TestCircleSpectrum:
                                match=f"rho = {re.escape(repr(rho))}: beyond"):
                 circle_spectrum(rho, 2)
 
+    def test_radius_below_double_range(self):
+        # a positive exact radius whose float is 0 is refused as below the
+        # double range, naming rho; the sign is read from the exact value
+        for rho in ("1e-400", Fraction(1, 10 ** 400), Fraction(3, 2 ** 1100)):
+            for j_max in (0, 2):
+                with pytest.raises(InvalidRadius, match=(
+                        f"rho = {re.escape(repr(rho))}: below")):
+                    circle_spectrum(rho, j_max)
+        for rho in ("-1e-400", Fraction(-1, 10 ** 400)):
+            with pytest.raises(InvalidRadius, match="must be positive"):
+                circle_spectrum(rho, 2)
+
     def test_mode_beyond_double_range(self):
         # mu_j^2 = j^2/rho^2 overflows for a tiny radius, exact or float:
         # refused naming rho and the first such j

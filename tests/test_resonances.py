@@ -8,6 +8,8 @@ import dataclasses
 import io
 import json
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,7 +42,15 @@ from hypercone import (
     weyl_leading_term,
 )
 
-from oracles import brute_force_circle, brute_force_count, brute_force_sphere
+from hypercone.resonances import _listing, _scan
+from oracles import (
+    brute_force_circle,
+    brute_force_count,
+    brute_force_sphere,
+    oracle_weyl_leading_term,
+    reference_listing,
+)
+from test_cli import GOLDEN_SPECTRA
 
 
 class TestSParam:
@@ -327,6 +337,145 @@ class TestEnumerate:
             fn(circle_spectrum(1, 5), 3, bound)
 
 
+def listing_rows(spec, k_max, bound):
+    """_listing's rows for spec, checked against reference_listing: every
+    row's t bit for bit, key, contributors, multiplicity and place, and
+    den and all_exact."""
+    generic = _scan(spec, k_max, bound)
+    rows, den, exact = _listing(generic, k_max, bound)
+    want, want_den, want_exact = reference_listing(generic, k_max, bound)
+    assert (den, exact) == (want_den, want_exact)
+    assert [(r[0].hex(), *r[1:]) for r in rows] == [
+        (r[0].hex(), *r[1:]) for r in want]
+    return rows
+
+
+def exact_mode(mu_sq: Fraction, m: int = 1, label: int = 0) -> Mode:
+    return Mode(float(mu_sq), m, mu_sq, label)
+
+
+def random_spectrum(seed: int, kind: str, labels: str) -> SpectrumSpec:
+    # exact modes take rational s = p/q over a few denominators, so many
+    # share s mod 1; surd modes take a rational mu^2; float modes none
+    rng = random.Random(f"{seed}:{kind}")
+    n = rng.choice((1, 2, 3))
+    shift = Fraction((n - 1) ** 2, 4)
+    modes = []
+    for _ in range(rng.randint(1, 14)):
+        pick = (rng.choice(("exact", "surd", "float")) if kind == "mixed"
+                else kind)
+        m = rng.randint(1, 3)
+        if pick == "exact":
+            s = Fraction(rng.randint(0, 30), rng.choice((1, 2, 3, 4, 6, 12)))
+            if s * s >= shift:
+                modes.append(exact_mode(s * s - shift, m))
+        elif pick == "surd":
+            modes.append(exact_mode(
+                Fraction(rng.randint(0, 300), rng.choice((1, 2, 5, 7))), m))
+        else:
+            mode = Mode(rng.uniform(0.0, 200.0), m)
+            if is_generic(mode, n) is not GenericityVerdict.UNKNOWN_FLOAT:
+                modes.append(mode)
+    modes.sort(key=lambda mode: mode.mu_sq)
+    label = {"index": lambda j: j, "reversed": lambda j: len(modes) - j,
+             "zero": lambda j: 0}[labels]
+    return SpectrumSpec(n, [dataclasses.replace(mode, label=label(j))
+                            for j, mode in enumerate(modes)], None, "file")
+
+
+class TestListingReference:
+    """The per-class walk of _listing gives the rows of reference_listing,
+    the one-pass walk over every (j, k) pair, in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECTRA))
+    def test_golden_spectra(self, name):
+        spec = load_spectrum(io.StringIO(json.dumps(GOLDEN_SPECTRA[name])))
+        for bound in (0.9, 4.5, 12.0, 30.0):
+            for k_max in (0, 2, 13, 40):
+                listing_rows(spec, k_max, bound)
+
+    @pytest.mark.parametrize("rho", ["1", "2", "3", "1/2", "3/2", "2/3",
+                                     "5/4", "4/3", "5/2"])
+    def test_circles(self, rho):
+        for bound in (0.5, 3.7, 17.25):
+            spec = circle_spectrum(rho, math.ceil(Fraction(rho) * 18) + 1)
+            for k_max in (2, math.ceil(bound) + 1):
+                listing_rows(spec, k_max, bound)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+    def test_spheres(self, n):
+        for bound in (4.5, 20.0):
+            for k_max in (1, 21):
+                listing_rows(sphere_spectrum(n, 22), k_max, bound)
+
+    @pytest.mark.parametrize("labels", ["index", "reversed", "zero"])
+    @pytest.mark.parametrize("kind", ["exact", "surd", "float", "mixed"])
+    def test_seeded_random(self, kind, labels):
+        for seed in range(25):
+            spec = random_spectrum(seed, kind, labels)
+            rng = random.Random(seed)
+            for _ in range(3):
+                listing_rows(spec, rng.choice((0, 1, 3, 10, 40)),
+                             round(rng.uniform(0.0, 30.0), 2))
+
+    def test_shared_surd_square(self):
+        # two modes with s^2 = 2 give one row per k, keyed by (2, 1, k)
+        spec = SpectrumSpec(1, [exact_mode(Fraction(2), 1, 0),
+                                exact_mode(Fraction(2), 3, 1)], None, "file")
+        rows = listing_rows(spec, 5, 4.0)
+        assert [row[1:] for row in rows] == [
+            ((2, 1, k), ((0, k), (1, k)), 4) for k in range(3)]
+
+    def test_rational_class(self):
+        # s = 1/3, 4/3, 7/3 differ by integers: one class, merged by slot
+        spec = SpectrumSpec(1, [exact_mode(Fraction(a * a, 9), 1, j)
+                                for j, a in enumerate((1, 4, 7))],
+                            None, "file")
+        rows = listing_rows(spec, 3, 6.0)
+        assert [row[2] for row in rows] == [
+            ((0, 0),), ((0, 1), (1, 0)), ((0, 2), (1, 1), (2, 0)),
+            ((0, 3), (1, 2), (2, 1)), ((1, 3), (2, 2)), ((2, 3),)]
+        assert [row[3] for row in rows] == [1, 2, 3, 3, 2, 1]
+
+    def test_far_apart_class(self):
+        # rho = 1e-20 puts every s = j * 1e20 in one class with slot ranges
+        # 1e20 apart; each range is merged on its own.  Within a range the
+        # doubles of 1/2 + k + s are equal and keep the order of k
+        spec = circle_spectrum(Fraction(1, 10 ** 20), 5)
+        rows = listing_rows(spec, 3, 5.0e20)
+        assert [row[2] for row in rows] == [
+            ((j, k),) for j in range(5) for k in range(4)]
+        assert rows[4][0] == rows[7][0] == 1e20
+
+    def test_float_cluster_with_mixed_keys(self):
+        # a float-only s within 1e-9 of the exact s = 1 and of each other
+        spec = SpectrumSpec(1, [exact_mode(Fraction(1), 1, 0),
+                                Mode((1 + 4e-10) ** 2, 2, None, 1),
+                                Mode((1 + 8e-10) ** 2, 1, None, 2),
+                                exact_mode(Fraction(9, 4) ** 2, 1, 3)],
+                            None, "file")
+        rows = listing_rows(spec, 2, 5.0)
+        merged = [row for row in rows if len(row[2]) > 1]
+        assert [row[1:] for row in merged] == [
+            (None, ((0, k), (1, k), (2, k)), 4) for k in range(3)]
+
+    def test_equal_doubles_keep_walk_order(self):
+        # s = 1/3 + e and 4/3 + e (one class) against s = 4/3 (another):
+        # distinct exact positions whose doubles are equal.  Ties keep the
+        # order in which the walk first reaches each position, so at
+        # t = 23/6 the row reached first by mode 1 precedes the row that
+        # only mode 2 reaches, although its class comes second
+        e = Fraction(1, 3 * 10 ** 20)
+        s = [Fraction(1, 3) + e, Fraction(4, 3), Fraction(4, 3) + e]
+        spec = SpectrumSpec(1, [exact_mode(x * x, 1, j)
+                                for j, x in enumerate(s)], None, "file")
+        rows = listing_rows(spec, 2, 6.0)
+        assert [row[2] for row in rows] == [
+            ((0, 0),), ((0, 1), (2, 0)), ((1, 0),), ((0, 2), (2, 1)),
+            ((1, 1),), ((1, 2),), ((2, 2),)]
+        assert rows[5][0] == rows[6][0] and rows[5][1] != rows[6][1]
+
+
 class TestCompleteness:
     def test_complete_up_to(self):
         rset = enumerate_resonances(circle_spectrum(1, 3), 3, 3.0)
@@ -390,9 +539,9 @@ class TestWeylCount:
                 weyl_leading_term(1, 1.0, lam)
 
     def test_leading_term_overflow(self):
-        # lambda^(n+1), Gamma(n/2 + 1), or the product of finite factors
-        # overflows
-        for n, vol, lam in ((1, 1.0, 1e300), (400, 1.0, 10.0),
+        # the term itself overflows a double: lambda^(n+1), Gamma(n/2 + 1)
+        # with a large power of lambda, or the product of finite factors
+        for n, vol, lam in ((1, 1.0, 1e300), (400, 1.0, 190.0),
                             (1, 1e300, 1e10)):
             with pytest.raises(DomainError, match=f"n = {n} "):
                 weyl_leading_term(n, vol, lam)
@@ -408,6 +557,32 @@ class TestWeylCount:
         assert weyl_leading_term(1, 5e-324, 0.0) == 0.0
         assert weyl_leading_term(1, 2 * math.pi, 1e-150) == pytest.approx(
             1e-300, rel=1e-15)
+
+    @pytest.mark.parametrize("n,vol,lam", [
+        (1, 1e300, 1e-200), (400, 1.0, 10.0), (400, 1.0, 150.0),
+        (3, 1e300, 1e-90), (1000, 1e10, 30.0), (343, 1.0, 12.0)])
+    def test_leading_term_log_space(self, n, vol, lam):
+        # a factor or the direct product leaves the normal range
+        # (lambda^(n+1) underflows, Gamma(n/2 + 1) or pi^(n/2) overflows)
+        # but the term does not: it is recomputed from logs
+        got = weyl_leading_term(n, vol, lam)
+        assert got == pytest.approx(oracle_weyl_leading_term(n, vol, lam),
+                                    rel=1e-12)
+
+    def test_leading_term_direct_form_unchanged(self):
+        # where the direct product is a normal double it is the term, bit
+        # for bit
+        for n in (1, 2, 3, 5, 8, 20):
+            for vol in (1e-5, 2 * math.pi, 1e5):
+                for lam in (1e-3, 0.5, 1.0, 7.25, 40.0, 1e4):
+                    try:
+                        ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+                        want = (ball * vol * lam ** (n + 1)
+                                / ((2.0 * math.pi) ** n * (n + 1)))
+                    except OverflowError:
+                        continue
+                    if sys.float_info.min <= want < math.inf:
+                        assert weyl_leading_term(n, vol, lam) == want
 
     def test_asymptotic_ratio_circle(self):
         lam = 100.0
