@@ -7,7 +7,8 @@ cumsum construction; Trefethen, Approximation Theory and Approximation
 Practice, ch. 19).  Only the coefficients that are read are formed: the last
 few decide most levels of a panel, Clenshaw-Curtis weights give each
 panel's integral from its samples, and a panel's series is built only when
-a point inside the span is read from it.
+a point inside the span is read from it.  The integrand is read a list of
+nodes at a time, one call per level of a panel.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from operator import mul
 
 from .errors import DomainError, QuadratureFailure
@@ -67,7 +69,8 @@ def _table(n: int) -> tuple[list[float], list[list[float]], list[float]]:
 
 def _fit(f, lo: float, hi: float, abs_tol: float, rel_tol: float
          ) -> tuple[int, list[complex], list[complex]] | None:
-    # Folded samples (n, even, odd) of f on [lo, hi] at the first degree
+    # Folded samples (n, even, odd) of the list integrand f on [lo, hi],
+    # read once per level, at the first degree
     # whose last _TAIL Chebyshev coefficients fall below max(rel_tol *
     # largest, abs_tol / width); None when even the highest degree does not
     # resolve f there.  The tail rows decide most levels alone: every |c_k|
@@ -82,11 +85,11 @@ def _fit(f, lo: float, hi: float, abs_tol: float, rel_tol: float
     for n in _DEGREES:
         nodes, rows, _ = _table(n)
         if not vals:
-            vals = [f(hi)] + [f(mid + half * t) for t in nodes[1:-1]] + [f(lo)]
+            vals = f([hi] + [mid + half * t for t in nodes[1:-1]] + [lo])
         else:  # the previous level's samples are the even-indexed nodes
             merged = [0j] * (n + 1)
             merged[0::2] = vals
-            merged[1::2] = [f(mid + half * t) for t in nodes[1::2]]
+            merged[1::2] = f([mid + half * t for t in nodes[1::2]])
             vals = merged
         m = n // 2
         even = [u + v for u, v in zip(vals[:m], vals[:m:-1])] + [vals[m]]
@@ -155,7 +158,8 @@ class RunningIntegral:
             panels.reverse()
         self.cuts = [hi for _, hi, _ in fitted[:-1]]
         self._panels = panels
-        self._series: list[list[complex] | None] = [None] * len(panels)
+        self._series: list[list[tuple[float, float]] | None] = (
+            [None] * len(panels))
 
     def __call__(self, x: float) -> complex:
         if not (self.a <= x <= self.b):
@@ -168,16 +172,20 @@ class RunningIntegral:
             return 0.0 + 0.0j
         i = bisect_right(self.cuts, x)
         mid, half, fold, offset = self._panels[i]
-        rev = self._series[i]
-        if rev is None:
-            rev = self._series[i] = _integral_series(
-                *fold, half, -1.0 if self.downward else 1.0)
+        series = self._series[i]
+        if series is None:
+            rev = _integral_series(*fold, half, -1.0 if self.downward else 1.0)
+            series = self._series[i] = [(v.real, v.imag) for v in rev]
         t = min(1.0, max(-1.0, (x - mid) / half))
         t2 = 2.0 * t
-        b1 = b2 = 0j
-        for coef in rev[:-1]:  # Clenshaw, from the highest degree down
-            b1, b2 = coef + t2 * b1 - b2, b1
-        return offset + (rev[-1] + t * b1 - b2)
+        # Clenshaw from the highest degree down, on the real and imaginary
+        # parts apart: bit for bit the complex recurrence on finite values
+        r1 = r2 = i1 = i2 = 0.0
+        for cr, ci in islice(series, len(series) - 1):
+            r1, r2 = cr + t2 * r1 - r2, r1
+            i1, i2 = ci + t2 * i1 - i2, i1
+        cr, ci = series[-1]
+        return offset + complex(cr + t * r1 - r2, ci + t * i1 - i2)
 
 
 def cumulative_integral(f, a: float, b: float, *,
@@ -187,17 +195,20 @@ def cumulative_integral(f, a: float, b: float, *,
     """Running integral of complex-valued f on [a, b], from a (or from b
     when downward), to control's tolerances.
 
+    f reads a list of points and returns the list of its values there.
     Each panel samples f at nested Clenshaw-Curtis points of degree 16, 32
-    and 64 and is accepted by control's test on its last Chebyshev
-    coefficients (QuadratureControl).  Those coefficients, against a bound
-    on the largest from the samples' magnitudes, decide most levels; the
-    other rows are formed only when they do not.  The panel's integral is the
-    Clenshaw-Curtis weighted sum of its samples, and its running-integral
-    series is built on the first read inside it, so reading only the ends
-    of [a, b] forms no series.  A panel that fails at degree 64 is
-    bisected; after control.max_subdivisions bisections, or when a panel
-    reaches machine width, QuadratureFailure is raised instead of returning
-    an unresolved value.
+    and 64, with one call per level: the first call gets the 17 nodes
+    [hi, interior..., lo] and each later level the odd-indexed nodes it
+    adds (16, then 32).  A panel is accepted by control's test on its last
+    Chebyshev coefficients (QuadratureControl).  Those coefficients,
+    against a bound on the largest from the samples' magnitudes, decide
+    most levels; the other rows are formed only when they do not.  The
+    panel's integral is the Clenshaw-Curtis weighted sum of its samples,
+    and its running-integral series is built on the first read inside it,
+    so reading only the ends of [a, b] forms no series.  A panel that fails
+    at degree 64 is bisected; after control.max_subdivisions bisections, or
+    when a panel reaches machine width, QuadratureFailure is raised instead
+    of returning an unresolved value.
     f must be smooth on each accepted panel, so a kink or jump costs
     bisections down to it unless it is one of the breaks, where the first
     panels are cut.

@@ -24,12 +24,13 @@ them; that is what keeps finite-difference residual checks clean.
 Evaluation: g1 = Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) and u2 = F(a,b;1+s;w)
 at w = 1 - sigma both solve the hypergeometric ODE (DLMF 15.10.1), in
 either half plane, and a kernel reads each from specfun's ODE continuation
-(_Ladder): one Horner sum per point.  g1's series seed carries the fused
-constant Gamma(a)Gamma(b)/Gamma(c).  At exact lattice parameters, where that
-constant meets a Gamma pole or zero, it is the limit taken along the
-lambda-direction, where (a, b, c) move at rates (1, 1, 2) (_lattice_limit,
-on the lattice indices classify_pole reads), and the seed at c = -C is that
-limit's polynomial head of degree at most C plus the tail
+(_Ladder): one Horner sum per point, a list of points per read (the nodes
+of a quadrature level, or every point a check asks for).  g1's series seed
+carries the fused constant Gamma(a)Gamma(b)/Gamma(c).  At exact lattice
+parameters, where that constant meets a Gamma pole or zero, it is the limit
+taken along the lambda-direction, where (a, b, c) move at rates (1, 1, 2)
+(_lattice_limit, on the lattice indices classify_pole reads), and the seed
+at c = -C is that limit's polynomial head of degree at most C plus the tail
 z^(C+1) F(a+C+1, b+C+1; C+2; z) times its limit coefficient (DLMF 15.2.3).
 """
 
@@ -254,9 +255,10 @@ class _KernelData:
 
     g1 reads f1 = Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z) and u2 reads
     f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values depend
-    only on the kernel and the point.  f1 is seeded by the series times
-    coef, the constant's limit from _lattice_limit, or on the exact lattice
-    at c = -C by _lattice_seed.  A genuine pole raises PoleEvaluation.
+    only on the kernel and the point; both read a list of points.  f1 is
+    seeded by the series times coef, the constant's limit from
+    _lattice_limit, or on the exact lattice at c = -C by _lattice_seed.  A
+    genuine pole raises PoleEvaluation.
     """
 
     def __init__(self, n: int, p: HypergeomParams) -> None:
@@ -282,15 +284,17 @@ class _KernelData:
         self.f2 = _Ladder(a, b, c2, _series_seed(1.0 + 0.0j, a, b, c2))
 
     # G1(z) = Gamma(a)Gamma(b)/Gamma(c) * F(a,b;c;z), poles fused into terms
-    def g1(self, z: float) -> complex:
-        if not (0.0 <= z < 1.0):
-            raise DomainError(f"kernel argument must be in [0, 1), got {z!r}")
-        return self.f1(z)
+    def g1(self, zs: list[float]) -> list[complex]:
+        bad = next((z for z in zs if not 0.0 <= z < 1.0), None)
+        if bad is not None:
+            raise DomainError(f"kernel argument must be in [0, 1), got {bad!r}")
+        return self.f1(zs)
 
-    def u2(self, sigma: float) -> complex:
-        if not (0.0 < sigma <= 1.0):
-            raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
-        return self.f2(1.0 - sigma, sigma)
+    def u2(self, sigmas: list[float]) -> list[complex]:
+        bad = next((x for x in sigmas if not 0.0 < x <= 1.0), None)
+        if bad is not None:
+            raise DomainError(f"sigma must be in (0, 1], got {bad!r}")
+        return self.f2([1.0 - x for x in sigmas], sigmas)
 
     def _lattice_seed(self, t0: complex, ia, ib, c_index: int):
         """z -> (G1(z), G1'(z)) at c = -C on the exact lattice.
@@ -347,13 +351,14 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
     p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im_exact)
     kd = _KernelData(n, p)
     return _resolvent(kd, f, sigma, sigma,
-                      control or QuadratureControl())[0](sigma)
+                      control or QuadratureControl())[0]([sigma])[0]
 
 
 def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
                control: QuadratureControl
-               ) -> tuple[Callable[[float], complex], list[float]]:
-    """x -> (R f)(x) on [a, b], and the panel cuts it reads across.
+               ) -> tuple[Callable[[list[float]], list[complex]], list[float]]:
+    """xs -> [(R f)(x) for x in xs] on [a, b], and the panel cuts it reads
+    across.
 
     f g1 w is integrated upward from lo as far as min(b, hi) when b > lo,
     and f u2 w downward from hi as far as max(a, lo) when a < hi.  Each is
@@ -363,35 +368,44 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
     The integrands read f.func on the closed support, so a profile that is
     nonzero at lo or hi is still smooth there.  The cuts are the interior
     panel boundaries of both integrals, where (R f) is smooth only to the
-    integrals' tolerance.  Each running integral reads one closure over
-    f.func, its ladder (kd.f1, or kd.f2 at (1 - r, r)) and the weight
-    r^e1 (1-r)^e2, with no kernel method call per node.  This is the only
-    place the kernel P [g1 (upper u2 integral) + u2 (lower g1 integral)]
-    is formed.
+    integrals' tolerance.  Every read takes a list of points: an integrand
+    reads the nodes a Chebyshev level adds with one kernel list read
+    (kd.g1, or kd.u2) and forms f.func times the weight r^e1 (1-r)^e2 at
+    each, and rf reads g1 and u2 at all its points with one list read
+    each, taking an integral's total where x lies beyond f's support on
+    that side.  This is the only place the kernel
+    P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed.
     """
     lo, hi = f.support
-    func, f1, f2, e1, e2 = f.func, kd.f1, kd.f2, kd.e1, kd.e2
+    func, e1, e2 = f.func, kd.e1, kd.e2
+
+    def weighted(rs: list[float], kernel: list[complex]) -> list[complex]:
+        return [func(r) * v * (cmath.exp(e1 * math.log(r)) * (1.0 - r) ** e2)
+                for r, v in zip(rs, kernel)]
+
     cuts = []
     if b > lo:
-        lower = cumulative_integral(
-            lambda r: (func(r) * f1(r)
-                       * (cmath.exp(e1 * math.log(r)) * (1.0 - r) ** e2)),
-            lo, min(b, hi), control=control)
+        lower = cumulative_integral(lambda rs: weighted(rs, kd.g1(rs)),
+                                    lo, min(b, hi), control=control)
         cuts += lower.cuts
     if a < hi:
-        upper = cumulative_integral(
-            lambda r: (func(r) * f2(1.0 - r, r)
-                       * (cmath.exp(e1 * math.log(r)) * (1.0 - r) ** e2)),
-            max(a, lo), hi, control=control, downward=True)
+        upper = cumulative_integral(lambda rs: weighted(rs, kd.u2(rs)),
+                                    max(a, lo), hi, control=control,
+                                    downward=True)
         cuts += upper.cuts
 
-    def rf(x: float) -> complex:
-        val = 0.0 + 0.0j
-        if x < hi:
-            val += kd.g1(x) * upper(max(x, lo))
-        if x > lo:
-            val += kd.u2(x) * lower(min(x, hi))
-        return val * kd.sigma_prefactor(x) * kd.inv_g1s
+    def rf(xs: list[float]) -> list[complex]:
+        g1 = iter(kd.g1([x for x in xs if x < hi]))
+        u2 = iter(kd.u2([x for x in xs if x > lo]))
+        out = []
+        for x in xs:
+            val = 0.0 + 0.0j
+            if x < hi:
+                val += next(g1) * (upper.total if x <= lo else upper(x))
+            if x > lo:
+                val += next(u2) * (lower.total if x >= hi else lower(x))
+            out.append(val * kd.sigma_prefactor(x) * kd.inv_g1s)
+        return out
 
     return rf, cuts
 
@@ -472,9 +486,10 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
     ends = [to_sigma(xs[0] - 2 * h), to_sigma(xs[-1] + 2 * h)]
     rf, _ = _resolvent(kd, f, min(ends), max(ends), control or _GRID_QC)
     norm = 1.0 + max(abs(f(to_sigma(x))) for x in xs)
+    vals = rf([to_sigma(x + j * h) for x in xs for j in offsets])
     residuals = []
-    for x in xs:
-        st = [rf(to_sigma(x + j * h)) for j in offsets]
+    for i, x in enumerate(xs):
+        st = vals[len(offsets) * i:len(offsets) * (i + 1)]
         d2 = sum(c * v for c, v in zip(_D2, st)) / (12.0 * h * h)
         d1 = sum(c * v for c, v in zip(_D1, st)) / (12.0 * h)
         residuals.append(abs(radial(x, d2, d1, st[2]) - f(to_sigma(x))) / norm)
@@ -505,7 +520,8 @@ def green_pairing(n: int, mode: Mode, lam: complex, f: RadialProfile,
     lo, hi = g.support
     rf, cuts = _resolvent(_KernelData(n, p), f, lo, hi, control)
     return cumulative_integral(
-        lambda x: rf(x) * g.func(x) * measure_density(n, x), lo, hi,
+        lambda xs: [v * g.func(x) * measure_density(n, x)
+                    for x, v in zip(xs, rf(xs))], lo, hi,
         control=control, breaks=[*f.support, *cuts]).total
 
 

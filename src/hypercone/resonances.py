@@ -595,11 +595,13 @@ def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:
     """Leading-order resonance count |B_n| Vol(Y) lambda^(n+1) /
     ((2 pi)^n (n+1)), with |B_n| the Euclidean unit-ball volume.
 
-    The direct product is returned when it is a normal double.  When a
-    factor or the product leaves that range, the term is recomputed from
-    logarithms (math.lgamma for the ball), which the term itself may fit.
-    A term that overflows a double raises DomainError, and so does one
-    below the smallest normal double at lambda > 0."""
+    The direct product is returned when it, lambda^(n+1) and the ball
+    times the volume are normal doubles.  When one of them leaves that
+    range, where a subnormal factor would carry too few digits, the term
+    is recomputed from logarithms (math.lgamma for the ball), which the
+    term itself may fit.  A term that overflows a double raises
+    DomainError, and so does one below the smallest normal double at
+    lambda > 0."""
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
     if not (vol_y > 0 and math.isfinite(vol_y)):
@@ -611,11 +613,13 @@ def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:
     if lam == 0:
         return 0.0
     try:
-        ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-        term = ball * vol_y * lam ** (n + 1) / ((2.0 * math.pi) ** n * (n + 1))
+        ball_vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * vol_y
+        power = lam ** (n + 1)
+        term = ball_vol * power / ((2.0 * math.pi) ** n * (n + 1))
     except OverflowError:
-        term = math.inf
-    if not sys.float_info.min <= term < math.inf:
+        ball_vol = power = term = math.inf
+    if not all(sys.float_info.min <= x < math.inf
+               for x in (ball_vol, power, term)):
         log_term = (n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0)
                     + math.log(vol_y) + (n + 1) * math.log(lam)
                     - n * math.log(2.0 * math.pi) - math.log(n + 1))

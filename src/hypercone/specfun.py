@@ -280,6 +280,13 @@ class _Ladder:
     at |tau| <= 1, a third of its radius of convergence or less.  Right of
     1/2 the expansions run in t = 1 - z (the same ODE with c replaced by
     a + b + 1 - c), so positions near z = 1 are exact distances.
+
+    A read takes a list of points (with their exact distances from 1 where
+    they round) and returns the list of values; a one-point read is a list
+    of one.  Every point is keyed by one rule, the two-sided test
+    0.5 q^(i+1) < dist <= 0.5 q^i against the floats the anchors are built
+    at, so a value depends only on its point.  Key 0 serves both sides of
+    1/2 and runs in z, so tau follows the key's sign, not the side.
     """
 
     def __init__(self, a: complex, b: complex, c: complex, seed) -> None:
@@ -294,23 +301,41 @@ class _Ladder:
         self.log_q = math.log(self.q)
         self.expansions: dict = {}
 
-    def __call__(self, x: float, d: float | None = None) -> complex:
-        """y(x); d = 1 - x exactly, for points near 1 where x itself rounds
-        (computed from x when not given, which is exact for x >= 1/2)."""
-        if x == 0.0:
-            return self.seed(0.0)[0]
-        right = x > 0.5
-        dist = (1.0 - x if d is None else d) if right else x
-        i = math.floor(math.log(2.0 * dist) / self.log_q)
-        if 0.5 * self.q ** i < dist:  # log rounding at a ladder point
-            i -= 1
-        key = -i if right else i
-        m, r, coeffs, _ = self.expansions.get(key) or self._expansion(key)
-        tau = ((dist if key < 0 else x) - m) / r
-        acc = 0.0 + 0.0j
-        for cj in coeffs:
-            acc = acc * tau + cj
-        return acc
+    def __call__(self, xs: list[float], ds: list[float] | None = None
+                 ) -> list[complex]:
+        """y at each point of xs; ds[k] = 1 - xs[k] exactly, for points
+        near 1 where xs[k] itself rounds (computed from xs[k] when ds is
+        not given, which is exact for x >= 1/2).  Consecutive points of one
+        anchor share its lookup.  Horner runs on the real and imaginary
+        parts apart: bit for bit the complex loop on finite values, and
+        about a fifth faster."""
+        q, log_q, expansions = self.q, self.log_q, self.expansions
+        out = []
+        key = None
+        low = high = -1.0  # the current anchor serves low < dist <= high
+        for k, x in enumerate(xs):
+            if x == 0.0:
+                out.append(self.seed(0.0)[0])
+                continue
+            right = x > 0.5
+            dist = (1.0 - x if ds is None else ds[k]) if right else x
+            if not low < dist <= high:
+                i = math.floor(math.log(2.0 * dist) / log_q)
+                low, high = 0.5 * q ** (i + 1), 0.5 * q ** i
+                if high < dist:  # log rounding at a ladder point
+                    i, low, high = i - 1, high, 0.5 * q ** (i - 1)
+                elif dist <= low:
+                    i, low, high = i + 1, 0.5 * q ** (i + 2), low
+            if key != (-i if right else i):
+                key = -i if right else i
+                m, r, coeffs, _ = expansions.get(key) or self._expansion(key)
+            tau = ((dist if key < 0 else x) - m) / r
+            vr = vi = 0.0
+            for cr, ci in coeffs:
+                vr = vr * tau + cr
+                vi = vi * tau + ci
+            out.append(complex(vr, vi))
+        return out
 
     def _expansion(self, key: int):
         top = key  # build from top down: top is seeded, or top+1 built
@@ -328,8 +353,9 @@ class _Ladder:
         return (m if key >= 0 else 1.0 - m) <= self.x0
 
     def _build(self, key: int):
-        # (anchor, step, point coefficients highest first for Horner, and
-        # (value, derivative) at a continued successor's anchor)
+        # (anchor, step, the point coefficients highest first for Horner as
+        # (real, imaginary) pairs, and (value, derivative) at a continued
+        # successor's anchor)
         i = abs(key)
         m = 0.5 * self.q ** i
         if self._seeded(key):
@@ -342,7 +368,7 @@ class _Ladder:
         c = self.c if key >= 0 else self.c_right
         if self._seeded(key - 1):
             coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _ROUNDOFF)
-            return m, r, coeffs[::-1], None
+            return m, r, [(v.real, v.imag) for v in reversed(coeffs)], None
         coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _EDGE_TOL)
         edge = -1.0 if key < 0 else 1.0
         val = slope = 0.0 + 0.0j
@@ -355,7 +381,8 @@ class _Ladder:
         keep = len(coeffs)
         while keep > 1 and abs(coeffs[keep - 1]) <= floor:
             keep -= 1
-        return m, r, coeffs[keep - 1::-1], (val, slope / r)
+        return (m, r, [(v.real, v.imag) for v in coeffs[keep - 1::-1]],
+                (val, slope / r))
 
 
 def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
@@ -381,7 +408,7 @@ def _hyp2f1(a: complex, b: complex, c: complex, z: float, d: float) -> complex:
             or is_nonpositive_integer(b)):
         # a polynomial case terminates exactly, at any z
         return gauss_series(a, b, c, z)
-    return _Ladder(a, b, c, _series_seed(1.0 + 0.0j, a, b, c))(z, d)
+    return _Ladder(a, b, c, _series_seed(1.0 + 0.0j, a, b, c))([z], [d])[0]
 
 
 def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float) -> complex:

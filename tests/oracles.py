@@ -397,6 +397,37 @@ def oracle_apply_resolvent(n: int, mu_sq, lam, func, lo, hi, sigma,
         return complex(pref * (u1(x) * upper + u2(x) * lower))
 
 
+# -- reference ladder read ----------------------------------------------------
+
+def reference_ladder_key(ladder, dist: float) -> int:
+    """The anchor index of specfun._Ladder's scalar read before list reads:
+    floor(log(2 dist) / log q), lowered by one where log rounding put
+    dist above 0.5 q^i, and never raised."""
+    i = math.floor(math.log(2.0 * dist) / ladder.log_q)
+    if 0.5 * ladder.q ** i < dist:
+        i -= 1
+    return i
+
+
+def reference_ladder_read(ladder, x: float, d: float | None = None) -> complex:
+    """specfun._Ladder's scalar read before list reads: y(x), d = 1 - x
+    exactly, keyed by reference_ladder_key, with Horner on complex
+    coefficients.  It reads the ladder's own expansions (building one on
+    first use), so it checks the read and not the expansions."""
+    if x == 0.0:
+        return ladder.seed(0.0)[0]
+    right = x > 0.5
+    dist = (1.0 - x if d is None else d) if right else x
+    i = reference_ladder_key(ladder, dist)
+    key = -i if right else i
+    m, r, coeffs, _ = ladder.expansions.get(key) or ladder._expansion(key)
+    tau = ((dist if key < 0 else x) - m) / r
+    acc = 0.0 + 0.0j
+    for re_part, im_part in coeffs:
+        acc = acc * tau + complex(re_part, im_part)
+    return acc
+
+
 # -- reference Chebyshev panels -----------------------------------------------
 
 @cache

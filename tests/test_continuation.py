@@ -3,17 +3,26 @@ seeds where the series is benign, ODE Taylor continuation from there)
 against 30-digit mpmath, over the wide domain n in 1..4, mu^2 in [0, 9],
 |Re lambda| <= 40, -3 <= Im lambda <= 3, sigma in [1e-4, 1 - 1e-4], and
 public hyp2f1 on z in [0.5, 0.999].  Draws are seeded, so a failure
-names a reproducible case.
+names a reproducible case.  Its list reads are compared bit for bit with
+the scalar read they replaced (oracles.reference_ladder_read).
 """
 
 import cmath
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from hypercone import Mode, hyp2f1, hypergeom_params, u1, u2
+from hypercone import Mode, hyp2f1, hypergeom_params, resonances, u1, u2
 from hypercone.resolvent import _KernelData
-from oracles import oracle_hyp2f1, oracle_kernel_functions
+from hypercone.specfun import _Ladder, _series_seed
+from oracles import (
+    oracle_hyp2f1,
+    oracle_kernel_functions,
+    reference_ladder_key,
+    reference_ladder_read,
+)
 
 RE_MAX = 40.0
 
@@ -35,7 +44,8 @@ def _values(n, mu_sq, lam, sigma):
     kd = _KernelData(n, p)
     want_u1, want_u2, want_g1 = oracle_kernel_functions(n, mu_sq, lam, sigma)
     return [("u1", u1(p, sigma), want_u1), ("u2", u2(p, sigma), want_u2),
-            ("g1", kd.g1(sigma), want_g1), ("kernel u2", kd.u2(sigma), want_u2)]
+            ("g1", kd.g1([sigma])[0], want_g1),
+            ("kernel u2", kd.u2([sigma])[0], want_u2)]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -91,3 +101,73 @@ def test_hyp2f1_above_half(family):
         want = oracle_hyp2f1(a, b, c, z)
         err = abs(hyp2f1(a, b, c, z) - want) / abs(want)
         assert err <= 1e-12, (a, b, c, z, err)
+
+
+def _boundary_points(q: float, depth: float = 1e-12):
+    """(x, d = 1 - x exactly) on both sides of every anchor boundary
+    0.5 q^i down to depth from either end (so on both sides of 1/2), x = 0,
+    and points within 1e-12 of 1, where x itself rounds."""
+    pts = [(0.0, 1.0)]
+    i, dist = 0, 0.5
+    while dist >= depth:
+        for e in (math.nextafter(dist, 0.0), dist, math.nextafter(dist, 1.0)):
+            pts += [(e, 1.0 - e), (1.0 - e, e)]
+        i += 1
+        dist = 0.5 * q ** i
+    pts += [(1.0 - e, e) for e in (1e-12, 7.3e-13, 2.5e-13, 1e-13)]
+    return pts
+
+
+def _hex(v: complex) -> tuple[str, str]:
+    return v.real.hex(), v.imag.hex()
+
+
+def _ladders():
+    # the two kernel ladders of three kernels (q = 3/4), the exact-lattice
+    # seed at c = -3 (_lattice_seed), and a public-hyp2f1 ladder with
+    # spread 8.5, so q = 13/17
+    out = []
+    for n, mode, lam in ((2, Mode(2.0, 1), 1 - 0.7j),
+                         (1, Mode(1.0, 1), 1 + 0.5j),
+                         (3, Mode(8.0, 1), -0.3 - 1.1j)):
+        kd = _KernelData(n, hypergeom_params(n, mode, lam))
+        out += [kd.f1, kd.f2]
+    p = hypergeom_params(1, Mode(1 / 9, 1, Fraction(1, 9)), -2j,
+                         lam_im_exact=Fraction(-2))
+    assert resonances._lattice_indices(p)[2] == 3
+    out.append(_KernelData(1, p).f1)
+    out.append(_Ladder(5.0 + 0j, 5.0 + 0j, 1.5 + 0j,
+                       _series_seed(1.0 + 0j, 5.0 + 0j, 5.0 + 0j, 1.5 + 0j)))
+    return out
+
+
+class TestListReads:
+    """A list read of _Ladder gives each point the value of the scalar
+    read it replaced, bit for bit, in any order; where that read's one-sided
+    key put a point one anchor too high, the two-sided key moves it."""
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_bit_identical_to_scalar_read(self, index):
+        ladder = _ladders()[index]
+        pts = _boundary_points(ladder.q)
+        xs, ds = [x for x, _ in pts], [d for _, d in pts]
+        got = ladder(xs, ds)
+        moved = 0
+        for (x, d), val in zip(pts, got):
+            want = reference_ladder_read(ladder, x, d)
+            dist = d if x > 0.5 else x
+            i = reference_ladder_key(ladder, dist) if x else 0
+            if not x or 0.5 * ladder.q ** (i + 1) < dist:
+                assert _hex(val) == _hex(want), (x, d)
+                continue
+            # dist is the lower bound of the old anchor i or one ulp below
+            # it: the two-sided key reads anchor i + 1, the same function
+            moved += 1
+            bound = 0.5 * ladder.q ** (i + 1)
+            assert dist <= bound <= math.nextafter(dist, 1.0)
+            assert abs(val - want) <= 1e-14 * abs(want), (x, d)
+        assert (moved > 0) == (ladder.q != 0.75)
+        order = list(range(len(pts)))
+        random.Random(index).shuffle(order)
+        shuffled = ladder([xs[k] for k in order], [ds[k] for k in order])
+        assert [_hex(v) for v in shuffled] == [_hex(got[k]) for k in order]

@@ -77,24 +77,31 @@ MEASURE_INTEGRALS = [(1, 0.3, 0.6, 1.4073600674266193),
                      (3, 0.2, 0.7, 40.864950253648956)]
 
 
+def _each(f):
+    """The list integrand of cumulative_integral that reads scalar f at
+    each node of a level."""
+    return lambda xs: [f(x) for x in xs]
+
+
 class TestQuadrature:
     def test_cumulative_polynomial_exact(self):
-        run = cumulative_integral(lambda x: 3 * x ** 5 - x ** 2 + 2, -1.0, 2.0)
+        run = cumulative_integral(_each(lambda x: 3 * x ** 5 - x ** 2 + 2),
+                                  -1.0, 2.0)
         for x in (-1.0, -0.3, 0.5, 1.7, 2.0):
             want = (x ** 6 - 1) / 2 - (x ** 3 + 1) / 3 + 2 * (x + 1)
             assert abs(run(x) - want) <= 1e-14 * (1 + abs(want))
 
     def test_cumulative_running_exp(self):
-        run = cumulative_integral(lambda x: cmath.exp(1j * x), 0.0, 3.0,
-                                  control=QuadratureControl(1e-14, 1e-14))
+        run = cumulative_integral(_each(lambda x: cmath.exp(1j * x)), 0.0,
+                                  3.0, control=QuadratureControl(1e-14, 1e-14))
         for i in range(50):
             x = 3.0 * i / 49
             assert abs(run(x) - (cmath.exp(1j * x) - 1) / 1j) <= 1e-13
 
     def test_cumulative_downward(self):
         # downward accumulation from b gives int_x^b directly
-        run = cumulative_integral(lambda x: cmath.exp(1j * x), 0.0, 3.0,
-                                  control=QuadratureControl(1e-14, 1e-14),
+        run = cumulative_integral(_each(lambda x: cmath.exp(1j * x)), 0.0,
+                                  3.0, control=QuadratureControl(1e-14, 1e-14),
                                   downward=True)
         for i in range(50):
             x = 3.0 * i / 49
@@ -109,7 +116,7 @@ class TestQuadrature:
             calls.append(x)
             return abs(x - 1 / math.pi)
 
-        run = cumulative_integral(kink, 0.0, 1.0)
+        run = cumulative_integral(_each(kink), 0.0, 1.0)
         c = 1 / math.pi
         for x in (0.1, c, 0.5, 1.0):
             want = (c * c - (c - x) * abs(c - x)) / 2
@@ -127,7 +134,7 @@ class TestQuadrature:
             calls.append(x)
             return abs(x - c)
 
-        run = cumulative_integral(kink, 0.0, 1.0, downward=downward,
+        run = cumulative_integral(_each(kink), 0.0, 1.0, downward=downward,
                                   breaks=[c, c, -1.0, 1.0])
         assert run.cuts == [c]
         assert len(calls) == 34
@@ -139,7 +146,7 @@ class TestQuadrature:
 
     def test_cumulative_budget_failure(self):
         with pytest.raises(QuadratureFailure):
-            cumulative_integral(lambda x: abs(x - 1 / math.pi) ** -0.5,
+            cumulative_integral(_each(lambda x: abs(x - 1 / math.pi) ** -0.5),
                                 0.0, 1.0,
                                 control=QuadratureControl(1e-13, 1e-13, 2))
 
@@ -148,7 +155,7 @@ class TestQuadrature:
         # span that lands in it; the ends read the offsets alone
         c = 1 / math.pi
         for downward in (False, True):
-            run = cumulative_integral(lambda x: abs(x - c), 0.0, 1.0,
+            run = cumulative_integral(_each(lambda x: abs(x - c)), 0.0, 1.0,
                                       downward=downward, breaks=[c, 0.6])
             assert run.cuts == [c, 0.6]
             run(0.0)
@@ -234,11 +241,12 @@ class TestPanelDecisions:
     @pytest.mark.parametrize("downward", [False, True])
     def test_same_panels_as_full_coefficients(self, kind, downward):
         for f, a, b, kw in _panel_cases(kind):
-            seen, ref_seen = [], []
+            seen, ref_seen, calls = [], [], []
 
-            def g(x):
-                seen.append((x, f(x)))
-                return seen[-1][1]
+            def g(xs):
+                calls.append(len(xs))
+                seen.extend((x, f(x)) for x in xs)
+                return [v for _, v in seen[-len(xs):]]
 
             def ref_g(x):
                 ref_seen.append((x, f(x)))
@@ -257,6 +265,15 @@ class TestPanelDecisions:
             panels = [(lo, hi, fold[0]) for (lo, hi), (_, _, fold, _)
                       in zip(zip(edges, edges[1:]), run._panels)]
             assert panels == ref.panels
+            # one integrand call per level per panel: an accepted panel of
+            # degree 16, 32 or 64 took 1, 2 or 3 levels, and each bisected
+            # panel, one per panel beyond the first of each piece between
+            # breaks, took all 3; each call holds the nodes its level adds
+            pieces = 1 + len({x for x in kw.get("breaks", ()) if a < x < b})
+            levels = {16: 1, 32: 2, 64: 3}
+            assert len(calls) == (sum(levels[n] for *_, n in ref.panels)
+                                  + 3 * (len(ref.panels) - pieces))
+            assert set(calls) <= {17, 16, 32}
             # totals differ only by the roundoff of the sums: against
             # width * max |f| per panel, since the panel integrals
             # themselves cancel (oscillatory) or vanish (odd integrands)
@@ -280,11 +297,12 @@ class TestPanelDecisions:
         inner = quadrature._fit
 
         def checked(f, lo, hi, abs_tol, rel_tol):
+            # the reference reads the integrand one node at a time
             seen, ref_seen = [], []
-            got = inner(lambda x: seen.append(x) or f(x), lo, hi,
+            got = inner(lambda xs: seen.extend(xs) or f(xs), lo, hi,
                         abs_tol, rel_tol)
-            want = reference_fit(lambda x: ref_seen.append(x) or f(x), lo,
-                                 hi, abs_tol, rel_tol)
+            want = reference_fit(lambda x: ref_seen.append(x) or f([x])[0],
+                                 lo, hi, abs_tol, rel_tol)
             assert seen == ref_seen
             degree = None if got is None else got[0]
             assert degree == (None if want is None else len(want) - 1)
@@ -345,7 +363,8 @@ class TestMeasureDensity:
         # integrating a bump against the density in sigma reproduces the
         # frozen r-coordinate integral of the same bump against sinh^n r dr
         bump = RadialProfile.bump(lo, hi)
-        got = cumulative_integral(lambda x: bump(x) * measure_density(n, x),
+        got = cumulative_integral(_each(lambda x: bump(x)
+                                        * measure_density(n, x)),
                                   lo, hi).total
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -604,9 +623,9 @@ class TestGridPath:
         def counting(f, a, b, **kw):
             spans.append((a, b, kw.get("downward", False)))
 
-            def g(x):
-                evals.append(x)
-                return f(x)
+            def g(xs):
+                evals.extend(xs)
+                return f(xs)
             runs.append(quadrature.cumulative_integral(g, a, b, **kw))
             return runs[-1]
 
@@ -635,8 +654,7 @@ class TestGridPath:
             spans.clear()
             evals.clear()
             rf, _ = _resolvent(kd, f, grid[0], grid[-1], _TIGHT)
-            for x in grid:
-                rf(x)
+            rf(grid)
             assert sorted(spans) == [(0.3, 0.6, False), (0.3, 0.6, True)]
             counts.append(len(evals))
         assert counts[0] == counts[1]
@@ -680,9 +698,9 @@ class TestGridPath:
         grid = [0.2, 0.3, 0.38, 0.45, 0.52, 0.6, 0.75]
         kd = _KernelData(n, hypergeom_params(n, mode, lam))
         rf, _ = _resolvent(kd, f, grid[0], grid[-1], _TIGHT)
-        for x in grid:
+        for x, got in zip(grid, rf(grid)):
             want = apply_resolvent(n, mode, lam, f, x, control=_TIGHT)
-            assert abs(rf(x) - want) <= 1e-10 * abs(want)
+            assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def _mp_bump(lo, hi):
@@ -861,9 +879,9 @@ class TestIntegrandClosures:
         def recording(f, a, b, **kw):
             nodes = []
 
-            def sampled(r):
-                nodes.append(r)
-                return f(r)
+            def sampled(rs):
+                nodes.extend(rs)
+                return f(rs)
             seen.append((f, nodes, kw.get("downward", False)))
             return inner(sampled, a, b, **kw)
 
@@ -876,7 +894,8 @@ class TestIntegrandClosures:
             assert len(nodes) > 16
             for r in nodes:
                 w = cmath.exp(kd.e1 * math.log(r)) * (1.0 - r) ** kd.e2
-                assert f(r) == prof.func(r) * kernel(r) * w
+                assert f([r])[0] == prof.func(r) * kernel([r])[0] * w
+            assert f(nodes) == [f([r])[0] for r in nodes]
 
 
 def _ladder_points(q):
@@ -911,7 +930,7 @@ class TestExactLatticeKernels:
         for i in range(24):
             z = 0.01 + 0.94 * i / 23
             want = oracle_kernel_functions(n, mu_sq, lam_mp, z, dps=40)[2]
-            assert abs(kd.g1(z) - want) <= 1e-12 * abs(want), z
+            assert abs(kd.g1([z])[0] - want) <= 1e-12 * abs(want), z
 
     def test_residual_check_ln_gamma_calls(self, monkeypatch):
         # the lattice limit takes one call, the tail coefficient two
@@ -1040,10 +1059,10 @@ class TestKernelExpansions:
         c2 = 1 + p.s
         for i, x in enumerate(self.GRID):
             for got, series, oracle in (
-                    (kd.g1,
+                    (lambda x: kd.g1([x])[0],
                      lambda x: t0 * gauss_series(p.a, p.b, p.c, x),
                      lambda x: t0 * oracle_hyp2f1(p.a, p.b, p.c, x)),
-                    (kd.u2,
+                    (lambda x: kd.u2([x])[0],
                      lambda x: gauss_series(p.a, p.b, c2, 1 - x),
                      lambda x: oracle_hyp2f1(p.a, p.b, c2, 1 - x))):
                 val = got(x)  # every point evaluates
@@ -1062,12 +1081,12 @@ class TestKernelExpansions:
         p = hypergeom_params(n, mode, lam)
         warm = _KernelData(n, p)
         for x in reversed(self.GRID[::7]):
-            warm.g1(x)
-            warm.u2(x)
+            warm.g1([x])
+            warm.u2([x])
         for x in self.GRID[::11]:
             fresh = _KernelData(n, p)
-            assert fresh.g1(x) == warm.g1(x)
-            assert fresh.u2(x) == warm.u2(x)
+            assert fresh.g1([x]) == warm.g1([x])
+            assert fresh.u2([x]) == warm.u2([x])
 
 
 class TestSeriesWorkCounts:
@@ -1226,7 +1245,7 @@ def _simpson_pairing(n, mode, lam, f, g):
     step = (hi - lo) / 4096
     xs = [lo + i * step for i in range(4097)]
     xs[-1] = hi
-    ys = [rf(x) * g(x) * measure_density(n, x) for x in xs]
+    ys = [v * g(x) * measure_density(n, x) for x, v in zip(xs, rf(xs))]
     total = ys[0] + ys[-1] + 4.0 * sum(ys[1:-1:2]) + 2.0 * sum(ys[2:-2:2])
     return total * step / 3.0
 
@@ -1272,9 +1291,9 @@ class TestGreenPairing:
             if "breaks" not in kw:
                 return quadrature.cumulative_integral(func, a, b, **kw)
 
-            def counted(x):
-                outer.append(x)
-                return func(x)
+            def counted(xs):
+                outer.extend(xs)
+                return func(xs)
             runs.append(quadrature.cumulative_integral(counted, a, b, **kw))
             return runs[-1]
 

@@ -569,6 +569,16 @@ class TestWeylCount:
         assert got == pytest.approx(oracle_weyl_leading_term(n, vol, lam),
                                     rel=1e-12)
 
+    @pytest.mark.parametrize("n,vol,lam", [(3, 1e300, 1e-80),
+                                           (5, 1e200, 1e-55)])
+    def test_leading_term_subnormal_factor(self, n, vol, lam):
+        # lambda^(n+1) is subnormal (1e-320) or underflows to 0 while the
+        # term is a normal double: the direct product kept 1.1e-5 relative
+        # error from the subnormal factor, the log form does not
+        got = weyl_leading_term(n, vol, lam)
+        assert got == pytest.approx(oracle_weyl_leading_term(n, vol, lam),
+                                    rel=1e-12)
+
     def test_leading_term_direct_form_unchanged(self):
         # where the direct product is a normal double it is the term, bit
         # for bit
