@@ -34,11 +34,13 @@ class QuadratureControl:
     """Tolerances of a running integral (cumulative_integral).
 
     Each Chebyshev panel is accepted once its last coefficients fall below
-    max(rel_tol * its largest coefficient, abs_tol / its width), so a
-    panel's integral error is at most about abs_tol or rel_tol relative to
-    the integrand's scale there.  max_subdivisions is the number of panel
-    bisections one running integral may spend before QuadratureFailure is
-    raised.
+    max(rel_tol * its largest coefficient, abs_tol * S), S the largest
+    |sample| the running integral has taken so far, so a panel's error is
+    at most about rel_tol relative to the integrand there or abs_tol
+    relative to the integrand's scale over the span: both are relative,
+    and abs_tol = 1e-300 still means no floor.  max_subdivisions is the
+    number of panel bisections one running integral may spend before
+    QuadratureFailure is raised.
     """
 
     abs_tol: float = 1e-10
@@ -67,12 +69,14 @@ def _table(n: int) -> tuple[list[float], list[list[float]], list[float]]:
     return nodes, rows, weights
 
 
-def _fit(f, lo: float, hi: float, abs_tol: float, rel_tol: float
-         ) -> tuple[int, list[complex], list[complex]] | None:
+def _fit(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
+         scale: float) -> tuple[tuple[int, list[complex], list[complex]] | None,
+                                float]:
     # Folded samples (n, even, odd) of the list integrand f on [lo, hi],
-    # read once per level, at the first degree
-    # whose last _TAIL Chebyshev coefficients fall below max(rel_tol *
-    # largest, abs_tol / width); None when even the highest degree does not
+    # read once per level, at the first degree whose last _TAIL Chebyshev
+    # coefficients fall below max(rel_tol * largest, abs_tol * scale), with
+    # scale the running maximum of |sample| (taken in, and returned raised
+    # by this panel's samples); None when even the highest degree does not
     # resolve f there.  The tail rows decide most levels alone: every |c_k|
     # is at most U = (2/n)(|f_0|/2 + |f_1| + ... + |f_(n-1)| + |f_n|/2), so
     # a tail above max(rel_tol U, floor) rejects, and one at most
@@ -80,7 +84,6 @@ def _fit(f, lo: float, hi: float, abs_tol: float, rel_tol: float
     # formed for the full test
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    floor = abs_tol / (hi - lo)
     vals: list = []
     for n in _DEGREES:
         nodes, rows, _ = _table(n)
@@ -91,6 +94,9 @@ def _fit(f, lo: float, hi: float, abs_tol: float, rel_tol: float
             merged[0::2] = vals
             merged[1::2] = f([mid + half * t for t in nodes[1::2]])
             vals = merged
+        mags = list(map(abs, vals))
+        scale = max(scale, *mags)
+        floor = abs_tol * scale
         m = n // 2
         even = [u + v for u, v in zip(vals[:m], vals[:m:-1])] + [vals[m]]
         odd = [u - v for u, v in zip(vals[:m], vals[:m:-1])] + [0j]
@@ -98,18 +104,17 @@ def _fit(f, lo: float, hi: float, abs_tol: float, rel_tol: float
                 for k in range(n + 1 - _TAIL, n + 1)]
         tail = max(map(abs, last))
         bound = (2.0 / n * _MARGIN
-                 * (0.5 * (abs(vals[0]) + abs(vals[-1]))
-                    + sum(map(abs, vals[1:-1]))))
+                 * (0.5 * (mags[0] + mags[-1]) + sum(mags[1:-1])))
         if tail > max(rel_tol * bound, floor):
             continue
         c0 = sum(map(mul, rows[0], even))
         if tail <= max(rel_tol * abs(c0), floor):
-            return n, even, odd
+            return (n, even, odd), scale
         coefs = [c0] + [sum(map(mul, rows[k], odd if k % 2 else even))
                         for k in range(1, n + 1 - _TAIL)] + last
         if tail <= max(rel_tol * max(map(abs, coefs)), floor):
-            return n, even, odd
-    return None
+            return (n, even, odd), scale
+    return None, scale
 
 
 def _integral_series(n: int, even: list[complex], odd: list[complex],
@@ -199,8 +204,12 @@ def cumulative_integral(f, a: float, b: float, *,
     Each panel samples f at nested Clenshaw-Curtis points of degree 16, 32
     and 64, with one call per level: the first call gets the 17 nodes
     [hi, interior..., lo] and each later level the odd-indexed nodes it
-    adds (16, then 32).  A panel is accepted by control's test on its last
-    Chebyshev coefficients (QuadratureControl).  Those coefficients,
+    adds (16, then 32).  A panel is accepted once its last Chebyshev
+    coefficients fall below max(control.rel_tol * its largest coefficient,
+    control.abs_tol * S), S the largest |sample| taken so far on [a, b]:
+    a running maximum, so the floor scales with the integrand, a span that
+    starts on a zero stretch gets its floor once f rises, and abs_tol =
+    1e-300 means no floor.  Those coefficients,
     against a bound on the largest from the samples' magnitudes, decide
     most levels; the other rows are formed only when they do not.  The
     panel's integral is the Clenshaw-Curtis weighted sum of its samples,
@@ -219,9 +228,10 @@ def cumulative_integral(f, a: float, b: float, *,
     pending = list(zip(edges, edges[1:]))[::1 if downward else -1]
     fitted = []
     splits = 0
+    scale = 0.0
     while pending:
         lo, hi = pending.pop()
-        fold = _fit(f, lo, hi, control.abs_tol, control.rel_tol)
+        fold, scale = _fit(f, lo, hi, control.abs_tol, control.rel_tol, scale)
         if fold is not None:
             fitted.append((lo, hi, fold))
             continue

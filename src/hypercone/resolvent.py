@@ -16,10 +16,13 @@ alpha = n/2 - i*lambda, beta = -(n-1)/4 + s/2, e1 = -1 - n/2 - i*lambda,
 e2 = s/2 + (n-1)/4.  The sigma factors leave the integrals, so every
 evaluation point reads the same two running integrals: f g1 w accumulated
 upward from the bottom of the support and f u2 w downward from its top.
-Each is one piecewise Chebyshev interpolant with its indefinite integral
-(quadrature.cumulative_integral), so a grid point costs one Clenshaw sum per
-integral, and nearby points differ only by the smooth interpolant between
-them; that is what keeps finite-difference residual checks clean.
+Both run in u = log rho, where rho^e1 drho = exp((e1+1) u) du: the weight
+becomes an entire exponential, not a power law that steepens as
+Im lambda < 0 (where the resonances lie).  Each is one piecewise Chebyshev
+interpolant with its indefinite integral (quadrature.cumulative_integral),
+so a grid point costs one Clenshaw sum per integral, and nearby points
+differ only by the smooth interpolant between them; that is what keeps
+finite-difference residual checks clean.
 
 Evaluation: g1 = Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) and u2 = F(a,b;1+s;w)
 at w = 1 - sigma both solve the hypergeometric ODE (DLMF 15.10.1), in
@@ -360,54 +363,66 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
     """xs -> [(R f)(x) for x in xs] on [a, b], and the panel cuts it reads
     across.
 
-    f g1 w is integrated upward from lo as far as min(b, hi) when b > lo,
-    and f u2 w downward from hi as far as max(a, lo) when a < hi.  Each is
-    one quadrature.cumulative_integral under control, whose panels depend
-    only on its span, so a point costs one Clenshaw sum per integral and
-    any span straddling the support costs the same integrand evaluations.
-    The integrands read f.func on the closed support, so a profile that is
-    nonzero at lo or hi is still smooth there.  The cuts are the interior
-    panel boundaries of both integrals, where (R f) is smooth only to the
-    integrals' tolerance.  Every read takes a list of points: an integrand
-    reads the nodes a Chebyshev level adds with one kernel list read
-    (kd.g1, or kd.u2) and forms f.func times the weight r^e1 (1-r)^e2 at
-    each, and rf reads g1 and u2 at all its points with one list read
-    each, taking an integral's total where x lies beyond f's support on
-    that side.  This is the only place the kernel
+    Both running integrals run in u = log rho: rho^e1 drho is
+    exp((e1+1) u) du, an entire exponential in u, where in rho it is a
+    power law that steepens as Im lambda falls below 0 and needs high
+    Chebyshev degrees.  f g1 w is integrated upward from log lo as far as
+    log min(b, hi) when that is above log lo, and f u2 w downward from
+    log hi as far as log max(a, lo) when that is below log hi.  Each is one
+    quadrature.cumulative_integral under control, whose panels depend only
+    on its span, so a point costs one Clenshaw sum per integral and any
+    span straddling the support costs the same integrand evaluations.  An
+    integrand maps the nodes u a Chebyshev level adds to rho = exp(u), and
+    the ends log lo and log hi to lo and hi themselves, reads the kernel
+    there with one list read (kd.g1, or kd.u2) and forms
+    f.func(rho) kernel(rho) exp((e1+1) u) (1-rho)^e2 at each.  f.func is
+    read on the closed support, so a profile that is nonzero at lo or hi
+    is still smooth there.  rf reads g1 and u2 at all its points with one
+    list read each and the integrals at log x, taking an integral's total
+    where log x lies beyond f's support on that side.  The cuts are the
+    interior panel boundaries of both integrals, mapped back to sigma,
+    where (R f) is smooth only to the integrals' tolerance.  This is the
+    only place the kernel
     P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed.
     """
     lo, hi = f.support
-    func, e1, e2 = f.func, kd.e1, kd.e2
+    ulo, uhi = math.log(lo), math.log(hi)
+    ua, ub = math.log(a), math.log(b)
+    func, e1, e2 = f.func, kd.e1 + 1.0, kd.e2
 
-    def weighted(rs: list[float], kernel: list[complex]) -> list[complex]:
-        return [func(r) * v * (cmath.exp(e1 * math.log(r)) * (1.0 - r) ** e2)
-                for r, v in zip(rs, kernel)]
+    def weighted(kernel):
+        def integrand(us: list[float]) -> list[complex]:
+            rs = [lo if u <= ulo else hi if u >= uhi else math.exp(u)
+                  for u in us]
+            return [func(r) * v * (cmath.exp(e1 * u) * (1.0 - r) ** e2)
+                    for r, u, v in zip(rs, us, kernel(rs))]
+        return integrand
 
     cuts = []
-    if b > lo:
-        lower = cumulative_integral(lambda rs: weighted(rs, kd.g1(rs)),
-                                    lo, min(b, hi), control=control)
+    if ub > ulo:
+        lower = cumulative_integral(weighted(kd.g1), ulo, min(ub, uhi),
+                                    control=control)
         cuts += lower.cuts
-    if a < hi:
-        upper = cumulative_integral(lambda rs: weighted(rs, kd.u2(rs)),
-                                    max(a, lo), hi, control=control,
-                                    downward=True)
+    if ua < uhi:
+        upper = cumulative_integral(weighted(kd.u2), max(ua, ulo), uhi,
+                                    control=control, downward=True)
         cuts += upper.cuts
 
     def rf(xs: list[float]) -> list[complex]:
-        g1 = iter(kd.g1([x for x in xs if x < hi]))
-        u2 = iter(kd.u2([x for x in xs if x > lo]))
+        us = [math.log(x) for x in xs]
+        g1 = iter(kd.g1([x for x, u in zip(xs, us) if u < uhi]))
+        u2 = iter(kd.u2([x for x, u in zip(xs, us) if u > ulo]))
         out = []
-        for x in xs:
+        for x, u in zip(xs, us):
             val = 0.0 + 0.0j
-            if x < hi:
-                val += next(g1) * (upper.total if x <= lo else upper(x))
-            if x > lo:
-                val += next(u2) * (lower.total if x >= hi else lower(x))
+            if u < uhi:
+                val += next(g1) * (upper.total if u <= ulo else upper(u))
+            if u > ulo:
+                val += next(u2) * (lower.total if u >= uhi else lower(u))
             out.append(val * kd.sigma_prefactor(x) * kd.inv_g1s)
         return out
 
-    return rf, cuts
+    return rf, [math.exp(c) for c in cuts]
 
 
 # -- finite-difference residual of the radial equation ------------------------
@@ -455,7 +470,9 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
     if not (0.0 < h <= 1e-2):
         raise ValidationError(f"h must be in (0, 1e-2], got {h!r}")
     pts = list(grid) if grid is not None else _default_grid()
-    if len(pts) < 1 or any(y <= x for x, y in zip(pts, pts[1:])):
+    if not pts:
+        raise ValidationError("grid needs at least one point")
+    if any(y <= x for x, y in zip(pts, pts[1:])):
         raise ValidationError("grid must be strictly increasing")
     lam = complex(lam)
     p = hypergeom_params(n, mode, lam)
@@ -572,8 +589,8 @@ def residue_probe(n: int, mode: Mode, lam0: complex, *,
     """
     if not (radius > 0 and radius < 0.2):
         raise ValidationError(f"radius must be in (0, 0.2), got {radius!r}")
-    if points < 8:
-        raise ValidationError(f"points must be >= 8, got {points!r}")
+    if not isinstance(points, int) or points < 8:  # bools are below 8
+        raise ValidationError(f"points must be an integer >= 8, got {points!r}")
     if not (threshold > 0):
         raise ValidationError(f"threshold must be > 0, got {threshold!r}")
     f = profile if profile is not None else RadialProfile.bump()

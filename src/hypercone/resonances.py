@@ -132,8 +132,11 @@ def hypergeom_params(n: int, mode: Mode, lam: complex, *,
     i*lambda is carried exactly when lambda is purely imaginary: any float
     imaginary part is itself a rational, so Re(lambda) == 0 is enough; an
     explicit lam_im_exact (must match to 1e-12) can also be supplied.
+    A lambda with an infinite or NaN part raises DomainError.
     """
     lam = complex(lam)
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise DomainError(f"lambda must be finite, got {lam!r}")
     if lam_im_exact is not None:
         if abs(lam.imag - float(lam_im_exact)) > 1e-12 * (1.0 + abs(lam.imag)):
             raise InconsistentParams(

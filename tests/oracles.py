@@ -444,14 +444,15 @@ def _reference_rows(n: int) -> tuple[list[float], list[list[float]]]:
     return nodes, rows
 
 
-def reference_fit(f, lo: float, hi: float, abs_tol: float,
-                  rel_tol: float) -> list[complex] | None:
+def reference_fit(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
+                  scale: float) -> tuple[list[complex] | None, float]:
     """Chebyshev coefficients of f on [lo, hi] at the first of the nested
     degrees 16, 32, 64 whose last 4 coefficients fall below max(rel_tol *
-    largest, abs_tol / width), or None; every coefficient of every level is
-    formed before the level is decided.  quadrature._fit must sample f at
-    the same points and take the same decisions."""
-    mid, half, floor = 0.5 * (lo + hi), 0.5 * (hi - lo), abs_tol / (hi - lo)
+    largest, abs_tol * S), or None, with S the larger of scale and every
+    |sample| so far; and S.  Every coefficient of every level is formed
+    before the level is decided.  quadrature._fit must sample f at the same
+    points and take the same decisions."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     vals: list = []
     for n in (16, 32, 64):
         nodes, rows = _reference_rows(n)
@@ -462,15 +463,16 @@ def reference_fit(f, lo: float, hi: float, abs_tol: float,
             merged[0::2] = vals
             merged[1::2] = [f(mid + half * t) for t in nodes[1::2]]
             vals = merged
+        scale = max([scale] + [abs(v) for v in vals])
         m = n // 2
         even = [u + v for u, v in zip(vals[:m], vals[:m:-1])] + [vals[m]]
         odd = [u - v for u, v in zip(vals[:m], vals[:m:-1])] + [0j]
         coefs = [sum(map(mul, row, odd if k % 2 else even))
                  for k, row in enumerate(rows)]
         tail = max(map(abs, coefs[-4:]))
-        if tail <= max(rel_tol * max(map(abs, coefs)), floor):
-            return coefs
-    return None
+        if tail <= max(rel_tol * max(map(abs, coefs)), abs_tol * scale):
+            return coefs, scale
+    return None, scale
 
 
 class ReferenceRunningIntegral:
@@ -528,9 +530,10 @@ def reference_cumulative_integral(f, a, b, *, downward=False, breaks=(),
     pending = list(zip(edges, edges[1:]))[::1 if downward else -1]
     fitted = []
     splits = 0
+    scale = 0.0
     while pending:
         lo, hi = pending.pop()
-        coefs = reference_fit(f, lo, hi, abs_tol, rel_tol)
+        coefs, scale = reference_fit(f, lo, hi, abs_tol, rel_tol, scale)
         if coefs is not None:
             fitted.append((lo, hi, coefs))
             continue

@@ -209,7 +209,7 @@ SUITE_DIGESTS = {
     "wronskian":
         "8b26943eb8055ddb18f79e292893b2d67f891b8d998e5d5a51b7b9194fe07f6b",
     "residual":
-        "b41b9aef7b5e109cf8c0527b731b02baf026279cb73e6b9529f8f1768440be94",
+        "46fc935a5f2652ad899a2b6e5776cf01d4a8993fa4dc7f108d5828a5523c78cd",
     "residue":
         "f44d015583cb29918e2f6aaf3f93404f6dd08ad06a34161f2a9b22b1d54c5161",
 }

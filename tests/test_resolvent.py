@@ -296,16 +296,17 @@ class TestPanelDecisions:
         degrees = []
         inner = quadrature._fit
 
-        def checked(f, lo, hi, abs_tol, rel_tol):
+        def checked(f, lo, hi, abs_tol, rel_tol, scale):
             # the reference reads the integrand one node at a time
             seen, ref_seen = [], []
             got = inner(lambda xs: seen.extend(xs) or f(xs), lo, hi,
-                        abs_tol, rel_tol)
+                        abs_tol, rel_tol, scale)
             want = reference_fit(lambda x: ref_seen.append(x) or f([x])[0],
-                                 lo, hi, abs_tol, rel_tol)
+                                 lo, hi, abs_tol, rel_tol, scale)
             assert seen == ref_seen
-            degree = None if got is None else got[0]
-            assert degree == (None if want is None else len(want) - 1)
+            assert got[1] == want[1]
+            degree = None if got[0] is None else got[0][0]
+            assert degree == (None if want[0] is None else len(want[0]) - 1)
             degrees.append(degree)
             return got
 
@@ -634,12 +635,13 @@ class TestGridPath:
 
     def test_running_integral_spans(self, counted):
         # f g1 w runs upward from lo, f u2 w downward from hi, each only as
-        # far as the evaluation point needs
+        # far as the evaluation point needs; spans are in u = log sigma
         spans, _, _ = counted
         f = RadialProfile.bump(0.3, 0.6)
-        for sigma, want in ((0.2, [(0.3, 0.6, True)]),
-                            (0.45, [(0.3, 0.45, False), (0.45, 0.6, True)]),
-                            (0.7, [(0.3, 0.6, False)])):
+        lo, mid, hi = math.log(0.3), math.log(0.45), math.log(0.6)
+        for sigma, want in ((0.2, [(lo, hi, True)]),
+                            (0.45, [(lo, mid, False), (mid, hi, True)]),
+                            (0.7, [(lo, hi, False)])):
             spans.clear()
             apply_resolvent(2, Mode(2.0, 1), 1 + 0.5j, f, sigma)
             assert sorted(spans) == want
@@ -655,7 +657,8 @@ class TestGridPath:
             evals.clear()
             rf, _ = _resolvent(kd, f, grid[0], grid[-1], _TIGHT)
             rf(grid)
-            assert sorted(spans) == [(0.3, 0.6, False), (0.3, 0.6, True)]
+            assert sorted(spans) == [(math.log(0.3), math.log(0.6), False),
+                                     (math.log(0.3), math.log(0.6), True)]
             counts.append(len(evals))
         assert counts[0] == counts[1]
 
@@ -667,7 +670,7 @@ class TestGridPath:
         residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
         assert len(evals) == 66
 
-    @pytest.mark.parametrize("sigma,count", [(0.2, 33), (0.45, 50),
+    @pytest.mark.parametrize("sigma,count", [(0.2, 33), (0.45, 34),
                                              (0.7, 33)])
     def test_one_point_reads_totals_only(self, counted, sigma, count):
         # below, inside and above the support: the evaluations the
@@ -681,8 +684,10 @@ class TestGridPath:
         assert all(s is None for run in runs for s in run._series)
 
     @pytest.mark.parametrize("n,mode,lam0,count", [
-        (1, Mode(0.0, 1, Fraction(0)), -0.5j, 450),   # 9 resolvents, on axis
-        (2, Mode(2.0, 1), 0.7 + 0.9j, 544),           # 16, off the axis
+        (1, Mode(0.0, 1, Fraction(0)), -0.5j, 306),   # 9 resolvents, on axis
+        (2, Mode(2.0, 1), 0.7 + 0.9j, 800),   # 16, off the axis, where the
+                                              # floor scales with a small
+                                              # integrand
     ])
     def test_residue_probe_evaluations(self, counted, n, mode, lam0, count):
         _, evals, runs = counted
@@ -765,6 +770,70 @@ class TestResolventOracle:
                 assert abs(got - want) <= 5e-9 * abs(want)
         if control is not None and control.max_subdivisions == 5:
             assert refused > 0
+
+
+class TestNonFiniteLambda:
+    """hypergeom_params refuses a lambda with an infinite or NaN part by
+    name, so every entry point that reads it does too."""
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf,
+                                     complex(0.0, math.inf),
+                                     complex(0.0, math.nan)],
+                             ids=["nan", "inf", "inf_im", "nan_im"])
+    def test_entry_points_refuse(self, lam):
+        n, mode, f = 2, Mode(2.0, 1), RadialProfile.bump()
+        calls = [
+            lambda: u1(hypergeom_params(n, mode, lam), 0.3),
+            lambda: u2(hypergeom_params(n, mode, lam), 0.3),
+            lambda: apply_resolvent(n, mode, lam, f, 0.45),
+            lambda: residual_check(n, mode, lam, f),
+            lambda: green_pairing(n, mode, lam, f, f),
+            lambda: residue_probe(n, mode, lam),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="lambda must be finite"):
+                call()
+
+
+class TestLargeParameterSweep:
+    """apply_resolvent at mu^2 up to 400 and |Re lambda| up to 40, where
+    the two running integrals can differ in size by 26 orders (6.2e16 and
+    3.1e-10 at n = 2, mu^2 = 110, lambda = -35-2.9i): the default control
+    must agree with a relative-only one, whose floor is off."""
+
+    TIGHT = QuadratureControl(abs_tol=1e-300, rel_tol=1e-14)
+
+    def test_default_matches_relative_only_control(self):
+        # 200 seeded draws: n in 1..4, mu^2 = p/16 with p <= 6400,
+        # Re lambda in [-40, 40], Im lambda in [-3, 3], sigma in [0.1, 0.9]
+        rng = random.Random(17)
+        f = RadialProfile.bump()
+        misses = []
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            mode = Mode(rng.randint(0, 6400) / 16, 1)
+            lam = complex(rng.uniform(-40.0, 40.0), rng.uniform(-3.0, 3.0))
+            sigma = rng.uniform(0.1, 0.9)
+            got = apply_resolvent(n, mode, lam, f, sigma)
+            want = apply_resolvent(n, mode, lam, f, sigma, control=self.TIGHT)
+            if not abs(got - want) <= 1e-10 * abs(want):
+                misses.append((n, mode.mu_sq, lam, sigma))
+        assert misses == []
+
+    @pytest.mark.parametrize("n,mu_sq,lam,sigma", [
+        (1, 6129 / 16, 38.943 + 2.460j, 0.1165),
+        (2, 110.0, 35 + 2.9j, 0.45),
+        (2, 110.0, -35 - 2.9j, 0.45),
+    ])
+    def test_worst_draws_match_oracle(self, n, mu_sq, lam, sigma):
+        # the draws an absolute floor of 1e-10/width got wrong by 0.44,
+        # 8.6e-8 and 4.5e-6: the small integral was accepted against the
+        # floor, not against its own size
+        got = apply_resolvent(n, Mode(mu_sq, 1), lam, RadialProfile.bump(),
+                              sigma)
+        want = oracle_apply_resolvent(n, mu_sq, lam, _mp_bump(0.3, 0.6),
+                                      0.3, 0.6, sigma)
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def _inline_ratio_series(term, a, b, c, z, kmin=0):
@@ -870,7 +939,9 @@ class TestSeedDerivative:
 
 class TestIntegrandClosures:
     """Each running integral of _resolvent reads one closure, which is bit
-    for bit f g1 w or f u2 w, w = rho^e1 (1-rho)^e2, at every node."""
+    for bit f g1 w or f u2 w, w = exp((e1+1) u) (1-rho)^e2, at every node
+    u = log rho, with rho = exp(u) and the span ends log lo, log hi read
+    at lo and hi themselves."""
 
     def test_closures_match_kernel_methods(self, monkeypatch):
         seen = []
@@ -892,9 +963,11 @@ class TestIntegrandClosures:
         assert [down for *_, down in seen] == [False, True]
         for (f, nodes, _), kernel in zip(seen, (kd.g1, kd.u2)):
             assert len(nodes) > 16
-            for r in nodes:
-                w = cmath.exp(kd.e1 * math.log(r)) * (1.0 - r) ** kd.e2
-                assert f([r])[0] == prof.func(r) * kernel([r])[0] * w
+            for u in nodes:
+                r = 0.3 if u == math.log(0.3) else (
+                    0.6 if u == math.log(0.6) else math.exp(u))
+                w = cmath.exp((kd.e1 + 1.0) * u) * (1.0 - r) ** kd.e2
+                assert f([u])[0] == prof.func(r) * kernel([r])[0] * w
             assert f(nodes) == [f([r])[0] for r in nodes]
 
 
@@ -1197,7 +1270,7 @@ class TestResidualCheck:
 
     def test_validation(self):
         f = RadialProfile.bump()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="strictly increasing"):
             residual_check(1, Mode(1.0, 1), 2j, f, grid=[0.4, 0.3])
         with pytest.raises(ValidationError):
             residual_check(1, Mode(1.0, 1), 2j, f, grid=[0.4, 0.405],
@@ -1209,6 +1282,10 @@ class TestResidualCheck:
                            coordinate="rho")
         with pytest.raises(ValidationError):
             residual_check(1, Mode(1.0, 1), 2j, f, grid=[1e-4, 0.5])
+
+    def test_empty_grid(self):
+        with pytest.raises(ValidationError, match="at least one point"):
+            residual_check(1, Mode(1.0, 1), 2j, RadialProfile.bump(), grid=[])
 
     def test_stencil_cross_check_and_sensitivity(self):
         """Rebuild the residual at one point with an independent stencil on
@@ -1399,6 +1476,11 @@ class TestResidueProbe:
             residue_probe(1, Mode(1.0, 1), -1j, points=4)
         with pytest.raises(ValidationError):
             residue_probe(1, Mode(1.0, 1), -1j, threshold=0.0)
+
+    @pytest.mark.parametrize("points", [16.0, "16", True, None])
+    def test_points_must_be_an_integer(self, points):
+        with pytest.raises(ValidationError, match="points"):
+            residue_probe(1, Mode(1.0, 1), -1j, points=points)
 
 
 def _full_circle(n, mode, lam0, f=None, points=16, radius=1e-2,
