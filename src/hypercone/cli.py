@@ -48,6 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .resonances import (
+    _bound,
     _certify,
     _count,
     _listing,
@@ -288,7 +289,7 @@ def _cmd_resonances(args) -> int:
     spec = _build_spectrum(args, lambda_max)
     k_max = _auto_kmax(args, lambda_max)
     generic = _scan(spec, k_max, lambda_max)
-    _certify(spec, k_max, lambda_max)
+    _certify(spec, k_max, _bound(lambda_max))
     rows, _, _ = _listing(generic, k_max, lambda_max)
     trunc = _truncation(spec, k_max, lambda_max)
     if args.format == "json":

@@ -14,8 +14,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 from .errors import (
@@ -54,8 +56,9 @@ def _check_mode(mu_sq, multiplicity, mu_sq_exact) -> None:
         if mu_sq_exact.numerator < 0:
             raise ValidationError(
                 f"mu_sq_exact must be >= 0, got {mu_sq_exact}")
+        # num / den rounds the Fraction correctly, as float() would
         try:
-            err = abs(mu_sq - float(mu_sq_exact))
+            err = abs(mu_sq - mu_sq_exact.numerator / mu_sq_exact.denominator)
         except OverflowError:
             raise ValidationError(
                 "mu_sq_exact lies beyond the double range") from None
@@ -108,8 +111,10 @@ class SpectrumSpec:
 def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
     """Round unit n-sphere: mu_j^2 = j(j+n-1) with the standard spherical
     harmonic multiplicities, for j = 0..j_max.  n = 1 delegates to the
-    circle of radius 1.  From n = 343, where Gamma((n+1)/2) in the volume
-    overflows a double, raises DomainError."""
+    circle of radius 1.  The volume 2 pi^((n+1)/2) / Gamma((n+1)/2) is
+    formed directly up to n = 342 and from logarithms beyond, where
+    Gamma((n+1)/2) overflows a double; from n = 438, where the volume is
+    below the smallest normal double, raises DomainError."""
     if not isinstance(n, int) or n < 1:
         raise InvalidDimension(f"sphere dimension must be an integer >= 1, got {n!r}")
     if not isinstance(j_max, int) or j_max < 0:
@@ -119,8 +124,15 @@ def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
     try:
         vol = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
     except OverflowError:
-        raise DomainError(f"sphere volume for n = {n}: Gamma((n+1)/2) or "
-                          "pi^((n+1)/2) overflows a double") from None
+        try:
+            vol = math.exp(math.log(2.0) + (n + 1) / 2.0 * math.log(math.pi)
+                           - math.lgamma((n + 1) / 2.0))
+        except OverflowError:  # (n+1)/2 or its lgamma beyond the doubles
+            vol = 0.0
+    if vol < sys.float_info.min:
+        raise DomainError(f"sphere volume for n = {n}: 2 pi^((n+1)/2) / "
+                          "Gamma((n+1)/2) is below the smallest normal "
+                          "double")
     modes = []
     for j in range(j_max + 1):
         mu = j * (j + n - 1)
@@ -150,7 +162,7 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
         except (ValueError, ZeroDivisionError) as e:
             raise InvalidRadius(f"cannot parse radius {rho!r}: {e}") from e
         try:
-            rho_f = float(exact_rho)
+            rho_f = exact_rho.numerator / exact_rho.denominator
         except OverflowError:
             raise InvalidRadius(f"circle radius rho = {rho!r}: beyond the "
                                 "double range") from None
@@ -177,7 +189,7 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
                 # mu_j^2 = (j * den / num)^2 for rho = num/den: one Fraction
                 exact = Fraction((j * exact_rho.denominator) ** 2,
                                  exact_rho.numerator ** 2)
-                mu = float(exact)
+                mu = exact.numerator / exact.denominator
             else:
                 exact, mu = None, (j / rho_f) ** 2
         except OverflowError:
@@ -192,9 +204,9 @@ _TOP_KEYS = {"n", "volume", "modes"}
 _MODE_KEYS = {"mu_sq", "mu_sq_exact", "m"}
 
 
-def _parse_mode_entry(entry, idx: int) -> list:
-    # [mu_sq, m, mu_sq_exact], checked as Mode() will check them again,
-    # but here in file order: NaN is refused before the merge sorts, by idx
+def _parse_mode_entry(entry, idx: int) -> tuple:
+    # (mu_sq, m, mu_sq_exact) with their types checked; _file_modes makes
+    # the Mode checks, by building the entry's Mode
     if not isinstance(entry, dict):
         raise ValidationError(f"modes[{idx}] must be an object")
     unknown = set(entry) - _MODE_KEYS
@@ -226,24 +238,52 @@ def _parse_mode_entry(entry, idx: int) -> list:
     except OverflowError:  # a JSON integer beyond the double range
         raise ValidationError(
             f"modes[{idx}].mu_sq lies beyond the double range") from None
-    try:
-        _check_mode(mu_sq, m, exact)
-    except ValidationError as e:
-        raise ValidationError(f"modes[{idx}]: {e}") from e
-    return [mu_sq, m, exact]
+    return mu_sq, m, exact
 
 
-def _merge_duplicates(entries: list[list]) -> list[list]:
-    merged: list[list] = []
-    for entry in sorted(entries, key=lambda e: e[0]):
-        if merged and merged[-1][0] == entry[0]:
-            if merged[-1][2] != entry[2]:
-                raise ValidationError(
-                    f"duplicate mu_sq = {entry[0]} entries carry inconsistent "
-                    f"exact forms")
-            merged[-1][1] += entry[1]
-        else:
-            merged.append(entry)
+def _file_modes(raw: list) -> list[Mode]:
+    """The modes of a file's 'modes' array, sorted by mu_sq, with entries
+    of equal mu_sq merged and their multiplicities summed.
+
+    Each entry is checked once, by building its Mode with its final label,
+    in file order, so an error names the first bad entry and a NaN is
+    refused before the labels its sort scrambled are used.  Only a merged
+    mode is built, and so checked, a second time.
+    """
+    entries = []
+    unparsed = None  # the error of the first entry whose types are wrong
+    for idx, entry in enumerate(raw):
+        try:
+            entries.append(_parse_mode_entry(entry, idx))
+        except ValidationError as e:
+            unparsed = e
+            break
+
+    def mu_sq(idx: int) -> float:
+        return entries[idx][0]
+
+    groups = [list(group) for _, group in
+              groupby(sorted(range(len(entries)), key=mu_sq), mu_sq)]
+    labels = {idx: j for j, group in enumerate(groups) for idx in group}
+    modes = []
+    for idx, (value, m, exact) in enumerate(entries):
+        try:
+            modes.append(Mode(value, m, exact, labels[idx]))
+        except ValidationError as e:
+            raise ValidationError(f"modes[{idx}]: {e}") from e
+    if unparsed is not None:
+        raise unparsed
+    merged = []
+    for group in groups:
+        first, *rest = (modes[idx] for idx in group)
+        if any(mode.mu_sq_exact != first.mu_sq_exact for mode in rest):
+            raise ValidationError(
+                f"duplicate mu_sq = {first.mu_sq} entries carry inconsistent "
+                f"exact forms")
+        if rest:
+            m = first.multiplicity + sum(mode.multiplicity for mode in rest)
+            first = Mode(first.mu_sq, m, first.mu_sq_exact, first.label)
+        merged.append(first)
     return merged
 
 
@@ -293,10 +333,7 @@ def load_spectrum(source) -> SpectrumSpec:
         raise ValidationError("missing required field 'modes'")
     if not isinstance(data["modes"], list) or not data["modes"]:
         raise ValidationError("'modes' must be a non-empty array")
-    entries = [_parse_mode_entry(e, i) for i, e in enumerate(data["modes"])]
-    modes = [Mode(mu_sq, m, exact, j)
-             for j, (mu_sq, m, exact) in enumerate(_merge_duplicates(entries))]
-    return SpectrumSpec(n, modes, volume, "file")
+    return SpectrumSpec(n, _file_modes(data["modes"]), volume, "file")
 
 
 def spectrum_to_dict(spec: SpectrumSpec) -> dict:

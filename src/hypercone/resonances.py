@@ -51,6 +51,9 @@ _Generic = tuple[Mode, float, _Ratio | None, _Ratio | None]
 # a listing row (t, key, contributors, multiplicity), as _listing gives it
 _Row = tuple[float, int | tuple[int, int, int] | None,
              tuple[tuple[int, int], ...], int]
+# a count stops at the first mode whose float s is past L - 1/2 by this
+# times L + 1/2, over ten times the widest float/exact gap in s (_count)
+_STOP_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -282,45 +285,59 @@ class ResonanceSet:
         do all unlisted modes), and so does 1/2 + k_max + s_first."""
         return (bound <= self.truncation.lambda_max
                 and _truncation_covers(self.spectrum, self.truncation.k_max,
-                                       bound))
+                                       _bound(bound)))
+
+
+class _Bound(NamedTuple):
+    # a bound L as the position test reads it: the double L itself, and
+    # L - 1/2 = p/q exactly (L is a double, so p/q is read off its integer
+    # ratio); _bound prepares it once per bound
+    value: float
+    p: int
+    q: int
+
+
+def _bound(bound: float) -> _Bound:
+    bn, bd = bound.as_integer_ratio()
+    return _Bound(bound, 2 * bn - bd, 2 * bd)
 
 
 def _count_le(value: float, root: _Ratio | None, sq: _Ratio | None,
-              k_max: int, bound: float) -> int:
-    """Number of k in 0..k_max with 1/2 + k + s <= bound, for s given as
-    (value, root, sq) the way _s_data gives it.
+              k_max: int, bound: _Bound) -> int:
+    """Number of k in 0..k_max with 1/2 + k + s <= L, for s given as
+    (value, root, sq) the way _s_data gives it and L as _bound prepares it.
 
-    The one place the position test is made, in integers only: bound is a
-    double, so bound - 1/2 = p/q exactly with (p, q) read off
-    bound.as_integer_ratio().  Rational s = root takes one exact floor.
-    Otherwise a float guess of the last k is corrected one step at a time:
-    exactly through s^2 <= (bound - 1/2 - k)^2 for a surd, and by the double
-    expression 0.5 + k + s <= bound for float-only s, which is monotone in k.
+    The one place the position test is made.  Rational s = root takes one
+    exact floor of p/q - s.  Otherwise a float guess of the last k is
+    corrected one step at a time: exactly through the integer test
+    s^2 q^2 <= (p - k q)^2 with p - k q >= 0 for a surd, and by the double
+    expression 0.5 + k + s <= L for float-only s, which is monotone in k.
     """
-    if root is None and sq is None:
-        def le(k: int) -> bool:
-            return 0.5 + k + value <= bound
-    else:
-        bn, bd = bound.as_integer_ratio()
-        p, q = 2 * bn - bd, 2 * bd
-        if root is not None:
-            sn, sd = root
-            k = (p * sd - q * sn) // (q * sd)
-            return max(0, min(k, k_max) + 1)
-        an, ad = sq
-
-        def le(k: int) -> bool:
-            r = p - k * q
-            return r >= 0 and an * q * q <= ad * r * r
-    k = max(-1, min(k_max, math.floor(bound - 0.5 - value)))
-    while k < k_max and le(k + 1):
-        k += 1
-    while k >= 0 and not le(k):
-        k -= 1
+    p, q = bound.p, bound.q
+    if root is not None:
+        sn, sd = root
+        return max(0, min((p * sd - q * sn) // (q * sd), k_max) + 1)
+    top = bound.value
+    k = max(-1, min(k_max, math.floor(top - 0.5 - value)))
+    if sq is None:
+        while k < k_max and 0.5 + (k + 1) + value <= top:
+            k += 1
+        while k >= 0 and not 0.5 + k + value <= top:
+            k -= 1
+        return k + 1
+    an, ad = sq
+    left = an * q * q
+    r = p - (k + 1) * q  # p - k q at the next k
+    while k < k_max and r >= 0 and left <= ad * r * r:
+        k, r = k + 1, r - q
+    r += q  # p - k q at this k
+    while k >= 0 and not (r >= 0 and left <= ad * r * r):
+        k, r = k - 1, r + q
     return k + 1
 
 
-def _truncation_covers(spec: SpectrumSpec, k_max: int, bound: float) -> bool:
+def _truncation_covers(spec: SpectrumSpec, k_max: int,
+                       bound: _Bound) -> bool:
     # modes past the last listed one and orders past k_max all lie above bound
     modes = spec.modes
     if not modes:
@@ -330,12 +347,12 @@ def _truncation_covers(spec: SpectrumSpec, k_max: int, bound: float) -> bool:
             and _count_le(*_s_data(n, modes[0]), k_max, bound) <= k_max)
 
 
-def _certify(spec: SpectrumSpec, k_max: int, bound: float) -> None:
+def _certify(spec: SpectrumSpec, k_max: int, bound: _Bound) -> None:
     # the one refusal of a truncation that cannot certify completeness
     if not _truncation_covers(spec, k_max, bound):
         raise TruncationInsufficient(
             f"truncation (j_max = {spec.modes[-1].label}, k_max = {k_max}) "
-            f"cannot certify completeness up to lambda = {bound}")
+            f"cannot certify completeness up to lambda = {bound.value}")
 
 
 def _scan(spec: SpectrumSpec, k_max: int, bound: float) -> list[_Generic]:
@@ -503,10 +520,11 @@ def _listing(generic: list[_Generic], k_max: int, lambda_max: float
                     for _, _, root, sq in generic)
     den = math.lcm(*(2 * root[1] for _, _, root, _ in generic
                      if root is not None))
+    bound = _bound(lambda_max)
     walk = [_Walk(mode.label, mode.multiplicity, value,
                   None if root is None
                   else den // 2 + root[0] * (den // root[1]),
-                  sq, _count_le(value, root, sq, k_max, lambda_max))
+                  sq, _count_le(value, root, sq, k_max, bound))
             for mode, value, root, sq in generic]
     if not all_exact:
         rows = [row for mode in walk for row in _mode_rows(*mode, den)]
@@ -558,11 +576,29 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
 
 def _count(spec: SpectrumSpec, generic: list[_Generic], k_max: int,
            bound: float) -> int:
-    # count_resonances after its scan, so a caller with many bounds up to
-    # the scanned one scans the spectrum once
-    _certify(spec, k_max, bound)
-    return sum(mode.multiplicity * _count_le(value, root, sq, k_max, bound)
-               for mode, value, root, sq in generic)
+    """count_resonances after its scan, so a caller with many bounds up to
+    the scanned one scans the spectrum once.
+
+    The bound is prepared once (_bound) for the certificate and for every
+    mode's _count_le.  The walk stops at the first generic mode whose float
+    s exceeds L - 1/2 by more than _STOP_GAP * (L + 1/2): modes come sorted
+    by float mu^2, and a mode's float and exact mu^2 differ by at most
+    1e-15 (1 + mu^2) (crosssec._check_mode), so a later mode's s is at
+    least this one's less 6e-8 (1 + s), and neither this mode nor any
+    later one has a position at or below L.  Modes short of the stop, those
+    in the sliver just past L - 1/2 included, are each decided exactly,
+    because float order can reverse exact order there.
+    """
+    prepared = _bound(bound)
+    _certify(spec, k_max, prepared)
+    stop = bound - 0.5 + _STOP_GAP * (bound + 0.5)
+    total = 0
+    for mode, value, root, sq in generic:
+        if value > stop:
+            break
+        total += mode.multiplicity * _count_le(value, root, sq, k_max,
+                                               prepared)
+    return total
 
 
 def count_resonances(spec: SpectrumSpec, k_max: int, bound: float) -> int:
@@ -570,7 +606,8 @@ def count_resonances(spec: SpectrumSpec, k_max: int, bound: float) -> int:
     truncated spectrum, k = 0..k_max, without listing them.
 
     Each generic mode adds m_j * #{k : 1/2 + k + s_j <= bound}, so every
-    (j, k) pair is decided on its own, as exactly as its s allows.  Raises
+    (j, k) pair is decided on its own, as exactly as its s allows; the
+    modes past the one where _count stops add 0 untested.  Raises
     UndecidableMembership if any mode's genericity is unknown_float, and
     TruncationInsufficient when the last listed mode or k_max cannot certify
     completeness up to the bound (the rule of ResonanceSet.complete_up_to).

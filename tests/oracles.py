@@ -18,7 +18,7 @@ from operator import itemgetter, mul
 import mpmath as mp
 
 from hypercone.crosssec import _LATTICE_TOL
-from hypercone.resonances import _count_le
+from hypercone.resonances import _bound, _count_le
 
 
 def oracle_ln_gamma(z, dps: int = 40):
@@ -185,8 +185,9 @@ def reference_listing(generic, k_max: int, lambda_max: float):
     den = math.lcm(*(2 * root[1] for _, _, root, _ in generic
                      if root is not None))
     entries = []  # (t, key, label, k, multiplicity)
+    bound = _bound(lambda_max)
     for mode, value, root, sq in generic:
-        count = _count_le(value, root, sq, k_max, lambda_max)
+        count = _count_le(value, root, sq, k_max, bound)
         j, m = mode.label, mode.multiplicity
         if root is not None:
             first = den // 2 + root[0] * (den // root[1])

@@ -9,15 +9,18 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import numbers
 import os
 import subprocess
 import sys
 
 import pytest
 
+from hypercone import crosssec, resonances
 from hypercone.cli import main
 from hypercone.crosssec import circle_spectrum, load_spectrum, sphere_spectrum
-from hypercone.resonances import enumerate_resonances
+from hypercone.resonances import _scan, enumerate_resonances
 
 
 def run(*argv):
@@ -275,8 +278,18 @@ class TestSpectrum:
         assert rc == 2 and err.startswith("error:")
 
     def test_sphere_volume_overflow(self):
-        # Gamma((n+1)/2) overflows from n = 343: a typed refusal naming n
-        for argv in (("spectrum", "--sphere", "400", "--jmax", "1"),
+        # Gamma((n+1)/2) overflows from n = 343, and the volume is formed
+        # from logarithms up to n = 437; from n = 438 it is below the
+        # smallest normal double: a typed refusal naming n
+        rc, out, err = run("spectrum", "--sphere", "400", "--jmax", "1")
+        assert (rc, err) == (0, "")
+        volume = json.loads(out)["volume"]
+        assert 1.7118955476142e-274 < volume < 1.7118955476143e-274
+        # every s = j + 399/2 of an even sphere is half-odd: non-generic
+        rc, out, err = run("weyl", "--sphere", "400", "--lambda-grid", "1")
+        assert out == ""
+        assert_error(rc, err, 5, "non-generic")
+        for argv in (("spectrum", "--sphere", "438", "--jmax", "1"),
                      ("weyl", "--sphere", "100000", "--lambda-grid", "1")):
             rc, out, err = run(*argv)
             assert out == ""
@@ -786,6 +799,71 @@ class TestWeyl:
         row, = json.loads(out)["rows"]
         assert row["count"] == 0 and row["ratio"] == 0
         assert 4.5498e-197 < row["leading_term"] < 4.5499e-197
+
+
+class TestLatticeWorkCounts:
+    """Work per weyl run on fixed inputs, counted with monkeypatched
+    counters: no Fraction goes through numbers.Rational.__float__, each
+    bound's count makes a position test for the modes with a position at
+    or below it and those in the sliver just past it (at most one more),
+    beside the certificate's two, and each mode is checked once."""
+
+    GRIDS = {"circle": (["--circle", "3/2"], "2,5.5,9.25", [3, 8, 14]),
+             "sphere": (["--sphere", "3"], "3.3,7.5,12.6", [2, 7, 12]),
+             "surd": (None, "4.2,8.7,12.1", [4, 8, 12])}
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {"float": 0, "check": 0, "tests": {}}
+        count_le, check_mode = resonances._count_le, crosssec._check_mode
+        rational_float = numbers.Rational.__float__
+
+        def counting_le(value, root, sq, k_max, bound):
+            tests = counts["tests"]
+            tests[bound.value] = tests.get(bound.value, 0) + 1
+            return count_le(value, root, sq, k_max, bound)
+
+        def counting_check(*args):
+            counts["check"] += 1
+            return check_mode(*args)
+
+        def counting_float(self):
+            counts["float"] += 1
+            return rational_float(self)
+
+        monkeypatch.setattr(resonances, "_count_le", counting_le)
+        monkeypatch.setattr(crosssec, "_check_mode", counting_check)
+        monkeypatch.setattr(numbers.Rational, "__float__", counting_float)
+        return counts
+
+    @pytest.mark.parametrize("kind", sorted(GRIDS))
+    def test_weyl_grid(self, work, tmp_path, kind):
+        source, grid, pinned = self.GRIDS[kind]
+        if source is None:
+            # n = 2, mu^2 = j(j+1) + 1/3: every s a surd
+            path = tmp_path / "surd.json"
+            path.write_text(json.dumps({"n": 2, "volume": 4 * math.pi,
+                                        "modes": [
+                {"mu_sq": j * (j + 1) + 1 / 3, "m": 2 * j + 1,
+                 "mu_sq_exact": f"{3 * j * (j + 1) + 1}/3"}
+                for j in range(21)]}), encoding="utf-8")
+            source = ["--file", str(path)]
+        rc, out, err = run("weyl", *source, "--lambda-grid", grid)
+        assert (rc, err) == (0, "")
+        assert work["float"] == 0
+        checks = work["check"]
+        spec = (load_spectrum(source[1]) if source[0] == "--file"
+                else circle_spectrum(source[1], 15) if kind == "circle"
+                else sphere_spectrum(3, 14))
+        assert checks == len(spec.modes)
+        bounds = [float(b) for b in grid.split(",")]
+        values = [value for _, value, _, _ in _scan(spec, 0, bounds[-1])]
+        walked = [work["tests"][bound] - 2 for bound in bounds]
+        assert walked == pinned
+        for bound, tests in zip(bounds, walked):
+            sliver = resonances._STOP_GAP * (bound + 0.5)
+            reach = sum(value <= bound - 0.5 + sliver for value in values)
+            assert tests <= reach + 1 < len(values)
 
 
 class TestVerify:

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from hypercone import (
     DomainError,
@@ -76,10 +78,20 @@ class TestSphereSpectrum:
 
     def test_volume_overflow(self):
         # Gamma((n+1)/2) overflows from n = 343, though the volume itself
-        # is tiny; below, it is the same formula, bit for bit
-        assert sphere_spectrum(342, 1).volume == (
-            2.0 * math.pi ** 171.5 / math.gamma(171.5))
-        for n in (343, 400, 100000):
+        # is tiny: it is formed from logarithms up to n = 437 and refused
+        # from n = 438, where it is below the smallest normal double;
+        # below n = 343 it is the direct formula, bit for bit
+        for n in (2, 5, 100, 342):
+            assert sphere_spectrum(n, 1).volume == (
+                2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0))
+        with mp.workdps(30):
+            for n in (343, 400, 437):
+                want = float(2 * mp.pi ** (mp.mpf(n + 1) / 2)
+                             / mp.gamma(mp.mpf(n + 1) / 2))
+                assert sphere_spectrum(n, 1).volume == pytest.approx(
+                    want, rel=1e-12)
+        assert sphere_spectrum(437, 1).volume >= sys.float_info.min
+        for n in (438, 100000, 10 ** 400):
             with pytest.raises(DomainError, match=f"n = {n}:"):
                 sphere_spectrum(n, 2)
 
@@ -235,6 +247,24 @@ class TestFileIO:
             {"mu_sq": 2.0, "m": 1, "mu_sq_exact": "2/1"},
             {"mu_sq": 2.0, "m": 1}]})
         with pytest.raises(ValidationError):
+            load_spectrum(io.StringIO(text))
+
+    @pytest.mark.parametrize("entries,named", [
+        # a Mode check of one entry comes before a type check of the next
+        ([{"mu_sq": 5.0, "m": 0}, {"m": 1}], "modes[0]: multiplicity"),
+        ([{"m": 1}, {"mu_sq": 5.0, "m": 0}], "modes[0] is missing"),
+        # file order, not mu^2 order, and a NaN before the sort uses it
+        ([{"mu_sq": 5.0, "m": 0}, {"mu_sq": -1.0, "m": 1}],
+         "modes[0]: multiplicity"),
+        ([{"mu_sq": 1.0, "m": 1}, {"mu_sq": math.nan, "m": 1},
+          {"mu_sq": 0.5, "m": 0}], "modes[1]: mu_sq must be a finite"),
+        # a duplicate's multiplicity is checked before the merge sums it
+        ([{"mu_sq": 2.0, "m": 3}, {"mu_sq": 2.0, "m": 0}],
+         "modes[1]: multiplicity"),
+    ])
+    def test_first_bad_entry_named(self, entries, named):
+        text = json.dumps({"n": 2, "modes": entries})
+        with pytest.raises(ValidationError, match=f"^{re.escape(named)}"):
             load_spectrum(io.StringIO(text))
 
     def test_unknown_fields_rejected(self):

@@ -38,6 +38,7 @@ from hypercone import (
     load_spectrum,
     s_param,
     sphere_spectrum,
+    spectrum_to_dict,
     weyl_count,
     weyl_leading_term,
 )
@@ -49,8 +50,10 @@ from oracles import (
     brute_force_sphere,
     oracle_weyl_leading_term,
     reference_listing,
+    sphere_multiplicity,
 )
 from test_cli import GOLDEN_SPECTRA
+from test_cli import run as run_cli
 
 
 class TestSParam:
@@ -718,6 +721,93 @@ class TestCountResonances:
         modes = build(2 * math.ceil(bound) + 2)
         want = brute_force_count(n, modes, k_max, bound)
         self._agree(_file_spectrum(n, modes), k_max, bound, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["circle", "sphere", "surd", "float",
+                                 "mixed"]),
+           rho=st.sampled_from(DYADIC_RADII), n=st.sampled_from([3, 5]),
+           probes=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                                     st.integers(0, 2)),
+                           min_size=1, max_size=2))
+    @example(kind="surd", rho=Fraction(1), n=3,
+             probes=[(1, 0, 0), (3, 2, 1)])
+    @example(kind="mixed", rho=Fraction(1), n=3,
+             probes=[(2, 1, 0), (0, 0, 2)])
+    def test_weyl_grid(self, tmp_path_factory, kind, rho, n, probes):
+        # one weyl run over a grid of bounds, each on a position and one
+        # double below it, counts what count_resonances and the
+        # brute-force oracle count bound by bound
+        grid = []
+        for j, k, which in probes:
+            if kind == "circle":
+                position = float(Fraction(1, 2) + k + j / rho)
+            elif kind == "sphere":
+                position = 0.5 + k + j + (n - 1) / 2
+            else:
+                n, build = {"surd": (2, _surd_modes),
+                            "float": (1, _float_modes),
+                            "mixed": (1, _mixed_modes)}[kind]
+                near = build(j)[-3:]
+                position = _position(n, near[which % len(near)], k)
+            grid += [position, math.nextafter(position, 0.0)]
+        top = max(grid)
+        k_max = math.ceil(top) + 1
+        if kind == "circle":
+            n = 1
+            j_max = math.ceil(rho * Fraction(top)) + 1
+            modes = [(Fraction(j * j) / (rho * rho), None, 1 if j == 0 else 2)
+                     for j in range(j_max + 1)]
+            spec, source = circle_spectrum(rho, j_max), ["--circle", str(rho)]
+        elif kind == "sphere":
+            j_max = k_max
+            modes = [(Fraction(j * (j + n - 1)), None,
+                      sphere_multiplicity(n, j)) for j in range(j_max + 1)]
+            spec, source = sphere_spectrum(n, j_max), ["--sphere", str(n)]
+        else:
+            modes = build(2 * math.ceil(top) + 2)
+            spec = _file_spectrum(n, modes)
+            path = tmp_path_factory.mktemp("weyl") / "spec.json"
+            path.write_text(json.dumps({**spectrum_to_dict(spec),
+                                        "volume": 6.28}), encoding="utf-8")
+            source = ["--file", str(path)]
+        rc, out, err = run_cli("weyl", *source, "--lambda-grid",
+                               ",".join(map(repr, grid)))
+        assert (rc, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert [row["lambda"] for row in rows] == grid
+        for row, bound in zip(rows, grid):
+            want = brute_force_count(n, modes, k_max, bound)
+            assert row["count"] == count_resonances(spec, k_max, bound) == want
+
+    def test_early_stop_keeps_reversed_float_order(self, tmp_path):
+        # float order reverses exact order: the first mode's exact s =
+        # sqrt(1 + 1e-16) lies past the bound 1.5, the second's s = 1 on
+        # it; a count that stopped at the first mode with no position
+        # would return 0
+        spec = _file_spectrum(1, [
+            (Fraction(10000000000000001, 10000000000000000), 1.0, 1),
+            (Fraction(1), 1.0000000000000002, 1), (Fraction(100), 100.0, 1)])
+        below = math.nextafter(1.5, 0.0)
+        assert count_resonances(spec, 5, 1.5) == 1
+        assert count_resonances(spec, 5, below) == 0
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**spectrum_to_dict(spec), "volume": 6.28}),
+                        encoding="utf-8")
+        rc, out, err = run_cli("weyl", "--file", str(path), "--lambda-grid",
+                               f"1.5,{below!r}")
+        assert (rc, err) == (0, "")
+        assert [row["count"] for row in json.loads(out)["rows"]] == [1, 0]
+
+    def test_early_stop_near_zero_s(self):
+        # near s = 0 a float/exact gap of 1e-15 in mu^2 moves s by 3e-8:
+        # float mu^2 1.5e-15 has exact s = sqrt(2.4e-15) = 4.9e-8, past the
+        # bound 0.50000003, and the next mode s = sqrt(8e-16) = 2.8e-8,
+        # below it.  A stop 1e-9 (1 + L) past L - 1/2 would count 0 here.
+        modes = [(Fraction(24, 10 ** 16), 1.5e-15, 1),
+                 (Fraction(8, 10 ** 16), 1.6e-15, 1), (Fraction(100), 100.0, 1)]
+        for bound, want in ((0.50000003, 1), (0.50000002, 0)):
+            assert brute_force_count(1, modes, 2, bound) == want
+            assert count_resonances(_file_spectrum(1, modes), 2, bound) == want
 
     def test_exact_position_is_inclusive(self):
         spec = circle_spectrum(1, 12)
