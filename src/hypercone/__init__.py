@@ -37,14 +37,12 @@ from .errors import (
     ValidationError,
 )
 from .resolvent import (
-    IndicialData,
     ProbeResult,
     QuadratureControl,
     RadialProfile,
     ResidualReport,
     apply_resolvent,
     green_pairing,
-    indicial_roots,
     measure_density,
     r_of_sigma,
     residual_check,
@@ -74,11 +72,9 @@ from .resonances import (
 )
 from .specfun import (
     gamma,
-    gauss_series,
     hyp2f1,
     hyp2f1_regularized,
     ln_gamma,
-    pochhammer,
     recip_gamma,
 )
 from .verify import (
@@ -94,21 +90,20 @@ __version__ = "0.1.0"
 __all__ = [
     "CaseId", "CheckResult", "DomainError", "GenericityVerdict",
     "HyperconeError", "HypergeomParams", "InconsistentParams",
-    "IndicialData", "InvalidDimension", "InvalidRadius",
-    "LowerParameterPole", "Mode", "NoConvergence", "ParameterPole",
-    "ParseError", "PoleAtNonPositiveInteger", "PoleClass", "PoleEvaluation",
+    "InvalidDimension", "InvalidRadius", "LowerParameterPole", "Mode",
+    "NoConvergence", "ParameterPole", "ParseError",
+    "PoleAtNonPositiveInteger", "PoleClass", "PoleEvaluation",
     "PoleVerdict", "ProbeInconclusive", "ProbeResult", "QuadratureControl",
     "QuadratureFailure", "RadialProfile", "Resonance", "ResonanceSet",
-    "ResidualReport", "SUITE_NAMES", "SValue",
-    "SpectrumSpec", "Truncation", "TruncationInsufficient",
-    "UndecidableMembership", "ValidationError", "apply_resolvent",
-    "candidate_params", "circle_spectrum", "classify_pole",
-    "count_resonances", "enumerate_resonances", "format_results", "gamma", "gauss_series",
-    "green_pairing", "hyp2f1", "hyp2f1_regularized", "hypergeom_params",
-    "indicial_roots", "is_generic", "ln_gamma",
-    "load_spectrum", "measure_density", "pochhammer", "r_of_sigma",
-    "recip_gamma", "residual_check", "residue_probe", "run_all",
-    "run_suite", "s_param", "save_spectrum", "sigma_of_r",
-    "sphere_spectrum", "spectrum_to_dict", "u1", "u2", "weyl_count",
-    "weyl_leading_term", "wronskian_closed_form", "__version__",
+    "ResidualReport", "SUITE_NAMES", "SValue", "SpectrumSpec", "Truncation",
+    "TruncationInsufficient", "UndecidableMembership", "ValidationError",
+    "apply_resolvent", "candidate_params", "circle_spectrum",
+    "classify_pole", "count_resonances", "enumerate_resonances",
+    "format_results", "gamma", "green_pairing", "hyp2f1",
+    "hyp2f1_regularized", "hypergeom_params", "is_generic", "ln_gamma",
+    "load_spectrum", "measure_density", "r_of_sigma", "recip_gamma",
+    "residual_check", "residue_probe", "run_all", "run_suite", "s_param",
+    "save_spectrum", "sigma_of_r", "sphere_spectrum", "spectrum_to_dict",
+    "u1", "u2", "weyl_count", "weyl_leading_term", "wronskian_closed_form",
+    "__version__",
 ]

@@ -57,7 +57,6 @@ from .resonances import (
     HypergeomParams,
     _lattice_indices,
     hypergeom_params,
-    s_param,
 )
 from .specfun import (
     _Ladder,
@@ -71,7 +70,9 @@ from .specfun import (
 from .crosssec import Mode
 
 
-# running integrals feed finite differences, so they run tight
+# a point value's running integrals take the default tolerances; those that
+# feed finite differences run tight
+_POINT_QC = QuadratureControl()
 _GRID_QC = QuadratureControl(abs_tol=1e-15, rel_tol=5e-14, max_subdivisions=60)
 
 
@@ -101,39 +102,6 @@ def measure_density(n: int, sigma: float) -> float:
     if not (0.0 < sigma <= 1.0):
         raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
     return 2.0 ** n * (1.0 - sigma) ** ((n - 1) / 2.0) * sigma ** (-(n + 1))
-
-
-@dataclass(frozen=True)
-class IndicialData:
-    """Frobenius exponents of the mode operator in sigma.
-
-    At sigma = 0 the exponents are alpha_pm = n/2 +- i*lambda; at sigma = 1
-    they are beta_pm = -(n-1)/4 +- s/2.  selected is the (alpha, beta) pair
-    entering the kernel weight: the outgoing exponent n/2 - i*lambda and
-    beta_plus.  degenerate flags a coinciding pair (lambda = 0 or s = 0),
-    where the second solution picks up a logarithm.
-    """
-
-    alpha_plus: complex
-    alpha_minus: complex
-    beta_plus: float
-    beta_minus: float
-    selected: tuple[complex, float]
-    degenerate: bool
-
-
-def indicial_roots(n: int, mode: Mode, lam: complex) -> IndicialData:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    lam = complex(lam)
-    sv = s_param(n, mode)
-    a_plus = 0.5 * n + 1j * lam
-    a_minus = 0.5 * n - 1j * lam
-    b_plus = -(n - 1) / 4.0 + 0.5 * sv.value
-    b_minus = -(n - 1) / 4.0 - 0.5 * sv.value
-    degenerate = lam == 0 or sv.value == 0.0
-    return IndicialData(a_plus, a_minus, b_plus, b_minus,
-                        (a_minus, b_plus), degenerate)
 
 
 # -- radial source profiles ---------------------------------------------------
@@ -349,12 +317,12 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
     Raises PoleEvaluation at exactly classified genuine poles; removable
     and regular parameter points evaluate through the fused limits.
     """
-    if not (0.0 < sigma < 1.0):
+    if isinstance(sigma, complex) or not 0.0 < sigma < 1.0:
         raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
     p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im_exact)
     kd = _KernelData(n, p)
     return _resolvent(kd, f, sigma, sigma,
-                      control or QuadratureControl())[0]([sigma])[0]
+                      control or _POINT_QC)[0]([sigma])[0]
 
 
 def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
@@ -472,6 +440,10 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
     pts = list(grid) if grid is not None else _default_grid()
     if not pts:
         raise ValidationError("grid needs at least one point")
+    bad = next((x for x in pts
+                if isinstance(x, complex) or not math.isfinite(x)), None)
+    if bad is not None:
+        raise ValidationError(f"grid points must be finite reals, got {bad!r}")
     if any(y <= x for x, y in zip(pts, pts[1:])):
         raise ValidationError("grid must be strictly increasing")
     lam = complex(lam)

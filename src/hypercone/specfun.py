@@ -1,5 +1,5 @@
-"""Complex special functions: Gamma, log-Gamma, reciprocal Gamma, Pochhammer
-symbols, and the Gauss hypergeometric function 2F1 on the real interval [0, 1).
+"""Complex special functions: Gamma, log-Gamma, reciprocal Gamma, and the
+Gauss hypergeometric function 2F1 on the real interval [0, 1).
 
 All of it is self-contained double precision.  Gamma comes from a fixed
 15-coefficient Lanczos rational approximation (g = 607/128, the Godfrey set)
@@ -16,7 +16,8 @@ The regularized function F/Gamma(c) is entire in c and reads hyp2f1 too:
 at non-positive integer c its limit is a shifted 2F1 (DLMF 15.2.3), so such
 c is an ordinary input, not an error.
 
-Poles and non-convergence surface as typed exceptions, never as inf/nan.
+Poles, non-convergence and non-finite arguments surface as typed
+exceptions, never as inf/nan.
 """
 
 from __future__ import annotations
@@ -67,9 +68,19 @@ _MAX_TERMS = 10000
 
 def is_nonpositive_integer(z: complex) -> bool:
     """Exact membership test for {0, -1, -2, ...}: zero imaginary part and
-    integral non-positive real part.  No threshold is applied."""
+    integral non-positive real part.  No threshold is applied, and a
+    non-finite z is not a member."""
     z = complex(z)
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
+    return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
+
+
+def _finite(z: complex, name: str) -> complex:
+    # the argument of a Gamma-family function as a complex; a nan or
+    # infinite part has no value to give and is refused before any sum
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name} argument must be finite, got z = {z}")
+    return z
 
 
 def _sinpi(z: complex) -> complex:
@@ -94,9 +105,10 @@ def _lanczos_ln_gamma(z: complex) -> complex:
 def ln_gamma(z: complex) -> complex:
     """Principal-branch log-Gamma; exp(ln_gamma(z)) = Gamma(z).
 
-    Raises PoleAtNonPositiveInteger at z in {0, -1, -2, ...}.
+    Raises PoleAtNonPositiveInteger at z in {0, -1, -2, ...} and
+    DomainError at a non-finite z.
     """
-    z = complex(z)
+    z = _finite(z, "ln_gamma")
     if is_nonpositive_integer(z):
         raise PoleAtNonPositiveInteger(f"ln_gamma pole at z = {z}")
     if z.real >= 0.5:
@@ -121,8 +133,9 @@ def _exp(w: complex, z: complex) -> complex:
 
 def gamma(z: complex) -> complex:
     """Gamma function on the complex plane minus {0, -1, -2, ...}; raises
-    DomainError where |Gamma(z)| > 1.8e308, the double range (z > 171.62)."""
-    z = complex(z)
+    DomainError where |Gamma(z)| > 1.8e308, the double range (z > 171.62),
+    and at a non-finite z."""
+    z = _finite(z, "gamma")
     if is_nonpositive_integer(z):
         raise PoleAtNonPositiveInteger(f"gamma pole at z = {z}")
     if z.real >= 0.5:
@@ -134,40 +147,14 @@ def gamma(z: complex) -> complex:
 
 def recip_gamma(z: complex) -> complex:
     """1/Gamma(z), entire: returns exactly 0 at z in {0, -1, -2, ...}; raises
-    DomainError where |1/Gamma(z)| > 1.8e308 (e.g. z = -200.5, 100+1e5i)."""
-    z = complex(z)
+    DomainError where |1/Gamma(z)| > 1.8e308 (e.g. z = -200.5, 100+1e5i),
+    and at a non-finite z."""
+    z = _finite(z, "recip_gamma")
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     if z.real >= 0.5:
         return _exp(-_lanczos_ln_gamma(z), z)
     return _exp(cmath.log(_sinpi(z)) + _lanczos_ln_gamma(1.0 - z) - _LN_PI, z)
-
-
-def pochhammer(a: complex, k: int) -> complex:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"pochhammer order must be an integer >= 0, got {k!r}")
-    a = complex(a)
-    acc = 1.0 + 0.0j
-    for j in range(k):
-        acc *= a + j
-    return acc
-
-
-def gauss_series(a: complex, b: complex, c: complex, z: float) -> complex:
-    """Defining 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) z^k, summed to
-    roundoff within _MAX_TERMS terms.
-
-    Converges for |z| < 1; near z = 1 it takes about 36/(1 - z) terms, and
-    its roundoff grows in proportion.  The loop sums the derivative beside
-    the value and stops once both have settled.  Raises LowerParameterPole
-    for c in {0, -1, ...}.  This is the raw sum: hyp2f1 uses it up to its
-    seed bound and continues the ODE beyond.
-    """
-    c = complex(c)
-    if is_nonpositive_integer(c):
-        raise LowerParameterPole(f"gauss_series lower parameter c = {c}")
-    return _sum_series(1.0 + 0.0j, complex(a), complex(b), c, z)[0]
 
 
 def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
@@ -385,19 +372,36 @@ class _Ladder:
                 (val, slope / r))
 
 
+def _arguments(name: str, a: complex, b: complex, c: complex, z: float
+               ) -> tuple[complex, complex, complex, float]:
+    # (a, b, c, z) of a public 2F1 as complex parameters and a float z,
+    # refusing z outside [0, 1) and a non-finite parameter before any sum
+    if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
+        raise DomainError(
+            f"{name} argument must be a real in [0, 1), got {z!r}")
+    a, b, c = complex(a), complex(b), complex(c)
+    for label, v in (("a", a), ("b", b), ("c", c)):
+        if not cmath.isfinite(v):
+            raise DomainError(f"{name} parameter {label} must be finite, "
+                              f"got {v}")
+    return a, b, c, float(z)
+
+
 def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
     """Gauss hypergeometric F(a, b; c; z) for real z in [0, 1).
 
-    The defining series up to the seed bound x0 = min(3/4, 2 max(|c|, 1)/|ab|)
-    and for terminating (polynomial) cases; above x0 the ODE continuation of
-    _Ladder, seeded by the series.  Every sum and expansion stops at
-    roundoff.  Raises LowerParameterPole for c in {0, -1, ...} and
-    NoConvergence past _MAX_TERMS terms or _MAX_RUNGS expansions.
+    General (a, b, c), not only the kernel's c = 2a or 1 + s: verify's
+    identities and the benchmark's point values (c = a + b + gap) read it
+    at other c.  The defining series up to the seed bound
+    x0 = min(3/4, 2 max(|c|, 1)/|ab|) and for terminating (polynomial)
+    cases; above x0 the ODE continuation of _Ladder, seeded by the series.
+    Every sum and expansion stops at roundoff.  Raises
+    DomainError for z outside [0, 1) or a non-finite parameter,
+    LowerParameterPole for c in {0, -1, ...} and NoConvergence past
+    _MAX_TERMS terms or _MAX_RUNGS expansions.
     """
-    if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
-        raise DomainError(f"hyp2f1 argument must be a real in [0, 1), got {z!r}")
-    z = float(z)
-    return _hyp2f1(complex(a), complex(b), complex(c), z, 1.0 - z)
+    a, b, c, z = _arguments("hyp2f1", a, b, c, z)
+    return _hyp2f1(a, b, c, z, 1.0 - z)
 
 
 def _hyp2f1(a: complex, b: complex, c: complex, z: float, d: float) -> complex:
@@ -407,7 +411,7 @@ def _hyp2f1(a: complex, b: complex, c: complex, z: float, d: float) -> complex:
     if (z <= _seed_bound(a, b, c) or is_nonpositive_integer(a)
             or is_nonpositive_integer(b)):
         # a polynomial case terminates exactly, at any z
-        return gauss_series(a, b, c, z)
+        return _sum_series(1.0 + 0.0j, a, b, c, z)[0]
     return _Ladder(a, b, c, _series_seed(1.0 + 0.0j, a, b, c))([z], [d])[0]
 
 
@@ -418,12 +422,10 @@ def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float) -> complex:
     the limit (a)_{m+1} (b)_{m+1} z^{m+1} / (m+1)! F(a+m+1, b+m+1; m+2; z)
     (DLMF 15.2.3), again by hyp2f1, with the binary exponent carried apart
     so that c <= -170 stays finite; exactly 0 where a or b is -j, j <= m.
-    A value past the double range raises DomainError.
+    A value past the double range, z outside [0, 1) or a non-finite
+    parameter raises DomainError.
     """
-    if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
-        raise DomainError(
-            f"hyp2f1_regularized argument must be a real in [0, 1), got {z!r}")
-    a, b, c, z = complex(a), complex(b), complex(c), float(z)
+    a, b, c, z = _arguments("hyp2f1_regularized", a, b, c, z)
     if not is_nonpositive_integer(c):
         val, exp2 = recip_gamma(c) * hyp2f1(a, b, c, z), 0
     else:

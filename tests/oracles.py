@@ -84,6 +84,44 @@ def oracle_reg_hyp2f1(a, b, c, z, dps: int = 30) -> complex:
         return complex(mp.hyp2f1(a, b, c, z) * mp.rgamma(c))
 
 
+def oracle_pochhammer(a, k: int, dps: int = 30) -> complex:
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1) by mp.rf."""
+    with mp.workdps(dps):
+        return complex(mp.rf(mp.mpc(a), k))
+
+
+def reference_gauss_series(a, b, c, z: float,
+                           max_terms: int = 10000) -> complex | None:
+    """The defining 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) z^k in double
+    precision, term by term, stopped once three terms in a row fall within
+    3e-16 of the sum; None when it has not settled after max_terms terms.
+
+    This is the raw series the library seeds its ODE continuation with, so
+    it shares that series' roundoff, about 1/(1-z) units near z = 1."""
+    a, b, c = complex(a), complex(b), complex(c)
+    total = term = 1.0 + 0.0j
+    small = 0
+    for k in range(max_terms):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1))
+        term *= z
+        total += term
+        small = small + 1 if abs(term) <= 3e-16 * abs(total) else 0
+        if small >= 3:
+            return total
+    return None
+
+
+def oracle_boundary_exponents(n: int, mu_sq, lam,
+                              dps: int = 30) -> tuple[complex, float]:
+    """The Frobenius exponents the resolvent kernel selects: n/2 - i lambda
+    at sigma = 0 and -(n-1)/4 + s/2 at sigma = 1, with
+    s = sqrt((n-1)^2/4 + mu^2)."""
+    with mp.workdps(dps):
+        s = mp.sqrt(mp.mpf(n - 1) ** 2 / 4 + mp.mpf(mu_sq))
+        return (complex(mp.mpf(n) / 2 - 1j * mp.mpc(lam)),
+                float(-mp.mpf(n - 1) / 4 + s / 2))
+
+
 def sphere_multiplicity(n: int, j: int) -> int:
     """dim of degree-j spherical harmonics via (2j+n-1)(j+n-2)!/(j!(n-1)!),
     a different formula from the binomial difference used by the library."""

@@ -19,18 +19,19 @@ from hypercone import (
     NoConvergence,
     PoleAtNonPositiveInteger,
     gamma,
-    gauss_series,
     hyp2f1,
     hyp2f1_regularized,
     ln_gamma,
-    pochhammer,
     recip_gamma,
 )
+
+from hypercone import specfun
 
 from oracles import (
     exp_equal,
     oracle_hyp2f1,
     oracle_ln_gamma,
+    oracle_pochhammer,
     oracle_reg_2f1,
     oracle_reg_hyp2f1,
 )
@@ -88,22 +89,6 @@ class TestGammaValues:
         assert abs(recip_gamma(170.5) - 1.0 / want) <= 1e-13 / want
 
 
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(2.7 - 1.3j, 0) == 1.0
-
-    def test_terminating(self):
-        assert pochhammer(-2.0, 3) == 0.0
-
-    def test_half(self):
-        assert abs(pochhammer(0.5, 2) - 0.75) <= 1e-15
-
-    def test_matches_gamma_quotient(self):
-        a = 1.3 + 0.4j
-        want = gamma(a + 6) / gamma(a)
-        assert abs(pochhammer(a, 6) - want) <= 1e-12 * abs(want)
-
-
 class TestHyp2f1Values:
     def test_at_zero(self):
         assert hyp2f1(0.3 + 2j, -1.7, 0.9 - 1j, 0.0) == 1.0
@@ -131,23 +116,18 @@ class TestHyp2f1Values:
                 hyp2f1(0.5, 0.5, 1.5, z)
 
     def test_lower_parameter_pole(self):
-        with pytest.raises(LowerParameterPole):
-            hyp2f1(0.5, 0.7, 0.0, 0.25)
-        with pytest.raises(LowerParameterPole):
-            hyp2f1(0.5, 0.7, -2.0, 0.25)
-
-    @pytest.mark.parametrize("a,b,c,z", [(1, 1, -2, 0.3),
-                                         (0.5 + 1j, 2, 0, 0.1),
-                                         (-1, 2, -2, 0.3)])
-    def test_gauss_series_lower_parameter_pole(self, a, b, c, z):
         # typed, also where a terminates the sum before the zero of (c)_k
-        with pytest.raises(LowerParameterPole):
-            gauss_series(a, b, c, z)
+        for a, b, c, z in ((0.5, 0.7, 0.0, 0.25), (0.5, 0.7, -2.0, 0.25),
+                           (1, 1, -2, 0.3), (0.5 + 1j, 2, 0, 0.1),
+                           (-1, 2, -2, 0.3)):
+            with pytest.raises(LowerParameterPole):
+                hyp2f1(a, b, c, z)
 
     def test_no_convergence_budget(self, monkeypatch):
+        # z = 0.74 is below the seed bound 3/4, so the series alone answers
         monkeypatch.setattr("hypercone.specfun._MAX_TERMS", 20)
-        with pytest.raises(NoConvergence):
-            gauss_series(0.5, 0.7, 1.1, 0.999)
+        with pytest.raises(NoConvergence, match="series"):
+            hyp2f1(0.5, 0.7, 1.1, 0.74)
         with pytest.raises(NoConvergence):
             hyp2f1_regularized(0.5, 0.7, -1.0, 0.45)
 
@@ -174,15 +154,15 @@ class TestHyp2f1Values:
         # 3.5e-16 and 1.0e-13
         for z in (0.3, 0.4, 0.5):
             want = oracle_hyp2f1(0.5, 1.5, 2.0, z)
-            for f in (hyp2f1, gauss_series):
-                assert abs(f(0.5, 1.5, 2.0, z) - want) <= 1e-15 * abs(want)
+            assert abs(hyp2f1(0.5, 1.5, 2.0, z) - want) <= 1e-15 * abs(want)
         for z in (0.6, 0.7, 0.74, 0.8, 0.95):
             want = oracle_hyp2f1(0.5, 1.5, 2.0, z)
             assert abs(hyp2f1(0.5, 1.5, 2.0, z) - want) <= 3e-15 * abs(want)
         for z in (0.99, 0.997):
-            # ~36/(1-z) terms, whose roundoff grows like 1/(1-z)
+            # the series term loop alone: ~36/(1-z) terms, whose roundoff
+            # grows like 1/(1-z)
             want = oracle_hyp2f1(0.5, 0.5, 1.0, z)
-            got = gauss_series(0.5, 0.5, 1.0, z)
+            got = specfun._sum_series(1.0 + 0.0j, 0.5, 0.5, 1.0, z)[0]
             assert abs(got - want) <= 1e-15 / (1 - z) * abs(want)
 
 
@@ -205,7 +185,7 @@ class TestRegularized:
         # F~(a, b; -m; z) = (a)_{m+1} (b)_{m+1} z^{m+1}/(m+1)!
         #                     * F(a+m+1, b+m+1; m+2; z)
         a, b, z, m = 0.5, 1.5, 0.1, 2
-        rebuilt = (pochhammer(a, m + 1) * pochhammer(b, m + 1)
+        rebuilt = (oracle_pochhammer(a, m + 1) * oracle_pochhammer(b, m + 1)
                    * z ** (m + 1) / math.factorial(m + 1)
                    * hyp2f1(a + m + 1, b + m + 1, m + 2, z))
         assert abs(rebuilt - REG_HALF_THREEHALF_M2) <= 1e-15
@@ -296,6 +276,33 @@ class TestRegularized:
             want = oracle_reg_hyp2f1(a, b, c, z)
             got = hyp2f1_regularized(a, b, c, z)
             assert abs(got - want) <= 1e-10 * abs(want), (a, b, c, z)
+
+
+class TestNonFiniteArguments:
+    """Non-finite parameters are refused before any sum; test_contract.py
+    checks every entry point's typed error."""
+
+    @pytest.mark.parametrize("args", [(1, 1, -math.inf, 0.5),
+                                      (-math.inf, 1, 2, 0.5),
+                                      (math.nan, 1, 2, 0.5)], ids=repr)
+    def test_refused_before_any_sum(self, monkeypatch, args):
+        # a nan parameter never settles a sum, so it would spend the whole
+        # term budget, and int(-inf) overflows in a lattice test
+        def no_sum(*args, **kw):
+            raise AssertionError("summed a series")
+
+        monkeypatch.setattr(specfun, "_sum_series", no_sum)
+        for f in (hyp2f1, hyp2f1_regularized):
+            with pytest.raises(DomainError, match="must be finite"):
+                f(*args)
+
+    def test_nonpositive_integer_membership(self):
+        for z in (math.nan, math.inf, -math.inf, complex(-math.inf, 0.0)):
+            assert not specfun.is_nonpositive_integer(z)
+        for z in (0.0, -0.0, -3.0, complex(-170.0, 0.0)):
+            assert specfun.is_nonpositive_integer(z)
+        for z in (0.5, 1.0, complex(-2.0, 1e-300)):
+            assert not specfun.is_nonpositive_integer(z)
 
 
 class TestAgainstMpmath:
