@@ -116,12 +116,19 @@ class TestHyp2f1Values:
                 hyp2f1(0.5, 0.5, 1.5, z)
 
     def test_lower_parameter_pole(self):
-        # typed, also where a terminates the sum before the zero of (c)_k
-        for a, b, c, z in ((0.5, 0.7, 0.0, 0.25), (0.5, 0.7, -2.0, 0.25),
-                           (1, 1, -2, 0.3), (0.5 + 1j, 2, 0, 0.1),
-                           (-1, 2, -2, 0.3)):
-            with pytest.raises(LowerParameterPole):
-                hyp2f1(a, b, c, z)
+        with pytest.raises(LowerParameterPole):
+            hyp2f1(0.5, 0.7, 0.0, 0.25)
+        with pytest.raises(LowerParameterPole):
+            hyp2f1(0.5, 0.7, -2.0, 0.25)
+
+    @pytest.mark.parametrize("a,b,c,z", [(1, 1, -2, 0.3),
+                                         (0.5 + 1j, 2, 0, 0.1),
+                                         (-1, 2, -2, 0.3)])
+    def test_gauss_series_lower_parameter_pole(self, a, b, c, z):
+        # typed, also where a terminates the sum before the zero of (c)_k;
+        # the Gauss series these cases were written for is hyp2f1's own
+        with pytest.raises(LowerParameterPole):
+            hyp2f1(a, b, c, z)
 
     def test_no_convergence_budget(self, monkeypatch):
         # z = 0.74 is below the seed bound 3/4, so the series alone answers
