@@ -80,15 +80,15 @@ _GRID_QC = QuadratureControl(abs_tol=1e-15, rel_tol=5e-14, max_subdivisions=60)
 
 def sigma_of_r(r: float) -> float:
     """sigma = 1/cosh^2(r/2), mapping r in (0, inf) onto (0, 1)."""
-    if not (r > 0 and math.isfinite(r)):
-        raise DomainError(f"r must be in (0, inf), got {r!r}")
+    if isinstance(r, complex) or not (r > 0 and math.isfinite(r)):
+        raise DomainError(f"r must be a real in (0, inf), got {r!r}")
     return 1.0 / math.cosh(0.5 * r) ** 2
 
 
 def r_of_sigma(sigma: float) -> float:
     """Inverse map r = 2 acosh(1/sqrt(sigma)) on (0, 1]."""
-    if not (0.0 < sigma <= 1.0):
-        raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
+    if isinstance(sigma, complex) or not (0.0 < sigma <= 1.0):
+        raise DomainError(f"sigma must be a real in (0, 1], got {sigma!r}")
     return 2.0 * math.acosh(1.0 / math.sqrt(sigma))
 
 
@@ -99,8 +99,8 @@ def measure_density(n: int, sigma: float) -> float:
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    if not (0.0 < sigma <= 1.0):
-        raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
+    if isinstance(sigma, complex) or not (0.0 < sigma <= 1.0):
+        raise DomainError(f"sigma must be a real in (0, 1], got {sigma!r}")
     return 2.0 ** n * (1.0 - sigma) ** ((n - 1) / 2.0) * sigma ** (-(n + 1))
 
 
@@ -122,7 +122,8 @@ class RadialProfile:
 
     def __post_init__(self):
         lo, hi = self.support
-        if not (0.0 < lo < hi < 1.0):
+        if (isinstance(lo, complex) or isinstance(hi, complex)
+                or not 0.0 < lo < hi < 1.0):
             raise ValidationError(
                 f"support must satisfy 0 < lo < hi < 1, got {self.support!r}")
 
@@ -151,8 +152,8 @@ def u1(p: HypergeomParams, sigma: float) -> complex:
     Undefined when c is a non-positive integer (use the fused resolvent
     routines there); diverges like (1-sigma)^(-s) as sigma -> 1.
     """
-    if not (0.0 <= sigma < 1.0):
-        raise DomainError(f"sigma must be in [0, 1), got {sigma!r}")
+    if isinstance(sigma, complex) or not (0.0 <= sigma < 1.0):
+        raise DomainError(f"sigma must be a real in [0, 1), got {sigma!r}")
     if is_nonpositive_integer(p.c) or _lattice_indices(p)[2] is not None:
         raise LowerParameterPole(
             f"c = {p.c} is a non-positive integer; F(a,b;c;z) is undefined")
@@ -165,8 +166,8 @@ def u2(p: HypergeomParams, sigma: float) -> complex:
     Evaluated as hyp2f1 at w = 1 - sigma, in either half plane, with sigma
     kept as the exact distance of w from 1.
     """
-    if not (0.0 < sigma <= 1.0):
-        raise DomainError(f"sigma must be in (0, 1], got {sigma!r}")
+    if isinstance(sigma, complex) or not (0.0 < sigma <= 1.0):
+        raise DomainError(f"sigma must be a real in (0, 1], got {sigma!r}")
     return _hyp2f1(complex(p.a), complex(p.b), complex(1.0 + p.s),
                    1.0 - sigma, sigma)
 
@@ -206,8 +207,8 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
     raised where it vanishes, as the (u1, u2) basis then degenerates, or
     where a float parameter sits on a Gamma pole without exact data.
     """
-    if not (0.0 < sigma < 1.0):
-        raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
+    if isinstance(sigma, complex) or not (0.0 < sigma < 1.0):
+        raise DomainError(f"sigma must be a real in (0, 1), got {sigma!r}")
     coef, order, _ = _lattice_limit(p, ParameterPole)
     if order > 0:
         return 0.0 + 0.0j
@@ -435,8 +436,8 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
     if coordinate not in ("sigma", "r"):
         raise ValidationError(f"coordinate must be 'sigma' or 'r', "
                               f"got {coordinate!r}")
-    if not (0.0 < h <= 1e-2):
-        raise ValidationError(f"h must be in (0, 1e-2], got {h!r}")
+    if isinstance(h, complex) or not (0.0 < h <= 1e-2):
+        raise ValidationError(f"h must be a real in (0, 1e-2], got {h!r}")
     pts = list(grid) if grid is not None else _default_grid()
     if not pts:
         raise ValidationError("grid needs at least one point")
@@ -559,12 +560,14 @@ def residue_probe(n: int, mode: Mode, lam0: complex, *,
     The result equals the full circle up to the placement of the mirrored
     points, which lie within about 5e-18 of the nominal ones.
     """
-    if not (radius > 0 and radius < 0.2):
-        raise ValidationError(f"radius must be in (0, 0.2), got {radius!r}")
+    if isinstance(radius, complex) or not (0 < radius < 0.2):
+        raise ValidationError(
+            f"radius must be a real in (0, 0.2), got {radius!r}")
     if not isinstance(points, int) or points < 8:  # bools are below 8
         raise ValidationError(f"points must be an integer >= 8, got {points!r}")
-    if not (threshold > 0):
-        raise ValidationError(f"threshold must be > 0, got {threshold!r}")
+    if isinstance(threshold, complex) or not (0 < threshold < math.inf):
+        raise ValidationError(
+            f"threshold must be a finite real > 0, got {threshold!r}")
     f = profile if profile is not None else RadialProfile.bump()
     lam0 = complex(lam0)
     mirror = lam0.real == 0.0 and points % 2 == 0

@@ -646,8 +646,8 @@ def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:
         raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
     if not (vol_y > 0 and math.isfinite(vol_y)):
         raise ValidationError(f"volume must be positive, got {vol_y!r}")
-    if not math.isfinite(lam):
-        raise ValidationError(f"lambda must be finite, got {lam!r}")
+    if isinstance(lam, complex) or not math.isfinite(lam):
+        raise ValidationError(f"lambda must be a finite real, got {lam!r}")
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam!r}")
     if lam == 0:

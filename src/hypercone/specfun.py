@@ -12,6 +12,8 @@ holds branch-for-branch there.
 2F1 sums the defining series up to a seed bound where it is benign, and
 beyond it continues the series' value and derivative along the 2F1 ODE by
 Taylor expansions (_Ladder), so integer c - a - b needs no special case.
+Each expansion is centred on the band of points it serves, and the series
+seeds of one ladder share one list of step ratios.
 The regularized function F/Gamma(c) is entire in c and reads hyp2f1 too:
 at non-positive integer c its limit is a shifted 2F1 (DLMF 15.2.3), so such
 c is an ordinary input, not an error.
@@ -158,16 +160,27 @@ def recip_gamma(z: complex) -> complex:
 
 
 def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
-                kmin: int = 0) -> tuple[complex, complex]:
+                kmin: int = 0, ratios: list[complex] | None = None
+                ) -> tuple[complex, complex]:
     # the one 2F1 term loop, returning (F, F') for the 0th term `term`:
     # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), so t_{k+1} = u_k z
     # and F' = sum_k (k+1) u_k, never dividing by z; three steps in a row
-    # that leave both sums within _ROUNDOFF, once k >= kmin, end it
+    # that leave both sums within _ROUNDOFF, once k >= kmin, end it.  The
+    # step ratios are read from `ratios` as far as it goes and appended
+    # past that, so the sums that share one list form each ratio once
+    if ratios is None:
+        ratios = []
+    known = len(ratios)
     total = term
     dtotal = 0.0 + 0.0j
     small = 0
     for k in range(_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1))
+        if k < known:
+            step = ratios[k]
+        else:
+            step = (a + k) * (b + k) / ((c + k) * (k + 1))
+            ratios.append(step)
+        term *= step
         dterm = (k + 1) * term
         dtotal += dterm
         term *= z
@@ -241,10 +254,13 @@ def _seed_bound(a: complex, b: complex, c: complex) -> float:
 def _series_seed(term: complex, a: complex, b: complex, c: complex,
                  kmin: int = 0):
     """m -> (term F(a, b; c; m), term F'(a, b; c; m)) from one pass of the
-    series, its derivative being the contiguous (ab/c) F(a+1, b+1; c+1; m)."""
+    series, its derivative being the contiguous (ab/c) F(a+1, b+1; c+1; m).
+    Every call reads and extends one list of step ratios, so the seeds of
+    one ladder form each ratio once."""
+    ratios: list[complex] = []
 
     def seed(m: float) -> tuple[complex, complex]:
-        return _sum_series(term, a, b, c, m, kmin)
+        return _sum_series(term, a, b, c, m, kmin, ratios)
     return seed
 
 
@@ -253,27 +269,33 @@ class _Ladder:
     read from Taylor expansions (_ode_taylor) about a ladder of anchors,
     each built on first use and kept.
 
-    Anchors sit at distance D(i) = q^i / 2 from the nearer end: z = D(i) is
-    key i >= 0, z = 1 - D(i) key -i.  q = 1 - min(1/4, 2/S), S the largest
-    exponent difference |1-c|, |c-a-b|, |a-b| or 1, keeps a step within the
-    local oscillation scale.  The anchor at D(i) serves the points at
-    distance (q D(i), D(i)], so none is closer to a singular point than the
-    points it serves.  seed(m) = (y(m), y'(m)), the series and its
-    derivative from one term loop (_series_seed), starts the anchors at
-    z <= x0 (_seed_bound), where the series is benign; key k beyond starts
-    from the value and derivative of expansion k + 1 at its edge
-    (F. Johansson, arXiv:1606.06977, sec. 4).  Each expansion is scaled by
-    the step to its successor: that edge is tau = +-1, and its points lie
-    at |tau| <= 1, a third of its radius of convergence or less.  Right of
-    1/2 the expansions run in t = 1 - z (the same ODE with c replaced by
+    Key i >= 0 serves the points at distance (q D(i), D(i)] from 0, key -i
+    those at that distance from 1, D(i) = q^i / 2.  q = 1 - min(1/4, 2/S),
+    S the largest exponent difference |1-c|, |c-a-b|, |a-b| or 1, keeps a
+    step within the local oscillation scale.  Key 0 serves both sides of
+    1/2 and is anchored there; every other anchor sits at the midpoint
+    (1+q)/2 D(i) of its band (_anchor).  seed(m) = (y(m), y'(m)), the
+    series and its derivative from one term loop (_series_seed), starts the
+    anchors at z <= x0 (_seed_bound), where the series is benign; key k
+    beyond starts from the value and derivative of expansion k + 1 at
+    k's anchor (F. Johansson, arXiv:1606.06977, sec. 4).  Right of 1/2 the
+    expansions run in t = 1 - z (the same ODE with c replaced by
     a + b + 1 - c), so positions near z = 1 are exact distances.
+
+    A leaf, an expansion no successor continues from, is scaled by its
+    half-band: its points lie at |tau| <= 1 and its coefficients fall like
+    (1-q)/(1+q) per step, 1/7 at q = 3/4.  An edge expansion is scaled by
+    the step to its successor's anchor, tau = +-1, where it is summed to
+    _EDGE_TOL; its points lie at |tau| <= half-band/step (at most 8/11, at
+    key 0, when q = 3/4), and their Horner sums stop at the coefficients
+    that still reach roundoff there.
 
     A read takes a list of points (with their exact distances from 1 where
     they round) and returns the list of values; a one-point read is a list
     of one.  Every point is keyed by one rule, the two-sided test
-    0.5 q^(i+1) < dist <= 0.5 q^i against the floats the anchors are built
-    at, so a value depends only on its point.  Key 0 serves both sides of
-    1/2 and runs in z, so tau follows the key's sign, not the side.
+    0.5 q^(i+1) < dist <= 0.5 q^i against the floats the bands are built
+    at, so a value depends only on its point.  Key 0 runs in z, so tau
+    follows the key's sign, not the side.
     """
 
     def __init__(self, a: complex, b: complex, c: complex, seed) -> None:
@@ -335,27 +357,35 @@ class _Ladder:
             self.expansions[k] = self._build(k)
         return self.expansions[key]
 
+    def _anchor(self, key: int) -> float:
+        # the anchor's distance from the nearer end: 1/2 for key 0, the
+        # midpoint of the band (q D, D] for the others
+        if key == 0:
+            return 0.5
+        return 0.25 * (1.0 + self.q) * self.q ** abs(key)
+
     def _seeded(self, key: int) -> bool:
-        m = 0.5 * self.q ** abs(key)
+        m = self._anchor(key)
         return (m if key >= 0 else 1.0 - m) <= self.x0
 
     def _build(self, key: int):
-        # (anchor, step, the point coefficients highest first for Horner as
-        # (real, imaginary) pairs, and (value, derivative) at a continued
-        # successor's anchor)
-        i = abs(key)
-        m = 0.5 * self.q ** i
+        # (anchor, scale, the point coefficients highest first for Horner
+        # as (real, imaginary) pairs, and, for an edge, (value, derivative)
+        # at its successor's anchor)
+        m = self._anchor(key)
         if self._seeded(key):
             y, dy = self.seed(m if key >= 0 else 1.0 - m)
             if key < 0:  # right of 1/2 the expansions run in t = 1 - z
                 dy = -dy
         else:
             y, dy = self.expansions[key + 1][3]
-        r = abs(0.5 * self.q ** (i - 1 if key > 0 else i + 1) - m)
+        band = 0.5 * self.q ** abs(key)
+        half = (1.0 - self.q) * (band if key == 0 else 0.5 * band)
         c = self.c if key >= 0 else self.c_right
-        if self._seeded(key - 1):
-            coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _ROUNDOFF)
-            return m, r, [(v.real, v.imag) for v in reversed(coeffs)], None
+        if self._seeded(key - 1):  # a leaf
+            coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, half, _ROUNDOFF)
+            return m, half, [(v.real, v.imag) for v in reversed(coeffs)], None
+        r = abs(self._anchor(key - 1) - m)
         coeffs = _ode_taylor(self.a, self.b, c, m, y, dy, r, _EDGE_TOL)
         edge = -1.0 if key < 0 else 1.0
         val = slope = 0.0 + 0.0j
@@ -364,9 +394,12 @@ class _Ladder:
             val = val * edge + cj
         if key == 0:  # the successor of 1/2 runs in t = 1 - z
             slope = -slope
-        floor = _ROUNDOFF * max(map(abs, coeffs))
+        # the size of each term at the points' reach |tau| <= half / r
+        reach = half / r
+        sizes = [abs(cj) * reach ** j for j, cj in enumerate(coeffs)]
+        floor = _ROUNDOFF * max(sizes)
         keep = len(coeffs)
-        while keep > 1 and abs(coeffs[keep - 1]) <= floor:
+        while keep > 1 and sizes[keep - 1] <= floor:
             keep -= 1
         return (m, r, [(v.real, v.imag) for v in coeffs[keep - 1::-1]],
                 (val, slope / r))

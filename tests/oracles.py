@@ -448,6 +448,19 @@ def reference_ladder_key(ladder, dist: float) -> int:
     return i
 
 
+def reference_ladder_band(ladder, x: float, d: float | None = None) -> int:
+    """The key of the band 0.5 q^(i+1) < dist <= 0.5 q^i that specfun._Ladder
+    reads x from (d = 1 - x exactly), by the two-sided test of its list
+    read: reference_ladder_key, raised by one where dist is on or below
+    the band's lower bound."""
+    right = x > 0.5
+    dist = (1.0 - x if d is None else d) if right else x
+    i = reference_ladder_key(ladder, dist)
+    if dist <= 0.5 * ladder.q ** (i + 1):
+        i += 1
+    return -i if right else i
+
+
 def reference_ladder_read(ladder, x: float, d: float | None = None) -> complex:
     """specfun._Ladder's scalar read before list reads: y(x), d = 1 - x
     exactly, keyed by reference_ladder_key, with Horner on complex

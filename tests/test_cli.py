@@ -208,11 +208,11 @@ GOLDEN_DIGESTS = [
 # is computed moves them and must update this pin deliberately.
 SUITE_DIGESTS = {
     "specfun":
-        "809e82f86fd2b5a64569eeda51cb412cdef6af531751b9f0a252c014c58fceab",
+        "76443bbd8634fabc3e05d5dfab82f801f73024f355fe9a7df4b701820d8dad9d",
     "wronskian":
-        "8b26943eb8055ddb18f79e292893b2d67f891b8d998e5d5a51b7b9194fe07f6b",
+        "b7d655ce4edebeb6a69d76a59e9918e00c02eb2a36fd60206e09d6bca49edb53",
     "residual":
-        "46fc935a5f2652ad899a2b6e5776cf01d4a8993fa4dc7f108d5828a5523c78cd",
+        "7cd9b5dfc4069f04dfda478e94dd9ba5d8d40f7cd7ed1505a3f4f8e10595f54c",
     "residue":
         "f44d015583cb29918e2f6aaf3f93404f6dd08ad06a34161f2a9b22b1d54c5161",
 }

@@ -71,6 +71,51 @@ def test_kernel_functions_deep_lower_half_plane():
             assert err <= 1e-5, (name, draw, err)
 
 
+def _check_placement(ladder):
+    # every built key |i| >= 1 is anchored at the midpoint of its band
+    # (q D, D], D = q^|i| / 2, and key 0 at 1/2; a leaf is scaled by the
+    # half-band, so its band lies at |tau| <= 1, and an edge by the step to
+    # its successor's anchor, so its band lies at |tau| <= half-band / step
+    q = ladder.q
+
+    def band(key):  # (low, high, anchor) in the key's own coordinate
+        if key == 0:
+            return q / 2, 1.0 - q / 2, 0.5
+        high = 0.5 * q ** abs(key)
+        return q * high, high, 0.5 * (q * high + high)
+
+    for key, (m, r, _, edge) in ladder.expansions.items():
+        low, high, mid = band(key)
+        assert abs(m - mid) <= 1e-15 * m, key
+        half = 0.5 * (high - low)
+        assert (edge is None) == ladder._seeded(key - 1), key
+        if edge is None:
+            assert abs(r - half) <= 1e-14 * r, key
+            reach = 1.0
+        else:
+            succ = band(key - 1)[2]
+            step = abs((1.0 - succ if key == 0 else succ) - m)
+            assert abs(r - step) <= 1e-12 * r, key
+            reach = half / r
+        for end in (low, high):
+            assert abs(end - m) / r <= reach * (1.0 + 1e-12), (key, end)
+
+
+@pytest.mark.parametrize("seed,im_lo,im_hi,draws", [
+    (700, -2.0, 3.0, 50), (701, -2.0, 3.0, 50), (702, -2.0, 3.0, 50),
+    (703, -2.0, 3.0, 50), (800, -3.0, -2.0, 60)])
+def test_anchor_placement(seed, im_lo, im_hi, draws):
+    # the draws of the two kernel tests above, read without the oracle
+    rng = random.Random(seed)
+    for _ in range(draws):
+        n, mu_sq, lam, sigma = _draw(rng, im_lo, im_hi)
+        kd = _KernelData(n, hypergeom_params(n, Mode(mu_sq, 1), lam))
+        kd.g1([sigma])
+        kd.u2([sigma])
+        for ladder in (kd.f1, kd.f2):
+            _check_placement(ladder)
+
+
 def _parameters(rng: random.Random, family: str):
     if family == "large":
         # kernel-shaped: a = 1/2 - i lambda, b = a or a + s, c = 2a or a

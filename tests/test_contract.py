@@ -1,6 +1,7 @@
 """The typed-error contract at the package surface: a non-finite argument
-to a public entry point raises a HyperconeError that names it, never an
-untyped error or a nan, and every exported name resolves."""
+to a public entry point, or a complex one where a real is read, raises a
+HyperconeError that names it, never an untyped error or a nan, and every
+exported name resolves."""
 
 import math
 
@@ -17,9 +18,18 @@ from hypercone import (
     gamma,
     hyp2f1,
     hyp2f1_regularized,
+    hypergeom_params,
     ln_gamma,
+    measure_density,
+    r_of_sigma,
     recip_gamma,
     residual_check,
+    residue_probe,
+    sigma_of_r,
+    u1,
+    u2,
+    weyl_leading_term,
+    wronskian_closed_form,
 )
 
 NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.inf),
@@ -65,6 +75,48 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_non_finite_argument_is_typed_error(entry, value):
     call, error, names = ENTRY_POINTS[entry]
+    with pytest.raises(error, match=names):
+        call(value)
+
+
+_P = hypergeom_params(2, Mode(2.0, 1), 1 - 0.7j)
+
+# real-coordinate argument -> (call with the bad value, the typed error of
+# its own range check, what it names)
+REAL_ARGUMENTS = {
+    "u1(sigma)": (lambda x: u1(_P, x), DomainError, "sigma"),
+    "u2(sigma)": (lambda x: u2(_P, x), DomainError, "sigma"),
+    "wronskian_closed_form(sigma)": (lambda x: wronskian_closed_form(_P, x),
+                                     DomainError, "sigma"),
+    "sigma_of_r(r)": (sigma_of_r, DomainError, "r must"),
+    "r_of_sigma(sigma)": (r_of_sigma, DomainError, "sigma"),
+    "measure_density(sigma)": (lambda x: measure_density(2, x), DomainError,
+                               "sigma"),
+    "residual_check(h)": (
+        lambda x: residual_check(1, Mode(1.0, 1), 2j, _BUMP, h=x),
+        ValidationError, "h must"),
+    "RadialProfile(lo)": (lambda x: RadialProfile(_BUMP.func, (x, 0.6)),
+                          ValidationError, "support"),
+    "RadialProfile(hi)": (lambda x: RadialProfile(_BUMP.func, (0.3, x)),
+                          ValidationError, "support"),
+    "residue_probe(radius)": (
+        lambda x: residue_probe(1, Mode(1.0, 1), -1.5j, radius=x),
+        ValidationError, "radius"),
+    "residue_probe(threshold)": (
+        lambda x: residue_probe(1, Mode(1.0, 1), -1.5j, threshold=x),
+        ValidationError, "threshold"),
+    "weyl_leading_term(lam)": (lambda x: weyl_leading_term(1, 1.0, x),
+                               ValidationError, "lambda"),
+}
+
+
+@pytest.mark.parametrize("value", [complex(0.45, 0.0), complex(0.0, math.inf)],
+                         ids=repr)
+@pytest.mark.parametrize("entry", sorted(REAL_ARGUMENTS))
+def test_non_real_argument_is_typed_error(entry, value):
+    # a complex argument, even with a zero imaginary part, once reached an
+    # ordering test and raised an untyped TypeError
+    call, error, names = REAL_ARGUMENTS[entry]
     with pytest.raises(error, match=names):
         call(value)
 

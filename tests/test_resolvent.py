@@ -57,6 +57,7 @@ from oracles import (
     reference_cumulative_integral,
     reference_fit,
     reference_gauss_series,
+    reference_ladder_band,
 )
 
 # oracle_u2_series(1, 1.0, 1.0, 0.3, dps=30)
@@ -1213,6 +1214,93 @@ class TestSeriesWorkCounts:
         assert 0 < sums[0] <= 2
 
 
+class TestLadderWorkCounts:
+    """Work in specfun._Ladder per call, counted by wrappers: Horner steps
+    (one per coefficient of the expansion a point is read from), Taylor
+    coefficients returned by _ode_taylor, and 2F1 step ratios formed by the
+    series term loop (the growth of the ratio list each sum reads).
+    Anchors at the midpoints of their bands and one ratio list per seed
+    took them from 8597, 221 and 466 to 7338, 182 and 143 for the residual
+    check; the residue probes build a kernel per sample, so their seeds
+    share less."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        count = {"horner": 0, "taylor": 0, "ratios": 0}
+        read, taylor, series = (specfun._Ladder.__call__, specfun._ode_taylor,
+                                specfun._sum_series)
+
+        def counted_read(ladder, xs, ds=None):
+            out = read(ladder, xs, ds)
+            for k, x in enumerate(xs):
+                if x != 0.0:
+                    key = reference_ladder_band(
+                        ladder, x, None if ds is None else ds[k])
+                    count["horner"] += len(ladder.expansions[key][2])
+            return out
+
+        def counted_taylor(*args):
+            coeffs = taylor(*args)
+            count["taylor"] += len(coeffs)
+            return coeffs
+
+        def counted_series(term, a, b, c, z, kmin=0, ratios=None):
+            ratios = [] if ratios is None else ratios
+            known = len(ratios)
+            out = series(term, a, b, c, z, kmin, ratios)
+            count["ratios"] += len(ratios) - known
+            return out
+
+        monkeypatch.setattr(specfun._Ladder, "__call__", counted_read)
+        monkeypatch.setattr(specfun, "_ode_taylor", counted_taylor)
+        monkeypatch.setattr(specfun, "_sum_series", counted_series)
+        return count
+
+    def check(self, count, horner, taylor, ratios):
+        assert 0 < count["horner"] <= horner
+        assert 0 < count["taylor"] <= taylor
+        assert 0 < count["ratios"] <= ratios
+
+    def test_residual_check(self, work):
+        residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
+        self.check(work, 7338, 182, 143)
+
+    def test_green_pairing(self, work):
+        green_pairing(2, Mode(2.0, 1), 2j, RadialProfile.bump(0.3, 0.45),
+                      RadialProfile.bump(0.4, 0.55))
+        self.check(work, 4325, 94, 132)  # 4487, 91 and 177 before
+
+    def test_residue_probe(self, work):
+        residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
+        self.check(work, 19116, 1110, 1970)  # 21996, 1270 and 2674 before
+
+    def test_residue_probe_on_axis(self, work):
+        residue_probe(2, Mode(2.0, 1), 0.9j)
+        self.check(work, 10836, 630, 1107)  # 12456, 720 and 1503 before
+
+
+class TestSharedStepRatios:
+    """A ladder's series seed reads and extends one list of step ratios,
+    and at every seeded anchor it returns the bits of a fresh term loop."""
+
+    @pytest.mark.parametrize("n,mode,lam", TestStepRatioCache.KERNELS)
+    def test_seeds_at_anchors(self, n, mode, lam):
+        p = hypergeom_params(n, mode, lam)
+        kd = _KernelData(n, p)
+        a, b = complex(p.a), complex(p.b)
+        for ladder, c, kmin in ((kd.f1, complex(p.c), kd.kmin),
+                                (kd.f2, complex(1.0 + p.s), 0)):
+            ladder([0.004 + 0.008 * k for k in range(125)])
+            t0 = ladder.seed(0.0)[0]
+            seeded = [key for key in ladder.expansions if ladder._seeded(key)]
+            assert len(seeded) > 1
+            for key in seeded:
+                m = ladder.expansions[key][0]
+                z = m if key >= 0 else 1.0 - m
+                fresh = specfun._sum_series(t0, a, b, c, z, kmin)
+                assert ladder.seed(z) == fresh, key
+
+
 class TestNearEndDomain:
     """Narrow sources near sigma = 0 and 1: every centre evaluates, and the
     centres the per-anchor series seeds once refused match the oracle."""
@@ -1493,6 +1581,15 @@ class TestResidueProbe:
             residue_probe(1, Mode(1.0, 1), -1j, points=4)
         with pytest.raises(ValidationError):
             residue_probe(1, Mode(1.0, 1), -1j, threshold=0.0)
+
+    def test_non_finite_threshold_refused(self):
+        # at this genuine pole an infinite threshold once read the ratio
+        # 9.6e-3 as regular, with no error
+        mode = Mode(1.0, 1)
+        assert residue_probe(1, mode, -1.5j).is_pole
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="threshold"):
+                residue_probe(1, mode, -1.5j, threshold=bad)
 
     @pytest.mark.parametrize("points", [16.0, "16", True, None])
     def test_points_must_be_an_integer(self, points):
