@@ -26,6 +26,7 @@ from .errors import (
     InvalidRadius,
     ParseError,
     ValidationError,
+    _integer,
 )
 
 _EXACT_MATCH_TOL = 1e-15
@@ -100,9 +101,7 @@ class SpectrumSpec:
     source: str
 
     def __post_init__(self):
-        if not isinstance(self.dimension_n, int) or self.dimension_n < 1:
-            raise InvalidDimension(
-                f"dimension n must be an integer >= 1, got {self.dimension_n!r}")
+        _integer(self.dimension_n, "dimension n", InvalidDimension, 1)
         for i in range(len(self.modes) - 1):
             if self.modes[i].mu_sq > self.modes[i + 1].mu_sq:
                 raise ValidationError("modes must be sorted by mu_sq ascending")
@@ -115,10 +114,8 @@ def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
     formed directly up to n = 342 and from logarithms beyond, where
     Gamma((n+1)/2) overflows a double; from n = 438, where the volume is
     below the smallest normal double, raises DomainError."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidDimension(f"sphere dimension must be an integer >= 1, got {n!r}")
-    if not isinstance(j_max, int) or j_max < 0:
-        raise ValidationError(f"j_max must be an integer >= 0, got {j_max!r}")
+    n = _integer(n, "sphere dimension n", InvalidDimension, 1)
+    j_max = _integer(j_max, "j_max", ValidationError, 0)
     if n == 1:
         return circle_spectrum(1, j_max)
     try:
@@ -176,8 +173,7 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
         raise InvalidRadius(f"unsupported radius type {type(rho).__name__}")
     if rho_f <= 0 or not math.isfinite(rho_f):
         raise InvalidRadius(f"circle radius must be positive, got {rho!r}")
-    if not isinstance(j_max, int) or j_max < 0:
-        raise ValidationError(f"j_max must be an integer >= 0, got {j_max!r}")
+    j_max = _integer(j_max, "j_max", ValidationError, 0)
     vol = 2.0 * math.pi * rho_f
     if vol == math.inf:
         raise DomainError(f"circle volume for rho = {rho!r}: 2*pi*rho "
@@ -413,8 +409,7 @@ def is_generic(mode: Mode, n: int) -> GenericityVerdict:
     generic when s is farther than _LATTICE_TOL (1e-9) from the half-odd
     lattice and unknown_float when within it (_near_half_odd).
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
+    n = _integer(n, "n", InvalidDimension, 1)
     if mode.mu_sq_exact is not None:
         if _half_odd(_exact_s(n, mode.mu_sq_exact)[1]):
             return GenericityVerdict.NON_GENERIC

@@ -20,7 +20,8 @@ from functools import cache
 from itertools import islice
 from operator import mul
 
-from .errors import DomainError, QuadratureFailure, ValidationError
+from .errors import (DomainError, QuadratureFailure, ValidationError,
+                     _integer, _real)
 
 # -- piecewise Chebyshev running integrals -------------------------------------
 
@@ -40,9 +41,7 @@ class QuadratureControl:
     relative to the integrand's scale over the span: both are relative,
     and abs_tol = 1e-300 still means no floor.  max_subdivisions is the
     number of panel bisections one running integral may spend before
-    QuadratureFailure is raised.  Both tolerances must be finite reals
-    >= 0 and max_subdivisions an int >= 0 (not a bool); a field outside
-    that raises ValidationError naming it.
+    QuadratureFailure is raised.  Each field lies in [0, inf).
     """
 
     abs_tol: float = 1e-10
@@ -50,16 +49,9 @@ class QuadratureControl:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol"):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, (int, float))
-                    or not (math.isfinite(v) and v >= 0)):
-                raise ValidationError(
-                    f"{name} must be a finite real >= 0, got {v!r}")
-        v = self.max_subdivisions
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValidationError(
-                f"max_subdivisions must be an int >= 0, got {v!r}")
+        _real(self.abs_tol, "abs_tol", ValidationError, "[0, inf)")
+        _real(self.rel_tol, "rel_tol", ValidationError, "[0, inf)")
+        _integer(self.max_subdivisions, "max_subdivisions", ValidationError, 0)
 
 
 @cache

@@ -51,6 +51,9 @@ from .errors import (
     PoleEvaluation,
     ProbeInconclusive,
     ValidationError,
+    _complex,
+    _integer,
+    _real,
 )
 from .quadrature import QuadratureControl, cumulative_integral
 from .resonances import (
@@ -79,16 +82,20 @@ _GRID_QC = QuadratureControl(abs_tol=1e-15, rel_tol=5e-14, max_subdivisions=60)
 # -- coordinates and measure --------------------------------------------------
 
 def sigma_of_r(r: float) -> float:
-    """sigma = 1/cosh^2(r/2), mapping r in (0, inf) onto (0, 1)."""
-    if isinstance(r, complex) or not (r > 0 and math.isfinite(r)):
-        raise DomainError(f"r must be a real in (0, inf), got {r!r}")
-    return 1.0 / math.cosh(0.5 * r) ** 2
+    """sigma = 1/cosh^2(r/2), mapping r in (0, inf) onto (0, 1).  Past
+    r = 711.1, where cosh^2(r/2) overflows a double (sigma < 6e-309),
+    raises DomainError."""
+    r = _real(r, "r", DomainError, "(0, inf)")
+    try:
+        return 1.0 / math.cosh(0.5 * r) ** 2
+    except OverflowError:
+        raise DomainError(f"sigma at r = {r!r} is below the double "
+                          f"range") from None
 
 
 def r_of_sigma(sigma: float) -> float:
     """Inverse map r = 2 acosh(1/sqrt(sigma)) on (0, 1]."""
-    if isinstance(sigma, complex) or not (0.0 < sigma <= 1.0):
-        raise DomainError(f"sigma must be a real in (0, 1], got {sigma!r}")
+    sigma = _real(sigma, "sigma", DomainError, "(0, 1]")
     return 2.0 * math.acosh(1.0 / math.sqrt(sigma))
 
 
@@ -96,12 +103,19 @@ def measure_density(n: int, sigma: float) -> float:
     """Density of sinh(r)^n dr in sigma: 2^n (1-sigma)^((n-1)/2) sigma^-(n+1).
 
     At sigma = 1 (the cone tip) the limit is 2 for n = 1 and 0 for n >= 2.
+    A density beyond the double range raises DomainError.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    if isinstance(sigma, complex) or not (0.0 < sigma <= 1.0):
-        raise DomainError(f"sigma must be a real in (0, 1], got {sigma!r}")
-    return 2.0 ** n * (1.0 - sigma) ** ((n - 1) / 2.0) * sigma ** (-(n + 1))
+    n = _integer(n, "n", DomainError, 1)
+    sigma = _real(sigma, "sigma", DomainError, "(0, 1]")
+    try:
+        density = (2.0 ** n * (1.0 - sigma) ** ((n - 1) / 2.0)
+                   * sigma ** (-(n + 1)))
+    except OverflowError:
+        density = math.inf
+    if not math.isfinite(density):
+        raise DomainError(f"measure_density at n = {n}, sigma = {sigma!r} "
+                          f"exceeds the double range")
+    return density
 
 
 # -- radial source profiles ---------------------------------------------------
@@ -122,8 +136,8 @@ class RadialProfile:
 
     def __post_init__(self):
         lo, hi = self.support
-        if (isinstance(lo, complex) or isinstance(hi, complex)
-                or not 0.0 < lo < hi < 1.0):
+        if not (_real(lo, "support lo", ValidationError, "(0, 1)")
+                < _real(hi, "support hi", ValidationError, "(0, 1)")):
             raise ValidationError(
                 f"support must satisfy 0 < lo < hi < 1, got {self.support!r}")
 
@@ -152,8 +166,7 @@ def u1(p: HypergeomParams, sigma: float) -> complex:
     Undefined when c is a non-positive integer (use the fused resolvent
     routines there); diverges like (1-sigma)^(-s) as sigma -> 1.
     """
-    if isinstance(sigma, complex) or not (0.0 <= sigma < 1.0):
-        raise DomainError(f"sigma must be a real in [0, 1), got {sigma!r}")
+    sigma = _real(sigma, "sigma", DomainError, "[0, 1)")
     if is_nonpositive_integer(p.c) or _lattice_indices(p)[2] is not None:
         raise LowerParameterPole(
             f"c = {p.c} is a non-positive integer; F(a,b;c;z) is undefined")
@@ -166,8 +179,7 @@ def u2(p: HypergeomParams, sigma: float) -> complex:
     Evaluated as hyp2f1 at w = 1 - sigma, in either half plane, with sigma
     kept as the exact distance of w from 1.
     """
-    if isinstance(sigma, complex) or not (0.0 < sigma <= 1.0):
-        raise DomainError(f"sigma must be a real in (0, 1], got {sigma!r}")
+    sigma = _real(sigma, "sigma", DomainError, "(0, 1]")
     return _hyp2f1(complex(p.a), complex(p.b), complex(1.0 + p.s),
                    1.0 - sigma, sigma)
 
@@ -205,10 +217,10 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
     taken along lambda (_lattice_limit): W = 0 where Gamma(a)Gamma(b)/Gamma(c)
     diverges (a genuine pole, u1 and u2 proportional), and ParameterPole is
     raised where it vanishes, as the (u1, u2) basis then degenerates, or
-    where a float parameter sits on a Gamma pole without exact data.
+    where a float parameter sits on a Gamma pole without exact data.  A
+    value beyond the double range raises DomainError.
     """
-    if isinstance(sigma, complex) or not (0.0 < sigma < 1.0):
-        raise DomainError(f"sigma must be a real in (0, 1), got {sigma!r}")
+    sigma = _real(sigma, "sigma", DomainError, "(0, 1)")
     coef, order, _ = _lattice_limit(p, ParameterPole)
     if order > 0:
         return 0.0 + 0.0j
@@ -216,8 +228,16 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
         raise ParameterPole(
             f"Gamma(c) is singular at c = {p.c} and neither a nor b rescues "
             f"the limit; the (u1, u2) basis degenerates here")
-    pw = cmath.exp(-p.c * math.log(sigma)) * (1.0 - sigma) ** (-1.0 - p.s)
-    return -gamma(complex(1.0 + p.s)) * pw / coef
+    try:
+        pw = (cmath.exp(-p.c * math.log(sigma))
+              * (1.0 - sigma) ** (-1.0 - p.s))
+        w = -gamma(complex(1.0 + p.s)) * pw / coef
+    except OverflowError:
+        w = complex(math.inf)
+    if not cmath.isfinite(w):
+        raise DomainError(f"the Wronskian at sigma = {sigma!r}, lambda = "
+                          f"{p.lam} exceeds the double range")
+    return w
 
 
 # -- the kernel functions ------------------------------------------------------
@@ -225,8 +245,9 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
 class _KernelData:
     """Per-(n, mode, lambda) evaluation state for the resolvent kernel.
 
-    g1 reads f1 = Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z) and u2 reads
-    f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values depend
+    g1 = f1 reads Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z), its poles fused
+    into the terms, and u2 reads f2 = F(a, b; 1+s; 1 - sigma), each a
+    specfun._Ladder whose values depend
     only on the kernel and the point; both read a list of points.  f1 is
     seeded by the series times coef, the constant's limit from
     _lattice_limit, or on the exact lattice at c = -C by _lattice_seed.  A
@@ -251,21 +272,13 @@ class _KernelData:
             seed = _series_seed(coef, a, b, c, kmin=self.kmin)
         else:
             seed = self._lattice_seed(coef if order == 0 else 0.0, ia, ib, ic)
-        self.f1 = _Ladder(a, b, c, seed)
+        # g1 reads z in [0, 1) and u2 sigma in (0, 1]; every caller has
+        # checked its points, so neither checks them again
+        self.g1 = self.f1 = _Ladder(a, b, c, seed)
         c2 = complex(1.0 + p.s)
         self.f2 = _Ladder(a, b, c2, _series_seed(1.0 + 0.0j, a, b, c2))
 
-    # G1(z) = Gamma(a)Gamma(b)/Gamma(c) * F(a,b;c;z), poles fused into terms
-    def g1(self, zs: list[float]) -> list[complex]:
-        bad = next((z for z in zs if not 0.0 <= z < 1.0), None)
-        if bad is not None:
-            raise DomainError(f"kernel argument must be in [0, 1), got {bad!r}")
-        return self.f1(zs)
-
     def u2(self, sigmas: list[float]) -> list[complex]:
-        bad = next((x for x in sigmas if not 0.0 < x <= 1.0), None)
-        if bad is not None:
-            raise DomainError(f"sigma must be in (0, 1], got {bad!r}")
         return self.f2([1.0 - x for x in sigmas], sigmas)
 
     def _lattice_seed(self, t0: complex, ia, ib, c_index: int):
@@ -316,10 +329,11 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
     budget; an integrand they cannot resolve, such as a source with a jump,
     raises QuadratureFailure rather than returning a low-accuracy value.
     Raises PoleEvaluation at exactly classified genuine poles; removable
-    and regular parameter points evaluate through the fused limits.
+    and regular parameter points evaluate through the fused limits, and
+    DomainError where the value leaves the double range (as it does near
+    sigma = 0 when Re(n/2 - i lambda) < 0).
     """
-    if isinstance(sigma, complex) or not 0.0 < sigma < 1.0:
-        raise DomainError(f"sigma must be in (0, 1), got {sigma!r}")
+    sigma = _real(sigma, "sigma", DomainError, "(0, 1)")
     p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im_exact)
     kd = _KernelData(n, p)
     return _resolvent(kd, f, sigma, sigma,
@@ -352,7 +366,8 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
     interior panel boundaries of both integrals, mapped back to sigma,
     where (R f) is smooth only to the integrals' tolerance.  This is the
     only place the kernel
-    P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed.
+    P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed, and a
+    value of rf beyond the double range raises DomainError.
     """
     lo, hi = f.support
     ulo, uhi = math.log(lo), math.log(hi)
@@ -388,7 +403,15 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
                 val += next(g1) * (upper.total if u <= ulo else upper(u))
             if u > ulo:
                 val += next(u2) * (lower.total if u >= uhi else lower(u))
-            out.append(val * kd.sigma_prefactor(x) * kd.inv_g1s)
+            try:
+                val = val * kd.sigma_prefactor(x) * kd.inv_g1s
+            except OverflowError:
+                val = complex(math.inf)
+            if not cmath.isfinite(val):
+                raise DomainError(
+                    f"(R f)(sigma) at sigma = {x!r}, lambda = {kd.p.lam} "
+                    f"exceeds the double range")
+            out.append(val)
         return out
 
     return rf, [math.exp(c) for c in cuts]
@@ -436,26 +459,14 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
     if coordinate not in ("sigma", "r"):
         raise ValidationError(f"coordinate must be 'sigma' or 'r', "
                               f"got {coordinate!r}")
-    if isinstance(h, complex) or not (0.0 < h <= 1e-2):
-        raise ValidationError(f"h must be a real in (0, 1e-2], got {h!r}")
-    pts = list(grid) if grid is not None else _default_grid()
+    h = _real(h, "h", ValidationError, "(0, 1e-2]")
+    pts = [_real(x, "grid point", ValidationError, "(0, 1)")
+           for x in (_default_grid() if grid is None else grid)]
     if not pts:
         raise ValidationError("grid needs at least one point")
-    bad = next((x for x in pts
-                if isinstance(x, complex) or not math.isfinite(x)), None)
-    if bad is not None:
-        raise ValidationError(f"grid points must be finite reals, got {bad!r}")
     if any(y <= x for x, y in zip(pts, pts[1:])):
         raise ValidationError("grid must be strictly increasing")
-    lam = complex(lam)
-    p = hypergeom_params(n, mode, lam)
-    kd = _KernelData(n, p)
-    mu_sq = mode.mu_sq
-    shift = lam * lam + 0.25 * n * n
-
     if coordinate == "sigma":
-        if not (pts[0] - 2 * h > 0.0 and pts[-1] + 2 * h < 1.0):
-            raise ValidationError("grid (with stencils) must stay in (0, 1)")
         xs, to_sigma, where = pts, (lambda x: x), ""
 
         def radial(x, d2, d1, u):
@@ -470,10 +481,19 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
             sh = math.sinh(r)
             return (-d2 - n * math.cosh(r) / sh * d1
                     + (mu_sq / (sh * sh) - shift) * u)
+    # the outermost stencil points, as sigma, bound every point read
+    ends = [to_sigma(x) if x > 0.0 else 0.0
+            for x in (xs[0] - 2 * h, xs[-1] + 2 * h)]
+    if not all(0.0 < x < 1.0 for x in ends):
+        raise ValidationError("grid (with stencils) must stay in (0, 1)")
     if any(y - x < 10 * h for x, y in zip(xs, xs[1:])):
         raise ValidationError(f"grid spacing{where} must be at least 10 h")
+    p = hypergeom_params(n, mode, lam)
+    lam = p.lam
+    kd = _KernelData(n, p)
+    mu_sq = mode.mu_sq
+    shift = lam * lam + 0.25 * n * n
     offsets = (-2, -1, 0, 1, 2)
-    ends = [to_sigma(xs[0] - 2 * h), to_sigma(xs[-1] + 2 * h)]
     rf, _ = _resolvent(kd, f, min(ends), max(ends), control or _GRID_QC)
     norm = 1.0 + max(abs(f(to_sigma(x))) for x in xs)
     vals = rf([to_sigma(x + j * h) for x in xs for j in offsets])
@@ -560,16 +580,11 @@ def residue_probe(n: int, mode: Mode, lam0: complex, *,
     The result equals the full circle up to the placement of the mirrored
     points, which lie within about 5e-18 of the nominal ones.
     """
-    if isinstance(radius, complex) or not (0 < radius < 0.2):
-        raise ValidationError(
-            f"radius must be a real in (0, 0.2), got {radius!r}")
-    if not isinstance(points, int) or points < 8:  # bools are below 8
-        raise ValidationError(f"points must be an integer >= 8, got {points!r}")
-    if isinstance(threshold, complex) or not (0 < threshold < math.inf):
-        raise ValidationError(
-            f"threshold must be a finite real > 0, got {threshold!r}")
+    radius = _real(radius, "radius", ValidationError, "(0, 0.2)")
+    points = _integer(points, "points", ValidationError, 8)
+    threshold = _real(threshold, "threshold", ValidationError, "(0, inf)")
     f = profile if profile is not None else RadialProfile.bump()
-    lam0 = complex(lam0)
+    lam0 = _complex(lam0, "lambda", DomainError)
     mirror = lam0.real == 0.0 and points % 2 == 0
     real = True   # every value f.func has returned so far is real
 

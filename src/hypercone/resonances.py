@@ -42,6 +42,9 @@ from .errors import (
     TruncationInsufficient,
     UndecidableMembership,
     ValidationError,
+    _complex,
+    _integer,
+    _real,
 )
 
 # (rational part, coefficient of s); exact value is rat + coef * s
@@ -75,9 +78,7 @@ def s_param(n: int, mode: Mode) -> SValue:
 
     The value and exact forms come from crosssec._s_data, the one place s
     is formed."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
-    value, root, sq = _s_data(n, mode)
+    value, root, sq = _s_data(_integer(n, "n", InvalidDimension, 1), mode)
     return SValue(value, None if root is None else Fraction(*root),
                   None if sq is None else Fraction(*sq))
 
@@ -108,7 +109,6 @@ def _build_params(n: int, mode: Mode, lam: complex,
                   y_sym: _Sym | None) -> HypergeomParams:
     # y_sym encodes Im(lambda) = rat + coef * s when known exactly
     sv = s_param(n, mode)
-    lam = complex(lam)
     a = 0.5 - 1j * lam
     b = a + sv.value
     c = 2.0 * a
@@ -135,11 +135,9 @@ def hypergeom_params(n: int, mode: Mode, lam: complex, *,
     i*lambda is carried exactly when lambda is purely imaginary: any float
     imaginary part is itself a rational, so Re(lambda) == 0 is enough; an
     explicit lam_im_exact (must match to 1e-12) can also be supplied.
-    A lambda with an infinite or NaN part raises DomainError.
+    A lambda that is not a finite complex raises DomainError.
     """
-    lam = complex(lam)
-    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise DomainError(f"lambda must be finite, got {lam!r}")
+    lam = _complex(lam, "lambda", DomainError)
     if lam_im_exact is not None:
         if abs(lam.imag - float(lam_im_exact)) > 1e-12 * (1.0 + abs(lam.imag)):
             raise InconsistentParams(
@@ -161,8 +159,7 @@ def candidate_params(n: int, mode: Mode, k: int) -> HypergeomParams:
     The imaginary part involves s itself, so this constructor keeps it in
     symbolic form; for irrational s this is the only way to classify the
     candidate exactly (e.g. s = sqrt(13)/2 gives a = -s, b = 0, c = -2s)."""
-    if not isinstance(k, int) or k < 0:
-        raise ValidationError(f"k must be an integer >= 0, got {k!r}")
+    k = _integer(k, "k", ValidationError, 0)
     sv = s_param(n, mode)
     lam = complex(0.0, -(0.5 + k + sv.value))
     return _build_params(n, mode, lam, (Fraction(-1, 2) - k, Fraction(-1)))
@@ -283,6 +280,7 @@ class ResonanceSet:
         |lambda| <= bound: the bound is within the lambda_max the set was
         enumerated to, the last listed mode's 1/2 + s exceeds the bound (so
         do all unlisted modes), and so does 1/2 + k_max + s_first."""
+        bound = _real(bound, "lambda bound", ValidationError, "[0, inf)")
         return (bound <= self.truncation.lambda_max
                 and _truncation_covers(self.spectrum, self.truncation.k_max,
                                        _bound(bound)))
@@ -360,18 +358,13 @@ def _scan(spec: SpectrumSpec, k_max: int, bound: float) -> list[_Generic]:
     its s as _s_data gives it, in spectrum order.
 
     Raises ValidationError unless k_max is an integer >= 0 and the bound a
-    finite number >= 0.  Genericity and s come from one s per mode: exact
+    real in [0, inf).  Genericity and s come from one s per mode: exact
     where mu^2 is, and otherwise the float that is_generic tests too, read
     by the same _near_half_odd.  Raises UndecidableMembership at the first
     float-only mode within _LATTICE_TOL of the half-odd-integer lattice.
     """
-    if not isinstance(k_max, int) or k_max < 0:
-        raise ValidationError(f"k_max must be an integer >= 0, got {k_max!r}")
-    # the position test reads the bound as a double's integer ratio
-    if not (isinstance(bound, (int, float))
-            and 0 <= bound <= sys.float_info.max):
-        raise ValidationError(
-            f"lambda bound must be finite and >= 0, got {bound!r}")
+    _integer(k_max, "k_max", ValidationError, 0)
+    _real(bound, "lambda bound", ValidationError, "[0, inf)")
     n = spec.dimension_n
     generic = []
     for mode in spec.modes:
@@ -559,6 +552,8 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
     exact s data.  Raises ValidationError for bad limits and
     UndecidableMembership if any mode's genericity is unknown_float.
     """
+    lambda_max = _real(lambda_max, "lambda bound", ValidationError,
+                       "[0, inf)")
     rows, den, exact = _listing(_scan(spec, k_max, lambda_max), k_max,
                                 lambda_max)
     resonances = []
@@ -612,6 +607,7 @@ def count_resonances(spec: SpectrumSpec, k_max: int, bound: float) -> int:
     TruncationInsufficient when the last listed mode or k_max cannot certify
     completeness up to the bound (the rule of ResonanceSet.complete_up_to).
     """
+    bound = _real(bound, "lambda bound", ValidationError, "[0, inf)")
     return _count(spec, _scan(spec, k_max, bound), k_max, bound)
 
 
@@ -623,6 +619,8 @@ def weyl_count(rset: ResonanceSet, lambda_bound: float) -> int:
     the set was enumerated to, and the j_max/k_max conditions of
     complete_up_to must hold.  The count itself is count_resonances on the
     set's spectrum and k_max."""
+    lambda_bound = _real(lambda_bound, "lambda bound", ValidationError,
+                         "[0, inf)")
     if lambda_bound > rset.truncation.lambda_max:
         raise TruncationInsufficient(
             f"the set was enumerated up to lambda = "
@@ -642,14 +640,9 @@ def weyl_leading_term(n: int, vol_y: float, lam: float) -> float:
     term itself may fit.  A term that overflows a double raises
     DomainError, and so does one below the smallest normal double at
     lambda > 0."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidDimension(f"n must be an integer >= 1, got {n!r}")
-    if not (vol_y > 0 and math.isfinite(vol_y)):
-        raise ValidationError(f"volume must be positive, got {vol_y!r}")
-    if isinstance(lam, complex) or not math.isfinite(lam):
-        raise ValidationError(f"lambda must be a finite real, got {lam!r}")
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam!r}")
+    n = _integer(n, "n", InvalidDimension, 1)
+    vol_y = _real(vol_y, "volume", ValidationError, "(0, inf)")
+    lam = _real(lam, "lambda", ValidationError, "[0, inf)")
     if lam == 0:
         return 0.0
     try:

@@ -32,6 +32,8 @@ from .errors import (
     LowerParameterPole,
     NoConvergence,
     PoleAtNonPositiveInteger,
+    _complex,
+    _real,
 )
 
 _LANCZOS_G = 607.0 / 128.0
@@ -76,15 +78,6 @@ def is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
 
 
-def _finite(z: complex, name: str) -> complex:
-    # the argument of a Gamma-family function as a complex; a nan or
-    # infinite part has no value to give and is refused before any sum
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"{name} argument must be finite, got z = {z}")
-    return z
-
-
 def _sinpi(z: complex) -> complex:
     # sin(pi z) with the argument reduced mod 1 first, so accuracy does not
     # degrade near large-real z (needed by reflection close to Gamma poles).
@@ -110,7 +103,7 @@ def ln_gamma(z: complex) -> complex:
     Raises PoleAtNonPositiveInteger at z in {0, -1, -2, ...} and
     DomainError at a non-finite z.
     """
-    z = _finite(z, "ln_gamma")
+    z = _complex(z, "ln_gamma argument z", DomainError)
     if is_nonpositive_integer(z):
         raise PoleAtNonPositiveInteger(f"ln_gamma pole at z = {z}")
     if z.real >= 0.5:
@@ -137,7 +130,7 @@ def gamma(z: complex) -> complex:
     """Gamma function on the complex plane minus {0, -1, -2, ...}; raises
     DomainError where |Gamma(z)| > 1.8e308, the double range (z > 171.62),
     and at a non-finite z."""
-    z = _finite(z, "gamma")
+    z = _complex(z, "gamma argument z", DomainError)
     if is_nonpositive_integer(z):
         raise PoleAtNonPositiveInteger(f"gamma pole at z = {z}")
     if z.real >= 0.5:
@@ -151,7 +144,7 @@ def recip_gamma(z: complex) -> complex:
     """1/Gamma(z), entire: returns exactly 0 at z in {0, -1, -2, ...}; raises
     DomainError where |1/Gamma(z)| > 1.8e308 (e.g. z = -200.5, 100+1e5i),
     and at a non-finite z."""
-    z = _finite(z, "recip_gamma")
+    z = _complex(z, "recip_gamma argument z", DomainError)
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     if z.real >= 0.5:
@@ -408,16 +401,11 @@ class _Ladder:
 def _arguments(name: str, a: complex, b: complex, c: complex, z: float
                ) -> tuple[complex, complex, complex, float]:
     # (a, b, c, z) of a public 2F1 as complex parameters and a float z,
-    # refusing z outside [0, 1) and a non-finite parameter before any sum
-    if not isinstance(z, (int, float)) or not 0.0 <= z < 1.0:
-        raise DomainError(
-            f"{name} argument must be a real in [0, 1), got {z!r}")
-    a, b, c = complex(a), complex(b), complex(c)
-    for label, v in (("a", a), ("b", b), ("c", c)):
-        if not cmath.isfinite(v):
-            raise DomainError(f"{name} parameter {label} must be finite, "
-                              f"got {v}")
-    return a, b, c, float(z)
+    # each refused before any sum
+    return (_complex(a, f"{name} parameter a", DomainError),
+            _complex(b, f"{name} parameter b", DomainError),
+            _complex(c, f"{name} parameter c", DomainError),
+            _real(z, f"{name} argument z", DomainError, "[0, 1)"))
 
 
 def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:

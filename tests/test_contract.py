@@ -1,7 +1,9 @@
-"""The typed-error contract at the package surface: a non-finite argument
-to a public entry point, or a complex one where a real is read, raises a
-HyperconeError that names it, never an untyped error or a nan, and every
-exported name resolves."""
+"""The typed-error contract at the package surface: a public entry point
+reads each numeric argument by one rule (errors._real, _integer and
+_complex), so a non-finite value, a complex one where a real is read, and a
+string, None, a list or a bool all raise the argument's own HyperconeError
+naming it, never an untyped error or a nan, and every exported name
+resolves."""
 
 import math
 
@@ -10,50 +12,83 @@ import pytest
 import hypercone
 from hypercone import (
     DomainError,
+    InvalidDimension,
     Mode,
     QuadratureControl,
     RadialProfile,
+    SpectrumSpec,
     ValidationError,
     apply_resolvent,
+    candidate_params,
+    circle_spectrum,
+    count_resonances,
+    enumerate_resonances,
     gamma,
     hyp2f1,
     hyp2f1_regularized,
     hypergeom_params,
+    is_generic,
     ln_gamma,
     measure_density,
     r_of_sigma,
     recip_gamma,
     residual_check,
     residue_probe,
+    s_param,
     sigma_of_r,
+    sphere_spectrum,
     u1,
     u2,
+    weyl_count,
     weyl_leading_term,
     wronskian_closed_form,
 )
 
 NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.inf),
               complex(math.nan, 1.0), complex(1.0, math.nan)]
+# no rule reads these as numbers; a bool is refused everywhere, where an
+# integer is read included
+MALFORMED = ["x", None, [1], True]
 
 _BUMP = RadialProfile.bump(0.3, 0.6)
+_P = hypergeom_params(2, Mode(2.0, 1), 1 - 0.7j)
+_CIRCLE = circle_spectrum(1, 3)
+_RSET = enumerate_resonances(_CIRCLE, 3, 5.0)
 
-# entry point -> (call with the bad value, typed error, what it names)
-ENTRY_POINTS = {
-    "gamma": (gamma, DomainError, "z = "),
-    "ln_gamma": (ln_gamma, DomainError, "z = "),
-    "recip_gamma": (recip_gamma, DomainError, "z = "),
+# complex argument -> (call with the bad value, typed error, what it names)
+COMPLEX_ARGUMENTS = {
+    "gamma": (gamma, DomainError, "argument z"),
+    "ln_gamma": (ln_gamma, DomainError, "argument z"),
+    "recip_gamma": (recip_gamma, DomainError, "argument z"),
     "hyp2f1(a)": (lambda x: hyp2f1(x, 1.0, 2.0, 0.5), DomainError,
                   "parameter a"),
     "hyp2f1(b)": (lambda x: hyp2f1(1.0, x, 2.0, 0.5), DomainError,
                   "parameter b"),
     "hyp2f1(c)": (lambda x: hyp2f1(1.0, 1.0, x, 0.5), DomainError,
                   "parameter c"),
-    "hyp2f1(z)": (lambda x: hyp2f1(1.0, 1.0, 2.0, x), DomainError,
-                  "argument"),
     "hyp2f1_regularized(a)": (lambda x: hyp2f1_regularized(x, 1.0, 2.0, 0.5),
                               DomainError, "parameter a"),
+    "hyp2f1_regularized(b)": (lambda x: hyp2f1_regularized(1.0, x, 2.0, 0.5),
+                              DomainError, "parameter b"),
     "hyp2f1_regularized(c)": (lambda x: hyp2f1_regularized(1.0, 1.0, x, 0.2),
                               DomainError, "parameter c"),
+    "hypergeom_params(lambda)": (
+        lambda x: hypergeom_params(1, Mode(1.0, 1), x), DomainError,
+        "lambda must"),
+    "apply_resolvent(lambda)": (
+        lambda x: apply_resolvent(1, Mode(1.0, 1), x, _BUMP, 0.45),
+        DomainError, "lambda must"),
+    "residue_probe(lambda)": (lambda x: residue_probe(1, Mode(1.0, 1), x),
+                              DomainError, "lambda must"),
+}
+
+# real or integer argument -> (call with the bad value, the typed error of
+# its own range check, what it names)
+REAL_ARGUMENTS = {
+    "hyp2f1(z)": (lambda x: hyp2f1(1.0, 1.0, 2.0, x), DomainError,
+                  "argument"),
+    "hyp2f1_regularized(z)": (lambda x: hyp2f1_regularized(1.0, 1.0, 2.0, x),
+                              DomainError, "argument z"),
     "apply_resolvent(sigma)": (
         lambda x: apply_resolvent(1, Mode(1.0, 1), 2j, _BUMP, x),
         DomainError, "sigma"),
@@ -68,28 +103,14 @@ ENTRY_POINTS = {
     "QuadratureControl(max_subdivisions)": (
         lambda x: QuadratureControl(max_subdivisions=x),
         ValidationError, "max_subdivisions"),
-}
-
-
-@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-def test_non_finite_argument_is_typed_error(entry, value):
-    call, error, names = ENTRY_POINTS[entry]
-    with pytest.raises(error, match=names):
-        call(value)
-
-
-_P = hypergeom_params(2, Mode(2.0, 1), 1 - 0.7j)
-
-# real-coordinate argument -> (call with the bad value, the typed error of
-# its own range check, what it names)
-REAL_ARGUMENTS = {
     "u1(sigma)": (lambda x: u1(_P, x), DomainError, "sigma"),
     "u2(sigma)": (lambda x: u2(_P, x), DomainError, "sigma"),
     "wronskian_closed_form(sigma)": (lambda x: wronskian_closed_form(_P, x),
                                      DomainError, "sigma"),
     "sigma_of_r(r)": (sigma_of_r, DomainError, "r must"),
     "r_of_sigma(sigma)": (r_of_sigma, DomainError, "sigma"),
+    "measure_density(n)": (lambda x: measure_density(x, 0.5), DomainError,
+                           "n must"),
     "measure_density(sigma)": (lambda x: measure_density(2, x), DomainError,
                                "sigma"),
     "residual_check(h)": (
@@ -102,12 +123,59 @@ REAL_ARGUMENTS = {
     "residue_probe(radius)": (
         lambda x: residue_probe(1, Mode(1.0, 1), -1.5j, radius=x),
         ValidationError, "radius"),
+    "residue_probe(points)": (
+        lambda x: residue_probe(1, Mode(1.0, 1), -1.5j, points=x),
+        ValidationError, "points"),
     "residue_probe(threshold)": (
         lambda x: residue_probe(1, Mode(1.0, 1), -1.5j, threshold=x),
         ValidationError, "threshold"),
+    "s_param(n)": (lambda x: s_param(x, Mode(1.0, 1)), InvalidDimension,
+                   "n must"),
+    "hypergeom_params(n)": (lambda x: hypergeom_params(x, Mode(1.0, 1), 1j),
+                            InvalidDimension, "n must"),
+    "candidate_params(k)": (lambda x: candidate_params(1, Mode(1.0, 1), x),
+                            ValidationError, "k must"),
+    "enumerate_resonances(k_max)": (
+        lambda x: enumerate_resonances(_CIRCLE, x, 5.0), ValidationError,
+        "k_max"),
+    "enumerate_resonances(lambda_max)": (
+        lambda x: enumerate_resonances(_CIRCLE, 3, x), ValidationError,
+        "lambda bound"),
+    "count_resonances(k_max)": (lambda x: count_resonances(_CIRCLE, x, 5.0),
+                                ValidationError, "k_max"),
+    "count_resonances(bound)": (lambda x: count_resonances(_CIRCLE, 3, x),
+                                ValidationError, "lambda bound"),
+    "weyl_count(lambda_bound)": (lambda x: weyl_count(_RSET, x),
+                                 ValidationError, "lambda bound"),
+    "complete_up_to(bound)": (_RSET.complete_up_to, ValidationError,
+                              "lambda bound"),
+    "weyl_leading_term(n)": (lambda x: weyl_leading_term(x, 1.0, 1.0),
+                             InvalidDimension, "n must"),
+    "weyl_leading_term(vol_y)": (lambda x: weyl_leading_term(1, x, 1.0),
+                                 ValidationError, "volume"),
     "weyl_leading_term(lam)": (lambda x: weyl_leading_term(1, 1.0, x),
                                ValidationError, "lambda"),
+    "SpectrumSpec(n)": (lambda x: SpectrumSpec(x, [], None, "file"),
+                        InvalidDimension, "dimension n"),
+    "sphere_spectrum(n)": (lambda x: sphere_spectrum(x, 3), InvalidDimension,
+                           "n must"),
+    "sphere_spectrum(j_max)": (lambda x: sphere_spectrum(2, x),
+                               ValidationError, "j_max"),
+    "circle_spectrum(j_max)": (lambda x: circle_spectrum(1, x),
+                               ValidationError, "j_max"),
+    "is_generic(n)": (lambda x: is_generic(Mode(1.0, 1), x), InvalidDimension,
+                      "n must"),
 }
+
+ENTRY_POINTS = {**COMPLEX_ARGUMENTS, **REAL_ARGUMENTS}
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_finite_argument_is_typed_error(entry, value):
+    call, error, names = ENTRY_POINTS[entry]
+    with pytest.raises(error, match=names):
+        call(value)
 
 
 @pytest.mark.parametrize("value", [complex(0.45, 0.0), complex(0.0, math.inf)],
@@ -117,6 +185,16 @@ def test_non_real_argument_is_typed_error(entry, value):
     # a complex argument, even with a zero imaginary part, once reached an
     # ordering test and raised an untyped TypeError
     call, error, names = REAL_ARGUMENTS[entry]
+    with pytest.raises(error, match=names):
+        call(value)
+
+
+@pytest.mark.parametrize("value", MALFORMED, ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_malformed_argument_is_typed_error(entry, value):
+    # a string or None once reached an ordering test or complex() and
+    # raised TypeError or ValueError; a bool was read as 0 or 1
+    call, error, names = ENTRY_POINTS[entry]
     with pytest.raises(error, match=names):
         call(value)
 

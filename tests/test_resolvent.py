@@ -377,6 +377,14 @@ class TestCoordinateMap:
             with pytest.raises(DomainError):
                 r_of_sigma(bad)
 
+    def test_sigma_below_double_range(self):
+        # cosh^2(r/2) overflows a double just past r = 711.1, where sigma
+        # is subnormal; that once raised an untyped OverflowError
+        assert 0.0 < sigma_of_r(711.0) < sys.float_info.min
+        for r in (712.0, 800.0, 1e6):
+            with pytest.raises(DomainError, match=f"r = {r!r}"):
+                sigma_of_r(r)
+
 
 class TestMeasureDensity:
     def test_values(self):
@@ -403,6 +411,11 @@ class TestMeasureDensity:
         with pytest.raises(DomainError):
             measure_density(0, 0.5)
 
+    def test_beyond_double_range(self):
+        # sigma^-(n+1) = 1e400 once raised an untyped OverflowError
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            measure_density(3, 1e-100)
+
 
 class TestRadialProfile:
     def test_support_validation(self):
@@ -410,7 +423,8 @@ class TestRadialProfile:
             with pytest.raises(ValidationError):
                 RadialProfile(lambda s: 1.0, bad)
             with pytest.raises(ValidationError, match=re.escape(
-                    f"support must satisfy 0 < lo < hi < 1, got {bad!r}")):
+                    f"support must satisfy 0 < lo < hi < 1, got {bad!r}")
+                    + r"|^support (lo|hi) must be a real in \(0, 1\), got "):
                 RadialProfile.bump(*bad)
 
     def test_zero_outside_support(self):
@@ -551,6 +565,20 @@ class TestWronskian:
             with pytest.raises(DomainError):
                 wronskian_closed_form(p, bad)
 
+    def test_power_overflow(self):
+        # (1 - sigma)^(-1-s) once raised an untyped OverflowError
+        p = hypergeom_params(3, Mode(982.5775398672805, 1),
+                             -102.4045879065857 + 3.1946142304372245j)
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            wronskian_closed_form(p, 0.9999999999072108)
+
+    def test_product_overflow(self):
+        # finite factors whose product once came back as -inf+nanj
+        p = hypergeom_params(2, Mode(1753.4234749779062, 1),
+                             19.76389076119264 - 5.127820225568083j)
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            wronskian_closed_form(p, 0.9999999019563356)
+
 
 _TIGHT = QuadratureControl(abs_tol=1e-13, rel_tol=1e-13)
 
@@ -619,6 +647,18 @@ class TestApplyResolvent:
         f = RadialProfile.bump()
         with pytest.raises(DomainError):
             apply_resolvent(1, Mode(1.0, 1), 2j, f, 1.0)
+
+    def test_value_beyond_double_range(self):
+        # Re(n/2 - i lambda) = -2.4 < 0, so (R f)(sigma) grows like
+        # sigma^-2.4 toward 0 and leaves the doubles: at 1e-128 it once
+        # came back as nan+nanj, at 1e-130 as an untyped OverflowError
+        f, mode, lam = RadialProfile.bump(0.3, 0.6), Mode(1.0, 1), -0.5 - 2.9j
+        val = apply_resolvent(1, mode, lam, f, 1e-124)
+        assert cmath.isfinite(val) and abs(val) > 1e299
+        for sigma in (1e-128, 1e-130):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"sigma = {sigma!r}, lambda = {lam}")):
+                apply_resolvent(1, mode, lam, f, sigma)
 
 
 class TestGridPath:
@@ -801,7 +841,8 @@ class TestNonFiniteLambda:
             lambda: residue_probe(n, mode, lam),
         ]
         for call in calls:
-            with pytest.raises(DomainError, match="lambda must be finite"):
+            with pytest.raises(DomainError,
+                               match="lambda must be a finite complex"):
                 call()
 
 
@@ -1338,7 +1379,8 @@ class TestResidualCheck:
         # left a nan among the residuals
         f = RadialProfile.bump(0.3, 0.6)
         for coordinate in ("sigma", "r"):
-            with pytest.raises(ValidationError, match="finite reals"):
+            with pytest.raises(ValidationError,
+                               match="grid point must be a real in"):
                 residual_check(1, Mode(1.0, 1), 3j, f, grid=[0.3, bad, 0.6],
                                coordinate=coordinate)
 
@@ -1387,6 +1429,20 @@ class TestResidualCheck:
                            coordinate="rho")
         with pytest.raises(ValidationError):
             residual_check(1, Mode(1.0, 1), 2j, f, grid=[1e-4, 0.5])
+
+    @pytest.mark.parametrize("coordinate", ["sigma", "r"])
+    @pytest.mark.parametrize("grid", [[0.5, 1.0], [0.5, 0.9999999]])
+    def test_grid_out_of_range_refused_first(self, monkeypatch, grid,
+                                             coordinate):
+        # in r, a stencil point past sigma = 1 once reached sigma_of_r and
+        # raised a DomainError naming r = -0.002 after the kernel was built
+        def no_kernel(*args):
+            raise AssertionError("built a kernel")
+
+        monkeypatch.setattr(resolvent, "_KernelData", no_kernel)
+        with pytest.raises(ValidationError, match="grid"):
+            residual_check(1, Mode(1.0, 1), 3j, RadialProfile.bump(),
+                           grid=grid, coordinate=coordinate)
 
     def test_empty_grid(self):
         with pytest.raises(ValidationError, match="at least one point"):

@@ -300,7 +300,8 @@ class TestNonFiniteArguments:
 
         monkeypatch.setattr(specfun, "_sum_series", no_sum)
         for f in (hyp2f1, hyp2f1_regularized):
-            with pytest.raises(DomainError, match="must be finite"):
+            with pytest.raises(DomainError,
+                               match="must be a finite complex"):
                 f(*args)
 
     def test_nonpositive_integer_membership(self):
