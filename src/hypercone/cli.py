@@ -52,6 +52,7 @@ from .resonances import (
     _certify,
     _count,
     _listing,
+    _runs,
     _scan,
     _truncation,
     classify_pole,
@@ -390,19 +391,30 @@ def _cmd_weyl(args) -> int:
         raise ValidationError(
             "spectrum carries no volume; the Weyl leading term is undefined")
     k_max = _auto_kmax(args, lam_max)
-    # one scan for the whole grid; an undecidable mode refuses before the
-    # non-generic check, as it does for resonances
-    generic = _scan(spec, k_max, lam_max)
-    if not generic:
+    # one scan for the whole grid, which builds no mode of a generated
+    # spectrum; an undecidable mode refuses before the non-generic check,
+    # as it does for resonances
+    runs = _runs(spec, k_max, lam_max)
+    if not runs:
         raise _NonGenericSpectrum(
             "all modes are non-generic: the resonance set is empty and the "
             "Weyl comparison is undefined")
+    # every leading term before any count: an overflowing one refuses
+    # before a count is certified or made at any grid point
+    leading = [weyl_leading_term(spec.dimension_n, spec.volume, lam)
+               for lam in grid]
     rows = []
-    for lam in grid:
-        count = _count(spec, generic, k_max, lam)
-        leading = weyl_leading_term(spec.dimension_n, spec.volume, lam)
-        rows.append({"count": count, "lambda": lam, "leading_term": leading,
-                     "ratio": count / leading})
+    for lam, term in zip(grid, leading):
+        count = _count(spec, runs, k_max, lam)
+        try:
+            ratio = count / term
+        except OverflowError:  # an int count beyond the double range
+            ratio = math.inf
+        if ratio == math.inf:
+            raise DomainError(f"Weyl count at lambda = {lam!r}: the ratio "
+                              "count / leading term overflows a double")
+        rows.append({"count": count, "lambda": lam, "leading_term": term,
+                     "ratio": ratio})
     trunc = _truncation(spec, k_max, lam_max)
     if args.format == "json":
         _emit(_json_text({"rows": rows, "truncation": {

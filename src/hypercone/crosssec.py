@@ -15,10 +15,11 @@ import enum
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -50,7 +51,8 @@ def _check_mode(mu_sq, multiplicity, mu_sq_exact) -> None:
         raise ValidationError(f"mu_sq must be a finite number, got {mu_sq!r}")
     if mu_sq < 0:
         raise ValidationError(f"mu_sq must be >= 0, got {mu_sq}")
-    if not isinstance(multiplicity, int) or multiplicity < 1:
+    # type(), not isinstance(): a bool is an int but no multiplicity
+    if type(multiplicity) is not int or multiplicity < 1:
         raise ValidationError(
             f"multiplicity must be an integer >= 1, got {multiplicity!r}")
     if mu_sq_exact is not None:
@@ -87,33 +89,91 @@ class Mode:
         _check_mode(self.mu_sq, self.multiplicity, self.mu_sq_exact)
 
 
-@dataclass
+class _Run(NamedTuple):
+    """The modes j = 0..j_max of a generated exact spectrum, an arithmetic
+    run: s_j = (n-1)/2 + j * step with step = a/b in lowest terms, so
+    mu_j^2 = s_j^2 - ((n-1)/2)^2, and multiplicity 1 at j = 0 and
+    C(n+j, n) - C(n+j-2, n) after.  A circle of radius rho is n = 1 with
+    step 1/rho; a round n-sphere (n >= 2) has step 1, so every s_j is an
+    integer for odd n and every one is half-odd, excluded, for even n."""
+
+    n: int
+    step: _Ratio
+    j_max: int
+
+    def mu_sq(self, j: int) -> Fraction:
+        a, b = self.step
+        return Fraction(j * a * (j * a + (self.n - 1) * b), b * b)
+
+    def first_overflow(self) -> int | None:
+        # the first j whose float mu_j^2 overflows a double, by bisection
+        # (mu_j^2 grows with j), or None when the last one fits
+        def fits(j: int) -> bool:
+            mu_sq = self.mu_sq(j)
+            try:
+                mu_sq.numerator / mu_sq.denominator
+            except OverflowError:
+                return False
+            return True
+        if fits(self.j_max):
+            return None
+        lo, hi = 0, self.j_max  # mu_0^2 = 0 fits, mu_hi^2 does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        return hi
+
+    def modes(self) -> list[Mode]:
+        n, modes = self.n, []
+        for j in range(self.j_max + 1):
+            exact = self.mu_sq(j)
+            m = 1 if j == 0 else math.comb(n + j, n) - math.comb(n + j - 2, n)
+            modes.append(Mode(exact.numerator / exact.denominator, m, exact,
+                              j))
+        return modes
+
+
 class SpectrumSpec:
     """A truncated cross-section spectrum: dimension n, sorted modes, volume.
 
     source records provenance: 'sphere', 'circle', or 'file'.  volume is
     optional for file spectra (the Weyl comparison then refuses to run).
+    modes is the sorted Mode list, or the _Run of a generated exact
+    spectrum (kept as run), whose list is built when modes is first read:
+    a count reads the run alone.
     """
 
-    dimension_n: int
-    modes: list[Mode]
-    volume: float | None
-    source: str
-
-    def __post_init__(self):
-        _integer(self.dimension_n, "dimension n", InvalidDimension, 1)
-        for i in range(len(self.modes) - 1):
-            if self.modes[i].mu_sq > self.modes[i + 1].mu_sq:
+    def __init__(self, dimension_n: int, modes: list[Mode] | _Run,
+                 volume: float | None, source: str):
+        _integer(dimension_n, "dimension n", InvalidDimension, 1)
+        self.dimension_n, self.volume = dimension_n, volume
+        self.source = source
+        self.run: _Run | None = None
+        self._modes: list[Mode] | None = None
+        if isinstance(modes, _Run):
+            self.run = modes
+            return
+        for i in range(len(modes) - 1):
+            if modes[i].mu_sq > modes[i + 1].mu_sq:
                 raise ValidationError("modes must be sorted by mu_sq ascending")
+        self._modes = modes
+
+    @property
+    def modes(self) -> list[Mode]:
+        if self._modes is None:
+            self._modes = self.run.modes()
+        return self._modes
 
 
 def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
     """Round unit n-sphere: mu_j^2 = j(j+n-1) with the standard spherical
-    harmonic multiplicities, for j = 0..j_max.  n = 1 delegates to the
-    circle of radius 1.  The volume 2 pi^((n+1)/2) / Gamma((n+1)/2) is
-    formed directly up to n = 342 and from logarithms beyond, where
+    harmonic multiplicities, for j = 0..j_max, as one arithmetic run whose
+    modes are built when first read.  n = 1 delegates to the circle of
+    radius 1.  The volume 2 pi^((n+1)/2) / Gamma((n+1)/2) is formed
+    directly up to n = 342 and from logarithms beyond, where
     Gamma((n+1)/2) overflows a double; from n = 438, where the volume is
-    below the smallest normal double, raises DomainError."""
+    below the smallest normal double, raises DomainError, and so does a
+    j_max whose mu_j^2 overflows a double."""
     n = _integer(n, "sphere dimension n", InvalidDimension, 1)
     j_max = _integer(j_max, "j_max", ValidationError, 0)
     if n == 1:
@@ -130,15 +190,12 @@ def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
         raise DomainError(f"sphere volume for n = {n}: 2 pi^((n+1)/2) / "
                           "Gamma((n+1)/2) is below the smallest normal "
                           "double")
-    modes = []
-    for j in range(j_max + 1):
-        mu = j * (j + n - 1)
-        if j == 0:
-            m = 1
-        else:
-            m = math.comb(n + j, n) - math.comb(n + j - 2, n)
-        modes.append(Mode(float(mu), m, Fraction(mu), j))
-    return SpectrumSpec(n, modes, vol, "sphere")
+    run = _Run(n, (1, 1), j_max)
+    j = run.first_overflow()
+    if j is not None:
+        raise DomainError(f"sphere modes for n = {n}: mu_j^2 = j(j+n-1) "
+                          f"overflows a double at j = {j}")
+    return SpectrumSpec(n, run, vol, "sphere")
 
 
 def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
@@ -146,14 +203,15 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
     j = 0 and 2 for j >= 1, volume 2*pi*rho.
 
     Exact rational tracking requires an exactly-known radius: pass an int,
-    Fraction, or string ("1/3", "0.5").  A float radius is taken at face
-    value and produces a float-only spectrum.  An exact radius beyond the
-    double range, or a positive one below it (its float is 0), raises
-    InvalidRadius; one whose volume, or a mode's mu_j^2, overflows a double
-    raises DomainError.
+    Fraction, or string ("1/3", "0.5"); the spectrum is then one arithmetic
+    run whose modes are built when first read.  A float radius is taken at
+    face value and produces a float-only spectrum.  An exact radius beyond
+    the double range, or a positive one below it (its float is 0), raises
+    InvalidRadius, and so does a bool; one whose volume, or a mode's
+    mu_j^2, overflows a double raises DomainError.
     """
     exact_rho = None
-    if isinstance(rho, (int, Fraction, str)):
+    if isinstance(rho, (int, Fraction, str)) and not isinstance(rho, bool):
         try:
             exact_rho = Fraction(rho)
         except (ValueError, ZeroDivisionError) as e:
@@ -178,21 +236,23 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
     if vol == math.inf:
         raise DomainError(f"circle volume for rho = {rho!r}: 2*pi*rho "
                           "overflows a double")
+
+    def overflow(j: int) -> DomainError:
+        return DomainError(f"circle modes for rho = {rho!r}: mu_j^2 = "
+                           f"j^2/rho^2 overflows a double at j = {j}")
+    if exact_rho is not None:
+        run = _Run(1, (exact_rho.denominator, exact_rho.numerator), j_max)
+        j = run.first_overflow()
+        if j is not None:
+            raise overflow(j)
+        return SpectrumSpec(1, run, vol, "circle")
     modes = []
     for j in range(j_max + 1):
         try:
-            if exact_rho is not None:
-                # mu_j^2 = (j * den / num)^2 for rho = num/den: one Fraction
-                exact = Fraction((j * exact_rho.denominator) ** 2,
-                                 exact_rho.numerator ** 2)
-                mu = exact.numerator / exact.denominator
-            else:
-                exact, mu = None, (j / rho_f) ** 2
+            mu = (j / rho_f) ** 2
         except OverflowError:
-            raise DomainError(f"circle modes for rho = {rho!r}: mu_j^2 = "
-                              f"j^2/rho^2 overflows a double at j = {j}"
-                              ) from None
-        modes.append(Mode(mu, 1 if j == 0 else 2, exact, j))
+            raise overflow(j) from None
+        modes.append(Mode(mu, 1 if j == 0 else 2, None, j))
     return SpectrumSpec(1, modes, vol, "circle")
 
 

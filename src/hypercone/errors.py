@@ -5,19 +5,21 @@ Numerical code here never returns inf/nan to signal trouble; every failure
 mode has a named exception so callers (and the CLI exit-code map) can react
 to the cause rather than parsing messages.
 
-An argument is read by _real, _integer or _complex, given its name and the
-class it raises, and the caller goes on with the converted value.  A real
-is a numbers.Real, not a bool, that converts to a finite float in its
-interval, written with each end open or closed ("(0, 1]"); an integer is
-an int, not a bool, at or above its floor; a complex is a numbers.Number,
-not a bool, with finite parts.  Anything else raises the class with the
-message "<name> must be <a real in (0, 1] | an integer in [1, inf) | a
-finite complex>, got <repr>".
+An argument is read by _real, _integer, _complex or _rational, given its
+name and the class it raises, and the caller goes on with the converted
+value.  A real is a numbers.Real, not a bool, that converts to a finite
+float in its interval, written with each end open or closed ("(0, 1]"); an
+integer is an int, not a bool, at or above its floor; a complex is a
+numbers.Number, not a bool, with finite parts; a rational is an int, not a
+bool, or a Fraction.  Anything else raises the class with the message
+"<name> must be <a real in (0, 1] | an integer in [1, inf) | a finite
+complex | an exact rational>, got <repr>".
 """
 
 import cmath
 import math
 import numbers
+from fractions import Fraction
 
 
 class HyperconeError(Exception):
@@ -140,3 +142,13 @@ def _complex(value, name: str, error: type[HyperconeError]) -> complex:
         if cmath.isfinite(z):
             return z
     raise error(f"{name} must be a finite complex, got {value!r}")
+
+
+def _rational(value, name: str, error: type[HyperconeError]) -> Fraction:
+    """value as a Fraction, from an int or a Fraction only: a float is
+    already rounded, so it is not read as exact."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise error(f"{name} must be an exact rational, got {value!r}")

@@ -33,6 +33,7 @@ from .crosssec import (
     _half_odd,
     _near_half_odd,
     _Ratio,
+    _Run,
     _s_data,
 )
 from .errors import (
@@ -44,6 +45,7 @@ from .errors import (
     ValidationError,
     _complex,
     _integer,
+    _rational,
     _real,
 )
 
@@ -135,11 +137,18 @@ def hypergeom_params(n: int, mode: Mode, lam: complex, *,
     i*lambda is carried exactly when lambda is purely imaginary: any float
     imaginary part is itself a rational, so Re(lambda) == 0 is enough; an
     explicit lam_im_exact (must match to 1e-12) can also be supplied.
-    A lambda that is not a finite complex raises DomainError.
+    A lambda that is not a finite complex, or a lam_im_exact that is not an
+    int or a Fraction, raises DomainError.
     """
     lam = _complex(lam, "lambda", DomainError)
     if lam_im_exact is not None:
-        if abs(lam.imag - float(lam_im_exact)) > 1e-12 * (1.0 + abs(lam.imag)):
+        lam_im_exact = _rational(lam_im_exact, "lam_im_exact", DomainError)
+        try:
+            err = abs(lam.imag - lam_im_exact.numerator
+                      / lam_im_exact.denominator)
+        except OverflowError:  # beyond the double range: lam cannot match
+            err = math.inf
+        if err > 1e-12 * (1.0 + abs(lam.imag)):
             raise InconsistentParams(
                 f"lam_im_exact = {lam_im_exact} disagrees with lam = {lam}")
         if lam.real != 0.0:
@@ -334,9 +343,21 @@ def _count_le(value: float, root: _Ratio | None, sq: _Ratio | None,
     return k + 1
 
 
+def _run_line(run: _Run, bound: _Bound) -> tuple[int, int, int]:
+    # (c, a, m) with 1/2 + k + s_j <= L iff k <= (c - a j) / m for the
+    # modes of run: s_j = ((n-1) sb + 2 sa j) / (2 sb) for step sa/sb
+    sa, sb = run.step
+    return (2 * sb * bound.p - (run.n - 1) * sb * bound.q, 2 * sa * bound.q,
+            2 * sb * bound.q)
+
+
 def _truncation_covers(spec: SpectrumSpec, k_max: int,
                        bound: _Bound) -> bool:
-    # modes past the last listed one and orders past k_max all lie above bound
+    # modes past the last listed one and orders past k_max all lie above
+    # bound: a run's ends are read off its line
+    if spec.run is not None:
+        c, a, m = _run_line(spec.run, bound)
+        return c < a * spec.run.j_max and c < k_max * m
     modes = spec.modes
     if not modes:
         return True
@@ -345,12 +366,23 @@ def _truncation_covers(spec: SpectrumSpec, k_max: int,
             and _count_le(*_s_data(n, modes[0]), k_max, bound) <= k_max)
 
 
+def _last_label(spec: SpectrumSpec) -> int:
+    if spec.run is not None:
+        return spec.run.j_max
+    return spec.modes[-1].label if spec.modes else -1
+
+
 def _certify(spec: SpectrumSpec, k_max: int, bound: _Bound) -> None:
     # the one refusal of a truncation that cannot certify completeness
     if not _truncation_covers(spec, k_max, bound):
         raise TruncationInsufficient(
-            f"truncation (j_max = {spec.modes[-1].label}, k_max = {k_max}) "
+            f"truncation (j_max = {_last_label(spec)}, k_max = {k_max}) "
             f"cannot certify completeness up to lambda = {bound.value}")
+
+
+def _limits(k_max: int, bound: float) -> None:
+    _integer(k_max, "k_max", ValidationError, 0)
+    _real(bound, "lambda bound", ValidationError, "[0, inf)")
 
 
 def _scan(spec: SpectrumSpec, k_max: int, bound: float) -> list[_Generic]:
@@ -363,8 +395,7 @@ def _scan(spec: SpectrumSpec, k_max: int, bound: float) -> list[_Generic]:
     by the same _near_half_odd.  Raises UndecidableMembership at the first
     float-only mode within _LATTICE_TOL of the half-odd-integer lattice.
     """
-    _integer(k_max, "k_max", ValidationError, 0)
-    _real(bound, "lambda bound", ValidationError, "[0, inf)")
+    _limits(k_max, bound)
     n = spec.dimension_n
     generic = []
     for mode in spec.modes:
@@ -379,10 +410,20 @@ def _scan(spec: SpectrumSpec, k_max: int, bound: float) -> list[_Generic]:
     return generic
 
 
+def _runs(spec: SpectrumSpec, k_max: int, bound: float) -> list:
+    """_scan for a count, which reads runs of modes: a generated exact
+    spectrum is its one run, or none when an even sphere's run is excluded
+    whole, and its modes are never built; any other spectrum gives its
+    generic modes as _scan does, each a run of one."""
+    if spec.run is None:
+        return _scan(spec, k_max, bound)
+    _limits(k_max, bound)
+    return [] if spec.run.n % 2 == 0 else [spec.run]
+
+
 def _truncation(spec: SpectrumSpec, k_max: int,
                 lambda_max: float) -> Truncation:
-    return Truncation(spec.modes[-1].label if spec.modes else -1, k_max,
-                      float(lambda_max))
+    return Truncation(_last_label(spec), k_max, float(lambda_max))
 
 
 class _Walk(NamedTuple):
@@ -569,15 +610,84 @@ def enumerate_resonances(spec: SpectrumSpec, k_max: int,
                         spec, exact)
 
 
-def _count(spec: SpectrumSpec, generic: list[_Generic], k_max: int,
-           bound: float) -> int:
-    """count_resonances after its scan, so a caller with many bounds up to
-    the scanned one scans the spectrum once.
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a i + b) / m) over i = 0..n-1, for n, a, b >= 0 and
+    m >= 1, in O(log m) exact integer steps: the Euclid-like reduction of
+    Graham, Knuth and Patashnik, Concrete Mathematics, section 3.5."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _floor_run(n: int, m: int, a: int, c: int, k_max: int) -> int:
+    """Sum over t = 0..n-1 of #{k in 0..k_max : k <= (c - a t) / m}, for
+    a, m >= 1: k_max + 1 up to the last t with c - a t >= k_max m (one
+    capped prefix), then floor((c - a t) / m) + 1 down to the last t with
+    c - a t >= 0 (one floor sum, read backwards from there), then 0."""
+    cap = max(-1, min(n - 1, (c - k_max * m) // a))
+    last = max(-1, min(n - 1, c // a))
+    tail = last - cap
+    return ((cap + 1) * (k_max + 1)
+            + (tail + _floor_sum(tail, m, a, c - a * last) if tail else 0))
+
+
+def _run_count(run: _Run, k_max: int, bound: _Bound) -> int:
+    """m_j * #{k in 0..k_max : 1/2 + k + s_j <= L} summed over the generic
+    modes of run, in closed form.
+
+    A circle (n = 1, multiplicity 1 at j = 0 and 2 after) takes a floor
+    run over every j, less one over its excluded j: for step sa/sb with sb
+    = 2h even, s_j is half-odd at j = h(2t + 1).  An odd sphere (step 1,
+    s_j = j + (n-1)/2) has d = floor(L - 1/2 - s_0) and cumulative
+    multiplicity M(t) = C(n+t, n) + C(n+t-1, n) over j <= t, with
+    S(t) = sum_{u <= t} M(u) = C(n+t+1, n+1) + C(n+t, n+1); its modes up
+    to lo = min(j_max, d - k_max) have k_max + 1 positions each and those
+    up to hi = min(j_max, d) have d - j + 1, so the count is
+    (k_max + 1) M(lo) + S(hi) - S(lo) + (d - hi) M(hi) - (d - lo) M(lo).
+    """
+    c, a, m = _run_line(run, bound)
+    n, j_max = run.n, run.j_max
+    if n == 1:
+        total = (2 * _floor_run(j_max + 1, m, a, c, k_max)
+                 - _floor_run(1, m, a, c, k_max))
+        h, odd = divmod(run.step[1], 2)
+        if not odd:
+            total -= 2 * _floor_run((j_max // h + 1) // 2, m, 2 * a * h,
+                                    c - a * h, k_max)
+        return total
+
+    def cum(t: int) -> int:
+        return math.comb(n + t, n) + math.comb(n + t - 1, n)
+
+    def cum2(t: int) -> int:
+        return math.comb(n + t + 1, n + 1) + math.comb(n + t, n + 1)
+    d = c // m
+    lo = max(-1, min(j_max, d - k_max))
+    hi = max(-1, min(j_max, d))
+    return ((k_max + 1) * cum(lo) + cum2(hi) - cum2(lo)
+            + (d - hi) * cum(hi) - (d - lo) * cum(lo))
+
+
+def _count(spec: SpectrumSpec, runs: list, k_max: int, bound: float) -> int:
+    """count_resonances after its runs are read (_runs), so a caller with
+    many bounds up to the scanned one scans the spectrum once.
 
     The bound is prepared once (_bound) for the certificate and for every
-    mode's _count_le.  The walk stops at the first generic mode whose float
-    s exceeds L - 1/2 by more than _STOP_GAP * (L + 1/2): modes come sorted
-    by float mu^2, and a mode's float and exact mu^2 differ by at most
+    run.  A generated exact spectrum's run is counted in closed form
+    (_run_count).  Otherwise every run is one generic mode, decided by
+    _count_le, and the walk stops at the first whose float s exceeds
+    L - 1/2 by more than _STOP_GAP * (L + 1/2): modes come sorted by float
+    mu^2, and a mode's float and exact mu^2 differ by at most
     1e-15 (1 + mu^2) (crosssec._check_mode), so a later mode's s is at
     least this one's less 6e-8 (1 + s), and neither this mode nor any
     later one has a position at or below L.  Modes short of the stop, those
@@ -586,9 +696,11 @@ def _count(spec: SpectrumSpec, generic: list[_Generic], k_max: int,
     """
     prepared = _bound(bound)
     _certify(spec, k_max, prepared)
+    if spec.run is not None:
+        return sum(_run_count(run, k_max, prepared) for run in runs)
     stop = bound - 0.5 + _STOP_GAP * (bound + 0.5)
     total = 0
-    for mode, value, root, sq in generic:
+    for mode, value, root, sq in runs:
         if value > stop:
             break
         total += mode.multiplicity * _count_le(value, root, sq, k_max,
@@ -600,15 +712,17 @@ def count_resonances(spec: SpectrumSpec, k_max: int, bound: float) -> int:
     """Number of resonances (with multiplicity) of modulus <= bound from the
     truncated spectrum, k = 0..k_max, without listing them.
 
-    Each generic mode adds m_j * #{k : 1/2 + k + s_j <= bound}, so every
-    (j, k) pair is decided on its own, as exactly as its s allows; the
-    modes past the one where _count stops add 0 untested.  Raises
-    UndecidableMembership if any mode's genericity is unknown_float, and
-    TruncationInsufficient when the last listed mode or k_max cannot certify
-    completeness up to the bound (the rule of ResonanceSet.complete_up_to).
+    Each generic mode adds m_j * #{k : 1/2 + k + s_j <= bound}: in closed
+    form over a generated exact spectrum, whose modes are not built, and
+    otherwise with every (j, k) pair decided on its own, as exactly as its
+    s allows, the modes past the one where _count stops adding 0 untested.
+    Raises UndecidableMembership if any mode's genericity is unknown_float,
+    and TruncationInsufficient when the last listed mode or k_max cannot
+    certify completeness up to the bound (the rule of
+    ResonanceSet.complete_up_to).
     """
     bound = _real(bound, "lambda bound", ValidationError, "[0, inf)")
-    return _count(spec, _scan(spec, k_max, bound), k_max, bound)
+    return _count(spec, _runs(spec, k_max, bound), k_max, bound)
 
 
 def weyl_count(rset: ResonanceSet, lambda_bound: float) -> int:

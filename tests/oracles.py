@@ -17,8 +17,9 @@ from operator import itemgetter, mul
 
 import mpmath as mp
 
-from hypercone.crosssec import _LATTICE_TOL
-from hypercone.resonances import _bound, _count_le
+from hypercone.crosssec import _LATTICE_TOL, _s_data
+from hypercone.errors import TruncationInsufficient
+from hypercone.resonances import _bound, _count_le, _scan
 
 
 def oracle_ln_gamma(z, dps: int = 40):
@@ -201,6 +202,24 @@ def brute_force_count(n: int, modes, k_max: int, bound: float) -> int:
                 if mp.mpf(bound) - (mp.mpf(1) / 2 + k + s) > -tiny:
                     total += mult
     return total
+
+
+def reference_count(spec, k_max: int, bound: float) -> int:
+    """count_resonances as a walk over every mode of spec.modes: the
+    certificate reads the first and the last mode, and each generic mode
+    (resonances._scan) adds its multiplicity times its own position test
+    (resonances._count_le), with no early stop.  Raises
+    TruncationInsufficient where the certificate fails, as the library
+    does; spectra of any length are walked one mode at a time."""
+    generic = _scan(spec, k_max, bound)
+    prepared = _bound(bound)
+    modes, n = spec.modes, spec.dimension_n
+    if modes and not (
+            _count_le(*_s_data(n, modes[-1]), 0, prepared) == 0
+            and _count_le(*_s_data(n, modes[0]), k_max, prepared) <= k_max):
+        raise TruncationInsufficient(f"cannot certify up to {bound}")
+    return sum(mode.multiplicity * _count_le(value, root, sq, k_max, prepared)
+               for mode, value, root, sq in generic)
 
 
 def oracle_weyl_leading_term(n: int, vol_y: float, lam: float,

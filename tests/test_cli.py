@@ -14,6 +14,7 @@ import numbers
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -801,15 +802,65 @@ class TestWeyl:
         assert 4.5498e-197 < row["leading_term"] < 4.5499e-197
 
 
+class TestWeylBoundedWork:
+    """weyl over a generated spectrum counts each run in closed form, so
+    its work does not grow with the bound; every leading term is formed
+    before any count, and a count or ratio no double holds is refused."""
+
+    def test_counts_past_any_mode_walk(self):
+        # the unit circle counts (D + 1)^2 with D = floor(L - 1/2): at
+        # 1e150 that is 1e300, and the count has 301 digits
+        rc, out, err = run("weyl", "--circle", "1", "--lambda-grid", "1e150")
+        assert (rc, err) == (0, "")
+        data = json.loads(out)
+        d = math.floor(Fraction(1e150) - Fraction(1, 2))
+        assert data["rows"][0]["count"] == (d + 1) ** 2
+        assert abs(data["rows"][0]["ratio"] - 1.0) <= 1e-12
+        assert data["truncation"]["j_max"] == int(1e150) + 1
+        # the term (and the top mode's mu^2) overflows a double
+        rc, out, err = run("weyl", "--circle", "1", "--lambda-grid", "1e300")
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+
+    def test_leading_terms_before_any_count(self):
+        # the term at 1e300 overflows: refused before j_max = 2 is found
+        # unable to certify the first grid point, once exit 3
+        rc, out, err = run("weyl", "--circle", "1", "--jmax", "2",
+                           "--lambda-grid", "5,1e300")
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert "Weyl leading term for n = 1 at lambda = 1e+300" in err
+
+    @pytest.mark.parametrize("m,volume", [(10 ** 400, 1.0),
+                                          (10 ** 300, 1e-300)],
+                             ids=["count", "ratio"])
+    def test_count_beyond_double_range(self, tmp_path, m, volume):
+        # a multiplicity of 10^400 makes a count no double holds, and one
+        # of 10^300 over a volume of 1e-300 a ratio that overflows: each is
+        # refused naming lambda, not an untyped OverflowError
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 1, "volume": volume, "modes": [
+            {"mu_sq": 1.0, "mu_sq_exact": "1", "m": m},
+            {"mu_sq": 100.0, "mu_sq_exact": "100", "m": 1}]}),
+            encoding="utf-8")
+        rc, out, err = run("weyl", "--file", str(path), "--lambda-grid", "2")
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert "Weyl count at lambda = 2.0" in err
+
+
 class TestLatticeWorkCounts:
     """Work per weyl run on fixed inputs, counted with monkeypatched
-    counters: no Fraction goes through numbers.Rational.__float__, each
-    bound's count makes a position test for the modes with a position at
-    or below it and those in the sliver just past it (at most one more),
-    beside the certificate's two, and each mode is checked once."""
+    counters: no Fraction goes through numbers.Rational.__float__.  A
+    generated spectrum is counted by its arithmetic run, so no Mode is
+    built or checked and no position is tested one mode at a time.  Over a
+    file, each bound's count makes a position test for the modes with a
+    position at or below it and those in the sliver just past it (at most
+    one more), beside the certificate's two, and each mode is checked
+    once."""
 
-    GRIDS = {"circle": (["--circle", "3/2"], "2,5.5,9.25", [3, 8, 14]),
-             "sphere": (["--sphere", "3"], "3.3,7.5,12.6", [2, 7, 12]),
+    GRIDS = {"circle": (["--circle", "3/2"], "2,5.5,9.25", [6, 48, 131]),
+             "sphere": (["--sphere", "3"], "3.3,7.5,12.6", [6, 336, 2366]),
              "surd": (None, "4.2,8.7,12.1", [4, 8, 12])}
 
     @pytest.fixture
@@ -851,10 +902,13 @@ class TestLatticeWorkCounts:
         rc, out, err = run("weyl", *source, "--lambda-grid", grid)
         assert (rc, err) == (0, "")
         assert work["float"] == 0
+        if source[0] != "--file":
+            # pinned are the counts (tests/oracles.py reference_count)
+            assert (work["check"], work["tests"]) == (0, {})
+            assert [row["count"] for row in json.loads(out)["rows"]] == pinned
+            return
         checks = work["check"]
-        spec = (load_spectrum(source[1]) if source[0] == "--file"
-                else circle_spectrum(source[1], 15) if kind == "circle"
-                else sphere_spectrum(3, 14))
+        spec = load_spectrum(source[1])
         assert checks == len(spec.modes)
         bounds = [float(b) for b in grid.split(",")]
         values = [value for _, value, _, _ in _scan(spec, 0, bounds[-1])]

@@ -1,17 +1,19 @@
 """The typed-error contract at the package surface: a public entry point
-reads each numeric argument by one rule (errors._real, _integer and
-_complex), so a non-finite value, a complex one where a real is read, and a
-string, None, a list or a bool all raise the argument's own HyperconeError
-naming it, never an untyped error or a nan, and every exported name
-resolves."""
+reads each numeric argument by one rule (errors._real, _integer, _complex
+and _rational), so a non-finite value, a complex one where a real is
+read, and a string, None, a list or a bool all raise the argument's own
+HyperconeError naming it, never an untyped error or a nan, and every
+exported name resolves."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 import hypercone
 from hypercone import (
     DomainError,
+    InconsistentParams,
     InvalidDimension,
     Mode,
     QuadratureControl,
@@ -197,6 +199,30 @@ def test_malformed_argument_is_typed_error(entry, value):
     call, error, names = ENTRY_POINTS[entry]
     with pytest.raises(error, match=names):
         call(value)
+
+
+@pytest.mark.parametrize("value", ["x", math.nan, math.inf, 1.5, 2.0, True,
+                                   False, complex(1.5, 0.0), [1]], ids=repr)
+def test_lam_im_exact_is_an_exact_rational(value):
+    # lam_im_exact is carried into the exact lattice forms: a float, even a
+    # whole one, is refused along with a string, nan or a bool, never
+    # reaching classify_pole as a float (AttributeError) or raising
+    # ValueError
+    with pytest.raises(DomainError, match="lam_im_exact must be"):
+        hypergeom_params(1, Mode(1.0, 1, Fraction(1)), 1.5j,
+                         lam_im_exact=value)
+
+
+def test_lam_im_exact_reads_ints_and_fractions():
+    mode = Mode(1.0, 1, Fraction(1))
+    for lam, value in ((2j, 2), (2j, Fraction(2)), (-1.5j, Fraction(-3, 2))):
+        p = hypergeom_params(1, mode, lam, lam_im_exact=value)
+        assert p.a_sym == hypergeom_params(1, mode, lam).a_sym
+        assert p.a_sym[0] == Fraction(1, 2) + value
+    # one beyond the double range cannot match lambda: refused as such,
+    # not by an untyped OverflowError
+    with pytest.raises(InconsistentParams, match="disagrees"):
+        hypergeom_params(1, mode, 2j, lam_im_exact=Fraction(10 ** 400))
 
 
 def test_exported_names():

@@ -27,6 +27,7 @@ from hypercone import (
     spectrum_to_dict,
     sphere_spectrum,
 )
+from hypercone import crosssec
 
 from oracles import sphere_multiplicity
 
@@ -140,6 +141,29 @@ class TestCircleSpectrum:
             with pytest.raises(InvalidRadius):
                 circle_spectrum(bad, 2)
 
+    def test_bool_radius(self):
+        # a bool is an int, but no radius: True once built the unit circle
+        for bad in (True, False):
+            with pytest.raises(InvalidRadius, match="type bool"):
+                circle_spectrum(bad, 2)
+
+    def test_modes_built_on_first_read(self, monkeypatch):
+        # an exact circle or a sphere is one arithmetic run: no Mode until
+        # .modes is read, and the list then equals the one built directly
+        built = []
+        check = crosssec._check_mode
+        monkeypatch.setattr(crosssec, "_check_mode",
+                            lambda *args: built.append(args) or check(*args))
+        circle, sphere = circle_spectrum("2/3", 9), sphere_spectrum(5, 7)
+        assert built == []
+        assert circle.modes == [
+            Mode(float(Fraction(9 * j * j, 4)), 1 if j == 0 else 2,
+                 Fraction(9 * j * j, 4), j) for j in range(10)]
+        assert sphere.modes == [
+            Mode(float(j * (j + 4)), sphere_multiplicity(5, j),
+                 Fraction(j * (j + 4)), j) for j in range(8)]
+        assert circle.modes is circle.modes
+
     def test_volume_overflow(self):
         # 2*pi*rho overflows a double for a finite rho: a typed refusal
         # naming rho; just below, the volume is the same product
@@ -180,6 +204,11 @@ class TestCircleSpectrum:
 
 
 class TestModeValidation:
+    def test_bool_multiplicity(self):
+        for bad in (True, False):
+            with pytest.raises(ValidationError, match="multiplicity"):
+                Mode(1.0, bad)
+
     def test_negative_mu_sq(self):
         with pytest.raises(ValidationError):
             Mode(mu_sq=-1.0, multiplicity=1)

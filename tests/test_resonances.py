@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hypercone import (
@@ -49,6 +49,7 @@ from oracles import (
     brute_force_count,
     brute_force_sphere,
     oracle_weyl_leading_term,
+    reference_count,
     reference_listing,
     sphere_multiplicity,
 )
@@ -828,3 +829,128 @@ class TestCountResonances:
             count_resonances(circle_spectrum(1, 3), -1, 2.0)
         with pytest.raises(ValidationError):
             count_resonances(circle_spectrum(1, 3), 3, -1.0)
+
+
+def _run_position(n: int, rho: Fraction, j: int, k: int) -> Fraction:
+    # 1/2 + k + s_j on a circle of radius rho (n = 1) or a round n-sphere
+    return Fraction(1, 2) + k + (j / rho if n == 1
+                                 else Fraction(2 * j + n - 1, 2))
+
+
+def _outcome(count, spec, k_max, bound):
+    # the count, or "refused" where the truncation cannot certify it
+    try:
+        return count(spec, k_max, bound)
+    except TruncationInsufficient:
+        return "refused"
+
+
+class TestRunCounts:
+    """Counts over generated spectra, made in closed form per arithmetic run
+    with no Mode built, against the per-mode walk kept as the oracle
+    (oracles.reference_count), through weyl and count_resonances alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["circle", "circle", "odd sphere",
+                                 "even sphere"]),
+           a=st.integers(1, 12), b=st.integers(1, 12),
+           n=st.sampled_from([3, 5, 7, 9]),
+           probes=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14),
+                                     st.sampled_from(PLACES)),
+                           min_size=1, max_size=3),
+           j_shift=st.none() | st.integers(-3, 3),
+           k_max=st.none() | st.integers(0, 10))
+    # even num: bounds on and below an excluded mode's position (s = 3/2)
+    @example(kind="circle", a=2, b=3, n=3, probes=[(1, 0, "on"),
+                                                    (1, 2, "below")],
+             j_shift=None, k_max=None)
+    @example(kind="circle", a=12, b=5, n=3, probes=[(6, 1, "between")],
+             j_shift=None, k_max=0)
+    @example(kind="circle", a=4, b=1, n=3, probes=[(9, 3, "on")],
+             j_shift=-2, k_max=None)
+    @example(kind="even sphere", a=1, b=1, n=5, probes=[(2, 1, "on")],
+             j_shift=-3, k_max=0)
+    def test_weyl_matches_mode_walk(self, kind, a, b, n, probes, j_shift,
+                                    k_max):
+        rho = Fraction(a, b)
+        n = {"circle": 1, "odd sphere": n, "even sphere": n - 1}[kind]
+        # positions lie on 1/2 + (n-1)/2 + Z/num: "between" is halfway
+        gap = Fraction(1, 2 * rho.numerator) if n == 1 else Fraction(1, 2)
+        grid = []
+        for j, k, place in probes:
+            t = _run_position(n, rho, j, k)
+            if place == "between":
+                grid.append(float(t + gap))
+            else:
+                grid.append(_bound_at(float(t), place))
+        top = max(grid)
+        if n == 1:
+            j_max = math.ceil(rho * Fraction(top)) + 1
+            source = ["--circle", f"{rho.numerator}/{rho.denominator}"]
+        else:
+            j_max = math.ceil(top) + 1
+            source = ["--sphere", str(n)]
+        argv = ["weyl", *source, "--lambda-grid", ",".join(map(repr, grid))]
+        if j_shift is not None:
+            j_max = max(0, j_max + j_shift)
+            argv += ["--jmax", str(j_max)]
+        if k_max is None:
+            k_max = math.ceil(top) + 1
+        else:
+            argv += ["--kmax", str(k_max)]
+        spec = (circle_spectrum(rho, j_max) if n == 1
+                else sphere_spectrum(n, j_max))
+        rc, out, err = run_cli(*argv)
+        event(f"{kind}: exit {rc}")
+        if not _scan(spec, k_max, top):
+            assert n % 2 == 0 and out == "" and rc == 5
+            return
+        try:
+            want = [reference_count(spec, k_max, bound) for bound in grid]
+        except TruncationInsufficient:
+            assert out == "" and rc == 3 and err.startswith(
+                "error:truncation:")
+            return
+        assert (rc, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert [row["count"] for row in rows] == want
+        assert [count_resonances(spec, k_max, bound)
+                for bound in grid] == want
+
+    @pytest.mark.parametrize("rho", [Fraction(1), Fraction(2), Fraction(7, 3),
+                                     Fraction(6, 5), Fraction(12, 11),
+                                     Fraction(1, 12)])
+    def test_circle_far_bound(self, rho):
+        # hundreds of modes, each walked by the oracle
+        for bound in (300.0, 301.3, 517.25):
+            j_max = math.ceil(rho * Fraction(bound)) + 1
+            for k_max in (0, 7, math.ceil(bound) + 1):
+                spec = circle_spectrum(rho, j_max)
+                assert (_outcome(count_resonances, spec, k_max, bound)
+                        == _outcome(reference_count, spec, k_max, bound))
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_sphere_far_bound(self, n):
+        for bound in (200.0, 233.7):
+            for k_max in (0, 11, math.ceil(bound) + 1):
+                spec = sphere_spectrum(n, math.ceil(bound) + 1)
+                assert (_outcome(count_resonances, spec, k_max, bound)
+                        == _outcome(reference_count, spec, k_max, bound))
+
+    def test_closed_forms_beyond_any_walk(self):
+        # the unit circle counts (D + 1)^2 with D = floor(L - 1/2); the
+        # 3-sphere (m_j = (j + 1)^2, s_j = j + 1) counts
+        # sum_{i <= N} i^2 (N + 1 - i) = (N + 1) N(N+1)(2N+1)/6 - (N(N+1)/2)^2
+        # with N = floor(L - 3/2) + 1, when j_max and k_max reach past L
+        for bound in (1e6 + 0.25, 1e40, 1e150):
+            top = math.ceil(bound) + 1
+            d = math.floor(Fraction(bound) - Fraction(1, 2))
+            assert count_resonances(circle_spectrum(1, top), top,
+                                    bound) == (d + 1) ** 2
+        for bound in (1e6 + 0.25, 1e40, 1e75):
+            top = math.ceil(bound) + 1
+            big_n = math.floor(Fraction(bound) - Fraction(3, 2)) + 1
+            want = ((big_n + 1) * big_n * (big_n + 1) * (2 * big_n + 1) // 6
+                    - (big_n * (big_n + 1) // 2) ** 2)
+            assert count_resonances(sphere_spectrum(3, top), top,
+                                    bound) == want
