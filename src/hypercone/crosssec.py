@@ -248,10 +248,12 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
         return SpectrumSpec(1, run, vol, "circle")
     modes = []
     for j in range(j_max + 1):
-        try:
+        try:  # j / rho_f overflows to inf without an OverflowError
             mu = (j / rho_f) ** 2
         except OverflowError:
-            raise overflow(j) from None
+            mu = math.inf
+        if mu == math.inf:
+            raise overflow(j)
         modes.append(Mode(mu, 1 if j == 0 else 2, None, j))
     return SpectrumSpec(1, modes, vol, "circle")
 

@@ -24,17 +24,15 @@ so a grid point costs one Clenshaw sum per integral, and nearby points
 differ only by the smooth interpolant between them; that is what keeps
 finite-difference residual checks clean.
 
-Evaluation: g1 = Gamma(a)Gamma(b)F(a,b;c;z)/Gamma(c) and u2 = F(a,b;1+s;w)
-at w = 1 - sigma both solve the hypergeometric ODE (DLMF 15.10.1), in
-either half plane, and a kernel reads each from specfun's ODE continuation
-(_Ladder): one Horner sum per point, a list of points per read (the nodes
-of a quadrature level, or every point a check asks for).  g1's series seed
-carries the fused constant Gamma(a)Gamma(b)/Gamma(c).  At exact lattice
-parameters, where that constant meets a Gamma pole or zero, it is the limit
-taken along the lambda-direction, where (a, b, c) move at rates (1, 1, 2)
-(_lattice_limit, on the lattice indices classify_pole reads), and the seed
-at c = -C is that limit's polynomial head of degree at most C plus the tail
-z^(C+1) F(a+C+1, b+C+1; C+2; z) times its limit coefficient (DLMF 15.2.3).
+Evaluation: g1 = P F(a,b;c;z) and u2 = F(a,b;1+s;w) at w = 1 - sigma both
+solve the hypergeometric ODE (DLMF 15.10.1), in either half plane, and a
+kernel reads each from specfun's ODE continuation (_Ladder): one Horner sum
+per point, a list of points per read (the nodes of a quadrature level, or
+every point a check asks for).  g1's seed carries P whole, formed once as
+one sum of log-Gammas (_prefactor): Gamma(b) and Gamma(1+s) overflow apart
+past s = 171 while P stays moderate.  At exact lattice parameters, where P
+meets a Gamma pole or zero, it is its limit along lambda, and at c = -C the
+seed is a polynomial head plus the DLMF 15.2.3 tail (_lattice_seed).
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from .specfun import (
     _Ladder,
     _hyp2f1,
     _series_seed,
-    gamma,
     hyp2f1,
     is_nonpositive_integer,
     ln_gamma,
@@ -184,15 +181,17 @@ def u2(p: HypergeomParams, sigma: float) -> complex:
                    1.0 - sigma, sigma)
 
 
-def _lattice_limit(p: HypergeomParams, pole: type[Exception]):
-    """(coef, order, _lattice_indices(p)) with Gamma(a)Gamma(b)/Gamma(c) ~
-    coef delta^-order as lambda moves along its line through p, so that
-    (a, b, c) move by (delta, delta, 2 delta).
+def _prefactor(p: HypergeomParams, pole: type[Exception]):
+    """(log P, order, _lattice_indices(p), log t): the mode prefactor
+    P = Gamma(a)Gamma(b)/(Gamma(c)Gamma(1+s)) ~ exp(log P) delta^-order as
+    lambda moves along its line through p, so that (a, b, c) move by
+    (delta, delta, 2 delta), and at exact c = -C the log of _lattice_seed's
+    tail coefficient t = Gamma(a+k)Gamma(b+k)/(k! Gamma(1+s)), k = 1 - c.
 
     Each exact index x (a parameter symbolically -x) contributes the pole
     coefficient (-1)^x/(x! rate) of Gamma(-x + rate delta) and one order;
-    off the lattice order = 0 and coef is the quotient itself.  A float
-    parameter on a Gamma pole without exact data raises pole.
+    off the lattice order = 0.  A float parameter on a Gamma pole without
+    exact data raises pole.
     """
     ia, ib, ic = _lattice_indices(p)
 
@@ -207,21 +206,24 @@ def _lattice_limit(p: HypergeomParams, pole: type[Exception]):
     (la, oa), (lb, ob), (lc, oc) = (log_gamma(p.a, ia, 1.0),
                                     log_gamma(p.b, ib, 1.0),
                                     log_gamma(p.c, ic, 2.0))
-    return cmath.exp(la + lb - lc), oa + ob - oc, (ia, ib, ic)
+    ln_g1s, k = ln_gamma(1.0 + p.s), (ic or 0) + 1  # k = C + 1 at c = -C
+    log_t = None if ic is None else (ln_gamma(p.a + k) + ln_gamma(p.b + k)
+                                     - math.lgamma(k + 1) - ln_g1s)
+    return la + lb - lc - ln_g1s, oa + ob - oc, (ia, ib, ic), log_t
 
 
 def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
-    """W(u1, u2) = -Gamma(1+s)Gamma(c)/(Gamma(a)Gamma(b)) sigma^-c (1-sigma)^(-1-s).
+    """W(u1, u2) = -sigma^-c (1-sigma)^(-1-s) / P, one exponential of
+    -c log sigma - (1+s) log(1-sigma) - log P (_prefactor).
 
     At exact parameter points where a Gamma factor is singular the limit is
-    taken along lambda (_lattice_limit): W = 0 where Gamma(a)Gamma(b)/Gamma(c)
-    diverges (a genuine pole, u1 and u2 proportional), and ParameterPole is
-    raised where it vanishes, as the (u1, u2) basis then degenerates, or
-    where a float parameter sits on a Gamma pole without exact data.  A
-    value beyond the double range raises DomainError.
+    taken along lambda: W = 0 where P diverges (a genuine pole, u1 and u2
+    proportional), and ParameterPole is raised where it vanishes (the
+    (u1, u2) basis degenerates) or a float parameter sits on a Gamma pole
+    without exact data.  A W beyond the double range raises DomainError.
     """
     sigma = _real(sigma, "sigma", DomainError, "(0, 1)")
-    coef, order, _ = _lattice_limit(p, ParameterPole)
+    log_p, order, _, _ = _prefactor(p, ParameterPole)
     if order > 0:
         return 0.0 + 0.0j
     if order < 0:
@@ -229,15 +231,11 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
             f"Gamma(c) is singular at c = {p.c} and neither a nor b rescues "
             f"the limit; the (u1, u2) basis degenerates here")
     try:
-        pw = (cmath.exp(-p.c * math.log(sigma))
-              * (1.0 - sigma) ** (-1.0 - p.s))
-        w = -gamma(complex(1.0 + p.s)) * pw / coef
+        return -cmath.exp(-p.c * math.log(sigma)
+                          - (1.0 + p.s) * math.log(1.0 - sigma) - log_p)
     except OverflowError:
-        w = complex(math.inf)
-    if not cmath.isfinite(w):
         raise DomainError(f"the Wronskian at sigma = {sigma!r}, lambda = "
-                          f"{p.lam} exceeds the double range")
-    return w
+                          f"{p.lam} exceeds the double range") from None
 
 
 # -- the kernel functions ------------------------------------------------------
@@ -245,13 +243,12 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
 class _KernelData:
     """Per-(n, mode, lambda) evaluation state for the resolvent kernel.
 
-    g1 = f1 reads Gamma(a)Gamma(b)/Gamma(c) F(a, b; c; z), its poles fused
-    into the terms, and u2 reads f2 = F(a, b; 1+s; 1 - sigma), each a
-    specfun._Ladder whose values depend
-    only on the kernel and the point; both read a list of points.  f1 is
-    seeded by the series times coef, the constant's limit from
-    _lattice_limit, or on the exact lattice at c = -C by _lattice_seed.  A
-    genuine pole raises PoleEvaluation.
+    g1 = f1 reads P F(a, b; c; z), its poles fused into the terms, and u2
+    reads f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values
+    depend only on the kernel and the point; both read a list of points.
+    f1 is seeded by the series times P (_prefactor), or at c = -C on the
+    exact lattice by _lattice_seed.  A genuine pole raises PoleEvaluation,
+    a P beyond the double range DomainError.
     """
 
     def __init__(self, n: int, p: HypergeomParams) -> None:
@@ -262,16 +259,19 @@ class _KernelData:
         self.e2 = 0.5 * p.s + (n - 1) / 4.0
         self.kmin = max(0, math.ceil(max(-v.real for v in (p.a, p.b, p.c))))
         a, b, c = complex(p.a), complex(p.b), complex(p.c)
-        coef, order, (ia, ib, ic) = _lattice_limit(p, PoleEvaluation)
+        log_p, order, (ia, ib, ic), log_t = _prefactor(p, PoleEvaluation)
         if order > 0:
             raise PoleEvaluation(
                 f"lambda = {p.lam} is a genuine pole of the mode resolvent "
                 f"(a = {p.a}, b = {p.b}, c = {p.c})")
-        self.inv_g1s = 1.0 / gamma(complex(1.0 + p.s))
-        if ic is None:
-            seed = _series_seed(coef, a, b, c, kmin=self.kmin)
-        else:
-            seed = self._lattice_seed(coef if order == 0 else 0.0, ia, ib, ic)
+        try:
+            coef = cmath.exp(log_p) if order == 0 else 0.0j
+            t_k = None if ic is None else cmath.exp(log_t)
+        except OverflowError:
+            raise DomainError(f"the mode prefactor at lambda = {p.lam}, "
+                              f"s = {p.s!r} exceeds the double range") from None
+        seed = (_series_seed(coef, a, b, c, kmin=self.kmin) if ic is None
+                else self._lattice_seed(coef, t_k, ia, ib, ic))
         # g1 reads z in [0, 1) and u2 sigma in (0, 1]; every caller has
         # checked its points, so neither checks them again
         self.g1 = self.f1 = _Ladder(a, b, c, seed)
@@ -281,15 +281,14 @@ class _KernelData:
     def u2(self, sigmas: list[float]) -> list[complex]:
         return self.f2([1.0 - x for x in sigmas], sigmas)
 
-    def _lattice_seed(self, t0: complex, ia, ib, c_index: int):
+    def _lattice_seed(self, t0: complex, t_k: complex, ia, ib, c_index: int):
         """z -> (G1(z), G1'(z)) at c = -C on the exact lattice.
 
         The terms t_k of G1 = sum_k t_k z^k are limits along lambda.  The
         head t_0 .. t_K runs from t0 by the step ratios up to the a or b
         index K <= C; past it the terms vanish up to k = C.  With neither
-        index, t0 = 0 and so is the head.  The tail is
-        t_{C+1} z^{C+1} F(a+C+1, b+C+1; C+2; z) with
-        t_{C+1} = Gamma(a+C+1)Gamma(b+C+1)/(C+1)!, summed by _series_seed.
+        index, t0 = 0 and so is the head.  The tail, summed by _series_seed,
+        is t_k z^k F(a+k, b+k; k+1; z) at k = C+1, t_k from _prefactor.
         """
         p = self.p
         a, b, c = complex(p.a), complex(p.b), complex(p.c)
@@ -298,7 +297,6 @@ class _KernelData:
         for k in range(stop):
             head.append(head[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
         k = c_index + 1
-        t_k = cmath.exp(ln_gamma(a + k) + ln_gamma(b + k) - math.lgamma(k + 1))
         tail = _series_seed(t_k, a + k, b + k, complex(k + 1))
 
         def seed(z: float) -> tuple[complex, complex]:
@@ -365,9 +363,9 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
     where log x lies beyond f's support on that side.  The cuts are the
     interior panel boundaries of both integrals, mapped back to sigma,
     where (R f) is smooth only to the integrals' tolerance.  This is the
-    only place the kernel
-    P [g1 (upper u2 integral) + u2 (lower g1 integral)] is formed, and a
-    value of rf beyond the double range raises DomainError.
+    only place the kernel g1 (upper u2 integral) + u2 (lower g1 integral)
+    is formed, and a value of rf beyond the double range raises
+    DomainError.
     """
     lo, hi = f.support
     ulo, uhi = math.log(lo), math.log(hi)
@@ -404,7 +402,7 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
             if u > ulo:
                 val += next(u2) * (lower.total if u >= uhi else lower(u))
             try:
-                val = val * kd.sigma_prefactor(x) * kd.inv_g1s
+                val = val * kd.sigma_prefactor(x)
             except OverflowError:
                 val = complex(math.inf)
             if not cmath.isfinite(val):

@@ -358,8 +358,9 @@ def oracle_wronskian(n: int, mu_sq, lam, sigma, dps: int = 40) -> complex:
 def oracle_kernel_functions(n: int, mu_sq, lam, sigma,
                             dps: int = 30) -> tuple[complex, complex, complex]:
     """(u1, u2, g1) at sigma from mp.hyp2f1 and mp.gamma:
-    u1 = F(a, b; 2a; sigma), u2 = F(a, b; 1+s; 1-sigma) and
-    g1 = Gamma(a)Gamma(b)/Gamma(2a) u1, with a = 1/2 - i lambda, b = a + s."""
+    u1 = F(a, b; 2a; sigma), u2 = F(a, b; 1+s; 1-sigma) and g1 = P u1 with
+    the mode prefactor P = Gamma(a)Gamma(b)/(Gamma(2a)Gamma(1+s)),
+    a = 1/2 - i lambda, b = a + s."""
     with mp.workdps(dps):
         s = mp.sqrt(mp.mpf(n - 1) ** 2 / 4 + mp.mpf(mu_sq))
         a = mp.mpf(1) / 2 - 1j * mp.mpc(lam)
@@ -367,7 +368,8 @@ def oracle_kernel_functions(n: int, mu_sq, lam, sigma,
         x = mp.mpf(sigma)
         u1 = mp.hyp2f1(a, b, 2 * a, x)
         u2 = mp.hyp2f1(a, b, 1 + s, 1 - x)
-        g1 = mp.gamma(a) * mp.gamma(b) / mp.gamma(2 * a) * u1
+        g1 = (mp.gamma(a) * mp.gamma(b)
+              / (mp.gamma(2 * a) * mp.gamma(1 + s)) * u1)
         return complex(u1), complex(u2), complex(g1)
 
 
@@ -412,7 +414,7 @@ def oracle_measure_integral(n: int, lo: float, hi: float,
 
 
 def oracle_apply_resolvent(n: int, mu_sq, lam, func, lo, hi, sigma,
-                           dps: int = 30) -> complex:
+                           dps: int = 30, pieces: int = 1) -> complex:
     """(R(lambda) f)(sigma) straight from the kernel formula
 
         P sigma^alpha (1-sigma)^beta [u1(sigma) int_sigma^hi f u2 w
@@ -423,8 +425,13 @@ def oracle_apply_resolvent(n: int, mu_sq, lam, func, lo, hi, sigma,
     w = rho^(-1-n/2-i lambda) (1-rho)^(s/2+(n-1)/4),
     alpha = n/2 - i lambda, beta = -(n-1)/4 + s/2, a = 1/2 - i lambda,
     b = a + s, with mp.hyp2f1 and mp.quad at dps digits; each integral
-    runs over its part of the support [lo, hi] and is skipped when that
-    part is empty.  func takes and returns mp numbers.
+    runs over its part of the support [lo, hi], split into `pieces` equal
+    mp.quad intervals, and is skipped when that part is empty.  func takes
+    and returns mp numbers.  One piece suffices while the integrands vary
+    on the scale of the support, as they do for mu^2 up to a few hundred;
+    at mu^2 = 1e5 (s ~ 316) the weight (1-rho)^(s/2) and u2 vary by many
+    orders over [0.3, 0.6], and one piece is 6.6e-5 off where 8 and 16
+    agree.
     """
     with mp.workdps(dps):
         s = mp.sqrt(mp.mpf(n - 1) ** 2 / 4 + mp.mpf(mu_sq))
@@ -443,12 +450,17 @@ def oracle_apply_resolvent(n: int, mu_sq, lam, func, lo, hi, sigma,
         def w(r):
             return r ** e1 * (1 - r) ** e2
 
+        def split(u, v):
+            return [u + (v - u) * k / pieces for k in range(pieces)] + [v]
+
         x, lo, hi = mp.mpf(sigma), mp.mpf(lo), mp.mpf(hi)
         upper = lower = mp.mpc(0)
         if x < hi:
-            upper = mp.quad(lambda r: func(r) * u2(r) * w(r), [max(x, lo), hi])
+            upper = mp.quad(lambda r: func(r) * u2(r) * w(r),
+                            split(max(x, lo), hi))
         if x > lo:
-            lower = mp.quad(lambda r: func(r) * u1(r) * w(r), [lo, min(x, hi)])
+            lower = mp.quad(lambda r: func(r) * u1(r) * w(r),
+                            split(lo, min(x, hi)))
         pref = (mp.gamma(a) * mp.gamma(b) / (mp.gamma(2 * a) * mp.gamma(1 + s))
                 * x ** (mp.mpf(n) / 2 - 1j * lam)
                 * (1 - x) ** (s / 2 - mp.mpf(n - 1) / 4))

@@ -213,7 +213,7 @@ SUITE_DIGESTS = {
     "wronskian":
         "b7d655ce4edebeb6a69d76a59e9918e00c02eb2a36fd60206e09d6bca49edb53",
     "residual":
-        "7cd9b5dfc4069f04dfda478e94dd9ba5d8d40f7cd7ed1505a3f4f8e10595f54c",
+        "ad90805b461d707bd2d37c31b9f1cd0d649c6313934e9f171f9ce7b4b63d629d",
     "residue":
         "f44d015583cb29918e2f6aaf3f93404f6dd08ad06a34161f2a9b22b1d54c5161",
 }

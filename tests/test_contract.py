@@ -6,6 +6,7 @@ HyperconeError naming it, never an untyped error or a nan, and every
 exported name resolves."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,16 @@ def test_lam_im_exact_reads_ints_and_fractions():
     # not by an untyped OverflowError
     with pytest.raises(InconsistentParams, match="disagrees"):
         hypergeom_params(1, mode, 2j, lam_im_exact=Fraction(10 ** 400))
+
+
+@pytest.mark.parametrize("rho", [1e-320, 5e-324], ids=repr)
+def test_float_radius_overflow_is_domain_error(rho):
+    # 1 / rho gives inf, not an OverflowError, where it leaves the double
+    # range, so such a float radius once reached Mode with mu^2 = inf and
+    # raised ValidationError there instead of naming rho and the first j
+    with pytest.raises(DomainError, match=(
+            f"rho = {re.escape(repr(rho))}: .* at j = 1$")):
+        circle_spectrum(rho, 3)
 
 
 def test_exported_names():

@@ -17,6 +17,7 @@ import pytest
 
 from hypercone import (
     DomainError,
+    HyperconeError,
     LowerParameterPole,
     Mode,
     ParameterPole,
@@ -71,6 +72,14 @@ W_POINTS = [
     (3, 5.0, -0.7 - 0.4j, 0.6,
      complex(-15.660801590784056, -7.128725796973331)),
 ]
+# oracle_wronskian(3, 982.5775398672805,
+#                  -102.4045879065857 + 3.1946142304372245j,
+#                  0.9999999999072108, dps=40), and at dps=60 the same
+W_POWER = complex(-5.589157126097742e+297, 3.0222710954228663e+298)
+# oracle_wronskian(2, 1753.4234749779062,
+#                  19.76389076119264 - 5.127820225568083j,
+#                  0.9999999019563356, dps=40), and at dps=60 the same
+W_PRODUCT = complex(-1.3624303591307094e+289, -1.2496872513997797e+289)
 # oracle_measure_integral(n, lo, hi, dps=30): the same bump integrated
 # against sinh(r)^n dr in the r coordinate
 MEASURE_INTEGRALS = [(1, 0.3, 0.6, 1.4073600674266193),
@@ -566,18 +575,24 @@ class TestWronskian:
                 wronskian_closed_form(p, bad)
 
     def test_power_overflow(self):
-        # (1 - sigma)^(-1-s) once raised an untyped OverflowError
+        # (1 - sigma)^(-1-s) once raised an untyped OverflowError, then a
+        # DomainError, though W = 3.1e298 there fits a double: W is one
+        # exponential now, refused only where W itself is beyond the range,
+        # as at 1 - sigma = 1e-11 (|W| = 6.3e329 in mpmath)
         p = hypergeom_params(3, Mode(982.5775398672805, 1),
                              -102.4045879065857 + 3.1946142304372245j)
+        got = wronskian_closed_form(p, 0.9999999999072108)
+        assert abs(got - W_POWER) <= 1e-12 * abs(W_POWER)
         with pytest.raises(DomainError, match="exceeds the double range"):
-            wronskian_closed_form(p, 0.9999999999072108)
+            wronskian_closed_form(p, 0.99999999999)
 
     def test_product_overflow(self):
-        # finite factors whose product once came back as -inf+nanj
+        # finite factors whose product once came back as -inf+nanj, then
+        # were refused, though W fits a double
         p = hypergeom_params(2, Mode(1753.4234749779062, 1),
                              19.76389076119264 - 5.127820225568083j)
-        with pytest.raises(DomainError, match="exceeds the double range"):
-            wronskian_closed_form(p, 0.9999999019563356)
+        got = wronskian_closed_form(p, 0.9999999019563356)
+        assert abs(got - W_PRODUCT) <= 1e-12 * abs(W_PRODUCT)
 
 
 _TIGHT = QuadratureControl(abs_tol=1e-13, rel_tol=1e-13)
@@ -887,6 +902,55 @@ class TestLargeParameterSweep:
         assert abs(got - want) <= 1e-10 * abs(want)
 
 
+class TestLargeModePrefactor:
+    """Past s = 171, Gamma(b) and Gamma(1+s) overflow a double apart while
+    the mode prefactor P = Gamma(a)Gamma(b)/(Gamma(c)Gamma(1+s)) stays
+    moderate.  Formed as two factors, it made every resolvent entry point
+    and the Wronskian raise an untyped OverflowError from mu^2 = 3e4."""
+
+    def test_every_entry_point_finite_or_typed(self):
+        # 15 seeded draws (about 4 s): three per mu^2, n in 1..4,
+        # Re lambda in [-4, 4], Im lambda in [-1.2, 3]
+        rng = random.Random(5)
+        f, g = RadialProfile.bump(0.3, 0.6), RadialProfile.bump(0.4, 0.55)
+        for mu_sq in (3e4, 1e5, 1e6, 1e8, 1e12):
+            for _ in range(3):
+                n, mode = rng.randint(1, 4), Mode(mu_sq, 1)
+                lam = complex(rng.uniform(-4.0, 4.0), rng.uniform(-1.2, 3.0))
+                p = hypergeom_params(n, mode, lam)
+                for call in (
+                        lambda: apply_resolvent(n, mode, lam, f, 0.45),
+                        lambda: residual_check(
+                            n, mode, lam, f,
+                            grid=[0.35, 0.45, 0.55]).max_residual,
+                        lambda: green_pairing(n, mode, lam, f, g),
+                        lambda: residue_probe(n, mode, lam,
+                                              points=8).residue,
+                        lambda: wronskian_closed_form(p, 0.45),
+                        lambda: u1(p, 0.45), lambda: u2(p, 0.45)):
+                    try:
+                        val = call()
+                    except HyperconeError:
+                        continue
+                    assert cmath.isfinite(val), (n, mu_sq, lam)
+
+    def test_prefactor_beyond_double_range(self):
+        # log |P| = 765.0 in mpmath at s = 1000, lambda = 600: a typed
+        # refusal naming both, where an untyped OverflowError once came
+        with pytest.raises(DomainError,
+                           match=r"lambda = \(600\+0j\), s = 1000\.0 exceeds"):
+            apply_resolvent(1, Mode(1e6, 1), 600, RadialProfile.bump(), 0.45)
+
+    def test_resolvent_matches_split_oracle(self):
+        # s = 173.2; the oracle's integrals in 4 pieces each (about 6 s),
+        # which agree with 16 to 2.4e-14
+        got = apply_resolvent(1, Mode(3e4, 1), 1 + 0.5j, RadialProfile.bump(),
+                              0.45)
+        want = oracle_apply_resolvent(1, 3e4, 1 + 0.5j, _mp_bump(0.3, 0.6),
+                                      0.3, 0.6, 0.45, pieces=4)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
 def _inline_ratio_series(term, a, b, c, z, kmin=0):
     # the 2F1 term loop written out here, the reference for bit-identity:
     # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), adds (k+1) u_k to the
@@ -1119,11 +1183,12 @@ class TestOneLatticeDecision:
 class TestLatticeWorkCounts:
     """One kernel build makes the lattice decision once and never runs the
     classifier.  It calls ln_gamma once for each of a, b, c off the lattice
-    and twice more for the DLMF 15.2.3 tail coefficient when c is on it."""
+    and once for 1+s, all for the one prefactor P, twice more for the
+    DLMF 15.2.3 tail coefficient when c is on it, and gamma never."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = {"indices": 0, "classify": 0, "ln_gamma": 0}
+        count = {"indices": 0, "classify": 0, "ln_gamma": 0, "gamma": 0}
 
         def counted(key, inner):
             def wrapper(*args, **kw):
@@ -1135,7 +1200,8 @@ class TestLatticeWorkCounts:
                             counted("indices", resolvent._lattice_indices))
         for key, name, inner in (
                 ("classify", "classify_pole", resonances.classify_pole),
-                ("ln_gamma", "ln_gamma", specfun.ln_gamma)):
+                ("ln_gamma", "ln_gamma", specfun.ln_gamma),
+                ("gamma", "gamma", specfun.gamma)):
             for mod_name, mod in list(sys.modules.items()):
                 if (mod_name.startswith("hypercone")
                         and getattr(mod, name, None) is inner):
@@ -1143,18 +1209,19 @@ class TestLatticeWorkCounts:
         return count
 
     @pytest.mark.parametrize("n,q,lam,lam_im,ln_gammas", [
-        (2, None, 1 - 0.7j, None, 3),                 # off the lattice
-        (2, Fraction(2), -2j, None, 3),               # b-removable
-        (1, Fraction(4), -1j, None, 4),               # c alone
-        (1, Fraction(13, 4), -1.5j, Fraction(-3, 2), 3),  # a-removable, surd
-        (1, Fraction(1, 9), -3.5j, None, 3),
-        (3, Fraction(1, 4), -2.5j, None, 3),
+        (2, None, 1 - 0.7j, None, 4),                 # off the lattice
+        (2, Fraction(2), -2j, None, 4),               # b-removable
+        (1, Fraction(4), -1j, None, 5),               # c alone
+        (1, Fraction(13, 4), -1.5j, Fraction(-3, 2), 4),  # a-removable, surd
+        (1, Fraction(1, 9), -3.5j, None, 4),
+        (3, Fraction(1, 4), -2.5j, None, 4),
     ])
     def test_kernel_build(self, calls, n, q, lam, lam_im, ln_gammas):
         mode = Mode(2.0, 1) if q is None else Mode(float(q), 1, q)
         p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im)
         _KernelData(n, p)
-        assert calls == {"indices": 1, "classify": 0, "ln_gamma": ln_gammas}
+        assert calls == {"indices": 1, "classify": 0, "ln_gamma": ln_gammas,
+                         "gamma": 0}
 
     def test_entry_points(self, calls):
         mode = Mode(2.0, 1, Fraction(2))
