@@ -17,7 +17,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -262,24 +261,34 @@ _TOP_KEYS = {"n", "volume", "modes"}
 _MODE_KEYS = {"mu_sq", "mu_sq_exact", "m"}
 
 
+def _exact_form(raw: str) -> Fraction:
+    # what Fraction(raw) gives, reading the p/q that save_spectrum writes
+    # (ASCII digits on each side of one slash) without Fraction's regex
+    p, _, q = raw.partition("/")
+    if p.isdigit() and q.isdigit() and raw.isascii():
+        return Fraction(int(p), int(q))
+    return Fraction(raw)
+
+
 def _parse_mode_entry(entry, idx: int) -> tuple:
     # (mu_sq, m, mu_sq_exact) with their types checked; _file_modes makes
     # the Mode checks, by building the entry's Mode
     if not isinstance(entry, dict):
         raise ValidationError(f"modes[{idx}] must be an object")
-    unknown = set(entry) - _MODE_KEYS
-    if unknown:
+    if not entry.keys() <= _MODE_KEYS:
+        unknown = set(entry) - _MODE_KEYS
         raise ValidationError(
             f"modes[{idx}] has unknown field(s): {', '.join(sorted(unknown))}")
     if "mu_sq" not in entry:
         raise ValidationError(f"modes[{idx}] is missing required field 'mu_sq'")
     if "m" not in entry:
         raise ValidationError(f"modes[{idx}] is missing required field 'm'")
-    mu_sq = entry["mu_sq"]
-    if isinstance(mu_sq, bool) or not isinstance(mu_sq, (int, float)):
+    mu_sq, m = entry["mu_sq"], entry["m"]
+    # the type() tests pass a float and an int at once
+    if type(mu_sq) is not float and (isinstance(mu_sq, bool)
+                                     or not isinstance(mu_sq, (int, float))):
         raise ValidationError(f"modes[{idx}].mu_sq must be a number")
-    m = entry["m"]
-    if isinstance(m, bool) or not isinstance(m, int):
+    if type(m) is not int and (isinstance(m, bool) or not isinstance(m, int)):
         raise ValidationError(f"modes[{idx}].m must be an integer")
     exact = None
     if "mu_sq_exact" in entry:
@@ -287,15 +296,16 @@ def _parse_mode_entry(entry, idx: int) -> tuple:
         if not isinstance(raw, str):
             raise ValidationError(f"modes[{idx}].mu_sq_exact must be a string 'p/q'")
         try:
-            exact = Fraction(raw)
+            exact = _exact_form(raw)
         except (ValueError, ZeroDivisionError) as e:
             raise ValidationError(
                 f"modes[{idx}].mu_sq_exact = {raw!r} is not a valid rational: {e}")
-    try:
-        mu_sq = float(mu_sq)
-    except OverflowError:  # a JSON integer beyond the double range
-        raise ValidationError(
-            f"modes[{idx}].mu_sq lies beyond the double range") from None
+    if type(mu_sq) is not float:
+        try:
+            mu_sq = float(mu_sq)
+        except OverflowError:  # a JSON integer beyond the double range
+            raise ValidationError(
+                f"modes[{idx}].mu_sq lies beyond the double range") from None
     return mu_sq, m, exact
 
 
@@ -306,7 +316,7 @@ def _file_modes(raw: list) -> list[Mode]:
     Each entry is checked once, by building its Mode with its final label,
     in file order, so an error names the first bad entry and a NaN is
     refused before the labels its sort scrambled are used.  Only a merged
-    mode is built, and so checked, a second time.
+    mode is built, and checked, twice; merging runs when a mu_sq repeats.
     """
     entries = []
     unparsed = None  # the error of the first entry whose types are wrong
@@ -316,24 +326,29 @@ def _file_modes(raw: list) -> list[Mode]:
         except ValidationError as e:
             unparsed = e
             break
-
-    def mu_sq(idx: int) -> float:
-        return entries[idx][0]
-
-    groups = [list(group) for _, group in
-              groupby(sorted(range(len(entries)), key=mu_sq), mu_sq)]
-    labels = {idx: j for j, group in enumerate(groups) for idx in group}
+    values = [value for value, _, _ in entries]
+    order = sorted(range(len(values)), key=values.__getitem__)
+    labels = [0] * len(values)
+    label, last = -1, None
+    for idx in order:  # entries of equal mu_sq share one label
+        if values[idx] != last:
+            label, last = label + 1, values[idx]
+        labels[idx] = label
     modes = []
-    for idx, (value, m, exact) in enumerate(entries):
+    for (value, m, exact), j in zip(entries, labels):
         try:
-            modes.append(Mode(value, m, exact, labels[idx]))
+            modes.append(Mode(value, m, exact, j))
         except ValidationError as e:
-            raise ValidationError(f"modes[{idx}]: {e}") from e
+            raise ValidationError(f"modes[{len(modes)}]: {e}") from e
     if unparsed is not None:
         raise unparsed
+    if label + 1 == len(modes):  # no mu_sq repeats
+        return [modes[idx] for idx in order]
+    groups = [[] for _ in range(label + 1)]
+    for idx in order:
+        groups[labels[idx]].append(modes[idx])
     merged = []
-    for group in groups:
-        first, *rest = (modes[idx] for idx in group)
+    for first, *rest in groups:
         if any(mode.mu_sq_exact != first.mu_sq_exact for mode in rest):
             raise ValidationError(
                 f"duplicate mu_sq = {first.mu_sq} entries carry inconsistent "
@@ -351,21 +366,30 @@ def load_spectrum(source) -> SpectrumSpec:
     Schema: {"n": int >= 1, "volume": number (optional),
              "modes": [{"mu_sq": number, "mu_sq_exact": "p/q" (optional),
                         "m": int >= 1}, ...]}
-    Unknown fields are rejected; duplicate mu_sq entries are merged with
-    multiplicities summed; modes come back sorted ascending.
+    mu_sq_exact accepts any string fractions.Fraction reads; "p/q" in
+    ASCII digits, as save_spectrum writes it, is read fastest.  Unknown
+    fields are rejected; entries of equal mu_sq are merged with their
+    multiplicities summed; modes come back sorted ascending.  A
+    ValidationError names the first bad entry in file order.  A file that
+    cannot be read, is not UTF-8, is not JSON or nests too deeply for the
+    JSON reader raises ParseError.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as e:
-            raise ParseError(f"cannot read {source}: {e}") from e
-    else:
-        text = source.read()
     try:
+        if isinstance(source, (str, Path)):
+            try:
+                text = Path(source).read_text(encoding="utf-8")
+            except OSError as e:
+                raise ParseError(f"cannot read {source}: {e}") from e
+        else:
+            text = source.read()
         data = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to read") from None
     if not isinstance(data, dict):
         raise ValidationError("top-level value must be an object")
     unknown = set(data) - _TOP_KEYS

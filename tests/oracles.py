@@ -13,12 +13,13 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from operator import itemgetter, mul
 
 import mpmath as mp
 
-from hypercone.crosssec import _LATTICE_TOL, _s_data
-from hypercone.errors import TruncationInsufficient
+from hypercone.crosssec import _LATTICE_TOL, Mode, _s_data
+from hypercone.errors import TruncationInsufficient, ValidationError
 from hypercone.resonances import _bound, _count_le, _scan
 
 
@@ -220,6 +221,96 @@ def reference_count(spec, k_max: int, bound: float) -> int:
         raise TruncationInsufficient(f"cannot certify up to {bound}")
     return sum(mode.multiplicity * _count_le(value, root, sq, k_max, prepared)
                for mode, value, root, sq in generic)
+
+
+# the spectrum-file loader as it was before entries were parsed in one
+# pass: a key set per entry, Fraction's string grammar for every exact
+# form, groupby plus a label dict, and a merge pass over every group.
+# Kept verbatim; reference_file_modes(raw) is its _file_modes.
+_REFERENCE_MODE_KEYS = {"mu_sq", "mu_sq_exact", "m"}
+
+
+def _reference_parse_mode_entry(entry, idx: int) -> tuple:
+    # (mu_sq, m, mu_sq_exact) with their types checked; _file_modes makes
+    # the Mode checks, by building the entry's Mode
+    if not isinstance(entry, dict):
+        raise ValidationError(f"modes[{idx}] must be an object")
+    unknown = set(entry) - _REFERENCE_MODE_KEYS
+    if unknown:
+        raise ValidationError(
+            f"modes[{idx}] has unknown field(s): {', '.join(sorted(unknown))}")
+    if "mu_sq" not in entry:
+        raise ValidationError(f"modes[{idx}] is missing required field 'mu_sq'")
+    if "m" not in entry:
+        raise ValidationError(f"modes[{idx}] is missing required field 'm'")
+    mu_sq = entry["mu_sq"]
+    if isinstance(mu_sq, bool) or not isinstance(mu_sq, (int, float)):
+        raise ValidationError(f"modes[{idx}].mu_sq must be a number")
+    m = entry["m"]
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValidationError(f"modes[{idx}].m must be an integer")
+    exact = None
+    if "mu_sq_exact" in entry:
+        raw = entry["mu_sq_exact"]
+        if not isinstance(raw, str):
+            raise ValidationError(f"modes[{idx}].mu_sq_exact must be a string 'p/q'")
+        try:
+            exact = Fraction(raw)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ValidationError(
+                f"modes[{idx}].mu_sq_exact = {raw!r} is not a valid rational: {e}")
+    try:
+        mu_sq = float(mu_sq)
+    except OverflowError:  # a JSON integer beyond the double range
+        raise ValidationError(
+            f"modes[{idx}].mu_sq lies beyond the double range") from None
+    return mu_sq, m, exact
+
+
+def reference_file_modes(raw: list) -> list[Mode]:
+    """The modes of a file's 'modes' array, sorted by mu_sq, with entries
+    of equal mu_sq merged and their multiplicities summed.
+
+    Each entry is checked once, by building its Mode with its final label,
+    in file order, so an error names the first bad entry and a NaN is
+    refused before the labels its sort scrambled are used.  Only a merged
+    mode is built, and so checked, a second time.
+    """
+    entries = []
+    unparsed = None  # the error of the first entry whose types are wrong
+    for idx, entry in enumerate(raw):
+        try:
+            entries.append(_reference_parse_mode_entry(entry, idx))
+        except ValidationError as e:
+            unparsed = e
+            break
+
+    def mu_sq(idx: int) -> float:
+        return entries[idx][0]
+
+    groups = [list(group) for _, group in
+              groupby(sorted(range(len(entries)), key=mu_sq), mu_sq)]
+    labels = {idx: j for j, group in enumerate(groups) for idx in group}
+    modes = []
+    for idx, (value, m, exact) in enumerate(entries):
+        try:
+            modes.append(Mode(value, m, exact, labels[idx]))
+        except ValidationError as e:
+            raise ValidationError(f"modes[{idx}]: {e}") from e
+    if unparsed is not None:
+        raise unparsed
+    merged = []
+    for group in groups:
+        first, *rest = (modes[idx] for idx in group)
+        if any(mode.mu_sq_exact != first.mu_sq_exact for mode in rest):
+            raise ValidationError(
+                f"duplicate mu_sq = {first.mu_sq} entries carry inconsistent "
+                f"exact forms")
+        if rest:
+            m = first.multiplicity + sum(mode.multiplicity for mode in rest)
+            first = Mode(first.mu_sq, m, first.mu_sq_exact, first.label)
+        merged.append(first)
+    return merged
 
 
 def oracle_weyl_leading_term(n: int, vol_y: float, lam: float,

@@ -390,6 +390,26 @@ class TestFileInput:
         assert_error(rc, err, 2, "validation")
 
     @pytest.mark.parametrize("argv", [
+        ("spectrum",), ("resonances", "--lambda-max", "3"),
+        ("weyl", "--lambda-grid", "3")])
+    @pytest.mark.parametrize("content,message", [
+        # a byte that is not UTF-8, and a modes array 100,000 deep: one
+        # error line and exit 2, where a UnicodeDecodeError was reported
+        # only as a ValueError and a RecursionError as a traceback (exit 1)
+        (b'{"n": 2, "volume": 1.0, "modes": [{"mu_sq": 1.0, "m": 1, '
+         b'"mu_sq_exact": "\xff"}]}', "not UTF-8 text: "),
+        (b'{"n": 2, "volume": 1.0, "modes": ' + b"[" * 100_000
+         + b"]" * 100_000 + b"}", "JSON nested too deeply to read"),
+    ], ids=["undecodable", "over-deep"])
+    def test_unreadable_file(self, tmp_path, argv, content, message):
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        rc, out, err = run(argv[0], "--file", str(path), *argv[1:])
+        assert out == ""
+        assert_error(rc, err, 2, "validation")
+        assert err.startswith(f"error:validation: {message}")
+
+    @pytest.mark.parametrize("argv", [
         ("spectrum",), ("resonances", "--lambda-max", "4"),
         ("weyl", "--lambda-grid", "2,4")])
     def test_negative_exact_mu_sq(self, tmp_path, argv):

@@ -1,8 +1,10 @@
 """Cross-section spectrum construction, file I/O, and genericity tests."""
 
+import fractions
 import io
 import json
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -29,7 +31,7 @@ from hypercone import (
 )
 from hypercone import crosssec
 
-from oracles import sphere_multiplicity
+from oracles import reference_file_modes, sphere_multiplicity
 
 
 class TestSphereSpectrum:
@@ -331,12 +333,234 @@ class TestFileIO:
                            match=f"^{re.escape(field)} lies beyond the double"):
             load_spectrum(io.StringIO(text % ("0" * 400)))
 
+    def test_undecodable_file(self, tmp_path):
+        # bytes that are not UTF-8: a ParseError, not the codec's
+        # UnicodeDecodeError (a ValueError)
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'{"n": 2, "volume": 1.0, "modes": '
+                         b'[{"mu_sq": 1.0, "m": 1, "mu_sq_exact": "\xff"}]}')
+        with pytest.raises(ParseError, match="^not UTF-8 text: "):
+            load_spectrum(path)
+        with open(path, encoding="utf-8") as stream:
+            with pytest.raises(ParseError, match="^not UTF-8 text: "):
+                load_spectrum(stream)
+
+    def test_over_deep_file(self, tmp_path):
+        # a modes array nested 100,000 deep: the JSON reader's
+        # RecursionError becomes a ParseError
+        text = ('{"n": 2, "volume": 1.0, "modes": '
+                + "[" * 100_000 + "]" * 100_000 + "}")
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(ParseError,
+                               match="^JSON nested too deeply to read$"):
+                load_spectrum(source)
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'\xef\xbb\xbf{"n": 1, "modes": [{"mu_sq": 1, "m": 1}]}')
+        with pytest.raises(ParseError, match="Unexpected UTF-8 BOM"):
+            load_spectrum(path)
+
     def test_to_dict_shape(self):
         d = spectrum_to_dict(circle_spectrum(2, 1))
         assert d == {"n": 1,
                      "volume": pytest.approx(4 * math.pi),
                      "modes": [{"mu_sq": 0.0, "m": 1, "mu_sq_exact": "0/1"},
                                {"mu_sq": 0.25, "m": 2, "mu_sq_exact": "1/4"}]}
+
+
+class TestFileLoader:
+    """crosssec._file_modes against the loader it replaced
+    (tests/oracles.py reference_file_modes), the exact-form reader against
+    Fraction's own grammar, and the loader's work on fixed files."""
+
+    SEED, DRAWS = 28, 2000
+    MALFORMED = ("not a dict", "unknown key", "missing mu_sq", "missing m",
+                 "bool mu_sq", "string mu_sq", "bool m", "string m",
+                 "float m", "m below 1", "nan", "inf", "-inf", "negative",
+                 "bad exact string", "exact not a string",
+                 "exact disagrees", "401-digit int")
+
+    @staticmethod
+    def outcome(load, raw):
+        try:
+            modes = load(raw)
+        except ValidationError as e:
+            return type(e), str(e)
+        # repr tells a float from an int and -0.0 from 0.0
+        return [(repr(m.mu_sq), m.multiplicity, m.mu_sq_exact, m.label)
+                for m in modes]
+
+    @staticmethod
+    def valid_entry(rng, pool):
+        # pool holds (mu^2, whether its entries carry an exact form); one
+        # entry in ten flips that, so repeats disagree now and then
+        exact, with_form = rng.choice(pool)
+        if rng.random() < 0.1:
+            with_form = not with_form
+        entry = {"mu_sq": float(exact), "m": rng.randint(1, 5)}
+        if exact.denominator == 1 and rng.random() < 0.3:
+            entry["mu_sq"] = exact.numerator
+        if with_form:
+            k = rng.randint(2, 4)
+            entry["mu_sq_exact"] = rng.choice((
+                f"{exact.numerator}/{exact.denominator}",
+                f"{exact.numerator}/{exact.denominator}",
+                f"{exact.numerator * k}/{exact.denominator * k}",
+                f"00{exact.numerator}/{exact.denominator}",
+                f" {exact.numerator}/{exact.denominator} ",
+                f"+{exact.numerator}/{exact.denominator}",
+                str(exact)))
+        return entry
+
+    @staticmethod
+    def malform(rng, entry, kind):
+        entry = dict(entry)
+        if kind == "not a dict":
+            return rng.choice(([1.0, 1], "mu_sq", None, 2.5, True))
+        if kind == "unknown key":
+            entry[rng.choice(("weight", "mu", "M"))] = 1
+        elif kind in ("missing mu_sq", "missing m"):
+            del entry[kind.split()[1]]
+        elif kind == "bool mu_sq":
+            entry["mu_sq"] = rng.choice((True, False))
+        elif kind == "string mu_sq":
+            entry["mu_sq"] = "1.5"
+        elif kind == "bool m":
+            entry["m"] = rng.choice((True, False))
+        elif kind == "string m":
+            entry["m"] = "2"
+        elif kind == "float m":
+            entry["m"] = 2.0
+        elif kind == "m below 1":
+            entry["m"] = rng.choice((0, -1))
+        elif kind in ("nan", "inf", "-inf"):
+            entry["mu_sq"] = float(kind)
+        elif kind == "negative":
+            entry["mu_sq"] = rng.choice((-1.0, -2, -1e-300))
+            entry.pop("mu_sq_exact", None)
+        elif kind == "bad exact string":
+            entry["mu_sq_exact"] = rng.choice(
+                ("x", "1/0", "0/0", "", "3/4/5", "3/", "/4", "1.5.2", "²/3"))
+        elif kind == "exact not a string":
+            entry["mu_sq_exact"] = rng.choice((1, 0.5, None, [1, 2]))
+        elif kind == "exact disagrees":
+            entry["mu_sq"] = 7.0
+            entry["mu_sq_exact"] = rng.choice(("15/2", "-7/1", "1e400"))
+        else:  # "401-digit int"
+            entry["mu_sq"] = 10 ** 400
+        return entry
+
+    def test_matches_reference_loader(self):
+        # 2,000 seeded arrays of 1-12 entries, unsorted, drawn from a pool
+        # of eight mu^2 so values repeat, exact (in several spellings) and
+        # float-only, int and float; exact forms agree or disagree within a
+        # repeat; 40% carry one or two malformations
+        rng = random.Random(self.SEED)
+        seen = {kind: 0 for kind in self.MALFORMED}
+        loaded = merged = disagreeing = 0
+        for _ in range(self.DRAWS):
+            pool = [(Fraction(rng.randint(0, 40), rng.choice((1, 1, 2, 3, 7))),
+                     rng.random() < 0.7) for _ in range(8)]
+            raw = [self.valid_entry(rng, pool)
+                   for _ in range(rng.randint(1, 12))]
+            if rng.random() < 0.4:
+                count = min(rng.choice((1, 1, 1, 2)), len(raw))
+                for at in rng.sample(range(len(raw)), count):
+                    kind = rng.choice(self.MALFORMED)
+                    raw[at] = self.malform(rng, raw[at], kind)
+                    seen[kind] += 1
+            expected = self.outcome(reference_file_modes, raw)
+            assert self.outcome(crosssec._file_modes, raw) == expected, raw
+            if isinstance(expected, list):
+                loaded += 1
+                merged += len(expected) < len(raw)
+            elif "inconsistent exact forms" in expected[1]:
+                disagreeing += 1
+        assert min(seen.values()) >= 20, seen
+        # 831 arrays load, 525 of them merging, and 392 are refused for
+        # disagreeing exact forms
+        assert loaded >= 500 and merged >= 300 and disagreeing >= 200, (
+            loaded, merged, disagreeing)
+
+    # what the exact-form reader must agree with Fraction on: the p/q its
+    # own route reads, and strings that only look like it
+    GRAMMAR = ["3/4", "007/010", "0/5", "5/0", "0/0",
+               "1" * 5000 + "/3",
+               "\u0661\u0662/\u0663", "\u00b2/3",
+               " 3/4", "+3/4", "-3/4", "3/4/5", "3/", "/4",
+               "1.5", "1e400", "1_000/3", ""]
+
+    @pytest.mark.parametrize("raw", GRAMMAR, ids=lambda raw: repr(raw[:12]))
+    def test_exact_form_grammar(self, raw):
+        def read(parse):
+            try:
+                return parse(raw)
+            except (ValueError, ZeroDivisionError) as e:
+                return type(e), str(e)
+        assert read(crosssec._exact_form) == read(Fraction)
+        entry = [{"mu_sq": 1.0, "m": 1, "mu_sq_exact": raw}]
+        expected = self.outcome(reference_file_modes, entry)
+        assert self.outcome(crosssec._file_modes, entry) == expected
+
+    def test_exact_form_values(self):
+        # the cases above that read, and what they read to
+        assert crosssec._exact_form("007/010") == Fraction(7, 10)
+        assert crosssec._exact_form("\u0661\u0662/\u0663") == Fraction(4, 1)
+        assert crosssec._exact_form("1_000/3") == Fraction(1000, 3)
+        assert crosssec._exact_form("1e400") == 10 ** 400
+        with pytest.raises(ValueError, match="limit"):
+            crosssec._exact_form("1" * 5000 + "/3")
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        # Modes built (each runs _check_mode once) and strings read by
+        # Fraction's grammar (the regex match its string route makes)
+        counts = {"modes": 0, "grammar": 0}
+        check_mode, grammar = crosssec._check_mode, fractions._RATIONAL_FORMAT
+
+        def counting_check(*args):
+            counts["modes"] += 1
+            return check_mode(*args)
+
+        class CountingGrammar:
+            def match(self, text):
+                counts["grammar"] += 1
+                return grammar.match(text)
+
+        monkeypatch.setattr(crosssec, "_check_mode", counting_check)
+        monkeypatch.setattr(fractions, "_RATIONAL_FORMAT", CountingGrammar())
+        return counts
+
+    @staticmethod
+    def surd_file(js):
+        # n = 2, mu^2 = j(j+1) + 1/3, one entry per j in js
+        return json.dumps({"n": 2, "volume": 4 * math.pi, "modes": [
+            {"mu_sq": j * (j + 1) + 1 / 3, "m": 2 * j + 1,
+             "mu_sq_exact": f"{3 * j * (j + 1) + 1}/3"} for j in js]})
+
+    def test_work_distinct_pq_file(self, work):
+        spec = load_spectrum(io.StringIO(self.surd_file(range(500))))
+        assert len(spec.modes) == 500
+        assert work == {"modes": 500, "grammar": 0}
+        # the counter sees the grammar: a decimal string goes through it
+        text = json.dumps({"n": 2, "modes": [
+            {"mu_sq": 1.5, "m": 1, "mu_sq_exact": "1.5"}]})
+        load_spectrum(io.StringIO(text))
+        assert work == {"modes": 501, "grammar": 1}
+
+    def test_work_repeated_mu_sq(self, work):
+        # 400 distinct mu^2; j < 100 appear twice and j < 20 three times:
+        # 100 merged groups, each built once more after its entries
+        js = list(range(400)) + list(range(100)) + list(range(20))
+        random.Random(self.SEED).shuffle(js)
+        spec = load_spectrum(io.StringIO(self.surd_file(js)))
+        assert [m.multiplicity for m in spec.modes] == [
+            (2 * j + 1) * (3 if j < 20 else 2 if j < 100 else 1)
+            for j in range(400)]
+        assert work == {"modes": 520 + 100, "grammar": 0}
 
 
 class TestGenericity:
