@@ -62,7 +62,9 @@ def _table(n: int) -> tuple[list[float], list[list[float]], list[float]]:
     # cos(pi j k/n), so row k acts on the folded values f_j + f_(n-j)
     # (k even) or f_j - f_(n-j) (k odd), j = 0..n/2; T_k integrates to
     # 2/(1-k^2) over [-1, 1] for even k and to 0 for odd k, so the weights
-    # act on the even folded values.  Built on first use
+    # act on the even folded values.  Each weight is added up left to
+    # right, not by sum(), which compensates from Python 3.12 on and would
+    # move the last bit with the version.  Built on first use
     nodes = [math.cos(math.pi * j / n) for j in range(n + 1)]
     rows = []
     for k in range(n + 1):
@@ -70,8 +72,9 @@ def _table(n: int) -> tuple[list[float], list[list[float]], list[float]]:
         rows.append([scale * (0.5 if j == 0 else 1.0)
                      * math.cos(math.pi * (j * k % (2 * n)) / n)
                      for j in range(n // 2 + 1)])
-    weights = [sum(rows[k][j] * 2.0 / (1 - k * k) for k in range(0, n + 1, 2))
-               for j in range(n // 2 + 1)]
+    weights = [0.0] * (n // 2 + 1)
+    for k in range(0, n + 1, 2):
+        weights = [w + 2 * v / (1 - k * k) for w, v in zip(weights, rows[k])]
     return nodes, rows, weights
 
 

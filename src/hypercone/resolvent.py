@@ -243,10 +243,10 @@ def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
 class _KernelData:
     """Per-(n, mode, lambda) evaluation state for the resolvent kernel.
 
-    g1 = f1 reads P F(a, b; c; z), its poles fused into the terms, and u2
+    g1 reads P F(a, b; c; z), its poles fused into the terms, and u2
     reads f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values
     depend only on the kernel and the point; both read a list of points.
-    f1 is seeded by the series times P (_prefactor), or at c = -C on the
+    g1 is seeded by the series times P (_prefactor), or at c = -C on the
     exact lattice by _lattice_seed.  A genuine pole raises PoleEvaluation,
     a P beyond the double range DomainError.
     """
@@ -257,7 +257,6 @@ class _KernelData:
         self.beta = -(n - 1) / 4.0 + 0.5 * p.s
         self.e1 = -1.0 - 0.5 * n - 1j * p.lam
         self.e2 = 0.5 * p.s + (n - 1) / 4.0
-        self.kmin = max(0, math.ceil(max(-v.real for v in (p.a, p.b, p.c))))
         a, b, c = complex(p.a), complex(p.b), complex(p.c)
         log_p, order, (ia, ib, ic), log_t = _prefactor(p, PoleEvaluation)
         if order > 0:
@@ -270,11 +269,11 @@ class _KernelData:
         except OverflowError:
             raise DomainError(f"the mode prefactor at lambda = {p.lam}, "
                               f"s = {p.s!r} exceeds the double range") from None
-        seed = (_series_seed(coef, a, b, c, kmin=self.kmin) if ic is None
+        seed = (_series_seed(coef, a, b, c) if ic is None
                 else self._lattice_seed(coef, t_k, ia, ib, ic))
         # g1 reads z in [0, 1) and u2 sigma in (0, 1]; every caller has
         # checked its points, so neither checks them again
-        self.g1 = self.f1 = _Ladder(a, b, c, seed)
+        self.g1 = _Ladder(a, b, c, seed)
         c2 = complex(1.0 + p.s)
         self.f2 = _Ladder(a, b, c2, _series_seed(1.0 + 0.0j, a, b, c2))
 

@@ -153,17 +153,24 @@ def recip_gamma(z: complex) -> complex:
 
 
 def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
-                kmin: int = 0, ratios: list[complex] | None = None
+                ratios: list[complex] | None = None
                 ) -> tuple[complex, complex]:
     # the one 2F1 term loop, returning (F, F') for the 0th term `term`:
     # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), so t_{k+1} = u_k z
-    # and F' = sum_k (k+1) u_k, never dividing by z; three steps in a row
-    # that leave both sums within _ROUNDOFF, once k >= kmin, end it.  The
-    # step ratios are read from `ratios` as far as it goes and appended
-    # past that, so the sums that share one list form each ratio once
+    # and F' = sum_k (k+1) u_k, never dividing by z.  Three steps in a row
+    # that leave both sums within _ROUNDOFF end it once k >= floor =
+    # min(-Re c / (1-z), _MAX_TERMS - 1): for Re c < 0 the terms can
+    # dip below roundoff and grow back near k = -Re c, where c + k is
+    # small, and the step ratio, about z k / (k + Re c) for moderate a and
+    # b, stays below 1 only once k (1-z) > -Re c.  A step within
+    # _ROUNDOFF whose term is exactly 0 ends it at once, as every later
+    # term is 0 too.  The step ratios are read from `ratios` as far as it
+    # goes and appended past that, so the sums that share one list form
+    # each ratio once
     if ratios is None:
         ratios = []
     known = len(ratios)
+    floor = min(-c.real / (1.0 - z), _MAX_TERMS - 1)
     total = term
     dtotal = 0.0 + 0.0j
     small = 0
@@ -181,7 +188,7 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
         if (abs(term) <= _ROUNDOFF * abs(total)
                 and abs(dterm) <= _ROUNDOFF * abs(dtotal)):
             small += 1
-            if small >= 3 and k >= kmin:
+            if small >= 3 and k >= floor or term == 0.0:
                 return total, dtotal
         else:
             small = 0
@@ -236,16 +243,17 @@ _MAX_RUNGS = 10000  # expansions per ladder; the count grows like S ln(1/dist)
 
 
 def _seed_bound(a: complex, b: complex, c: complex) -> float:
-    # x0 = min(3/4, 2/g), g = |ab| / max(|c|, 1): up to x0 the step ratios
-    # start at about |ab z / c| <= 2 and fall, and ~130 terms reach
-    # roundoff.  A lower x0 lengthens the climb against a growing second
-    # solution (Im lambda < 0): u1 and g1 lost up to a digit at 1/g or 1/2
+    # x0 = min(3/4, 2/g), g = |ab| / max(|c|, 1): up to x0 the first step
+    # ratio |ab z / c| is at most 2.  For Re c >= 0 the later ratios fall
+    # and ~130 terms reach roundoff; for Re c < 0 they rise again near
+    # k = -Re c, where c + k is small, and _sum_series sums on past that.
+    # A lower x0 lengthens the climb against a growing second solution
+    # (Im lambda < 0): u1 and g1 lost up to a digit at 1/g or 1/2
     g = abs(a * b) / max(abs(c), 1.0)
     return min(0.75, 2.0 / g) if g else 0.75
 
 
-def _series_seed(term: complex, a: complex, b: complex, c: complex,
-                 kmin: int = 0):
+def _series_seed(term: complex, a: complex, b: complex, c: complex):
     """m -> (term F(a, b; c; m), term F'(a, b; c; m)) from one pass of the
     series, its derivative being the contiguous (ab/c) F(a+1, b+1; c+1; m).
     Every call reads and extends one list of step ratios, so the seeds of
@@ -253,7 +261,7 @@ def _series_seed(term: complex, a: complex, b: complex, c: complex,
     ratios: list[complex] = []
 
     def seed(m: float) -> tuple[complex, complex]:
-        return _sum_series(term, a, b, c, m, kmin, ratios)
+        return _sum_series(term, a, b, c, m, ratios)
     return seed
 
 
@@ -416,7 +424,10 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
     at other c.  The defining series up to the seed bound
     x0 = min(3/4, 2 max(|c|, 1)/|ab|) and for terminating (polynomial)
     cases; above x0 the ODE continuation of _Ladder, seeded by the series.
-    Every sum and expansion stops at roundoff.  Raises
+    Every sum and expansion stops at roundoff.  A series stops no earlier
+    than its term floor min(-Re c/(1-z), _MAX_TERMS - 1), as for Re c < 0
+    its terms can fall below roundoff and grow back near k = -Re c; a term
+    that is exactly 0, as in a polynomial case, ends it at once.  Raises
     DomainError for z outside [0, 1) or a non-finite parameter,
     LowerParameterPole for c in {0, -1, ...} and NoConvergence past
     _MAX_TERMS terms or _MAX_RUNGS expansions.

@@ -112,7 +112,7 @@ def test_anchor_placement(seed, im_lo, im_hi, draws):
         kd = _KernelData(n, hypergeom_params(n, Mode(mu_sq, 1), lam))
         kd.g1([sigma])
         kd.u2([sigma])
-        for ladder in (kd.f1, kd.f2):
+        for ladder in (kd.g1, kd.f2):
             _check_placement(ladder)
 
 
@@ -176,11 +176,11 @@ def _ladders():
                          (1, Mode(1.0, 1), 1 + 0.5j),
                          (3, Mode(8.0, 1), -0.3 - 1.1j)):
         kd = _KernelData(n, hypergeom_params(n, mode, lam))
-        out += [kd.f1, kd.f2]
+        out += [kd.g1, kd.f2]
     p = hypergeom_params(1, Mode(1 / 9, 1, Fraction(1, 9)), -2j,
                          lam_im_exact=Fraction(-2))
     assert resonances._lattice_indices(p)[2] == 3
-    out.append(_KernelData(1, p).f1)
+    out.append(_KernelData(1, p).g1)
     out.append(_Ladder(5.0 + 0j, 5.0 + 0j, 1.5 + 0j,
                        _series_seed(1.0 + 0j, 5.0 + 0j, 5.0 + 0j, 1.5 + 0j)))
     return out

@@ -951,11 +951,12 @@ class TestLargeModePrefactor:
         assert abs(got - want) <= 1e-10 * abs(want)
 
 
-def _inline_ratio_series(term, a, b, c, z, kmin=0):
+def _inline_ratio_series(term, a, b, c, z):
     # the 2F1 term loop written out here, the reference for bit-identity:
     # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), adds (k+1) u_k to the
-    # derivative and t_{k+1} = u_k z to the value, and three steps in a row
-    # leaving both within roundoff, once k >= kmin, end it
+    # derivative and t_{k+1} = u_k z to the value; three steps in a row
+    # leaving both within roundoff, once k >= min(-Re c / (1-z),
+    # _MAX_TERMS - 1), end it, and so does one such step with a zero term
     value, slope = term, 0.0 + 0.0j
     small = 0
     for k in range(_MAX_TERMS):
@@ -967,7 +968,8 @@ def _inline_ratio_series(term, a, b, c, z, kmin=0):
         if (abs(term) <= _ROUNDOFF * abs(value)
                 and abs(dterm) <= _ROUNDOFF * abs(slope)):
             small += 1
-            if small >= 3 and k >= kmin:
+            if (small >= 3 and k >= min(-c.real / (1 - z), _MAX_TERMS - 1)
+                    or term == 0.0):
                 return value, slope
         else:
             small = 0
@@ -991,10 +993,9 @@ class TestStepRatioCache:
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p)
         a, b, c, c2 = (complex(v) for v in (p.a, p.b, p.c, 1.0 + p.s))
-        t0 = kd.f1.seed(0.0)[0]
+        t0 = kd.g1.seed(0.0)[0]
         for x in self.POINTS:
-            assert kd.f1.seed(x) == _inline_ratio_series(t0, a, b, c, x,
-                                                         kmin=kd.kmin)
+            assert kd.g1.seed(x) == _inline_ratio_series(t0, a, b, c, x)
             w = 1.0 - x
             series = _inline_ratio_series(1.0 + 0.0j, a, b, c2, w)
             assert kd.f2.seed(w) == series
@@ -1025,19 +1026,25 @@ class TestSeedDerivative:
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p)
         a, b, c = complex(p.a), complex(p.b), complex(p.c)
-        self.check(kd.f1.seed, kd.f1.seed(0.0)[0], a, b, c)
+        self.check(kd.g1.seed, kd.g1.seed(0.0)[0], a, b, c)
         self.check(kd.f2.seed, 1.0, a, b, complex(1.0 + p.s))
 
     def test_exact_seed_past_kmin(self):
         # exact s = 1/3 and lambda = -5i/4: a = -3/4, b = -5/12, c = -3/2,
-        # off every Gamma pole, and the series runs at least kmin = 2 steps
+        # off every Gamma pole, and the series at m runs at least to its
+        # floor -Re c / (1-m) = 1.5 / (1-m)
         p = hypergeom_params(1, Mode(1 / 9, 1, Fraction(1, 9)), -1.25j,
                              lam_im_exact=Fraction(-5, 4))
         kd = _KernelData(1, p)
-        assert kd.kmin == 2 and resonances._lattice_indices(p) == (
+        a, b, c = complex(p.a), complex(p.b), complex(p.c)
+        assert c == -1.5 and resonances._lattice_indices(p) == (
             None, None, None)
-        self.check(kd.f1.seed, kd.f1.seed(0.0)[0], complex(p.a),
-                   complex(p.b), complex(p.c))
+        t0 = kd.g1.seed(0.0)[0]
+        for m in self.POINTS[3:]:
+            ratios = []
+            specfun._sum_series(t0, a, b, c, m, ratios)
+            assert len(ratios) - 1 >= 1.5 / (1 - m), m
+        self.check(kd.g1.seed, t0, a, b, c)
 
     def test_lattice_tail(self):
         # c = -3 on the exact lattice: _lattice_seed's tail is the series
@@ -1247,8 +1254,8 @@ class TestKernelExpansions:
     def test_match_series_and_oracle(self, n, mode, lam):
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p)
-        assert kd.f1.q == kd.f2.q == 0.75
-        t0 = kd.f1.seed(0.0)[0]
+        assert kd.g1.q == kd.f2.q == 0.75
+        t0 = kd.g1.seed(0.0)[0]
         c2 = 1 + p.s
         for i, x in enumerate(self.GRID):
             for got, series, oracle in (
@@ -1354,10 +1361,10 @@ class TestLadderWorkCounts:
             count["taylor"] += len(coeffs)
             return coeffs
 
-        def counted_series(term, a, b, c, z, kmin=0, ratios=None):
+        def counted_series(term, a, b, c, z, ratios=None):
             ratios = [] if ratios is None else ratios
             known = len(ratios)
-            out = series(term, a, b, c, z, kmin, ratios)
+            out = series(term, a, b, c, z, ratios)
             count["ratios"] += len(ratios) - known
             return out
 
@@ -1398,8 +1405,7 @@ class TestSharedStepRatios:
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p)
         a, b = complex(p.a), complex(p.b)
-        for ladder, c, kmin in ((kd.f1, complex(p.c), kd.kmin),
-                                (kd.f2, complex(1.0 + p.s), 0)):
+        for ladder, c in ((kd.g1, complex(p.c)), (kd.f2, complex(1.0 + p.s))):
             ladder([0.004 + 0.008 * k for k in range(125)])
             t0 = ladder.seed(0.0)[0]
             seeded = [key for key in ladder.expansions if ladder._seeded(key)]
@@ -1407,7 +1413,7 @@ class TestSharedStepRatios:
             for key in seeded:
                 m = ladder.expansions[key][0]
                 z = m if key >= 0 else 1.0 - m
-                fresh = specfun._sum_series(t0, a, b, c, z, kmin)
+                fresh = specfun._sum_series(t0, a, b, c, z)
                 assert ladder.seed(z) == fresh, key
 
 

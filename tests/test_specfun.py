@@ -43,6 +43,13 @@ GAMMA_2_3I = complex(-0.08239527266561189, 0.09177428743525931)
 # oracle_reg_2f1(0.5, 1.5, -2, 0.1, dps=30); independently reproduced by the
 # shifted-parameter form (a)_3 (b)_3 z^3 / 3! * F(a+3, b+3; 4; z).
 REG_HALF_THREEHALF_M2 = 0.006212058128127211
+# oracle_hyp2f1(0.5+3j, 0.5-3j, -50.3+0.2j, 0.6): the terms fall below
+# roundoff at k = 18 and grow back to 1.7e11 at k = 125
+F_C_MINUS_50 = complex(-5651319105704.297, -1767315752397.7559)
+# oracle_hyp2f1(1.5-2j, 2+1j, c, z) at c = -20000.5, z = 0.5 and at
+# c = -3000.5, z = 0.7, where the term floor -Re c/(1-z) passes the budget
+F_C_MINUS_20000 = complex(0.9998750152331657, 6.24855490866964e-05)
+F_C_MINUS_3000 = complex(0.9988345816871091, 0.0005821149752880721)
 
 
 class TestGammaValues:
@@ -109,6 +116,33 @@ class TestHyp2f1Values:
         want = 1 + (-2 * b / c) * z + ((-2) * (-1) * b * (b + 1)
                                        / (c * (c + 1) * 2)) * z * z
         assert abs(hyp2f1(-2.0, b, c, z) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("a,b,c,z,want", [
+        (0.5 + 3j, 0.5 - 3j, -50.3 + 0.2j, 0.6, F_C_MINUS_50),
+        (1.5 - 2j, 2 + 1j, -20000.5, 0.5, F_C_MINUS_20000),
+        (1.5 - 2j, 2 + 1j, -3000.5, 0.7, F_C_MINUS_3000)])
+    def test_negative_c_term_floor(self, a, b, c, z, want):
+        # Re c < 0: three negligible terms do not end the series before
+        # k = -Re c/(1-z), 125.75 in the first case, which once stopped at
+        # 0.8968 - 0.0004i; in the other two the floor stops at the budget,
+        # _MAX_TERMS - 1, so they are summed, not refused
+        got = hyp2f1(a, b, c, z)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_polynomial_stops_at_zero_term(self):
+        # the floor 10.5/0.001 would pass the budget; the first zero term,
+        # the 4th, ends the sum
+        z = 0.999
+        want = 1.0
+        term = 1.0
+        for k in range(3):
+            term *= (-3 + k) * (2 + k) / ((-10.5 + k) * (k + 1)) * z
+            want += term
+        ratios = []
+        got = specfun._sum_series(1.0 + 0.0j, -3.0, 2.0, -10.5, z, ratios)[0]
+        assert len(ratios) == 4
+        assert abs(got - want) <= 1e-14 * abs(want)
+        assert abs(hyp2f1(-3, 2, -10.5, z) - want) <= 1e-14 * abs(want)
 
     def test_domain_errors(self):
         for z in (-0.1, 1.0, 1.5):
@@ -349,6 +383,26 @@ class TestAgainstMpmath:
                 want = oracle_hyp2f1(a, b, c, z)
                 got = hyp2f1(a, b, c, z)
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+    def test_negative_c_sweep(self):
+        # Re c in [-60, -2], where the terms can fall below roundoff and
+        # grow back: each value is right to 1e-10 or a typed refusal; 43 of
+        # the 400 draws once stopped early, the worst with no digit right
+        rng = random.Random(29)
+        for _ in range(400):
+            a = complex(rng.uniform(-3, 3), rng.uniform(-4, 4))
+            b = complex(rng.uniform(-3, 3), rng.uniform(-4, 4))
+            c = complex(rng.uniform(-60, -2), rng.uniform(-1, 1))
+            z = rng.uniform(0, 0.75)
+            with mp.workdps(30):
+                f = mp.hyp2f1(a, b, c, z)
+                wants = complex(f), complex(f * mp.rgamma(c))
+            for fn, want in zip((hyp2f1, hyp2f1_regularized), wants):
+                try:
+                    got = fn(a, b, c, z)
+                except HyperconeError:
+                    continue
+                assert abs(got - want) <= 1e-10 * abs(want), (a, b, c, z)
 
     def test_regularized_battery(self):
         rng = random.Random(31)
