@@ -68,6 +68,7 @@ _LN_PI = 1.1447298858494001741
 _ROUNDOFF = 3e-16
 _EDGE_TOL = 1e-19
 _MAX_TERMS = 10000
+_LIFT = 2.0 ** 960  # a 2F1 series term below 1/_LIFT is held times _LIFT
 
 
 def is_nonpositive_integer(z: complex) -> bool:
@@ -159,41 +160,64 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
     # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), so t_{k+1} = u_k z
     # and F' = sum_k (k+1) u_k, never dividing by z.  Three steps in a row
     # that leave both sums within _ROUNDOFF end it once k >= floor =
-    # min(-Re c / (1-z), _MAX_TERMS - 1): for Re c < 0 the terms can
-    # dip below roundoff and grow back near k = -Re c, where c + k is
-    # small, and the step ratio, about z k / (k + Re c) for moderate a and
-    # b, stays below 1 only once k (1-z) > -Re c.  A step within
-    # _ROUNDOFF whose term is exactly 0 ends it at once, as every later
-    # term is 0 too.  The step ratios are read from `ratios` as far as it
+    # -Re c / (1-z): for Re c < 0 the terms can dip below roundoff and
+    # grow back near k = -Re c, where c + k is small, and the step ratio,
+    # about z k / (k + Re c) for moderate a and b, stays below 1 only once
+    # k (1-z) > -Re c.  A floor past the budget raises NoConvergence, and
+    # a sum past the double range DomainError (or NoConvergence, where the
+    # overflow turns it to nan).  A term of 0 ends it at once, as every
+    # later term is 0 too.  So that no term is lost to underflow, a
+    # negligible term below 1/_LIFT is parked: held times _LIFT (again at
+    # each fall below 1/_LIFT) and not added, and taken back down by
+    # _LIFT each time it reaches 1, until it is added again or the floor
+    # ends the sum.  The step ratios are read from `ratios` as far as it
     # goes and appended past that, so the sums that share one list form
     # each ratio once
     if ratios is None:
         ratios = []
     known = len(ratios)
-    floor = min(-c.real / (1.0 - z), _MAX_TERMS - 1)
+    floor = -c.real / (1.0 - z)
     total = term
     dtotal = 0.0 + 0.0j
-    small = 0
-    for k in range(_MAX_TERMS):
-        if k < known:
-            step = ratios[k]
+    small = lift = 0
+    try:
+        for k in range(_MAX_TERMS):
+            if k < known:
+                step = ratios[k]
+            else:
+                step = (a + k) * (b + k) / ((c + k) * (k + 1))
+                ratios.append(step)
+            term *= step
+            dterm = (k + 1) * term
+            term *= z
+            if lift:  # parked: the term is held times _LIFT ** lift
+                if k >= floor or term == 0.0:
+                    break
+                if abs(term) * _LIFT < 1.0:
+                    term, lift = term * _LIFT, lift + 1
+                elif abs(term) >= 1.0:
+                    term, dterm, lift = term / _LIFT, dterm / _LIFT, lift - 1
+                if lift:
+                    continue
+            dtotal += dterm
+            total += term
+            if (abs(term) <= _ROUNDOFF * abs(total)
+                    and abs(dterm) <= _ROUNDOFF * abs(dtotal)):
+                small += 1
+                if small >= 3 and k >= floor or term == 0.0:
+                    break
+                if abs(term) * _LIFT < 1.0:
+                    term, lift = term * _LIFT, 1
+            else:
+                small = 0
         else:
-            step = (a + k) * (b + k) / ((c + k) * (k + 1))
-            ratios.append(step)
-        term *= step
-        dterm = (k + 1) * term
-        dtotal += dterm
-        term *= z
-        total += term
-        if (abs(term) <= _ROUNDOFF * abs(total)
-                and abs(dterm) <= _ROUNDOFF * abs(dtotal)):
-            small += 1
-            if small >= 3 and k >= floor or term == 0.0:
-                return total, dtotal
-        else:
-            small = 0
-    raise NoConvergence(
-        f"2F1 series did not settle within {_MAX_TERMS} terms at z = {z}")
+            raise NoConvergence(f"2F1 series did not settle within "
+                                f"{_MAX_TERMS} terms at z = {z}")
+        if cmath.isfinite(total) and cmath.isfinite(dtotal):
+            return total, dtotal
+    except OverflowError:  # |term| or |total| past the double range
+        pass
+    raise DomainError(f"the 2F1 series at z = {z} exceeds the double range")
 
 
 def _ode_taylor(a: complex, b: complex, c: complex, m: float, y0: complex,
@@ -425,12 +449,14 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
     x0 = min(3/4, 2 max(|c|, 1)/|ab|) and for terminating (polynomial)
     cases; above x0 the ODE continuation of _Ladder, seeded by the series.
     Every sum and expansion stops at roundoff.  A series stops no earlier
-    than its term floor min(-Re c/(1-z), _MAX_TERMS - 1), as for Re c < 0
-    its terms can fall below roundoff and grow back near k = -Re c; a term
-    that is exactly 0, as in a polynomial case, ends it at once.  Raises
-    DomainError for z outside [0, 1) or a non-finite parameter,
-    LowerParameterPole for c in {0, -1, ...} and NoConvergence past
-    _MAX_TERMS terms or _MAX_RUNGS expansions.
+    than its term floor -Re c/(1-z), as for Re c < 0 its terms can fall
+    below roundoff, even below the double range, and grow back near
+    k = -Re c; a term that is exactly 0, as in a polynomial case, ends it
+    at once.  Raises DomainError for z outside [0, 1), a non-finite
+    parameter or a series sum past the double range, LowerParameterPole
+    for c in {0, -1, ...} and NoConvergence past _MAX_TERMS terms (so for
+    a floor past it, or a sum that overflows to nan) or _MAX_RUNGS
+    expansions.
     """
     a, b, c, z = _arguments("hyp2f1", a, b, c, z)
     return _hyp2f1(a, b, c, z, 1.0 - z)

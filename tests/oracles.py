@@ -58,6 +58,28 @@ def oracle_hyp2f1(a, b, c, z, dps: int = 30) -> complex:
         return complex(mp.hyp2f1(a, b, c, z))
 
 
+def oracle_hyp2f1_terms(a, b, c, z, dps: int = 30):
+    """F(a, b; c; z) by the plain term sum, as an mpmath number.
+
+    mp.hyp2f1 stops at the first term below its working precision, so for
+    Re c < 0, where the terms can dip that low and grow back near
+    k = -Re c, it can return a truncated sum.  This sum runs to
+    k >= 2 (max(-Re c, 0) + |a| + |b|)/(1-z) + 50, past which the step
+    ratio z |(a+k)(b+k)| / (|c+k| (k+1)) stays below 1 and falls, and on
+    until a term is below 10^-dps of the sum.  Plain z in [0, 1) only."""
+    with mp.workdps(dps):
+        a, b, c, z = mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpf(z)
+        far = 2.0 * float(max(-c.real, 0) + abs(a) + abs(b)) / (1 - z) + 50
+        eps = mp.mpf(10) ** -dps
+        term = total = mp.mpc(1)
+        k = 0
+        while k < far or abs(term) > eps * abs(total):
+            term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+            total += term
+            k += 1
+        return total
+
+
 def oracle_reg_2f1(a, b, c, z, dps: int = 30, max_terms: int = 2000) -> complex:
     """Regularized 2F1 by the plain term sum with mp.rgamma weights."""
     with mp.workdps(dps):

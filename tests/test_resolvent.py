@@ -955,22 +955,37 @@ def _inline_ratio_series(term, a, b, c, z):
     # the 2F1 term loop written out here, the reference for bit-identity:
     # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), adds (k+1) u_k to the
     # derivative and t_{k+1} = u_k z to the value; three steps in a row
-    # leaving both within roundoff, once k >= min(-Re c / (1-z),
-    # _MAX_TERMS - 1), end it, and so does one such step with a zero term
+    # leaving both within roundoff, once k >= -Re c / (1-z), end it, and so
+    # does one such step with a zero term.  A negligible term below 2^-960
+    # is held times 2^960 (again at each fall below 2^-960) and not added,
+    # and is taken back down by 2^960 each time it reaches 1, until it is
+    # added again or the floor ends the sum
     value, slope = term, 0.0 + 0.0j
-    small = 0
+    small = lift = 0
+    floor = -c.real / (1 - z)
     for k in range(_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1))
         dterm = (k + 1) * term
-        slope += dterm
         term *= z
+        if lift:
+            if k >= floor or term == 0.0:
+                return value, slope
+            if abs(term) < 2.0 ** -960:
+                term, lift = term * 2.0 ** 960, lift + 1
+            elif abs(term) >= 1.0:
+                term, dterm = term * 2.0 ** -960, dterm * 2.0 ** -960
+                lift -= 1
+            if lift:
+                continue
+        slope += dterm
         value += term
         if (abs(term) <= _ROUNDOFF * abs(value)
                 and abs(dterm) <= _ROUNDOFF * abs(slope)):
             small += 1
-            if (small >= 3 and k >= min(-c.real / (1 - z), _MAX_TERMS - 1)
-                    or term == 0.0):
+            if small >= 3 and k >= floor or term == 0.0:
                 return value, slope
+            if abs(term) < 2.0 ** -960:
+                term, lift = term * 2.0 ** 960, 1
         else:
             small = 0
     raise AssertionError("reference series did not settle")

@@ -30,6 +30,7 @@ from hypercone import specfun
 from oracles import (
     exp_equal,
     oracle_hyp2f1,
+    oracle_hyp2f1_terms,
     oracle_ln_gamma,
     oracle_pochhammer,
     oracle_reg_2f1,
@@ -43,13 +44,21 @@ GAMMA_2_3I = complex(-0.08239527266561189, 0.09177428743525931)
 # oracle_reg_2f1(0.5, 1.5, -2, 0.1, dps=30); independently reproduced by the
 # shifted-parameter form (a)_3 (b)_3 z^3 / 3! * F(a+3, b+3; 4; z).
 REG_HALF_THREEHALF_M2 = 0.006212058128127211
-# oracle_hyp2f1(0.5+3j, 0.5-3j, -50.3+0.2j, 0.6): the terms fall below
-# roundoff at k = 18 and grow back to 1.7e11 at k = 125
+# oracle_hyp2f1_terms(0.5+3j, 0.5-3j, -50.3+0.2j, 0.6), and mp.hyp2f1 at 30
+# digits: the terms fall below roundoff at k = 18 and grow back to 1.7e11
+# at k = 125
 F_C_MINUS_50 = complex(-5651319105704.297, -1767315752397.7559)
-# oracle_hyp2f1(1.5-2j, 2+1j, c, z) at c = -20000.5, z = 0.5 and at
-# c = -3000.5, z = 0.7, where the term floor -Re c/(1-z) passes the budget
-F_C_MINUS_20000 = complex(0.9998750152331657, 6.24855490866964e-05)
-F_C_MINUS_3000 = complex(0.9988345816871091, 0.0005821149752880721)
+# oracle_hyp2f1_terms(1.5-2j, 2+1j, -600.5, 0.3, dps=40): the terms fall
+# below 1e-300 and the lost tail is negligible
+F_C_MINUS_600 = complex(0.9975069162957179, 0.0012438203138413055)
+# oracle_hyp2f1_terms(-2.687200673146881+1.4530916448597457j,
+# 1.3029195802050646-1.2161479363455383j,
+# -758.3196418175877-0.6704036959376503j, 0.547422112865249, dps=40): the
+# terms fall to 8.9e-394 and grow back to 7.8e54 at k = 1673
+F_C_MINUS_758 = complex(8.518435894554216e+56, 2.0585818738270213e+56)
+# oracle_hyp2f1_terms(1.5-2j, 2+1j, -2000.5, 0.5, dps=40): the terms fall
+# to 5.2e-948, three factors of 2^960 below the double range, and grow back
+F_C_MINUS_2000 = complex(3688593580.484252, 18982934437.569103)
 
 
 class TestGammaValues:
@@ -117,17 +126,49 @@ class TestHyp2f1Values:
                                        / (c * (c + 1) * 2)) * z * z
         assert abs(hyp2f1(-2.0, b, c, z) - want) <= 1e-14 * abs(want)
 
-    @pytest.mark.parametrize("a,b,c,z,want", [
-        (0.5 + 3j, 0.5 - 3j, -50.3 + 0.2j, 0.6, F_C_MINUS_50),
-        (1.5 - 2j, 2 + 1j, -20000.5, 0.5, F_C_MINUS_20000),
-        (1.5 - 2j, 2 + 1j, -3000.5, 0.7, F_C_MINUS_3000)])
-    def test_negative_c_term_floor(self, a, b, c, z, want):
+    @pytest.mark.parametrize("a,b,c,z,want,tol", [
+        (0.5 + 3j, 0.5 - 3j, -50.3 + 0.2j, 0.6, F_C_MINUS_50, 1e-14),
+        (1.5 - 2j, 2 + 1j, -600.5, 0.3, F_C_MINUS_600, 1e-15),
+        (-2.687200673146881 + 1.4530916448597457j,
+         1.3029195802050646 - 1.2161479363455383j,
+         -758.3196418175877 - 0.6704036959376503j, 0.547422112865249,
+         F_C_MINUS_758, 1e-13),
+        (1.5 - 2j, 2 + 1j, -2000.5, 0.5, F_C_MINUS_2000, 1e-13)])
+    def test_negative_c_term_floor(self, a, b, c, z, want, tol):
         # Re c < 0: three negligible terms do not end the series before
-        # k = -Re c/(1-z), 125.75 in the first case, which once stopped at
-        # 0.8968 - 0.0004i; in the other two the floor stops at the budget,
-        # _MAX_TERMS - 1, so they are summed, not refused
+        # k = -Re c/(1-z), 125.75 in the first case, where stopping at them
+        # gives 0.8968 - 0.0004i.  In the other three the terms pass below
+        # the double range before the floor and are parked, not lost: in
+        # the third, terms left to run into the subnormals grow back from
+        # their last bits to 1.7e78
         got = hyp2f1(a, b, c, z)
-        assert abs(got - want) <= 1e-14 * abs(want)
+        assert abs(got - want) <= tol * abs(want)
+
+    @pytest.mark.parametrize("c,z,err", [
+        (-20000.5, 0.5, NoConvergence), (-3000.5, 0.7, NoConvergence),
+        (-1400.5, 0.62, DomainError), (-1450.5, 0.64, DomainError)])
+    def test_negative_c_refusals(self, c, z, err):
+        # oracle_hyp2f1_terms(1.5-2j, 2+1j, c, z, dps=40) is 3.686e12 -
+        # 4.866e12i at c = -20000.5, where the floor of 40,001 terms is
+        # past the budget, and 5.19e1115 + 2.59e1115i at c = -3000.5 (a
+        # floor of 10,002), where mp.hyp2f1 at 60 digits and the sum cut
+        # at the first underflow both give about 0.999.  At c = -1400.5 the
+        # sum passes the double range, and at c = -1450.5 so does |term|
+        # while both its parts are finite
+        with pytest.raises(err):
+            hyp2f1(1.5 - 2j, 2 + 1j, c, z)
+
+    def test_zero_terms_before_floor(self):
+        # a zero term ends the sum at once, before the floor too: z = 0 and
+        # a 0th term of 0.  At z = 1e-20 (the floor 40.5) the terms are
+        # parked from the 15th on and stay negligible up to the floor
+        a, b, c = 1.5 - 2j, 2 + 1j, -40.5
+        assert hyp2f1(a, b, c, 0.0) == 1.0
+        want = 1.0 + a * b / c * 1e-20
+        assert abs(hyp2f1(a, b, c, 1e-20) - want) <= 1e-16
+        ratios = []
+        got = specfun._sum_series(0.0j, a, b, c, 0.5, ratios)
+        assert got == (0.0, 0.0) and len(ratios) == 1
 
     def test_polynomial_stops_at_zero_term(self):
         # the floor 10.5/0.001 would pass the budget; the first zero term,
@@ -384,10 +425,29 @@ class TestAgainstMpmath:
                 got = hyp2f1(a, b, c, z)
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
+    @pytest.mark.parametrize("a,b,c,z", [
+        (-2.687200673146881 + 1.4530916448597457j,
+         1.3029195802050646 - 1.2161479363455383j,
+         -758.3196418175877 - 0.6704036959376503j, 0.547422112865249),
+        (1.5 - 2j, 2 + 1j, -2000.5, 0.5)])
+    def test_parked_series_derivative(self, a, b, c, z):
+        # terms parked below the double range and grown back: the value and
+        # the derivative (ab/c) F(a+1, b+1; c+1; z) of one term loop
+        val, slope = specfun._sum_series(1.0 + 0.0j, a, b, c, z)
+        with mp.workdps(30):
+            want = complex(oracle_hyp2f1_terms(a, b, c, z))
+            dwant = complex(mp.mpc(a) * b / c
+                            * oracle_hyp2f1_terms(a + 1, b + 1, c + 1, z))
+        assert abs(val - want) <= 1e-13 * abs(want)
+        assert abs(slope - dwant) <= 1e-13 * abs(dwant)
+
     def test_negative_c_sweep(self):
         # Re c in [-60, -2], where the terms can fall below roundoff and
-        # grow back: each value is right to 1e-10 or a typed refusal; 43 of
-        # the 400 draws once stopped early, the worst with no digit right
+        # grow back: each value is right to 1e-10 or a typed refusal.
+        # Stopping at the first three negligible terms misses on 43 of the
+        # 400 draws, the worst with no digit right.
+        # The reference is the plain term sum, as mp.hyp2f1 can stop early
+        # in the same way (off by 4.6e-9 at 30 digits at Re c = -70)
         rng = random.Random(29)
         for _ in range(400):
             a = complex(rng.uniform(-3, 3), rng.uniform(-4, 4))
@@ -395,7 +455,7 @@ class TestAgainstMpmath:
             c = complex(rng.uniform(-60, -2), rng.uniform(-1, 1))
             z = rng.uniform(0, 0.75)
             with mp.workdps(30):
-                f = mp.hyp2f1(a, b, c, z)
+                f = oracle_hyp2f1_terms(a, b, c, z)
                 wants = complex(f), complex(f * mp.rgamma(c))
             for fn, want in zip((hyp2f1, hyp2f1_regularized), wants):
                 try:
