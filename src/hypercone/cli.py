@@ -126,8 +126,6 @@ def _json_write(obj, pad: str, out: list) -> None:
             out.append("".join(row))
             head = ",\n" + inner
         out.append("\n" + pad + "]" if obj else "[]")
-    elif t is bool:
-        out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
     elif t is _Raw:
@@ -144,12 +142,7 @@ def _json_text(obj) -> str:
 
 
 def _csv_cell(v) -> str:
-    t = type(v)
-    if t is float:
-        return _float_text(v)
-    if t is bool:
-        return "true" if v else "false"
-    return str(v)
+    return _float_text(v) if type(v) is float else str(v)
 
 
 def _csv_text(records: list[list]) -> str:

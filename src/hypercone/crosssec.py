@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,6 +34,7 @@ _EXACT_MATCH_TOL = 1e-15
 # a float this near a lattice is undecidable: s to 1/2 + Z here, and in
 # resonances a, b, c to {0, -1, ...} and resonance positions to each other
 _LATTICE_TOL = 1e-9
+_DOUBLE_MAX = sys.float_info.max
 
 # a fraction num/den in lowest terms, and a mode's s as _s_data gives it
 _Ratio = tuple[int, int]
@@ -46,15 +48,23 @@ class GenericityVerdict(enum.Enum):
 
 
 def _check_mode(mu_sq, multiplicity, mu_sq_exact) -> None:
-    if not (isinstance(mu_sq, (int, float)) and math.isfinite(mu_sq)):
+    # errors._real and _rational's rule, written out as they cost more per
+    # Mode: a bool is an int but no value here, a float exact form is
+    # already rounded, and the range test refuses an int beyond the double
+    # range along with nan and inf
+    if not ((type(mu_sq) is float or isinstance(mu_sq, (int, float))
+             and not isinstance(mu_sq, bool))
+            and -_DOUBLE_MAX <= mu_sq <= _DOUBLE_MAX):
         raise ValidationError(f"mu_sq must be a finite number, got {mu_sq!r}")
     if mu_sq < 0:
         raise ValidationError(f"mu_sq must be >= 0, got {mu_sq}")
-    # type(), not isinstance(): a bool is an int but no multiplicity
     if type(multiplicity) is not int or multiplicity < 1:
         raise ValidationError(
             f"multiplicity must be an integer >= 1, got {multiplicity!r}")
     if mu_sq_exact is not None:
+        if type(mu_sq_exact) not in (Fraction, int):
+            raise ValidationError(
+                f"mu_sq_exact must be an exact rational, got {mu_sq_exact!r}")
         if mu_sq_exact.numerator < 0:
             raise ValidationError(
                 f"mu_sq_exact must be >= 0, got {mu_sq_exact}")
@@ -152,9 +162,17 @@ class SpectrumSpec:
         if isinstance(modes, _Run):
             self.run = modes
             return
-        for i in range(len(modes) - 1):
-            if modes[i].mu_sq > modes[i + 1].mu_sq:
+        if not isinstance(modes, list):
+            raise ValidationError(
+                f"modes must be a list of Mode, got {type(modes).__name__}")
+        last = 0.0
+        for mode in modes:
+            if not isinstance(mode, Mode):
+                raise ValidationError(
+                    f"modes must be a list of Mode, got an entry {mode!r}")
+            if mode.mu_sq < last:
                 raise ValidationError("modes must be sorted by mu_sq ascending")
+            last = mode.mu_sq
         self._modes = modes
 
     @property
@@ -313,51 +331,41 @@ def _file_modes(raw: list) -> list[Mode]:
     """The modes of a file's 'modes' array, sorted by mu_sq, with entries
     of equal mu_sq merged and their multiplicities summed.
 
-    Each entry is checked once, by building its Mode with its final label,
-    in file order, so an error names the first bad entry and a NaN is
-    refused before the labels its sort scrambled are used.  Only a merged
-    mode is built, and checked, twice; merging runs when a mu_sq repeats.
+    One pass in sorted order builds each entry's Mode, so checks it, once
+    with its final label; a run of equal mu_sq keeps its first entry in
+    file order (the sort is stable) and sums the rest into it, and a
+    merged mode is built once more at the end.  Anything refused there
+    sends the entries through again in file order, parsed and then built,
+    so the error names the first bad entry; when none is bad, it is the
+    first repeated mu_sq whose exact forms disagree.
     """
-    entries = []
-    unparsed = None  # the error of the first entry whose types are wrong
-    for idx, entry in enumerate(raw):
-        try:
-            entries.append(_parse_mode_entry(entry, idx))
-        except ValidationError as e:
-            unparsed = e
-            break
-    values = [value for value, _, _ in entries]
-    order = sorted(range(len(values)), key=values.__getitem__)
-    labels = [0] * len(values)
-    label, last = -1, None
-    for idx in order:  # entries of equal mu_sq share one label
-        if values[idx] != last:
-            label, last = label + 1, values[idx]
-        labels[idx] = label
-    modes = []
-    for (value, m, exact), j in zip(entries, labels):
-        try:
-            modes.append(Mode(value, m, exact, j))
-        except ValidationError as e:
-            raise ValidationError(f"modes[{len(modes)}]: {e}") from e
-    if unparsed is not None:
-        raise unparsed
-    if label + 1 == len(modes):  # no mu_sq repeats
-        return [modes[idx] for idx in order]
-    groups = [[] for _ in range(label + 1)]
-    for idx in order:
-        groups[labels[idx]].append(modes[idx])
-    merged = []
-    for first, *rest in groups:
-        if any(mode.mu_sq_exact != first.mu_sq_exact for mode in rest):
-            raise ValidationError(
-                f"duplicate mu_sq = {first.mu_sq} entries carry inconsistent "
-                f"exact forms")
-        if rest:
-            m = first.multiplicity + sum(mode.multiplicity for mode in rest)
-            first = Mode(first.mu_sq, m, first.mu_sq_exact, first.label)
-        merged.append(first)
-    return merged
+    try:
+        entries = sorted((_parse_mode_entry(entry, idx)
+                          for idx, entry in enumerate(raw)), key=itemgetter(0))
+        modes, counts = [], []
+        for value, m, exact in entries:
+            if modes and value == modes[-1].mu_sq:
+                first = modes[-1]
+                if exact != first.mu_sq_exact:
+                    raise ValidationError(
+                        f"duplicate mu_sq = {first.mu_sq} entries carry "
+                        "inconsistent exact forms")
+                Mode(value, m, exact, first.label)  # checks the entry
+                counts[-1] += m
+            else:
+                modes.append(Mode(value, m, exact, len(modes)))
+                counts.append(m)
+        return [mode if m == mode.multiplicity
+                else Mode(mode.mu_sq, m, mode.mu_sq_exact, mode.label)
+                for mode, m in zip(modes, counts)]
+    except ValidationError:
+        for idx, entry in enumerate(raw):
+            value, m, exact = _parse_mode_entry(entry, idx)
+            try:
+                Mode(value, m, exact)
+            except ValidationError as e:
+                raise ValidationError(f"modes[{idx}]: {e}") from e
+        raise
 
 
 def load_spectrum(source) -> SpectrumSpec:

@@ -164,15 +164,17 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
     # grow back near k = -Re c, where c + k is small, and the step ratio,
     # about z k / (k + Re c) for moderate a and b, stays below 1 only once
     # k (1-z) > -Re c.  A floor past the budget raises NoConvergence, and
-    # a sum past the double range DomainError (or NoConvergence, where the
-    # overflow turns it to nan).  A term of 0 ends it at once, as every
-    # later term is 0 too.  So that no term is lost to underflow, a
-    # negligible term below 1/_LIFT is parked: held times _LIFT (again at
-    # each fall below 1/_LIFT) and not added, and taken back down by
-    # _LIFT each time it reaches 1, until it is added again or the floor
-    # ends the sum.  The step ratios are read from `ratios` as far as it
-    # goes and appended past that, so the sums that share one list form
-    # each ratio once
+    # a sum past the double range DomainError.  An inf or nan sum passes
+    # its term as negligible, so the finiteness test sits in the branch of
+    # negligible terms, which the common step never takes; it ends the loop
+    # once the other sum has left the range too or its term is negligible.
+    # A term of 0 ends it at once, as every later term is 0 too.  So that
+    # no term is lost to underflow, a negligible term below 1/_LIFT is
+    # parked: held times _LIFT (again at each fall below 1/_LIFT) and not
+    # added, and taken back down by _LIFT each time it reaches 1, until it
+    # is added again or the floor ends the sum.  The step ratios are read
+    # from `ratios` as far as it goes and appended past that, so the sums
+    # that share one list form each ratio once
     if ratios is None:
         ratios = []
     known = len(ratios)
@@ -201,15 +203,17 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
                     continue
             dtotal += dterm
             total += term
-            if (abs(term) <= _ROUNDOFF * abs(total)
-                    and abs(dterm) <= _ROUNDOFF * abs(dtotal)):
+            if (abs(term) > _ROUNDOFF * abs(total)
+                    or abs(dterm) > _ROUNDOFF * abs(dtotal)):
+                small = 0
+            else:  # negligible terms, or an overflow: inf and nan land here
+                if not (cmath.isfinite(total) and cmath.isfinite(dtotal)):
+                    break
                 small += 1
                 if small >= 3 and k >= floor or term == 0.0:
                     break
                 if abs(term) * _LIFT < 1.0:
                     term, lift = term * _LIFT, 1
-            else:
-                small = 0
         else:
             raise NoConvergence(f"2F1 series did not settle within "
                                 f"{_MAX_TERMS} terms at z = {z}")
@@ -455,8 +459,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
     at once.  Raises DomainError for z outside [0, 1), a non-finite
     parameter or a series sum past the double range, LowerParameterPole
     for c in {0, -1, ...} and NoConvergence past _MAX_TERMS terms (so for
-    a floor past it, or a sum that overflows to nan) or _MAX_RUNGS
-    expansions.
+    a floor past it) or _MAX_RUNGS expansions.
     """
     a, b, c, z = _arguments("hyp2f1", a, b, c, z)
     return _hyp2f1(a, b, c, z, 1.0 - z)

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .crosssec import Mode, circle_spectrum, sphere_spectrum
-from .errors import ProbeInconclusive
+from .errors import ProbeInconclusive, ValidationError
 from .resonances import PoleVerdict, candidate_params, classify_pole, hypergeom_params
 from .resolvent import (
     RadialProfile,
@@ -374,8 +374,9 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if not isinstance(name, str) or name not in _SUITES:
+        raise ValidationError(
+            f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name](seed)
 
 

@@ -37,6 +37,7 @@ from hypercone import (
     recip_gamma,
     residual_check,
     residue_probe,
+    run_suite,
     s_param,
     sigma_of_r,
     sphere_spectrum,
@@ -168,6 +169,33 @@ REAL_ARGUMENTS = {
                                ValidationError, "j_max"),
     "is_generic(n)": (lambda x: is_generic(Mode(1.0, 1), x), InvalidDimension,
                       "n must"),
+    "Mode(mu_sq)": (lambda x: Mode(x, 1), ValidationError, "mu_sq must"),
+    "Mode(multiplicity)": (lambda x: Mode(1.0, x), ValidationError,
+                           "multiplicity must"),
+}
+
+# an argument with bad values of its own, where None may mean something
+# -> (call with the bad value, typed error, what it names, bad values by id)
+OTHER_ARGUMENTS = {
+    "Mode(mu_sq)": (
+        lambda x: Mode(x, 1), ValidationError, "mu_sq must",
+        {"10**400": 10 ** 400, "-10**400": -10 ** 400,
+         "Fraction": Fraction(1, 2), "str": "1.0"}),
+    "Mode(mu_sq_exact)": (
+        lambda x: Mode(1.0, 1, x), ValidationError, "mu_sq_exact must",
+        {"str": "1", "word": "x", "float": 1.0, "half": 0.5,
+         "nan": math.nan, "complex": complex(1.0, 0.0), "bool": True,
+         "list": [1]}),
+    "SpectrumSpec(modes)": (
+        lambda x: SpectrumSpec(1, x, None, "file"), ValidationError,
+        "modes must be a list of Mode",
+        {"int": 5, "None": None, "str": "x", "tuple": (Mode(1.0, 1),),
+         "float entry": [Mode(1.0, 1), 2.0], "None entry": [None],
+         "bool entry": [Mode(1.0, 1), Mode(2.0, 1), True]}),
+    "run_suite(name)": (
+        run_suite, ValidationError, "unknown suite",
+        {"unknown": "nope", "empty": "", "None": None, "int": 1,
+         "bool": True, "list": ["specfun"]}),
 }
 
 ENTRY_POINTS = {**COMPLEX_ARGUMENTS, **REAL_ARGUMENTS}
@@ -198,6 +226,20 @@ def test_malformed_argument_is_typed_error(entry, value):
     # a string or None once reached an ordering test or complex() and
     # raised TypeError or ValueError; a bool was read as 0 or 1
     call, error, names = ENTRY_POINTS[entry]
+    with pytest.raises(error, match=names):
+        call(value)
+
+
+@pytest.mark.parametrize("entry,value", [
+    pytest.param(entry, value, id=f"{entry}-{name}")
+    for entry, (_, _, _, values) in sorted(OTHER_ARGUMENTS.items())
+    for name, value in values.items()])
+def test_other_argument_is_typed_error(entry, value):
+    # Mode once took a bool mu_sq and a bool exact form (stored as 1) and
+    # raised AttributeError on a string or float exact form; SpectrumSpec
+    # raised AttributeError or TypeError on what is no list of Mode, and
+    # run_suite ValueError on an unknown name
+    call, error, names, _ = OTHER_ARGUMENTS[entry]
     with pytest.raises(error, match=names):
         call(value)
 

@@ -292,6 +292,10 @@ class TestFileIO:
         # a duplicate's multiplicity is checked before the merge sums it
         ([{"mu_sq": 2.0, "m": 3}, {"mu_sq": 2.0, "m": 0}],
          "modes[1]: multiplicity"),
+        # a repeat whose exact forms disagree sorts before the bad entry,
+        # and the bad entry is still the one named
+        ([{"mu_sq": 1.0, "m": 1, "mu_sq_exact": "1/1"}, {"mu_sq": 1.0, "m": 1},
+          {"mu_sq": 5.0, "m": 0}], "modes[2]: multiplicity"),
     ])
     def test_first_bad_entry_named(self, entries, named):
         text = json.dumps({"n": 2, "modes": entries})

@@ -145,18 +145,33 @@ class TestHyp2f1Values:
         assert abs(got - want) <= tol * abs(want)
 
     @pytest.mark.parametrize("c,z,err", [
-        (-20000.5, 0.5, NoConvergence), (-3000.5, 0.7, NoConvergence),
+        (-20000.5, 0.5, NoConvergence), (-3000.5, 0.7, DomainError),
         (-1400.5, 0.62, DomainError), (-1450.5, 0.64, DomainError)])
     def test_negative_c_refusals(self, c, z, err):
         # oracle_hyp2f1_terms(1.5-2j, 2+1j, c, z, dps=40) is 3.686e12 -
         # 4.866e12i at c = -20000.5, where the floor of 40,001 terms is
-        # past the budget, and 5.19e1115 + 2.59e1115i at c = -3000.5 (a
-        # floor of 10,002), where mp.hyp2f1 at 60 digits and the sum cut
-        # at the first underflow both give about 0.999.  At c = -1400.5 the
+        # past the budget, and 5.19e1115 + 2.59e1115i at c = -3000.5, past
+        # the double range, where mp.hyp2f1 at 60 digits and the sum cut
+        # at the first underflow both give about 0.999; its sum overflows
+        # at step 3,872, before its floor of 10,002.  At c = -1400.5 the
         # sum passes the double range, and at c = -1450.5 so does |term|
         # while both its parts are finite
         with pytest.raises(err):
             hyp2f1(1.5 - 2j, 2 + 1j, c, z)
+
+    def test_nan_overflow_refused_at_once(self):
+        # at c = -1500.5, z = 0.75 (a value of about 7.5e726 + 1.1e727i)
+        # the sums leave the double range from step 2,135 on, and inf
+        # times a finite complex turns them to nan; the loop stops at step
+        # 2,144, where it once ran on to the 10,000-term budget and raised
+        # NoConvergence
+        ratios = []
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            specfun._sum_series(1.0 + 0.0j, 1.5 - 2j, 2 + 1j, -1500.5, 0.75,
+                                ratios)
+        assert len(ratios) < 2200
+        with pytest.raises(DomainError):
+            hyp2f1(1.5 - 2j, 2 + 1j, -1500.5, 0.75)
 
     def test_zero_terms_before_floor(self):
         # a zero term ends the sum at once, before the floor too: z = 0 and
