@@ -70,13 +70,7 @@ from .resonances import (
     weyl_count,
     weyl_leading_term,
 )
-from .specfun import (
-    gamma,
-    hyp2f1,
-    hyp2f1_regularized,
-    ln_gamma,
-    recip_gamma,
-)
+from .specfun import hyp2f1, hyp2f1_regularized, ln_gamma
 from .verify import (
     SUITE_NAMES,
     CheckResult,
@@ -99,11 +93,10 @@ __all__ = [
     "TruncationInsufficient", "UndecidableMembership", "ValidationError",
     "apply_resolvent", "candidate_params", "circle_spectrum",
     "classify_pole", "count_resonances", "enumerate_resonances",
-    "format_results", "gamma", "green_pairing", "hyp2f1",
-    "hyp2f1_regularized", "hypergeom_params", "is_generic", "ln_gamma",
-    "load_spectrum", "measure_density", "r_of_sigma", "recip_gamma",
-    "residual_check", "residue_probe", "run_all", "run_suite", "s_param",
-    "save_spectrum", "sigma_of_r", "sphere_spectrum", "spectrum_to_dict",
-    "u1", "u2", "weyl_count", "weyl_leading_term", "wronskian_closed_form",
-    "__version__",
+    "format_results", "green_pairing", "hyp2f1", "hyp2f1_regularized",
+    "hypergeom_params", "is_generic", "ln_gamma", "load_spectrum",
+    "measure_density", "r_of_sigma", "residual_check", "residue_probe",
+    "run_all", "run_suite", "s_param", "save_spectrum", "sigma_of_r",
+    "sphere_spectrum", "spectrum_to_dict", "u1", "u2", "weyl_count",
+    "weyl_leading_term", "wronskian_closed_form", "__version__",
 ]

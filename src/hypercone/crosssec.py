@@ -47,7 +47,7 @@ class GenericityVerdict(enum.Enum):
     UNKNOWN_FLOAT = "unknown_float"
 
 
-def _check_mode(mu_sq, multiplicity, mu_sq_exact) -> None:
+def _check_mode(mu_sq, multiplicity, mu_sq_exact, label) -> None:
     # errors._real and _rational's rule, written out as they cost more per
     # Mode: a bool is an int but no value here, a float exact form is
     # already rounded, and the range test refuses an int beyond the double
@@ -61,6 +61,8 @@ def _check_mode(mu_sq, multiplicity, mu_sq_exact) -> None:
     if type(multiplicity) is not int or multiplicity < 1:
         raise ValidationError(
             f"multiplicity must be an integer >= 1, got {multiplicity!r}")
+    if type(label) is not int or label < 0:
+        raise ValidationError(f"label must be an integer >= 0, got {label!r}")
     if mu_sq_exact is not None:
         if type(mu_sq_exact) not in (Fraction, int):
             raise ValidationError(
@@ -95,7 +97,8 @@ class Mode:
     label: int = 0
 
     def __post_init__(self):
-        _check_mode(self.mu_sq, self.multiplicity, self.mu_sq_exact)
+        _check_mode(self.mu_sq, self.multiplicity, self.mu_sq_exact,
+                    self.label)
 
 
 class _Run(NamedTuple):

@@ -1,13 +1,12 @@
-"""Complex special functions: Gamma, log-Gamma, reciprocal Gamma, and the
-Gauss hypergeometric function 2F1 on the real interval [0, 1).
+"""Complex special functions: log-Gamma and the Gauss hypergeometric
+function 2F1 on the real interval [0, 1).
 
-All of it is self-contained double precision.  Gamma comes from a fixed
+All of it is self-contained double precision.  Log-Gamma comes from a fixed
 15-coefficient Lanczos rational approximation (g = 607/128, the Godfrey set)
 which holds ~15 significant digits on Re z >= 1/2; the left half-plane is
-reached by reflection.  Log-Gamma uses upward recurrence instead of
-reflection, which keeps the principal branch on the cut plane C \\ (-inf, 0]
-without any winding bookkeeping: log Gamma(z) = log Gamma(z+m) - sum log(z+j)
-holds branch-for-branch there.
+reached by upward recurrence, which keeps the principal branch on the cut
+plane C \\ (-inf, 0] without any winding bookkeeping: log Gamma(z) =
+log Gamma(z+m) - sum log(z+j) holds branch-for-branch there.
 
 2F1 sums the defining series up to a seed bound where it is benign, and
 beyond it continues the series' value and derivative along the 2F1 ODE by
@@ -58,7 +57,6 @@ _LANCZOS_C = (
 )
 
 _LN_SQRT_2PI = 0.91893853320467274178  # log(sqrt(2*pi))
-_LN_PI = 1.1447298858494001741
 
 
 # sums stop at _ROUNDOFF; an expansion whose edge seeds its successor runs
@@ -77,16 +75,6 @@ def is_nonpositive_integer(z: complex) -> bool:
     non-finite z is not a member."""
     z = complex(z)
     return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
-
-
-def _sinpi(z: complex) -> complex:
-    # sin(pi z) with the argument reduced mod 1 first, so accuracy does not
-    # degrade near large-real z (needed by reflection close to Gamma poles).
-    z = complex(z)
-    m = math.floor(z.real + 0.5)
-    w = complex(z.real - m, z.imag)
-    s = cmath.sin(math.pi * w)
-    return -s if (m & 1) else s
 
 
 def _lanczos_ln_gamma(z: complex) -> complex:
@@ -118,41 +106,6 @@ def ln_gamma(z: complex) -> complex:
     return _lanczos_ln_gamma(z + m) - acc
 
 
-def _exp(w: complex, z: complex) -> complex:
-    # exp(w) for the log of a Gamma value at z; beyond double range raises
-    try:
-        return cmath.exp(w)
-    except OverflowError:
-        msg = f"the value at z = {z} exceeds the double range"
-        raise DomainError(msg) from None
-
-
-def gamma(z: complex) -> complex:
-    """Gamma function on the complex plane minus {0, -1, -2, ...}; raises
-    DomainError where |Gamma(z)| > 1.8e308, the double range (z > 171.62),
-    and at a non-finite z."""
-    z = _complex(z, "gamma argument z", DomainError)
-    if is_nonpositive_integer(z):
-        raise PoleAtNonPositiveInteger(f"gamma pole at z = {z}")
-    if z.real >= 0.5:
-        return _exp(_lanczos_ln_gamma(z), z)
-    # Reflection evaluated in log space; exp() erases any 2*pi*i branch
-    # mismatch between the log terms, and intermediates cannot overflow.
-    return _exp(_LN_PI - cmath.log(_sinpi(z)) - _lanczos_ln_gamma(1.0 - z), z)
-
-
-def recip_gamma(z: complex) -> complex:
-    """1/Gamma(z), entire: returns exactly 0 at z in {0, -1, -2, ...}; raises
-    DomainError where |1/Gamma(z)| > 1.8e308 (e.g. z = -200.5, 100+1e5i),
-    and at a non-finite z."""
-    z = _complex(z, "recip_gamma argument z", DomainError)
-    if is_nonpositive_integer(z):
-        return 0.0 + 0.0j
-    if z.real >= 0.5:
-        return _exp(-_lanczos_ln_gamma(z), z)
-    return _exp(cmath.log(_sinpi(z)) + _lanczos_ln_gamma(1.0 - z) - _LN_PI, z)
-
-
 def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
                 ratios: list[complex] | None = None
                 ) -> tuple[complex, complex]:
@@ -164,10 +117,12 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
     # grow back near k = -Re c, where c + k is small, and the step ratio,
     # about z k / (k + Re c) for moderate a and b, stays below 1 only once
     # k (1-z) > -Re c.  A floor past the budget raises NoConvergence, and
-    # a sum past the double range DomainError.  An inf or nan sum passes
-    # its term as negligible, so the finiteness test sits in the branch of
+    # an F past the double range DomainError; F', about k times larger, may
+    # leave the range alone, and is returned as it is for its one reader,
+    # _series_seed, to refuse.  An inf or nan sum passes its term as
+    # negligible, so the finiteness test of F sits in the branch of
     # negligible terms, which the common step never takes; it ends the loop
-    # once the other sum has left the range too or its term is negligible.
+    # once F' has left the range too or its term is negligible.
     # A term of 0 ends it at once, as every later term is 0 too.  So that
     # no term is lost to underflow, a negligible term below 1/_LIFT is
     # parked: held times _LIFT (again at each fall below 1/_LIFT) and not
@@ -207,7 +162,7 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
                     or abs(dterm) > _ROUNDOFF * abs(dtotal)):
                 small = 0
             else:  # negligible terms, or an overflow: inf and nan land here
-                if not (cmath.isfinite(total) and cmath.isfinite(dtotal)):
+                if not cmath.isfinite(total):
                     break
                 small += 1
                 if small >= 3 and k >= floor or term == 0.0:
@@ -217,7 +172,7 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
         else:
             raise NoConvergence(f"2F1 series did not settle within "
                                 f"{_MAX_TERMS} terms at z = {z}")
-        if cmath.isfinite(total) and cmath.isfinite(dtotal):
+        if cmath.isfinite(total):
             return total, dtotal
     except OverflowError:  # |term| or |total| past the double range
         pass
@@ -285,11 +240,16 @@ def _series_seed(term: complex, a: complex, b: complex, c: complex):
     """m -> (term F(a, b; c; m), term F'(a, b; c; m)) from one pass of the
     series, its derivative being the contiguous (ab/c) F(a+1, b+1; c+1; m).
     Every call reads and extends one list of step ratios, so the seeds of
-    one ladder form each ratio once."""
+    one ladder form each ratio once.  A derivative past the double range
+    raises DomainError."""
     ratios: list[complex] = []
 
     def seed(m: float) -> tuple[complex, complex]:
-        return _sum_series(term, a, b, c, m, ratios)
+        val, slope = _sum_series(term, a, b, c, m, ratios)
+        if not cmath.isfinite(slope):
+            raise DomainError(f"the 2F1 series derivative at z = {m} "
+                              f"exceeds the double range")
+        return val, slope
     return seed
 
 
@@ -457,7 +417,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
     below roundoff, even below the double range, and grow back near
     k = -Re c; a term that is exactly 0, as in a polynomial case, ends it
     at once.  Raises DomainError for z outside [0, 1), a non-finite
-    parameter or a series sum past the double range, LowerParameterPole
+    parameter or a series value past the double range, LowerParameterPole
     for c in {0, -1, ...} and NoConvergence past _MAX_TERMS terms (so for
     a floor past it) or _MAX_RUNGS expansions.
     """
@@ -479,16 +439,22 @@ def _hyp2f1(a: complex, b: complex, c: complex, z: float, d: float) -> complex:
 def hyp2f1_regularized(a: complex, b: complex, c: complex, z: float) -> complex:
     """Regularized hypergeometric F(a, b; c; z) / Gamma(c), entire in c.
 
-    hyp2f1 times 1/Gamma(c) off the lattice; at c = -m in {0, -1, -2, ...}
-    the limit (a)_{m+1} (b)_{m+1} z^{m+1} / (m+1)! F(a+m+1, b+m+1; m+2; z)
-    (DLMF 15.2.3), again by hyp2f1, with the binary exponent carried apart
-    so that c <= -170 stays finite; exactly 0 where a or b is -j, j <= m.
-    A value past the double range, z outside [0, 1) or a non-finite
-    parameter raises DomainError.
+    hyp2f1 times exp(-ln_gamma(c)) off the lattice; at c = -m in
+    {0, -1, -2, ...} the limit (a)_{m+1} (b)_{m+1} z^{m+1} / (m+1)!
+    F(a+m+1, b+m+1; m+2; z) (DLMF 15.2.3), again by hyp2f1, with the binary
+    exponent carried apart so that c <= -170 stays finite; exactly 0 where
+    a or b is -j, j <= m.
+    A value or a 1/Gamma(c) past the double range, z outside [0, 1) or a
+    non-finite parameter raises DomainError.
     """
     a, b, c, z = _arguments("hyp2f1_regularized", a, b, c, z)
     if not is_nonpositive_integer(c):
-        val, exp2 = recip_gamma(c) * hyp2f1(a, b, c, z), 0
+        try:
+            rgamma = cmath.exp(-ln_gamma(c))
+        except OverflowError:
+            raise DomainError(f"1/Gamma(c) at c = {c} exceeds the double "
+                              f"range") from None
+        val, exp2 = rgamma * hyp2f1(a, b, c, z), 0
     else:
         k = int(-c.real) + 1
         if any(is_nonpositive_integer(x) and -x.real < k for x in (a, b)):

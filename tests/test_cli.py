@@ -209,7 +209,7 @@ GOLDEN_DIGESTS = [
 # is computed moves them and must update this pin deliberately.
 SUITE_DIGESTS = {
     "specfun":
-        "76443bbd8634fabc3e05d5dfab82f801f73024f355fe9a7df4b701820d8dad9d",
+        "8c8b8695778131855a374635e47345eb8bbc5a19441570010d169456ff4be01e",
     "wronskian":
         "b7d655ce4edebeb6a69d76a59e9918e00c02eb2a36fd60206e09d6bca49edb53",
     "residual":
@@ -217,6 +217,10 @@ SUITE_DIGESTS = {
     "residue":
         "f44d015583cb29918e2f6aaf3f93404f6dd08ad06a34161f2a9b22b1d54c5161",
 }
+
+# sha256 of `verify` stdout, all four suites (verify.run_all) in one report
+VERIFY_ALL_DIGEST = (
+    "7fa75066607041679fa65c10c38d2f5e53b10b7ca3d7a9b9d22ae09fffcda2a2")
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +248,12 @@ class TestGoldenDigests:
         rc, out, err = run("verify", "--suite", suite)
         assert (rc, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[suite]
+
+    def test_verify_all_suites_digest(self):
+        rc, out, err = run("verify")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1] == "98/98 checks passed"
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
 
 class TestSpectrum:
@@ -783,6 +793,14 @@ class TestWeyl:
         rc, _, err = run("weyl", "--circle", "1", "--lambda-grid", "-5")
         assert_error(rc, err, 2, "validation")
 
+    def test_empty_grid_entries(self):
+        # an empty entry is skipped; a grid of nothing else is refused
+        want = run("weyl", "--circle", "1", "--lambda-grid", "3,5")
+        assert want[0] == 0
+        assert run("weyl", "--circle", "1", "--lambda-grid", "3,,5") == want
+        rc, _, err = run("weyl", "--circle", "1", "--lambda-grid", " , ")
+        assert_error(rc, err, 2, "validation")
+
     def test_leading_term_underflow(self, tmp_path):
         # a volume of 5e-324 makes every leading term subnormal or 0: a
         # typed refusal naming the volume and the first grid point, not a
@@ -1003,6 +1021,17 @@ class TestParserReuse:
 
 
 class TestEnvironment:
+    def test_module_entry_point(self):
+        # `python -m hypercone.cli` runs main() under its __main__ guard
+        argv = ("spectrum", "--sphere", "2", "--jmax", "1")
+        done = subprocess.run(
+            [sys.executable, "-m", "hypercone.cli", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        rc, out, err = run(*argv)
+        assert (done.returncode, done.stderr, rc) == (0, b"", 0)
+        assert done.stdout == out.encode()
+
     def test_thread_variable_has_no_effect(self, monkeypatch):
         monkeypatch.delenv("HYPERCONE_THREADS", raising=False)
         unset = run("spectrum", "--circle", "1", "--jmax", "1")

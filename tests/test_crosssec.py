@@ -215,6 +215,12 @@ class TestModeValidation:
         with pytest.raises(ValidationError):
             Mode(mu_sq=-1.0, multiplicity=1)
 
+    @pytest.mark.parametrize("bad", ["x", True, -1, 2.0], ids=repr)
+    def test_bad_label(self, bad):
+        # a label is the mode's index j, a non-bool int >= 0
+        with pytest.raises(ValidationError, match="^label must be"):
+            Mode(2.0, 1, None, bad)
+
     def test_non_finite(self):
         with pytest.raises(ValidationError):
             Mode(mu_sq=float("nan"), multiplicity=1)

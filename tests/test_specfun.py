@@ -1,4 +1,4 @@
-"""Gamma-family and hypergeometric function tests.
+"""Log-Gamma and hypergeometric function tests.
 
 Expected values are closed forms, or constants frozen from the independent
 oracles in tests/oracles.py (each carries the producing call in a comment).
@@ -18,11 +18,9 @@ from hypercone import (
     LowerParameterPole,
     NoConvergence,
     PoleAtNonPositiveInteger,
-    gamma,
     hyp2f1,
     hyp2f1_regularized,
     ln_gamma,
-    recip_gamma,
 )
 
 from hypercone import specfun
@@ -39,8 +37,6 @@ from oracles import (
 
 # oracle_ln_gamma(0.5 + 1.0j, dps=40)
 LN_GAMMA_HALF_PLUS_I = complex(-0.6527906442043729, -0.9550077243425691)
-# oracle_gamma(2 + 3j, dps=40)
-GAMMA_2_3I = complex(-0.08239527266561189, 0.09177428743525931)
 # oracle_reg_2f1(0.5, 1.5, -2, 0.1, dps=30); independently reproduced by the
 # shifted-parameter form (a)_3 (b)_3 z^3 / 3! * F(a+3, b+3; 4; z).
 REG_HALF_THREEHALF_M2 = 0.006212058128127211
@@ -59,50 +55,35 @@ F_C_MINUS_758 = complex(8.518435894554216e+56, 2.0585818738270213e+56)
 # oracle_hyp2f1_terms(1.5-2j, 2+1j, -2000.5, 0.5, dps=40): the terms fall
 # to 5.2e-948, three factors of 2^960 below the double range, and grow back
 F_C_MINUS_2000 = complex(3688593580.484252, 18982934437.569103)
+# oracle_hyp2f1_terms(1.5-2j, 2+1j, c, 0.62, dps=40) at c = -1383.5 and
+# -1400.5: |F| is 3.47e304 and 1.47e308, in the double range, while the
+# derivative sum F' leaves it
+F_C_MINUS_1383 = complex(-3.401527222570334e+303, -3.4525004070151608e+304)
+F_C_MINUS_1400 = complex(1.6214253471017242e+307, 1.4627354388583372e+308)
 
 
 class TestGammaValues:
     def test_factorial_point(self):
-        assert abs(gamma(5.0) - 24.0) <= 1e-13 * 24.0
+        assert abs(ln_gamma(5.0) - math.log(24.0)) <= 1e-14
 
     def test_ln_gamma_half(self):
         assert abs(ln_gamma(0.5) - 0.5 * math.log(math.pi)) <= 1e-14
 
     def test_negative_half(self):
-        assert abs(gamma(-0.5) - (-2.0 * math.sqrt(math.pi))) <= 1e-12
+        # Gamma(-1/2) = -2 sqrt(pi), whose log is ln(2 sqrt(pi)) +- i pi
+        want = complex(math.log(2.0 * math.sqrt(math.pi)), math.pi)
+        assert exp_equal(ln_gamma(-0.5), want, 1e-14)
 
     def test_complex_point_against_oracle(self):
         got = ln_gamma(0.5 + 1.0j)
         # real part is branch-independent; the full value modulo 2 pi i
         assert abs(got.real - LN_GAMMA_HALF_PLUS_I.real) <= 1e-12
         assert exp_equal(got, LN_GAMMA_HALF_PLUS_I, 1e-12)
-        assert abs(gamma(2 + 3j) - GAMMA_2_3I) <= 1e-13 * abs(GAMMA_2_3I)
 
     def test_poles_raise(self):
         for z in (0.0, -1.0, -3.0, 0j, complex(-7, 0)):
             with pytest.raises(PoleAtNonPositiveInteger):
-                gamma(z)
-            with pytest.raises(PoleAtNonPositiveInteger):
                 ln_gamma(z)
-
-    def test_recip_gamma(self):
-        assert recip_gamma(0.0) == 0.0
-        assert recip_gamma(-3.0) == 0.0
-        assert abs(recip_gamma(4.0) - 1.0 / 6.0) <= 1e-14
-        assert abs(recip_gamma(5.0) - 1.0 / 24.0) <= 1e-14
-
-    @pytest.mark.parametrize("func,z", [(gamma, 171.7), (recip_gamma, -200.5),
-                                        (recip_gamma, 100 + 1e5j)])
-    def test_out_of_double_range_is_typed(self, func, z):
-        # |Gamma(171.7)| = 2.65e308, |1/Gamma(-200.5)| = 3.56e375
-        with pytest.raises(DomainError):
-            func(z)
-
-    def test_largest_real_arguments_stay_finite(self):
-        with mp.workdps(30):
-            want = float(mp.gamma(mp.mpf("170.5")))  # 5.56e305
-        assert abs(gamma(170.5) - want) <= 1e-13 * want
-        assert abs(recip_gamma(170.5) - 1.0 / want) <= 1e-13 / want
 
 
 class TestHyp2f1Values:
@@ -133,31 +114,44 @@ class TestHyp2f1Values:
          1.3029195802050646 - 1.2161479363455383j,
          -758.3196418175877 - 0.6704036959376503j, 0.547422112865249,
          F_C_MINUS_758, 1e-13),
-        (1.5 - 2j, 2 + 1j, -2000.5, 0.5, F_C_MINUS_2000, 1e-13)])
+        (1.5 - 2j, 2 + 1j, -2000.5, 0.5, F_C_MINUS_2000, 1e-13),
+        (1.5 - 2j, 2 + 1j, -1383.5, 0.62, F_C_MINUS_1383, 1e-13),
+        (1.5 - 2j, 2 + 1j, -1400.5, 0.62, F_C_MINUS_1400, 1e-13)])
     def test_negative_c_term_floor(self, a, b, c, z, want, tol):
         # Re c < 0: three negligible terms do not end the series before
         # k = -Re c/(1-z), 125.75 in the first case, where stopping at them
-        # gives 0.8968 - 0.0004i.  In the other three the terms pass below
+        # gives 0.8968 - 0.0004i.  In the next three the terms pass below
         # the double range before the floor and are parked, not lost: in
         # the third, terms left to run into the subnormals grow back from
-        # their last bits to 1.7e78
+        # their last bits to 1.7e78.  In the last two F is in the double
+        # range and F' is not, which no caller of hyp2f1 reads
         got = hyp2f1(a, b, c, z)
         assert abs(got - want) <= tol * abs(want)
 
     @pytest.mark.parametrize("c,z,err", [
         (-20000.5, 0.5, NoConvergence), (-3000.5, 0.7, DomainError),
-        (-1400.5, 0.62, DomainError), (-1450.5, 0.64, DomainError)])
+        (-1450.5, 0.64, DomainError)])
     def test_negative_c_refusals(self, c, z, err):
         # oracle_hyp2f1_terms(1.5-2j, 2+1j, c, z, dps=40) is 3.686e12 -
         # 4.866e12i at c = -20000.5, where the floor of 40,001 terms is
         # past the budget, and 5.19e1115 + 2.59e1115i at c = -3000.5, past
         # the double range, where mp.hyp2f1 at 60 digits and the sum cut
         # at the first underflow both give about 0.999; its sum overflows
-        # at step 3,872, before its floor of 10,002.  At c = -1400.5 the
-        # sum passes the double range, and at c = -1450.5 so does |term|
-        # while both its parts are finite
+        # at step 3,872, before its floor of 10,002.  At c = -1450.5 |F|
+        # is 9.8e372, and |term| passes the double range while both its
+        # parts are finite
         with pytest.raises(err):
             hyp2f1(1.5 - 2j, 2 + 1j, c, z)
+
+    def test_derivative_past_double_range(self):
+        # F is in the double range at c = -1400.5, z = 0.62 and F' is not:
+        # the term loop returns both, and _series_seed, whose ladders read
+        # F', refuses
+        a, b, c = 1.5 - 2j, 2 + 1j, -1400.5
+        val, slope = specfun._sum_series(1.0 + 0.0j, a, b, c, 0.62)
+        assert val == hyp2f1(a, b, c, 0.62) and not cmath.isfinite(slope)
+        with pytest.raises(DomainError, match="derivative"):
+            specfun._series_seed(1.0 + 0.0j, a, b, c)(0.62)
 
     def test_nan_overflow_refused_at_once(self):
         # at c = -1500.5, z = 0.75 (a value of about 7.5e726 + 1.1e727i)
@@ -320,6 +314,13 @@ class TestRegularized:
     def test_beyond_double_range_is_typed(self):
         with pytest.raises(DomainError):  # the value is 9.7e613
             hyp2f1_regularized(0.5, 0.5, -300.0, 0.5)
+
+    @pytest.mark.parametrize("c", [-200.5, 100 + 1e5j])
+    def test_recip_gamma_beyond_double_range_is_typed(self, c):
+        # |1/Gamma(c)| is 3.56e375 at c = -200.5 and 8.29e67720 at
+        # 100 + 1e5i, while F stays moderate: exp(-ln_gamma(c)) overflows
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            hyp2f1_regularized(0.5, 0.5, c, 0.5)
 
     def test_off_lattice_beyond_double_range_is_typed(self):
         # 1/Gamma(-109.5) = 4.8e176 times F = -1.9e293 + 6.0e292i
