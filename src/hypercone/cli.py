@@ -162,11 +162,27 @@ def _emit(text: str) -> None:
 # shared spectrum plumbing
 
 
-def _parse_fraction(text: str, what: str) -> Fraction:
+def _parse_fraction(text: str, what: str, kind=Fraction) -> Fraction:
     try:
-        return Fraction(text)
+        return kind(text)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"cannot parse {what} {text!r}: {e}") from None
+
+
+class _Radius(Fraction):
+    """A --circle radius, parsed once: circle_spectrum reads it as the
+    Fraction it is, without parsing it again, and names it in messages as
+    it was written."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self.text = text
+        return self
+
+    def __repr__(self) -> str:
+        return repr(self.text)
 
 
 def _add_source_flags(sp: argparse.ArgumentParser) -> None:
@@ -181,9 +197,9 @@ def _add_source_flags(sp: argparse.ArgumentParser) -> None:
                     help="highest mode index for generated spectra")
 
 
-def _auto_jmax(args, lambda_max: float) -> int:
-    if args.circle is not None:
-        rho = _parse_fraction(args.circle, "radius")
+def _auto_jmax(rho: Fraction | None, lambda_max: float) -> int:
+    # rho is the circle's radius, None for a sphere
+    if rho is not None:
         return max(0, math.ceil(rho * Fraction(float(lambda_max))) + 1)
     return max(0, math.ceil(lambda_max) + 1)
 
@@ -198,13 +214,15 @@ def _build_spectrum(args, lambda_max: float | None = None) -> SpectrumSpec:
         except OSError as e:
             raise ParseError(f"cannot read {args.file!r}: {e}") from None
     j_max = args.jmax
+    if j_max is None and lambda_max is None:
+        raise ValidationError("--jmax is required for generated spectra")
+    rho = (None if args.circle is None
+           else _parse_fraction(args.circle, "radius", _Radius))
     if j_max is None:
-        if lambda_max is None:
-            raise ValidationError("--jmax is required for generated spectra")
-        j_max = _auto_jmax(args, lambda_max)
-    if args.sphere is not None:
+        j_max = _auto_jmax(rho, lambda_max)
+    if rho is None:
         return sphere_spectrum(args.sphere, j_max)
-    return circle_spectrum(args.circle, j_max)
+    return circle_spectrum(rho, j_max)
 
 
 def _auto_kmax(args, lambda_max: float) -> int:

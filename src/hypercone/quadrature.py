@@ -1,14 +1,15 @@
 """Quadrature for complex-valued integrands on a real interval.
 
 cumulative_integral: a piecewise Chebyshev interpolant of the integrand and
-its running integral from one end of the interval, so the integral up to any
-number of points costs one Clenshaw sum each (the Clenshaw-Curtis / chebfun
-cumsum construction; Trefethen, Approximation Theory and Approximation
-Practice, ch. 19).  Only the coefficients that are read are formed: the last
-few decide most levels of a panel, Clenshaw-Curtis weights give each
-panel's integral from its samples, and a panel's series is built only when
-a point inside the span is read from it.  The integrand is read a list of
-nodes at a time, one call per level of a panel.
+its running integral from one end of the interval (the Clenshaw-Curtis /
+chebfun cumsum construction; Trefethen, Approximation Theory and
+Approximation Practice, ch. 19).  Only the coefficients that are read are
+formed: the last few decide most levels of a panel, Clenshaw-Curtis weights
+give each panel's integral from its samples, and a panel's series is built
+only when a point inside the span is read from it.  Lists go both ways: the
+integrand is read a list of nodes at a time, one call per level of a panel,
+and the running integral a list of points at a time, one Clenshaw sum per
+point.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _integral_series(n: int, even: list[complex], odd: list[complex],
 
 
 class RunningIntegral:
-    """x -> integral of f from the anchor end of [a, b] to x.
+    """xs -> [integral of f from the anchor end of [a, b] to x for x in xs].
 
     The anchor is a (upward) or b (downward, giving the integral from x to
     b).  Each panel's integral is its Clenshaw-Curtis sum, and whole panels
@@ -150,8 +151,8 @@ class RunningIntegral:
     the difference of two larger sums.  The Chebyshev series of a panel's
     own running integral is built the first time a point strictly inside
     (a, b) reads that panel; reads at the anchor end and the far end return
-    0 and total without one.  cuts holds the interior panel boundaries, in
-    order.
+    0 and total without one.  A point outside [a, b] raises DomainError.
+    cuts holds the interior panel boundaries, in order.
     """
 
     __slots__ = ("a", "b", "downward", "total", "cuts", "_panels", "_series")
@@ -175,31 +176,38 @@ class RunningIntegral:
         self._series: list[list[tuple[float, float]] | None] = (
             [None] * len(panels))
 
-    def __call__(self, x: float) -> complex:
-        if not (self.a <= x <= self.b):
-            raise DomainError(
-                f"{x!r} lies outside the integration span "
-                f"[{self.a!r}, {self.b!r}]")
-        if x == (self.a if self.downward else self.b):
-            return self.total
-        if x == (self.b if self.downward else self.a):
-            return 0.0 + 0.0j
-        i = bisect_right(self.cuts, x)
-        mid, half, fold, offset = self._panels[i]
-        series = self._series[i]
-        if series is None:
-            rev = _integral_series(*fold, half, -1.0 if self.downward else 1.0)
-            series = self._series[i] = [(v.real, v.imag) for v in rev]
-        t = min(1.0, max(-1.0, (x - mid) / half))
-        t2 = 2.0 * t
-        # Clenshaw from the highest degree down, on the real and imaginary
-        # parts apart: bit for bit the complex recurrence on finite values
-        r1 = r2 = i1 = i2 = 0.0
-        for cr, ci in islice(series, len(series) - 1):
-            r1, r2 = cr + t2 * r1 - r2, r1
-            i1, i2 = ci + t2 * i1 - i2, i1
-        cr, ci = series[-1]
-        return offset + complex(cr + t * r1 - r2, ci + t * i1 - i2)
+    def __call__(self, xs: list[float]) -> list[complex]:
+        a, b, downward, cuts = self.a, self.b, self.downward, self.cuts
+        far, anchor = (a, b) if downward else (b, a)
+        out = []
+        for x in xs:
+            if not (a <= x <= b):
+                raise DomainError(
+                    f"{x!r} lies outside the integration span [{a!r}, {b!r}]")
+            if x == far:
+                out.append(self.total)
+                continue
+            if x == anchor:
+                out.append(0.0 + 0.0j)
+                continue
+            i = bisect_right(cuts, x)
+            mid, half, fold, offset = self._panels[i]
+            series = self._series[i]
+            if series is None:
+                rev = _integral_series(*fold, half, -1.0 if downward else 1.0)
+                series = self._series[i] = [(v.real, v.imag) for v in rev]
+            t = min(1.0, max(-1.0, (x - mid) / half))
+            t2 = 2.0 * t
+            # Clenshaw from the highest degree down, on the real and
+            # imaginary parts apart: bit for bit the complex recurrence on
+            # finite values
+            r1 = r2 = i1 = i2 = 0.0
+            for cr, ci in islice(series, len(series) - 1):
+                r1, r2 = cr + t2 * r1 - r2, r1
+                i1, i2 = ci + t2 * i1 - i2, i1
+            cr, ci = series[-1]
+            out.append(offset + complex(cr + t * r1 - r2, ci + t * i1 - i2))
+        return out
 
 
 def cumulative_integral(f, a: float, b: float, *,

@@ -28,7 +28,9 @@ Evaluation: g1 = P F(a,b;c;z) and u2 = F(a,b;1+s;w) at w = 1 - sigma both
 solve the hypergeometric ODE (DLMF 15.10.1), in either half plane, and a
 kernel reads each from specfun's ODE continuation (_Ladder): one Horner sum
 per point, a list of points per read (the nodes of a quadrature level, or
-every point a check asks for).  g1's seed carries P whole, formed once as
+every point a check asks for).  The kernel built last is kept (_kernel), so
+calls at one (n, mu^2, lambda), such as the two orientations of a Green
+pairing, seed and continue it once.  g1's seed carries P whole, formed once as
 one sum of log-Gammas (_prefactor): Gamma(b) and Gamma(1+s) overflow apart
 past s = 171 while P stays moderate.  At exact lattice parameters, where P
 meets a Gamma pole or zero, it is its limit along lambda, and at c = -C the
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -309,9 +312,27 @@ class _KernelData:
             return h + val, dh + slope
         return seed
 
-    def sigma_prefactor(self, sigma: float) -> complex:
-        return (cmath.exp(self.alpha * math.log(sigma))
-                * (1.0 - sigma) ** self.beta)
+
+# _kernel's slot, one per thread: a kernel's series seeds extend shared
+# lists of step ratios as they are read, so no two threads read one kernel
+_slot = threading.local()
+
+
+def _kernel(n: int, p: HypergeomParams) -> _KernelData:
+    """The _KernelData of (n, p), kept in one slot: the kernel built last
+    when (n, p) compares equal to its own, lambda's signed zeros included
+    (the kernel's messages name lambda), else a new one, which takes the
+    slot.  A kernel's values depend only on it and the point
+    (specfun._Ladder), so one read again gives the bits of a fresh one.
+    apply_resolvent, residual_check and green_pairing all read it, so the
+    two orientations of a Green pairing seed and continue one kernel.
+    """
+    key = (n, p, repr(p.lam))
+    last, kd = getattr(_slot, "last", (None, None))
+    if last != key:
+        kd = _KernelData(n, p)
+        _slot.last = (key, kd)
+    return kd
 
 
 def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
@@ -332,8 +353,7 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
     """
     sigma = _real(sigma, "sigma", DomainError, "(0, 1)")
     p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im_exact)
-    kd = _KernelData(n, p)
-    return _resolvent(kd, f, sigma, sigma,
+    return _resolvent(_kernel(n, p), f, sigma, sigma,
                       control or _POINT_QC)[0]([sigma])[0]
 
 
@@ -357,19 +377,21 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
     there with one list read (kd.g1, or kd.u2) and forms
     f.func(rho) kernel(rho) exp((e1+1) u) (1-rho)^e2 at each.  f.func is
     read on the closed support, so a profile that is nonzero at lo or hi
-    is still smooth there.  rf reads g1 and u2 at all its points with one
-    list read each and the integrals at log x, taking an integral's total
-    where log x lies beyond f's support on that side.  The cuts are the
-    interior panel boundaries of both integrals, mapped back to sigma,
-    where (R f) is smooth only to the integrals' tolerance.  This is the
-    only place the kernel g1 (upper u2 integral) + u2 (lower g1 integral)
-    is formed, and a value of rf beyond the double range raises
-    DomainError.
+    is still smooth there.  rf takes log x once per point and reads g1,
+    u2 and both running integrals with one list read each, an integral at
+    log x clamped to f's support (where its far end gives its total), and
+    forms sigma^alpha (1-sigma)^beta as exp(alpha log x) (1-x)^beta.  The
+    cuts are the interior panel boundaries of both integrals, mapped back
+    to sigma, where (R f) is smooth only to the integrals' tolerance.
+    This is the only place the kernel g1 (upper u2 integral) + u2 (lower
+    g1 integral) is formed, and a value of rf beyond the double range
+    raises DomainError.
     """
     lo, hi = f.support
     ulo, uhi = math.log(lo), math.log(hi)
     ua, ub = math.log(a), math.log(b)
     func, e1, e2 = f.func, kd.e1 + 1.0, kd.e2
+    alpha, beta = kd.alpha, kd.beta
 
     def weighted(kernel):
         def integrand(us: list[float]) -> list[complex]:
@@ -393,15 +415,19 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
         us = [math.log(x) for x in xs]
         g1 = iter(kd.g1([x for x, u in zip(xs, us) if u < uhi]))
         u2 = iter(kd.u2([x for x, u in zip(xs, us) if u > ulo]))
+        up = iter(upper([max(u, ulo) for u in us if u < uhi])
+                  if ua < uhi else ())
+        low = iter(lower([min(u, uhi) for u in us if u > ulo])
+                   if ub > ulo else ())
         out = []
         for x, u in zip(xs, us):
             val = 0.0 + 0.0j
             if u < uhi:
-                val += next(g1) * (upper.total if u <= ulo else upper(u))
+                val += next(g1) * next(up)
             if u > ulo:
-                val += next(u2) * (lower.total if u >= uhi else lower(u))
+                val += next(u2) * next(low)
             try:
-                val = val * kd.sigma_prefactor(x)
+                val = val * (cmath.exp(alpha * u) * (1.0 - x) ** beta)
             except OverflowError:
                 val = complex(math.inf)
             if not cmath.isfinite(val):
@@ -415,10 +441,6 @@ def _resolvent(kd: _KernelData, f: RadialProfile, a: float, b: float,
 
 
 # -- finite-difference residual of the radial equation ------------------------
-
-_D2 = (-1.0, 16.0, -30.0, 16.0, -1.0)   # / (12 h^2)
-_D1 = (1.0, -8.0, 0.0, 8.0, -1.0)       # / (12 h)
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -463,43 +485,50 @@ def residual_check(n: int, mode: Mode, lam: complex, f: RadialProfile, *,
         raise ValidationError("grid needs at least one point")
     if any(y <= x for x, y in zip(pts, pts[1:])):
         raise ValidationError("grid must be strictly increasing")
+    # the outermost stencil points, as sigma, bound every point read, so
+    # they alone are checked; the grid and the other stencil points are
+    # converted by the bare formulas of r_of_sigma and sigma_of_r
     if coordinate == "sigma":
         xs, to_sigma, where = pts, (lambda x: x), ""
+        ends = [xs[0] - 2 * h, xs[-1] + 2 * h]
 
         def radial(x, d2, d1, u):
             return (-x * x * (1.0 - x) * d2
                     + x * ((n - 1) + (3 - n) * x / 2.0) * d1
                     + (mu_sq * x * x / (4.0 * (1.0 - x)) - shift) * u)
     else:
-        xs = [r_of_sigma(x) for x in reversed(pts)]
-        to_sigma, where = sigma_of_r, " in r"
+        xs = [2.0 * math.acosh(1.0 / math.sqrt(x)) for x in reversed(pts)]
+        to_sigma, where = (lambda r: 1.0 / math.cosh(0.5 * r) ** 2), " in r"
+        ends = [sigma_of_r(r) if r > 0.0 else 0.0
+                for r in (xs[0] - 2 * h, xs[-1] + 2 * h)]
 
         def radial(r, d2, d1, u):
             sh = math.sinh(r)
             return (-d2 - n * math.cosh(r) / sh * d1
                     + (mu_sq / (sh * sh) - shift) * u)
-    # the outermost stencil points, as sigma, bound every point read
-    ends = [to_sigma(x) if x > 0.0 else 0.0
-            for x in (xs[0] - 2 * h, xs[-1] + 2 * h)]
     if not all(0.0 < x < 1.0 for x in ends):
         raise ValidationError("grid (with stencils) must stay in (0, 1)")
     if any(y - x < 10 * h for x, y in zip(xs, xs[1:])):
         raise ValidationError(f"grid spacing{where} must be at least 10 h")
     p = hypergeom_params(n, mode, lam)
     lam = p.lam
-    kd = _KernelData(n, p)
     mu_sq = mode.mu_sq
     shift = lam * lam + 0.25 * n * n
-    offsets = (-2, -1, 0, 1, 2)
-    rf, _ = _resolvent(kd, f, min(ends), max(ends), control or _GRID_QC)
-    norm = 1.0 + max(abs(f(to_sigma(x))) for x in xs)
-    vals = rf([to_sigma(x + j * h) for x in xs for j in offsets])
+    rf, _ = _resolvent(_kernel(n, p), f, min(ends), max(ends),
+                       control or _GRID_QC)
+    fs = [f(to_sigma(x)) for x in xs]
+    norm = 1.0 + max(abs(v) for v in fs)
+    vals = rf([to_sigma(x + j * h) for x in xs for j in (-2, -1, 0, 1, 2)])
     residuals = []
-    for i, x in enumerate(xs):
-        st = vals[len(offsets) * i:len(offsets) * (i + 1)]
-        d2 = sum(c * v for c, v in zip(_D2, st)) / (12.0 * h * h)
-        d1 = sum(c * v for c, v in zip(_D1, st)) / (12.0 * h)
-        residuals.append(abs(radial(x, d2, d1, st[2]) - f(to_sigma(x))) / norm)
+    for i, (x, fx) in enumerate(zip(xs, fs)):
+        v0, v1, v2, v3, v4 = vals[5 * i:5 * i + 5]
+        # 5-point stencils (-1, 16, -30, 16, -1) / (12 h^2) for u'' and
+        # (1, -8, 0, 8, -1) / (12 h) for u', summed left to right
+        d2 = (-1.0 * v0 + 16.0 * v1 + -30.0 * v2 + 16.0 * v3
+              + -1.0 * v4) / (12.0 * h * h)
+        d1 = (1.0 * v0 + -8.0 * v1 + 0.0 * v2 + 8.0 * v3
+              + -1.0 * v4) / (12.0 * h)
+        residuals.append(abs(radial(x, d2, d1, v2) - fx) / norm)
     if coordinate == "r":
         residuals.reverse()
     return ResidualReport(coordinate, h, tuple(pts), tuple(residuals),
@@ -516,18 +545,24 @@ def green_pairing(n: int, mode: Mode, lam: complex, f: RadialProfile,
     The kernel satisfies G(sigma, rho) mu_n(sigma) = G(rho, sigma) mu_n(rho),
     so swapping f and g must reproduce the same value; comparing the two
     orientations is an end-to-end check of the kernel's branch structure.
-    The outer integral over the support of g is a cumulative_integral of
+    Both orientations read the one kernel _kernel keeps for (n, p), so
+    the second seeds and continues no expansion the first has not.  The
+    outer integral over the support of g is a cumulative_integral of
     (R f) g mu_n under the same control as (R f), its first panels cut where
     (R f) is not smooth: at the ends of f's support (a jump in a high
     derivative) and at the running integrals' panel cuts.  An integrand it
     cannot resolve raises QuadratureFailure, not a low-accuracy value.
+    mu_n is measure_density's formula; it falls on (0, 1), so the one
+    check at lo that it fits a double (else DomainError) covers every node.
     """
     p = hypergeom_params(n, mode, lam)
     control = control or _GRID_QC
     lo, hi = g.support
-    rf, cuts = _resolvent(_KernelData(n, p), f, lo, hi, control)
+    rf, cuts = _resolvent(_kernel(n, p), f, lo, hi, control)
+    measure_density(n, lo)
+    scale, e1, e2 = 2.0 ** n, (n - 1) / 2.0, -(n + 1)
     return cumulative_integral(
-        lambda xs: [v * g.func(x) * measure_density(n, x)
+        lambda xs: [v * g.func(x) * (scale * (1.0 - x) ** e1 * x ** e2)
                     for x, v in zip(xs, rf(xs))], lo, hi,
         control=control, breaks=[*f.support, *cuts]).total
 

@@ -10,6 +10,7 @@ import math
 import random
 import re
 import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -92,6 +93,13 @@ def _each(f):
     return lambda xs: [f(x) for x in xs]
 
 
+@pytest.fixture
+def cold_kernel(monkeypatch):
+    """Empty the slot resolvent._kernel keeps, so that a test counting work
+    or kernel builds builds its own kernel whatever ran before it."""
+    monkeypatch.setattr(resolvent, "_slot", threading.local())
+
+
 class TestQuadratureControlFields:
     """A control checks its fields when it is built: an infinite rel_tol
     once let apply_resolvent return a value off by 3.8e-5 unannounced."""
@@ -124,14 +132,14 @@ class TestQuadrature:
                                   -1.0, 2.0)
         for x in (-1.0, -0.3, 0.5, 1.7, 2.0):
             want = (x ** 6 - 1) / 2 - (x ** 3 + 1) / 3 + 2 * (x + 1)
-            assert abs(run(x) - want) <= 1e-14 * (1 + abs(want))
+            assert abs(run([x])[0] - want) <= 1e-14 * (1 + abs(want))
 
     def test_cumulative_running_exp(self):
         run = cumulative_integral(_each(lambda x: cmath.exp(1j * x)), 0.0,
                                   3.0, control=QuadratureControl(1e-14, 1e-14))
         for i in range(50):
             x = 3.0 * i / 49
-            assert abs(run(x) - (cmath.exp(1j * x) - 1) / 1j) <= 1e-13
+            assert abs(run([x])[0] - (cmath.exp(1j * x) - 1) / 1j) <= 1e-13
 
     def test_cumulative_downward(self):
         # downward accumulation from b gives int_x^b directly
@@ -141,8 +149,8 @@ class TestQuadrature:
         for i in range(50):
             x = 3.0 * i / 49
             want = (cmath.exp(3j) - cmath.exp(1j * x)) / 1j
-            assert abs(run(x) - want) <= 1e-13
-        assert run(3.0) == 0.0
+            assert abs(run([x])[0] - want) <= 1e-13
+        assert run([3.0])[0] == 0.0
 
     def test_cumulative_kink_splits(self):
         calls = []
@@ -155,7 +163,7 @@ class TestQuadrature:
         c = 1 / math.pi
         for x in (0.1, c, 0.5, 1.0):
             want = (c * c - (c - x) * abs(c - x)) / 2
-            assert abs(run(x) - want) <= 1e-9
+            assert abs(run([x])[0] - want) <= 1e-9
         assert len(calls) > 65  # one panel of degree 64 is not enough
 
     @pytest.mark.parametrize("downward", [False, True])
@@ -177,7 +185,7 @@ class TestQuadrature:
         for x in (0.1, c, 0.5, 0.9):
             upto = (c * c - (c - x) * abs(c - x)) / 2
             want = whole - upto if downward else upto
-            assert abs(run(x) - want) <= 1e-15
+            assert abs(run([x])[0] - want) <= 1e-15
 
     def test_cumulative_budget_failure(self):
         with pytest.raises(QuadratureFailure):
@@ -193,11 +201,44 @@ class TestQuadrature:
             run = cumulative_integral(_each(lambda x: abs(x - c)), 0.0, 1.0,
                                       downward=downward, breaks=[c, 0.6])
             assert run.cuts == [c, 0.6]
-            run(0.0)
-            run(1.0)
+            run([0.0, 1.0])
             assert run._series == [None, None, None]
-            run(0.5)
+            run([0.5])
             assert [s is not None for s in run._series] == [False, True, False]
+
+    @pytest.mark.parametrize("downward", [False, True])
+    def test_list_read_matches_reference(self, downward):
+        # one list read, its points out of order and revisiting panels,
+        # gives each point the reference's value: 0 at the anchor end, the
+        # total at the far end, and on a cut the value read from the panel
+        # beyond it; alone or in a list, a point reads the same bits
+        c = 1 / math.pi
+
+        def f(x):
+            return (1.0 + x * x) * cmath.exp(3j * x)
+
+        run = cumulative_integral(_each(f), 0.0, 1.0, downward=downward,
+                                  breaks=[c, 0.6])
+        ref = reference_cumulative_integral(f, 0.0, 1.0, downward=downward,
+                                            breaks=[c, 0.6])
+        assert run.cuts == ref.cuts == [c, 0.6]
+        anchor, far = (1.0, 0.0) if downward else (0.0, 1.0)
+        xs = [0.9, anchor, c, 0.45, far, 0.6, 0.05, c, 0.75, 0.45]
+        got = run(xs)
+        assert len(got) == len(xs)
+        assert got[1] == ref(anchor) == 0.0
+        assert got[4] == run.total
+        assert abs(run.total - ref.total) <= 1e-15
+        for x, v in zip(xs, got):
+            assert abs(v - ref(x)) <= 1e-15, x
+            assert run([x]) == [v]
+
+    def test_list_read_outside_span(self):
+        run = cumulative_integral(_each(lambda x: x), 0.0, 1.0)
+        assert run([]) == []
+        for xs in ([0.5, 1.0 + 1e-9], [-5e-324], [math.nan]):
+            with pytest.raises(DomainError, match="outside the integration"):
+                run(xs)
 
 
 def _cheb_sum(coefs):
@@ -320,9 +361,9 @@ class TestPanelDecisions:
             for i in range(1, 40):
                 x = a + (b - a) * i / 40
                 if first_lo < x < first_hi:
-                    assert run(x) == ref(x)
+                    assert run([x])[0] == ref(x)
                 else:
-                    assert abs(run(x) - ref(x)) <= 1e-15 * scale
+                    assert abs(run([x])[0] - ref(x)) <= 1e-15 * scale
 
     def test_resolvent_fits_take_reference_decisions(self, monkeypatch):
         # every fit of the resolvent's running integrals, of the Green
@@ -1202,6 +1243,7 @@ class TestOneLatticeDecision:
             assert refused == genuine, (n, q, k, lam_im)
 
 
+@pytest.mark.usefixtures("cold_kernel")
 class TestLatticeWorkCounts:
     """One kernel build makes the lattice decision once and never runs the
     classifier.  It calls ln_gamma once for each of a, b, c off the lattice
@@ -1247,12 +1289,14 @@ class TestLatticeWorkCounts:
                          "ln_gamma": abc_ln_gammas + 1}
 
     def test_entry_points(self, calls):
+        # the three entry points at one (n, p) read one kernel (_kernel),
+        # so the decision is made once, where each once made its own
         mode = Mode(2.0, 1, Fraction(2))
         f, g = RadialProfile.bump(0.3, 0.45), RadialProfile.bump(0.4, 0.55)
         apply_resolvent(2, mode, -2j, f, 0.4)
         residual_check(2, mode, -2j, f)
         green_pairing(2, mode, -2j, f, g)
-        assert (calls["indices"], calls["classify"]) == (3, 0)
+        assert (calls["indices"], calls["classify"]) == (1, 0)
 
 
 class TestKernelExpansions:
@@ -1300,6 +1344,7 @@ class TestKernelExpansions:
             assert fresh.u2([x]) == warm.u2([x])
 
 
+@pytest.mark.usefixtures("cold_kernel")
 class TestSeriesWorkCounts:
     """Series sums per call, counted at specfun's one term loop, which
     sums a seed's value and derivative in one pass.  Continuation makes
@@ -1345,6 +1390,7 @@ class TestSeriesWorkCounts:
         assert 0 < sums[0] <= 2
 
 
+@pytest.mark.usefixtures("cold_kernel")
 class TestLadderWorkCounts:
     """Work in specfun._Ladder per call, counted by wrappers: Horner steps
     (one per coefficient of the expansion a point is read from), Taylor
@@ -1400,6 +1446,18 @@ class TestLadderWorkCounts:
         green_pairing(2, Mode(2.0, 1), 2j, RadialProfile.bump(0.3, 0.45),
                       RadialProfile.bump(0.4, 0.55))
         self.check(work, 4325, 94, 132)  # 4487, 91 and 177 before
+
+    def test_symmetric_green_pair(self, work):
+        # the swapped orientation reads the kernel the first one built: it
+        # forms no Taylor coefficient and no step ratio of its own, where
+        # a kernel per call made 188 and 264 for the pair
+        f, g = RadialProfile.bump(0.3, 0.45), RadialProfile.bump(0.4, 0.55)
+        green_pairing(2, Mode(2.0, 1), 2j, f, g)
+        one = dict(work)
+        green_pairing(2, Mode(2.0, 1), 2j, g, f)
+        assert (one["taylor"], one["ratios"]) == (94, 132)
+        assert (work["taylor"], work["ratios"]) == (94, 132)
+        assert work["horner"] > one["horner"]
 
     def test_residue_probe(self, work):
         residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
@@ -1641,6 +1699,103 @@ class TestGreenPairing:
             green_pairing(2, Mode(2.0, 1), 2j, f, g)
 
 
+@pytest.mark.usefixtures("cold_kernel")
+class TestKernelSlot:
+    """resolvent._kernel keeps the kernel it built last and returns it for
+    an equal (n, p): a symmetric Green pair builds one kernel, and a kernel
+    read again, or one built fresh for an unequal key, gives the bits of a
+    run with the slot emptied."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        kernels = []
+
+        class Counted(_KernelData):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
+        monkeypatch.setattr(resolvent, "_KernelData", Counted)
+        return kernels
+
+    @staticmethod
+    def cold(fn, *args, **kw):
+        resolvent._slot = threading.local()
+        return fn(*args, **kw)
+
+    @pytest.mark.parametrize("lam", [2j, 1 - 1.1j, -0.8 - 1.1j])
+    def test_symmetric_pair_builds_one_kernel(self, built, lam):
+        mode = Mode(2.0, 1)
+        f, g = RadialProfile.bump(0.3, 0.45), RadialProfile.bump(0.41, 0.56)
+        ab = green_pairing(2, mode, lam, f, g)
+        ba = green_pairing(2, mode, lam, g, f)
+        assert len(built) == 1
+        assert self.cold(green_pairing, 2, mode, lam, g, f) == ba
+        assert self.cold(green_pairing, 2, mode, lam, f, g) == ab
+        assert len(built) == 3
+
+    def test_entry_points_read_one_kernel(self, built):
+        n, mode, lam = 2, Mode(2.0, 1), 1 - 0.7j
+        f = RadialProfile.bump(0.3, 0.6)
+        rep = residual_check(n, mode, lam, f)
+        val = apply_resolvent(n, mode, lam, f, 0.45)
+        assert len(built) == 1
+        assert self.cold(apply_resolvent, n, mode, lam, f, 0.45) == val
+        assert self.cold(residual_check, n, mode, lam, f) == rep
+        p = hypergeom_params(n, mode, lam)
+        assert resolvent._kernel(n, p) is built[-1]
+
+    def test_threads_do_not_share_a_kernel(self, built):
+        p = hypergeom_params(2, Mode(2.0, 1), 1 - 0.7j)
+        mine, theirs = resolvent._kernel(2, p), []
+        worker = threading.Thread(
+            target=lambda: theirs.append(resolvent._kernel(2, p)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert theirs[0] is not mine
+        assert resolvent._kernel(2, p) is mine
+        assert len(built) == 2
+
+    # (n, mode, lambda, lam_im_exact) pairs whose kernels differ
+    UNEQUAL = {
+        # equal parameters (s = 3/2 both), different n
+        "n": ((1, Mode(2.25, 1), 1 - 0.7j, None),
+              (2, Mode(2.0, 1), 1 - 0.7j, None)),
+        "lam_im_exact": ((1, Mode(1 / 9, 1, Fraction(1, 9)), -1j / 3,
+                          Fraction(-1, 3)),
+                         (1, Mode(1 / 9, 1, Fraction(1, 9)), -1j / 3, None)),
+        "signed_zero_up": ((2, Mode(2.0, 1), complex(0.0, 1.3), None),
+                           (2, Mode(2.0, 1), complex(-0.0, 1.3), None)),
+        "signed_zero_down": ((2, Mode(2.0, 1), complex(0.0, -1.3), None),
+                             (2, Mode(2.0, 1), complex(-0.0, -1.3), None)),
+    }
+
+    @pytest.mark.parametrize("key", sorted(UNEQUAL))
+    def test_unequal_keys_build_fresh(self, built, key):
+        f = RadialProfile.bump(0.3, 0.6)
+
+        def value(n, mode, lam, lam_im):
+            return apply_resolvent(n, mode, lam, f, 0.45,
+                                   lam_im_exact=lam_im)
+
+        first, second = self.UNEQUAL[key]
+        for a, b in ((first, second), (second, first)):
+            want = self.cold(value, *b)
+            value(*a)
+            del built[:]
+            assert value(*b) == want
+            assert len(built) == 1
+        if key == "n":
+            assert (hypergeom_params(*first[:3])
+                    == hypergeom_params(*second[:3]))
+        if key.startswith("signed_zero"):
+            # lambda compares equal; its sign of zero reaches the messages
+            assert first[2] == second[2]
+            p = hypergeom_params(*second[:3])
+            assert repr(resolvent._kernel(2, p).p.lam) == repr(second[2])
+
+
 class TestResidueProbe:
     def test_genuine_pole_detected(self):
         res = residue_probe(1, Mode(0.0, 1, Fraction(0)), -0.5j)
@@ -1682,7 +1837,7 @@ class TestResidueProbe:
             assert abs(res.residue.real) <= 1e-12 * abs(res.residue)
 
     @pytest.fixture
-    def builds(self, monkeypatch):
+    def builds(self, monkeypatch, cold_kernel):
         count = [0]
 
         class Counted(_KernelData):
