@@ -107,11 +107,14 @@ class _Run(NamedTuple):
     mu_j^2 = s_j^2 - ((n-1)/2)^2, and multiplicity 1 at j = 0 and
     C(n+j, n) - C(n+j-2, n) after.  A circle of radius rho is n = 1 with
     step 1/rho; a round n-sphere (n >= 2) has step 1, so every s_j is an
-    integer for odd n and every one is half-odd, excluded, for even n."""
+    integer for odd n and every one is half-odd, excluded, for even n.
+    A count reads the exact run alone; modes() forms the float mu_j^2 and
+    first refuses (DomainError) the first j whose mu_j^2 overflows."""
 
     n: int
     step: _Ratio
     j_max: int
+    what: str  # the spectrum and its mu_j^2, as modes() names them
 
     def mu_sq(self, j: int) -> Fraction:
         a, b = self.step
@@ -136,6 +139,9 @@ class _Run(NamedTuple):
         return hi
 
     def modes(self) -> list[Mode]:
+        j = self.first_overflow()
+        if j is not None:
+            raise DomainError(f"{self.what} overflows a double at j = {j}")
         n, modes = self.n, []
         for j in range(self.j_max + 1):
             exact = self.mu_sq(j)
@@ -151,8 +157,8 @@ class SpectrumSpec:
     source records provenance: 'sphere', 'circle', or 'file'.  volume is
     optional for file spectra (the Weyl comparison then refuses to run).
     modes is the sorted Mode list, or the _Run of a generated exact
-    spectrum (kept as run), whose list is built when modes is first read:
-    a count reads the run alone.
+    spectrum (kept as run), whose list _Run.modes builds when modes is
+    first read: a count reads the run alone.
     """
 
     def __init__(self, dimension_n: int, modes: list[Mode] | _Run,
@@ -192,8 +198,8 @@ def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
     radius 1.  The volume 2 pi^((n+1)/2) / Gamma((n+1)/2) is formed
     directly up to n = 342 and from logarithms beyond, where
     Gamma((n+1)/2) overflows a double; from n = 438, where the volume is
-    below the smallest normal double, raises DomainError, and so does a
-    j_max whose mu_j^2 overflows a double."""
+    below the smallest normal double, raises DomainError, and so does
+    reading the modes (_Run.modes) of a j_max whose mu_j^2 overflows."""
     n = _integer(n, "sphere dimension n", InvalidDimension, 1)
     j_max = _integer(j_max, "j_max", ValidationError, 0)
     if n == 1:
@@ -210,11 +216,8 @@ def sphere_spectrum(n: int, j_max: int) -> SpectrumSpec:
         raise DomainError(f"sphere volume for n = {n}: 2 pi^((n+1)/2) / "
                           "Gamma((n+1)/2) is below the smallest normal "
                           "double")
-    run = _Run(n, (1, 1), j_max)
-    j = run.first_overflow()
-    if j is not None:
-        raise DomainError(f"sphere modes for n = {n}: mu_j^2 = j(j+n-1) "
-                          f"overflows a double at j = {j}")
+    run = _Run(n, (1, 1), j_max,
+               f"sphere modes for n = {n}: mu_j^2 = j(j+n-1)")
     return SpectrumSpec(n, run, vol, "sphere")
 
 
@@ -227,8 +230,9 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
     run whose modes are built when first read.  A float radius is taken at
     face value and produces a float-only spectrum.  An exact radius beyond
     the double range, or a positive one below it (its float is 0), raises
-    InvalidRadius, and so does a bool; one whose volume, or a mode's
-    mu_j^2, overflows a double raises DomainError.
+    InvalidRadius, and so does a bool; one whose volume overflows a double
+    raises DomainError, and so does a mode whose mu_j^2 does, at once for a
+    float radius and for an exact one when the modes are read (_Run.modes).
     """
     exact_rho = None
     if isinstance(rho, (int, Fraction, str)) and not isinstance(rho, bool):
@@ -256,16 +260,11 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
     if vol == math.inf:
         raise DomainError(f"circle volume for rho = {rho!r}: 2*pi*rho "
                           "overflows a double")
-
-    def overflow(j: int) -> DomainError:
-        return DomainError(f"circle modes for rho = {rho!r}: mu_j^2 = "
-                           f"j^2/rho^2 overflows a double at j = {j}")
+    what = f"circle modes for rho = {rho!r}: mu_j^2 = j^2/rho^2"
     if exact_rho is not None:
-        run = _Run(1, (exact_rho.denominator, exact_rho.numerator), j_max)
-        j = run.first_overflow()
-        if j is not None:
-            raise overflow(j)
-        return SpectrumSpec(1, run, vol, "circle")
+        return SpectrumSpec(1, _Run(1, (exact_rho.denominator,
+                                        exact_rho.numerator), j_max, what),
+                            vol, "circle")
     modes = []
     for j in range(j_max + 1):
         try:  # j / rho_f overflows to inf without an OverflowError
@@ -273,7 +272,7 @@ def circle_spectrum(rho, j_max: int) -> SpectrumSpec:
         except OverflowError:
             mu = math.inf
         if mu == math.inf:
-            raise overflow(j)
+            raise DomainError(f"{what} overflows a double at j = {j}")
         modes.append(Mode(mu, 1 if j == 0 else 2, None, j))
     return SpectrumSpec(1, modes, vol, "circle")
 
@@ -486,15 +485,17 @@ def _s_data(n: int, mode: Mode) -> _SData:
     return math.sqrt(sq[0] / sq[1]), None, sq
 
 
-def _half_odd(root: _Ratio | None) -> bool:
-    # a rational s in lowest terms lies in 1/2 + Z iff its denominator is 2
-    return root is not None and root[1] == 2
-
-
-def _near_half_odd(s: float) -> bool:
-    # the float test: s within _LATTICE_TOL of 1/2 + Z
-    return (abs(s - (math.floor(s) + 0.5)) <= _LATTICE_TOL
-            or abs(s - (math.floor(s) - 0.5)) <= _LATTICE_TOL)
+def _genericity(n: int, mode: Mode) -> tuple[GenericityVerdict, _SData]:
+    # is_generic's verdict with the s data it read, for the lattice scan
+    data = _s_data(n, mode)
+    value, root, sq = data
+    if sq is None:
+        if (abs(value - (math.floor(value) + 0.5)) <= _LATTICE_TOL
+                or abs(value - (math.floor(value) - 0.5)) <= _LATTICE_TOL):
+            return GenericityVerdict.UNKNOWN_FLOAT, data
+    elif root is not None and root[1] == 2:
+        return GenericityVerdict.NON_GENERIC, data
+    return GenericityVerdict.GENERIC, data
 
 
 def is_generic(mode: Mode, n: int) -> GenericityVerdict:
@@ -504,13 +505,7 @@ def is_generic(mode: Mode, n: int) -> GenericityVerdict:
     the test is exact: _exact_s finds s when it is rational, and s is in
     1/2 + Z iff its reduced denominator is 2.  On floats the verdict is
     generic when s is farther than _LATTICE_TOL (1e-9) from the half-odd
-    lattice and unknown_float when within it (_near_half_odd).
+    lattice and unknown_float when within it.  The one owner of the rule
+    is _genericity, which the lattice scan reads too.
     """
-    n = _integer(n, "n", InvalidDimension, 1)
-    if mode.mu_sq_exact is not None:
-        if _half_odd(_exact_s(n, mode.mu_sq_exact)[1]):
-            return GenericityVerdict.NON_GENERIC
-        return GenericityVerdict.GENERIC
-    if _near_half_odd(_s_data(n, mode)[0]):
-        return GenericityVerdict.UNKNOWN_FLOAT
-    return GenericityVerdict.GENERIC
+    return _genericity(_integer(n, "n", InvalidDimension, 1), mode)[0]

@@ -336,8 +336,8 @@ def _kernel(n: int, p: HypergeomParams) -> _KernelData:
 
 
 def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
-                    sigma: float, *, control: QuadratureControl | None = None,
-                    lam_im_exact=None) -> complex:
+                    sigma: float, *, control: QuadratureControl | None = None
+                    ) -> complex:
     """(R(lambda) f)(sigma) for a single evaluation point.
 
     The one-point span of _resolvent: the running integral of f g1 w
@@ -352,7 +352,7 @@ def apply_resolvent(n: int, mode: Mode, lam: complex, f: RadialProfile,
     sigma = 0 when Re(n/2 - i lambda) < 0).
     """
     sigma = _real(sigma, "sigma", DomainError, "(0, 1)")
-    p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im_exact)
+    p = hypergeom_params(n, mode, lam)
     return _resolvent(_kernel(n, p), f, sigma, sigma,
                       control or _POINT_QC)[0]([sigma])[0]
 

@@ -28,10 +28,10 @@ from typing import NamedTuple
 
 from .crosssec import (
     _LATTICE_TOL,
+    GenericityVerdict,
     Mode,
     SpectrumSpec,
-    _half_odd,
-    _near_half_odd,
+    _genericity,
     _Ratio,
     _Run,
     _s_data,
@@ -309,37 +309,31 @@ def _bound(bound: float) -> _Bound:
     return _Bound(bound, 2 * bn - bd, 2 * bd)
 
 
-def _count_le(value: float, root: _Ratio | None, sq: _Ratio | None,
-              k_max: int, bound: _Bound) -> int:
+def _count_le(value: float, sq: _Ratio | None, k_max: int,
+              bound: _Bound) -> int:
     """Number of k in 0..k_max with 1/2 + k + s <= L, for s given as
-    (value, root, sq) the way _s_data gives it and L as _bound prepares it.
+    (value, sq) the way _s_data gives them and L as _bound prepares it.
 
-    The one place the position test is made.  Rational s = root takes one
-    exact floor of p/q - s.  Otherwise a float guess of the last k is
-    corrected one step at a time: exactly through the integer test
-    s^2 q^2 <= (p - k q)^2 with p - k q >= 0 for a surd, and by the double
-    expression 0.5 + k + s <= L for float-only s, which is monotone in k.
+    The one place the position test is made.  An exact s^2 = an/ad,
+    rational s included, takes one closed form: with L - 1/2 = p/q, the
+    test holds iff x = p - k q has x >= 0 and x^2 >= s^2 q^2, that is
+    x^2 >= u = ceil(an q^2 / ad), so iff x >= x0 = isqrt(u - 1) + 1 (0 when
+    u = 0), and k runs up to (p - x0) // q.  Float-only s corrects a float
+    guess of the last k one step at a time by the double expression
+    0.5 + k + s <= L, which is monotone in k.
     """
     p, q = bound.p, bound.q
-    if root is not None:
-        sn, sd = root
-        return max(0, min((p * sd - q * sn) // (q * sd), k_max) + 1)
+    if sq is not None:
+        an, ad = sq
+        u = -(-an * q * q // ad)
+        x0 = math.isqrt(u - 1) + 1 if u else 0
+        return max(0, min((p - x0) // q, k_max) + 1)
     top = bound.value
     k = max(-1, min(k_max, math.floor(top - 0.5 - value)))
-    if sq is None:
-        while k < k_max and 0.5 + (k + 1) + value <= top:
-            k += 1
-        while k >= 0 and not 0.5 + k + value <= top:
-            k -= 1
-        return k + 1
-    an, ad = sq
-    left = an * q * q
-    r = p - (k + 1) * q  # p - k q at the next k
-    while k < k_max and r >= 0 and left <= ad * r * r:
-        k, r = k + 1, r - q
-    r += q  # p - k q at this k
-    while k >= 0 and not (r >= 0 and left <= ad * r * r):
-        k, r = k - 1, r + q
+    while k < k_max and 0.5 + (k + 1) + value <= top:
+        k += 1
+    while k >= 0 and not 0.5 + k + value <= top:
+        k -= 1
     return k + 1
 
 
@@ -362,8 +356,11 @@ def _truncation_covers(spec: SpectrumSpec, k_max: int,
     if not modes:
         return True
     n = spec.dimension_n
-    return (_count_le(*_s_data(n, modes[-1]), 0, bound) == 0
-            and _count_le(*_s_data(n, modes[0]), k_max, bound) <= k_max)
+    value, _, sq = _s_data(n, modes[-1])
+    if _count_le(value, sq, 0, bound):
+        return False
+    value, _, sq = _s_data(n, modes[0])
+    return _count_le(value, sq, k_max, bound) <= k_max
 
 
 def _last_label(spec: SpectrumSpec) -> int:
@@ -386,27 +383,31 @@ def _limits(k_max: int, bound: float) -> None:
 
 
 def _scan(spec: SpectrumSpec, k_max: int, bound: float) -> list[_Generic]:
-    """The limits check, then the genericity scan: every generic mode with
+    """The limits check and the genericity scan: every generic mode with
     its s as _s_data gives it, in spectrum order.
 
-    Raises ValidationError unless k_max is an integer >= 0 and the bound a
-    real in [0, inf).  Genericity and s come from one s per mode: exact
-    where mu^2 is, and otherwise the float that is_generic tests too, read
-    by the same _near_half_odd.  Raises UndecidableMembership at the first
+    The modes are read first, so a generated spectrum whose float mu_j^2
+    overflow is refused (DomainError) before its limits are.  Raises
+    ValidationError unless k_max is an integer >= 0 and the bound a real in
+    [0, inf).  Genericity and s come from crosssec._genericity, the rule
+    is_generic reads too; raises UndecidableMembership at the first
     float-only mode within _LATTICE_TOL of the half-odd-integer lattice.
     """
+    modes = spec.modes
     _limits(k_max, bound)
     n = spec.dimension_n
     generic = []
-    for mode in spec.modes:
-        value, root, sq = _s_data(n, mode)
-        if mode.mu_sq_exact is None and _near_half_odd(value):
+    # the verdicts as locals: an Enum class attribute is slow to read
+    yes, unknown = GenericityVerdict.GENERIC, GenericityVerdict.UNKNOWN_FLOAT
+    for mode in modes:
+        verdict, data = _genericity(n, mode)
+        if verdict is yes:
+            generic.append((mode, *data))
+        elif verdict is unknown:
             raise UndecidableMembership(
                 f"mode j = {mode.label} (mu_sq = {mode.mu_sq}) sits within "
                 f"{_LATTICE_TOL} of the half-odd-integer lattice without an "
                 f"exact form")
-        if not _half_odd(root):
-            generic.append((mode, value, root, sq))
     return generic
 
 
@@ -558,7 +559,7 @@ def _listing(generic: list[_Generic], k_max: int, lambda_max: float
     walk = [_Walk(mode.label, mode.multiplicity, value,
                   None if root is None
                   else den // 2 + root[0] * (den // root[1]),
-                  sq, _count_le(value, root, sq, k_max, bound))
+                  sq, _count_le(value, sq, k_max, bound))
             for mode, value, root, sq in generic]
     if not all_exact:
         rows = [row for mode in walk for row in _mode_rows(*mode, den)]
@@ -700,11 +701,10 @@ def _count(spec: SpectrumSpec, runs: list, k_max: int, bound: float) -> int:
         return sum(_run_count(run, k_max, prepared) for run in runs)
     stop = bound - 0.5 + _STOP_GAP * (bound + 0.5)
     total = 0
-    for mode, value, root, sq in runs:
+    for mode, value, _, sq in runs:
         if value > stop:
             break
-        total += mode.multiplicity * _count_le(value, root, sq, k_max,
-                                               prepared)
+        total += mode.multiplicity * _count_le(value, sq, k_max, prepared)
     return total
 
 

@@ -237,12 +237,15 @@ def reference_count(spec, k_max: int, bound: float) -> int:
     generic = _scan(spec, k_max, bound)
     prepared = _bound(bound)
     modes, n = spec.modes, spec.dimension_n
-    if modes and not (
-            _count_le(*_s_data(n, modes[-1]), 0, prepared) == 0
-            and _count_le(*_s_data(n, modes[0]), k_max, prepared) <= k_max):
+
+    def positions(mode, k_top):
+        value, _, sq = _s_data(n, mode)
+        return _count_le(value, sq, k_top, prepared)
+    if modes and not (positions(modes[-1], 0) == 0
+                      and positions(modes[0], k_max) <= k_max):
         raise TruncationInsufficient(f"cannot certify up to {bound}")
-    return sum(mode.multiplicity * _count_le(value, root, sq, k_max, prepared)
-               for mode, value, root, sq in generic)
+    return sum(mode.multiplicity * _count_le(value, sq, k_max, prepared)
+               for mode, value, _, sq in generic)
 
 
 # the spectrum-file loader as it was before entries were parsed in one
@@ -357,7 +360,7 @@ def reference_listing(generic, k_max: int, lambda_max: float):
     entries = []  # (t, key, label, k, multiplicity)
     bound = _bound(lambda_max)
     for mode, value, root, sq in generic:
-        count = _count_le(value, root, sq, k_max, bound)
+        count = _count_le(value, sq, k_max, bound)
         j, m = mode.label, mode.multiplicity
         if root is not None:
             first = den // 2 + root[0] * (den // root[1])

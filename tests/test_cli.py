@@ -52,6 +52,10 @@ def assert_error(rc, err, code, reason):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+# the refusal of a generated spectrum's modes where they are built
+_MODE_OVERFLOW = ("circle modes for rho = '1e-200': mu_j^2 = j^2/rho^2 "
+                  "overflows a double at j = 1")
+
 SPECTRUM_CIRCLE_1_JSON = """\
 {
   "modes": [
@@ -324,12 +328,13 @@ class TestSpectrum:
          "rho = '1e400': beyond the double range"),
         (("resonances", "--circle", "1e400", "--lambda-max", "3"),
          "rho = '1e400': beyond the double range"),
-        (("spectrum", "--circle", "1e-200", "--jmax", "2"),
-         "rho = '1e-200': mu_j^2 = j^2/rho^2 overflows a double at j = 1"),
+        (("spectrum", "--circle", "1e-200", "--jmax", "2"), _MODE_OVERFLOW),
+        (("resonances", "--circle", "1e-200", "--lambda-max", "3"),
+         _MODE_OVERFLOW),
         (("classify", "--n", "1", "--mu-sq-exact", "1e400", "--lambda-im",
           "-1"), "--mu-sq-exact '1e400' lies beyond the double range"),
     ], ids=["spectrum-radius", "resonances-radius", "spectrum-mode",
-            "classify-mu-sq-exact"])
+            "resonances-mode", "classify-mu-sq-exact"])
     def test_exact_input_beyond_double_range(self, argv, named):
         # each exited 1 with an OverflowError traceback before
         rc, out, err = run(*argv)
@@ -898,10 +903,23 @@ class TestWeylBoundedWork:
         assert data["rows"][0]["count"] == (d + 1) ** 2
         assert abs(data["rows"][0]["ratio"] - 1.0) <= 1e-12
         assert data["truncation"]["j_max"] == int(1e150) + 1
-        # the term (and the top mode's mu^2) overflows a double
+        # the term overflows a double
         rc, out, err = run("weyl", "--circle", "1", "--lambda-grid", "1e300")
         assert out == ""
         assert_error(rc, err, 2, "validation")
+
+    @pytest.mark.parametrize("rho,grid,count", [
+        ("1/1000000", "1e155", None), ("1e-200", "3", 3)])
+    def test_counts_past_the_float_modes(self, rho, grid, count):
+        # the top mode's mu_j^2 overflows a double, but the count reads no
+        # float mu^2: it answers as far as the leading term fits
+        rc, out, err = run("weyl", "--circle", rho, "--lambda-grid", grid)
+        assert (rc, err) == (0, "")
+        row, = json.loads(out)["rows"]
+        if count is None:
+            assert abs(row["ratio"] - 1.0) <= 1e-12
+        else:
+            assert row["count"] == count
 
     def test_leading_terms_before_any_count(self):
         # the term at 1e300 overflows: refused before j_max = 2 is found
@@ -950,10 +968,10 @@ class TestLatticeWorkCounts:
         count_le, check_mode = resonances._count_le, crosssec._check_mode
         rational_float = numbers.Rational.__float__
 
-        def counting_le(value, root, sq, k_max, bound):
+        def counting_le(value, sq, k_max, bound):
             tests = counts["tests"]
             tests[bound.value] = tests.get(bound.value, 0) + 1
-            return count_le(value, root, sq, k_max, bound)
+            return count_le(value, sq, k_max, bound)
 
         def counting_check(*args):
             counts["check"] += 1
@@ -1013,6 +1031,16 @@ class TestVerify:
         rc, out, _ = run("verify", "--suite", "wronskian", "--seed", "7")
         assert rc == 0
         assert out.splitlines()[-1] == "20/20 checks passed"
+
+    def test_wronskian_suite_nudges_lambda_off_the_axis(self):
+        # seed 11 draws Re lambda = -0.0009 at draw 08: the suite moves it
+        # to 0.0991, off the imaginary axis, and every check passes
+        rc, out, _ = run("verify", "--suite", "wronskian", "--seed", "11")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[-1] == "20/20 checks passed"
+        assert all(line.startswith("PASS") for line in lines[:-1])
+        assert "lambda=0.0991+0.6498i]" in lines[8]
 
     def test_byte_stability(self):
         a = run("verify", "--suite", "specfun", "--seed", "3")

@@ -22,6 +22,7 @@ from hypercone import (
     SpectrumSpec,
     ValidationError,
     circle_spectrum,
+    count_resonances,
     is_generic,
     load_spectrum,
     s_param,
@@ -97,6 +98,23 @@ class TestSphereSpectrum:
         for n in (438, 100000, 10 ** 400):
             with pytest.raises(DomainError, match=f"n = {n}:"):
                 sphere_spectrum(n, 2)
+
+    def test_mode_beyond_double_range(self):
+        # mu_j^2 = j(j+2) overflows a double from j about 1.3e154: the
+        # spectrum is built and counted, and each read of .modes refuses at
+        # once, naming the first such j
+        spec = sphere_spectrum(3, 10 ** 160)
+        # s_j = j + 1: (j, k) = (0, 0), (0, 1) with m = 1 and (1, 0), m = 4
+        assert count_resonances(spec, 4, 3.0) == 6
+        for _ in range(2):
+            with pytest.raises(DomainError, match=(
+                    r"^sphere modes for n = 3: mu_j\^2 = j\(j\+n-1\) "
+                    r"overflows a double at j = (\d+)$")) as info:
+                spec.modes
+        j = int(info.value.args[0].rsplit(" ", 1)[1])
+        with pytest.raises(OverflowError):
+            float(j * (j + 2))
+        assert float((j - 1) * (j + 1)) < math.inf
 
     def test_validation(self):
         with pytest.raises(InvalidDimension):
@@ -196,13 +214,26 @@ class TestCircleSpectrum:
                 circle_spectrum(rho, 2)
 
     def test_mode_beyond_double_range(self):
-        # mu_j^2 = j^2/rho^2 overflows for a tiny radius, exact or float:
-        # refused naming rho and the first such j
-        for rho, j_max, j in (("1e-200", 2, 1), (1e-200, 2, 1),
-                              ("8e-154", 20, 11)):
-            with pytest.raises(DomainError, match=(
-                    f"rho = {re.escape(repr(rho))}: .* at j = {j}$")):
-                circle_spectrum(rho, j_max)
+        # mu_j^2 = j^2/rho^2 overflows for a tiny radius: refused naming rho
+        # and the first such j, for a float radius at construction and for
+        # an exact one at each read of .modes, the one place its float
+        # mu_j^2 are formed
+        with pytest.raises(DomainError, match="rho = 1e-200: .* at j = 1$"):
+            circle_spectrum(1e-200, 2)
+        for rho, j_max, j in (("1e-200", 2, 1), ("8e-154", 20, 11)):
+            spec = circle_spectrum(rho, j_max)
+            for _ in range(2):
+                with pytest.raises(DomainError, match=(
+                        f"rho = {re.escape(repr(rho))}: .* at j = {j}$")):
+                    spec.modes
+
+    def test_count_reads_no_float_mode(self):
+        # mu_1^2 = 1e400 overflows a double, but the count reads the exact
+        # run: j = 0 alone has positions 1/2 + k <= 3, k = 0, 1, 2
+        spec = circle_spectrum("1e-200", 2)
+        assert count_resonances(spec, 4, 3.0) == 3
+        with pytest.raises(DomainError, match="at j = 1$"):
+            spec.modes
 
 
 class TestModeValidation:

@@ -62,6 +62,14 @@ from oracles import (
     reference_ladder_band,
 )
 
+
+def exact_point(n, p, f, sigma):
+    # apply_resolvent's one-point read at parameters p, which may carry an
+    # exact imaginary part of lambda (hypergeom_params's lam_im_exact)
+    return _resolvent(resolvent._kernel(n, p), f, sigma, sigma,
+                      resolvent._POINT_QC)[0]([sigma])[0]
+
+
 # oracle_u2_series(1, 1.0, 1.0, 0.3, dps=30)
 U2_POINT = complex(0.21904546690772356, -0.5701142135439057)
 # oracle_wronskian(n, mu_sq, lam, sigma, dps=40)
@@ -1234,8 +1242,9 @@ class TestOneLatticeDecision:
                 if lam_im is None:  # a surd candidate is exact only in p
                     _KernelData(n, p)
                 else:
-                    apply_resolvent(n, mode, complex(0.0, float(lam_im)), f,
-                                    0.45, lam_im_exact=lam_im)
+                    exact_point(n, hypergeom_params(
+                        n, mode, complex(0.0, float(lam_im)),
+                        lam_im_exact=lam_im), f, 0.45)
                 refused = False
             except PoleEvaluation:
                 refused = True
@@ -1776,8 +1785,11 @@ class TestKernelSlot:
         f = RadialProfile.bump(0.3, 0.6)
 
         def value(n, mode, lam, lam_im):
-            return apply_resolvent(n, mode, lam, f, 0.45,
-                                   lam_im_exact=lam_im)
+            if lam_im is None:
+                return apply_resolvent(n, mode, lam, f, 0.45)
+            return exact_point(n, hypergeom_params(n, mode, lam,
+                                                   lam_im_exact=lam_im),
+                               f, 0.45)
 
         first, second = self.UNEQUAL[key]
         for a, b in ((first, second), (second, first)):

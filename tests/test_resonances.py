@@ -504,6 +504,15 @@ class TestCompleteness:
             weyl_count(rset, 5.0)
         assert count_resonances(spec, 10, 5.0) == 25
 
+    def test_empty_spectrum_covers_every_bound(self):
+        # a spectrum with no modes has no resonances: the truncation
+        # certificate holds, the count is 0 and the listing empty
+        spec = SpectrumSpec(2, [], 1.0, "file")
+        assert count_resonances(spec, 3, 5.0) == 0
+        rset = enumerate_resonances(spec, 3, 5.0)
+        assert rset.resonances == []
+        assert rset.complete_up_to(5.0)
+
 
 class TestWeylCount:
     def test_unit_circle_count(self):
