@@ -32,9 +32,15 @@ every point a check asks for).  The kernel built last is kept (_kernel), so
 calls at one (n, mu^2, lambda), such as the two orientations of a Green
 pairing, seed and continue it once.  g1's seed carries P whole, formed once as
 one sum of log-Gammas (_prefactor): Gamma(b) and Gamma(1+s) overflow apart
-past s = 171 while P stays moderate.  At exact lattice parameters, where P
-meets a Gamma pole or zero, it is its limit along lambda, and at c = -C the
-seed is a polynomial head plus the DLMF 15.2.3 tail (_lattice_seed).
+past s = 171 while P stays moderate.  Off the exact lattice g1 and public u1
+read F(a, b; 2a; sigma) through Kummer's quadratic transformation, a series
+in zeta = sech^2 r, the cone's own Legendre variable
+(_KernelData._quadratic_seed): it needs fewer terms than the series in
+sigma, and its seed bound starts g1's climb toward sigma = 1, against the
+growing second solution, near sigma = 0.7 rather than at about 4/|lambda|.
+At exact lattice parameters, where P meets a Gamma pole or zero, it is its
+limit along lambda, and at c = -C the seed is a polynomial head plus the
+DLMF 15.2.3 tail (_lattice_seed).
 """
 
 from __future__ import annotations
@@ -65,8 +71,8 @@ from .resonances import (
 from .specfun import (
     _Ladder,
     _hyp2f1,
+    _seed_bound,
     _series_seed,
-    hyp2f1,
     is_nonpositive_integer,
     ln_gamma,
 )
@@ -77,6 +83,10 @@ from .crosssec import Mode
 # feed finite differences run tight
 _POINT_QC = QuadratureControl()
 _GRID_QC = QuadratureControl(abs_tol=1e-15, rel_tol=5e-14, max_subdivisions=60)
+
+# the largest zeta = sech^2 r at which g1's quadratic seed sums its series
+# (_KernelData._quadratic_seed): sigma = 0.708 in the kernel's own variable
+_ZETA_CAP = 0.3
 
 
 # -- coordinates and measure --------------------------------------------------
@@ -161,16 +171,38 @@ class RadialProfile:
 # -- kernel basis functions ---------------------------------------------------
 
 def u1(p: HypergeomParams, sigma: float) -> complex:
-    """F(a, b; c; sigma): the solution selected at sigma = 0, by hyp2f1.
+    """F(a, b; c; sigma): the solution selected at sigma = 0.
 
-    Undefined when c is a non-positive integer (use the fused resolvent
-    routines there); diverges like (1-sigma)^(-s) as sigma -> 1.
+    Read through Kummer's quadratic transformation (DLMF 15.8.13),
+    F(a, b; 2a; sigma) = (1 - sigma/2)^(-b) F(b/2, b/2 + 1/2; a + 1/2; zeta)
+    with zeta = (sigma / (2 - sigma))^2 = sech^2 r, by hyp2f1 at zeta given
+    its exact distance 1 - zeta = 4 (1 - sigma) / (2 - sigma)^2.  Undefined
+    when c is a non-positive integer (use the fused resolvent routines
+    there); diverges like (1-sigma)^(-s) as sigma -> 1.  A value past the
+    double range raises DomainError.
     """
     sigma = _real(sigma, "sigma", DomainError, "[0, 1)")
     if is_nonpositive_integer(p.c) or _lattice_indices(p)[2] is not None:
         raise LowerParameterPole(
             f"c = {p.c} is a non-positive integer; F(a,b;c;z) is undefined")
-    return hyp2f1(p.a, p.b, p.c, sigma)
+    a, b = complex(p.a), complex(p.b)
+    t = 2.0 - sigma
+    f = _hyp2f1(0.5 * b, 0.5 * b + 0.5, a + 0.5, (sigma / t) ** 2,
+                4.0 * (1.0 - sigma) / (t * t))
+    val = _quadratic_scale(0.0, b, sigma) * f
+    if not cmath.isfinite(val):
+        raise DomainError(f"u1 at sigma = {sigma!r}, lambda = {p.lam} "
+                          f"exceeds the double range")
+    return val
+
+
+def _quadratic_scale(log_p: complex, b: complex, z: float) -> complex:
+    # P (1 - z/2)^(-b), the factor of Kummer's quadratic transformation, as
+    # exp(log P - b log(1 - z/2)); inf past the double range
+    try:
+        return cmath.exp(log_p - b * math.log1p(-0.5 * z))
+    except OverflowError:
+        return complex(math.inf)
 
 
 def u2(p: HypergeomParams, sigma: float) -> complex:
@@ -249,9 +281,10 @@ class _KernelData:
     g1 reads P F(a, b; c; z), its poles fused into the terms, and u2
     reads f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values
     depend only on the kernel and the point; both read a list of points.
-    g1 is seeded by the series times P (_prefactor), or at c = -C on the
-    exact lattice by _lattice_seed.  A genuine pole raises PoleEvaluation,
-    a P beyond the double range DomainError.
+    g1 is seeded off the exact lattice by _quadratic_seed, a series in
+    zeta = sech^2 r, and at c = -C on it by _lattice_seed, with f2 by the
+    series in 1 - sigma.  A genuine pole raises PoleEvaluation, a g1 seed
+    or a lattice P beyond the double range DomainError.
     """
 
     def __init__(self, n: int, p: HypergeomParams) -> None:
@@ -266,14 +299,17 @@ class _KernelData:
             raise PoleEvaluation(
                 f"lambda = {p.lam} is a genuine pole of the mode resolvent "
                 f"(a = {p.a}, b = {p.b}, c = {p.c})")
-        try:
-            coef = cmath.exp(log_p) if order == 0 else 0.0j
-            t_k = None if ic is None else cmath.exp(log_t)
-        except OverflowError:
-            raise DomainError(f"the mode prefactor at lambda = {p.lam}, "
-                              f"s = {p.s!r} exceeds the double range") from None
-        seed = (_series_seed(coef, a, b, c) if ic is None
-                else self._lattice_seed(coef, t_k, ia, ib, ic))
+        if ic is None:
+            seed = self._quadratic_seed(log_p, a, b)
+        else:
+            try:
+                coef = cmath.exp(log_p) if order == 0 else 0.0j
+                t_k = cmath.exp(log_t)
+            except OverflowError:
+                raise DomainError(
+                    f"the mode prefactor at lambda = {p.lam}, s = {p.s!r} "
+                    f"exceeds the double range") from None
+            seed = self._lattice_seed(coef, t_k, ia, ib, ic)
         # g1 reads z in [0, 1) and u2 sigma in (0, 1]; every caller has
         # checked its points, so neither checks them again
         self.g1 = _Ladder(a, b, c, seed)
@@ -282,6 +318,39 @@ class _KernelData:
 
     def u2(self, sigmas: list[float]) -> list[complex]:
         return self.f2([1.0 - x for x in sigmas], sigmas)
+
+    def _quadratic_seed(self, log_p: complex, a: complex, b: complex):
+        """z -> (g1(z), g1'(z)) off the exact lattice, by Kummer's quadratic
+        transformation (DLMF 15.8.13) of F(a, b; 2a; z):
+
+            g1(z) = P (1 - z/2)^(-b) H(zeta),  zeta = (z / (2 - z))^2,
+            H = F(b/2, b/2 + 1/2; a + 1/2; .),
+
+        zeta being sech^2 r.  H and H' come from one pass of the series
+        (_series_seed), and g1' = P (1 - z/2)^(-b) (b/(2-z) H
+        + zeta' H'(zeta)), zeta' = 4z/(2-z)^3.  P (1 - z/2)^(-b) is one
+        exponential (_quadratic_scale), so a seed past the double range
+        raises DomainError.  The seed carries its bound x0, the series'
+        own bound zeta0 = min(_ZETA_CAP, _seed_bound) in zeta mapped back
+        by z0 = 2 sqrt(zeta0) / (1 + sqrt(zeta0)), for the ladder to read.
+        """
+        p = self.p
+        ha, hb, hc = 0.5 * b, 0.5 * b + 0.5, a + 0.5
+        series = _series_seed(1.0 + 0.0j, ha, hb, hc)
+
+        def seed(z: float) -> tuple[complex, complex]:
+            t = 2.0 - z
+            h, dh = series((z / t) ** 2)
+            scale = _quadratic_scale(log_p, b, z)
+            val, slope = scale * h, scale * (b / t * h + 4.0 * z / t ** 3 * dh)
+            if not (cmath.isfinite(val) and cmath.isfinite(slope)):
+                raise DomainError(
+                    f"g1 at z = {z!r}, lambda = {p.lam}, s = {p.s!r} "
+                    f"exceeds the double range")
+            return val, slope
+        root = math.sqrt(min(_ZETA_CAP, _seed_bound(ha, hb, hc)))
+        seed.x0 = 2.0 * root / (1.0 + root)
+        return seed
 
     def _lattice_seed(self, t0: complex, t_k: complex, ia, ib, c_index: int):
         """z -> (G1(z), G1'(z)) at c = -C on the exact lattice.

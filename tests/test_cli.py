@@ -214,18 +214,18 @@ GOLDEN_DIGESTS = [
 # is computed moves them and must update this pin deliberately.
 SUITE_DIGESTS = {
     "specfun":
-        "8c8b8695778131855a374635e47345eb8bbc5a19441570010d169456ff4be01e",
+        "0f3cb9e151b66f2a4c82113dd87c1e0f457f5872eb3b0f99f7e865aff9fd4291",
     "wronskian":
-        "b7d655ce4edebeb6a69d76a59e9918e00c02eb2a36fd60206e09d6bca49edb53",
+        "eac3b00373a93b7ed441ea54c0278c30d08d72b4c051fb52715b2546e95c1003",
     "residual":
-        "ad90805b461d707bd2d37c31b9f1cd0d649c6313934e9f171f9ce7b4b63d629d",
+        "2b8d122892351ff91e6a9ad2002fdbcfb798160f9dc78a1d67fc727c85fb54ac",
     "residue":
         "f44d015583cb29918e2f6aaf3f93404f6dd08ad06a34161f2a9b22b1d54c5161",
 }
 
 # sha256 of `verify` stdout, all four suites (verify.run_all) in one report
 VERIFY_ALL_DIGEST = (
-    "7fa75066607041679fa65c10c38d2f5e53b10b7ca3d7a9b9d22ae09fffcda2a2")
+    "ca562a0d179a1758fcf5d8066d15e3f96e239e10454ecc0d90ce1df1e67bb65f")
 
 
 @pytest.fixture(scope="module")

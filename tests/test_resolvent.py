@@ -1040,9 +1040,24 @@ def _inline_ratio_series(term, a, b, c, z):
     raise AssertionError("reference series did not settle")
 
 
+def _inline_quadratic_seed(p, z):
+    # g1's seed off the lattice, written out: Kummer's quadratic
+    # transformation g1(z) = P (1 - z/2)^(-b) H(zeta), zeta = (z/(2-z))^2,
+    # H = F(b/2, b/2 + 1/2; a + 1/2; .) by the term loop above, and
+    # g1' = P (1 - z/2)^(-b) (b/(2-z) H + 4z/(2-z)^3 H')
+    a, b = complex(p.a), complex(p.b)
+    log_p = resolvent._prefactor(p, PoleEvaluation)[0]
+    t = 2.0 - z
+    h, dh = _inline_ratio_series(1.0 + 0.0j, 0.5 * b, 0.5 * b + 0.5, a + 0.5,
+                                 (z / t) ** 2)
+    scale = cmath.exp(log_p - b * math.log1p(-0.5 * z))
+    return scale * h, scale * (b / t * h + 4.0 * z / t ** 3 * dh)
+
+
 class TestStepRatioCache:
     """Every series seed is bit-identical to the term loop written out
-    here, whatever order its points are asked in."""
+    here, whatever order its points are asked in: u2's in 1 - sigma, and
+    g1's, off the lattice, in zeta = (z/(2-z))^2 (_inline_quadratic_seed)."""
 
     KERNELS = [(1, Mode(1.0, 1), 1 + 0.5j), (2, Mode(2.0, 1), 1 - 0.7j),
                (3, Mode(8.0, 1), -0.3 - 1.1j), (4, Mode(0.5, 1), 3j)]
@@ -1056,10 +1071,9 @@ class TestStepRatioCache:
         # public u2 where it sums the series itself
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p)
-        a, b, c, c2 = (complex(v) for v in (p.a, p.b, p.c, 1.0 + p.s))
-        t0 = kd.g1.seed(0.0)[0]
+        a, b, c2 = (complex(v) for v in (p.a, p.b, 1.0 + p.s))
         for x in self.POINTS:
-            assert kd.g1.seed(x) == _inline_ratio_series(t0, a, b, c, x)
+            assert kd.g1.seed(x) == _inline_quadratic_seed(p, x)
             w = 1.0 - x
             series = _inline_ratio_series(1.0 + 0.0j, a, b, c2, w)
             assert kd.f2.seed(w) == series
@@ -1070,7 +1084,8 @@ class TestStepRatioCache:
 class TestSeedDerivative:
     """Each series seed sums (F, F') in one pass, F' being the contiguous
     (ab/c) F(a+1, b+1; c+1; m), to 1e-13 of mpmath from the anchor m = 0
-    through a subnormal-adjacent m to 3/4."""
+    through a subnormal-adjacent m to 3/4; g1's, off the lattice, through
+    the quadratic transformation in zeta = (m/(2-m))^2."""
 
     POINTS = [0.0, 1e-300, 1e-8, 0.05, 0.375, 0.5, 0.75]
 
@@ -1392,8 +1407,9 @@ class TestSeriesWorkCounts:
 
     def test_continuation_does_not_reseed(self, sums):
         # each kernel function is seeded once, value and derivative in one
-        # sum; the anchors past the seed bounds, about 0.1 for g1 and 0.006
-        # for u2, are continued from it: 85 Taylor expansions here
+        # sum; the anchors past the seed bounds, sigma = 0.71 for g1 (its
+        # series in sech^2 r) and 0.012 for u2, are continued from it: 83
+        # Taylor expansions here, 82 of them u2's
         apply_resolvent(2, Mode(2.0, 1), 20 + 0.1j,
                         RadialProfile.bump(0.3, 0.6), 0.2)
         assert 0 < sums[0] <= 2
@@ -1407,8 +1423,8 @@ class TestLadderWorkCounts:
     series term loop (the growth of the ratio list each sum reads).
     Anchors at the midpoints of their bands and one ratio list per seed
     took them from 8597, 221 and 466 to 7338, 182 and 143 for the residual
-    check; the residue probes build a kernel per sample, so their seeds
-    share less."""
+    check, and g1's seed in zeta = sech^2 r the ratios to 104; the residue
+    probes build a kernel per sample, so their seeds share less."""
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -1449,53 +1465,123 @@ class TestLadderWorkCounts:
 
     def test_residual_check(self, work):
         residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
-        self.check(work, 7338, 182, 143)
+        self.check(work, 7338, 182, 104)  # 143 ratios in sigma
 
     def test_green_pairing(self, work):
         green_pairing(2, Mode(2.0, 1), 2j, RadialProfile.bump(0.3, 0.45),
                       RadialProfile.bump(0.4, 0.55))
-        self.check(work, 4325, 94, 132)  # 4487, 91 and 177 before
+        # 4487, 91 and 177 before; 132 ratios in sigma
+        self.check(work, 4325, 94, 92)
 
     def test_symmetric_green_pair(self, work):
         # the swapped orientation reads the kernel the first one built: it
         # forms no Taylor coefficient and no step ratio of its own, where
-        # a kernel per call made 188 and 264 for the pair
+        # a kernel per call made 188 and 264 for the pair.  g1's seed in
+        # zeta = sech^2 r forms 92 ratios where the sigma-series formed 132
         f, g = RadialProfile.bump(0.3, 0.45), RadialProfile.bump(0.4, 0.55)
         green_pairing(2, Mode(2.0, 1), 2j, f, g)
         one = dict(work)
         green_pairing(2, Mode(2.0, 1), 2j, g, f)
-        assert (one["taylor"], one["ratios"]) == (94, 132)
-        assert (work["taylor"], work["ratios"]) == (94, 132)
+        assert (one["taylor"], one["ratios"]) == (94, 92)
+        assert (work["taylor"], work["ratios"]) == (94, 92)
         assert work["horner"] > one["horner"]
 
     def test_residue_probe(self, work):
         residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
-        self.check(work, 19116, 1110, 1970)  # 21996, 1270 and 2674 before
+        # 21996, 1270 and 2674 before; 1970 ratios in sigma
+        self.check(work, 19116, 1110, 1346)
 
     def test_residue_probe_on_axis(self, work):
         residue_probe(2, Mode(2.0, 1), 0.9j)
-        self.check(work, 10836, 630, 1107)  # 12456, 720 and 1503 before
+        # 12456, 720 and 1503 before; 1107 ratios in sigma
+        self.check(work, 10836, 630, 756)
 
 
 class TestSharedStepRatios:
     """A ladder's series seed reads and extends one list of step ratios,
-    and at every seeded anchor it returns the bits of a fresh term loop."""
+    and at every seeded anchor it returns the bits of a fresh term loop:
+    u2's in 1 - sigma, g1's in zeta (_inline_quadratic_seed)."""
 
     @pytest.mark.parametrize("n,mode,lam", TestStepRatioCache.KERNELS)
     def test_seeds_at_anchors(self, n, mode, lam):
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p)
-        a, b = complex(p.a), complex(p.b)
-        for ladder, c in ((kd.g1, complex(p.c)), (kd.f2, complex(1.0 + p.s))):
+        a, b, c2 = complex(p.a), complex(p.b), complex(1.0 + p.s)
+        for ladder, fresh in (
+                (kd.g1, lambda z: _inline_quadratic_seed(p, z)),
+                (kd.f2, lambda z: specfun._sum_series(1.0 + 0.0j, a, b, c2,
+                                                      z))):
             ladder([0.004 + 0.008 * k for k in range(125)])
-            t0 = ladder.seed(0.0)[0]
             seeded = [key for key in ladder.expansions if ladder._seeded(key)]
             assert len(seeded) > 1
             for key in seeded:
                 m = ladder.expansions[key][0]
                 z = m if key >= 0 else 1.0 - m
-                fresh = specfun._sum_series(t0, a, b, c, z)
-                assert ladder.seed(z) == fresh, key
+                assert ladder.seed(z) == fresh(z), key
+
+
+class TestKernelCorner:
+    """g1, u2 and public u1 where |Re lambda| is large and Im lambda < 0,
+    against oracle_kernel_functions at 30 digits, 0 misses of 1e-10
+    (ROADMAP items 13 and 18).  The sigma-series seed bound of g1 and u1
+    is about 4/|lambda|, and the climb from it toward sigma = 1 runs
+    against the growing second solution: it missed 1e-10 in g1 or u2 on
+    15 to 19 of 60 corner draws, and in u1 on 20, worst 1.1e-8, with no
+    error raised.  The series in zeta = sech^2 r starts the climb at
+    sigma = 0.6 to 0.7.
+
+    Samplers, 60 draws per seed:
+    - item 13's corner (seeds 5 and 31): n in 1..4, mu^2 in [0, 9],
+      |Re lambda| in [20, 40] of either sign, Im lambda in [-3, -2],
+      sigma in [0.85, 0.999];
+    - item 18's integer s (seeds 5 and 6): as the corner, but n = 1 with
+      mu^2 = m^2 or n = 3 with mu^2 = j(j+2), m and j in 0..6, exact mu^2,
+      each with probability 1/2;
+    - the wide sample (seed 8): n in 1..4, mu^2 in [0, 9],
+      |Re lambda| <= 40, |Im lambda| <= 3, sigma in [0.5, 0.999]."""
+
+    @staticmethod
+    def corner_lambda(rng):
+        return complex(rng.choice((-1.0, 1.0)) * rng.uniform(20.0, 40.0),
+                       rng.uniform(-3.0, -2.0))
+
+    def item_13(self, rng):
+        n, mu_sq = rng.randint(1, 4), rng.uniform(0.0, 9.0)
+        return (n, Mode(mu_sq, 1), mu_sq, self.corner_lambda(rng),
+                rng.uniform(0.85, 0.999))
+
+    def item_18(self, rng):
+        if rng.random() < 0.5:
+            n, q = 1, rng.randint(0, 6) ** 2
+        else:
+            j = rng.randint(0, 6)
+            n, q = 3, j * (j + 2)
+        return (n, Mode(float(q), 1, Fraction(q)), q, self.corner_lambda(rng),
+                rng.uniform(0.85, 0.999))
+
+    @staticmethod
+    def wide(rng):
+        n, mu_sq = rng.randint(1, 4), rng.uniform(0.0, 9.0)
+        lam = complex(rng.uniform(-40.0, 40.0), rng.uniform(-3.0, 3.0))
+        return n, Mode(mu_sq, 1), mu_sq, lam, rng.uniform(0.5, 0.999)
+
+    @pytest.mark.parametrize("sampler,seed", [
+        ("item_13", 5), ("item_13", 31), ("item_18", 5), ("item_18", 6),
+        ("wide", 8)])
+    def test_no_misses(self, sampler, seed):
+        rng = random.Random(seed)
+        draw = getattr(self, sampler)
+        misses = []
+        for _ in range(60):
+            n, mode, mu_sq, lam, x = draw(rng)
+            p = hypergeom_params(n, mode, lam)
+            kd = _KernelData(n, p)
+            got = (u1(p, x), kd.u2([x])[0], kd.g1([x])[0])
+            want = oracle_kernel_functions(n, mu_sq, lam, x)
+            err = max(abs(g - w) / abs(w) for g, w in zip(got, want))
+            if not err <= 1e-10:
+                misses.append((n, mu_sq, lam, x, err))
+        assert misses == []
 
 
 class TestNearEndDomain:

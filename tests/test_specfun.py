@@ -86,6 +86,82 @@ class TestGammaValues:
                 ln_gamma(z)
 
 
+class TestLnGammaReflection:
+    """Left of Re z = -9.5, ln_gamma is the reflection formula, O(1) at any
+    Re z and on the principal branch, compared with mp.loggamma itself, not
+    modulo 2 pi i.  The upward recurrence, now kept for at most ten steps,
+    summed ceil(1/2 - Re z) logs at any Re z: |exp(error) - 1| grew to
+    2.8e-12 at -999.5+0.3i and 7.2e-8 at -999999.5+0.3i, and -1e9+0.3i
+    took minutes.  Far left the imaginary part is about pi Re z, so the
+    error is stated relative to |log Gamma|; the ulp of that part alone is
+    4.8e-7 at Re z = -1e9."""
+
+    FAR_LEFT = [-999.5 + 0.3j, -9999.5 + 0.3j, -999999.5 + 0.3j,
+                -1e9 + 0.3j, -1e9 - 0.3j, -123456.789 + 5j, -2.5e8 - 40j,
+                -1e9 + 1e5j, -17.25 + 300j, -17.25 - 300j]
+
+    @staticmethod
+    def mp_loggamma(z):
+        with mp.workdps(40):
+            return mp.loggamma(mp.mpc(z))
+
+    def test_far_left_against_mpmath(self):
+        for z in self.FAR_LEFT:
+            want = self.mp_loggamma(z)
+            assert abs(ln_gamma(z) - want) <= 1e-15 * abs(want), z
+
+    def test_near_poles(self):
+        # sin(pi z) from the exact remainder Re z - round(Re z), and
+        # 1 - e^(2 pi i z) by expm1, keep the digits beside each pole,
+        # on the cut (its limit from above, as mpmath) and off it
+        for k in (0, 1, 5, 30, 170, 10 ** 6):
+            for d in (1e-12, -1e-9, 1e-6, 0.25, 1e-3j, 1e-9 - 1e-9j,
+                      -1e-6 + 1e-12j):
+                z = -k + d  # -10^6 + 1e-12 rounds onto the pole
+                if z.real >= 0.5 or specfun.is_nonpositive_integer(z):
+                    continue
+                want = self.mp_loggamma(z)
+                assert abs(ln_gamma(z) - want) <= 1e-15 * abs(want), z
+
+    def test_both_sides_of_the_line(self):
+        # 200 seeded points with Re z in [-60, 1.5], |Im z| <= 60, across
+        # both switches: Lanczos to recurrence at Re z = 1/2, recurrence to
+        # reflection at -9.5
+        rng = random.Random(34)
+        for _ in range(200):
+            z = complex(rng.uniform(-60.0, 1.5), rng.uniform(-60.0, 60.0))
+            want = self.mp_loggamma(z)
+            assert abs(ln_gamma(z) - want) <= 2e-15 * max(1.0, abs(want)), z
+
+    def test_signed_zero_on_the_cut(self):
+        # Im z = -0.0 reads the limit from above, as +0.0 and mpmath do
+        for x in (-2.5, -0.5, -1e9 + 0.5):
+            assert ln_gamma(complex(x, -0.0)) == ln_gamma(complex(x, 0.0))
+            want = self.mp_loggamma(x)
+            assert abs(ln_gamma(x) - want) <= 1e-15 * abs(want), x
+
+    @pytest.mark.parametrize("z", FAR_LEFT + [-3.7 + 0.01j, -0.3 - 2j])
+    def test_verify_identities(self, z):
+        # verify's three identities, which hold on the principal branch in
+        # either open half plane, without reduction modulo 2 pi i:
+        # recurrence, reflection (sin from mpmath, as a double's pi z
+        # loses Re z's digits) and Legendre duplication
+        scale = 2e-15 * max(1.0, abs(ln_gamma(2 * z)))
+        assert abs(ln_gamma(z + 1) - ln_gamma(z) - cmath.log(z)) <= scale
+        with mp.workdps(40):
+            zm = mp.mpc(z)
+            log_sin = mp.log(mp.sin(mp.pi * zm))
+            want = complex(mp.log(mp.pi) - log_sin)
+            wrap = 2 * mp.pi * mp.nint(mp.im(mp.loggamma(zm)
+                                             + mp.loggamma(1 - zm)
+                                             - want) / (2 * mp.pi))
+        got = ln_gamma(z) + ln_gamma(1 - z) - 1j * float(wrap)
+        assert abs(got - want) <= scale
+        dup = (ln_gamma(z) + ln_gamma(z + 0.5) - ln_gamma(2 * z)
+               - (1 - 2 * z) * math.log(2) - 0.5 * math.log(math.pi))
+        assert abs(dup) <= scale
+
+
 class TestHyp2f1Values:
     def test_at_zero(self):
         assert hyp2f1(0.3 + 2j, -1.7, 0.9 - 1j, 0.0) == 1.0
