@@ -38,6 +38,9 @@ in zeta = sech^2 r, the cone's own Legendre variable
 (_KernelData._quadratic_seed): it needs fewer terms than the series in
 sigma, and its seed bound starts g1's climb toward sigma = 1, against the
 growing second solution, near sigma = 0.7 rather than at about 4/|lambda|.
+Below that bound g1 is read straight from one list of the series' terms,
+formed once per kernel, by Horner in zeta; the continuation serves g1
+only above it.
 At exact lattice parameters, where P meets a Gamma pole or zero, it is its
 limit along lambda, and at c = -C the seed is a polynomial head plus the
 DLMF 15.2.3 tail (_lattice_seed).
@@ -48,6 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,10 +73,12 @@ from .resonances import (
     hypergeom_params,
 )
 from .specfun import (
+    _ROUNDOFF,
     _Ladder,
     _hyp2f1,
     _seed_bound,
     _series_seed,
+    _series_terms,
     is_nonpositive_integer,
     ln_gamma,
 )
@@ -281,10 +287,13 @@ class _KernelData:
     g1 reads P F(a, b; c; z), its poles fused into the terms, and u2
     reads f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values
     depend only on the kernel and the point; both read a list of points.
-    g1 is seeded off the exact lattice by _quadratic_seed, a series in
-    zeta = sech^2 r, and at c = -C on it by _lattice_seed, with f2 by the
-    series in 1 - sigma.  A genuine pole raises PoleEvaluation, a g1 seed
-    or a lattice P beyond the double range DomainError.
+    Off the exact lattice g1's seed is _quadratic_seed, one list of the
+    terms of a series in zeta = sech^2 r, which gives g1 itself at every
+    z up to its bound x0 (0.62 to 0.71) and seeds the ladder's climb above
+    it; at c = -C on the lattice it is _lattice_seed, and f2's is the
+    series in 1 - sigma, each seeding the ladder alone.  A genuine pole
+    raises PoleEvaluation, a g1 value or a lattice P beyond the double
+    range DomainError.
     """
 
     def __init__(self, n: int, p: HypergeomParams) -> None:
@@ -326,30 +335,72 @@ class _KernelData:
             g1(z) = P (1 - z/2)^(-b) H(zeta),  zeta = (z / (2 - z))^2,
             H = F(b/2, b/2 + 1/2; a + 1/2; .),
 
-        zeta being sech^2 r.  H and H' come from one pass of the series
-        (_series_seed), and g1' = P (1 - z/2)^(-b) (b/(2-z) H
-        + zeta' H'(zeta)), zeta' = 4z/(2-z)^3.  P (1 - z/2)^(-b) is one
-        exponential (_quadratic_scale), so a seed past the double range
-        raises DomainError.  The seed carries its bound x0, the series'
-        own bound zeta0 = min(_ZETA_CAP, _seed_bound) in zeta mapped back
-        by z0 = 2 sqrt(zeta0) / (1 + sqrt(zeta0)), for the ladder to read.
+        zeta being sech^2 r, for z up to the seed's bound x0: the series'
+        own bound zeta0 = min(_ZETA_CAP, _seed_bound) in zeta, mapped back
+        by x0 = 2 sqrt(zeta0) / (1 + sqrt(zeta0)).  H is one list of the
+        terms t_k of its series at zeta0 (specfun._series_terms), formed
+        once, so H(zeta) = sum_k t_k tau^k with tau = zeta / zeta0 <= 1.
+
+        seed.point(z) is g1(z), for the ladder to serve every z <= x0 with:
+        Horner in tau on the real and imaginary parts apart, over t_0 .. t_j
+        for the least j past which every |t_i| tau^i is below _ROUNDOFF
+        (t_0 = 1), found by bisection in the table of the largest such tau
+        for each j, so a value depends only on its point.  seed(z) is
+        (g1(z), g1'(z)) from the whole list, g1' = P (1 - z/2)^(-b)
+        (b/(2-z) H + zeta' H'(zeta)), zeta' = 4z/(2-z)^3, read at the
+        anchors where the ladder's climb above x0 starts.  P (1 - z/2)^(-b)
+        is one exponential (_quadratic_scale), so a value past the double
+        range raises DomainError.
         """
         p = self.p
         ha, hb, hc = 0.5 * b, 0.5 * b + 0.5, a + 0.5
-        series = _series_seed(1.0 + 0.0j, ha, hb, hc)
+        zeta0 = min(_ZETA_CAP, _seed_bound(ha, hb, hc))
+        terms = _series_terms(ha, hb, hc, zeta0)
+        # the terms highest first as (real, imaginary) pairs for Horner, and
+        # cuts[j - 1]: the largest tau at which every |t_i| tau^i, i >= j,
+        # is below _ROUNDOFF, nondecreasing in j
+        pairs, cuts, cut = [], [], math.inf
+        for i in range(len(terms) - 1, 0, -1):
+            t = terms[i]
+            pairs.append((t.real, t.imag))
+            size = abs(t)
+            if size > _ROUNDOFF:
+                size = (_ROUNDOFF / size) ** (1.0 / i)
+                if size < cut:
+                    cut = size
+            cuts.append(cut)
+        pairs.append((1.0, 0.0))
+        cuts.reverse()
+        top = len(cuts)
+
+        def scaled(z: float, h: complex) -> complex:
+            # P (1 - z/2)^(-b) h, refused past the double range
+            val = _quadratic_scale(log_p, b, z) * h
+            if cmath.isfinite(val):
+                return val
+            raise DomainError(f"g1 at z = {z!r}, lambda = {p.lam}, "
+                              f"s = {p.s!r} exceeds the double range")
+
+        def point(z: float) -> complex:
+            tau = (z / (2.0 - z)) ** 2 / zeta0
+            vr = vi = 0.0
+            for cr, ci in pairs[top - bisect_left(cuts, tau):]:
+                vr = vr * tau + cr
+                vi = vi * tau + ci
+            return scaled(z, complex(vr, vi))
 
         def seed(z: float) -> tuple[complex, complex]:
             t = 2.0 - z
-            h, dh = series((z / t) ** 2)
-            scale = _quadratic_scale(log_p, b, z)
-            val, slope = scale * h, scale * (b / t * h + 4.0 * z / t ** 3 * dh)
-            if not (cmath.isfinite(val) and cmath.isfinite(slope)):
-                raise DomainError(
-                    f"g1 at z = {z!r}, lambda = {p.lam}, s = {p.s!r} "
-                    f"exceeds the double range")
-            return val, slope
-        root = math.sqrt(min(_ZETA_CAP, _seed_bound(ha, hb, hc)))
+            tau = (z / t) ** 2 / zeta0
+            h = dh = 0.0 + 0.0j
+            for term in reversed(terms):
+                dh = dh * tau + h
+                h = h * tau + term
+            return scaled(z, h), scaled(
+                z, b / t * h + 4.0 * z / t ** 3 / zeta0 * dh)
+        root = math.sqrt(zeta0)
         seed.x0 = 2.0 * root / (1.0 + root)
+        seed.point = point
         return seed
 
     def _lattice_seed(self, t0: complex, t_k: complex, ia, ib, c_index: int):

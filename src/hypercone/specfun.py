@@ -11,7 +11,10 @@ principal branch in bounded time (ln_gamma).
 beyond it continues the series' value and derivative along the 2F1 ODE by
 Taylor expansions (_Ladder), so integer c - a - b needs no special case.
 Each expansion is centred on the band of points it serves, and the series
-seeds of one ladder share one list of step ratios.
+seeds of one ladder share one list of step ratios.  A seed may also serve
+every point below its bound itself, as the kernel's g1 does from one list
+of series terms (_series_terms); the ladder then serves only the points
+above.
 The regularized function F/Gamma(c) is entire in c and reads hyp2f1 too:
 at non-positive integer c its limit is a shifted 2F1 (DLMF 15.2.3), so such
 c is an ordinary input, not an error.
@@ -143,7 +146,8 @@ def _reflected_ln_gamma(z: complex) -> complex:
 
 
 def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
-                ratios: list[complex] | None = None
+                ratios: list[complex] | None = None,
+                terms: list[complex] | None = None
                 ) -> tuple[complex, complex]:
     # the one 2F1 term loop, returning (F, F') for the 0th term `term`:
     # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), so t_{k+1} = u_k z
@@ -165,7 +169,8 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
     # added, and taken back down by _LIFT each time it reaches 1, until it
     # is added again or the floor ends the sum.  The step ratios are read
     # from `ratios` as far as it goes and appended past that, so the sums
-    # that share one list form each ratio once
+    # that share one list form each ratio once.  Each term t_1, t_2, ... is
+    # appended to `terms` when it is given, a parked one as 0 (_series_terms)
     if ratios is None:
         ratios = []
     known = len(ratios)
@@ -191,7 +196,11 @@ def _sum_series(term: complex, a: complex, b: complex, c: complex, z: float,
                 elif abs(term) >= 1.0:
                     term, dterm, lift = term / _LIFT, dterm / _LIFT, lift - 1
                 if lift:
+                    if terms is not None:
+                        terms.append(0.0j)
                     continue
+            if terms is not None:
+                terms.append(term)
             dtotal += dterm
             total += term
             if (abs(term) > _ROUNDOFF * abs(total)
@@ -291,6 +300,16 @@ def _series_seed(term: complex, a: complex, b: complex, c: complex):
     return seed
 
 
+def _series_terms(a: complex, b: complex, c: complex, z: float
+                  ) -> list[complex]:
+    """[t_0 = 1, t_1, ...]: the terms of F(a, b; c; z) that one pass of the
+    series sums at z (_sum_series, a parked term as 0), so that
+    sum_k t_k tau^k is F(a, b; c; tau z), to roundoff at tau = 1."""
+    terms = [1.0 + 0.0j]
+    _sum_series(terms[0], a, b, c, z, terms=terms)
+    return terms
+
+
 class _Ladder:
     """A solution y of z(1-z)y'' + [c - (a+b+1)z]y' - ab y = 0 on [0, 1),
     read from Taylor expansions (_ode_taylor) about a ladder of anchors,
@@ -306,9 +325,16 @@ class _Ladder:
     anchors at z <= x0, where the series is benign: the seed's own bound
     seed.x0 where it carries one, else _seed_bound(a, b, c); key k
     beyond starts from the value and derivative of expansion k + 1 at
-    k's anchor (F. Johansson, arXiv:1606.06977, sec. 4).  Right of 1/2 the
-    expansions run in t = 1 - z (the same ODE with c replaced by
+    k's anchor (F. Johansson, arXiv:1606.06977, sec. 4), and a value or
+    derivative handed on past the double range raises DomainError.  Right
+    of 1/2 the expansions run in t = 1 - z (the same ODE with c replaced by
     a + b + 1 - c), so positions near z = 1 are exact distances.
+
+    A seed that also reads values alone, seed.point(z) = y(z) for every
+    z <= seed.x0 (the kernel's g1, from one list of its series terms),
+    serves those points itself (reach = x0): the anchors and expansions
+    then serve only the points above x0.  Any other seed serves z = 0
+    alone (reach = 0), and the ladder every point above it.
 
     A leaf, an expansion no successor continues from, is scaled by its
     half-band: its points lie at |tau| <= 1 and its coefficients fall like
@@ -332,6 +358,11 @@ class _Ladder:
         self.seed = seed
         # a seed that carries its own bound x0 gives it; else the series'
         self.x0 = getattr(seed, "x0", None) or _seed_bound(a, b, c)
+        # the points x <= reach are read from point(x), the rest from
+        # the ladder
+        point = getattr(seed, "point", None)
+        self.point, self.reach = ((point, self.x0) if point
+                                  else (lambda z: seed(z)[0], 0.0))
         spread = max(abs(1.0 - c), abs(c - a - b), abs(a - b), 1.0)
         self.q = 1.0 - min(0.25, 2.0 / spread)
         if self.q == 1.0:  # the step 2/S rounds away, as when |ab| overflows
@@ -348,12 +379,13 @@ class _Ladder:
         parts apart: bit for bit the complex loop on finite values, and
         about a fifth faster."""
         q, log_q, expansions = self.q, self.log_q, self.expansions
+        point, reach = self.point, self.reach
         out = []
         key = None
         low = high = -1.0  # the current anchor serves low < dist <= high
         for k, x in enumerate(xs):
-            if x == 0.0:
-                out.append(self.seed(0.0)[0])
+            if x <= reach:
+                out.append(point(x))
                 continue
             right = x > 0.5
             dist = (1.0 - x if ds is None else ds[k]) if right else x
@@ -408,6 +440,10 @@ class _Ladder:
                 dy = -dy
         else:
             y, dy = self.expansions[key + 1][3]
+            if not (cmath.isfinite(y) and cmath.isfinite(dy)):
+                raise DomainError(
+                    f"the 2F1 continuation at z = {m if key >= 0 else 1.0 - m}"
+                    f" exceeds the double range")
         band = 0.5 * self.q ** abs(key)
         half = (1.0 - self.q) * (band if key == 0 else 0.5 * band)
         c = self.c if key >= 0 else self.c_right

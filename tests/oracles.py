@@ -612,9 +612,11 @@ def reference_ladder_read(ladder, x: float, d: float | None = None) -> complex:
     """specfun._Ladder's scalar read before list reads: y(x), d = 1 - x
     exactly, keyed by reference_ladder_key, with Horner on complex
     coefficients.  It reads the ladder's own expansions (building one on
-    first use), so it checks the read and not the expansions."""
-    if x == 0.0:
-        return ladder.seed(0.0)[0]
+    first use), so it checks the read and not the expansions.  A point
+    the ladder's seed serves itself (x <= ladder.reach: x = 0, or g1's
+    points below x0) is read from ladder.point."""
+    if x <= ladder.reach:
+        return ladder.point(x)
     right = x > 0.5
     dist = (1.0 - x if d is None else d) if right else x
     i = reference_ladder_key(ladder, dist)

@@ -218,14 +218,14 @@ SUITE_DIGESTS = {
     "wronskian":
         "eac3b00373a93b7ed441ea54c0278c30d08d72b4c051fb52715b2546e95c1003",
     "residual":
-        "2b8d122892351ff91e6a9ad2002fdbcfb798160f9dc78a1d67fc727c85fb54ac",
+        "730fa3a95f4fe5fbc490614ea5b6f8cb0dec6b97e0589f415d39add92ee5c844",
     "residue":
         "f44d015583cb29918e2f6aaf3f93404f6dd08ad06a34161f2a9b22b1d54c5161",
 }
 
 # sha256 of `verify` stdout, all four suites (verify.run_all) in one report
 VERIFY_ALL_DIGEST = (
-    "ca562a0d179a1758fcf5d8066d15e3f96e239e10454ecc0d90ce1df1e67bb65f")
+    "34097025b06e1070d1ff158f950adfbec89563d0f640e6afd06c2c15e7935f55")
 
 
 @pytest.fixture(scope="module")

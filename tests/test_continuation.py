@@ -189,7 +189,8 @@ def _ladders():
 class TestListReads:
     """A list read of _Ladder gives each point the value of the scalar
     read it replaced, bit for bit, in any order; where that read's one-sided
-    key put a point one anchor too high, the two-sided key moves it."""
+    key put a point one anchor too high, the two-sided key moves it.  The
+    points a seed serves itself (g1's below x0) read its point value."""
 
     @pytest.mark.parametrize("index", range(8))
     def test_bit_identical_to_scalar_read(self, index):
@@ -201,8 +202,9 @@ class TestListReads:
         for (x, d), val in zip(pts, got):
             want = reference_ladder_read(ladder, x, d)
             dist = d if x > 0.5 else x
-            i = reference_ladder_key(ladder, dist) if x else 0
-            if not x or 0.5 * ladder.q ** (i + 1) < dist:
+            served = x <= ladder.reach  # by the seed itself
+            i = 0 if served else reference_ladder_key(ladder, dist)
+            if served or 0.5 * ladder.q ** (i + 1) < dist:
                 assert _hex(val) == _hex(want), (x, d)
                 continue
             # dist is the lower bound of the old anchor i or one ulp below

@@ -1000,7 +1000,7 @@ class TestLargeModePrefactor:
         assert abs(got - want) <= 1e-10 * abs(want)
 
 
-def _inline_ratio_series(term, a, b, c, z):
+def _inline_ratio_series(term, a, b, c, z, terms=None):
     # the 2F1 term loop written out here, the reference for bit-identity:
     # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), adds (k+1) u_k to the
     # derivative and t_{k+1} = u_k z to the value; three steps in a row
@@ -1008,7 +1008,10 @@ def _inline_ratio_series(term, a, b, c, z):
     # does one such step with a zero term.  A negligible term below 2^-960
     # is held times 2^960 (again at each fall below 2^-960) and not added,
     # and is taken back down by 2^960 each time it reaches 1, until it is
-    # added again or the floor ends the sum
+    # added again or the floor ends the sum.  Each t_{k+1} is appended to
+    # terms, when given, a held one as 0
+    if terms is None:
+        terms = []
     value, slope = term, 0.0 + 0.0j
     small = lift = 0
     floor = -c.real / (1 - z)
@@ -1025,7 +1028,9 @@ def _inline_ratio_series(term, a, b, c, z):
                 term, dterm = term * 2.0 ** -960, dterm * 2.0 ** -960
                 lift -= 1
             if lift:
+                terms.append(0.0j)
                 continue
+        terms.append(term)
         slope += dterm
         value += term
         if (abs(term) <= _ROUNDOFF * abs(value)
@@ -1040,24 +1045,61 @@ def _inline_ratio_series(term, a, b, c, z):
     raise AssertionError("reference series did not settle")
 
 
+def _inline_quadratic_terms(p):
+    # (zeta0, the terms t_k of H = F(b/2, b/2 + 1/2; a + 1/2; .) at zeta0,
+    # log P): the list g1's seed is formed from off the lattice, by the
+    # term loop above at zeta0 = min(0.3, _seed_bound)
+    a, b = complex(p.a), complex(p.b)
+    ha, hb, hc = 0.5 * b, 0.5 * b + 0.5, a + 0.5
+    zeta0 = min(0.3, specfun._seed_bound(ha, hb, hc))
+    terms = [1.0 + 0.0j]
+    _inline_ratio_series(terms[0], ha, hb, hc, zeta0, terms)
+    return zeta0, terms, resolvent._prefactor(p, PoleEvaluation)[0]
+
+
 def _inline_quadratic_seed(p, z):
     # g1's seed off the lattice, written out: Kummer's quadratic
     # transformation g1(z) = P (1 - z/2)^(-b) H(zeta), zeta = (z/(2-z))^2,
-    # H = F(b/2, b/2 + 1/2; a + 1/2; .) by the term loop above, and
-    # g1' = P (1 - z/2)^(-b) (b/(2-z) H + 4z/(2-z)^3 H')
-    a, b = complex(p.a), complex(p.b)
-    log_p = resolvent._prefactor(p, PoleEvaluation)[0]
+    # H and dH/dtau summed over the whole list in tau = zeta / zeta0, and
+    # g1' = P (1 - z/2)^(-b) (b/(2-z) H + 4z/(2-z)^3 H'(zeta))
+    b = complex(p.b)
+    zeta0, terms, log_p = _inline_quadratic_terms(p)
     t = 2.0 - z
-    h, dh = _inline_ratio_series(1.0 + 0.0j, 0.5 * b, 0.5 * b + 0.5, a + 0.5,
-                                 (z / t) ** 2)
+    tau = (z / t) ** 2 / zeta0
+    h = dh = 0.0 + 0.0j
+    for term in reversed(terms):
+        dh = dh * tau + h
+        h = h * tau + term
     scale = cmath.exp(log_p - b * math.log1p(-0.5 * z))
-    return scale * h, scale * (b / t * h + 4.0 * z / t ** 3 * dh)
+    return scale * h, scale * (b / t * h + 4.0 * z / t ** 3 / zeta0 * dh)
+
+
+def _inline_quadratic_point(p, z):
+    # g1(z) at z <= x0 as the ladder serves it, written out: the terms t_0
+    # .. t_J, J the last index j >= 1 whose cut (_ROUNDOFF / |t_i|)^(1/i),
+    # minimised over i >= j and |t_i| > _ROUNDOFF, lies below tau, summed
+    # by Horner on complex values times the same factor
+    b = complex(p.b)
+    zeta0, terms, log_p = _inline_quadratic_terms(p)
+    tau = (z / (2.0 - z)) ** 2 / zeta0
+    last = 0
+    for j in range(1, len(terms)):
+        cuts = [(_ROUNDOFF / abs(t)) ** (1.0 / i)
+                for i, t in enumerate(terms) if i >= j and abs(t) > _ROUNDOFF]
+        if cuts and min(cuts) < tau:
+            last = j
+    h = 0.0 + 0.0j
+    for term in reversed(terms[:last + 1]):
+        h = h * tau + term
+    return cmath.exp(log_p - b * math.log1p(-0.5 * z)) * h
 
 
 class TestStepRatioCache:
     """Every series seed is bit-identical to the term loop written out
     here, whatever order its points are asked in: u2's in 1 - sigma, and
-    g1's, off the lattice, in zeta = (z/(2-z))^2 (_inline_quadratic_seed)."""
+    g1's, off the lattice, in zeta = (z/(2-z))^2 from one list of terms
+    (_inline_quadratic_seed), which also gives g1 at every z <= x0
+    (_inline_quadratic_point)."""
 
     KERNELS = [(1, Mode(1.0, 1), 1 + 0.5j), (2, Mode(2.0, 1), 1 - 0.7j),
                (3, Mode(8.0, 1), -0.3 - 1.1j), (4, Mode(0.5, 1), 3j)]
@@ -1073,7 +1115,9 @@ class TestStepRatioCache:
         kd = _KernelData(n, p)
         a, b, c2 = (complex(v) for v in (p.a, p.b, 1.0 + p.s))
         for x in self.POINTS:
-            assert kd.g1.seed(x) == _inline_quadratic_seed(p, x)
+            if x <= kd.g1.x0:
+                assert kd.g1.seed(x) == _inline_quadratic_seed(p, x)
+                assert kd.g1([x]) == [_inline_quadratic_point(p, x)]
             w = 1.0 - x
             series = _inline_ratio_series(1.0 + 0.0j, a, b, c2, w)
             assert kd.f2.seed(w) == series
@@ -1085,12 +1129,18 @@ class TestSeedDerivative:
     """Each series seed sums (F, F') in one pass, F' being the contiguous
     (ab/c) F(a+1, b+1; c+1; m), to 1e-13 of mpmath from the anchor m = 0
     through a subnormal-adjacent m to 3/4; g1's, off the lattice, through
-    the quadratic transformation in zeta = (m/(2-m))^2."""
+    the quadratic transformation in zeta = (m/(2-m))^2, up to its bound
+    x0 (seeds_to_x0)."""
 
     POINTS = [0.0, 1e-300, 1e-8, 0.05, 0.375, 0.5, 0.75]
 
-    def check(self, seed, t0, a, b, c):
-        for m in self.POINTS:
+    @classmethod
+    def seeds_to_x0(cls, ladder):
+        # g1's seed serves z <= x0 (0.62 to 0.71), the ladder's reach
+        return [m for m in cls.POINTS if m < ladder.x0] + [ladder.x0]
+
+    def check(self, seed, t0, a, b, c, points=POINTS):
+        for m in points:
             val, slope = seed(m)
             with mp.workdps(30):
                 t0, a, b, c = (mp.mpc(v) for v in (t0, a, b, c))
@@ -1105,7 +1155,8 @@ class TestSeedDerivative:
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p)
         a, b, c = complex(p.a), complex(p.b), complex(p.c)
-        self.check(kd.g1.seed, kd.g1.seed(0.0)[0], a, b, c)
+        self.check(kd.g1.seed, kd.g1.seed(0.0)[0], a, b, c,
+                   self.seeds_to_x0(kd.g1))
         self.check(kd.f2.seed, 1.0, a, b, complex(1.0 + p.s))
 
     def test_exact_seed_past_kmin(self):
@@ -1123,7 +1174,7 @@ class TestSeedDerivative:
             ratios = []
             specfun._sum_series(t0, a, b, c, m, ratios)
             assert len(ratios) - 1 >= 1.5 / (1 - m), m
-        self.check(kd.g1.seed, t0, a, b, c)
+        self.check(kd.g1.seed, t0, a, b, c, self.seeds_to_x0(kd.g1))
 
     def test_lattice_tail(self):
         # c = -3 on the exact lattice: _lattice_seed's tail is the series
@@ -1419,23 +1470,30 @@ class TestSeriesWorkCounts:
 class TestLadderWorkCounts:
     """Work in specfun._Ladder per call, counted by wrappers: Horner steps
     (one per coefficient of the expansion a point is read from), Taylor
-    coefficients returned by _ode_taylor, and 2F1 step ratios formed by the
-    series term loop (the growth of the ratio list each sum reads).
+    coefficients returned by _ode_taylor, 2F1 step ratios formed by the
+    series term loop (the growth of the ratio list each sum reads), and
+    the terms of g1's series in zeta = sech^2 r summed for each point at
+    or below its seed bound x0 (counted at the bisection that cuts them).
     Anchors at the midpoints of their bands and one ratio list per seed
     took them from 8597, 221 and 466 to 7338, 182 and 143 for the residual
-    check, and g1's seed in zeta = sech^2 r the ratios to 104; the residue
-    probes build a kernel per sample, so their seeds share less."""
+    check, and g1's seed in zeta the ratios to 104.  Reading g1 below x0
+    from one list of its zeta-series terms per kernel leaves the ladder
+    only the points above x0: Taylor coefficients fall to 99, ladder
+    Horner steps to 3652 (and 2578 zeta terms), while the list, formed to
+    roundoff at zeta0 = 0.3, takes the ratios to 120.  The residue probes
+    build a kernel per sample, so their seeds share less."""
 
     @pytest.fixture
     def work(self, monkeypatch):
-        count = {"horner": 0, "taylor": 0, "ratios": 0}
-        read, taylor, series = (specfun._Ladder.__call__, specfun._ode_taylor,
-                                specfun._sum_series)
+        count = {"horner": 0, "taylor": 0, "ratios": 0, "zeta": 0}
+        read, taylor, series, cut = (
+            specfun._Ladder.__call__, specfun._ode_taylor,
+            specfun._sum_series, resolvent.bisect_left)
 
         def counted_read(ladder, xs, ds=None):
             out = read(ladder, xs, ds)
             for k, x in enumerate(xs):
-                if x != 0.0:
+                if x > ladder.reach:
                     key = reference_ladder_band(
                         ladder, x, None if ds is None else ds[k])
                     count["horner"] += len(ladder.expansions[key][2])
@@ -1446,74 +1504,89 @@ class TestLadderWorkCounts:
             count["taylor"] += len(coeffs)
             return coeffs
 
-        def counted_series(term, a, b, c, z, ratios=None):
+        def counted_series(term, a, b, c, z, ratios=None, terms=None):
             ratios = [] if ratios is None else ratios
             known = len(ratios)
-            out = series(term, a, b, c, z, ratios)
+            out = series(term, a, b, c, z, ratios, terms)
             count["ratios"] += len(ratios) - known
             return out
+
+        def counted_cut(cuts, tau):
+            # g1's point read below x0 sums the terms t_0 .. t_j
+            j = cut(cuts, tau)
+            count["zeta"] += j + 1
+            return j
 
         monkeypatch.setattr(specfun._Ladder, "__call__", counted_read)
         monkeypatch.setattr(specfun, "_ode_taylor", counted_taylor)
         monkeypatch.setattr(specfun, "_sum_series", counted_series)
+        monkeypatch.setattr(resolvent, "bisect_left", counted_cut)
         return count
 
-    def check(self, count, horner, taylor, ratios):
+    def check(self, count, horner, taylor, ratios, zeta):
         assert 0 < count["horner"] <= horner
         assert 0 < count["taylor"] <= taylor
         assert 0 < count["ratios"] <= ratios
+        assert 0 < count["zeta"] <= zeta
 
     def test_residual_check(self, work):
         residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
-        self.check(work, 7338, 182, 104)  # 143 ratios in sigma
+        # 7338, 182 and 104 with g1's seeded leaves
+        self.check(work, 3652, 99, 120, 2578)
 
     def test_green_pairing(self, work):
         green_pairing(2, Mode(2.0, 1), 2j, RadialProfile.bump(0.3, 0.45),
                       RadialProfile.bump(0.4, 0.55))
-        # 4487, 91 and 177 before; 132 ratios in sigma
-        self.check(work, 4325, 94, 92)
+        # 4487, 91 and 177 before; 4325, 94 and 92 with g1's seeded leaves
+        self.check(work, 2739, 51, 107, 910)
 
     def test_symmetric_green_pair(self, work):
         # the swapped orientation reads the kernel the first one built: it
         # forms no Taylor coefficient and no step ratio of its own, where
-        # a kernel per call made 188 and 264 for the pair.  g1's seed in
-        # zeta = sech^2 r forms 92 ratios where the sigma-series formed 132
+        # a kernel per call made 188 and 264 for the pair.  With g1's
+        # seeded leaves the pair formed 94 and 92; g1 read from its list
+        # of zeta-series terms below x0 builds no expansion of its own
         f, g = RadialProfile.bump(0.3, 0.45), RadialProfile.bump(0.4, 0.55)
         green_pairing(2, Mode(2.0, 1), 2j, f, g)
         one = dict(work)
         green_pairing(2, Mode(2.0, 1), 2j, g, f)
-        assert (one["taylor"], one["ratios"]) == (94, 92)
-        assert (work["taylor"], work["ratios"]) == (94, 92)
+        assert (one["taylor"], one["ratios"]) == (51, 107)
+        assert (work["taylor"], work["ratios"]) == (51, 107)
         assert work["horner"] > one["horner"]
+        assert work["zeta"] > one["zeta"]
 
     def test_residue_probe(self, work):
         residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
-        # 21996, 1270 and 2674 before; 1970 ratios in sigma
-        self.check(work, 19116, 1110, 1346)
+        # 21996, 1270 and 2674 before; 19116, 1110 and 1346 with g1's
+        # seeded leaves
+        self.check(work, 8172, 454, 1586, 7184)
 
     def test_residue_probe_on_axis(self, work):
         residue_probe(2, Mode(2.0, 1), 0.9j)
-        # 12456, 720 and 1503 before; 1107 ratios in sigma
-        self.check(work, 10836, 630, 756)
+        # 12456, 720 and 1503 before; 10836, 630 and 756 with g1's seeded
+        # leaves
+        self.check(work, 4536, 252, 891, 4041)
 
 
 class TestSharedStepRatios:
     """A ladder's series seed reads and extends one list of step ratios,
     and at every seeded anchor it returns the bits of a fresh term loop:
-    u2's in 1 - sigma, g1's in zeta (_inline_quadratic_seed)."""
+    u2's in 1 - sigma, g1's in zeta (_inline_quadratic_seed).  g1 reads
+    every point at or below x0 from its series, so its only seeded anchor
+    on this grid is the one its climb above x0 starts from."""
 
     @pytest.mark.parametrize("n,mode,lam", TestStepRatioCache.KERNELS)
     def test_seeds_at_anchors(self, n, mode, lam):
         p = hypergeom_params(n, mode, lam)
         kd = _KernelData(n, p)
         a, b, c2 = complex(p.a), complex(p.b), complex(1.0 + p.s)
-        for ladder, fresh in (
-                (kd.g1, lambda z: _inline_quadratic_seed(p, z)),
+        for ladder, fresh, least in (
+                (kd.g1, lambda z: _inline_quadratic_seed(p, z), 1),
                 (kd.f2, lambda z: specfun._sum_series(1.0 + 0.0j, a, b, c2,
-                                                      z))):
+                                                      z), 2)):
             ladder([0.004 + 0.008 * k for k in range(125)])
             seeded = [key for key in ladder.expansions if ladder._seeded(key)]
-            assert len(seeded) > 1
+            assert len(seeded) >= least
             for key in seeded:
                 m = ladder.expansions[key][0]
                 z = m if key >= 0 else 1.0 - m
@@ -1582,6 +1655,161 @@ class TestKernelCorner:
             if not err <= 1e-10:
                 misses.append((n, mu_sq, lam, x, err))
         assert misses == []
+
+
+class TestG1Series:
+    """Off the exact lattice g1 at every z <= x0 is read from one list of
+    the terms of its series in zeta = sech^2 r (_quadratic_seed's point),
+    each point cut off by a rule of its own: a value depends only on its
+    point, meets the ladder's continuation at x0, and matches 30-digit
+    mpmath to 1e-12."""
+
+    KERNELS = TestStepRatioCache.KERNELS + [
+        (1, Mode(4.0, 1, Fraction(4)), -25 - 2.5j),   # integer s = 2
+        (3, Mode(3e2, 1), 35 + 2.9j)]
+
+    @staticmethod
+    def hexes(values):
+        return [(v.real.hex(), v.imag.hex()) for v in values]
+
+    @pytest.mark.parametrize("n,mode,lam", KERNELS)
+    def test_value_depends_only_on_its_point(self, n, mode, lam):
+        kd = _KernelData(n, hypergeom_params(n, mode, lam))
+        x0 = kd.g1.x0
+        rng = random.Random(35)
+        xs = ([rng.uniform(0.0, x0) for _ in range(40)]
+              + [1e-300, 1e-8, math.nextafter(x0, 0.0), x0])
+        assert kd.g1.reach == x0 and kd.g1.point is kd.g1.seed.point
+        scalar = self.hexes(kd.g1([x])[0] for x in xs)
+        assert self.hexes(kd.g1(xs)) == scalar
+        assert self.hexes(kd.g1(xs[::-1])) == scalar[::-1]
+        twice = [x for x in xs for _ in range(2)]
+        assert self.hexes(kd.g1(twice)) == [h for h in scalar for _ in (0, 1)]
+        fresh = _KernelData(n, hypergeom_params(n, mode, lam))
+        assert self.hexes(fresh.g1(xs[::-1])) == scalar[::-1]
+        assert kd.g1.expansions == fresh.g1.expansions == {}
+
+    @pytest.mark.parametrize("n,mode,lam", KERNELS)
+    def test_continuous_across_x0(self, n, mode, lam):
+        # x0 is read from the series, the next double up from the
+        # expansion its climb starts with, seeded from the same list
+        kd = _KernelData(n, hypergeom_params(n, mode, lam))
+        x0 = kd.g1.x0
+        below, above = kd.g1([x0, math.nextafter(x0, 1.0)])
+        assert kd.g1.expansions
+        assert abs(above - below) <= 1e-13 * abs(below)
+
+    @staticmethod
+    def draw(rng):
+        # n in 1..4 with mu^2 in [0, 9], or an integer s (n = 1 with
+        # mu^2 = m^2, n = 3 with mu^2 = j(j+2)) with probability 1/3
+        if rng.random() < 1 / 3:
+            if rng.random() < 0.5:
+                n, q = 1, rng.randint(0, 6) ** 2
+            else:
+                j = rng.randint(0, 6)
+                n, q = 3, j * (j + 2)
+            mode, mu_sq = Mode(float(q), 1, Fraction(q)), q
+        else:
+            n, mu_sq = rng.randint(1, 4), rng.uniform(0.0, 9.0)
+            mode = Mode(mu_sq, 1)
+        lam = complex(rng.uniform(-40.0, 40.0), rng.uniform(-3.0, 3.0))
+        return n, mode, mu_sq, lam
+
+    @pytest.mark.parametrize("seed", [5, 31])
+    def test_sweep_against_oracle(self, seed):
+        rng = random.Random(seed)
+        misses = []
+        for _ in range(450):
+            n, mode, mu_sq, lam = self.draw(rng)
+            kd = _KernelData(n, hypergeom_params(n, mode, lam))
+            x = rng.uniform(0.005, kd.g1.x0)
+            got = kd.g1([x])[0]
+            want = oracle_kernel_functions(n, mu_sq, lam, x)[2]
+            err = abs(got - want) / abs(want)
+            if not err <= 1e-12:
+                misses.append((n, mu_sq, lam, x, err))
+        assert misses == []
+
+
+@pytest.mark.usefixtures("cold_kernel")
+class TestG1SeriesWorkCounts:
+    """A probe sample at the default profile (bump(0.3, 0.6), sigma0 =
+    0.45) reads g1 only on [0.3, 0.45], below every x0 (0.62 to 0.71), so
+    each kernel forms its one list of zeta-series terms and nothing else
+    for g1: no Taylor expansion and no seed pass.  Exact-lattice kernels
+    keep _lattice_seed and the ladder."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        built, taylor, series, lattice = [], [], [], []
+        init, ode, term_loop, seed = (_KernelData.__init__, specfun._ode_taylor,
+                                      specfun._sum_series,
+                                      _KernelData._lattice_seed)
+
+        def counted_init(kd, n, p):
+            init(kd, n, p)
+            built.append(kd)
+
+        def counted_ode(a, b, c, *rest):
+            taylor.append((a, b, c))
+            return ode(a, b, c, *rest)
+
+        def counted_series(term, a, b, c, z, ratios=None, terms=None):
+            series.append(((a, b, c), terms is not None))
+            return term_loop(term, a, b, c, z, ratios, terms)
+
+        def counted_lattice(kd, *args):
+            lattice.append(kd)
+            return seed(kd, *args)
+
+        monkeypatch.setattr(_KernelData, "__init__", counted_init)
+        monkeypatch.setattr(specfun, "_ode_taylor", counted_ode)
+        monkeypatch.setattr(specfun, "_sum_series", counted_series)
+        monkeypatch.setattr(_KernelData, "_lattice_seed", counted_lattice)
+        return built, taylor, series, lattice
+
+    @pytest.mark.parametrize("n,mode,lam0,samples", [
+        (2, Mode(2.0, 1), 0.7 + 0.9j, 16), (1, Mode(0.0, 1), 0.5j, 9),
+        (3, Mode(8.0, 1), -1.2 - 0.4j, 16)])
+    def test_default_probe(self, calls, n, mode, lam0, samples):
+        built, taylor, series, lattice = calls
+        residue_probe(n, mode, lam0)
+        assert len(built) == samples and lattice == []
+        for kd in built:
+            g1 = kd.g1
+            assert g1.reach == g1.x0 > 0.45 and g1.expansions == {}
+            assert (g1.a, g1.b, g1.c) not in taylor
+            zeta_params = (0.5 * g1.b, 0.5 * g1.b + 0.5, g1.a + 0.5)
+            assert [listed for params, listed in series
+                    if params == zeta_params] == [True]
+        assert taylor  # u2 keeps its ladder
+
+    def test_exact_lattice_kernel(self, calls):
+        built, taylor, series, lattice = calls
+        p = hypergeom_params(1, Mode(1 / 9, 1, Fraction(1, 9)), -2j,
+                             lam_im_exact=Fraction(-2))
+        kd = resolvent._kernel(1, p)
+        assert lattice == [kd] and kd.g1.reach == 0.0
+        kd.g1([0.05, 0.3, 0.45])
+        assert kd.g1.expansions
+        assert (kd.g1.a, kd.g1.b, kd.g1.c) in taylor
+        assert not any(listed for _, listed in series)
+
+
+class TestLargeModeRange:
+    """From mu^2 = 3e4, u1 near sigma = 1 (~ (1 - sigma)^(-s)) leaves the
+    double range.  The continuation refuses a non-finite value or
+    derivative handed on from an edge with DomainError; it used to run the
+    next Taylor expansion on nan coefficients to its term budget and raise
+    NoConvergence."""
+
+    @pytest.mark.parametrize("mu_sq", [3e4, 1e5, 1e6])
+    def test_u1_past_the_double_range(self, mu_sq):
+        p = hypergeom_params(2, Mode(mu_sq, 1), 1 + 0.5j)
+        assert cmath.isfinite(u1(p, 0.45))
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            u1(p, 0.999)
 
 
 class TestNearEndDomain:
