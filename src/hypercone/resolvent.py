@@ -30,20 +30,17 @@ kernel reads each from specfun's ODE continuation (_Ladder): one Horner sum
 per point, a list of points per read (the nodes of a quadrature level, or
 every point a check asks for).  The kernel built last is kept (_kernel), so
 calls at one (n, mu^2, lambda), such as the two orientations of a Green
-pairing, seed and continue it once.  g1's seed carries P whole, formed once as
-one sum of log-Gammas (_prefactor): Gamma(b) and Gamma(1+s) overflow apart
-past s = 171 while P stays moderate.  Off the exact lattice g1 and public u1
-read F(a, b; 2a; sigma) through Kummer's quadratic transformation, a series
-in zeta = sech^2 r, the cone's own Legendre variable
-(_KernelData._quadratic_seed): it needs fewer terms than the series in
-sigma, and its seed bound starts g1's climb toward sigma = 1, against the
-growing second solution, near sigma = 0.7 rather than at about 4/|lambda|.
-Below that bound g1 is read straight from one list of the series' terms,
-formed once per kernel, by Horner in zeta; the continuation serves g1
-only above it.
-At exact lattice parameters, where P meets a Gamma pole or zero, it is its
-limit along lambda, and at c = -C the seed is a polynomial head plus the
-DLMF 15.2.3 tail (_lattice_seed).
+pairing, seed and continue it once.  g1 and public u1 read F(a, b; 2a; sigma)
+through Kummer's quadratic transformation, a series in zeta = sech^2 r, the
+cone's own Legendre variable (_KernelData._quadratic_seed): it needs fewer
+terms than the series in sigma, and its seed bound starts g1's climb toward
+sigma = 1, against the growing second solution, near sigma = 0.7 rather
+than at about 4/|lambda|.  Below that bound g1 is read from one list of the
+series' terms per kernel, by Horner in zeta.  g1's seed carries P whole,
+one sum of log-Gammas in the series' parameters, where Legendre's
+duplication formula cancels the poles of Gamma(a) and Gamma(c)
+(_prefactor).  At exact lattice parameters P is its limit along lambda,
+and at odd c the series is a head plus the DLMF 15.2.3 tail.
 """
 
 from __future__ import annotations
@@ -93,6 +90,9 @@ _GRID_QC = QuadratureControl(abs_tol=1e-15, rel_tol=5e-14, max_subdivisions=60)
 # the largest zeta = sech^2 r at which g1's quadratic seed sums its series
 # (_KernelData._quadratic_seed): sigma = 0.708 in the kernel's own variable
 _ZETA_CAP = 0.3
+
+_LN_2 = math.log(2.0)
+_LN_SQRT_PI = 0.5 * math.log(math.pi)
 
 
 # -- coordinates and measure --------------------------------------------------
@@ -223,34 +223,41 @@ def u2(p: HypergeomParams, sigma: float) -> complex:
 
 
 def _prefactor(p: HypergeomParams, pole: type[Exception]):
-    """(log P, order, _lattice_indices(p), log t): the mode prefactor
-    P = Gamma(a)Gamma(b)/(Gamma(c)Gamma(1+s)) ~ exp(log P) delta^-order as
-    lambda moves along its line through p, so that (a, b, c) move by
-    (delta, delta, 2 delta), and at exact c = -C the log of _lattice_seed's
-    tail coefficient t = Gamma(a+k)Gamma(b+k)/(k! Gamma(1+s)), k = 1 - c.
+    """(log P, order, (ib, m), log t): the mode prefactor
+    P = Gamma(a)Gamma(b)/(Gamma(c)Gamma(1+s)) in the parameters of g1's
+    series in zeta, where Legendre's duplication formula (DLMF 5.5.5)
+    cancels the poles of Gamma(a) and Gamma(c):
 
-    Each exact index x (a parameter symbolically -x) contributes the pole
-    coefficient (-1)^x/(x! rate) of Gamma(-x + rate delta) and one order;
-    off the lattice order = 0.  A float parameter on a Gamma pole without
-    exact data raises pole.
+        P = sqrt(pi) 2^(1-c) Gamma(b) / (Gamma(C') Gamma(1+s)),
+
+    C' = a + 1/2.  As lambda moves along its line through p, b and C' move
+    by delta and P ~ exp(log P) delta^-order.  ib and m are their exact indices (the
+    parameter symbolically -x, else None; C' = -m at odd c = -(2m+1)),
+    each adding the pole coefficient (-1)^x/x! of Gamma(-x + delta) and one
+    order.  At C' = -m, t = sqrt(pi) 2^(1-c-2k) Gamma(b+2k)/(k! Gamma(1+s)),
+    k = m + 1, is the coefficient of the series' DLMF 15.2.3 tail; else
+    log t is None.  A float parameter on a Gamma pole without exact data
+    raises pole.
     """
-    ia, ib, ic = _lattice_indices(p)
+    _, ib, ic = _lattice_indices(p)
+    m = None if ic is None or ic % 2 == 0 else ic // 2
 
-    def log_gamma(val, x: int | None, rate: float) -> tuple[complex, int]:
+    def log_gamma(val, x: int | None) -> tuple[complex, int]:
         if x is not None:
-            return complex(-math.lgamma(x + 1) - math.log(rate), math.pi * x), 1
+            return complex(-math.lgamma(x + 1), math.pi * x), 1
         if is_nonpositive_integer(val):
             raise pole(f"{val} lands exactly on a Gamma pole but carries no "
                        f"exact form to resolve the limit")
         return ln_gamma(val), 0
 
-    (la, oa), (lb, ob), (lc, oc) = (log_gamma(p.a, ia, 1.0),
-                                    log_gamma(p.b, ib, 1.0),
-                                    log_gamma(p.c, ic, 2.0))
-    ln_g1s, k = ln_gamma(1.0 + p.s), (ic or 0) + 1  # k = C + 1 at c = -C
-    log_t = None if ic is None else (ln_gamma(p.a + k) + ln_gamma(p.b + k)
-                                     - math.lgamma(k + 1) - ln_g1s)
-    return la + lb - lc - ln_g1s, oa + ob - oc, (ia, ib, ic), log_t
+    (lb, ob), (lc, oc) = log_gamma(p.b, ib), log_gamma(p.a + 0.5, m)
+    base = _LN_SQRT_PI - ln_gamma(1.0 + p.s)
+    log_t = None
+    if m is not None:
+        k = m + 1
+        log_t = (base + (1.0 - p.c - 2 * k) * _LN_2 + ln_gamma(p.b + 2 * k)
+                 - math.lgamma(k + 1))
+    return base + (1.0 - p.c) * _LN_2 + lb - lc, ob - oc, (ib, m), log_t
 
 
 def wronskian_closed_form(p: HypergeomParams, sigma: float) -> complex:
@@ -287,13 +294,11 @@ class _KernelData:
     g1 reads P F(a, b; c; z), its poles fused into the terms, and u2
     reads f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values
     depend only on the kernel and the point; both read a list of points.
-    Off the exact lattice g1's seed is _quadratic_seed, one list of the
-    terms of a series in zeta = sech^2 r, which gives g1 itself at every
-    z up to its bound x0 (0.62 to 0.71) and seeds the ladder's climb above
-    it; at c = -C on the lattice it is _lattice_seed, and f2's is the
-    series in 1 - sigma, each seeding the ladder alone.  A genuine pole
-    raises PoleEvaluation, a g1 value or a lattice P beyond the double
-    range DomainError.
+    g1's seed is _quadratic_seed, one list of the terms of a series in
+    zeta = sech^2 r, which gives g1 itself at every z up to its bound x0
+    (0.62 to 0.71) and seeds the ladder's climb above it; f2's is the
+    series in 1 - sigma, seeding the ladder alone.  A genuine pole raises
+    PoleEvaluation, a g1 value beyond the double range DomainError.
     """
 
     def __init__(self, n: int, p: HypergeomParams) -> None:
@@ -303,22 +308,25 @@ class _KernelData:
         self.e1 = -1.0 - 0.5 * n - 1j * p.lam
         self.e2 = 0.5 * p.s + (n - 1) / 4.0
         a, b, c = complex(p.a), complex(p.b), complex(p.c)
-        log_p, order, (ia, ib, ic), log_t = _prefactor(p, PoleEvaluation)
+        log_p, order, (ib, m), log_t = _prefactor(p, PoleEvaluation)
         if order > 0:
             raise PoleEvaluation(
                 f"lambda = {p.lam} is a genuine pole of the mode resolvent "
                 f"(a = {p.a}, b = {p.b}, c = {p.c})")
-        if ic is None:
-            seed = self._quadratic_seed(log_p, a, b)
-        else:
-            try:
-                coef = cmath.exp(log_p) if order == 0 else 0.0j
-                t_k = cmath.exp(log_t)
-            except OverflowError:
-                raise DomainError(
-                    f"the mode prefactor at lambda = {p.lam}, s = {p.s!r} "
-                    f"exceeds the double range") from None
-            seed = self._lattice_seed(coef, t_k, ia, ib, ic)
+        ha, hc, lead = 0.5 * b, a + 0.5, None
+        if m is not None:
+            # C' = -m: the series' limit over t is the head, P / t
+            # continued by the step ratios up to the index b // 2 of b/2 or
+            # b/2 + 1/2 (none without one, P being 0) and then 0 up to
+            # k = m + 1, plus zeta^k F(b/2 + k, b/2 + 1/2 + k; k + 1; zeta)
+            lead = [0.0j] * (m + 1)
+            if ib is not None:  # P / t, inf past the double range
+                lead[0] = _quadratic_scale(log_p - log_t, 0.0, 0.0)
+                for j in range(ib // 2):
+                    lead[j + 1] = (lead[j] * (ha + j) * (ha + 0.5 + j)
+                                   / ((j - m) * (j + 1)))
+            log_p, ha, hc = log_t, ha + m + 1, complex(m + 2)
+        seed = self._quadratic_seed(log_p, b, ha, hc, lead)
         # g1 reads z in [0, 1) and u2 sigma in (0, 1]; every caller has
         # checked its points, so neither checks them again
         self.g1 = _Ladder(a, b, c, seed)
@@ -328,18 +336,20 @@ class _KernelData:
     def u2(self, sigmas: list[float]) -> list[complex]:
         return self.f2([1.0 - x for x in sigmas], sigmas)
 
-    def _quadratic_seed(self, log_p: complex, a: complex, b: complex):
-        """z -> (g1(z), g1'(z)) off the exact lattice, by Kummer's quadratic
-        transformation (DLMF 15.8.13) of F(a, b; 2a; z):
+    def _quadratic_seed(self, log_p: complex, b: complex, ha: complex,
+                        hc: complex, lead: list[complex] | None):
+        """z -> (g1(z), g1'(z)) by Kummer's quadratic transformation
+        (DLMF 15.8.13) of F(a, b; 2a; z):
 
             g1(z) = P (1 - z/2)^(-b) H(zeta),  zeta = (z / (2 - z))^2,
-            H = F(b/2, b/2 + 1/2; a + 1/2; .),
+            H = F(b/2, b/2 + 1/2; C'; .),  C' = a + 1/2,
 
         zeta being sech^2 r, for z up to the seed's bound x0: the series'
         own bound zeta0 = min(_ZETA_CAP, _seed_bound) in zeta, mapped back
         by x0 = 2 sqrt(zeta0) / (1 + sqrt(zeta0)).  H is one list of the
-        terms t_k of its series at zeta0 (specfun._series_terms), formed
-        once, so H(zeta) = sum_k t_k tau^k with tau = zeta / zeta0 <= 1.
+        terms t_k of F(ha, ha + 1/2; hc; .) at zeta0
+        (specfun._series_terms), formed once, so H(zeta) = sum_k t_k tau^k
+        with tau = zeta / zeta0 <= 1, (ha, hc) = (b/2, C').
 
         seed.point(z) is g1(z), for the ladder to serve every z <= x0 with:
         Horner in tau on the real and imaginary parts apart, over t_0 .. t_j
@@ -351,11 +361,20 @@ class _KernelData:
         anchors where the ladder's climb above x0 starts.  P (1 - z/2)^(-b)
         is one exponential (_quadratic_scale), so a value past the double
         range raises DomainError.
+
+        At C' = -m on the exact lattice P H is its limit along lambda, t
+        times the lead's k = m + 1 terms and then zeta^k times the DLMF
+        15.2.3 tail F(ha, ha + 1/2; hc; .), (ha, hc) = (b/2 + k, k + 1),
+        with log_p = log t (_prefactor).  That sum need not be near its
+        first term, so every point reads the whole list.
         """
         p = self.p
-        ha, hb, hc = 0.5 * b, 0.5 * b + 0.5, a + 0.5
-        zeta0 = min(_ZETA_CAP, _seed_bound(ha, hb, hc))
-        terms = _series_terms(ha, hb, hc, zeta0)
+        zeta0 = min(_ZETA_CAP, _seed_bound(ha, ha + 0.5, hc))
+        terms = _series_terms(ha, ha + 0.5, hc, zeta0)
+        if lead is not None:  # in tau, zeta0^k taken into the scale
+            k = len(lead)
+            terms = [t * zeta0 ** (j - k) for j, t in enumerate(lead)] + terms
+            log_p += k * math.log(zeta0)
         # the terms highest first as (real, imaginary) pairs for Horner, and
         # cuts[j - 1]: the largest tau at which every |t_i| tau^i, i >= j,
         # is below _ROUNDOFF, nondecreasing in j
@@ -369,9 +388,11 @@ class _KernelData:
                 if size < cut:
                     cut = size
             cuts.append(cut)
-        pairs.append((1.0, 0.0))
+        pairs.append((terms[0].real, terms[0].imag))
         cuts.reverse()
         top = len(cuts)
+        if lead is not None:
+            cuts = [0.0] * top
 
         def scaled(z: float, h: complex) -> complex:
             # P (1 - z/2)^(-b) h, refused past the double range
@@ -401,35 +422,6 @@ class _KernelData:
         root = math.sqrt(zeta0)
         seed.x0 = 2.0 * root / (1.0 + root)
         seed.point = point
-        return seed
-
-    def _lattice_seed(self, t0: complex, t_k: complex, ia, ib, c_index: int):
-        """z -> (G1(z), G1'(z)) at c = -C on the exact lattice.
-
-        The terms t_k of G1 = sum_k t_k z^k are limits along lambda.  The
-        head t_0 .. t_K runs from t0 by the step ratios up to the a or b
-        index K <= C; past it the terms vanish up to k = C.  With neither
-        index, t0 = 0 and so is the head.  The tail, summed by _series_seed,
-        is t_k z^k F(a+k, b+k; k+1; z) at k = C+1, t_k from _prefactor.
-        """
-        p = self.p
-        a, b, c = complex(p.a), complex(p.b), complex(p.c)
-        head = [t0]
-        stop = min((x for x in (ia, ib) if x is not None), default=0)
-        for k in range(stop):
-            head.append(head[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
-        k = c_index + 1
-        tail = _series_seed(t_k, a + k, b + k, complex(k + 1))
-
-        def seed(z: float) -> tuple[complex, complex]:
-            val, slope = tail(z)
-            zc = z ** c_index
-            val, slope = z * zc * val, zc * (k * val + z * slope)
-            h = dh = 0.0 + 0.0j
-            for t in reversed(head):
-                dh = dh * z + h
-                h = h * z + t
-            return h + val, dh + slope
         return seed
 
 

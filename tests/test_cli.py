@@ -218,14 +218,14 @@ SUITE_DIGESTS = {
     "wronskian":
         "eac3b00373a93b7ed441ea54c0278c30d08d72b4c051fb52715b2546e95c1003",
     "residual":
-        "730fa3a95f4fe5fbc490614ea5b6f8cb0dec6b97e0589f415d39add92ee5c844",
+        "6e662a56575e399471f23b8fb66c8b6975521ff7f2e7ff03f307b09e524b156c",
     "residue":
         "f44d015583cb29918e2f6aaf3f93404f6dd08ad06a34161f2a9b22b1d54c5161",
 }
 
 # sha256 of `verify` stdout, all four suites (verify.run_all) in one report
 VERIFY_ALL_DIGEST = (
-    "34097025b06e1070d1ff158f950adfbec89563d0f640e6afd06c2c15e7935f55")
+    "77ab2debf856aa7f4abb1eca0514fb83163c33c63d658a4786c34d5b835ac8d2")
 
 
 @pytest.fixture(scope="module")

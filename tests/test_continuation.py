@@ -168,9 +168,9 @@ def _hex(v: complex) -> tuple[str, str]:
 
 
 def _ladders():
-    # the two kernel ladders of three kernels (q = 3/4), the exact-lattice
-    # seed at c = -3 (_lattice_seed), and a public-hyp2f1 ladder with
-    # spread 8.5, so q = 13/17
+    # the two kernel ladders of three kernels (q = 3/4), g1's at c = -3 on
+    # the exact lattice (its series in zeta, a head and the DLMF 15.2.3
+    # tail), and a public-hyp2f1 ladder with spread 8.5, so q = 13/17
     out = []
     for n, mode, lam in ((2, Mode(2.0, 1), 1 - 0.7j),
                          (1, Mode(1.0, 1), 1 + 0.5j),

@@ -612,10 +612,13 @@ class TestWronskian:
             wronskian_closed_form(p, 0.5)
 
     def test_parameter_pole_float_lattice(self):
-        # c = -1.0 hit by a float-only lambda: no exact data to take a limit
+        # c = -1.0 hit by a float-only lambda, so C' = a + 1/2 = 0: no exact
+        # data to take a limit, for the Wronskian or the kernel
         p = hypergeom_params(1, Mode(2.0, 1), -1j)
         with pytest.raises(ParameterPole):
             wronskian_closed_form(p, 0.5)
+        with pytest.raises(PoleEvaluation):
+            _KernelData(1, p)
 
     def test_domain(self):
         p = hypergeom_params(1, Mode(1.0, 1), 1j)
@@ -1177,16 +1180,27 @@ class TestSeedDerivative:
         self.check(kd.g1.seed, t0, a, b, c, self.seeds_to_x0(kd.g1))
 
     def test_lattice_tail(self):
-        # c = -3 on the exact lattice: _lattice_seed's tail is the series
-        # seed of F(a+4, b+4; 5; z) with its own 0th term
+        # c = -3 on the exact lattice, so C' = a + 1/2 = -1: g1's seed is
+        # zeta^2 times the tail t F(b/2 + 2, b/2 + 5/2; 3; zeta) of its
+        # series in zeta (P = 0, no head), against the value and derivative
+        # of P F(a, b; c; m) at lambda + 1e-25 i, which moves (a, b, c) by
+        # (delta, delta, 2 delta) off the poles, from m = 0.05 to x0
         p = hypergeom_params(1, Mode(1 / 9, 1, Fraction(1, 9)), -2j,
                              lam_im_exact=Fraction(-2))
         assert resonances._lattice_indices(p)[2] == 3
-        a, b = complex(p.a) + 4, complex(p.b) + 4
-        t0 = cmath.exp(specfun.ln_gamma(a) + specfun.ln_gamma(b)
-                       - math.lgamma(5))
-        self.check(specfun._series_seed(t0, a, b, 5.0 + 0.0j), t0, a, b,
-                   5.0 + 0.0j)
+        kd = _KernelData(1, p)
+        with mp.workdps(40):
+            a = mp.mpf(-3) / 2 + mp.mpf("1e-25")
+            s = mp.mpf(1) / 3
+            b, c = a + s, 2 * a
+            t0 = mp.gamma(a) * mp.gamma(b) / (mp.gamma(c) * mp.gamma(1 + s))
+            for m in self.seeds_to_x0(kd.g1)[3:]:
+                val, slope = kd.g1.seed(m)
+                want = complex(t0 * mp.hyp2f1(a, b, c, m))
+                dwant = complex(t0 * a * b / c
+                                * mp.hyp2f1(a + 1, b + 1, c + 1, m))
+                assert abs(val - want) <= 1e-13 * abs(want), m
+                assert abs(slope - dwant) <= 1e-13 * abs(dwant), m
 
 
 class TestIntegrandClosures:
@@ -1237,7 +1251,11 @@ def _ladder_points(q):
 
 class TestExactLatticeKernels:
     """g1 at exact lattice parameters, the limit along lambda: the regular
-    case c = -3, a- and b-removable points and a surd s."""
+    case c = -3, a- and b-removable points and a surd s.  Every kernel
+    reads g1 from its series in zeta = sech^2 r, where Legendre's
+    duplication formula cancels the poles of Gamma(a) and Gamma(c): at
+    even c, C' = a + 1/2 is off the lattice, and at odd c g1 is a head
+    and the DLMF 15.2.3 tail."""
 
     CASES = [(1, Fraction(1, 9), -2j), (1, Fraction(1, 9), -1.5j),
              (1, Fraction(1, 9), -3.5j), (3, Fraction(1, 4), -2.5j),
@@ -1257,8 +1275,53 @@ class TestExactLatticeKernels:
             want = oracle_kernel_functions(n, mu_sq, lam_mp, z, dps=40)[2]
             assert abs(kd.g1([z])[0] - want) <= 1e-12 * abs(want), z
 
+    # even c = -16 and -20, and the b-removable c = -21 (b = -9): the
+    # series in sigma, climbed from about 4/|lambda|, was 2.2e-7 to 8.6e-2
+    # off here with no error raised
+    LARGE_C = [(1, Fraction(1, 9), -8.5j, 1e-10),
+               (3, Fraction(1, 4), -8.5j, 1e-10),
+               (1, Fraction(1, 9), -10.5j, 1e-8),
+               (3, Fraction(1, 4), -10.5j, 1e-8),
+               (2, Fraction(2), -11j, 1e-8)]
+
+    @pytest.mark.parametrize("n,q,lam,tol", LARGE_C)
+    def test_large_c_matches_checked_oracle(self, n, q, lam, tol):
+        # the shifted oracle leaves its digits to the shift where g1 is
+        # small against its terms, as at large |c|: its values at
+        # (1e-50 i, 80 digits) must agree with (1e-60 i, 120 digits)
+        p = hypergeom_params(n, Mode(float(q), 1, q), lam)
+        kd = _KernelData(n, p)
+        for i in range(24):
+            z = 0.01 + 0.94 * i / 23
+            pair = []
+            for shift, dps in (("1e-50", 80), ("1e-60", 120)):
+                with mp.workdps(dps):
+                    mu_sq = mp.mpf(q.numerator) / q.denominator
+                    lam_mp = mp.mpc(0, lam.imag) + mp.mpc(0, shift)
+                pair.append(oracle_kernel_functions(n, mu_sq, lam_mp, z,
+                                                    dps=dps)[2])
+            want = pair[1]
+            assert abs(pair[0] - want) <= 1e-15 * abs(want), z
+            assert abs(kd.g1([z])[0] - want) <= tol * abs(want), z
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam", [-0.5j, -1.5j, -2.5j])
+    def test_float_even_c_evaluates(self, n, lam):
+        # mu^2 = 2 without an exact form puts a = 0, -1 or -2 and c = 2a on
+        # Gamma poles, which the duplication formula cancels: the kernel
+        # and the Wronskian evaluate, where both once raised
+        p = hypergeom_params(n, Mode(2.0, 1), lam)
+        kd = _KernelData(n, p)
+        assert cmath.isfinite(wronskian_closed_form(p, 0.4))
+        with mp.workdps(50):
+            lam_mp = mp.mpc(0, lam.imag) + mp.mpc(0, "1e-30")
+        for z in (0.05, 0.3, 0.6, 0.8, 0.95):
+            want = oracle_kernel_functions(n, 2, lam_mp, z, dps=50)[2]
+            assert abs(kd.g1([z])[0] - want) <= 1e-13 * abs(want), z
+
     def test_residual_check_ln_gamma_calls(self, monkeypatch):
-        # the lattice limit takes one call, the tail coefficient two
+        # the lattice limit takes none, Gamma(1+s) one and the tail
+        # coefficient one
         count = [0]
         inner = specfun.ln_gamma
 
@@ -1272,7 +1335,7 @@ class TestExactLatticeKernels:
                 monkeypatch.setattr(mod, "ln_gamma", counting)
         residual_check(2, Mode(2.0, 1, Fraction(2)), -2j,
                        RadialProfile.bump(0.3, 0.6))
-        assert 0 < count[0] <= 8
+        assert count[0] == 2
 
 
 class TestOneLatticeDecision:
@@ -1321,9 +1384,10 @@ class TestOneLatticeDecision:
 @pytest.mark.usefixtures("cold_kernel")
 class TestLatticeWorkCounts:
     """One kernel build makes the lattice decision once and never runs the
-    classifier.  It calls ln_gamma once for each of a, b, c off the lattice
-    and once for 1+s, all for the one prefactor P, twice more for the
-    DLMF 15.2.3 tail coefficient when c is on it."""
+    classifier.  It calls ln_gamma once for each of b and C' = a + 1/2 off
+    the lattice and once for 1+s, all for the one prefactor P, and once
+    more for the DLMF 15.2.3 tail coefficient when C' is on it.  The
+    prefactor in a, b and c made four calls, and six at c = -C."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1346,22 +1410,21 @@ class TestLatticeWorkCounts:
                     monkeypatch.setattr(mod, name, counted(key, inner))
         return count
 
-    # abc_ln_gammas counts the calls for a, b, c and the tail coefficient;
-    # the one for 1+s comes on top
-    @pytest.mark.parametrize("n,q,lam,lam_im,abc_ln_gammas", [
+    # ln_gammas counts every call: those for b, C' and the tail
+    # coefficient, and the one for 1+s
+    @pytest.mark.parametrize("n,q,lam,lam_im,ln_gammas", [
         (2, None, 1 - 0.7j, None, 3),                 # off the lattice
-        (2, Fraction(2), -2j, None, 3),               # b-removable
-        (1, Fraction(4), -1j, None, 4),               # c alone
-        (1, Fraction(13, 4), -1.5j, Fraction(-3, 2), 3),  # a-removable, surd
-        (1, Fraction(1, 9), -3.5j, None, 3),
-        (3, Fraction(1, 4), -2.5j, None, 3),
+        (2, Fraction(2), -2j, None, 2),               # b-removable, c = -3
+        (1, Fraction(4), -1j, None, 3),               # c = -1 alone
+        (1, Fraction(13, 4), -1.5j, Fraction(-3, 2), 3),  # c = -2, surd
+        (1, Fraction(1, 9), -3.5j, None, 3),          # c = -6
+        (3, Fraction(1, 4), -2.5j, None, 3),          # c = -4, surd
     ])
-    def test_kernel_build(self, calls, n, q, lam, lam_im, abc_ln_gammas):
+    def test_kernel_build(self, calls, n, q, lam, lam_im, ln_gammas):
         mode = Mode(2.0, 1) if q is None else Mode(float(q), 1, q)
         p = hypergeom_params(n, mode, lam, lam_im_exact=lam_im)
         _KernelData(n, p)
-        assert calls == {"indices": 1, "classify": 0,
-                         "ln_gamma": abc_ln_gammas + 1}
+        assert calls == {"indices": 1, "classify": 0, "ln_gamma": ln_gammas}
 
     def test_entry_points(self, calls):
         # the three entry points at one (n, p) read one kernel (_kernel),
@@ -1738,14 +1801,13 @@ class TestG1SeriesWorkCounts:
     0.45) reads g1 only on [0.3, 0.45], below every x0 (0.62 to 0.71), so
     each kernel forms its one list of zeta-series terms and nothing else
     for g1: no Taylor expansion and no seed pass.  Exact-lattice kernels
-    keep _lattice_seed and the ladder."""
+    read theirs too, the list of the tail of the series in zeta."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        built, taylor, series, lattice = [], [], [], []
-        init, ode, term_loop, seed = (_KernelData.__init__, specfun._ode_taylor,
-                                      specfun._sum_series,
-                                      _KernelData._lattice_seed)
+        built, taylor, series = [], [], []
+        init, ode, term_loop = (_KernelData.__init__, specfun._ode_taylor,
+                                specfun._sum_series)
 
         def counted_init(kd, n, p):
             init(kd, n, p)
@@ -1759,23 +1821,18 @@ class TestG1SeriesWorkCounts:
             series.append(((a, b, c), terms is not None))
             return term_loop(term, a, b, c, z, ratios, terms)
 
-        def counted_lattice(kd, *args):
-            lattice.append(kd)
-            return seed(kd, *args)
-
         monkeypatch.setattr(_KernelData, "__init__", counted_init)
         monkeypatch.setattr(specfun, "_ode_taylor", counted_ode)
         monkeypatch.setattr(specfun, "_sum_series", counted_series)
-        monkeypatch.setattr(_KernelData, "_lattice_seed", counted_lattice)
-        return built, taylor, series, lattice
+        return built, taylor, series
 
     @pytest.mark.parametrize("n,mode,lam0,samples", [
         (2, Mode(2.0, 1), 0.7 + 0.9j, 16), (1, Mode(0.0, 1), 0.5j, 9),
         (3, Mode(8.0, 1), -1.2 - 0.4j, 16)])
     def test_default_probe(self, calls, n, mode, lam0, samples):
-        built, taylor, series, lattice = calls
+        built, taylor, series = calls
         residue_probe(n, mode, lam0)
-        assert len(built) == samples and lattice == []
+        assert len(built) == samples
         for kd in built:
             g1 = kd.g1
             assert g1.reach == g1.x0 > 0.45 and g1.expansions == {}
@@ -1786,15 +1843,18 @@ class TestG1SeriesWorkCounts:
         assert taylor  # u2 keeps its ladder
 
     def test_exact_lattice_kernel(self, calls):
-        built, taylor, series, lattice = calls
+        # c = -3: the tail F(b/2 + 2, b/2 + 5/2; 3; zeta) is the one list
+        built, taylor, series = calls
         p = hypergeom_params(1, Mode(1 / 9, 1, Fraction(1, 9)), -2j,
                              lam_im_exact=Fraction(-2))
         kd = resolvent._kernel(1, p)
-        assert lattice == [kd] and kd.g1.reach == 0.0
+        assert built == [kd] and kd.g1.reach == kd.g1.x0 > 0.45
         kd.g1([0.05, 0.3, 0.45])
-        assert kd.g1.expansions
-        assert (kd.g1.a, kd.g1.b, kd.g1.c) in taylor
-        assert not any(listed for _, listed in series)
+        assert kd.g1.expansions == {}
+        assert (kd.g1.a, kd.g1.b, kd.g1.c) not in taylor
+        tail = (0.5 * kd.g1.b + 2, 0.5 * kd.g1.b + 2.5, 3.0)
+        assert [listed for params, listed in series
+                if params == tail] == [True]
 
 
 class TestLargeModeRange:

@@ -834,6 +834,12 @@ class TestCountResonances:
             count_resonances(circle_spectrum(1, 3), 3, 4.0)
         with pytest.raises(TruncationInsufficient):
             count_resonances(circle_spectrum(1, 10), 3, 4.0)
+        # a file whose last mode (s = 2, at 5/2) lies within the bound: a
+        # mode past the listed ones might too
+        with pytest.raises(TruncationInsufficient):
+            count_resonances(_file_spectrum(1, [(Fraction(1), 1.0, 2),
+                                                (Fraction(4), 4.0, 2)]),
+                             10, 4.0)
         with pytest.raises(ValidationError):
             count_resonances(circle_spectrum(1, 3), -1, 2.0)
         with pytest.raises(ValidationError):

@@ -251,6 +251,10 @@ class TestHyp2f1Values:
         assert hyp2f1(a, b, c, 0.0) == 1.0
         want = 1.0 + a * b / c * 1e-20
         assert abs(hyp2f1(a, b, c, 1e-20) - want) <= 1e-16
+        # a term list records each parked term as 0, up to the floor
+        terms = specfun._series_terms(a, b, c, 1e-20)
+        assert len(terms) > 41 and terms[16:] == [0.0] * (len(terms) - 16)
+        assert abs(sum(terms) - want) <= 1e-16
         ratios = []
         got = specfun._sum_series(0.0j, a, b, c, 0.5, ratios)
         assert got == (0.0, 0.0) and len(ratios) == 1
