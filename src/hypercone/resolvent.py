@@ -36,7 +36,9 @@ cone's own Legendre variable (_KernelData._quadratic_seed): it needs fewer
 terms than the series in sigma, and its seed bound starts g1's climb toward
 sigma = 1, against the growing second solution, near sigma = 0.7 rather
 than at about 4/|lambda|.  Below that bound g1 is read from one list of the
-series' terms per kernel, by Horner in zeta.  g1's seed carries P whole,
+series' terms per kernel, formed only as far as the points read reach and
+summed in one loop per point up to that point's own cut, so a value does
+not depend on what was read before.  g1's seed carries P whole,
 one sum of log-Gammas in the series' parameters, where Legendre's
 duplication formula cancels the poles of Gamma(a) and Gamma(c)
 (_prefactor).  At exact lattice parameters P is its limit along lambda,
@@ -48,13 +50,13 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (
     DomainError,
     LowerParameterPole,
+    NoConvergence,
     ParameterPole,
     PoleEvaluation,
     ProbeInconclusive,
@@ -70,6 +72,7 @@ from .resonances import (
     hypergeom_params,
 )
 from .specfun import (
+    _MAX_TERMS,
     _ROUNDOFF,
     _Ladder,
     _hyp2f1,
@@ -294,11 +297,13 @@ class _KernelData:
     g1 reads P F(a, b; c; z), its poles fused into the terms, and u2
     reads f2 = F(a, b; 1+s; 1 - sigma), each a specfun._Ladder whose values
     depend only on the kernel and the point; both read a list of points.
-    g1's seed is _quadratic_seed, one list of the terms of a series in
-    zeta = sech^2 r, which gives g1 itself at every z up to its bound x0
-    (0.62 to 0.71) and seeds the ladder's climb above it; f2's is the
-    series in 1 - sigma, seeding the ladder alone.  A genuine pole raises
-    PoleEvaluation, a g1 value beyond the double range DomainError.
+    g1's seed is _quadratic_seed, a series in zeta = sech^2 r whose one
+    list of terms, grown only as far as the reads reach, gives g1 itself
+    at every z up to its bound x0 (0.62 to 0.71), a list of points in one
+    loop, and whose own pass seeds the ladder's climb above it; f2's is
+    the series in 1 - sigma, seeding the ladder alone.  A genuine pole
+    raises PoleEvaluation, a g1 value beyond the double range
+    DomainError.
     """
 
     def __init__(self, n: int, p: HypergeomParams) -> None:
@@ -346,71 +351,134 @@ class _KernelData:
 
         zeta being sech^2 r, for z up to the seed's bound x0: the series'
         own bound zeta0 = min(_ZETA_CAP, _seed_bound) in zeta, mapped back
-        by x0 = 2 sqrt(zeta0) / (1 + sqrt(zeta0)).  H is one list of the
-        terms t_k of F(ha, ha + 1/2; hc; .) at zeta0
-        (specfun._series_terms), formed once, so H(zeta) = sum_k t_k tau^k
-        with tau = zeta / zeta0 <= 1, (ha, hc) = (b/2, C').
+        by x0 = 2 sqrt(zeta0) / (1 + sqrt(zeta0)).  H(zeta) = sum_k t_k tau^k
+        with tau = zeta / zeta0 <= 1 and t_k the terms of
+        F(ha, ha + 1/2; hc; .) at zeta0, (ha, hc) = (b/2, C'), t_0 = 1.
 
-        seed.point(z) is g1(z), for the ladder to serve every z <= x0 with:
-        Horner in tau on the real and imaginary parts apart, over t_0 .. t_j
-        for the least j past which every |t_i| tau^i is below _ROUNDOFF
-        (t_0 = 1), found by bisection in the table of the largest such tau
-        for each j, so a value depends only on its point.  seed(z) is
-        (g1(z), g1'(z)) from the whole list, g1' = P (1 - z/2)^(-b)
+        seed.point(zs) is [g1(z) for z in zs], every z <= x0, for the
+        ladder to serve those points with.  The terms are formed by the
+        term recurrence only as far as the largest tau of a read needs.
+        Term k >= 1 is cut at tau <= cut_k, the largest tau at which t_k,
+        t_(k+1) and t_(k+2) are all below _ROUNDOFF in |t_i| tau^i, or -1
+        (never) below the term floor -Re hc / (1 - zeta0), past which the
+        terms no longer grow back (specfun._sum_series).  A point sums
+        t_0 .. t_(j-1), j its least k with tau <= cut_k: each row holds t_k
+        and the largest cut of rows 1 .. k, so one pass down the rows skips
+        those at and above j and sums the rest by Horner in tau, on the
+        real and imaginary parts apart.  A row reads only its own terms and
+        those below, so the cut of a point does not depend on how far the
+        list has grown, and a value depends only on its point.  seed.terms
+        is the list of terms formed so far.  seed(z)
+        is (g1(z), g1'(z)), g1' = P (1 - z/2)^(-b)
         (b/(2-z) H + zeta' H'(zeta)), zeta' = 4z/(2-z)^3, read at the
-        anchors where the ladder's climb above x0 starts.  P (1 - z/2)^(-b)
-        is one exponential (_quadratic_scale), so a value past the double
-        range raises DomainError.
+        anchors where the ladder's climb above x0 starts: H and H' by
+        Horner in tau over the whole list as the read at x0 forms it.  No
+        read reaches past x0, so that list is the same whatever was read
+        before, and so is the seed.  P (1 - z/2)^(-b) is one exponential,
+        so a value past the double range raises DomainError.
 
         At C' = -m on the exact lattice P H is its limit along lambda, t
         times the lead's k = m + 1 terms and then zeta^k times the DLMF
         15.2.3 tail F(ha, ha + 1/2; hc; .), (ha, hc) = (b/2 + k, k + 1),
         with log_p = log t (_prefactor).  That sum need not be near its
-        first term, so every point reads the whole list.
+        first term, so its list is formed whole, to roundoff at zeta0
+        (specfun._series_terms), and no row cuts it.
         """
         p = self.p
-        zeta0 = min(_ZETA_CAP, _seed_bound(ha, ha + 0.5, hc))
-        terms = _series_terms(ha, ha + 0.5, hc, zeta0)
-        if lead is not None:  # in tau, zeta0^k taken into the scale
+        hb = ha + 0.5
+        zeta0 = min(_ZETA_CAP, _seed_bound(ha, hb, hc))
+        if lead is None:
+            terms = [1.0 + 0.0j]
+            reached = -1.0  # the largest cut of a row formed so far
+        else:  # in tau, zeta0^k taken into the scale
             k = len(lead)
-            terms = [t * zeta0 ** (j - k) for j, t in enumerate(lead)] + terms
+            terms = ([t * zeta0 ** (j - k) for j, t in enumerate(lead)]
+                     + _series_terms(ha, hb, hc, zeta0))
             log_p += k * math.log(zeta0)
-        # the terms highest first as (real, imaginary) pairs for Horner, and
-        # cuts[j - 1]: the largest tau at which every |t_i| tau^i, i >= j,
-        # is below _ROUNDOFF, nondecreasing in j
-        pairs, cuts, cut = [], [], math.inf
-        for i in range(len(terms) - 1, 0, -1):
-            t = terms[i]
-            pairs.append((t.real, t.imag))
-            size = abs(t)
-            if size > _ROUNDOFF:
-                size = (_ROUNDOFF / size) ** (1.0 / i)
-                if size < cut:
-                    cut = size
-            cuts.append(cut)
-        pairs.append((terms[0].real, terms[0].imag))
-        cuts.reverse()
-        top = len(cuts)
-        if lead is not None:
-            cuts = [0.0] * top
+            reached = math.inf
+        # (t_k, the largest cut of rows 1 .. k) for Horner from the top;
+        # t_0's row sets no cut, so every point sums it
+        rows = [(t.real, t.imag, -1.0) for t in terms]
+        root = math.sqrt(zeta0)
+        x0 = 2.0 * root / (1.0 + root)
+        full = (x0 / (2.0 - x0)) ** 2 / zeta0  # the largest tau read
+        floor = -hc.real / (1.0 - zeta0)
+        # the largest tau at which each of the last two terms is negligible
+        tail = [math.inf, math.inf]
+
+        def grow(top: float) -> None:
+            # form terms by _sum_series's recurrence, and each row once its
+            # three terms are formed, until a row cuts at a tau >= top
+            nonlocal reached
+            t = terms[-1]
+            s1, s2 = tail
+            for k in range(len(terms) - 1, _MAX_TERMS):
+                t = t * ((ha + k) * (hb + k) / ((hc + k) * (k + 1))) * zeta0
+                terms.append(t)
+                size = abs(t)
+                if size <= _ROUNDOFF:
+                    s3 = math.inf
+                elif size < math.inf:
+                    s3 = (_ROUNDOFF / size) ** (1.0 / (k + 1))
+                else:  # inf or nan
+                    raise DomainError(f"g1's series in zeta at lambda = "
+                                      f"{p.lam} exceeds the double range")
+                if k >= 2:  # row k - 1: t_(k-1), t_k and t_(k+1) formed
+                    cut = s1 if s1 < s2 else s2
+                    if s3 < cut:
+                        cut = s3
+                    if k - 1 < floor:
+                        cut = -1.0
+                    if cut > reached:
+                        reached = cut
+                    u = terms[k - 1]
+                    rows.append((u.real, u.imag, reached))
+                    if reached >= top:
+                        tail[:] = s2, s3
+                        return
+                s1, s2 = s2, s3
+            raise NoConvergence(f"g1's series in zeta did not settle within "
+                                f"{_MAX_TERMS} terms")
+
+        def point(zs: list[float]) -> list[complex]:
+            taus = [(z / (2.0 - z)) ** 2 / zeta0 for z in zs]
+            top = max(taus, default=-1.0)
+            if top > reached:
+                grow(top)
+            out = []
+            for z, tau in zip(zs, taus):
+                # skip the rows from the point's cut up, then Horner down
+                terms_down = reversed(rows)
+                for vr, vi, most in terms_down:
+                    if most < tau:
+                        break
+                for cr, ci, _ in terms_down:
+                    vr = vr * tau + cr
+                    vi = vi * tau + ci
+                try:
+                    val = (cmath.exp(log_p - b * math.log1p(-0.5 * z))
+                           * complex(vr, vi))
+                except OverflowError:
+                    raise refused(z) from None
+                if not cmath.isfinite(val):
+                    raise refused(z)
+                out.append(val)
+            return out
+
+        def refused(z: float) -> DomainError:
+            return DomainError(f"g1 at z = {z!r}, lambda = {p.lam}, "
+                               f"s = {p.s!r} exceeds the double range")
 
         def scaled(z: float, h: complex) -> complex:
             # P (1 - z/2)^(-b) h, refused past the double range
             val = _quadratic_scale(log_p, b, z) * h
             if cmath.isfinite(val):
                 return val
-            raise DomainError(f"g1 at z = {z!r}, lambda = {p.lam}, "
-                              f"s = {p.s!r} exceeds the double range")
-
-        def point(z: float) -> complex:
-            tau = (z / (2.0 - z)) ** 2 / zeta0
-            vr = vi = 0.0
-            for cr, ci in pairs[top - bisect_left(cuts, tau):]:
-                vr = vr * tau + cr
-                vi = vi * tau + ci
-            return scaled(z, complex(vr, vi))
+            raise refused(z)
 
         def seed(z: float) -> tuple[complex, complex]:
+            if reached < full:
+                grow(full)
             t = 2.0 - z
             tau = (z / t) ** 2 / zeta0
             h = dh = 0.0 + 0.0j
@@ -419,14 +487,12 @@ class _KernelData:
                 h = h * tau + term
             return scaled(z, h), scaled(
                 z, b / t * h + 4.0 * z / t ** 3 / zeta0 * dh)
-        root = math.sqrt(zeta0)
-        seed.x0 = 2.0 * root / (1.0 + root)
-        seed.point = point
+        seed.x0, seed.point, seed.terms = x0, point, terms
         return seed
 
 
-# _kernel's slot, one per thread: a kernel's series seeds extend shared
-# lists of step ratios as they are read, so no two threads read one kernel
+# _kernel's slot, one per thread: a kernel's seeds extend shared lists (step
+# ratios, g1's terms) as they are read, so no two threads read one kernel
 _slot = threading.local()
 
 

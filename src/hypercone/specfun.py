@@ -12,9 +12,9 @@ beyond it continues the series' value and derivative along the 2F1 ODE by
 Taylor expansions (_Ladder), so integer c - a - b needs no special case.
 Each expansion is centred on the band of points it serves, and the series
 seeds of one ladder share one list of step ratios.  A seed may also serve
-every point below its bound itself, as the kernel's g1 does from one list
-of series terms (_series_terms); the ladder then serves only the points
-above.
+every point below its bound itself, a list at a time, as the kernel's g1
+does from one list of series terms grown as far as its reads reach; the
+ladder then serves only the points above.
 The regularized function F/Gamma(c) is entire in c and reads hyp2f1 too:
 at non-positive integer c its limit is a shifted 2F1 (DLMF 15.2.3), so such
 c is an ordinary input, not an error.
@@ -330,11 +330,13 @@ class _Ladder:
     of 1/2 the expansions run in t = 1 - z (the same ODE with c replaced by
     a + b + 1 - c), so positions near z = 1 are exact distances.
 
-    A seed that also reads values alone, seed.point(z) = y(z) for every
-    z <= seed.x0 (the kernel's g1, from one list of its series terms),
-    serves those points itself (reach = x0): the anchors and expansions
-    then serve only the points above x0.  Any other seed serves z = 0
-    alone (reach = 0), and the ladder every point above it.
+    A seed that also reads values alone, seed.point(zs) = [y(z) for z in
+    zs] for a list of points z <= seed.x0 (the kernel's g1, from one list
+    of its series terms grown as far as the largest point of a read, each
+    point summed to a cut of its own), serves those points itself
+    (reach = x0), one list per read: the anchors and expansions then serve
+    only the points above x0.  Any other seed serves z = 0 alone
+    (reach = 0), and the ladder every point above it.
 
     A leaf, an expansion no successor continues from, is scaled by its
     half-band: its points lie at |tau| <= 1 and its coefficients fall like
@@ -358,11 +360,12 @@ class _Ladder:
         self.seed = seed
         # a seed that carries its own bound x0 gives it; else the series'
         self.x0 = getattr(seed, "x0", None) or _seed_bound(a, b, c)
-        # the points x <= reach are read from point(x), the rest from
+        # the points x <= reach are read from point(xs), the rest from
         # the ladder
         point = getattr(seed, "point", None)
-        self.point, self.reach = ((point, self.x0) if point
-                                  else (lambda z: seed(z)[0], 0.0))
+        self.point, self.reach = (
+            (point, self.x0) if point
+            else (lambda zs: [seed(z)[0] for z in zs], 0.0))
         spread = max(abs(1.0 - c), abs(c - a - b), abs(a - b), 1.0)
         self.q = 1.0 - min(0.25, 2.0 / spread)
         if self.q == 1.0:  # the step 2/S rounds away, as when |ab| overflows
@@ -379,13 +382,17 @@ class _Ladder:
         parts apart: bit for bit the complex loop on finite values, and
         about a fifth faster."""
         q, log_q, expansions = self.q, self.log_q, self.expansions
-        point, reach = self.point, self.reach
+        reach, served = self.reach, None
+        if min(xs, default=math.inf) <= reach:  # the seed serves some
+            if max(xs) <= reach:
+                return self.point(xs)
+            served = iter(self.point([x for x in xs if x <= reach]))
         out = []
         key = None
         low = high = -1.0  # the current anchor serves low < dist <= high
         for k, x in enumerate(xs):
             if x <= reach:
-                out.append(point(x))
+                out.append(next(served))
                 continue
             right = x > 0.5
             dist = (1.0 - x if ds is None else ds[k]) if right else x

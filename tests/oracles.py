@@ -53,12 +53,37 @@ def exp_equal(lhs: complex, rhs: complex, tol: float) -> bool:
     return abs(mp.exp(mp.mpc(lhs) - mp.mpc(rhs)) - 1) <= tol
 
 
+class OracleDisagreement(AssertionError):
+    """Two evaluations an oracle checks itself with disagree: neither is
+    trusted."""
+
+
 def oracle_hyp2f1(a, b, c, z, dps: int = 30) -> complex:
+    """mp.hyp2f1 at dps digits, checked where it can silently truncate.
+
+    For |z| <= 0.8 mp.hyp2f1 sums the plain series and stops at the first
+    term below its working precision, so for Re c < 0, where the terms can
+    dip that low and grow back near k = -Re c, it can return a truncated
+    sum: at 30 digits it was 4.6e-9 off at Re c = -70.  There the value is
+    checked against oracle_hyp2f1_terms at 60 digits, and a relative gap
+    above 1e-15 raises OracleDisagreement.  The 60 digits carry the
+    cancellation of terms far larger than the sum; the sum itself is run
+    to 1e-20, which a 1e-15 comparison needs, not to 1e-60.  Above 0.8
+    mp.hyp2f1 reads a connection formula instead, not the series, and the
+    term sum would need about 46 / (1 - z) terms (11,500 at z = 0.996), so
+    the check is not made there."""
     with mp.workdps(dps):
-        return complex(mp.hyp2f1(a, b, c, z))
+        val = complex(mp.hyp2f1(a, b, c, z))
+    if mp.mpc(c).real < 0 and abs(z) <= 0.8:
+        check = complex(oracle_hyp2f1_terms(a, b, c, z, dps=60, tol=1e-20))
+        if not abs(val - check) <= 1e-15 * abs(check):
+            raise OracleDisagreement(
+                f"mp.hyp2f1 at {dps} digits gives {val} and the 60-digit "
+                f"term sum {check} at ({a}, {b}; {c}; {z})")
+    return val
 
 
-def oracle_hyp2f1_terms(a, b, c, z, dps: int = 30):
+def oracle_hyp2f1_terms(a, b, c, z, dps: int = 30, tol=None):
     """F(a, b; c; z) by the plain term sum, as an mpmath number.
 
     mp.hyp2f1 stops at the first term below its working precision, so for
@@ -66,11 +91,12 @@ def oracle_hyp2f1_terms(a, b, c, z, dps: int = 30):
     k = -Re c, it can return a truncated sum.  This sum runs to
     k >= 2 (max(-Re c, 0) + |a| + |b|)/(1-z) + 50, past which the step
     ratio z |(a+k)(b+k)| / (|c+k| (k+1)) stays below 1 and falls, and on
-    until a term is below 10^-dps of the sum.  Plain z in [0, 1) only."""
+    until a term is below tol (10^-dps when not given) of the sum.  Plain
+    z in [0, 1) only."""
     with mp.workdps(dps):
         a, b, c, z = mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpf(z)
         far = 2.0 * float(max(-c.real, 0) + abs(a) + abs(b)) / (1 - z) + 50
-        eps = mp.mpf(10) ** -dps
+        eps = mp.mpf(10) ** -dps if tol is None else mp.mpf(tol)
         term = total = mp.mpc(1)
         k = 0
         while k < far or abs(term) > eps * abs(total):
@@ -489,6 +515,35 @@ def oracle_kernel_functions(n: int, mu_sq, lam, sigma,
         return complex(u1), complex(u2), complex(g1)
 
 
+def oracle_g1_limit(n: int, mu_sq: Fraction, lam: complex,
+                    sigma: float) -> complex:
+    """g1 = P F(a, b; 2a; sigma) at an exact lattice lambda, as its limit
+    along lambda: g1 by the formula of oracle_kernel_functions at
+    lambda + 1e-50i with 80 digits and at lambda + 1e-60i with 120 digits.  A shifted
+    value leaves terms of the shift's size, so where g1 is small against
+    them, as at large |c|, it is not the limit and the two part: a
+    relative gap above 1e-15 raises OracleDisagreement.  Returns the
+    120-digit value.  Only g1 is formed (u2 at 1 - sigma near 1 is the
+    costly part of the full oracle at 120 digits)."""
+    vals = []
+    for shift, dps in (("1e-50", 80), ("1e-60", 120)):
+        with mp.workdps(dps):
+            s = mp.sqrt(mp.mpf(n - 1) ** 2 / 4
+                        + mp.mpf(mu_sq.numerator) / mu_sq.denominator)
+            a = (mp.mpf(1) / 2 - 1j * mp.mpc(lam.real, lam.imag)
+                 + mp.mpf(shift))
+            b = a + s
+            vals.append(complex(
+                mp.gamma(a) * mp.gamma(b) / (mp.gamma(2 * a) * mp.gamma(1 + s))
+                * mp.hyp2f1(a, b, 2 * a, mp.mpf(sigma))))
+    if not abs(vals[0] - vals[1]) <= 1e-15 * abs(vals[1]):
+        raise OracleDisagreement(
+            f"g1 at n = {n}, mu^2 = {mu_sq}, lambda = {lam}, sigma = "
+            f"{sigma}: {vals[0]} with 1e-50i at 80 digits, {vals[1]} with "
+            f"1e-60i at 120 digits")
+    return vals[1]
+
+
 def oracle_u2_series(n: int, mu_sq, lam, sigma, dps: int = 30) -> complex:
     """u2 = F(a, b; 1+s; 1-sigma) by the plain term-by-term sum."""
     with mp.workdps(dps):
@@ -616,7 +671,7 @@ def reference_ladder_read(ladder, x: float, d: float | None = None) -> complex:
     the ladder's seed serves itself (x <= ladder.reach: x = 0, or g1's
     points below x0) is read from ladder.point."""
     if x <= ladder.reach:
-        return ladder.point(x)
+        return ladder.point([x])[0]
     right = x > 0.5
     dist = (1.0 - x if d is None else d) if right else x
     i = reference_ladder_key(ladder, dist)

@@ -49,9 +49,11 @@ from hypercone.quadrature import cumulative_integral
 from hypercone.resolvent import _GRID_QC, _KernelData, _resolvent
 from hypercone.specfun import _MAX_TERMS, _ROUNDOFF
 from oracles import (
+    OracleDisagreement,
     lattice_grid,
     oracle_apply_resolvent,
     oracle_boundary_exponents,
+    oracle_g1_limit,
     oracle_hyp2f1,
     oracle_kernel_functions,
     oracle_u2_series,
@@ -1003,7 +1005,7 @@ class TestLargeModePrefactor:
         assert abs(got - want) <= 1e-10 * abs(want)
 
 
-def _inline_ratio_series(term, a, b, c, z, terms=None):
+def _inline_ratio_series(term, a, b, c, z):
     # the 2F1 term loop written out here, the reference for bit-identity:
     # step k forms u_k = t_k (a+k)(b+k)/((c+k)(k+1)), adds (k+1) u_k to the
     # derivative and t_{k+1} = u_k z to the value; three steps in a row
@@ -1011,10 +1013,7 @@ def _inline_ratio_series(term, a, b, c, z, terms=None):
     # does one such step with a zero term.  A negligible term below 2^-960
     # is held times 2^960 (again at each fall below 2^-960) and not added,
     # and is taken back down by 2^960 each time it reaches 1, until it is
-    # added again or the floor ends the sum.  Each t_{k+1} is appended to
-    # terms, when given, a held one as 0
-    if terms is None:
-        terms = []
+    # added again or the floor ends the sum
     value, slope = term, 0.0 + 0.0j
     small = lift = 0
     floor = -c.real / (1 - z)
@@ -1031,9 +1030,7 @@ def _inline_ratio_series(term, a, b, c, z, terms=None):
                 term, dterm = term * 2.0 ** -960, dterm * 2.0 ** -960
                 lift -= 1
             if lift:
-                terms.append(0.0j)
                 continue
-        terms.append(term)
         slope += dterm
         value += term
         if (abs(term) <= _ROUNDOFF * abs(value)
@@ -1048,61 +1045,93 @@ def _inline_ratio_series(term, a, b, c, z, terms=None):
     raise AssertionError("reference series did not settle")
 
 
-def _inline_quadratic_terms(p):
-    # (zeta0, the terms t_k of H = F(b/2, b/2 + 1/2; a + 1/2; .) at zeta0,
-    # log P): the list g1's seed is formed from off the lattice, by the
-    # term loop above at zeta0 = min(0.3, _seed_bound)
-    a, b = complex(p.a), complex(p.b)
+def _log_prefactor(p):
+    return resolvent._prefactor(p, PoleEvaluation)[0]
+
+
+def _inline_quadratic_params(a, b):
+    # (zeta0, (ha, hb, hc)) of g1's series in zeta off the lattice,
+    # H = F(b/2, b/2 + 1/2; a + 1/2; .) at zeta0 = min(0.3, _seed_bound)
     ha, hb, hc = 0.5 * b, 0.5 * b + 0.5, a + 0.5
-    zeta0 = min(0.3, specfun._seed_bound(ha, hb, hc))
+    return min(0.3, specfun._seed_bound(ha, hb, hc)), (ha, hb, hc)
+
+
+def _inline_quadratic_terms(a, b, tau):
+    # (the terms t_0 = 1, t_1, ... of H at zeta0 that g1's read at tau
+    # forms, and the number k of them it sums), written out as a linear
+    # scan: t_i comes from t_(i-1) by the recurrence t_(i-1) (ha + i - 1)
+    # (hb + i - 1) / ((hc + i - 1) i) zeta0, term i is negligible at tau
+    # when |t_i| <= _ROUNDOFF or tau <= (_ROUNDOFF / |t_i|)^(1/i), and k is
+    # the least index >= 1, and >= the floor -Re hc / (1 - zeta0), at which
+    # terms k, k + 1 and k + 2 are all negligible: t_0 .. t_(k-1) are
+    # summed and t_0 .. t_(k+2) formed
+    zeta0, (ha, hb, hc) = _inline_quadratic_params(a, b)
+    floor = -hc.real / (1.0 - zeta0)
     terms = [1.0 + 0.0j]
-    _inline_ratio_series(terms[0], ha, hb, hc, zeta0, terms)
-    return zeta0, terms, resolvent._prefactor(p, PoleEvaluation)[0]
+
+    def negligible(i):
+        while len(terms) <= i:
+            j = len(terms) - 1
+            step = (ha + j) * (hb + j) / ((hc + j) * (j + 1))
+            terms.append(terms[j] * step * zeta0)
+        size = abs(terms[i])
+        return size <= _ROUNDOFF or tau <= (_ROUNDOFF / size) ** (1.0 / i)
+
+    k = 1
+    while k < floor or not all(negligible(i) for i in (k, k + 1, k + 2)):
+        k += 1
+    return terms, k
+
+
+def _inline_tau(a, b, z):
+    # tau = zeta / zeta0 at z, and at x0 = 2 sqrt(zeta0) / (1 + sqrt(zeta0))
+    zeta0, _ = _inline_quadratic_params(a, b)
+    root = math.sqrt(zeta0)
+    x0 = 2.0 * root / (1.0 + root)
+    return [(x / (2.0 - x)) ** 2 / zeta0 for x in (z, x0)]
 
 
 def _inline_quadratic_seed(p, z):
     # g1's seed off the lattice, written out: Kummer's quadratic
     # transformation g1(z) = P (1 - z/2)^(-b) H(zeta), zeta = (z/(2-z))^2,
-    # H and dH/dtau summed over the whole list in tau = zeta / zeta0, and
-    # g1' = P (1 - z/2)^(-b) (b/(2-z) H + 4z/(2-z)^3 H'(zeta))
-    b = complex(p.b)
-    zeta0, terms, log_p = _inline_quadratic_terms(p)
-    t = 2.0 - z
-    tau = (z / t) ** 2 / zeta0
+    # H and dH/dtau by Horner over the terms the read at x0 forms, in
+    # tau = zeta / zeta0, and g1' = P (1 - z/2)^(-b) (b/(2-z) H
+    # + 4z/(2-z)^3 H'(zeta))
+    a, b = complex(p.a), complex(p.b)
+    zeta0, _ = _inline_quadratic_params(a, b)
+    tau, full = _inline_tau(a, b, z)
     h = dh = 0.0 + 0.0j
-    for term in reversed(terms):
+    for term in reversed(_inline_quadratic_terms(a, b, full)[0]):
         dh = dh * tau + h
         h = h * tau + term
-    scale = cmath.exp(log_p - b * math.log1p(-0.5 * z))
+    t = 2.0 - z
+    scale = cmath.exp(_log_prefactor(p) - b * math.log1p(-0.5 * z))
     return scale * h, scale * (b / t * h + 4.0 * z / t ** 3 / zeta0 * dh)
 
 
 def _inline_quadratic_point(p, z):
-    # g1(z) at z <= x0 as the ladder serves it, written out: the terms t_0
-    # .. t_J, J the last index j >= 1 whose cut (_ROUNDOFF / |t_i|)^(1/i),
-    # minimised over i >= j and |t_i| > _ROUNDOFF, lies below tau, summed
-    # by Horner on complex values times the same factor
-    b = complex(p.b)
-    zeta0, terms, log_p = _inline_quadratic_terms(p)
-    tau = (z / (2.0 - z)) ** 2 / zeta0
-    last = 0
-    for j in range(1, len(terms)):
-        cuts = [(_ROUNDOFF / abs(t)) ** (1.0 / i)
-                for i, t in enumerate(terms) if i >= j and abs(t) > _ROUNDOFF]
-        if cuts and min(cuts) < tau:
-            last = j
-    h = 0.0 + 0.0j
-    for term in reversed(terms[:last + 1]):
-        h = h * tau + term
-    return cmath.exp(log_p - b * math.log1p(-0.5 * z)) * h
+    # g1(z) at z <= x0 off the lattice as the ladder serves it, written
+    # out: Horner in tau over the terms _inline_quadratic_terms sums, from
+    # the highest, on the real and imaginary parts apart, and the sum
+    # times P (1 - z/2)^(-b)
+    a, b = complex(p.a), complex(p.b)
+    tau, _ = _inline_tau(a, b, z)
+    terms, k = _inline_quadratic_terms(a, b, tau)
+    vr, vi = terms[k - 1].real, terms[k - 1].imag
+    for t in reversed(terms[:k - 1]):
+        vr = vr * tau + t.real
+        vi = vi * tau + t.imag
+    return (cmath.exp(_log_prefactor(p) - b * math.log1p(-0.5 * z))
+            * complex(vr, vi))
 
 
 class TestStepRatioCache:
     """Every series seed is bit-identical to the term loop written out
     here, whatever order its points are asked in: u2's in 1 - sigma, and
-    g1's, off the lattice, in zeta = (z/(2-z))^2 from one list of terms
-    (_inline_quadratic_seed), which also gives g1 at every z <= x0
-    (_inline_quadratic_point)."""
+    g1's, off the lattice, in zeta = (z/(2-z))^2 (_inline_quadratic_seed).
+    g1 at every z <= x0 is bit-identical to its term list and cut rule
+    written out (_inline_quadratic_point), however far earlier points have
+    grown the list."""
 
     KERNELS = [(1, Mode(1.0, 1), 1 + 0.5j), (2, Mode(2.0, 1), 1 - 0.7j),
                (3, Mode(8.0, 1), -0.3 - 1.1j), (4, Mode(0.5, 1), 3j)]
@@ -1263,16 +1292,14 @@ class TestExactLatticeKernels:
 
     @pytest.mark.parametrize("n,q,lam", CASES)
     def test_g1_matches_shifted_oracle(self, n, q, lam):
-        # lambda + 1e-25 i moves (a, b, c) by (delta, delta, 2 delta),
-        # delta = 1e-25, the direction the kernel's limits take
+        # lambda + delta i moves (a, b, c) by (delta, delta, 2 delta), the
+        # direction the kernel's limits take; oracle_g1_limit checks its
+        # two shifts against each other
         p = hypergeom_params(n, Mode(float(q), 1, q), lam)
         kd = _KernelData(n, p)
-        with mp.workdps(40):
-            mu_sq = mp.mpf(q.numerator) / q.denominator
-            lam_mp = mp.mpc(0, lam.imag) + mp.mpc(0, "1e-25")
         for i in range(24):
             z = 0.01 + 0.94 * i / 23
-            want = oracle_kernel_functions(n, mu_sq, lam_mp, z, dps=40)[2]
+            want = oracle_g1_limit(n, q, lam, z)
             assert abs(kd.g1([z])[0] - want) <= 1e-12 * abs(want), z
 
     # even c = -16 and -20, and the b-removable c = -21 (b = -9): the
@@ -1287,21 +1314,13 @@ class TestExactLatticeKernels:
     @pytest.mark.parametrize("n,q,lam,tol", LARGE_C)
     def test_large_c_matches_checked_oracle(self, n, q, lam, tol):
         # the shifted oracle leaves its digits to the shift where g1 is
-        # small against its terms, as at large |c|: its values at
-        # (1e-50 i, 80 digits) must agree with (1e-60 i, 120 digits)
+        # small against its terms, as at large |c|: oracle_g1_limit
+        # refuses a value its two shifts disagree on
         p = hypergeom_params(n, Mode(float(q), 1, q), lam)
         kd = _KernelData(n, p)
         for i in range(24):
             z = 0.01 + 0.94 * i / 23
-            pair = []
-            for shift, dps in (("1e-50", 80), ("1e-60", 120)):
-                with mp.workdps(dps):
-                    mu_sq = mp.mpf(q.numerator) / q.denominator
-                    lam_mp = mp.mpc(0, lam.imag) + mp.mpc(0, shift)
-                pair.append(oracle_kernel_functions(n, mu_sq, lam_mp, z,
-                                                    dps=dps)[2])
-            want = pair[1]
-            assert abs(pair[0] - want) <= 1e-15 * abs(want), z
+            want = oracle_g1_limit(n, q, lam, z)
             assert abs(kd.g1([z])[0] - want) <= tol * abs(want), z
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1318,6 +1337,13 @@ class TestExactLatticeKernels:
         for z in (0.05, 0.3, 0.6, 0.8, 0.95):
             want = oracle_kernel_functions(n, 2, lam_mp, z, dps=50)[2]
             assert abs(kd.g1([z])[0] - want) <= 1e-13 * abs(want), z
+
+    def test_oracle_refuses_split_shifts(self):
+        # c = -29 (n = 1, mu^2 = 1/9, lambda = -15i): g1 is 1e-69 at
+        # sigma = 0.01, below the terms either shift leaves, and the two
+        # shifted values part by 1.5e-2 relative at sigma = 0.1
+        with pytest.raises(OracleDisagreement):
+            oracle_g1_limit(1, Fraction(1, 9), -15j, 0.1)
 
     def test_residual_check_ln_gamma_calls(self, monkeypatch):
         # the lattice limit takes none, Gamma(1+s) one and the tail
@@ -1534,32 +1560,45 @@ class TestLadderWorkCounts:
     """Work in specfun._Ladder per call, counted by wrappers: Horner steps
     (one per coefficient of the expansion a point is read from), Taylor
     coefficients returned by _ode_taylor, 2F1 step ratios formed by the
-    series term loop (the growth of the ratio list each sum reads), and
-    the terms of g1's series in zeta = sech^2 r summed for each point at
-    or below its seed bound x0 (counted at the bisection that cuts them).
+    series term loop (the growth of the ratio list each sum reads), the
+    terms of g1's series in zeta = sech^2 r summed for each point at or
+    below its seed bound x0 (by its cut rule written out,
+    _inline_quadratic_terms), and the terms of that series each g1
+    formed.
     Anchors at the midpoints of their bands and one ratio list per seed
     took them from 8597, 221 and 466 to 7338, 182 and 143 for the residual
     check, and g1's seed in zeta the ratios to 104.  Reading g1 below x0
     from one list of its zeta-series terms per kernel leaves the ladder
     only the points above x0: Taylor coefficients fall to 99, ladder
     Horner steps to 3652 (and 2578 zeta terms), while the list, formed to
-    roundoff at zeta0 = 0.3, takes the ratios to 120.  The residue probes
+    roundoff at zeta0 = 0.3 in the term loop, took the ratios to 120.
+    Formed only as far as the reads need, by its own recurrence, the list
+    leaves the term loop the ratios of u2's seeds alone: 83 (and 24 zeta
+    terms formed), with the same zeta terms summed.  The residue probes
     build a kernel per sample, so their seeds share less."""
 
     @pytest.fixture
     def work(self, monkeypatch):
-        count = {"horner": 0, "taylor": 0, "ratios": 0, "zeta": 0}
-        read, taylor, series, cut = (
-            specfun._Ladder.__call__, specfun._ode_taylor,
-            specfun._sum_series, resolvent.bisect_left)
+        count = {"horner": 0, "taylor": 0, "ratios": 0, "zeta": 0,
+                 "formed": 0}
+        read, taylor, series = (specfun._Ladder.__call__,
+                                specfun._ode_taylor, specfun._sum_series)
+        formed = {}  # the terms t_1, t_2, ... each g1 ladder's seed formed
 
         def counted_read(ladder, xs, ds=None):
             out = read(ladder, xs, ds)
+            if hasattr(ladder.seed, "terms"):
+                formed[ladder] = len(ladder.seed.terms) - 1
+                count["formed"] = sum(formed.values())
             for k, x in enumerate(xs):
                 if x > ladder.reach:
                     key = reference_ladder_band(
                         ladder, x, None if ds is None else ds[k])
                     count["horner"] += len(ladder.expansions[key][2])
+                else:  # g1's point read sums t_0 .. t_(k-1)
+                    tau, _ = _inline_tau(ladder.a, ladder.b, x)
+                    count["zeta"] += _inline_quadratic_terms(
+                        ladder.a, ladder.b, tau)[1]
             return out
 
         def counted_taylor(*args):
@@ -1574,34 +1613,28 @@ class TestLadderWorkCounts:
             count["ratios"] += len(ratios) - known
             return out
 
-        def counted_cut(cuts, tau):
-            # g1's point read below x0 sums the terms t_0 .. t_j
-            j = cut(cuts, tau)
-            count["zeta"] += j + 1
-            return j
-
         monkeypatch.setattr(specfun._Ladder, "__call__", counted_read)
         monkeypatch.setattr(specfun, "_ode_taylor", counted_taylor)
         monkeypatch.setattr(specfun, "_sum_series", counted_series)
-        monkeypatch.setattr(resolvent, "bisect_left", counted_cut)
         return count
 
-    def check(self, count, horner, taylor, ratios, zeta):
+    def check(self, count, horner, taylor, ratios, zeta, formed):
         assert 0 < count["horner"] <= horner
         assert 0 < count["taylor"] <= taylor
         assert 0 < count["ratios"] <= ratios
         assert 0 < count["zeta"] <= zeta
+        assert 0 < count["formed"] <= formed
 
     def test_residual_check(self, work):
         residual_check(2, Mode(2.0, 1), 1 - 0.7j, RadialProfile.bump(0.3, 0.6))
         # 7338, 182 and 104 with g1's seeded leaves
-        self.check(work, 3652, 99, 120, 2578)
+        self.check(work, 3652, 99, 83, 2578, 24)
 
     def test_green_pairing(self, work):
         green_pairing(2, Mode(2.0, 1), 2j, RadialProfile.bump(0.3, 0.45),
                       RadialProfile.bump(0.4, 0.55))
         # 4487, 91 and 177 before; 4325, 94 and 92 with g1's seeded leaves
-        self.check(work, 2739, 51, 107, 910)
+        self.check(work, 2739, 51, 70, 910, 18)
 
     def test_symmetric_green_pair(self, work):
         # the swapped orientation reads the kernel the first one built: it
@@ -1613,8 +1646,8 @@ class TestLadderWorkCounts:
         green_pairing(2, Mode(2.0, 1), 2j, f, g)
         one = dict(work)
         green_pairing(2, Mode(2.0, 1), 2j, g, f)
-        assert (one["taylor"], one["ratios"]) == (51, 107)
-        assert (work["taylor"], work["ratios"]) == (51, 107)
+        assert (one["taylor"], one["ratios"], one["formed"]) == (51, 70, 18)
+        assert (work["taylor"], work["ratios"], work["formed"]) == (51, 70, 18)
         assert work["horner"] > one["horner"]
         assert work["zeta"] > one["zeta"]
 
@@ -1622,13 +1655,13 @@ class TestLadderWorkCounts:
         residue_probe(2, Mode(2.0, 1), 0.7 + 0.9j)
         # 21996, 1270 and 2674 before; 19116, 1110 and 1346 with g1's
         # seeded leaves
-        self.check(work, 8172, 454, 1586, 7184)
+        self.check(work, 8172, 454, 994, 7184, 288)
 
     def test_residue_probe_on_axis(self, work):
         residue_probe(2, Mode(2.0, 1), 0.9j)
         # 12456, 720 and 1503 before; 10836, 630 and 756 with g1's seeded
         # leaves
-        self.check(work, 4536, 252, 891, 4041)
+        self.check(work, 4536, 252, 558, 4041, 162)
 
 
 class TestSharedStepRatios:
@@ -1723,9 +1756,10 @@ class TestKernelCorner:
 class TestG1Series:
     """Off the exact lattice g1 at every z <= x0 is read from one list of
     the terms of its series in zeta = sech^2 r (_quadratic_seed's point),
-    each point cut off by a rule of its own: a value depends only on its
-    point, meets the ladder's continuation at x0, and matches 30-digit
-    mpmath to 1e-12."""
+    grown as far as the reads need, each point cut off by a rule of its
+    own: a value depends only on its point, whatever was read before,
+    meets the ladder's continuation at x0, and matches 30-digit mpmath to
+    1e-12."""
 
     KERNELS = TestStepRatioCache.KERNELS + [
         (1, Mode(4.0, 1, Fraction(4)), -25 - 2.5j),   # integer s = 2
@@ -1751,6 +1785,18 @@ class TestG1Series:
         fresh = _KernelData(n, hypergeom_params(n, mode, lam))
         assert self.hexes(fresh.g1(xs[::-1])) == scalar[::-1]
         assert kd.g1.expansions == fresh.g1.expansions == {}
+        # read history: a small tau, then x0 and the next double up, which
+        # grow the term list and start the climb above x0, then the small
+        # tau again, against a fresh kernel that reads the small tau alone
+        small = [0.05]
+        grown = _KernelData(n, hypergeom_params(n, mode, lam))
+        first = self.hexes(grown.g1(small))
+        formed = len(grown.g1.seed.terms)
+        grown.g1([x0, math.nextafter(x0, 1.0)])
+        assert len(grown.g1.seed.terms) > formed and grown.g1.expansions
+        alone = _KernelData(n, hypergeom_params(n, mode, lam))
+        assert self.hexes(grown.g1(small)) == first == self.hexes(
+            alone.g1(small))
 
     @pytest.mark.parametrize("n,mode,lam", KERNELS)
     def test_continuous_across_x0(self, n, mode, lam):
@@ -1799,9 +1845,13 @@ class TestG1Series:
 class TestG1SeriesWorkCounts:
     """A probe sample at the default profile (bump(0.3, 0.6), sigma0 =
     0.45) reads g1 only on [0.3, 0.45], below every x0 (0.62 to 0.71), so
-    each kernel forms its one list of zeta-series terms and nothing else
-    for g1: no Taylor expansion and no seed pass.  Exact-lattice kernels
-    read theirs too, the list of the tail of the series in zeta."""
+    each kernel forms the terms of its series in zeta only as far as
+    roundoff at sigma = 0.45 needs, by its own recurrence, and nothing
+    else for g1: no Taylor expansion and no series pass.  That is the
+    terms the read at 0.45 sums and the two past them that close its cut;
+    a list formed to roundoff at zeta0 held 39 terms on average.
+    Exact-lattice kernels form their one list whole, the head and the tail
+    of the series in zeta."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1837,9 +1887,11 @@ class TestG1SeriesWorkCounts:
             g1 = kd.g1
             assert g1.reach == g1.x0 > 0.45 and g1.expansions == {}
             assert (g1.a, g1.b, g1.c) not in taylor
-            zeta_params = (0.5 * g1.b, 0.5 * g1.b + 0.5, g1.a + 0.5)
-            assert [listed for params, listed in series
-                    if params == zeta_params] == [True]
+            _, zeta_params = _inline_quadratic_params(g1.a, g1.b)
+            assert zeta_params not in [params for params, _ in series]
+            tau, _ = _inline_tau(g1.a, g1.b, 0.45)
+            needed, _ = _inline_quadratic_terms(g1.a, g1.b, tau)
+            assert g1.seed.terms == needed and len(needed) < 39
         assert taylor  # u2 keeps its ladder
 
     def test_exact_lattice_kernel(self, calls):
@@ -1929,6 +1981,14 @@ class TestResidualCheck:
         assert len(rep.residuals) == len(rep.grid) == 5
         # normalization is 1 + max |f| over the grid (peak sits off-grid)
         assert rep.normalization == pytest.approx(1.0 + f(0.5), rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 19")
+    def test_large_mode_within_acceptance(self):
+        # ACCEPTANCE 3's bound at mu^2 = 3e4, where the check misreports
+        # while apply_resolvent's values are right: it reads 2.17e4
+        rep = residual_check(3, Mode(3e4, 1), 1.93 + 2.14j,
+                             RadialProfile.bump(0.3, 0.6))
+        assert rep.max_residual <= 1e-5
 
     def test_residual_at_exact_removable_point(self):
         # the lattice seed's terms vanish between the b and c indices

@@ -26,6 +26,7 @@ from hypercone import (
 from hypercone import specfun
 
 from oracles import (
+    OracleDisagreement,
     exp_equal,
     oracle_hyp2f1,
     oracle_hyp2f1_terms,
@@ -506,6 +507,17 @@ class TestAgainstMpmath:
             want = oracle_hyp2f1(a, b, c, z)
             got = hyp2f1(a, b, c, z)
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+    def test_oracle_checks_truncated_series(self):
+        # mp.hyp2f1 at 30 digits drops the terms that dip below its
+        # precision and grow back near k = -Re c: 1.9e-9 off here, which
+        # the 60-digit term sum oracle_hyp2f1 checks against refuses
+        a, b = complex(-5.5139, 6.6442), complex(-7.8213, -3.4246)
+        c, z = complex(-70.1458, 0.9268), 0.63099
+        with pytest.raises(OracleDisagreement):
+            oracle_hyp2f1(a, b, c, z)
+        assert oracle_hyp2f1(a, b, c, z, dps=60) == pytest.approx(
+            complex(oracle_hyp2f1_terms(a, b, c, z, dps=60)), rel=1e-15)
 
     def test_hyp2f1_integer_gap_battery(self):
         # c - a - b exactly integer, where the 1-z connection formula
